@@ -1,15 +1,19 @@
 """Discrete error norms, superclose/superconvergence quantities and EOC tables.
 
 Errors against the exact (trigonometric) solution are integrated per cell with
-tensor Gauss rules; differences of two discrete fields are integrated exactly
-through the reference Gram matrices, which keeps quadrature noise out of the
-superclose quantity (the smallest number in the study).
+tensor Gauss rules.  The Gauss points of a slab of cells form a tensor grid, so
+the exact fields are evaluated there by sum factorization and the kernels
+contract with the dual tables by matrix products.  Differences of two discrete
+fields are integrated exactly through the reference Gram matrices, which keeps
+quadrature noise out of the superclose quantity (the smallest number in the
+study).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,53 +39,103 @@ class ErrorTriple:
         return (self.curl_h1, self.curl_l2, self.l2)
 
 
-_TABLE_CACHE = {}
+def _columns(table_val, table_curl, table_gc, wts, cells):
+    """(dual matrix, point weights) per ErrorTriple column: the tables as
+    dof-major (dim, points x components) views, the weights repeated per
+    component and tiled over ``cells`` fine cells."""
+    out = []
+    for table, k in ((table_gc, 9), (table_curl, 3), (table_val, 3)):
+        out.append((table.reshape(len(table), -1),
+                    np.tile(np.repeat(wts, k), cells)))
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _cell_tables(q):
-    """Reference VK dual tables at the q^3 box points, cached per order."""
-    key = ("cell", q)
-    if key not in _TABLE_CACHE:
-        pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-        vk = reference_spaces()["VK"]
-        _TABLE_CACHE[key] = {
-            "pts": pts, "wts": wts,
-            "val": dual_value_table(vk, pts),
-            "curl": dual_curl_table(vk, pts),
-            "gc": dual_gradcurl_table(vk, pts),
-        }
-    return _TABLE_CACHE[key]
+    """Reference VK dual tables at the q^3 box points, cached per order.
 
-
-def _macro_tables(q):
-    """VM dual tables at every fine-cell quadrature point of the macro frame.
-
-    Arrays are indexed (fine cell 0..26, dof, point, ...); fine cells follow
-    the (a, b, c) lexicographic order of MacroPartition.macro_cells.
+    ``val``/``curl`` are (dof, point, 3) and ``gc`` (dof, point, 3, 3);
+    ``columns`` holds the same tables flattened per dof, in ErrorTriple order.
     """
-    key = ("macro", q)
-    if key not in _TABLE_CACHE:
-        pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-        vm = reference_spaces()["VM"]
-        nq = len(pts)
-        # all 27 fine-cell grids stacked into one evaluation per dual field
-        grids = []
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    lat = np.array([a, b, c], dtype=float)
-                    grids.append((lat + 0.5) / 3.0 - 0.5 + pts / 3.0)
-        mpts = np.concatenate(grids, axis=0)
+    pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    vk = reference_spaces()["VK"]
+    tab = {"wts": wts, "val": dual_value_table(vk, pts),
+           "curl": dual_curl_table(vk, pts),
+           "gc": dual_gradcurl_table(vk, pts)}
+    tab["columns"] = _columns(tab["val"], tab["curl"], tab["gc"], wts, 1)
+    return tab
 
-        def split(table, extra):
-            return np.moveaxis(table.reshape((vm.dim, 27, nq) + extra), 0, 1)
 
-        val = split(dual_value_table(vm, mpts), (3,))
-        curl = split(dual_curl_table(vm, mpts), (3,))
-        gc = split(dual_gradcurl_table(vm, mpts), (3, 3))
-        _TABLE_CACHE[key] = {"pts": pts, "wts": wts, "val": val,
-                             "curl": curl, "gc": gc}
-    return _TABLE_CACHE[key]
+@lru_cache(maxsize=None)
+def _macro_tables(q):
+    """VM dual tables at every fine-cell quadrature point of the macro frame,
+    as ``_columns``: (dof, fine cell 0..26 x point x component) matrices with
+    their weights.  Fine cells follow the (a, b, c) lexicographic order of
+    MacroPartition.macro_cells.
+    """
+    pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    vm = reference_spaces()["VM"]
+    # all 27 fine-cell grids stacked into one evaluation per dual field
+    lat = np.stack(np.meshgrid(*(np.arange(3.0),) * 3, indexing="ij"),
+                   axis=-1).reshape(27, 1, 3)
+    mpts = ((lat + 0.5) / 3.0 - 0.5 + pts / 3.0).reshape(-1, 3)
+    return _columns(dual_value_table(vm, mpts), dual_curl_table(vm, mpts),
+                    dual_gradcurl_table(vm, mpts), wts, 27)
+
+
+def _exact_grid(exact, x, y, z):
+    """(grad curl u, curl u, u) on the tensor grid x * y * z, through
+    ``exact.grid_values`` or, for fields without it, the pointwise methods
+    at the same grid points."""
+    grid = getattr(exact, "grid_values", None)
+    if grid is not None:
+        u, curl, gc = grid(x, y, z)
+    else:
+        P = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
+        flat = P.reshape(-1, 3)
+        u = exact.u_value(flat)
+        curl = exact.curl_u_value(flat)
+        gc = exact.grad_curl_u_value(flat)
+    return gc, curl, u
+
+
+def _exact_on_blocks(exact, mesh, sub, q, chunk):
+    """Exact grad curl u, curl u and u at the Gauss points of every cell.
+
+    The mesh is tiled by blocks of sub^3 cells (1 for cells, 3 for macros),
+    numbered like the cells, lexicographically on the block lattice.  A chunk
+    is a run of whole block rows at one first lattice index, about ``chunk``
+    blocks with contiguous ids, so its Gauss points form one tensor grid.
+    Yields ``(block id slice, values)``: values in ErrorTriple column order,
+    each (blocks, fine cell x point x component) with fine cells and points
+    in the lexicographic order of ``macro_cells`` and ``gauss_rule.box``.
+    """
+    n, h = mesh.n, mesh.h_axis[0]
+    nb, p = n // sub, sub * q
+    r = gauss_rule(q).interval(-0.5, 0.5)[0]
+    coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)
+    rows = min(nb, max(1, chunk // nb))
+    for i in range(nb):
+        for j in range(0, nb, rows):
+            nj = min(rows, nb - j)
+            vals = _exact_grid(exact, coords[i * p:(i + 1) * p],
+                               coords[j * p:(j + nj) * p], coords)
+            blocks = tuple(
+                v.reshape(sub, q, nj, sub, q, nb, sub, q, -1)
+                .transpose(2, 5, 0, 3, 6, 1, 4, 7, 8).reshape(nj * nb, -1)
+                for v in vals)
+            del vals    # the grid layout is not needed while the caller works
+            start = (i * nb + j) * nb
+            yield slice(start, start + nj * nb), blocks
+
+
+def _sq_error(approx, scale, exact, w):
+    """Weighted sum of squares of ``scale * approx - exact``.  Works in
+    place in ``approx``, so a chunk needs one temporary of its size."""
+    approx *= scale
+    approx -= exact
+    np.square(approx, out=approx)
+    return np.sum(approx @ w)
 
 
 def _gather_ref_coeffs(u_vec, gmap, cells):
@@ -93,28 +147,16 @@ def _gather_ref_coeffs(u_vec, gmap, cells):
 
 def error_vs_exact(u_vec, exact, mesh, gmap, q=6, chunk=1024):
     """Error triple of a V_h coefficient vector against the exact solution."""
-    tab = _cell_tables(q)
+    columns = _cell_tables(q)["columns"]
     h = mesh.h_axis[0]
-    pts, wts = tab["pts"], tab["wts"]
+    scales = (h**-2, 1.0 / h, 1.0)
     acc = np.zeros(3)
-    for start in range(0, mesh.n_cells, chunk):
-        cells = slice(start, min(start + chunk, mesh.n_cells))
+    for cells, exact_vals in _exact_on_blocks(exact, mesh, 1, q, chunk):
         d = _gather_ref_coeffs(u_vec, gmap, cells) / h   # reference dof values
-        centers = mesh.cell_centers[cells]
-        P = (centers[:, None, :] + h * pts[None, :, :]).reshape(-1, 3)
-
-        uh = np.einsum("ci,igk->cgk", d, tab["val"])
-        diff = uh - exact.u_value(P).reshape(uh.shape)
-        acc[2] += h**3 * np.einsum("cgk,g->", diff**2, wts)
-
-        ch = np.einsum("ci,igk->cgk", d, tab["curl"]) / h
-        diff = ch - exact.curl_u_value(P).reshape(ch.shape)
-        acc[1] += h**3 * np.einsum("cgk,g->", diff**2, wts)
-
-        gch = np.einsum("ci,igkl->cgkl", d, tab["gc"]) / h**2
-        diff = gch - exact.grad_curl_u_value(P).reshape(gch.shape)
-        acc[0] += h**3 * np.einsum("cgkl,g->", diff**2, wts)
-    return ErrorTriple(*np.sqrt(acc))
+        for col, ((phi, w), s, ex) in enumerate(
+                zip(columns, scales, exact_vals)):
+            acc[col] += _sq_error(d @ phi, s, ex, w)
+    return ErrorTriple(*np.sqrt(h**3 * acc))
 
 
 def discrete_norms(vec, mesh, gmap):
@@ -165,38 +207,25 @@ def macro_best_approximation(exact, mesh, partition, q=6, chunk=64):
     """
     if partition.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
-    tab = _macro_tables(q)
     vm = reference_spaces()["VM"]
-    M0, M1, M2 = dual_gram_matrices(vm)
     h = mesh.h_axis[0]
     H = partition.macro_size
-    wts = tab["wts"]
+    # physical dual fields are scale x the reference tables
     columns = []
-    for table, scale, gram, fn in (
-            (tab["gc"], H**-2, M2, exact.grad_curl_u_value),
-            (tab["curl"], 1.0 / H, M1, exact.curl_u_value),
-            (tab["val"], 1.0, M0, exact.u_value)):
-        # physical dual fields as a (dof, fine cell x point x component) matrix
-        phi = scale * np.moveaxis(table, 1, 0).reshape(vm.dim, -1)
-        w = h**3 * np.broadcast_to(
-            wts.reshape((1, -1) + (1,) * (table.ndim - 3)),
-            (27,) + table.shape[2:]).reshape(-1)
+    for (phi, w), scale, gram in zip(_macro_tables(q),
+                                     (H**-2, 1.0 / H, 1.0),
+                                     reversed(dual_gram_matrices(vm))):
         ginv = np.linalg.pinv(H**3 * scale**2 * gram, rcond=1e-10,
                               hermitian=True)
-        columns.append((phi, w, ginv, fn))
+        columns.append((phi, h**3 * w, scale, ginv))
 
     acc = np.zeros(3)
     coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in columns)
-    for start in range(0, partition.n_macros, chunk):
-        macros = slice(start, min(start + chunk, partition.n_macros))
-        centers_fine = mesh.cell_centers[partition.macro_cells[macros]]
-        P = (centers_fine[:, :, None, :]
-             + h * tab["pts"][None, None, :, :]).reshape(-1, 3)
-        nm = len(centers_fine)
-        for col, (phi, w, ginv, fn) in enumerate(columns):
-            ex = fn(P).reshape(nm, -1)
-            c = ((ex * w) @ phi.T) @ ginv
-            acc[col] += np.sum((c @ phi - ex)**2 * w)
+    for macros, exact_vals in _exact_on_blocks(exact, mesh, 3, q, chunk):
+        for col, ((phi, w, scale, ginv), ex) in enumerate(
+                zip(columns, exact_vals)):
+            c = scale * ((ex * w) @ phi.T) @ ginv
+            acc[col] += _sq_error(c @ phi, scale, ex, w)
             coeffs[col][macros] = c
     return ErrorTriple(*np.sqrt(acc)), coeffs
 
@@ -207,31 +236,17 @@ def superconvergent_error(macro_field, exact, mesh, q=6, chunk=64):
     part = macro_field.partition
     if part.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
-    tab = _macro_tables(q)
+    columns = _macro_tables(q)
     h = mesh.h_axis[0]
     H = part.macro_size
-    pts, wts = tab["pts"], tab["wts"]
+    scales = (H**-2, 1.0 / H, 1.0)
     acc = np.zeros(3)
-    for start in range(0, part.n_macros, chunk):
-        macros = slice(start, min(start + chunk, part.n_macros))
+    for macros, exact_vals in _exact_on_blocks(exact, mesh, 3, q, chunk):
         coef = macro_field.coeffs[macros]
-        centers = part.macro_centers[macros]
-        cell_ids = part.macro_cells[macros]
-        centers_fine = mesh.cell_centers[cell_ids]       # (M, 27, 3)
-        P = (centers_fine[:, :, None, :] + h * pts[None, None, :, :]).reshape(-1, 3)
-
-        vals = np.einsum("mi,cigk->mcgk", coef, tab["val"])
-        diff = vals - exact.u_value(P).reshape(vals.shape)
-        acc[2] += h**3 * np.einsum("mcgk,g->", diff**2, wts)
-
-        curls = np.einsum("mi,cigk->mcgk", coef, tab["curl"]) / H
-        diff = curls - exact.curl_u_value(P).reshape(curls.shape)
-        acc[1] += h**3 * np.einsum("mcgk,g->", diff**2, wts)
-
-        gcs = np.einsum("mi,cigkl->mcgkl", coef, tab["gc"]) / H**2
-        diff = gcs - exact.grad_curl_u_value(P).reshape(gcs.shape)
-        acc[0] += h**3 * np.einsum("mcgkl,g->", diff**2, wts)
-    return ErrorTriple(*np.sqrt(acc))
+        for col, ((phi, w), s, ex) in enumerate(
+                zip(columns, scales, exact_vals)):
+            acc[col] += _sq_error(coef @ phi, s, ex, w)
+    return ErrorTriple(*np.sqrt(h**3 * acc))
 
 
 def compute_eoc(rows):

@@ -212,11 +212,12 @@ def selftest():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
 
+    # explicit flags win: the cap replaces thread settings already present
     threads = args.threads or os.environ.get("QUADCURL_THREADS")
     if threads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
+            os.environ[var] = str(threads)
 
     if args.selftest:
         return EXIT_OK if selftest() else EXIT_INVARIANT

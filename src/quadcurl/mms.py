@@ -7,7 +7,9 @@ sin 3t) / 4`` turns every field into a finite sum of separable products of
 derivatives of any order are exact linear recombinations: no symbolic algebra
 and no finite differences anywhere.  Coefficients are kept as exact rationals
 times an integer power of pi, which makes identities like ``div f = 0`` cancel
-to literal zero instead of rounding noise.
+to literal zero instead of rounding noise.  On the outer product of three 1D
+coordinate arrays the series are summed factor by factor from per-axis sin/cos
+tables (``TrigField.eval_grid``, ``ExactFields.grid_values``).
 """
 
 from __future__ import annotations
@@ -155,6 +157,65 @@ class TrigField:
                                * basis(2, *k3, z))
         return out * math.pi**self.pi_power
 
+    def eval_grid(self, x, y, z):
+        """Values on the outer product of 1D coordinate arrays:
+        ``(len(x), len(y), len(z))``, entry [i, j, k] at (x[i], y[j], z[k])."""
+        return _eval_grid(_grid_plan((self,)), x, y, z)[..., 0]
+
+
+def _grid_plan(fields):
+    """Coefficient layout for evaluating ``fields`` together on tensor grids.
+
+    Returns ``(keys, pairs, coef)``: per axis the list of ``(kind, m)``
+    factors the terms use, the (x factor, y factor) index pairs that occur,
+    and ``coef[pair, z factor, field]`` with each field's power of pi folded
+    into its rational coefficients.
+    """
+    keys = ({}, {}, {})
+    pairs = {}
+    entries = []
+    for f, field in enumerate(fields):
+        scale = math.pi**field.pi_power
+        for key, c in field.terms.items():
+            i, j, k = (keys[a].setdefault(key[a], len(keys[a]))
+                       for a in range(3))
+            entries.append((pairs.setdefault((i, j), len(pairs)), k, f,
+                            float(c) * scale))
+    coef = np.zeros((len(pairs), len(keys[2]), len(fields)))
+    for pair, k, f, c in entries:
+        coef[pair, k, f] += c
+    return (tuple(list(k) for k in keys),
+            np.array(list(pairs), dtype=int).reshape(-1, 2), coef)
+
+
+def _trig_table(keys, t):
+    """Columns sin/cos(m pi t), one per ``(kind, m)`` key: (len(t), len(keys))."""
+    out = np.empty((len(t), len(keys)))
+    for col, (kind, m) in enumerate(keys):
+        arg = m * np.pi * t
+        out[:, col] = np.sin(arg) if kind == SIN else np.cos(arg)
+    return out
+
+
+def _eval_grid(plan, x, y, z):
+    """Sum factorization of a ``_grid_plan`` on the tensor grid x * y * z.
+
+    Terms sharing an (x, y) factor pair fold their z factors into one 1D
+    combination per field, so one matmul of the (x, y) factor products
+    against those combinations gives every field at every grid point:
+    (len(x), len(y), len(z), n_fields).
+    """
+    keys, pairs, coef = plan
+    x, y, z = (np.asarray(t, dtype=float).reshape(-1) for t in (x, y, z))
+    shape = (len(x), len(y), len(z), coef.shape[2])
+    if not len(pairs):
+        return np.zeros(shape)
+    tx, ty, tz = (_trig_table(k, t) for k, t in zip(keys, (x, y, z)))
+    xy = tx[:, None, pairs[:, 0]] * ty[None, :, pairs[:, 1]]
+    zc = np.einsum("zk,pkf->pzf", tz, coef)
+    return (xy.reshape(-1, len(pairs))
+            @ zc.reshape(len(pairs), -1)).reshape(shape)
+
 
 class VectorTrigField:
     """Three-component field of TrigFields."""
@@ -220,6 +281,9 @@ class ExactFields:
         self.grad_curl_u = tuple(tuple(c.partial(j) for j in range(3))
                                  for c in self.curl_u.comps)
         self._curl_partial_cache = {}
+        self._grid_plan = _grid_plan(
+            self.u.comps + self.curl_u.comps
+            + tuple(g for row in self.grad_curl_u for g in row))
 
     # -- vectorized callables ------------------------------------------------
 
@@ -237,8 +301,16 @@ class ExactFields:
                 for row in self.grad_curl_u]
         return np.stack(rows, axis=-2)
 
-    def delta_curl_u_value(self, pts):
-        return self.delta_curl_u.eval(pts)
+    def grid_values(self, x, y, z):
+        """u, curl u and grad curl u on the outer product of 1D coordinate
+        arrays, shaped like ``u_value``, ``curl_u_value`` and
+        ``grad_curl_u_value`` with the point axis replaced by
+        ``(len(x), len(y), len(z))``.  All 15 components share one set of
+        per-axis sin/cos tables."""
+        out = _eval_grid(self._grid_plan, x, y, z)
+        grid = out.shape[:3]
+        return (out[..., 0:3], out[..., 3:6],
+                out[..., 6:15].reshape(grid + (3, 3)))
 
     def f_value(self, pts):
         return self.f.eval(pts)

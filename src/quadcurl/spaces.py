@@ -434,34 +434,41 @@ def check_curl_inclusion(v_space, w_space, tol=1e-12):
 # dual-basis evaluation tables and exact Gram matrices
 # ---------------------------------------------------------------------------
 
+def _span_table(space, pts, components):
+    """Dual-basis table from the span: (ndof, npts, ncomp).
+
+    ``components(field)`` lists the scalar polynomials to tabulate for one
+    spanning field.  They are evaluated at once through their coefficient
+    matrix over the monomials they use, then ``dual_coeffs`` maps span
+    values to dual values, one component at a time.
+    """
+    polys = [p for f in space.span for p in components(f)]
+    mat, monos = coefficient_matrix(polys)
+    mat = mat.reshape(space.dim, len(polys) // space.dim, len(monos))
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    basis = np.array([x**a * y**b * z**c for a, b, c in monos]).reshape(
+        len(monos), len(pts))
+    out = np.empty((space.dim, len(pts), mat.shape[1]))
+    for comp in range(mat.shape[1]):
+        out[:, :, comp] = space.dual_coeffs.T @ (mat[:, comp] @ basis)
+    return out
+
+
 def dual_value_table(space, pts):
     """Values of all dual fields at reference points: (ndof, npts, 3)."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return np.stack([f(x, y, z) for f in space.dual])
+    return _span_table(space, pts, lambda f: f.comps)
 
 
 def dual_curl_table(space, pts):
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return np.stack([f.curl()(x, y, z) for f in space.dual])
+    return _span_table(space, pts, lambda f: f.curl().comps)
 
 
 def dual_gradcurl_table(space, pts):
     """Jacobians of the curls of all duals: (ndof, npts, 3, 3); entry
     [..., i, j] is d(curl f)_i / d x_j."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    out = np.empty((space.dim, len(pts), 3, 3))
-    for n, f in enumerate(space.dual):
-        g = f.curl().grad()
-        for i in range(3):
-            for j in range(3):
-                out[n, :, i, j] = g[i][j](x, y, z)
-    return out
-
-
-def scalar_value_table(space, pts):
-    """Values of a scalar space's duals: (ndof, npts)."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return np.stack([p(x, y, z) for p in space.dual])
+    table = _span_table(space, pts,
+                        lambda f: [g for row in f.curl().grad() for g in row])
+    return table.reshape(space.dim, len(pts), 3, 3)
 
 
 def scalar_grad_table(space, pts):

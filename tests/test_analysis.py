@@ -203,3 +203,41 @@ def test_best_approximation_bounds_the_macro_interpolant(macro6):
         rest = analysis.macro_norms(
             MacroField(part, "VM", coeffs[col] - imu.coeffs)).as_tuple()[col]
         assert e**2 == pytest.approx(b**2 + rest**2, rel=1e-8)
+
+
+class _PointwiseOnly:
+    """The exact fields with ``grid_values`` hidden, so the error kernels
+    take their pointwise fallback."""
+
+    def __init__(self, exact):
+        self._exact = exact
+
+    def __getattr__(self, name):
+        if name == "grid_values":
+            raise AttributeError(name)
+        return getattr(self._exact, name)
+
+
+def _assert_triples_close(a, b, rel=1e-12):
+    for x, y in zip(a.as_tuple(), b.as_tuple()):
+        assert x == pytest.approx(y, rel=rel)
+
+
+def test_grid_path_matches_pointwise_fallback(macro6):
+    mesh, part, ex, imu = macro6
+    gmap = system.build_dof_map(mesh)
+    pointwise = _PointwiseOnly(ex)
+    v = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
+    # chunk=24 splits each slab of 36 cells into runs of 4 and 2 rows
+    for chunk in (1024, 24):
+        _assert_triples_close(
+            analysis.error_vs_exact(v, ex, mesh, gmap, chunk=chunk),
+            analysis.error_vs_exact(v, pointwise, mesh, gmap))
+    _assert_triples_close(analysis.superconvergent_error(imu, ex, mesh),
+                          analysis.superconvergent_error(imu, pointwise, mesh))
+    grid, grid_coeffs = analysis.macro_best_approximation(ex, mesh, part)
+    point, point_coeffs = analysis.macro_best_approximation(pointwise, mesh,
+                                                            part)
+    _assert_triples_close(grid, point)
+    for a, b in zip(grid_coeffs, point_coeffs):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

@@ -102,3 +102,13 @@ def test_cli_reproduces_reference_rows(tmp_path):
         got = (float(cells[1]), float(cells[3]), float(cells[5]))
         for g, w in zip(got, ref):
             assert abs(g - w) / w < 0.02
+
+
+def test_threads_flag_overrides_preset_environment(monkeypatch):
+    # explicit flags win: --threads replaces thread variables already set
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "4")
+    rc = cli.main(["--threads", "1", "--n", "0"])
+    assert rc == cli.EXIT_CONFIG
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1"

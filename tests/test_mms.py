@@ -129,3 +129,30 @@ def test_pi_power_bookkeeping(exact):
     assert exact.u.comps[0].pi_power == 1
     assert exact.f.comps[0].pi_power == 5
     assert math.isfinite(float(exact.f_value(np.array([[0.3, 0.4, 0.6]]))[0, 0]))
+
+
+def _grid_axes():
+    rng = np.random.default_rng(7)
+    return rng.uniform(0, 1, 5), rng.uniform(0, 1, 4), rng.uniform(0, 1, 6)
+
+
+def test_eval_grid_matches_pointwise_eval(exact):
+    x, y, z = _grid_axes()
+    X, Y, Z = np.meshgrid(x, y, z, indexing="ij")
+    fields = (exact.u.comps + exact.curl_u.comps
+              + tuple(g for row in exact.grad_curl_u for g in row))
+    for field in fields:
+        want = field.eval(X, Y, Z)
+        got = field.eval_grid(x, y, z)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_grid_values_match_pointwise_methods(exact):
+    x, y, z = _grid_axes()
+    pts = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
+    for got, want in zip(exact.grid_values(x, y, z),
+                         (exact.u_value(pts), exact.curl_u_value(pts),
+                          exact.grad_curl_u_value(pts))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

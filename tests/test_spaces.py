@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from quadcurl.polyquad import Poly, PolyField, coefficient_matrix
+from quadcurl.polyquad import gauss_rule
 from quadcurl.spaces import (DofFunctional, SingularVandermonde,
                              check_curl_inclusion, curl_inclusion_residual,
-                             dual_basis, dual_gram_matrices, reference_spaces,
-                             span_VK, span_WK)
+                             dual_basis, dual_curl_table, dual_gradcurl_table,
+                             dual_gram_matrices, dual_value_table,
+                             reference_spaces, span_VK, span_WK)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +126,24 @@ def test_gram_matrices_positive_semidefinite(spaces):
         assert w.min() > -1e-10 * abs(w.max())
     # M0 is an L2 Gram: strictly positive definite
     assert np.linalg.eigvalsh(M0).min() > 0
+
+
+def test_span_tables_match_dual_polynomials(spaces):
+    # the tables come from the span and dual_coeffs; evaluating every dense
+    # dual polynomial at the points is the oracle
+    pts, _ = gauss_rule(3).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    x, y, z = pts.T
+    for tag in ("VK", "NedelecK", "VM"):
+        sp = spaces[tag]
+        oracle = (
+            np.stack([f(x, y, z) for f in sp.dual]),
+            np.stack([f.curl()(x, y, z) for f in sp.dual]),
+            np.stack([np.stack([np.stack([g(x, y, z) for g in row], axis=-1)
+                                for row in f.curl().grad()], axis=-2)
+                      for f in sp.dual]))
+        tables = (dual_value_table(sp, pts), dual_curl_table(sp, pts),
+                  dual_gradcurl_table(sp, pts))
+        for table, want in zip(tables, oracle):
+            assert table.shape == want.shape
+            assert np.abs(table - want).max() <= 1e-12 * np.abs(want).max(), \
+                tag
