@@ -439,8 +439,8 @@ def check_solver_oracle(bound=1e-8, p_bound=1e-8):
         nv = gmap.n_vdofs
         scale = max(1.0, float(np.abs(z).max()))
         worst = max(worst, float(np.abs(
-            np.concatenate([u_it.values, p_it.values]) - z).max()) / scale)
-        worst_p = max(worst_p, float(np.abs(p_it.values).max()),
+            np.concatenate([u_it, p_it]) - z).max()) / scale)
+        worst_p = max(worst_p, float(np.abs(p_it).max()),
                       float(np.abs(z[nv:]).max()))
     ok_p = worst_p <= p_bound
     res = _result("iterative solve matches dense oracle", worst, bound,

@@ -145,50 +145,90 @@ def _merge_config(args):
     return cfg
 
 
-def run(config):
-    """Execute the configured studies; returns report paths per (scheme, task)."""
-    from . import analysis, interp, mms, system
-    from .mesh import build_mesh, macro_partition
+@dataclass
+class StudyRecord:
+    """One solve of a study: solver facts, the triple of each requested task
+    and the objects later measurements need."""
+
+    n: int
+    scheme: str
+    info: dict                  # solver facts from ``system.solve_saddle``
+    mesh: object
+    gmap: object
+    u: object                   # V_h coefficients of u_h
+    partition: object = None    # macro partition (superconv task)
+    ihu: object = None          # I_h u (superclose task)
+    i3h_u: object = None        # I3h u_h (superconv task)
+    triples: dict = field(default_factory=dict)    # task -> ErrorTriple
+    elapsed: float = 0.0        # seconds since this n started
+
+
+def study(config):
+    """Solve every (n, scheme) of the configured study; yields one
+    ``StudyRecord`` per solve.
+
+    Collaborators are looked up as module attributes at call time, so
+    wrappers installed on those attributes see every call.
+    """
+    from . import mms
 
     exact = mms.build_exact_fields()
-    q = config.quad_order
-    reports = {(s, t): analysis.ConvergenceReport(scheme=s, quantity=t)
-               for s in config.schemes for t in config.tasks}
-
     for n in config.ns:
-        t0 = time.time()
         if n > max(DEFAULT_NS):
             print(f"warning: n={n} is an extended run "
                   f"(~{(n / 24) ** 4:.0f}x the n=24 cost)")
-        mesh = build_mesh(n)
-        gmap = system.build_dof_map(mesh)
-        A = system.assemble_A(mesh, gmap)
-        B = system.assemble_B(mesh, gmap)
-        part = macro_partition(mesh) if "superconv" in config.tasks else None
-        ihu = (interp.global_interp_Ih(exact, mesh, gmap, q=q)
-               if "superclose" in config.tasks else None)
-        for scheme in config.schemes:
-            rhs = system.assemble_rhs(mesh, gmap, exact.f_value,
-                                      mode=scheme, q=q)
-            sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap,
-                                       mesh=mesh)
-            u, _p, info = system.solve_saddle(sys_, tol=config.tol)
-            for task in config.tasks:
-                if task == "errors":
-                    trip = analysis.error_vs_exact(u.values, exact, mesh,
-                                                   gmap, q=q)
-                elif task == "superclose":
-                    trip = analysis.superclose_error(u.values, ihu, mesh,
-                                                     gmap)
-                else:
-                    mf = interp.global_I3h(u.values, mesh, gmap, part)
-                    trip = analysis.superconvergent_error(mf, exact, mesh,
-                                                          q=q)
-                reports[(scheme, task)].add(n, trip)
-            print(f"  n={n} scheme={scheme}: solved "
-                  f"({info['method']}, {info['iterations']} its, "
-                  f"residual {info['residual']:.2e}), "
-                  f"{time.time() - t0:.1f}s elapsed")
+        # one generator frame per n: nothing of this n outlives its records
+        yield from _study_n(n, config, exact)
+
+
+def _study_n(n, config, exact):
+    """The records of one mesh size."""
+    from . import analysis, interp, system
+    from .mesh import build_mesh, macro_partition
+
+    t0 = time.time()
+    q, tasks = config.quad_order, config.tasks
+    mesh = build_mesh(n)
+    gmap = system.build_dof_map(mesh)
+    A = system.assemble_A(mesh, gmap)
+    B = system.assemble_B(mesh, gmap)
+    part = macro_partition(mesh) if "superconv" in tasks else None
+    ihu = (interp.global_interp_Ih(exact, mesh, gmap, q=q)
+           if "superclose" in tasks else None)
+    for scheme in config.schemes:
+        rhs = system.assemble_rhs(mesh, gmap, exact.f_value, mode=scheme, q=q)
+        sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
+        u, _p, info = system.solve_saddle(sys_, tol=config.tol)
+        rec = StudyRecord(n=n, scheme=scheme, info=info, mesh=mesh,
+                          gmap=gmap, u=u, partition=part, ihu=ihu)
+        for task in tasks:
+            if task == "errors":
+                trip = analysis.error_vs_exact(u, exact, mesh, gmap, q=q)
+            elif task == "superclose":
+                trip = analysis.superclose_error(u, ihu, mesh, gmap)
+            else:
+                rec.i3h_u = interp.global_I3h(u, mesh, gmap, part)
+                trip = analysis.superconvergent_error(rec.i3h_u, exact, mesh,
+                                                      q=q)
+            rec.triples[task] = trip
+        rec.elapsed = time.time() - t0
+        yield rec
+
+
+def run(config):
+    """Execute the configured studies; returns report paths per (scheme, task)."""
+    from . import analysis
+
+    reports = {(s, t): analysis.ConvergenceReport(scheme=s, quantity=t)
+               for s in config.schemes for t in config.tasks}
+    for rec in study(config):
+        for task, trip in rec.triples.items():
+            reports[(rec.scheme, task)].add(rec.n, trip)
+        print(f"  n={rec.n} scheme={rec.scheme}: solved "
+              f"({rec.info['method']}, {rec.info['iterations']} its, "
+              f"residual {rec.info['residual']:.2e}), "
+              f"{rec.elapsed:.1f}s elapsed")
+        del rec             # let the next n start without this one
     paths = {}
     for key, report in reports.items():
         paths[key] = report.save(config.out_dir, fmt=config.fmt)

@@ -1,15 +1,15 @@
 """Interpolation operators: canonical, corrected (superclose) and macro.
 
-Local operators work on the scaled reference cell.  A target field enters
-either as a ``PolyField`` (all DoF integrals evaluated exactly in coefficient
-space) or as a smooth-field object exposing
+Local operators work on the scaled reference cell and take a ``PolyField``;
+all DoF integrals are evaluated exactly in coefficient space.  The global
+operator ``global_interp_Ih`` takes a smooth-field object exposing
 
 * ``value(pts) -> (..., 3)``
 * ``curl_value(pts) -> (..., 3)``
 * ``curl_d2(comp, axis, pts) -> (...)``  second partials of curl components
 
-(see ``quadcurl.mms.ExactFields``), in which case DoF integrals use tensor
-Gauss rules on the physical entities.
+(see ``quadcurl.mms.ExactFields``) and integrates with tensor Gauss rules on
+the physical entities.
 
 The corrected operators add ``h_k^2/12`` times the in-plane second derivative
 to every tangential face integral; expressed on the scaled frame the
@@ -161,51 +161,6 @@ def interp_macro_IM(v):
     return LocalInterpolant("VM", vals)
 
 
-def interp_macro_PiM(w):
-    """Macro face interpolation of a reference-frame (macro) PolyField."""
-    sp = reference_spaces()["WM"]
-    vals = np.array([dof.apply(w) for dof in sp.dofs])
-    return LocalInterpolant("WM", vals)
-
-
-# ---------------------------------------------------------------------------
-# smooth-field DoF evaluation on physical cells
-# ---------------------------------------------------------------------------
-
-def interp_IK_smooth(fieldobj, center, h, q=6, corrected=True):
-    """VK interpolation of a smooth field on the physical cell (center, h).
-
-    Returns a LocalInterpolant carrying physical geometry.  The correction
-    term's second derivatives come from the field's analytic interface, never
-    from finite differences.
-    """
-    sp = reference_spaces()["VK"]
-    rule = gauss_rule(q)
-    vals = np.empty(sp.dim)
-    center = np.asarray(center, dtype=float)
-    for i, dof in enumerate(sp.dofs):
-        if dof.kind == "edge_tangential":
-            a = dof.axis
-            t1, t2 = [ax for ax in range(3) if ax != a]
-            fixed = (center[t1] + h * dof.fixed[0], center[t2] + h * dof.fixed[1])
-            lo, hi = center[a] + h * dof.span[0], center[a] + h * dof.span[1]
-            P, W = rule.edge(a, fixed, lo, hi)
-            vals[i] = float(W @ fieldobj.value(P)[:, a])
-        else:
-            a, d = dof.axis, dof.direction
-            coord = center[a] + h * dof.fixed
-            t1, t2 = [ax for ax in range(3) if ax != a]
-            lo2 = (center[t1] + h * dof.span[0][0], center[t2] + h * dof.span[1][0])
-            hi2 = (center[t1] + h * dof.span[0][1], center[t2] + h * dof.span[1][1])
-            P, W = rule.face(a, coord, lo2, hi2)
-            g = fieldobj.curl_value(P)[:, d]
-            if corrected:
-                g = g + (h * h / 12.0) * fieldobj.curl_d2(d, d, P)
-            vals[i] = float(W @ g)
-    return LocalInterpolant("VK", vals / h**sp.dof_scale_power,
-                            center=center, h=h)
-
-
 # ---------------------------------------------------------------------------
 # global operators
 # ---------------------------------------------------------------------------
@@ -257,60 +212,6 @@ def global_interp_Ih(fieldobj, mesh, gmap, q=6, corrected=True):
             integ = h * h * (g @ w2d)
             coeffs[gmap.face_dof[fids, j]] = integ
     return coeffs
-
-
-def global_edge_interp(fieldobj, mesh, q=6):
-    """Global lowest-order edge interpolation: one tangential integral per
-    edge, zero on boundary edges (homogeneous convention).  These are exactly
-    the coefficients of the edge-element interpolant of the field."""
-    rule = gauss_rule(q)
-    h = mesh.h_axis[0]
-    vals = np.zeros(mesh.n_edges)
-    pts01, wts01 = rule.pts01, rule.wts01
-    for axis in range(3):
-        sel = (mesh.edge_table[:, 0] == axis) & ~mesh.edge_is_boundary
-        lat = mesh.edge_table[sel][:, 1:]
-        npts = len(pts01)
-        P = np.repeat((lat * h)[:, None, :], npts, axis=1)
-        P[:, :, axis] += h * pts01[None, :]
-        fv = fieldobj.value(P.reshape(-1, 3)).reshape(len(lat), npts, 3)
-        vals[np.where(sel)[0]] = h * (fv[:, :, axis] @ wts01)
-    return vals
-
-
-def global_interp_Pih(fieldobj, mesh, q=6, corrected=True):
-    """Global corrected interpolation into W_h: per face the two tangential
-    integrals (with the h^2/12 correction) and the normal integral, indexed
-    (face, [t1, t2, n]).  Boundary faces stay zero.
-
-    The field object needs ``value`` and, for the correction, ``d2(comp,
-    axis, pts)`` second partials of its components.
-    """
-    rule = gauss_rule(q)
-    h = mesh.h_axis[0]
-    vals = np.zeros((mesh.n_faces, 3))
-    g1, g2 = np.meshgrid(rule.pts01, rule.pts01, indexing="ij")
-    w2d = (rule.wts01[:, None] * rule.wts01[None, :]).reshape(-1)
-    for axis in range(3):
-        sel = (mesh.face_table[:, 0] == axis) & ~mesh.face_is_boundary
-        lat = mesh.face_table[sel][:, 1:]
-        t1, t2 = [ax for ax in range(3) if ax != axis]
-        nf = len(lat)
-        npts = g1.size
-        P = np.empty((nf, npts, 3))
-        P[:, :, axis] = (lat[:, axis] * h)[:, None]
-        P[:, :, t1] = (lat[:, t1] * h)[:, None] + h * g1.reshape(-1)[None, :]
-        P[:, :, t2] = (lat[:, t2] * h)[:, None] + h * g2.reshape(-1)[None, :]
-        flat = P.reshape(-1, 3)
-        fv = fieldobj.value(flat).reshape(nf, npts, 3)
-        fids = np.where(sel)[0]
-        for j, d in enumerate((t1, t2)):
-            g = fv[:, :, d]
-            if corrected:
-                g = g + (h * h / 12.0) * fieldobj.d2(d, d, flat).reshape(nf, npts)
-            vals[fids, j] = h * h * (g @ w2d)
-        vals[fids, 2] = h * h * (fv[:, :, axis] @ w2d)
-    return vals
 
 
 @dataclass

@@ -15,6 +15,34 @@ class NonDivisibleMesh(Exception):
     """Macroelement partition requested on a mesh with n not divisible by 3."""
 
 
+def _lattice(dims):
+    """Points of the integer box ``[0, dims)`` as rows ``(i, j, k)`` in
+    lexicographic order, C-contiguous."""
+    return np.indices(dims).reshape(3, -1).T.copy()
+
+
+def _axis_major_lattice(along, across):
+    """Rows ``(axis, i, j, k)``, axis-major: for each axis the lattice with
+    ``along`` points on that axis and ``across`` on the other two, in
+    lexicographic order."""
+    blocks = []
+    for axis in range(3):
+        dims = [across] * 3
+        dims[axis] = along
+        lat = _lattice(dims)
+        blocks.append(np.column_stack([np.full(len(lat), axis), lat]))
+    return np.concatenate(blocks).astype(np.int64)
+
+
+def _within_axis_block(axis, i, j, k, along, across):
+    """Position of lattice (i, j, k) inside the block of ``axis`` (scalars or
+    arrays, axis included) of :func:`_axis_major_lattice`."""
+    axis = np.asarray(axis)
+    d1 = np.where(axis == 1, along, across)
+    d2 = np.where(axis == 2, along, across)
+    return (np.asarray(i) * d1 + np.asarray(j)) * d2 + np.asarray(k)
+
+
 def edge_lattice_order(n):
     """Canonical edge enumeration of an n x n x n partition.
 
@@ -22,15 +50,7 @@ def edge_lattice_order(n):
     along ``axis`` runs over ``[0, n)`` and the two transverse coordinates over
     ``[0, n]``.  Row position equals the global edge id.
     """
-    rows = []
-    for axis in range(3):
-        dims = [n + 1, n + 1, n + 1]
-        dims[axis] = n
-        for i in range(dims[0]):
-            for j in range(dims[1]):
-                for k in range(dims[2]):
-                    rows.append((axis, i, j, k))
-    return np.array(rows, dtype=np.int64)
+    return _axis_major_lattice(n, n + 1)
 
 
 def face_lattice_order(n):
@@ -39,15 +59,7 @@ def face_lattice_order(n):
     The normal coordinate runs over ``[0, n]`` and the two in-plane
     coordinates over ``[0, n)``.  Row position equals the global face id.
     """
-    rows = []
-    for axis in range(3):
-        dims = [n, n, n]
-        dims[axis] = n + 1
-        for i in range(dims[0]):
-            for j in range(dims[1]):
-                for k in range(dims[2]):
-                    rows.append((axis, i, j, k))
-    return np.array(rows, dtype=np.int64)
+    return _axis_major_lattice(n + 1, n)
 
 
 class BrickMesh:
@@ -84,10 +96,7 @@ class BrickMesh:
         n = self.n
         self.edge_table = edge_lattice_order(n)   # (n_edges, 4): axis,i,j,k
         self.face_table = face_lattice_order(n)   # (n_faces, 4)
-        iv, jv, kv = np.meshgrid(np.arange(n + 1), np.arange(n + 1),
-                                 np.arange(n + 1), indexing="ij")
-        self.vertex_table = np.stack(
-            [iv.reshape(-1), jv.reshape(-1), kv.reshape(-1)], axis=1)
+        self.vertex_table = _lattice((n + 1,) * 3)
 
     def vertex_id(self, i, j, k):
         n1 = self.n + 1
@@ -99,30 +108,20 @@ class BrickMesh:
 
     def edge_id(self, axis, i, j, k):
         """Global id of the edge parallel to ``axis`` at lattice (i, j, k)."""
-        n = self.n
-        dims = [n + 1, n + 1, n + 1]
-        dims[axis] = n
-        within = (np.asarray(i) * dims[1] + np.asarray(j)) * dims[2] + np.asarray(k)
-        return axis * self.edges_per_axis + within
+        within = _within_axis_block(axis, i, j, k, self.n, self.n + 1)
+        return np.asarray(axis) * self.edges_per_axis + within
 
     def face_id(self, axis, i, j, k):
         """Global id of the face with normal ``axis`` at lattice (i, j, k)."""
-        n = self.n
-        dims = [n, n, n]
-        dims[axis] = n + 1
-        within = (np.asarray(i) * dims[1] + np.asarray(j)) * dims[2] + np.asarray(k)
-        return axis * self.faces_per_axis + within
+        within = _within_axis_block(axis, i, j, k, self.n + 1, self.n)
+        return np.asarray(axis) * self.faces_per_axis + within
 
     # -- per-cell connectivity ---------------------------------------------
 
     def _build_cell_tables(self):
         n = self.n
-        ci, cj, ck = np.meshgrid(np.arange(n), np.arange(n), np.arange(n),
-                                 indexing="ij")
-        ci = ci.reshape(-1)
-        cj = cj.reshape(-1)
-        ck = ck.reshape(-1)
-        self.cell_lattice = np.stack([ci, cj, ck], axis=1)
+        self.cell_lattice = _lattice((n,) * 3)
+        ci, cj, ck = self.cell_lattice.T
         h = self.h_axis[0]
         self.cell_centers = (self.cell_lattice + 0.5) * h
 
@@ -209,35 +208,19 @@ class MacroPartition:
         self.n_macros = m**3
         self.m = m
 
-        mi, mj, mk = np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
-                                 indexing="ij")
-        self.macro_lattice = np.stack(
-            [mi.reshape(-1), mj.reshape(-1), mk.reshape(-1)], axis=1)
-        base = self.macro_lattice * 3
+        self.macro_lattice = _lattice((m,) * 3)
+        bi, bj, bk = (self.macro_lattice * 3).T[:, :, None]
         H = 3.0 * mesh.h_axis[0]
         self.macro_centers = (self.macro_lattice + 0.5) * H
         self.macro_size = H
 
         # 27 cells per macro, local (a,b,c) lexicographic
-        cells = []
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    cells.append(mesh.cell_id(base[:, 0] + a, base[:, 1] + b,
-                                              base[:, 2] + c))
-        self.macro_cells = np.stack(cells, axis=1)
-
-        eorder = edge_lattice_order(3)
-        cols = [mesh.edge_id(int(ax), base[:, 0] + i, base[:, 1] + j,
-                             base[:, 2] + k)
-                for ax, i, j, k in eorder]
-        self.macro_edges = np.stack(cols, axis=1)
-
-        forder = face_lattice_order(3)
-        cols = [mesh.face_id(int(ax), base[:, 0] + i, base[:, 1] + j,
-                             base[:, 2] + k)
-                for ax, i, j, k in forder]
-        self.macro_faces = np.stack(cols, axis=1)
+        a, b, c = _lattice((3, 3, 3)).T
+        self.macro_cells = mesh.cell_id(bi + a, bj + b, bk + c)
+        ax, i, j, k = edge_lattice_order(3).T
+        self.macro_edges = mesh.edge_id(ax, bi + i, bj + j, bk + k)
+        ax, i, j, k = face_lattice_order(3).T
+        self.macro_faces = mesh.face_id(ax, bi + i, bj + j, bk + k)
 
 
 def macro_partition(mesh):

@@ -338,20 +338,6 @@ class ExactFields:
         return self.curl_u_partial(comp, tuple(alpha)).eval(
             pts[..., 0], pts[..., 1], pts[..., 2])
 
-    def curl_as_field(self):
-        """curl u as a standalone field (value + second partials), the input
-        shape expected by W-type interpolation."""
-        outer = self
-
-        class _CurlField:
-            def value(self, pts):
-                return outer.curl_u_value(pts)
-
-            def d2(self, comp, axis, pts):
-                return outer.curl_d2(comp, axis, pts)
-
-        return _CurlField()
-
 
 def build_exact_fields():
     """Construct the manufactured solution bundle."""

@@ -125,12 +125,6 @@ class Poly:
         p.coeffs = {m: c for m, c in out.items() if c != 0.0}
         return p
 
-    def degrees(self):
-        """Per-axis maximum exponent, (0, 0, 0) for the zero polynomial."""
-        if not self.coeffs:
-            return (0, 0, 0)
-        return tuple(max(m[i] for m in self.coeffs) for i in range(3))
-
     def __call__(self, x, y, z):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -210,13 +204,6 @@ class PolyField:
     def grad(self):
         """Component-wise gradient: 3x3 nested tuple, entry [i][j] = d comps[i] / d x_j."""
         return tuple(tuple(c.diff(j) for j in range(3)) for c in self.comps)
-
-    def dot_const(self, vec):
-        out = Poly.zero()
-        for c, v in zip(self.comps, vec):
-            if v != 0.0:
-                out = out + c.scale(v)
-        return out
 
     def dot(self, other):
         out = Poly.zero()
@@ -348,7 +335,3 @@ def integrate_gauss_face(f, axis, coord, lo2, hi2, q):
     P, W = gauss_rule(q).face(axis, coord, tuple(lo2), tuple(hi2))
     return float(np.dot(W, np.asarray(f(P[:, 0], P[:, 1], P[:, 2]), dtype=float)))
 
-
-def integrate_gauss_edge(f, axis, fixed, lo, hi, q):
-    P, W = gauss_rule(q).edge(axis, tuple(fixed), lo, hi)
-    return float(np.dot(W, np.asarray(f(P[:, 0], P[:, 1], P[:, 2]), dtype=float)))

@@ -95,9 +95,10 @@ class DofFunctional:
         return g.integrate_box(lo, hi)
 
 
-@dataclass
+@dataclass(eq=False)
 class ElementSpace:
-    """A shape-function space with its DoFs and the Vandermonde-inverted dual basis."""
+    """A shape-function space with its DoFs and the Vandermonde-inverted dual
+    basis.  Hashes by identity, so per-space results can be cached."""
 
     tag: str
     span: list
@@ -503,30 +504,24 @@ def _gradcurl_pair(a, b):
     return total
 
 
-_GRAM_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def dual_gram_matrices(space):
     """Exact reference Gram matrices of the dual basis:
 
     ``M0[i,j] = (dual_i, dual_j)``, ``M1`` the same for curls, ``M2`` for curl
-    Jacobians (Frobenius pairing).  Computed once per space tag via span-level
+    Jacobians (Frobenius pairing).  Computed once per space via span-level
     integration and the dual coefficient transform.
     """
-    key = space.tag
-    if key not in _GRAM_CACHE:
-        span = space.span
-        curls = [f.curl() for f in span]
-        G0 = _span_gram(span, span, _l2_pair)
-        G1 = _span_gram(curls, curls, _l2_pair)
-        G2 = _span_gram(curls, curls, _gradcurl_pair)
-        C = space.dual_coeffs
-        trip = []
-        for G in (G0, G1, G2):
-            M = C.T @ G @ C
-            trip.append((M + M.T) / 2.0)
-        _GRAM_CACHE[key] = tuple(trip)
-    return _GRAM_CACHE[key]
+    span = space.span
+    curls = [f.curl() for f in span]
+    C = space.dual_coeffs
+    trip = []
+    for G in (_span_gram(span, span, _l2_pair),
+              _span_gram(curls, curls, _l2_pair),
+              _span_gram(curls, curls, _gradcurl_pair)):
+        M = C.T @ G @ C
+        trip.append((M + M.T) / 2.0)
+    return tuple(trip)
 
 
 def vector_scalar_grad_matrix(vspace, qspace):

@@ -141,22 +141,15 @@ def assemble_q1_stiffness(mesh, gmap):
 def gradient_inclusion_matrix(mesh, gmap):
     """Sparse G with (grad q_h) coefficients = G q: the edge DoF of a gradient
     is the head-minus-tail vertex difference; face-curl DoFs vanish."""
-    rows, cols, data = [], [], []
-    et = mesh.edge_table
-    for eid in np.where(~mesh.edge_is_boundary)[0]:
-        axis, i, j, k = et[eid]
-        tail = mesh.vertex_id(i, j, k)
-        head_lat = [i, j, k]
-        head_lat[axis] += 1
-        head = mesh.vertex_id(*head_lat)
-        row = gmap.edge_dof[eid]
-        for vid, sgn in ((head, 1.0), (tail, -1.0)):
-            q = gmap.vertex_dof[vid]
-            if q >= 0:
-                rows.append(row)
-                cols.append(q)
-                data.append(sgn)
-    return sp.coo_matrix((data, (rows, cols)),
+    eids = np.where(~mesh.edge_is_boundary)[0]
+    axis, i, j, k = mesh.edge_table[eids].T
+    tail = mesh.vertex_id(i, j, k)
+    head = tail + (mesh.n + 1) ** (2 - axis)    # vertex stride along the axis
+    rows = np.tile(gmap.edge_dof[eids], 2)
+    cols = gmap.vertex_dof[np.concatenate([head, tail])]
+    data = np.repeat([1.0, -1.0], len(eids))
+    keep = cols >= 0
+    return sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
                          shape=(gmap.n_vdofs, gmap.n_qdofs)).tocsr()
 
 
@@ -197,12 +190,6 @@ def assemble_rhs(mesh, gmap, f_value, mode="modified", q=6, chunk=2048):
 
 
 @dataclass
-class DofVector:
-    values: np.ndarray
-    tag: str
-
-
-@dataclass
 class SaddleSystem:
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -235,8 +222,7 @@ DIRECT_LIMIT = 20_000
 
 def _split(system, z):
     nv = system.gmap.n_vdofs
-    return (DofVector(z[:nv].copy(), "velocity"),
-            DofVector(z[nv:].copy(), "pressure"))
+    return z[:nv].copy(), z[nv:].copy()
 
 
 def solve_saddle(system, tol=1e-10, method="auto", maxiter=None):
@@ -245,11 +231,11 @@ def solve_saddle(system, tol=1e-10, method="auto", maxiter=None):
     method 'direct' uses a sparse LU factorization; 'minres' a diagonally
     preconditioned minimal-residual iteration (the absolute-value diagonal of
     A for the velocity block, a Schur-complement diagonal estimate for the
-    pressure block).  'auto' picks by problem size.  Returns (u, p, info).
+    pressure block).  'auto' picks by problem size.  Returns (u, p, info),
+    u and p the V_h and Q_h coefficient arrays.
     """
     if system.n_unknowns == 0:
-        return (DofVector(np.zeros(0), "velocity"),
-                DofVector(np.zeros(0), "pressure"),
+        return (np.zeros(0), np.zeros(0),
                 {"method": "empty", "residual": 0.0, "iterations": 0})
 
     K = system.full_matrix()
@@ -336,10 +322,3 @@ def solve_saddle(system, tol=1e-10, method="auto", maxiter=None):
             {"method": "minres", "residual": res,
              "iterations": it_counter[0]})
 
-
-def export_coo(mat, path):
-    """Write a sparse matrix as 'row col value' lines (debugging aid)."""
-    coo = mat.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")

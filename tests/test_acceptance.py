@@ -10,16 +10,16 @@ in V_M can undercut, and column 3 comes from the same untraceable row.
 Criterion 4 prints those digits beside the measured value and the bound, and
 asserts the bound, the Pythagorean split of the error into the bound and
 |P_M u - I3h u_h|, and the O(h^2) convergence of I3h(I_h u - u_h) instead.
-Heavy solves run once in a session fixture and are shared.
+Heavy solves run once in a session fixture, through ``cli.study`` (the
+pipeline the CLI runs), and are shared.
 """
 
 import time
 
 import pytest
 
-from quadcurl import analysis, checks, interp, mms, system
+from quadcurl import analysis, checks, cli, interp, mms
 from quadcurl.analysis import compute_eoc
-from quadcurl.mesh import build_mesh, macro_partition
 
 # reference study tables: n -> (|curl_h e|_1h, ||curl_h e||_0, ||e||_0);
 # all asserted at VALUE_RTOL except columns 2-3 of "superconv", which are
@@ -54,41 +54,34 @@ VALUE_RTOL = 0.02
 
 @pytest.fixture(scope="session")
 def study():
-    """Solve every (scheme, n) combination once and collect all quantities."""
+    """Run the modified and the original study once through ``cli.study`` and
+    collect all quantities."""
     exact = mms.build_exact_fields()
     data = {"triples": {}, "bounds": {}, "split": {}, "walltime_n24": None}
-    for n in (6, 12, 18, 24):
-        t0 = time.time()
-        mesh = build_mesh(n)
-        gmap = system.build_dof_map(mesh)
-        A = system.assemble_A(mesh, gmap)
-        B = system.assemble_B(mesh, gmap)
-        part = macro_partition(mesh)
-        ihu = interp.global_interp_Ih(exact, mesh, gmap)
-        schemes = ("modified", "original") if n <= 18 else ("modified",)
-        for scheme in schemes:
-            rhs = system.assemble_rhs(mesh, gmap, exact.f_value, mode=scheme)
-            sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
-            u, _p, info = system.solve_saddle(sys_, tol=1e-10)
-            data["triples"][(scheme, "errors", n)] = analysis.error_vs_exact(
-                u.values, exact, mesh, gmap)
-            if scheme == "modified":
-                data["triples"][("modified", "superclose", n)] = \
-                    analysis.superclose_error(u.values, ihu, mesh, gmap)
-                u_mod = u.values
-                mf = interp.global_I3h(u_mod, mesh, gmap, part)
-                data["triples"][("modified", "superconv", n)] = \
-                    analysis.superconvergent_error(mf, exact, mesh)
+    modified = cli.RunConfig(scheme="modified", ns=(6, 12, 18, 24),
+                             tasks=("errors", "superclose", "superconv"))
+    t0 = time.time()
+    for rec in cli.study(modified):
+        n = rec.n
         if n == 24:
             data["walltime_n24"] = time.time() - t0
+        for task, trip in rec.triples.items():
+            data["triples"][("modified", task, n)] = trip
         # lower bounds and their Pythagorean split, outside the timed leg
-        bound, proj = analysis.macro_best_approximation(exact, mesh, part)
+        part = rec.partition
+        bound, proj = analysis.macro_best_approximation(exact, rec.mesh, part)
         data["bounds"][n] = bound
         data["split"][n] = tuple(
-            analysis.macro_norms(interp.MacroField(part, "VM", c - mf.coeffs))
+            analysis.macro_norms(
+                interp.MacroField(part, "VM", c - rec.i3h_u.coeffs))
             .as_tuple()[col] for col, c in enumerate(proj))
         data["triples"][("modified", "postclose", n)] = analysis.macro_norms(
-            interp.global_I3h(ihu - u_mod, mesh, gmap, part))
+            interp.global_I3h(rec.ihu - rec.u, rec.mesh, rec.gmap, part))
+        del rec
+        t0 = time.time()
+    original = cli.RunConfig(scheme="original", ns=(6, 12, 18))
+    for rec in cli.study(original):
+        data["triples"][("original", "errors", rec.n)] = rec.triples["errors"]
     return data
 
 

@@ -1,8 +1,12 @@
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
-from quadcurl import cli
+from quadcurl import cli, system
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_config_validation_errors():
@@ -112,3 +116,28 @@ def test_threads_flag_overrides_preset_environment(monkeypatch):
     assert rc == cli.EXIT_CONFIG
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert os.environ[var] == "1"
+
+
+def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
+        tmp_path, monkeypatch, capsys):
+    # the benchmark counts solves by wrapping system.solve_saddle and reads
+    # the solver facts from stdout with its SOLVED pattern
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  BENCH_DIR / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    calls = []
+    solve = system.solve_saddle
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(system, "solve_saddle", counting)
+    cli.run(cli.RunConfig(scheme="both", ns=(3,), out_dir=str(tmp_path),
+                          fmt="csv"))
+    assert len(calls) == 2
+    solved = bench.SOLVED.findall(capsys.readouterr().out)
+    assert [(m[0], m[1]) for m in solved] == [("3", "original"),
+                                              ("3", "modified")]

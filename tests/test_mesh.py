@@ -103,3 +103,25 @@ def test_centers_and_sizes():
     assert m.h_axis == (0.25, 0.25, 0.25)
     c0 = m.cell_centers[m.cell_id(1, 2, 3)]
     assert np.allclose(c0, [0.375, 0.625, 0.875])
+
+
+def _loop_lattice(along, across):
+    # reference enumeration: axis-major, then lexicographic triple loops
+    rows = []
+    for axis in range(3):
+        dims = [across] * 3
+        dims[axis] = along
+        rows += [(axis, i, j, k) for i in range(dims[0])
+                 for j in range(dims[1]) for k in range(dims[2])]
+    return np.array(rows, dtype=np.int64)
+
+
+def test_entity_ids_invert_lattice_tables():
+    for n in range(1, 6):
+        mesh = build_mesh(n)
+        assert np.array_equal(mesh.edge_table, _loop_lattice(n, n + 1))
+        assert np.array_equal(mesh.face_table, _loop_lattice(n + 1, n))
+        assert np.array_equal(mesh.edge_id(*mesh.edge_table.T),
+                              np.arange(mesh.n_edges))
+        assert np.array_equal(mesh.face_id(*mesh.face_table.T),
+                              np.arange(mesh.n_faces))

@@ -5,7 +5,8 @@ from quadcurl.polyquad import Poly, PolyField, coefficient_matrix
 from quadcurl.polyquad import gauss_rule
 from quadcurl.spaces import (DofFunctional, SingularVandermonde,
                              check_curl_inclusion, curl_inclusion_residual,
-                             dual_basis, dual_curl_table, dual_gradcurl_table,
+                             build_VK, dual_basis, dual_curl_table,
+                             dual_gradcurl_table,
                              dual_gram_matrices, dual_value_table,
                              reference_spaces, span_VK, span_WK)
 
@@ -126,6 +127,17 @@ def test_gram_matrices_positive_semidefinite(spaces):
         assert w.min() > -1e-10 * abs(w.max())
     # M0 is an L2 Gram: strictly positive definite
     assert np.linalg.eigvalsh(M0).min() > 0
+
+
+def test_gram_matrices_cached_per_space_not_per_tag(spaces):
+    # a perturbed VK carries the tag "VK" but another span: it must get its
+    # own Grams, not the cached reference ones
+    ref = dual_gram_matrices(spaces["VK"])
+    perturbed_space = build_VK(perturb=(10, 1e-3))
+    perturbed = dual_gram_matrices(perturbed_space)
+    assert any(not np.array_equal(a, b) for a, b in zip(ref, perturbed))
+    uncached = dual_gram_matrices.__wrapped__(perturbed_space)
+    assert all(np.array_equal(a, b) for a, b in zip(perturbed, uncached))
 
 
 def test_span_tables_match_dual_polynomials(spaces):

@@ -128,9 +128,9 @@ def test_solver_matches_dense_oracle(setup3, exact):
     u_it, p_it, info = system.solve_saddle(sys_, method="minres")
     K = sys_.full_matrix().toarray()
     z = scipy.linalg.solve(K, sys_.full_rhs())
-    stacked = np.concatenate([u_it.values, p_it.values])
+    stacked = np.concatenate([u_it, p_it])
     assert np.abs(stacked - z).max() < 1e-8 * max(1.0, np.abs(z).max())
-    assert np.abs(p_it.values).max() < 1e-8
+    assert np.abs(p_it).max() < 1e-8
 
 
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
@@ -138,7 +138,7 @@ def test_pressure_vanishes_in_both_schemes(setup3, exact):
     for mode in ("original", "modified"):
         sys_ = system.build_system(mesh, gmap, exact.f_value, mode=mode)
         _u, p, _ = system.solve_saddle(sys_)
-        assert np.abs(p.values).max() < 1e-8
+        assert np.abs(p).max() < 1e-8
 
 
 def test_zero_rhs_gives_zero_solution(setup3, exact):
@@ -146,8 +146,8 @@ def test_zero_rhs_gives_zero_solution(setup3, exact):
     sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
     sys_.rhs = np.zeros_like(sys_.rhs)
     u, p, info = system.solve_saddle(sys_)
-    assert np.abs(u.values).max() == 0.0
-    assert np.abs(p.values).max() == 0.0
+    assert np.abs(u).max() == 0.0
+    assert np.abs(p).max() == 0.0
 
 
 def test_empty_system_for_single_cell(exact):
@@ -156,7 +156,7 @@ def test_empty_system_for_single_cell(exact):
     assert gmap.n_vdofs == 0 and gmap.n_qdofs == 0
     sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
     u, p, info = system.solve_saddle(sys_)
-    assert u.values.size == 0 and p.values.size == 0
+    assert u.size == 0 and p.size == 0
 
 
 def test_galerkin_residual_random_test_vectors(setup3, exact):
@@ -166,7 +166,7 @@ def test_galerkin_residual_random_test_vectors(setup3, exact):
     rng = np.random.default_rng(4)
     K = sys_.full_matrix()
     b = sys_.full_rhs()
-    z = np.concatenate([u.values, p.values])
+    z = np.concatenate([u, p])
     r = K @ z - b
     for _ in range(20):
         v = rng.standard_normal(len(r))
@@ -180,18 +180,3 @@ def test_minres_stagnation_raises(setup3, exact):
         system.solve_saddle(sys_, tol=1e-16, method="minres")
     assert err.value.residual is not None
 
-
-def test_export_coo_roundtrip(tmp_path, setup3):
-    mesh, gmap = setup3
-    A = system.assemble_A(mesh, gmap)
-    path = tmp_path / "A.txt"
-    system.export_coo(A, path)
-    rows, cols, vals = [], [], []
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    import scipy.sparse as sp
-    back = sp.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
-    assert abs(A - back).max() < 1e-12 * abs(A).max()
