@@ -1,4 +1,4 @@
-"""Global DoF numbering, saddle-point assembly and linear solvers.
+"""Global DoF numbering, saddle-point assembly and the saddle solve.
 
 The discrete unknowns are
 
@@ -35,7 +35,7 @@ from .spaces import (dual_gram_matrices, dual_value_table, reference_spaces,
 
 
 class MaxIterations(Exception):
-    """Krylov solver stagnated; carries the last relative residual."""
+    """Solve missed its tolerance; carries the final relative residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -43,7 +43,7 @@ class MaxIterations(Exception):
 
 
 class SingularSystem(Exception):
-    """Factorization breakdown or non-finite solution."""
+    """Solve produced non-finite values."""
 
 
 @dataclass
@@ -215,110 +215,60 @@ def build_system(mesh, gmap, f_value, mode="modified", q=6):
     return SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
 
 
-# auto solver switches to the Krylov path above this many unknowns
-# (sparse LU fill grows fast for these 3D couplings: ~100 s / 2 GB at n=18)
-DIRECT_LIMIT = 20_000
+def _jacobi_cg(M, b, atol, maxiter):
+    """Jacobi-preconditioned CG on the symmetric positive (semi)definite M,
+    stopped at ||M x - b|| < atol; returns (x, iterations)."""
+    count = [0]
+
+    def tick(_):
+        count[0] += 1
+
+    x, _ = spla.cg(M, b, rtol=0.0, atol=atol, maxiter=maxiter,
+                   M=sp.diags(1.0 / M.diagonal()), callback=tick)
+    return x, count[0]
 
 
-def _split(system, z):
-    nv = system.gmap.n_vdofs
-    return z[:nv].copy(), z[nv:].copy()
-
-
-def solve_saddle(system, tol=1e-10, method="auto", maxiter=None):
+def solve_saddle(system, tol=1e-10):
     """Solve the saddle system to relative residual <= tol.
 
-    method 'direct' uses a sparse LU factorization; 'minres' a diagonally
-    preconditioned minimal-residual iteration (the absolute-value diagonal of
-    A for the velocity block, a Schur-complement diagonal estimate for the
-    pressure block).  'auto' picks by problem size.  Returns (u, p, info),
-    u and p the V_h and Q_h coefficient arrays.
-    """
-    if system.n_unknowns == 0:
-        return (np.zeros(0), np.zeros(0),
-                {"method": "empty", "residual": 0.0, "iterations": 0})
+    The coupling factors as B = M G (V_h mass times gradient inclusion) and
+    A G = 0, so G^T B = S is the Q1 stiffness and the unknowns decouple:
 
-    K = system.full_matrix()
-    b = system.full_rhs()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        z = np.zeros_like(b)
-        return (*_split(system, z),
+    1. pressure: S p = G^T F;
+    2. velocity: A w = F - B p, singular but consistent since
+       G^T (F - B p) = 0;
+    3. projection: u = w - G S^-1 B^T w, so A u = A w and B^T u = 0.
+
+    All three solves are Jacobi-preconditioned CG.  Returns (u, p, info),
+    u and p the V_h and Q_h coefficient arrays; info carries the velocity
+    CG iterations and the relative residual of the full system.
+    """
+    A, B, F = system.A, system.B, system.rhs
+    fnorm = float(np.linalg.norm(F))
+    if fnorm == 0.0:    # also the empty system of a one-cell mesh
+        return (np.zeros(system.gmap.n_vdofs), np.zeros(system.gmap.n_qdofs),
                 {"method": "trivial", "residual": 0.0, "iterations": 0})
 
-    if method == "auto":
-        method = "direct" if system.n_unknowns <= DIRECT_LIMIT else "minres"
+    G = gradient_inclusion_matrix(system.mesh, system.gmap)
+    S = (G.T @ B).tocsr()
+    # CG on A needs ~0.8 n^2 iterations at tol 1e-10; the cap only stops
+    # unreachable tolerances
+    maxiter = 500 + 10 * system.mesh.n**2
+    # S is cheap to solve (~3n iterations), so both S solves run to a
+    # thousandth of the budget: a pressure residual would leave F - B p
+    # inconsistent, and the projection residual is B^T u itself
+    s_atol = 1e-3 * tol * fnorm
+    p, _ = _jacobi_cg(S, G.T @ F, s_atol, maxiter)
+    w, its = _jacobi_cg(A, F - B @ p, 0.5 * tol * fnorm, maxiter)
+    y, _ = _jacobi_cg(S, B.T @ w, s_atol, maxiter)
+    u = w - G @ y
 
-    if method == "direct":
-        try:
-            lu = spla.splu(K.tocsc())
-            z = lu.solve(b)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
-        if not np.all(np.isfinite(z)):
-            raise SingularSystem("direct solve produced non-finite values")
-        res = float(np.linalg.norm(K @ z - b)) / bnorm
-        if res > tol:
-            raise MaxIterations(
-                f"direct solve residual {res:.3e} above tol {tol:.1e}",
-                residual=res)
-        return (*_split(system, z),
-                {"method": "direct", "residual": res, "iterations": 1})
-
-    if method != "minres":
-        raise ValueError(f"unknown solver method {method!r}")
-
-    # Symmetric Jacobi scaling: |diag A| on the velocity block, a Schur
-    # diagonal estimate diag(B^T diag(A)^-1 B) on the pressure block.
-    d_u = np.abs(system.A.diagonal())
-    d_u = np.maximum(d_u, 1e-12 * (d_u.max() if d_u.size else 1.0))
-    Bsq = system.B.copy()
-    Bsq.data = Bsq.data**2
-    d_p = np.asarray(Bsq.T @ (1.0 / d_u)).ravel()
-    if d_p.size:
-        d_p = np.maximum(d_p, 1e-12 * d_p.max())
-    dhalf_inv = 1.0 / np.sqrt(np.concatenate([d_u, d_p]))
-    Dh = sp.diags(dhalf_inv)
-    Ks = (Dh @ K @ Dh).tocsr()
-    bs = dhalf_inv * b
-    bsnorm = float(np.linalg.norm(bs))
-    norm_Ks = float(np.abs(Ks).sum(axis=1).max())
-
-    if maxiter is None:
-        maxiter = max(5000, 200 * system.mesh.n**2)
-    it_counter = [0]
-
-    def cb(_):
-        it_counter[0] += 1
-
-    # scipy's minres stops on a backward-error test ||r|| / (||A|| ||x|| + ||b||),
-    # so its rtol is retargeted each restart to reach the requested relative
-    # residual ||r|| / ||b||.
-    z = np.zeros_like(bs)
-    rtol = min(1e-13, tol)
-    last_res = np.inf
-    res = np.inf
-    for _ in range(12):
-        z, _ = spla.minres(Ks, bs, x0=z, rtol=rtol, maxiter=maxiter,
-                           callback=cb)
-        x = dhalf_inv * z
-        res = float(np.linalg.norm(K @ x - b)) / bnorm
-        if not np.isfinite(res):
-            raise SingularSystem("minres produced non-finite values")
-        if res <= tol:
-            break
-        if res >= last_res * 0.95 or it_counter[0] >= maxiter:
-            raise MaxIterations(
-                f"minres stagnated at relative residual {res:.3e} "
-                f"after {it_counter[0]} iterations", residual=res)
-        last_res = res
-        denom = norm_Ks * float(np.linalg.norm(z)) + bsnorm
-        rtol = max(2.5e-16, 0.3 * tol * bsnorm / denom)
-    else:
+    res = float(np.hypot(np.linalg.norm(A @ u + B @ p - F),
+                         np.linalg.norm(B.T @ u))) / fnorm
+    if not np.isfinite(res):
+        raise SingularSystem("solve produced non-finite values")
+    if res > tol:
         raise MaxIterations(
-            f"minres did not reach tol {tol:.1e} (residual {res:.3e})",
-            residual=res)
-    return (*_split(system, dhalf_inv * z),
-            {"method": "minres", "residual": res,
-             "iterations": it_counter[0]})
-
+            f"relative residual {res:.3e} above tol {tol:.1e} "
+            f"after {its} CG iterations", residual=res)
+    return u, p, {"method": "cg", "residual": res, "iterations": its}

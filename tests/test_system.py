@@ -123,14 +123,26 @@ def test_rhs_orthogonal_to_gradients(setup3, exact):
 
 
 def test_solver_matches_dense_oracle(setup3, exact):
+    # the divergence-free load has G^T F ~ 0 and p = 0; a random load has
+    # G^T F != 0 and exercises the pressure solve
     mesh, gmap = setup3
     sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
-    u_it, p_it, info = system.solve_saddle(sys_, method="minres")
+    G = system.gradient_inclusion_matrix(mesh, gmap)
     K = sys_.full_matrix().toarray()
-    z = scipy.linalg.solve(K, sys_.full_rhs())
-    stacked = np.concatenate([u_it, p_it])
-    assert np.abs(stacked - z).max() < 1e-8 * max(1.0, np.abs(z).max())
-    assert np.abs(p_it).max() < 1e-8
+    random_load = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
+    for divergence_free, load in ((True, sys_.rhs), (False, random_load)):
+        sys_.rhs = load
+        u_it, p_it, _ = system.solve_saddle(sys_)
+        z = scipy.linalg.solve(K, sys_.full_rhs())
+        scale = max(1.0, np.abs(z).max())
+        assert np.abs(u_it - z[:gmap.n_vdofs]).max() < 1e-8 * scale
+        assert np.abs(p_it - z[gmap.n_vdofs:]).max() < 1e-8 * scale
+        assert np.abs(sys_.B.T @ u_it).max() < 1e-12 * np.linalg.norm(load)
+        if divergence_free:
+            assert np.abs(p_it).max() < 1e-8
+        else:
+            assert np.linalg.norm(G.T @ load) > 0.1 * np.linalg.norm(load)
+            assert np.abs(p_it).max() > 0.1
 
 
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
@@ -173,10 +185,10 @@ def test_galerkin_residual_random_test_vectors(setup3, exact):
         assert abs(float(r @ v)) <= 1e-9 * np.linalg.norm(b) * np.linalg.norm(v)
 
 
-def test_minres_stagnation_raises(setup3, exact):
+def test_unreachable_tolerance_raises_max_iterations(setup3, exact):
     mesh, gmap = setup3
     sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
     with pytest.raises(system.MaxIterations) as err:
-        system.solve_saddle(sys_, tol=1e-16, method="minres")
+        system.solve_saddle(sys_, tol=1e-16)
     assert err.value.residual is not None
 
