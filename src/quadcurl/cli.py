@@ -175,8 +175,10 @@ def study(config):
     exact = mms.build_exact_fields()
     for n in config.ns:
         if n > max(DEFAULT_NS):
+            # interior edges plus two DoFs per interior face
+            unknowns = 3 * n * (n - 1) ** 2 + 6 * n**2 * (n - 1)
             print(f"warning: n={n} is an extended run "
-                  f"(~{(n / 24) ** 4:.0f}x the n=24 cost)")
+                  f"({unknowns:,} velocity unknowns)")
         # one generator frame per n: nothing of this n outlives its records
         yield from _study_n(n, config, exact)
 

@@ -17,7 +17,9 @@ Nedelec space and every face-curl dual to zero, so the reconstructed load has
 exact zeros on all face DoFs.
 
 Local matrices are assembled once on the scaled reference cell and reused for
-every cell of the uniform mesh; only the load needs per-cell quadrature.
+every cell of the uniform mesh; only the load needs per-cell quadrature.  A,
+the largest matrix, is never assembled: ``CellOperator`` applies its one cell
+matrix cell by cell.
 """
 
 from __future__ import annotations
@@ -100,6 +102,46 @@ def reference_matrices():
     return {"M0": M0, "M1": M1, "M2": M2, "B": B, "S": S}
 
 
+class CellOperator(spla.LinearOperator):
+    """The sum over all cells of one local matrix, applied without assembly:
+    x -> sum_K P_K^T local P_K x, where P_K gathers the DoFs cell_dofs[K]
+    (-1 marks an eliminated boundary DoF)."""
+
+    def __init__(self, local, cell_dofs, size):
+        super().__init__(dtype=np.float64, shape=(size, size))
+        self.local = local
+        # boundary entries read from and write to the zero slot ``size``
+        self.dofs = np.where(cell_dofs >= 0, cell_dofs, size)
+        k = (cell_dofs >= 0).sum(axis=1)
+        # local entries one apply multiplies that couple two numbered DoFs
+        self.nnz = int(k @ k)
+        # work arrays reused by every apply (so an operator serves one thread
+        # at a time): fresh ones of this size cost more in page faults than
+        # the apply itself
+        self._x = np.zeros(size + 1)
+        self._gathered = np.empty(self.dofs.shape)
+        self._product = np.empty(self.dofs.shape)
+
+    def _scatter_add(self, values):
+        size = self.shape[0]
+        return np.bincount(self.dofs.ravel(), weights=values.ravel(),
+                           minlength=size + 1)[:size]
+
+    def _matvec(self, x):
+        self._x[:-1] = x.ravel()
+        np.take(self._x, self.dofs, out=self._gathered)
+        np.matmul(self._gathered, self.local.T, out=self._product)
+        return self._scatter_add(self._product)
+
+    def diagonal(self):
+        return self._scatter_add(
+            np.broadcast_to(np.diag(self.local), self.dofs.shape))
+
+    def toarray(self):
+        """Dense matrix, column by column (for small dense oracles)."""
+        return self.matmat(np.eye(self.shape[0]))
+
+
 def _scatter(local, rows_tab, cols_tab, shape):
     """Accumulate one local matrix over all cells into CSR."""
     ncells = rows_tab.shape[0]
@@ -117,9 +159,8 @@ def _scatter(local, rows_tab, cols_tab, shape):
 def assemble_A(mesh, gmap):
     """Stiffness of a_h: entry (i, j) = sum_K (grad curl phi_i, grad curl phi_j)_K."""
     h = mesh.h_axis[0]
-    local = reference_matrices()["M2"] / h**3
-    return _scatter(local, gmap.cell_vdofs, gmap.cell_vdofs,
-                    (gmap.n_vdofs, gmap.n_vdofs))
+    return CellOperator(reference_matrices()["M2"] / h**3, gmap.cell_vdofs,
+                        gmap.n_vdofs)
 
 
 def assemble_B(mesh, gmap):
@@ -191,7 +232,7 @@ def assemble_rhs(mesh, gmap, f_value, mode="modified", q=6, chunk=2048):
 
 @dataclass
 class SaddleSystem:
-    A: sp.csr_matrix
+    A: CellOperator
     B: sp.csr_matrix
     rhs: np.ndarray
     gmap: GlobalDofMap
@@ -202,7 +243,8 @@ class SaddleSystem:
         return self.gmap.n_vdofs + self.gmap.n_qdofs
 
     def full_matrix(self):
-        return sp.bmat([[self.A, self.B], [self.B.T, None]], format="csr")
+        A = sp.csr_matrix(self.A.toarray())
+        return sp.bmat([[A, self.B], [self.B.T, None]], format="csr")
 
     def full_rhs(self):
         return np.concatenate([self.rhs, np.zeros(self.gmap.n_qdofs)])

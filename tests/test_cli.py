@@ -141,3 +141,27 @@ def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
     solved = bench.SOLVED.findall(capsys.readouterr().out)
     assert [(m[0], m[1]) for m in solved] == [("3", "original"),
                                               ("3", "modified")]
+
+
+def test_benchmark_tracer_sees_every_wrapped_call(tmp_path):
+    # the benchmark's --trace 1 wraps these module attributes by name; a
+    # renamed or bypassed collaborator would leave its span silently empty
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  BENCH_DIR / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    with tracer.installed("study"):
+        cli.run(cli.RunConfig(scheme="modified", ns=(3,), fmt="csv",
+                              tasks=("errors", "superclose", "superconv"),
+                              out_dir=str(tmp_path)))
+    recorded = {rec["name"] for rec in tracer.spans}
+    assert {name for _mod, _attr, name in spans.WRAPPED} <= recorded
+    assert any(s["nnz"] > 0 for s in tracer.solves)
+
+
+def test_extended_warning_names_velocity_unknowns(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_study_n", lambda n, config, exact: iter(()))
+    list(cli.study(cli.RunConfig(ns=(24, 48), extended=True)))
+    assert capsys.readouterr().out.splitlines() == [
+        "warning: n=48 is an extended run (967,824 velocity unknowns)"]
