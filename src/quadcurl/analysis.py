@@ -21,6 +21,7 @@ from .mesh import NonDivisibleMesh
 from .polyquad import gauss_rule
 from .spaces import (dual_curl_table, dual_gradcurl_table, dual_gram_matrices,
                      dual_value_table, reference_spaces)
+from .system import gather
 
 
 class DegenerateError(Exception):
@@ -138,13 +139,6 @@ def _sq_error(approx, scale, exact, w):
     return np.sum(approx @ w)
 
 
-def _gather_ref_coeffs(u_vec, gmap, cells):
-    """Per-cell reference DoF values; eliminated boundary DoFs read as zero."""
-    cols = gmap.cell_vdofs[cells]
-    vals = np.where(cols >= 0, u_vec[np.clip(cols, 0, None)], 0.0)
-    return vals
-
-
 def error_vs_exact(u_vec, exact, mesh, gmap, q=6, chunk=1024):
     """Error triple of a V_h coefficient vector against the exact solution."""
     columns = _cell_tables(q)["columns"]
@@ -152,7 +146,7 @@ def error_vs_exact(u_vec, exact, mesh, gmap, q=6, chunk=1024):
     scales = (h**-2, 1.0 / h, 1.0)
     acc = np.zeros(3)
     for cells, exact_vals in _exact_on_blocks(exact, mesh, 1, q, chunk):
-        d = _gather_ref_coeffs(u_vec, gmap, cells) / h   # reference dof values
+        d = gather(u_vec, gmap.cell_vdofs[cells]) / h   # reference dof values
         for col, ((phi, w), s, ex) in enumerate(
                 zip(columns, scales, exact_vals)):
             acc[col] += _sq_error(d @ phi, s, ex, w)
@@ -164,7 +158,7 @@ def discrete_norms(vec, mesh, gmap):
     vk = reference_spaces()["VK"]
     M0, M1, M2 = dual_gram_matrices(vk)
     h = mesh.h_axis[0]
-    d = _gather_ref_coeffs(vec, gmap, slice(None)) / h
+    d = gather(vec, gmap.cell_vdofs) / h
     n0 = h**3 * np.einsum("ci,ij,cj->", d, M0, d)
     n1 = h * np.einsum("ci,ij,cj->", d, M1, d)
     n2 = (1.0 / h) * np.einsum("ci,ij,cj->", d, M2, d)

@@ -19,7 +19,8 @@ import scipy.linalg
 from . import interp, mms, system
 from .mesh import build_mesh, macro_partition
 from .polyquad import Poly, PolyField, coefficient_matrix, integrate_exact
-from .spaces import build_VK, curl_inclusion_residual, reference_spaces
+from .spaces import (build_VK, curl_inclusion_residual, grad_pair,
+                     reference_spaces)
 
 
 @dataclass
@@ -173,15 +174,6 @@ def check_commuting_macro(rng=None, bound=1e-8):
 # orthogonality and structure identities
 # ---------------------------------------------------------------------------
 
-def _grad_pair(a, b):
-    total = 0.0
-    ga, gb = a.grad(), b.grad()
-    for i in range(3):
-        for j in range(3):
-            total += integrate_exact(ga[i][j] * gb[i][j])
-    return total
-
-
 def check_gradient_orthogonality_quadratics(bound=1e-12):
     """For every quadratic field w and every WK dual, the corrected
     interpolation error is gradient-orthogonal: (grad(w - Pi w), grad w_h) = 0."""
@@ -195,7 +187,7 @@ def check_gradient_orthogonality_quadratics(bound=1e-12):
             piw = interp.interp_PiK(w).as_polyfield()
             diff = w - piw
             for wh in wk.dual:
-                worst = max(worst, abs(_grad_pair(diff, wh)))
+                worst = max(worst, abs(grad_pair(diff, wh)))
     return _result("quadratic gradient orthogonality of corrected interp",
                    worst, bound)
 

@@ -26,6 +26,7 @@ import numpy as np
 from .mesh import NonDivisibleMesh
 from .polyquad import gauss_rule
 from .spaces import reference_spaces
+from .system import gather
 
 CORRECTION_WEIGHT = 1.0 / 12.0
 
@@ -51,11 +52,6 @@ class LocalInterpolant:
     @property
     def space(self):
         return reference_spaces()[self.space_tag]
-
-    @property
-    def dof_values(self):
-        """Physical DoF values."""
-        return self.ref_dofs * self.h**self.space.dof_scale_power
 
     def as_polyfield(self):
         """Reference-frame PolyField (combination of dual fields)."""
@@ -251,6 +247,5 @@ def global_I3h(u_coeffs, mesh, gmap, partition):
     if partition.mesh.n != mesh.n:
         raise NonDivisibleMesh("partition does not match mesh")
     H = partition.macro_size
-    edofs = gmap.edge_dof[partition.macro_edges]      # (nm, 144), -1 on boundary
-    vals = np.where(edofs >= 0, u_coeffs[np.clip(edofs, 0, None)], 0.0)
+    vals = gather(u_coeffs, gmap.edge_dof[partition.macro_edges])  # (nm, 144)
     return MacroField(partition, "VM", vals / H)

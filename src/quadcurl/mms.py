@@ -22,16 +22,12 @@ import numpy as np
 SIN, COS = 0, 1
 
 
-class UnsupportedOrder(Exception):
-    """Derivative order above what the series interface guarantees."""
-
-
 class TrigSeries1D:
     """Finite series sum_m a_m sin(m pi t) / cos(m pi t) with exact coefficients.
 
     ``terms`` maps ``(kind, m)`` to a Fraction; the whole series carries a
-    common integer power of pi (bumped by one per derivative, which tracks the
-    derivative order).
+    common integer power of pi.  ``TrigField.separable`` multiplies three of
+    them into a field, which differentiates term by term.
     """
 
     __slots__ = ("terms", "pi_power")
@@ -44,17 +40,6 @@ class TrigSeries1D:
     def sin_cubed(cls):
         """sin^3(pi t) = (3/4) sin(pi t) - (1/4) sin(3 pi t)."""
         return cls({(SIN, 1): Fraction(3, 4), (SIN, 3): Fraction(-1, 4)})
-
-    def differentiate(self):
-        out = {}
-        for (kind, m), c in self.terms.items():
-            if kind == SIN:
-                key, coef = (COS, m), c * m
-            else:
-                key, coef = (SIN, m), -c * m
-            out[key] = out.get(key, Fraction(0)) + coef
-        return TrigSeries1D({k: v for k, v in out.items() if v != 0},
-                            self.pi_power + 1)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -248,19 +233,6 @@ class VectorTrigField:
         pts = np.asarray(pts, dtype=float)
         x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
         return np.stack([c.eval(x, y, z) for c in self.comps], axis=-1)
-
-
-def eval_derivative(field, alpha, pts):
-    """Exact series derivative d^alpha of a scalar TrigField at points.
-
-    Raises UnsupportedOrder for total order above 3 (nothing in the scheme
-    needs more, and the guarantee is part of the interface).
-    """
-    if sum(alpha) > 3:
-        raise UnsupportedOrder(f"derivative order {alpha} exceeds 3")
-    pts = np.asarray(pts, dtype=float)
-    d = field.derivative(alpha)
-    return d.eval(pts[..., 0], pts[..., 1], pts[..., 2])
 
 
 class ExactFields:

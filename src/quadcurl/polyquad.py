@@ -325,13 +325,3 @@ def gauss_rule(q):
     return GaussRule(q)
 
 
-def integrate_gauss(f, lo, hi, q):
-    """Tensor Gauss integration of a scalar callable over a box."""
-    P, W = gauss_rule(q).box(tuple(lo), tuple(hi))
-    return float(np.dot(W, np.asarray(f(P[:, 0], P[:, 1], P[:, 2]), dtype=float)))
-
-
-def integrate_gauss_face(f, axis, coord, lo2, hi2, q):
-    P, W = gauss_rule(q).face(axis, coord, tuple(lo2), tuple(hi2))
-    return float(np.dot(W, np.asarray(f(P[:, 0], P[:, 1], P[:, 2]), dtype=float)))
-

@@ -135,8 +135,7 @@ def dual_basis(span, dofs, tag, dof_scale_power, cond_limit=1e12):
     C = np.linalg.solve(V, np.eye(ndof))
     dual = []
     for j in range(ndof):
-        acc = span[0].scale(C[0, j]) if isinstance(span[0], PolyField) \
-            else span[0].scale(C[0, j])
+        acc = span[0].scale(C[0, j])
         for m in range(1, nspan):
             acc = acc + span[m].scale(C[m, j])
         dual.append(acc)
@@ -401,7 +400,8 @@ def reference_spaces():
 def curl_inclusion_residual(v_space, w_space):
     """Largest least-squares residual of curl(dual of V) against span(W),
     normalized by the curl coefficient magnitude."""
-    w_mat, monos = coefficient_matrix([f for f in w_space.span])
+    w_mat, monos = coefficient_matrix(w_space.span)
+    index = {m: i for i, m in enumerate(monos)}
     worst = 0.0
     for v in v_space.dual:
         c = v.curl()
@@ -410,8 +410,8 @@ def curl_inclusion_residual(v_space, w_space):
         for comp in range(3):
             for mono, coef in c.comps[comp].coeffs.items():
                 key = (comp, mono)
-                if key in _mono_index(tuple(monos)):
-                    cvec[_mono_index(tuple(monos))[key]] = coef
+                if key in index:
+                    cvec[index[key]] = coef
                 else:
                     extra += coef**2
         sol, res, *_ = np.linalg.lstsq(w_mat.T, cvec, rcond=None)
@@ -419,16 +419,6 @@ def curl_inclusion_residual(v_space, w_space):
         scale = max(1.0, float(np.linalg.norm(cvec)))
         worst = max(worst, np.sqrt(r) / scale)
     return worst
-
-
-@lru_cache(maxsize=None)
-def _mono_index(monos):
-    return {m: i for i, m in enumerate(monos)}
-
-
-def check_curl_inclusion(v_space, w_space, tol=1e-12):
-    """True iff curl of every dual of ``v_space`` lies in span of ``w_space``."""
-    return curl_inclusion_residual(v_space, w_space) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +462,6 @@ def dual_gradcurl_table(space, pts):
     return table.reshape(space.dim, len(pts), 3, 3)
 
 
-def scalar_grad_table(space, pts):
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    out = np.empty((space.dim, len(pts), 3))
-    for n, p in enumerate(space.dual):
-        for j in range(3):
-            out[n, :, j] = p.diff(j)(x, y, z)
-    return out
-
-
 def _span_gram(fields_a, fields_b, pairing):
     n, m = len(fields_a), len(fields_b)
     G = np.empty((n, m))
@@ -495,7 +476,8 @@ def _l2_pair(a, b):
         else integrate_exact(a * b)
 
 
-def _gradcurl_pair(a, b):
+def grad_pair(a, b):
+    """Exact (grad a, grad b) of two polynomial fields, Frobenius pairing."""
     total = 0.0
     ga, gb = a.grad(), b.grad()
     for i in range(3):
@@ -518,7 +500,7 @@ def dual_gram_matrices(space):
     trip = []
     for G in (_span_gram(span, span, _l2_pair),
               _span_gram(curls, curls, _l2_pair),
-              _span_gram(curls, curls, _gradcurl_pair)):
+              _span_gram(curls, curls, grad_pair)):
         M = C.T @ G @ C
         trip.append((M + M.T) / 2.0)
     return tuple(trip)

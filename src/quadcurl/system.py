@@ -17,9 +17,16 @@ Nedelec space and every face-curl dual to zero, so the reconstructed load has
 exact zeros on all face DoFs.
 
 Local matrices are assembled once on the scaled reference cell and reused for
-every cell of the uniform mesh; only the load needs per-cell quadrature.  A,
-the largest matrix, is never assembled: ``CellOperator`` applies its one cell
-matrix cell by cell.
+every cell of the uniform mesh; only the load needs per-cell quadrature.  No
+cell sum is assembled: A, B and the Q1 stiffness S are each a
+``CellOperator`` that applies its one cell matrix cell by cell (gather,
+matrix product, scatter-add), and B^T is the same gather and scatter with the
+roles of the two DoF tables swapped.  The gradient inclusion G is the only
+sparse matrix.
+
+An eliminated boundary DoF is -1 in the DoF tables.  ``gather`` reads it as
+zero and ``scatter_add`` drops what is written to it; the operators, the load
+and the per-cell reads of the other modules all go through these two.
 """
 
 from __future__ import annotations
@@ -102,81 +109,95 @@ def reference_matrices():
     return {"M0": M0, "M1": M1, "M2": M2, "B": B, "S": S}
 
 
+def _slots(dofs, size):
+    """The DoF table with each -1 (an eliminated boundary DoF) sent to the
+    slot ``size`` just past the numbered DoFs."""
+    return np.where(dofs >= 0, dofs, size)
+
+
+def gather(values, dofs, out=None):
+    """Entries of ``values`` at a DoF or slot table; an eliminated boundary
+    DoF (-1, or ``len(values)``) reads the zero appended at the end."""
+    return np.take(np.append(values, 0.0), dofs, out=out)
+
+
+def scatter_add(entries, slots, size):
+    """Sum of ``entries`` into a vector of ``size`` by a slot table; the
+    entries of eliminated boundary DoFs (slot ``size``) are dropped."""
+    return np.bincount(slots.ravel(), weights=entries.ravel(),
+                       minlength=size + 1)[:size]
+
+
 class CellOperator(spla.LinearOperator):
     """The sum over all cells of one local matrix, applied without assembly:
-    x -> sum_K P_K^T local P_K x, where P_K gathers the DoFs cell_dofs[K]
-    (-1 marks an eliminated boundary DoF)."""
+    x -> sum_K R_K^T local C_K x, where C_K gathers the column DoFs
+    col_dofs[K] and R_K the row DoFs row_dofs[K].  A, B and the Q1 stiffness
+    are all of this form."""
 
-    def __init__(self, local, cell_dofs, size):
-        super().__init__(dtype=np.float64, shape=(size, size))
+    def __init__(self, local, row_dofs, col_dofs, shape):
+        super().__init__(dtype=np.float64, shape=shape)
         self.local = local
-        # boundary entries read from and write to the zero slot ``size``
-        self.dofs = np.where(cell_dofs >= 0, cell_dofs, size)
-        k = (cell_dofs >= 0).sum(axis=1)
+        self.rows = _slots(row_dofs, shape[0])
+        self.cols = (self.rows if col_dofs is row_dofs
+                     else _slots(col_dofs, shape[1]))
         # local entries one apply multiplies that couple two numbered DoFs
-        self.nnz = int(k @ k)
-        # work arrays reused by every apply (so an operator serves one thread
-        # at a time): fresh ones of this size cost more in page faults than
-        # the apply itself
-        self._x = np.zeros(size + 1)
-        self._gathered = np.empty(self.dofs.shape)
-        self._product = np.empty(self.dofs.shape)
+        self.nnz = int((row_dofs >= 0).sum(axis=1)
+                       @ (col_dofs >= 0).sum(axis=1))
+        # work arrays per direction, reused by every apply (so an operator
+        # serves one thread at a time): fresh ones of this size cost more in
+        # page faults than the apply itself
+        self._work = {}
 
-    def _scatter_add(self, values):
-        size = self.shape[0]
-        return np.bincount(self.dofs.ravel(), weights=values.ravel(),
-                           minlength=size + 1)[:size]
+    def _apply(self, mat, src, dst, size, x):
+        """Gather x at the ``src`` table, multiply each cell by ``mat`` and
+        scatter-add into ``size`` entries at the ``dst`` table."""
+        if mat.shape not in self._work:
+            self._work[mat.shape] = (np.empty(src.shape), np.empty(dst.shape))
+        gathered, product = self._work[mat.shape]
+        gather(x, src, out=gathered)
+        np.matmul(gathered, mat, out=product)
+        return scatter_add(product, dst, size)
 
     def _matvec(self, x):
-        self._x[:-1] = x.ravel()
-        np.take(self._x, self.dofs, out=self._gathered)
-        np.matmul(self._gathered, self.local.T, out=self._product)
-        return self._scatter_add(self._product)
+        return self._apply(self.local.T, self.cols, self.rows, self.shape[0],
+                           x)
+
+    def _rmatvec(self, x):
+        return self._apply(self.local, self.rows, self.cols, self.shape[1], x)
 
     def diagonal(self):
-        return self._scatter_add(
-            np.broadcast_to(np.diag(self.local), self.dofs.shape))
+        """Jacobi diagonal; needs one DoF table for rows and columns."""
+        if self.cols is not self.rows:
+            raise ValueError("diagonal needs one DoF table for both sides")
+        return scatter_add(
+            np.broadcast_to(np.diag(self.local), self.rows.shape), self.rows,
+            self.shape[0])
 
     def toarray(self):
         """Dense matrix, column by column (for small dense oracles)."""
-        return self.matmat(np.eye(self.shape[0]))
-
-
-def _scatter(local, rows_tab, cols_tab, shape):
-    """Accumulate one local matrix over all cells into CSR."""
-    ncells = rows_tab.shape[0]
-    nr, nc = local.shape
-    rows = np.broadcast_to(rows_tab[:, :, None], (ncells, nr, nc))
-    cols = np.broadcast_to(cols_tab[:, None, :], (ncells, nr, nc))
-    data = np.broadcast_to(local[None, :, :], (ncells, nr, nc))
-    mask = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix((data[mask].astype(np.float64),
-                         (rows[mask].astype(np.int32),
-                          cols[mask].astype(np.int32))), shape=shape)
-    return mat.tocsr()
+        return self.matmat(np.eye(self.shape[1]))
 
 
 def assemble_A(mesh, gmap):
     """Stiffness of a_h: entry (i, j) = sum_K (grad curl phi_i, grad curl phi_j)_K."""
     h = mesh.h_axis[0]
     return CellOperator(reference_matrices()["M2"] / h**3, gmap.cell_vdofs,
-                        gmap.n_vdofs)
+                        gmap.cell_vdofs, (gmap.n_vdofs, gmap.n_vdofs))
 
 
 def assemble_B(mesh, gmap):
     """Coupling b: entry (i, m) = sum_K (phi_i, grad q_m)_K."""
     h = mesh.h_axis[0]
-    local = reference_matrices()["B"] * h
-    return _scatter(local, gmap.cell_vdofs, gmap.cell_qdofs,
-                    (gmap.n_vdofs, gmap.n_qdofs))
+    return CellOperator(reference_matrices()["B"] * h, gmap.cell_vdofs,
+                        gmap.cell_qdofs, (gmap.n_vdofs, gmap.n_qdofs))
 
 
 def assemble_q1_stiffness(mesh, gmap):
-    """Q1 stiffness on interior vertices (used by oracles and tests)."""
+    """Q1 stiffness S on interior vertices: entry (m, l) =
+    sum_K (grad q_m, grad q_l)_K."""
     h = mesh.h_axis[0]
-    local = reference_matrices()["S"] * h
-    return _scatter(local, gmap.cell_qdofs, gmap.cell_qdofs,
-                    (gmap.n_qdofs, gmap.n_qdofs))
+    return CellOperator(reference_matrices()["S"] * h, gmap.cell_qdofs,
+                        gmap.cell_qdofs, (gmap.n_qdofs, gmap.n_qdofs))
 
 
 def gradient_inclusion_matrix(mesh, gmap):
@@ -217,23 +238,20 @@ def assemble_rhs(mesh, gmap, f_value, mode="modified", q=6, chunk=2048):
     basis = tab["vk"] if mode == "original" else tab["ned"]
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
-    rhs = np.zeros(gmap.n_vdofs)
+    loc = np.empty(dof_cols.shape)
     for start in range(0, mesh.n_cells, chunk):
         cells = slice(start, min(start + chunk, mesh.n_cells))
         centers = mesh.cell_centers[cells]
         P = centers[:, None, :] + h * pts[None, :, :]
         fvals = f_value(P.reshape(-1, 3)).reshape(len(centers), len(pts), 3)
-        loc = h * h * np.einsum("cgk,igk,g->ci", fvals, basis, wts)
-        cols = dof_cols[cells]
-        mask = cols >= 0
-        np.add.at(rhs, cols[mask], loc[mask])
-    return rhs
+        loc[cells] = h * h * np.einsum("cgk,igk,g->ci", fvals, basis, wts)
+    return scatter_add(loc, _slots(dof_cols, gmap.n_vdofs), gmap.n_vdofs)
 
 
 @dataclass
 class SaddleSystem:
     A: CellOperator
-    B: sp.csr_matrix
+    B: CellOperator
     rhs: np.ndarray
     gmap: GlobalDofMap
     mesh: object
@@ -243,8 +261,10 @@ class SaddleSystem:
         return self.gmap.n_vdofs + self.gmap.n_qdofs
 
     def full_matrix(self):
-        A = sp.csr_matrix(self.A.toarray())
-        return sp.bmat([[A, self.B], [self.B.T, None]], format="csr")
+        """Sparse copy of the whole saddle matrix, built from the dense A and
+        B (for small dense oracles)."""
+        A, B = (sp.csr_matrix(M.toarray()) for M in (self.A, self.B))
+        return sp.bmat([[A, B], [B.T, None]], format="csr")
 
     def full_rhs(self):
         return np.concatenate([self.rhs, np.zeros(self.gmap.n_qdofs)])
@@ -281,7 +301,9 @@ def solve_saddle(system, tol=1e-10):
        G^T (F - B p) = 0;
     3. projection: u = w - G S^-1 B^T w, so A u = A w and B^T u = 0.
 
-    All three solves are Jacobi-preconditioned CG.  Returns (u, p, info),
+    S is applied from its Q1 cell matrix, not formed as G^T B: the
+    decoupling assumes G^T B = S, which the tests check.  All three solves
+    are Jacobi-preconditioned CG on cell operators.  Returns (u, p, info),
     u and p the V_h and Q_h coefficient arrays; info carries the velocity
     CG iterations and the relative residual of the full system.
     """
@@ -292,7 +314,7 @@ def solve_saddle(system, tol=1e-10):
                 {"method": "trivial", "residual": 0.0, "iterations": 0})
 
     G = gradient_inclusion_matrix(system.mesh, system.gmap)
-    S = (G.T @ B).tocsr()
+    S = assemble_q1_stiffness(system.mesh, system.gmap)
     # CG on A needs ~0.8 n^2 iterations at tol 1e-10; the cap only stops
     # unreachable tolerances
     maxiter = 500 + 10 * system.mesh.n**2

@@ -46,8 +46,8 @@ def test_pik_correction_vanishes_without_inplane_curvature():
         Poly.monomial(0, 1, 0) + Poly.monomial(0, 0, 2),
         Poly.monomial(0, 0, 1) + Poly.monomial(2, 0, 0),
     ))
-    a = interp.interp_PiK(w, corrected=True).dof_values
-    b = interp.interp_PiK(w, corrected=False).dof_values
+    a = interp.interp_PiK(w, corrected=True).ref_dofs
+    b = interp.interp_PiK(w, corrected=False).ref_dofs
     assert np.abs(a - b).max() < 1e-14
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,13 +20,15 @@ def test_sin_cubed_series_matches_direct():
 
 
 def test_series_differentiation_maps_sin_to_cos():
-    s = mms.TrigSeries1D.sin_cubed()
-    ds = s.differentiate()
-    assert all(kind == mms.COS for kind, _ in ds.terms)
-    assert ds.pi_power == 1
+    # sin^3(pi x) as a field: cos(0 pi t) = 1 on the other two axes
+    one = mms.TrigSeries1D({(mms.COS, 0): Fraction(1)})
+    phi = mms.TrigField.separable(mms.TrigSeries1D.sin_cubed(), one, one)
+    d = phi.partial(0)
+    assert all(key[0][0] == mms.COS for key in d.terms)
+    assert d.pi_power == 1
     t = np.linspace(0.05, 0.95, 50)
     direct = 3 * np.pi * np.sin(np.pi * t) ** 2 * np.cos(np.pi * t)
-    assert np.abs(ds.eval(t) - direct).max() < 1e-12
+    assert np.abs(d.eval(t, 0.3, 0.7) - direct).max() < 1e-12
 
 
 def test_u_vanishes_on_boundary(exact):
@@ -80,7 +83,7 @@ def test_second_derivative_matches_central_fd(exact):
     s = mms.TrigSeries1D.sin_cubed()
     phi = mms.TrigField.separable(s, s, s)
     pts = np.array([[0.5, 0.3, 0.7]])
-    val = mms.eval_derivative(phi, (2, 0, 0), pts)[0]
+    val = phi.derivative((2, 0, 0)).eval(*pts.T)[0]
     dt = 0.01
     offs, w = _fd_weights(2, 11)    # 9th-order second derivative
     f = lambda x: np.sin(np.pi * x) ** 3 * np.sin(np.pi * 0.3) ** 3 \
@@ -95,22 +98,17 @@ def test_first_derivatives_vanish_at_corners(exact):
     for axis in range(3):
         alpha = [0, 0, 0]
         alpha[axis] = 1
-        vals = mms.eval_derivative(exact.phi, tuple(alpha), corners)
+        vals = exact.phi.derivative(tuple(alpha)).eval(*corners.T)
         assert np.abs(vals).max() < 1e-14
 
 
 def test_mixed_third_derivative_symmetric(exact):
     pts = np.random.default_rng(5).uniform(0.1, 0.9, (10, 3))
-    base = mms.eval_derivative(exact.phi, (1, 1, 1), pts)
+    base = exact.phi.derivative((1, 1, 1)).eval(*pts.T)
     # separable product: any order of the three partials gives the same field
     d = exact.phi.partial(2).partial(0).partial(1)
     again = d.eval(pts[:, 0], pts[:, 1], pts[:, 2])
     assert np.allclose(base, again, rtol=1e-13)
-
-
-def test_derivative_order_guard(exact):
-    with pytest.raises(mms.UnsupportedOrder):
-        mms.eval_derivative(exact.phi, (2, 2, 0), np.zeros((1, 3)))
 
 
 def test_grad_curl_consistent_with_partials(exact):

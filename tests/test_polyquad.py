@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadcurl.polyquad import (GaussRule, Poly, PolyField, gauss_rule,
-                               integrate_exact, integrate_gauss,
-                               integrate_gauss_face, legendre_poly)
+                               integrate_exact, legendre_poly)
 
 
 def test_power_rule():
@@ -59,9 +58,9 @@ def test_gauss_two_point_exact_for_cubic():
 
 def test_gauss_face_constant():
     h = 0.25
-    val = integrate_gauss_face(lambda x, y, z: np.ones_like(y), 0, 0.5,
-                               (0.0, 0.0), (h, h), q=3)
-    assert val == pytest.approx(h * h, rel=1e-14)
+    pts, wts = gauss_rule(3).face(0, 0.5, (0.0, 0.0), (h, h))
+    assert np.all(pts[:, 0] == 0.5)
+    assert wts.sum() == pytest.approx(h * h, rel=1e-14)
 
 
 def test_gauss_sin_product_matches_antiderivative():
@@ -69,15 +68,14 @@ def test_gauss_sin_product_matches_antiderivative():
     # measured q=6 accuracy is 2.03e-10 absolute (the 12th derivative of the
     # integrand is pi^12), hence the 2.5e-10 bound
     exact = (2.0 / np.pi) ** 3
-    val = integrate_gauss(
-        lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z),
-        (0, 0, 0), (1, 1, 1), q=6)
-    assert val == pytest.approx(exact, abs=2.5e-10)
+
+    def integral(q):
+        pts, wts = gauss_rule(q).box((0, 0, 0), (1, 1, 1))
+        return float(wts @ np.prod(np.sin(np.pi * pts), axis=1))
+
+    assert integral(6) == pytest.approx(exact, abs=2.5e-10)
     # one extra point drives the error far below the spec-level tolerance
-    val7 = integrate_gauss(
-        lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z),
-        (0, 0, 0), (1, 1, 1), q=7)
-    assert val7 == pytest.approx(exact, abs=1e-12)
+    assert integral(7) == pytest.approx(exact, abs=1e-12)
 
 
 def test_gauss_rejects_order_zero():
@@ -119,7 +117,8 @@ def random_poly(draw, deg=5):
 def test_gauss_matches_exact_on_polynomials(p):
     lo, hi = (-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)
     exact = integrate_exact(p, lo, hi)
-    approx = integrate_gauss(lambda x, y, z: p(x, y, z), lo, hi, q=6)
+    pts, wts = gauss_rule(6).box(lo, hi)
+    approx = float(wts @ p(*pts.T))
     assert approx == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
 

@@ -43,21 +43,36 @@ def test_stiffness_annihilates_gradients(setup3):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cell_operator_matches_assembled_stiffness(n):
-    # reference: the same cell matrix summed into CSR over all cells
+    # reference: each cell matrix added into a dense matrix cell by cell,
+    # skipping the eliminated boundary DoFs (-1)
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
-    A = system.assemble_A(mesh, gmap)
     h = mesh.h_axis[0]
-    ref = system._scatter(system.reference_matrices()["M2"] / h**3,
-                          gmap.cell_vdofs, gmap.cell_vdofs,
-                          (gmap.n_vdofs, gmap.n_vdofs)).toarray()
-    tol = 1e-13 * np.abs(ref).max()
-    dense = A.toarray()
-    assert np.abs(dense - ref).max() < tol
-    assert np.abs(dense - dense.T).max() < tol
-    assert np.abs(A.diagonal() - np.diag(ref)).max() < tol
-    X = np.random.default_rng(6).standard_normal((gmap.n_vdofs, 3))
-    assert np.abs(A @ X - ref @ X).max() < tol * np.abs(X).sum(axis=0).max()
+    ref = system.reference_matrices()
+    vdofs, qdofs = gmap.cell_vdofs, gmap.cell_qdofs
+    cases = ((system.assemble_A(mesh, gmap), ref["M2"] / h**3, vdofs, vdofs),
+             (system.assemble_B(mesh, gmap), ref["B"] * h, vdofs, qdofs),
+             (system.assemble_q1_stiffness(mesh, gmap), ref["S"] * h, qdofs,
+              qdofs))
+    rng = np.random.default_rng(6)
+    for op, local, rows, cols in cases:
+        dense = np.zeros(op.shape)
+        for r, c in zip(rows, cols):
+            dense[np.ix_(r[r >= 0], c[c >= 0])] += local[np.ix_(r >= 0,
+                                                                c >= 0)]
+        tol = 1e-13 * np.abs(dense).max()
+        assert np.abs(op.toarray() - dense).max() < tol
+        X = rng.standard_normal((op.shape[1], 3))
+        Y = rng.standard_normal((op.shape[0], 3))
+        assert np.abs(op @ X - dense @ X).max() < tol * np.abs(X).sum(0).max()
+        assert np.abs(op.T @ Y - dense.T @ Y).max() < \
+            tol * np.abs(Y).sum(0).max()
+        if rows is cols:
+            assert np.abs(dense - dense.T).max() < tol
+            assert np.abs(op.diagonal() - np.diag(dense)).max() < tol
+        else:
+            with pytest.raises(ValueError):
+                op.diagonal()
 
 
 def test_quadratic_form_matches_direct_integration(setup3):
@@ -77,10 +92,11 @@ def test_quadratic_form_matches_direct_integration(setup3):
 
 def test_coupling_reproduces_q1_stiffness(setup3):
     mesh, gmap = setup3
-    B = system.assemble_B(mesh, gmap)
+    # the pressure decoupling of solve_saddle rests on G^T B = S
+    B = system.assemble_B(mesh, gmap).toarray()
     G = system.gradient_inclusion_matrix(mesh, gmap)
-    S = system.assemble_q1_stiffness(mesh, gmap)
-    assert np.abs((G.T @ B - S)).max() < 1e-12
+    S = system.assemble_q1_stiffness(mesh, gmap).toarray()
+    assert np.abs(G.T @ B - S).max() < 1e-12
     rng = np.random.default_rng(2)
     q = rng.standard_normal(gmap.n_qdofs)
     energy = float(q @ (G.T @ B @ q))
@@ -92,12 +108,13 @@ def test_coupling_entries_match_quadrature_oracle():
     # boundary elimination removes everything, so assemble the local matrix
     # instead and integrate with Gauss
     from quadcurl.polyquad import gauss_rule
-    from quadcurl.spaces import (dual_value_table, scalar_grad_table)
+    from quadcurl.spaces import dual_value_table
     ref = system.reference_matrices()
     spcs = reference_spaces()
     pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     vk_tab = dual_value_table(spcs["VK"], pts)
-    q1_grad = scalar_grad_table(spcs["Q1K"], pts)
+    q1_grad = np.array([[p.diff(j)(*pts.T) for j in range(3)]
+                        for p in spcs["Q1K"].dual]).transpose(0, 2, 1)
     oracle = np.einsum("igk,mgk,g->im", vk_tab, q1_grad, wts)
     assert np.abs(oracle - ref["B"]).max() < 1e-12 * max(1, abs(ref["B"]).max())
 
@@ -117,7 +134,7 @@ def test_schemes_share_matrices(setup3, exact):
     s1 = system.build_system(mesh, gmap, exact.f_value, mode="original")
     s2 = system.build_system(mesh, gmap, exact.f_value, mode="modified")
     assert np.array_equal(s1.A.toarray(), s2.A.toarray())
-    assert (s1.B != s2.B).nnz == 0
+    assert np.array_equal(s1.B.toarray(), s2.B.toarray())
     assert not np.array_equal(s1.rhs, s2.rhs)
 
 
