@@ -24,6 +24,10 @@ from .spaces import (dual_curl_table, dual_gradcurl_table, dual_gram_matrices,
 from .system import gather
 
 
+# macros per chunk of the macro error phases
+MACRO_CHUNK = 64
+
+
 class DegenerateError(Exception):
     """EOC undefined: an error value is zero or negative."""
 
@@ -153,17 +157,23 @@ def error_vs_exact(u_vec, exact, mesh, gmap, q=6, chunk=1024):
     return ErrorTriple(*np.sqrt(h**3 * acc))
 
 
-def discrete_norms(vec, mesh, gmap):
-    """Exact norms of a V_h coefficient vector via the reference Gram triple."""
-    vk = reference_spaces()["VK"]
-    M0, M1, M2 = dual_gram_matrices(vk)
-    h = mesh.h_axis[0]
-    d = gather(vec, gmap.cell_vdofs) / h
-    n0 = h**3 * np.einsum("ci,ij,cj->", d, M0, d)
-    n1 = h * np.einsum("ci,ij,cj->", d, M1, d)
-    n2 = (1.0 / h) * np.einsum("ci,ij,cj->", d, M2, d)
+def _gram_norms(space, coeffs, size):
+    """Exact norms of a piecewise field through the reference Gram triple of
+    ``space``: ``coeffs`` holds the reference DoFs of one cell of edge
+    ``size`` per row."""
+    M0, M1, M2 = dual_gram_matrices(space)
+    n0 = size**3 * np.einsum("ci,ij,cj->", coeffs, M0, coeffs)
+    n1 = size * np.einsum("ci,ij,cj->", coeffs, M1, coeffs)
+    n2 = (1.0 / size) * np.einsum("ci,ij,cj->", coeffs, M2, coeffs)
     return ErrorTriple(math.sqrt(max(n2, 0.0)), math.sqrt(max(n1, 0.0)),
                        math.sqrt(max(n0, 0.0)))
+
+
+def discrete_norms(vec, mesh, gmap):
+    """Exact norms of a V_h coefficient vector via the reference Gram triple."""
+    h = mesh.h_axis[0]
+    return _gram_norms(reference_spaces()["VK"],
+                       gather(vec, gmap.cell_vdofs) / h, h)
 
 
 def superclose_error(u_vec, ihu_vec, mesh, gmap):
@@ -173,17 +183,10 @@ def superclose_error(u_vec, ihu_vec, mesh, gmap):
 
 def macro_norms(macro_field):
     """Exact norms of a MacroField via the reference VM Gram triple."""
-    M0, M1, M2 = dual_gram_matrices(macro_field.space)
-    H = macro_field.size
-    c = macro_field.coeffs
-    n0 = H**3 * np.einsum("mi,ij,mj->", c, M0, c)
-    n1 = H * np.einsum("mi,ij,mj->", c, M1, c)
-    n2 = (1.0 / H) * np.einsum("mi,ij,mj->", c, M2, c)
-    return ErrorTriple(math.sqrt(max(n2, 0.0)), math.sqrt(max(n1, 0.0)),
-                       math.sqrt(max(n0, 0.0)))
+    return _gram_norms(macro_field.space, macro_field.coeffs, macro_field.size)
 
 
-def macro_best_approximation(exact, mesh, partition, q=6, chunk=64):
+def macro_best_approximation(exact, mesh, partition, q=6):
     """Per-macro best approximation of the exact solution from V_M.
 
     On every macro, u is projected onto V_M in each norm of ErrorTriple (the
@@ -215,7 +218,7 @@ def macro_best_approximation(exact, mesh, partition, q=6, chunk=64):
 
     acc = np.zeros(3)
     coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in columns)
-    for macros, exact_vals in _exact_on_blocks(exact, mesh, 3, q, chunk):
+    for macros, exact_vals in _exact_on_blocks(exact, mesh, 3, q, MACRO_CHUNK):
         for col, ((phi, w, scale, ginv), ex) in enumerate(
                 zip(columns, exact_vals)):
             c = scale * ((ex * w) @ phi.T) @ ginv
@@ -224,7 +227,7 @@ def macro_best_approximation(exact, mesh, partition, q=6, chunk=64):
     return ErrorTriple(*np.sqrt(acc)), coeffs
 
 
-def superconvergent_error(macro_field, exact, mesh, q=6, chunk=64):
+def superconvergent_error(macro_field, exact, mesh, q=6):
     """Error triple of the postprocessed field against the exact solution,
     integrated per fine cell."""
     part = macro_field.partition
@@ -235,7 +238,7 @@ def superconvergent_error(macro_field, exact, mesh, q=6, chunk=64):
     H = part.macro_size
     scales = (H**-2, 1.0 / H, 1.0)
     acc = np.zeros(3)
-    for macros, exact_vals in _exact_on_blocks(exact, mesh, 3, q, chunk):
+    for macros, exact_vals in _exact_on_blocks(exact, mesh, 3, q, MACRO_CHUNK):
         coef = macro_field.coeffs[macros]
         for col, ((phi, w), s, ex) in enumerate(
                 zip(columns, scales, exact_vals)):

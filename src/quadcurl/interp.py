@@ -1,20 +1,19 @@
 """Interpolation operators: canonical, corrected (superclose) and macro.
 
-Local operators work on the scaled reference cell and take a ``PolyField``;
-all DoF integrals are evaluated exactly in coefficient space.  The global
-operator ``global_interp_Ih`` takes a smooth-field object exposing
+``interpolate`` is the local operator of every reference space: it applies the
+space's own DoF functionals exactly to a reference-frame ``PolyField``, with
+the tangential face integrals corrected by default (see
+``quadcurl.spaces.DofFunctional``).  The global operator ``global_interp_Ih``
+takes a smooth-field object exposing
 
 * ``value(pts) -> (..., 3)``
 * ``curl_value(pts) -> (..., 3)``
 * ``curl_d2(comp, axis, pts) -> (...)``  second partials of curl components
 
-(see ``quadcurl.mms.ExactFields``) and integrates with tensor Gauss rules on
-the physical entities.
-
-The corrected operators add ``h_k^2/12`` times the in-plane second derivative
-to every tangential face integral; expressed on the scaled frame the
-coefficient is exactly ``1/12`` for any uniform cell size, so one reference
-operator serves the whole mesh.
+(see ``quadcurl.mms.ExactFields``) and integrates the corrected DoFs with
+tensor Gauss rules on the physical entities.  The correction weight is
+``h^2 * CORRECTION_WEIGHT`` there and ``CORRECTION_WEIGHT`` on the scaled
+frame, so one reference operator serves the whole mesh.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ import numpy as np
 
 from .mesh import NonDivisibleMesh
 from .polyquad import gauss_rule
-from .spaces import reference_spaces
+from .spaces import CORRECTION_WEIGHT, reference_spaces
 from .system import gather
-
-CORRECTION_WEIGHT = 1.0 / 12.0
 
 
 @dataclass
@@ -56,12 +53,7 @@ class LocalInterpolant:
     def as_polyfield(self):
         """Reference-frame PolyField (combination of dual fields)."""
         if self._field is None:
-            sp = self.space
-            acc = sp.dual[0].scale(self.ref_dofs[0])
-            for i in range(1, sp.dim):
-                if self.ref_dofs[i] != 0.0:
-                    acc = acc + sp.dual[i].scale(self.ref_dofs[i])
-            self._field = acc
+            self._field = self.space.combine(self.ref_dofs)
         return self._field
 
     def value(self, pts):
@@ -77,91 +69,19 @@ class LocalInterpolant:
         return f(ref[..., 0], ref[..., 1], ref[..., 2]) / self.h
 
 
-# ---------------------------------------------------------------------------
-# exact DoF evaluation on reference-frame PolyFields
-# ---------------------------------------------------------------------------
-
-def _face_integral_scalar(g, dof):
-    """Exact integral of a scalar Poly over the functional's face geometry."""
-    t1, t2 = [a for a in range(3) if a != dof.axis]
-    g = g.substitute(dof.axis, dof.fixed)
-    lo = [0.0, 0.0, 0.0]
-    hi = [1.0, 1.0, 1.0]
-    lo[t1], hi[t1] = dof.span[0]
-    lo[t2], hi[t2] = dof.span[1]
-    return g.integrate_box(lo, hi)
-
-
-def _corrected_face_integral(g, dof, corrected):
-    """Exact face integral of ``g`` (+ 1/12 second in-plane derivative)."""
-    if corrected:
-        d = dof.direction
-        g = g + g.diff(d).diff(d).scale(CORRECTION_WEIGHT)
-    return _face_integral_scalar(g, dof)
-
-
-def vk_dof_values_poly(v, corrected):
-    """All 24 VK DoFs of a reference-frame PolyField; face-curl DoFs carry the
-    superclose correction when ``corrected``."""
-    sp = reference_spaces()["VK"]
-    vals = np.empty(sp.dim)
-    curl = v.curl()
-    for i, dof in enumerate(sp.dofs):
-        if dof.kind == "edge_tangential":
-            vals[i] = dof.apply(v)
-        else:  # face_curl
-            g = curl.comps[dof.direction]
-            vals[i] = _corrected_face_integral(g, dof, corrected)
-    return vals
-
-
-def wk_dof_values_poly(w, corrected):
-    """All 18 WK DoFs; tangential face integrals carry the correction."""
-    sp = reference_spaces()["WK"]
-    vals = np.empty(sp.dim)
-    for i, dof in enumerate(sp.dofs):
-        if dof.kind == "face_tangential":
-            g = w.comps[dof.direction]
-            vals[i] = _corrected_face_integral(g, dof, corrected)
-        else:  # face_normal
-            vals[i] = dof.apply(w)
-    return vals
-
-
-def interp_IK(v, corrected=True):
-    """Local interpolation into VK of a reference-frame PolyField."""
-    return LocalInterpolant("VK", vk_dof_values_poly(v, corrected))
-
-
-def interp_I0K(v):
-    """Canonical (uncorrected) VK interpolation."""
-    return interp_IK(v, corrected=False)
-
-
-def interp_PiK(w, corrected=True):
-    """Local interpolation into WK of a reference-frame PolyField."""
-    return LocalInterpolant("WK", wk_dof_values_poly(w, corrected))
-
-
-def interp_nedelec(v):
-    """Lowest-order edge interpolation of a reference-frame PolyField."""
-    sp = reference_spaces()["NedelecK"]
-    vals = np.array([dof.apply(v) for dof in sp.dofs])
-    return LocalInterpolant("NedelecK", vals)
-
-
-def interp_macro_IM(v):
-    """Macro edge interpolation of a reference-frame (macro) PolyField."""
-    sp = reference_spaces()["VM"]
-    vals = np.array([dof.apply(v) for dof in sp.dofs])
-    return LocalInterpolant("VM", vals)
+def interpolate(tag, v, corrected=True):
+    """Local interpolation of a reference-frame PolyField into the reference
+    space ``tag``: its DoFs applied to ``v``, tangential face integrals
+    corrected unless ``corrected`` is False."""
+    dofs = reference_spaces()[tag].dofs
+    return LocalInterpolant(tag, np.array([d.apply(v, corrected) for d in dofs]))
 
 
 # ---------------------------------------------------------------------------
 # global operators
 # ---------------------------------------------------------------------------
 
-def global_interp_Ih(fieldobj, mesh, gmap, q=6, corrected=True):
+def global_interp_Ih(fieldobj, mesh, gmap, q=6):
     """Global corrected interpolation into V_h: one coefficient per interior
     DoF (edge tangential integrals; corrected face-curl integrals).
 
@@ -202,9 +122,8 @@ def global_interp_Ih(fieldobj, mesh, gmap, q=6, corrected=True):
         curl = fieldobj.curl_value(flat).reshape(nf, npts, 3)
         fids = np.where(sel)[0]
         for j, d in enumerate((t1, t2)):
-            g = curl[:, :, d]
-            if corrected:
-                g = g + (h * h / 12.0) * fieldobj.curl_d2(d, d, flat).reshape(nf, npts)
+            g = curl[:, :, d] + (h * h * CORRECTION_WEIGHT) * fieldobj.curl_d2(
+                d, d, flat).reshape(nf, npts)
             integ = h * h * (g @ w2d)
             coeffs[gmap.face_dof[fids, j]] = integ
     return coeffs

@@ -166,10 +166,6 @@ class PolyField:
             raise ValueError("PolyField needs exactly 3 components")
 
     @classmethod
-    def zero(cls):
-        return cls((Poly.zero(), Poly.zero(), Poly.zero()))
-
-    @classmethod
     def unit(cls, axis, poly=None):
         comps = [Poly.zero(), Poly.zero(), Poly.zero()]
         comps[axis] = poly if poly is not None else Poly.const(1.0)

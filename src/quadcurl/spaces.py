@@ -13,7 +13,8 @@ Everything lives on the cell-centered scaled frame ``[-1/2, 1/2]^3``
 (macro spaces on the same frame subdivided 3x3x3).  Physical DoFs on a cell
 of edge length ``h`` are the reference DoFs times ``h**dof_scale_power``, the
 same factor for every DoF of a space, so a single Vandermonde factorization
-serves every cell of the uniform mesh.
+serves every cell of the uniform mesh.  The DoF functionals also evaluate the
+h^2/12-corrected tangential face integrals of the modified interpolation.
 """
 
 from __future__ import annotations
@@ -41,9 +42,15 @@ def _others(axis):
     return tuple(a for a in range(3) if a != axis)
 
 
+# Weight of the in-plane second derivative that the superclose interpolation
+# adds to every tangential face integral: h^2/12 on a cell of edge h, which is
+# exactly 1/12 on the scaled frame for any uniform cell size.
+CORRECTION_WEIGHT = 1.0 / 12.0
+
+
 @dataclass(frozen=True)
 class DofFunctional:
-    """A canonical (uncorrected) DoF functional in reference coordinates.
+    """A DoF functional in reference coordinates.
 
     kind:
       'edge_tangential'  int_E v.t ds           (axis = tangent direction)
@@ -56,8 +63,12 @@ class DofFunctional:
     coordinates.  For edges, span = (lo, hi) along ``axis`` and fixed holds the
     two transverse coordinates in ascending axis order.  For faces, fixed is
     the normal coordinate and span = ((lo1, hi1), (lo2, hi2)) over the two
-    in-plane axes in ascending order.  The h^2/12 correction used by the
-    modified interpolation is applied in quadcurl.interp, never here.
+    in-plane axes in ascending order.
+
+    ``apply(field)`` is the canonical DoF.  ``apply(field, corrected=True)``
+    is the DoF of the modified interpolation: the two tangential face kinds
+    integrate the integrand plus CORRECTION_WEIGHT times its second derivative
+    along ``direction``; every other kind ignores the flag.
     """
 
     kind: str
@@ -66,7 +77,7 @@ class DofFunctional:
     span: tuple = ()
     fixed: tuple = ()
 
-    def apply(self, field):
+    def apply(self, field, corrected=False):
         """Exact evaluation on a Poly (vertex kind) or PolyField."""
         if self.kind == "vertex":
             return float(field(*self.fixed))
@@ -86,6 +97,9 @@ class DofFunctional:
             g = field.comps[self.axis]
         else:
             raise ValueError(f"unknown DoF kind {self.kind!r}")
+        if corrected and self.kind != "face_normal":
+            d = self.direction
+            g = g + g.diff(d).diff(d).scale(CORRECTION_WEIGHT)
         g = g.substitute(self.axis, self.fixed)
         t1, t2 = _others(self.axis)
         lo = [0.0, 0.0, 0.0]
@@ -93,6 +107,14 @@ class DofFunctional:
         lo[t1], hi[t1] = self.span[0]
         lo[t2], hi[t2] = self.span[1]
         return g.integrate_box(lo, hi)
+
+
+def _linear_combination(fields, coeffs):
+    """sum_j coeffs[j] fields[j], accumulated in index order."""
+    acc = fields[0].scale(coeffs[0])
+    for f, c in zip(fields[1:], coeffs[1:]):
+        acc = acc + f.scale(c)
+    return acc
 
 
 @dataclass(eq=False)
@@ -113,13 +135,17 @@ class ElementSpace:
     def dim(self):
         return len(self.span)
 
+    def combine(self, coeffs):
+        """The reference field sum_j coeffs[j] dual_j."""
+        return _linear_combination(self.dual, coeffs)
+
     def identity_defect(self):
         """max |DoF_i(dual_j) - delta_ij|; small iff the dual basis is sound."""
         eye = self.vandermonde @ self.dual_coeffs
         return float(np.abs(eye - np.eye(self.dim)).max())
 
 
-def dual_basis(span, dofs, tag, dof_scale_power, cond_limit=1e12):
+def dual_basis(span, dofs, tag, dof_scale_power):
     """Invert the DoF Vandermonde matrix to produce the nodal (dual) basis."""
     ndof, nspan = len(dofs), len(span)
     if ndof != nspan:
@@ -130,15 +156,10 @@ def dual_basis(span, dofs, tag, dof_scale_power, cond_limit=1e12):
         for j, field in enumerate(span):
             V[i, j] = dof.apply(field)
     cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > 1e12:
         raise SingularVandermonde(f"{tag}: Vandermonde condition {cond:.3e}")
     C = np.linalg.solve(V, np.eye(ndof))
-    dual = []
-    for j in range(ndof):
-        acc = span[0].scale(C[0, j])
-        for m in range(1, nspan):
-            acc = acc + span[m].scale(C[m, j])
-        dual.append(acc)
+    dual = [_linear_combination(span, C[:, j]) for j in range(ndof)]
     return ElementSpace(tag=tag, span=list(span), dofs=list(dofs),
                         vandermonde=V, dual_coeffs=C, dual=dual,
                         cond=cond, dof_scale_power=dof_scale_power)

@@ -215,6 +215,10 @@ def gradient_inclusion_matrix(mesh, gmap):
                          shape=(gmap.n_vdofs, gmap.n_qdofs)).tocsr()
 
 
+# cells per chunk of the load evaluation
+RHS_CHUNK = 2048
+
+
 @lru_cache(maxsize=8)
 def _rhs_tables(q):
     rule = gauss_rule(q)
@@ -227,7 +231,7 @@ def _rhs_tables(q):
     }
 
 
-def assemble_rhs(mesh, gmap, f_value, mode="modified", q=6, chunk=2048):
+def assemble_rhs(mesh, gmap, f_value, mode="modified", q=6):
     """Load vector: mode 'original' tests against the VK duals, 'modified'
     against their edge reconstructions (face entries exactly zero)."""
     if mode not in ("original", "modified"):
@@ -239,8 +243,8 @@ def assemble_rhs(mesh, gmap, f_value, mode="modified", q=6, chunk=2048):
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
     loc = np.empty(dof_cols.shape)
-    for start in range(0, mesh.n_cells, chunk):
-        cells = slice(start, min(start + chunk, mesh.n_cells))
+    for start in range(0, mesh.n_cells, RHS_CHUNK):
+        cells = slice(start, min(start + RHS_CHUNK, mesh.n_cells))
         centers = mesh.cell_centers[cells]
         P = centers[:, None, :] + h * pts[None, :, :]
         fvals = f_value(P.reshape(-1, 3)).reshape(len(centers), len(pts), 3)

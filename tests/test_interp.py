@@ -2,30 +2,14 @@ import numpy as np
 import pytest
 
 from quadcurl import interp, mms, system
-from quadcurl.checks import (check_commuting_cell, check_commuting_macro,
+from quadcurl.checks import (_field_difference, _random_polyfield,
+                             check_commuting_cell, check_commuting_macro,
                              check_gradient_orthogonality_quadratics,
                              check_i3h_collapse, check_l2_orthogonality_linears,
                              check_mean_curl_preservation)
 from quadcurl.mesh import build_mesh, macro_partition
-from quadcurl.polyquad import Poly, PolyField, coefficient_matrix, gauss_rule
-from quadcurl.spaces import reference_spaces
-
-
-def _rand_polyfield(rng, deg):
-    comps = []
-    for _ in range(3):
-        p = Poly.zero()
-        for a in range(deg + 1):
-            for b in range(deg + 1):
-                for c in range(deg + 1):
-                    p = p + Poly.monomial(a, b, c, coef=rng.standard_normal())
-        comps.append(p)
-    return PolyField(comps)
-
-
-def _coeff_defect(a, b):
-    mat, _ = coefficient_matrix([a, b])
-    return np.abs(mat[0] - mat[1]).max() / max(1.0, np.abs(mat).max())
+from quadcurl.polyquad import Poly, PolyField, gauss_rule
+from quadcurl.spaces import CORRECTION_WEIGHT, reference_spaces
 
 
 def test_pik_reproduces_linear_fields():
@@ -35,7 +19,8 @@ def test_pik_reproduces_linear_fields():
         + Poly.monomial(1, 0, 0, rng.standard_normal())
         + Poly.monomial(0, 1, 0, rng.standard_normal())
         + Poly.monomial(0, 0, 1, rng.standard_normal()) for _ in range(3)))
-    assert _coeff_defect(interp.interp_PiK(lin).as_polyfield(), lin) < 1e-13
+    assert _field_difference(interp.interpolate("WK", lin).as_polyfield(),
+                             lin) < 1e-13
 
 
 def test_pik_correction_vanishes_without_inplane_curvature():
@@ -46,8 +31,8 @@ def test_pik_correction_vanishes_without_inplane_curvature():
         Poly.monomial(0, 1, 0) + Poly.monomial(0, 0, 2),
         Poly.monomial(0, 0, 1) + Poly.monomial(2, 0, 0),
     ))
-    a = interp.interp_PiK(w, corrected=True).ref_dofs
-    b = interp.interp_PiK(w, corrected=False).ref_dofs
+    a = interp.interpolate("WK", w, corrected=True).ref_dofs
+    b = interp.interpolate("WK", w, corrected=False).ref_dofs
     assert np.abs(a - b).max() < 1e-14
 
 
@@ -57,31 +42,26 @@ def test_pik_projection_on_wk():
     # the identity
     wk = reference_spaces()["WK"]
     rng = np.random.default_rng(1)
-    c = rng.standard_normal(wk.dim)
-    f = wk.dual[0].scale(c[0])
-    for i in range(1, wk.dim):
-        f = f + wk.dual[i].scale(c[i])
-    assert _coeff_defect(interp.interp_PiK(f).as_polyfield(), f) < 1e-12
+    f = wk.combine(rng.standard_normal(wk.dim))
+    assert _field_difference(interp.interpolate("WK", f).as_polyfield(),
+                             f) < 1e-12
 
 
 def test_ik_projection_on_vk():
     vk = reference_spaces()["VK"]
     rng = np.random.default_rng(2)
-    c = rng.standard_normal(vk.dim)
-    f = vk.dual[0].scale(c[0])
-    for i in range(1, vk.dim):
-        f = f + vk.dual[i].scale(c[i])
-    corrected = interp.interp_IK(f).as_polyfield()
-    canonical = interp.interp_I0K(f).as_polyfield()
-    assert _coeff_defect(corrected, f) < 1e-11
-    assert _coeff_defect(canonical, f) < 1e-11
+    f = vk.combine(rng.standard_normal(vk.dim))
+    corrected = interp.interpolate("VK", f).as_polyfield()
+    canonical = interp.interpolate("VK", f, corrected=False).as_polyfield()
+    assert _field_difference(corrected, f) < 1e-11
+    assert _field_difference(canonical, f) < 1e-11
 
 
 def test_ik_gradient_field():
     q = Poly.monomial(1, 1, 1)
     g = PolyField((q.diff(0), q.diff(1), q.diff(2)))
-    ik = interp.interp_IK(g)
-    assert _coeff_defect(ik.as_polyfield(), g) < 1e-13
+    ik = interp.interpolate("VK", g)
+    assert _field_difference(ik.as_polyfield(), g) < 1e-13
     curl = ik.as_polyfield().curl()
     assert all(max((abs(v) for v in c.coeffs.values()), default=0) < 1e-13
                for c in curl.comps)
@@ -107,11 +87,9 @@ def test_mean_curl_identity():
 def test_nedelec_projection():
     ned = reference_spaces()["NedelecK"]
     rng = np.random.default_rng(3)
-    c = rng.standard_normal(12)
-    f = ned.dual[0].scale(c[0])
-    for i in range(1, 12):
-        f = f + ned.dual[i].scale(c[i])
-    assert _coeff_defect(interp.interp_nedelec(f).as_polyfield(), f) < 1e-13
+    f = ned.combine(rng.standard_normal(12))
+    assert _field_difference(interp.interpolate("NedelecK", f).as_polyfield(),
+                             f) < 1e-13
 
 
 def test_nedelec_of_face_dual_is_zero():
@@ -119,7 +97,7 @@ def test_nedelec_of_face_dual_is_zero():
     # reconstruction annihilates them
     vk = reference_spaces()["VK"]
     for j in range(12, 24):
-        loc = interp.interp_nedelec(vk.dual[j])
+        loc = interp.interpolate("NedelecK", vk.dual[j])
         assert np.abs(loc.ref_dofs).max() < 1e-12
         f = loc.as_polyfield()
         assert all(max((abs(v) for v in c.coeffs.values()), default=0) < 1e-11
@@ -130,10 +108,7 @@ def test_macro_interp_reproduces_vm_polynomials():
     vm = reference_spaces()["VM"]
     rng = np.random.default_rng(4)
     c = rng.standard_normal(vm.dim)
-    f = vm.dual[0].scale(c[0])
-    for i in range(1, vm.dim):
-        f = f + vm.dual[i].scale(c[i])
-    again = interp.interp_macro_IM(f)
+    again = interp.interpolate("VM", vm.combine(c))
     assert np.abs(again.ref_dofs - c).max() < 1e-10
 
 
@@ -146,12 +121,12 @@ def test_smooth_path_matches_exact_path_on_polynomials():
     # quadrature DoFs of the global operator on that cell with the exact
     # coefficient-space DoFs (VK DoFs scale with h)
     rng = np.random.default_rng(5)
-    v = _rand_polyfield(rng, 2)
+    v = _random_polyfield(rng, 2)
     curl = v.curl()
     mesh = build_mesh(2)
     gmap = system.build_dof_map(mesh)
     h = mesh.h_axis[0]
-    want = interp.vk_dof_values_poly(v, corrected=True) * h
+    want = interp.interpolate("VK", v).ref_dofs * h
 
     class CellField:
         def __init__(self, center):
@@ -204,7 +179,7 @@ def test_boundary_dofs_of_exact_solution_vanish():
                          (origin[t1] + h, origin[t2] + h))
         curl = ex.curl_u_value(P)
         for d in (t1, t2):
-            g = curl[:, d] + (h * h / 12.0) * ex.curl_d2(d, d, P)
+            g = curl[:, d] + (h * h * CORRECTION_WEIGHT) * ex.curl_d2(d, d, P)
             worst = max(worst, abs(float(W @ g)))
     assert worst < 1e-13
 

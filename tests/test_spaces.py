@@ -102,6 +102,34 @@ def test_wk_span_has_own_axis_squares_excluded():
             assert tuple(mono) not in poly.coeffs
 
 
+def _dof(space, kind, axis, fixed, direction):
+    [dof] = [d for d in space.dofs if (d.kind, d.axis, d.fixed, d.direction)
+             == (kind, axis, fixed, direction)]
+    return dof
+
+
+def test_corrected_dofs_add_one_twelfth_of_the_inplane_second_derivative(
+        spaces):
+    # on the face z = +1/2 along x: int x^2 = 1/12, and the correction adds
+    # 1/12 * d^2(x^2)/dx^2 = 2/12 over the unit face
+    x2 = Poly.monomial(2, 0, 0)
+    wk_dof = _dof(spaces["WK"], "face_tangential", 2, 0.5, 0)
+    w = PolyField.unit(0, x2)
+    assert wk_dof.apply(w) == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert wk_dof.apply(w, corrected=True) == pytest.approx(0.25, abs=1e-15)
+    # v = (0, 0, x^2 y) has curl (x^2, -2xy, 0)
+    vk_dof = _dof(spaces["VK"], "face_curl", 2, 0.5, 0)
+    v = PolyField.unit(2, Poly.monomial(2, 1, 0))
+    assert vk_dof.apply(v) == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert vk_dof.apply(v, corrected=True) == pytest.approx(0.25, abs=1e-15)
+    # edge and face-normal DoFs ignore the flag
+    u = PolyField.unit(0, x2 + Poly.monomial(2, 2, 0))
+    for tag in ("VK", "WK"):
+        for dof in spaces[tag].dofs:
+            if dof.kind in ("edge_tangential", "face_normal"):
+                assert dof.apply(u, corrected=True) == dof.apply(u)
+
+
 def test_dual_basis_rejects_mismatched_counts():
     wk = span_WK()
     dofs = [DofFunctional("vertex", fixed=(0.0, 0.0, 0.0))]
