@@ -1,23 +1,24 @@
 """Discrete error norms, superclose/superconvergence quantities and EOC tables.
 
 Errors against the exact (trigonometric) solution are integrated per cell with
-tensor Gauss rules.  The Gauss points of a slab of cells form a tensor grid, so
-the exact fields are evaluated there by sum factorization and the kernels
-contract with the dual tables by matrix products.  Differences of two discrete
-fields are integrated exactly through the reference Gram matrices, which keeps
-quadrature noise out of the superclose quantity (the smallest number in the
-study).
+tensor Gauss rules.  The Gauss points of a slab of cells form a tensor grid
+(``quadcurl.mesh.gauss_blocks``), so the exact fields are evaluated there by
+sum factorization, and one kernel for blocks of 1 (cells) and 3^3 (macros)
+contracts them with the dual tables by matrix products.  Differences of two
+discrete fields are integrated exactly through the reference Gram matrices,
+which keeps quadrature noise out of the superclose quantity (the smallest
+number in the study).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .mesh import NonDivisibleMesh
+from .mesh import NonDivisibleMesh, _lattice, gauss_blocks
 from .polyquad import gauss_rule
 from .spaces import (dual_curl_table, dual_gradcurl_table, dual_gram_matrices,
                      dual_value_table, reference_spaces)
@@ -44,48 +45,26 @@ class ErrorTriple:
         return (self.curl_h1, self.curl_l2, self.l2)
 
 
-def _columns(table_val, table_curl, table_gc, wts, cells):
-    """(dual matrix, point weights) per ErrorTriple column: the tables as
-    dof-major (dim, points x components) views, the weights repeated per
-    component and tiled over ``cells`` fine cells."""
-    out = []
-    for table, k in ((table_gc, 9), (table_curl, 3), (table_val, 3)):
-        out.append((table.reshape(len(table), -1),
-                    np.tile(np.repeat(wts, k), cells)))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _cell_tables(q):
-    """Reference VK dual tables at the q^3 box points, cached per order.
+def _block_tables(tag, sub, q):
+    """Dual tables of the reference space ``tag`` at the Gauss points of the
+    reference cell cut into sub^3 cells (VK on a cell, VM on a macro), fine
+    cells and points in the order of ``mesh.gauss_blocks``.
 
-    ``val``/``curl`` are (dof, point, 3) and ``gc`` (dof, point, 3, 3);
-    ``columns`` holds the same tables flattened per dof, in ErrorTriple order.
+    Per ErrorTriple column a (dual matrix, point weights) pair: the table as
+    a dof-major (dim, fine cell x point x component) matrix and the Gauss
+    weight of each of its columns.
     """
     pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-    vk = reference_spaces()["VK"]
-    tab = {"wts": wts, "val": dual_value_table(vk, pts),
-           "curl": dual_curl_table(vk, pts),
-           "gc": dual_gradcurl_table(vk, pts)}
-    tab["columns"] = _columns(tab["val"], tab["curl"], tab["gc"], wts, 1)
-    return tab
-
-
-@lru_cache(maxsize=None)
-def _macro_tables(q):
-    """VM dual tables at every fine-cell quadrature point of the macro frame,
-    as ``_columns``: (dof, fine cell 0..26 x point x component) matrices with
-    their weights.  Fine cells follow the (a, b, c) lexicographic order of
-    MacroPartition.macro_cells.
-    """
-    pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-    vm = reference_spaces()["VM"]
-    # all 27 fine-cell grids stacked into one evaluation per dual field
-    lat = np.stack(np.meshgrid(*(np.arange(3.0),) * 3, indexing="ij"),
-                   axis=-1).reshape(27, 1, 3)
-    mpts = ((lat + 0.5) / 3.0 - 0.5 + pts / 3.0).reshape(-1, 3)
-    return _columns(dual_value_table(vm, mpts), dual_curl_table(vm, mpts),
-                    dual_gradcurl_table(vm, mpts), wts, 27)
+    space = reference_spaces()[tag]
+    # all fine-cell grids stacked into one evaluation per dual field
+    bpts = ((_lattice((sub,) * 3)[:, None] + 0.5) / sub - 0.5
+            + pts / sub).reshape(-1, 3)
+    return tuple((table.reshape(space.dim, -1),
+                  np.tile(np.repeat(wts, k), sub**3))
+                 for table, k in ((dual_gradcurl_table(space, bpts), 9),
+                                  (dual_curl_table(space, bpts), 3),
+                                  (dual_value_table(space, bpts), 3)))
 
 
 def _exact_grid(exact, x, y, z):
@@ -104,36 +83,6 @@ def _exact_grid(exact, x, y, z):
     return gc, curl, u
 
 
-def _exact_on_blocks(exact, mesh, sub, q, chunk):
-    """Exact grad curl u, curl u and u at the Gauss points of every cell.
-
-    The mesh is tiled by blocks of sub^3 cells (1 for cells, 3 for macros),
-    numbered like the cells, lexicographically on the block lattice.  A chunk
-    is a run of whole block rows at one first lattice index, about ``chunk``
-    blocks with contiguous ids, so its Gauss points form one tensor grid.
-    Yields ``(block id slice, values)``: values in ErrorTriple column order,
-    each (blocks, fine cell x point x component) with fine cells and points
-    in the lexicographic order of ``macro_cells`` and ``gauss_rule.box``.
-    """
-    n, h = mesh.n, mesh.h_axis[0]
-    nb, p = n // sub, sub * q
-    r = gauss_rule(q).interval(-0.5, 0.5)[0]
-    coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)
-    rows = min(nb, max(1, chunk // nb))
-    for i in range(nb):
-        for j in range(0, nb, rows):
-            nj = min(rows, nb - j)
-            vals = _exact_grid(exact, coords[i * p:(i + 1) * p],
-                               coords[j * p:(j + nj) * p], coords)
-            blocks = tuple(
-                v.reshape(sub, q, nj, sub, q, nb, sub, q, -1)
-                .transpose(2, 5, 0, 3, 6, 1, 4, 7, 8).reshape(nj * nb, -1)
-                for v in vals)
-            del vals    # the grid layout is not needed while the caller works
-            start = (i * nb + j) * nb
-            yield slice(start, start + nj * nb), blocks
-
-
 def _sq_error(approx, scale, exact, w):
     """Weighted sum of squares of ``scale * approx - exact``.  Works in
     place in ``approx``, so a chunk needs one temporary of its size."""
@@ -143,18 +92,30 @@ def _sq_error(approx, scale, exact, w):
     return np.sum(approx @ w)
 
 
+def _block_error(block_coeffs, tag, sub, size, exact, mesh, q, chunk):
+    """Error triple against the exact solution of the field that is, on each
+    block of sub^3 cells with edge ``size``, the combination of the duals of
+    reference space ``tag`` with coefficients ``block_coeffs(block ids)``;
+    integrated per fine cell."""
+    scales = (size**-2, 1.0 / size, 1.0)
+    acc = np.zeros(3)
+    walk = gauss_blocks(partial(_exact_grid, exact), mesh, sub, q, chunk)
+    for blocks, exact_vals in walk:
+        coef = block_coeffs(blocks)
+        for col, ((phi, w), s, ex) in enumerate(
+                zip(_block_tables(tag, sub, q), scales, exact_vals)):
+            acc[col] += _sq_error(coef @ phi, s, ex, w)
+    return ErrorTriple(*np.sqrt(mesh.h_axis[0]**3 * acc))
+
+
 def error_vs_exact(u_vec, exact, mesh, gmap, q=6, chunk=1024):
     """Error triple of a V_h coefficient vector against the exact solution."""
-    columns = _cell_tables(q)["columns"]
     h = mesh.h_axis[0]
-    scales = (h**-2, 1.0 / h, 1.0)
-    acc = np.zeros(3)
-    for cells, exact_vals in _exact_on_blocks(exact, mesh, 1, q, chunk):
-        d = gather(u_vec, gmap.cell_vdofs[cells]) / h   # reference dof values
-        for col, ((phi, w), s, ex) in enumerate(
-                zip(columns, scales, exact_vals)):
-            acc[col] += _sq_error(d @ phi, s, ex, w)
-    return ErrorTriple(*np.sqrt(h**3 * acc))
+
+    def ref_dofs(cells):
+        return gather(u_vec, gmap.cell_vdofs[cells]) / h
+
+    return _block_error(ref_dofs, "VK", 1, h, exact, mesh, q, chunk)
 
 
 def _gram_norms(space, coeffs, size):
@@ -209,7 +170,7 @@ def macro_best_approximation(exact, mesh, partition, q=6):
     H = partition.macro_size
     # physical dual fields are scale x the reference tables
     columns = []
-    for (phi, w), scale, gram in zip(_macro_tables(q),
+    for (phi, w), scale, gram in zip(_block_tables("VM", 3, q),
                                      (H**-2, 1.0 / H, 1.0),
                                      reversed(dual_gram_matrices(vm))):
         ginv = np.linalg.pinv(H**3 * scale**2 * gram, rcond=1e-10,
@@ -218,7 +179,8 @@ def macro_best_approximation(exact, mesh, partition, q=6):
 
     acc = np.zeros(3)
     coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in columns)
-    for macros, exact_vals in _exact_on_blocks(exact, mesh, 3, q, MACRO_CHUNK):
+    walk = gauss_blocks(partial(_exact_grid, exact), mesh, 3, q, MACRO_CHUNK)
+    for macros, exact_vals in walk:
         for col, ((phi, w, scale, ginv), ex) in enumerate(
                 zip(columns, exact_vals)):
             c = scale * ((ex * w) @ phi.T) @ ginv
@@ -233,17 +195,8 @@ def superconvergent_error(macro_field, exact, mesh, q=6):
     part = macro_field.partition
     if part.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
-    columns = _macro_tables(q)
-    h = mesh.h_axis[0]
-    H = part.macro_size
-    scales = (H**-2, 1.0 / H, 1.0)
-    acc = np.zeros(3)
-    for macros, exact_vals in _exact_on_blocks(exact, mesh, 3, q, MACRO_CHUNK):
-        coef = macro_field.coeffs[macros]
-        for col, ((phi, w), s, ex) in enumerate(
-                zip(columns, scales, exact_vals)):
-            acc[col] += _sq_error(coef @ phi, s, ex, w)
-    return ErrorTriple(*np.sqrt(h**3 * acc))
+    return _block_error(lambda macros: macro_field.coeffs[macros], "VM", 3,
+                        part.macro_size, exact, mesh, q, MACRO_CHUNK)
 
 
 def compute_eoc(rows):

@@ -385,9 +385,9 @@ def check_solver_oracle():
     ex = mms.build_exact_fields()
     mesh = build_mesh(3)
     gmap = system.build_dof_map(mesh)
-    sys_ = system.build_system(mesh, gmap, ex.f_value)
+    sys_ = system.build_system(mesh, gmap, ex)
     K = sys_.full_matrix().toarray()
-    loads = {mode: system.assemble_rhs(mesh, gmap, ex.f_value, mode=mode)
+    loads = {mode: system.assemble_rhs(mesh, gmap, ex, mode=mode)
              for mode in ("original", "modified")}
     loads["random"] = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
     worst = 0.0

@@ -89,8 +89,7 @@ def _build_parser():
     p.add_argument("--tol", type=float, help="solver relative residual")
     p.add_argument("--quad-order", type=int, dest="quad_order")
     p.add_argument("--out", help="output directory for reports")
-    p.add_argument("--format", choices=["csv", "markdown", "both"],
-                   dest="fmt")
+    p.add_argument("--format", choices=["csv", "markdown", "both"])
     p.add_argument("--extended", action="store_true", default=None,
                    help="allow n beyond 24 (paper-scale runs)")
     p.add_argument("--selftest", action="store_true",
@@ -101,10 +100,19 @@ def _build_parser():
     return p
 
 
+# the keys a --config file takes: the flags' own names ('-' read as '_')
+CONFIG_KEYS = ("scheme", "n", "task", "tol", "quad_order", "out", "format",
+               "extended")
+
+
 def _merge_config(args):
     """Precedence: explicit flags > environment > config file > defaults."""
     cfg = RunConfig()
     file_vals = _parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_vals) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)} "
+                         f"(known: {', '.join(CONFIG_KEYS)})")
 
     def pick(flag, env=None, conv=str):
         if getattr(args, flag, None) is not None:
@@ -135,7 +143,7 @@ def _merge_config(args):
     val = pick("out", env="QUADCURL_OUT")
     if val is not None:
         cfg.out_dir = val
-    val = pick("fmt")
+    val = pick("format")
     if val is not None:
         cfg.fmt = val
     if args.extended is not None:
@@ -198,7 +206,7 @@ def _study_n(n, config, exact):
     ihu = (interp.global_interp_Ih(exact, mesh, gmap, q=q)
            if "superclose" in tasks else None)
     for scheme in config.schemes:
-        rhs = system.assemble_rhs(mesh, gmap, exact.f_value, mode=scheme, q=q)
+        rhs = system.assemble_rhs(mesh, gmap, exact, mode=scheme, q=q)
         sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
         u, _p, info = system.solve_saddle(sys_, tol=config.tol)
         rec = StudyRecord(n=n, scheme=scheme, info=info, mesh=mesh,

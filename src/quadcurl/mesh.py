@@ -4,11 +4,19 @@ Global entity numbering is axis-major and lexicographic so DoF layouts are
 reproducible.  Orientation is fixed globally: every edge tangent and face
 normal is the positive coordinate axis direction, which keeps shared DoFs
 single-valued without sign bookkeeping.
+
+A cell is the sub = 1 case of a block of sub^3 cells; a macroelement is the
+sub = 3 case.  ``BrickMesh.block_entities`` fixes the local order of a
+block's cells, vertices, edges and faces, which is also the DoF order of the
+reference spaces, and ``gauss_blocks`` walks the Gauss points of the blocks
+as tensor grids, for the load (sub = 1) and the error phases.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .polyquad import gauss_rule
 
 
 class NonDivisibleMesh(Exception):
@@ -121,37 +129,24 @@ class BrickMesh:
     def _build_cell_tables(self):
         n = self.n
         self.cell_lattice = _lattice((n,) * 3)
-        ci, cj, ck = self.cell_lattice.T
-        h = self.h_axis[0]
-        self.cell_centers = (self.cell_lattice + 0.5) * h
+        self.cell_centers = (self.cell_lattice + 0.5) * self.h_axis[0]
+        _, self.cell_vertices, self.cell_edges, self.cell_faces = \
+            self.block_entities(self.cell_lattice, 1)
 
-        # 12 edges, axis-major; transverse offsets in lexicographic order
-        cols = []
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                cols.append(self.edge_id(0, ci, cj + d1, ck + d2))
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                cols.append(self.edge_id(1, ci + d1, cj, ck + d2))
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                cols.append(self.edge_id(2, ci + d1, cj + d2, ck))
-        self.cell_edges = np.stack(cols, axis=1)
-
-        # 6 faces: (low, high) per axis
-        self.cell_faces = np.stack([
-            self.face_id(0, ci, cj, ck), self.face_id(0, ci + 1, cj, ck),
-            self.face_id(1, ci, cj, ck), self.face_id(1, ci, cj + 1, ck),
-            self.face_id(2, ci, cj, ck), self.face_id(2, ci, cj, ck + 1),
-        ], axis=1)
-
-        # 8 vertices, local id = dx*4 + dy*2 + dz
-        cols = []
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    cols.append(self.vertex_id(ci + dx, cj + dy, ck + dz))
-        self.cell_vertices = np.stack(cols, axis=1)
+    def block_entities(self, corners, sub):
+        """``(cells, vertices, edges, faces)`` of the blocks of sub^3 cells
+        with low lattice corners ``corners``, each (blocks, local entities):
+        local cells and vertices in the order of :func:`_lattice`, edges and
+        faces in that of :func:`edge_lattice_order` /
+        :func:`face_lattice_order` at n = sub."""
+        low = corners.T[:, :, None]
+        cells = self.cell_id(*(low + _lattice((sub,) * 3).T[:, None]))
+        verts = self.vertex_id(*(low + _lattice((sub + 1,) * 3).T[:, None]))
+        edges = edge_lattice_order(sub).T
+        edges = self.edge_id(edges[0], *(low + edges[1:, None]))
+        faces = face_lattice_order(sub).T
+        faces = self.face_id(faces[0], *(low + faces[1:, None]))
+        return cells, verts, edges, faces
 
 
 def build_mesh(n):
@@ -209,21 +204,47 @@ class MacroPartition:
         self.m = m
 
         self.macro_lattice = _lattice((m,) * 3)
-        bi, bj, bk = (self.macro_lattice * 3).T[:, :, None]
         H = 3.0 * mesh.h_axis[0]
         self.macro_centers = (self.macro_lattice + 0.5) * H
         self.macro_size = H
-
-        # 27 cells per macro, local (a,b,c) lexicographic
-        a, b, c = _lattice((3, 3, 3)).T
-        self.macro_cells = mesh.cell_id(bi + a, bj + b, bk + c)
-        ax, i, j, k = edge_lattice_order(3).T
-        self.macro_edges = mesh.edge_id(ax, bi + i, bj + j, bk + k)
-        ax, i, j, k = face_lattice_order(3).T
-        self.macro_faces = mesh.face_id(ax, bi + i, bj + j, bk + k)
+        self.macro_cells, _, self.macro_edges, self.macro_faces = \
+            mesh.block_entities(3 * self.macro_lattice, 3)
 
 
 def macro_partition(mesh):
     """Macroelement partition of the mesh; raises NonDivisibleMesh unless
     n is a multiple of 3."""
     return MacroPartition(mesh)
+
+
+def gauss_blocks(evaluate, mesh, sub, q, chunk):
+    """Fields at the Gauss points of every cell, walked block by block.
+
+    The mesh is tiled by blocks of sub^3 cells (1 for cells, 3 for macros),
+    numbered like the cells, lexicographically on the block lattice.  A chunk
+    is a run of whole block rows at one first lattice index, about ``chunk``
+    blocks with contiguous ids, so the ``gauss_rule(q)`` points of its cells
+    form one tensor grid x * y * z.  ``evaluate(x, y, z)`` returns a tuple of
+    arrays on that grid, each (len(x), len(y), len(z), components...).
+    Yields ``(block id slice, values)``: per array of ``evaluate`` a
+    (blocks, fine cell x point x component) array, fine cells in the order of
+    :meth:`BrickMesh.block_entities` and points in that of
+    ``gauss_rule.box``.
+    """
+    n, h = mesh.n, mesh.h_axis[0]
+    nb, p = n // sub, sub * q
+    r = gauss_rule(q).interval(-0.5, 0.5)[0]
+    coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)
+    rows = min(nb, max(1, chunk // nb))
+    for i in range(nb):
+        for j in range(0, nb, rows):
+            nj = min(rows, nb - j)
+            vals = evaluate(coords[i * p:(i + 1) * p],
+                            coords[j * p:(j + nj) * p], coords)
+            blocks = tuple(
+                v.reshape(sub, q, nj, sub, q, nb, sub, q, -1)
+                .transpose(2, 5, 0, 3, 6, 1, 4, 7, 8).reshape(nj * nb, -1)
+                for v in vals)
+            del vals    # the grid layout is not needed while the caller works
+            start = (i * nb + j) * nb
+            yield slice(start, start + nj * nb), blocks

@@ -9,7 +9,8 @@ and no finite differences anywhere.  Coefficients are kept as exact rationals
 times an integer power of pi, which makes identities like ``div f = 0`` cancel
 to literal zero instead of rounding noise.  On the outer product of three 1D
 coordinate arrays the series are summed factor by factor from per-axis sin/cos
-tables (``TrigField.eval_grid``, ``ExactFields.grid_values``).
+tables (``TrigField.eval_grid``, ``ExactFields.grid_values`` and
+``ExactFields.f_grid_values``).
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ class VectorTrigField:
 
 class ExactFields:
     """The manufactured solution bundle: u, curl u, grad curl u, laplacian of
-    curl u, the load f = -curl(laplacian(curl u)), and cached partials of
-    curl u needed by the corrected interpolation."""
+    curl u, the load f = -curl(laplacian(curl u)), and the second partials of
+    curl u that the corrected interpolation reads."""
 
     def __init__(self):
         s = TrigSeries1D.sin_cubed()
@@ -252,10 +253,13 @@ class ExactFields:
         self.f = VectorTrigField(tuple(-c for c in self.delta_curl_u.curl().comps))
         self.grad_curl_u = tuple(tuple(c.partial(j) for j in range(3))
                                  for c in self.curl_u.comps)
-        self._curl_partial_cache = {}
+        # entry [i][j] = d^2 (curl u)_i / d x_j^2
+        self.curl_u_d2 = tuple(tuple(g.partial(j) for j, g in enumerate(row))
+                               for row in self.grad_curl_u)
         self._grid_plan = _grid_plan(
             self.u.comps + self.curl_u.comps
             + tuple(g for row in self.grad_curl_u for g in row))
+        self._f_plan = _grid_plan(self.f.comps)
 
     # -- vectorized callables ------------------------------------------------
 
@@ -287,12 +291,10 @@ class ExactFields:
     def f_value(self, pts):
         return self.f.eval(pts)
 
-    def curl_u_partial(self, comp, alpha):
-        """Series for d^alpha (curl u)_comp, cached."""
-        key = (comp, tuple(alpha))
-        if key not in self._curl_partial_cache:
-            self._curl_partial_cache[key] = self.curl_u.comps[comp].derivative(alpha)
-        return self._curl_partial_cache[key]
+    def f_grid_values(self, x, y, z):
+        """f on the grid x * y * z, like ``grid_values``; a plan of its own,
+        so the load and the error phases never evaluate each other's fields."""
+        return _eval_grid(self._f_plan, x, y, z)
 
     # -- interpolation protocol (duck-typed against quadcurl.interp) ---------
 
@@ -304,10 +306,8 @@ class ExactFields:
 
     def curl_d2(self, comp, axis, pts):
         """Second partial of (curl u)_comp along ``axis`` at points."""
-        alpha = [0, 0, 0]
-        alpha[axis] = 2
         pts = np.asarray(pts, dtype=float)
-        return self.curl_u_partial(comp, tuple(alpha)).eval(
+        return self.curl_u_d2[comp][axis].eval(
             pts[..., 0], pts[..., 1], pts[..., 2])
 
 

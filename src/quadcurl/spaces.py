@@ -10,7 +10,10 @@ Six spaces are built here:
   144 fine-edge tangential integrals / 108 fine-face normal integrals.
 
 Everything lives on the cell-centered scaled frame ``[-1/2, 1/2]^3``
-(macro spaces on the same frame subdivided 3x3x3).  Physical DoFs on a cell
+(macro spaces on the same frame subdivided 3x3x3).  Edge and face DoFs are
+built by two enumerations over the fine entities of the frame cut into
+sub^3 cells, sub = 1 or 3, in the local order of
+``quadcurl.mesh.BrickMesh.block_entities``.  Physical DoFs on a cell
 of edge length ``h`` are the reference DoFs times ``h**dof_scale_power``, the
 same factor for every DoF of a space, so a single Vandermonde factorization
 serves every cell of the uniform mesh.  The DoF functionals also evaluate the
@@ -20,11 +23,11 @@ h^2/12-corrected tangential face integrals of the modified interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .mesh import edge_lattice_order, face_lattice_order
+from .mesh import _lattice, edge_lattice_order, face_lattice_order
 from .polyquad import (Poly, PolyField, coefficient_matrix, integrate_exact,
                        legendre_poly)
 
@@ -127,13 +130,19 @@ class ElementSpace:
     dofs: list
     vandermonde: np.ndarray
     dual_coeffs: np.ndarray     # column j = coefficients of dual_j over span
-    dual: list
     cond: float
     dof_scale_power: int
 
     @property
     def dim(self):
         return len(self.span)
+
+    @cached_property
+    def dual(self):
+        """The dual fields as PolyFields, built on first use (the production
+        path needs only ``dual_coeffs``)."""
+        return [_linear_combination(self.span, self.dual_coeffs[:, j])
+                for j in range(self.dim)]
 
     def combine(self, coeffs):
         """The reference field sum_j coeffs[j] dual_j."""
@@ -159,60 +168,42 @@ def dual_basis(span, dofs, tag, dof_scale_power):
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularVandermonde(f"{tag}: Vandermonde condition {cond:.3e}")
     C = np.linalg.solve(V, np.eye(ndof))
-    dual = [_linear_combination(span, C[:, j]) for j in range(ndof)]
     return ElementSpace(tag=tag, span=list(span), dofs=list(dofs),
-                        vandermonde=V, dual_coeffs=C, dual=dual,
-                        cond=cond, dof_scale_power=dof_scale_power)
+                        vandermonde=V, dual_coeffs=C, cond=cond,
+                        dof_scale_power=dof_scale_power)
 
 
 # ---------------------------------------------------------------------------
-# reference-cell entity enumerations (match quadcurl.mesh cell tables)
+# DoFs over the fine entities of the reference cell cut into sub^3 cells, in
+# the local order of quadcurl.mesh.BrickMesh.block_entities (sub = 1 for the
+# cell spaces, 3 for the macro spaces)
 # ---------------------------------------------------------------------------
 
-def ref_edges():
-    """12 edges of [-1/2,1/2]^3: (axis, fixed transverse coords), axis-major,
-    transverse offsets lexicographic."""
-    out = []
-    for axis in range(3):
-        for d1 in (-0.5, 0.5):
-            for d2 in (-0.5, 0.5):
-                out.append((axis, (d1, d2)))
-    return out
-
-
-def ref_faces():
-    """6 faces: (normal axis, coordinate), low side first."""
-    return [(axis, side) for axis in range(3) for side in (-0.5, 0.5)]
-
-
-def ref_vertices():
-    return [(-0.5 + dx, -0.5 + dy, -0.5 + dz)
-            for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
-
-
-def _edge_dof(axis, fixed, span=(-0.5, 0.5)):
-    return DofFunctional("edge_tangential", axis=axis, direction=axis,
-                         span=span, fixed=fixed)
-
-
-def _face_dofs_full(kind_pair):
-    """DoFs over the 6 whole faces: kind_pair selects the per-face list."""
+def _edge_dofs(sub):
+    """Tangential integrals over the fine edges, in edge_lattice_order(sub)."""
     dofs = []
-    full = ((-0.5, 0.5), (-0.5, 0.5))
-    for axis, coord in ref_faces():
+    for axis, *lat in edge_lattice_order(sub).tolist():
+        lo = [c / sub - 0.5 for c in lat]
         t1, t2 = _others(axis)
-        if kind_pair == "curl":
-            dofs.append(DofFunctional("face_curl", axis=axis, direction=t1,
-                                      span=full, fixed=coord))
-            dofs.append(DofFunctional("face_curl", axis=axis, direction=t2,
-                                      span=full, fixed=coord))
-        elif kind_pair == "tangential_normal":
-            dofs.append(DofFunctional("face_tangential", axis=axis,
-                                      direction=t1, span=full, fixed=coord))
-            dofs.append(DofFunctional("face_tangential", axis=axis,
-                                      direction=t2, span=full, fixed=coord))
-            dofs.append(DofFunctional("face_normal", axis=axis, direction=axis,
-                                      span=full, fixed=coord))
+        dofs.append(DofFunctional("edge_tangential", axis=axis, direction=axis,
+                                  span=(lo[axis], lo[axis] + 1.0 / sub),
+                                  fixed=(lo[t1], lo[t2])))
+    return dofs
+
+
+def _face_dofs(sub, per_face):
+    """Integrals over the fine faces, in face_lattice_order(sub): on each
+    face one DoF per ``(kind, direction)`` of ``per_face``, direction 0 and 1
+    the in-plane axes in ascending order and 2 the normal."""
+    dofs = []
+    for axis, *lat in face_lattice_order(sub).tolist():
+        lo = [c / sub - 0.5 for c in lat]
+        plane = _others(axis)
+        span = tuple((lo[t], lo[t] + 1.0 / sub) for t in plane)
+        for kind, d in per_face:
+            dofs.append(DofFunctional(kind, axis=axis,
+                                      direction=(plane + (axis,))[d],
+                                      span=span, fixed=lo[axis]))
     return dofs
 
 
@@ -335,70 +326,39 @@ def span_WM():
     return fields
 
 
-# macro fine-entity DoFs ------------------------------------------------------
-
-def macro_edge_dofs():
-    """144 fine-edge tangential integrals on the 3x3x3 subdivided reference cell."""
-    dofs = []
-    for axis, i, j, k in edge_lattice_order(3):
-        lat = (int(i), int(j), int(k))
-        lo = lat[axis] / 3.0 - 0.5
-        span = (lo, lo + 1.0 / 3.0)
-        t1, t2 = _others(axis)
-        fixed = (lat[t1] / 3.0 - 0.5, lat[t2] / 3.0 - 0.5)
-        dofs.append(_edge_dof(int(axis), fixed, span))
-    return dofs
-
-
-def macro_face_dofs():
-    """108 fine-face normal integrals on the subdivided reference cell."""
-    dofs = []
-    for axis, i, j, k in face_lattice_order(3):
-        axis = int(axis)
-        lat = (int(i), int(j), int(k))
-        coord = lat[axis] / 3.0 - 0.5
-        t1, t2 = _others(axis)
-        spans = tuple((lat[t] / 3.0 - 0.5, lat[t] / 3.0 - 0.5 + 1.0 / 3.0)
-                      for t in (t1, t2))
-        dofs.append(DofFunctional("face_normal", axis=axis, direction=axis,
-                                  span=spans, fixed=coord))
-    return dofs
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
-def _cell_edge_dofs():
-    return [_edge_dof(axis, fixed) for axis, fixed in ref_edges()]
-
-
 def build_WK():
-    return dual_basis(span_WK(), _face_dofs_full("tangential_normal"),
-                      "WK", dof_scale_power=2)
+    dofs = _face_dofs(1, (("face_tangential", 0), ("face_tangential", 1),
+                          ("face_normal", 2)))
+    return dual_basis(span_WK(), dofs, "WK", dof_scale_power=2)
 
 
 def build_VK(perturb=None):
-    dofs = _cell_edge_dofs() + _face_dofs_full("curl")
+    dofs = _edge_dofs(1) + _face_dofs(1, (("face_curl", 0), ("face_curl", 1)))
     return dual_basis(span_VK(perturb), dofs, "VK", dof_scale_power=1)
 
 
 def build_nedelec():
-    return dual_basis(span_nedelec(), _cell_edge_dofs(), "NedelecK",
+    return dual_basis(span_nedelec(), _edge_dofs(1), "NedelecK",
                       dof_scale_power=1)
 
 
 def build_Q1():
-    dofs = [DofFunctional("vertex", fixed=v) for v in ref_vertices()]
+    dofs = [DofFunctional("vertex", fixed=tuple(v))
+            for v in (_lattice((2, 2, 2)) - 0.5).tolist()]
     return dual_basis(_q1_scalars(), dofs, "Q1K", dof_scale_power=0)
 
 
 def build_VM():
-    return dual_basis(span_VM(), macro_edge_dofs(), "VM", dof_scale_power=1)
+    return dual_basis(span_VM(), _edge_dofs(3), "VM", dof_scale_power=1)
 
 
 def build_WM():
-    return dual_basis(span_WM(), macro_face_dofs(), "WM", dof_scale_power=2)
+    return dual_basis(span_WM(), _face_dofs(3, (("face_normal", 2),)), "WM",
+                      dof_scale_power=2)
 
 
 @lru_cache(maxsize=None)

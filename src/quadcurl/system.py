@@ -17,7 +17,9 @@ Nedelec space and every face-curl dual to zero, so the reconstructed load has
 exact zeros on all face DoFs.
 
 Local matrices are assembled once on the scaled reference cell and reused for
-every cell of the uniform mesh; only the load needs per-cell quadrature.  No
+every cell of the uniform mesh.  Only the load needs quadrature: f is summed
+on the tensor grid of the cell Gauss points (``quadcurl.mesh.gauss_blocks``)
+and tested against the reference dual tables by one matrix product.  No
 cell sum is assembled: A, B and the Q1 stiffness S are each a
 ``CellOperator`` that applies its one cell matrix cell by cell (gather,
 matrix product, scatter-add), and B^T is the same gather and scatter with the
@@ -38,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .mesh import gauss_blocks
 from .polyquad import gauss_rule
 from .spaces import (dual_gram_matrices, dual_value_table, reference_spaces,
                      scalar_stiffness_matrix, vector_scalar_grad_matrix)
@@ -215,40 +218,34 @@ def gradient_inclusion_matrix(mesh, gmap):
                          shape=(gmap.n_vdofs, gmap.n_qdofs)).tocsr()
 
 
-# cells per chunk of the load evaluation
-RHS_CHUNK = 2048
-
-
-@lru_cache(maxsize=8)
-def _rhs_tables(q):
-    rule = gauss_rule(q)
-    pts, wts = rule.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+@lru_cache(maxsize=None)
+def _load_tables(q):
+    """The Gauss weight of every (point, component) of the q^3 box rule, and
+    the test fields of each load mode there: (dof, point x component)."""
+    pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     spcs = reference_spaces()
-    return {
-        "pts": pts, "wts": wts,
-        "vk": dual_value_table(spcs["VK"], pts),
-        "ned": dual_value_table(spcs["NedelecK"], pts),
-    }
+    return np.repeat(wts, 3), {
+        mode: dual_value_table(spcs[tag], pts).reshape(spcs[tag].dim, -1)
+        for mode, tag in (("original", "VK"), ("modified", "NedelecK"))}
 
 
-def assemble_rhs(mesh, gmap, f_value, mode="modified", q=6):
-    """Load vector: mode 'original' tests against the VK duals, 'modified'
-    against their edge reconstructions (face entries exactly zero)."""
+def assemble_rhs(mesh, gmap, exact, mode="modified", q=6):
+    """Load vector of ``exact.f``: mode 'original' tests against the VK
+    duals, 'modified' against their edge reconstructions (face entries
+    exactly zero).  f is evaluated on the tensor grid of the cell Gauss
+    points, one x-slab of cells at a time."""
     if mode not in ("original", "modified"):
         raise ValueError(f"unknown rhs mode {mode!r}")
-    tab = _rhs_tables(q)
+    wts, tables = _load_tables(q)
+    phi = tables[mode]
     h = mesh.h_axis[0]
-    pts, wts = tab["pts"], tab["wts"]
-    basis = tab["vk"] if mode == "original" else tab["ned"]
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
     loc = np.empty(dof_cols.shape)
-    for start in range(0, mesh.n_cells, RHS_CHUNK):
-        cells = slice(start, min(start + RHS_CHUNK, mesh.n_cells))
-        centers = mesh.cell_centers[cells]
-        P = centers[:, None, :] + h * pts[None, :, :]
-        fvals = f_value(P.reshape(-1, 3)).reshape(len(centers), len(pts), 3)
-        loc[cells] = h * h * np.einsum("cgk,igk,g->ci", fvals, basis, wts)
+    for cells, (f,) in gauss_blocks(
+            lambda x, y, z: (exact.f_grid_values(x, y, z),), mesh, 1, q,
+            mesh.n**2):
+        loc[cells] = h * h * ((f * wts) @ phi.T)
     return scatter_add(loc, _slots(dof_cols, gmap.n_vdofs), gmap.n_vdofs)
 
 
@@ -274,10 +271,10 @@ class SaddleSystem:
         return np.concatenate([self.rhs, np.zeros(self.gmap.n_qdofs)])
 
 
-def build_system(mesh, gmap, f_value, mode="modified", q=6):
+def build_system(mesh, gmap, exact, mode="modified", q=6):
     A = assemble_A(mesh, gmap)
     B = assemble_B(mesh, gmap)
-    rhs = assemble_rhs(mesh, gmap, f_value, mode=mode, q=q)
+    rhs = assemble_rhs(mesh, gmap, exact, mode=mode, q=q)
     return SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
 
 

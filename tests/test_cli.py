@@ -64,11 +64,19 @@ def test_config_file_and_flag_precedence(tmp_path):
     rc = cli.main(["--config", str(cfgfile)])
     assert rc == cli.EXIT_OK
     assert (tmp_path / "from_file" / "original_errors.csv").exists()
+    # format= is the flag's own name, so the file's csv holds
+    assert not (tmp_path / "from_file" / "original_errors.md").exists()
     # explicit flag beats the file
     rc = cli.main(["--config", str(cfgfile), "--out",
                    str(tmp_path / "flag_wins")])
     assert rc == cli.EXIT_OK
     assert (tmp_path / "flag_wins" / "original_errors.csv").exists()
+    # a key no option reads (here a typo) is a configuration error
+    for line in ("shceme=original", "bogus=1"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"n=3\n{line}\nout={tmp_path / 'bad'}\n")
+        assert cli.main(["--config", str(bad)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "bad").exists()
 
 
 def test_env_output_override(tmp_path, monkeypatch):
@@ -118,15 +126,22 @@ def test_threads_flag_overrides_preset_environment(monkeypatch):
         assert os.environ[var] == "1"
 
 
-def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
-        tmp_path, monkeypatch, capsys):
-    # the benchmark counts solves by wrapping system.solve_saddle and reads
-    # the solver facts from stdout with its SOLVED pattern
+def _load_bench(monkeypatch):
+    """perfbench/run.py as a module, with perfbench/ importable for its
+    ``spans`` import."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     spec = importlib.util.spec_from_file_location("perfbench_run",
                                                   BENCH_DIR / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
+        tmp_path, monkeypatch, capsys):
+    # the benchmark counts solves by wrapping system.solve_saddle and reads
+    # the solver facts from stdout with its SOLVED pattern
+    bench = _load_bench(monkeypatch)
     calls = []
     solve = system.solve_saddle
 
@@ -143,21 +158,25 @@ def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
                                               ("3", "modified")]
 
 
-def test_benchmark_tracer_sees_every_wrapped_call(tmp_path):
-    # the benchmark's --trace 1 wraps these module attributes by name; a
-    # renamed or bypassed collaborator would leave its span silently empty
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  BENCH_DIR / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
-    with tracer.installed("study"):
-        cli.run(cli.RunConfig(scheme="modified", ns=(3,), fmt="csv",
-                              tasks=("errors", "superclose", "superconv"),
-                              out_dir=str(tmp_path)))
-    recorded = {rec["name"] for rec in tracer.spans}
-    assert {name for _mod, _attr, name in spans.WRAPPED} <= recorded
-    assert any(s["nnz"] > 0 for s in tracer.solves)
+def test_benchmark_tracer_sees_every_wrapped_call(tmp_path, monkeypatch):
+    # the benchmark's --trace 1 wraps these module attributes by name and
+    # stops when a span it expects (mms.eval and cli.save among them)
+    # records no call; a renamed or bypassed collaborator, or a pass that no
+    # longer evaluates the exact fields pointwise, would fail every traced run
+    bench = _load_bench(monkeypatch)
+    from spans import WRAPPED
+    for name, workload in sorted(bench.WORKLOADS.items()):
+        tracer = bench.Tracer()
+        with tracer.installed("study"):
+            cli.run(cli.RunConfig(scheme=workload["scheme"], ns=(3,),
+                                  fmt="csv", tasks=workload["tasks"],
+                                  out_dir=str(tmp_path / name)))
+        recorded = {rec["name"] for rec in tracer.spans}
+        assert bench.expected_spans(workload["tasks"]) <= recorded, name
+        assert {"mms.eval", "cli.save"} <= recorded
+        assert any(s["nnz"] > 0 for s in tracer.solves)
+        if set(workload["tasks"]) == set(bench.ALL_TASKS):
+            assert {n for _mod, _attr, n in WRAPPED} <= recorded
 
 
 def test_extended_warning_names_velocity_unknowns(monkeypatch, capsys):

@@ -96,6 +96,35 @@ def test_cell_tables_consistent_with_entity_tables():
     assert m.cell_edges[0, 0] == m.edge_id(0, 0, 0, 0)
     assert m.cell_faces[0, 0] == m.face_id(0, 0, 0, 0)
     assert m.cell_faces[0, 1] == m.face_id(0, 1, 0, 0)
+    # whole tables against a triple loop over the cells: edges axis-major
+    # with transverse offsets lexicographic, faces (low, high) per normal
+    # axis, vertices with local id dx*4 + dy*2 + dz
+    for n in range(1, 5):
+        m = build_mesh(n)
+        edges, faces, verts = [], [], []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    edges.append(
+                        [m.edge_id(0, i, j + a, k + b) for a in (0, 1)
+                         for b in (0, 1)]
+                        + [m.edge_id(1, i + a, j, k + b) for a in (0, 1)
+                           for b in (0, 1)]
+                        + [m.edge_id(2, i + a, j + b, k) for a in (0, 1)
+                           for b in (0, 1)])
+                    faces.append([m.face_id(0, i, j, k),
+                                  m.face_id(0, i + 1, j, k),
+                                  m.face_id(1, i, j, k),
+                                  m.face_id(1, i, j + 1, k),
+                                  m.face_id(2, i, j, k),
+                                  m.face_id(2, i, j, k + 1)])
+                    verts.append([m.vertex_id(i + a, j + b, k + c)
+                                  for a in (0, 1) for b in (0, 1)
+                                  for c in (0, 1)])
+        for table, want in ((m.cell_edges, edges), (m.cell_faces, faces),
+                             (m.cell_vertices, verts)):
+            assert table.shape == (n**3, len(want[0]))
+            assert np.array_equal(table, np.array(want))
 
 
 def test_centers_and_sizes():

@@ -130,6 +130,61 @@ def test_corrected_dofs_add_one_twelfth_of_the_inplane_second_derivative(
                 assert dof.apply(u, corrected=True) == dof.apply(u)
 
 
+def _enumerated_dofs():
+    """Every reference space's DoFs, written out loop by loop: the cell
+    edges axis-major with transverse offsets lexicographic, faces low side
+    first per normal axis, vertices lexicographic, and the macro spaces'
+    fine edges and faces in mesh.edge/face_lattice_order(3)."""
+    def others(axis):
+        return tuple(a for a in range(3) if a != axis)
+
+    full = ((-0.5, 0.5), (-0.5, 0.5))
+    edges = [DofFunctional("edge_tangential", axis=axis, direction=axis,
+                           span=(-0.5, 0.5), fixed=(d1, d2))
+             for axis in range(3) for d1 in (-0.5, 0.5) for d2 in (-0.5, 0.5)]
+    faces = [(axis, side) for axis in range(3) for side in (-0.5, 0.5)]
+    curl = [DofFunctional("face_curl", axis=axis, direction=t, span=full,
+                          fixed=side)
+            for axis, side in faces for t in others(axis)]
+    wk = []
+    for axis, side in faces:
+        wk += [DofFunctional("face_tangential", axis=axis, direction=t,
+                             span=full, fixed=side) for t in others(axis)]
+        wk.append(DofFunctional("face_normal", axis=axis, direction=axis,
+                                span=full, fixed=side))
+    vertices = [DofFunctional("vertex", fixed=(-0.5 + dx, -0.5 + dy,
+                                               -0.5 + dz))
+                for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+    vm, wm = [], []
+    for axis in range(3):
+        dims = [4, 4, 4]
+        dims[axis] = 3
+        for lat in np.ndindex(*dims):
+            lo = lat[axis] / 3.0 - 0.5
+            t1, t2 = others(axis)
+            vm.append(DofFunctional(
+                "edge_tangential", axis=axis, direction=axis,
+                span=(lo, lo + 1.0 / 3.0),
+                fixed=(lat[t1] / 3.0 - 0.5, lat[t2] / 3.0 - 0.5)))
+    for axis in range(3):
+        dims = [3, 3, 3]
+        dims[axis] = 4
+        for lat in np.ndindex(*dims):
+            spans = tuple((lat[t] / 3.0 - 0.5, lat[t] / 3.0 - 0.5 + 1.0 / 3.0)
+                          for t in others(axis))
+            wm.append(DofFunctional("face_normal", axis=axis, direction=axis,
+                                    span=spans, fixed=lat[axis] / 3.0 - 0.5))
+    return {"WK": wk, "VK": edges + curl, "NedelecK": edges,
+            "Q1K": vertices, "VM": vm, "WM": wm}
+
+
+def test_dofs_follow_the_local_entity_order(spaces):
+    # the DoF order is the local order of the mesh's cell and macro tables;
+    # an enumeration written out by hand is the oracle
+    for tag, want in _enumerated_dofs().items():
+        assert spaces[tag].dofs == want, tag
+
+
 def test_dual_basis_rejects_mismatched_counts():
     wk = span_WK()
     dofs = [DofFunctional("vertex", fixed=(0.0, 0.0, 0.0))]

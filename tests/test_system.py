@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 
 from quadcurl import mms, system
-from quadcurl.analysis import _cell_tables
 from quadcurl.mesh import build_mesh
-from quadcurl.spaces import reference_spaces
+from quadcurl.polyquad import gauss_rule
+from quadcurl.spaces import (dual_gradcurl_table, dual_value_table,
+                             reference_spaces)
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +82,13 @@ def test_quadratic_form_matches_direct_integration(setup3):
     A = system.assemble_A(mesh, gmap)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(gmap.n_vdofs)
-    tab = _cell_tables(6)
+    pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    gc = dual_gradcurl_table(reference_spaces()["VK"], pts)
     h = mesh.h_axis[0]
     cols = gmap.cell_vdofs
     d = np.where(cols >= 0, v[np.clip(cols, 0, None)], 0.0) / h
-    gch = np.einsum("ci,igkl->cgkl", d, tab["gc"]) / h**2
-    direct = h**3 * np.einsum("cgkl,g->", gch**2, tab["wts"])
+    gch = np.einsum("ci,igkl->cgkl", d, gc) / h**2
+    direct = h**3 * np.einsum("cgkl,g->", gch**2, wts)
     assert float(v @ (A @ v)) == pytest.approx(direct, rel=1e-10)
 
 
@@ -107,8 +109,6 @@ def test_coupling_entries_match_quadrature_oracle():
     # single-cell mesh: every entry of B is (dual_i, grad q_m) over the cell;
     # boundary elimination removes everything, so assemble the local matrix
     # instead and integrate with Gauss
-    from quadcurl.polyquad import gauss_rule
-    from quadcurl.spaces import dual_value_table
     ref = system.reference_matrices()
     spcs = reference_spaces()
     pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -124,15 +124,15 @@ def test_saddle_matrix_symmetry():
         mesh = build_mesh(n)
         gmap = system.build_dof_map(mesh)
         ex = mms.build_exact_fields()
-        sys_ = system.build_system(mesh, gmap, ex.f_value, mode="modified")
+        sys_ = system.build_system(mesh, gmap, ex, mode="modified")
         K = sys_.full_matrix()
         assert abs(K - K.T).max() <= 1e-12
 
 
 def test_schemes_share_matrices(setup3, exact):
     mesh, gmap = setup3
-    s1 = system.build_system(mesh, gmap, exact.f_value, mode="original")
-    s2 = system.build_system(mesh, gmap, exact.f_value, mode="modified")
+    s1 = system.build_system(mesh, gmap, exact, mode="original")
+    s2 = system.build_system(mesh, gmap, exact, mode="modified")
     assert np.array_equal(s1.A.toarray(), s2.A.toarray())
     assert np.array_equal(s1.B.toarray(), s2.B.toarray())
     assert not np.array_equal(s1.rhs, s2.rhs)
@@ -140,9 +140,28 @@ def test_schemes_share_matrices(setup3, exact):
 
 def test_modified_rhs_face_entries_vanish(setup3, exact):
     mesh, gmap = setup3
-    rhs = system.assemble_rhs(mesh, gmap, exact.f_value, mode="modified")
+    rhs = system.assemble_rhs(mesh, gmap, exact, mode="modified")
     face_ids = gmap.face_dof[gmap.face_dof[:, 0] >= 0].ravel()
     assert np.abs(rhs[face_ids]).max() == 0.0
+
+
+def test_load_matches_pointwise_gauss_reference(setup3, exact):
+    # oracle: f evaluated point by point at each cell's Gauss points and
+    # tested against the reference dual tables, cell by cell
+    mesh, gmap = setup3
+    h = mesh.h_axis[0]
+    pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    for mode, tag in (("original", "VK"), ("modified", "NedelecK")):
+        table = dual_value_table(reference_spaces()[tag], pts)
+        want = np.zeros(gmap.n_vdofs)
+        for center, dofs in zip(mesh.cell_centers, gmap.cell_vdofs):
+            f = exact.f_value(center + h * pts)
+            local = h * h * np.einsum("gk,igk,g->i", f, table, wts)
+            for dof, val in zip(dofs, local):
+                if dof >= 0:
+                    want[dof] += val
+        got = system.assemble_rhs(mesh, gmap, exact, mode=mode)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_rhs_orthogonal_to_gradients(setup3, exact):
@@ -154,7 +173,7 @@ def test_rhs_orthogonal_to_gradients(setup3, exact):
     q = rng.standard_normal(gmap.n_qdofs)
     gq = G @ q
     for mode in ("original", "modified"):
-        rhs = system.assemble_rhs(mesh, gmap, exact.f_value, mode=mode)
+        rhs = system.assemble_rhs(mesh, gmap, exact, mode=mode)
         scale = np.linalg.norm(rhs) * np.linalg.norm(gq)
         assert abs(float(rhs @ gq)) < 1e-9 * scale
 
@@ -163,7 +182,7 @@ def test_solver_matches_dense_oracle(setup3, exact):
     # the divergence-free load has G^T F ~ 0 and p = 0; a random load has
     # G^T F != 0 and exercises the pressure solve
     mesh, gmap = setup3
-    sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
     G = system.gradient_inclusion_matrix(mesh, gmap)
     K = sys_.full_matrix().toarray()
     random_load = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
@@ -185,14 +204,14 @@ def test_solver_matches_dense_oracle(setup3, exact):
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
     mesh, gmap = setup3
     for mode in ("original", "modified"):
-        sys_ = system.build_system(mesh, gmap, exact.f_value, mode=mode)
+        sys_ = system.build_system(mesh, gmap, exact, mode=mode)
         _u, p, _ = system.solve_saddle(sys_)
         assert np.abs(p).max() < 1e-8
 
 
 def test_zero_rhs_gives_zero_solution(setup3, exact):
     mesh, gmap = setup3
-    sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
     sys_.rhs = np.zeros_like(sys_.rhs)
     u, p, info = system.solve_saddle(sys_)
     assert np.abs(u).max() == 0.0
@@ -203,14 +222,14 @@ def test_empty_system_for_single_cell(exact):
     mesh = build_mesh(1)
     gmap = system.build_dof_map(mesh)
     assert gmap.n_vdofs == 0 and gmap.n_qdofs == 0
-    sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
     u, p, info = system.solve_saddle(sys_)
     assert u.size == 0 and p.size == 0
 
 
 def test_galerkin_residual_random_test_vectors(setup3, exact):
     mesh, gmap = setup3
-    sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
     u, p, info = system.solve_saddle(sys_, tol=1e-10)
     rng = np.random.default_rng(4)
     K = sys_.full_matrix()
@@ -224,7 +243,7 @@ def test_galerkin_residual_random_test_vectors(setup3, exact):
 
 def test_unreachable_tolerance_raises_max_iterations(setup3, exact):
     mesh, gmap = setup3
-    sys_ = system.build_system(mesh, gmap, exact.f_value, mode="modified")
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
     with pytest.raises(system.MaxIterations) as err:
         system.solve_saddle(sys_, tol=1e-16)
     assert err.value.residual is not None
