@@ -8,7 +8,7 @@ Runs both schemes over n = 6, 12, 18, 24 and writes CSV + Markdown reports:
 * superconvergence of the macro-postprocessed solution (modified scheme).
 
 Pass ``--extended`` to append n = 36, 48 (about 5 minutes on one core of a
-2-core machine and 0.9 GB peak; n = 48 has ~1M unknowns).  All heavy
+2-core machine and 0.6 GB peak; n = 48 has ~1M unknowns).  All heavy
 lifting lives in the quadcurl package; this script is a thin preset around
 the CLI.
 """
@@ -31,7 +31,7 @@ def main():
             "--out", args.out, "--tol", str(args.tol)]
     if args.extended:
         argv.append("--extended")
-        print("extended run: n = 36, 48 included (~5 min, ~0.9 GB)")
+        print("extended run: n = 36, 48 included (~5 min, ~0.6 GB)")
     return cli.main(argv)
 
 

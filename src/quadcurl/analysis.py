@@ -3,18 +3,19 @@
 Errors against the exact (trigonometric) solution are integrated per cell with
 tensor Gauss rules.  The Gauss points of a slab of cells form a tensor grid
 (``quadcurl.mesh.gauss_blocks``), so the exact fields are evaluated there by
-sum factorization, and one kernel for blocks of 1 (cells) and 3^3 (macros)
-contracts them with the dual tables by matrix products.  Differences of two
-discrete fields are integrated exactly through the reference Gram matrices,
-which keeps quadrature noise out of the superclose quantity (the smallest
-number in the study).
+sum factorization (``exact.grid_values``, in ErrorTriple column order), and
+one kernel for blocks of 1 (cells) and 3^3 (macros) contracts them with the
+dual tables by matrix products.  Differences of two discrete fields are
+integrated exactly through the reference Gram matrices, which keeps
+quadrature noise out of the superclose quantity (the smallest number in the
+study).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,22 +68,6 @@ def _block_tables(tag, sub, q):
                                   (dual_value_table(space, bpts), 3)))
 
 
-def _exact_grid(exact, x, y, z):
-    """(grad curl u, curl u, u) on the tensor grid x * y * z, through
-    ``exact.grid_values`` or, for fields without it, the pointwise methods
-    at the same grid points."""
-    grid = getattr(exact, "grid_values", None)
-    if grid is not None:
-        u, curl, gc = grid(x, y, z)
-    else:
-        P = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
-        flat = P.reshape(-1, 3)
-        u = exact.u_value(flat)
-        curl = exact.curl_u_value(flat)
-        gc = exact.grad_curl_u_value(flat)
-    return gc, curl, u
-
-
 def _sq_error(approx, scale, exact, w):
     """Weighted sum of squares of ``scale * approx - exact``.  Works in
     place in ``approx``, so a chunk needs one temporary of its size."""
@@ -99,18 +84,18 @@ def _block_error(block_coeffs, tag, sub, size, exact, mesh, q, chunk):
     integrated per fine cell."""
     scales = (size**-2, 1.0 / size, 1.0)
     acc = np.zeros(3)
-    walk = gauss_blocks(partial(_exact_grid, exact), mesh, sub, q, chunk)
+    walk = gauss_blocks(exact.grid_values, mesh, sub, q, chunk)
     for blocks, exact_vals in walk:
         coef = block_coeffs(blocks)
         for col, ((phi, w), s, ex) in enumerate(
                 zip(_block_tables(tag, sub, q), scales, exact_vals)):
             acc[col] += _sq_error(coef @ phi, s, ex, w)
-    return ErrorTriple(*np.sqrt(mesh.h_axis[0]**3 * acc))
+    return ErrorTriple(*np.sqrt(mesh.h**3 * acc))
 
 
 def error_vs_exact(u_vec, exact, mesh, gmap, q=6, chunk=1024):
     """Error triple of a V_h coefficient vector against the exact solution."""
-    h = mesh.h_axis[0]
+    h = mesh.h
 
     def ref_dofs(cells):
         return gather(u_vec, gmap.cell_vdofs[cells]) / h
@@ -132,7 +117,7 @@ def _gram_norms(space, coeffs, size):
 
 def discrete_norms(vec, mesh, gmap):
     """Exact norms of a V_h coefficient vector via the reference Gram triple."""
-    h = mesh.h_axis[0]
+    h = mesh.h
     return _gram_norms(reference_spaces()["VK"],
                        gather(vec, gmap.cell_vdofs) / h, h)
 
@@ -166,7 +151,7 @@ def macro_best_approximation(exact, mesh, partition, q=6):
     if partition.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
     vm = reference_spaces()["VM"]
-    h = mesh.h_axis[0]
+    h = mesh.h
     H = partition.macro_size
     # physical dual fields are scale x the reference tables
     columns = []
@@ -179,7 +164,7 @@ def macro_best_approximation(exact, mesh, partition, q=6):
 
     acc = np.zeros(3)
     coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in columns)
-    walk = gauss_blocks(partial(_exact_grid, exact), mesh, 3, q, MACRO_CHUNK)
+    walk = gauss_blocks(exact.grid_values, mesh, 3, q, MACRO_CHUNK)
     for macros, exact_vals in walk:
         for col, ((phi, w, scale, ginv), ex) in enumerate(
                 zip(columns, exact_vals)):

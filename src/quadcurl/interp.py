@@ -3,7 +3,8 @@
 ``interpolate`` is the local operator of every reference space: it applies the
 space's own DoF functionals exactly to a reference-frame ``PolyField``, with
 the tangential face integrals corrected by default (see
-``quadcurl.spaces.DofFunctional``).  The global operator ``global_interp_Ih``
+``quadcurl.spaces.DofFunctional``), and returns the interpolant as a
+reference-frame ``PolyField``.  The global operator ``global_interp_Ih``
 takes a smooth-field object exposing
 
 * ``value(pts) -> (..., 3)``
@@ -11,14 +12,15 @@ takes a smooth-field object exposing
 * ``curl_d2(comp, axis, pts) -> (...)``  second partials of curl components
 
 (see ``quadcurl.mms.ExactFields``) and integrates the corrected DoFs with
-tensor Gauss rules on the physical entities.  The correction weight is
+tensor Gauss rules on the physical entities, about one lattice plane of
+entities per evaluation.  The correction weight is
 ``h^2 * CORRECTION_WEIGHT`` there and ``CORRECTION_WEIGHT`` on the scaled
 frame, so one reference operator serves the whole mesh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,53 +30,13 @@ from .spaces import CORRECTION_WEIGHT, reference_spaces
 from .system import gather
 
 
-@dataclass
-class LocalInterpolant:
-    """An element function given by its reference DoF values.
-
-    The physical field on a cell with center ``c`` and edge length ``h`` is
-    ``F(x) = Phi((x - c) / h)`` where ``Phi`` is the reference-frame
-    combination of dual fields.  Physical DoFs equal the reference values
-    times ``h**space.dof_scale_power``.
-    """
-
-    space_tag: str
-    ref_dofs: np.ndarray
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    h: float = 1.0
-
-    def __post_init__(self):
-        self._field = None
-
-    @property
-    def space(self):
-        return reference_spaces()[self.space_tag]
-
-    def as_polyfield(self):
-        """Reference-frame PolyField (combination of dual fields)."""
-        if self._field is None:
-            self._field = self.space.combine(self.ref_dofs)
-        return self._field
-
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        ref = (pts - self.center) / self.h
-        f = self.as_polyfield()
-        return f(ref[..., 0], ref[..., 1], ref[..., 2])
-
-    def curl_value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        ref = (pts - self.center) / self.h
-        f = self.as_polyfield().curl()
-        return f(ref[..., 0], ref[..., 1], ref[..., 2]) / self.h
-
-
 def interpolate(tag, v, corrected=True):
     """Local interpolation of a reference-frame PolyField into the reference
-    space ``tag``: its DoFs applied to ``v``, tangential face integrals
-    corrected unless ``corrected`` is False."""
-    dofs = reference_spaces()[tag].dofs
-    return LocalInterpolant(tag, np.array([d.apply(v, corrected) for d in dofs]))
+    space ``tag``: the combination of its duals with the space's DoFs applied
+    to ``v``, tangential face integrals corrected unless ``corrected`` is
+    False."""
+    space = reference_spaces()[tag]
+    return space.combine([d.apply(v, corrected) for d in space.dofs])
 
 
 # ---------------------------------------------------------------------------
@@ -87,45 +49,39 @@ def global_interp_Ih(fieldobj, mesh, gmap, q=6):
 
     Fields with vanishing tangential trace and curl trace on the cube
     boundary have vanishing boundary DoFs, so elimination is consistent.
+    The interior entities of each axis are taken in ``mesh.n`` runs, about
+    one lattice plane each, so the point arrays stay a plane in size.
     """
     rule = gauss_rule(q)
-    h = mesh.h_axis[0]
+    h = mesh.h
+    s, w = h * rule.pts01, rule.wts01
+    g1, g2 = (g.reshape(-1) for g in np.meshgrid(s, s, indexing="ij"))
+    w2 = (w[:, None] * w[None, :]).reshape(-1)
     coeffs = np.zeros(gmap.n_vdofs)
-
-    pts01, wts01 = rule.pts01, rule.wts01
-    # edge DoFs, vectorized per axis
     for axis in range(3):
-        sel = (mesh.edge_table[:, 0] == axis) & ~mesh.edge_is_boundary
-        lat = mesh.edge_table[sel][:, 1:]
-        origins = lat * h
-        npts = len(pts01)
-        P = np.repeat(origins[:, None, :], npts, axis=1)
-        P[:, :, axis] += h * pts01[None, :]
-        vals = fieldobj.value(P.reshape(-1, 3)).reshape(len(lat), npts, 3)
-        integ = h * (vals[:, :, axis] @ wts01)
-        coeffs[gmap.edge_dof[np.where(sel)[0]]] = integ
+        t1, t2 = [a for a in range(3) if a != axis]
+        edges = np.where((mesh.edge_table[:, 0] == axis)
+                         & ~mesh.edge_is_boundary)[0]
+        for run in np.array_split(edges, mesh.n):
+            P = np.repeat(mesh.edge_table[run, 1:][:, None] * h, len(s), axis=1)
+            P[:, :, axis] += s
+            vals = fieldobj.value(P.reshape(-1, 3)).reshape(P.shape)
+            coeffs[gmap.edge_dof[run]] = h * (vals[:, :, axis] @ w)
 
-    # face DoFs: two tangential-curl integrals per interior face
-    g1, g2 = np.meshgrid(pts01, pts01, indexing="ij")
-    w2d = (wts01[:, None] * wts01[None, :]).reshape(-1)
-    for axis in range(3):
-        sel = (mesh.face_table[:, 0] == axis) & ~mesh.face_is_boundary
-        lat = mesh.face_table[sel][:, 1:]
-        t1, t2 = [ax for ax in range(3) if ax != axis]
-        nf = len(lat)
-        npts = g1.size
-        P = np.empty((nf, npts, 3))
-        P[:, :, axis] = (lat[:, axis] * h)[:, None]
-        P[:, :, t1] = (lat[:, t1] * h)[:, None] + h * g1.reshape(-1)[None, :]
-        P[:, :, t2] = (lat[:, t2] * h)[:, None] + h * g2.reshape(-1)[None, :]
-        flat = P.reshape(-1, 3)
-        curl = fieldobj.curl_value(flat).reshape(nf, npts, 3)
-        fids = np.where(sel)[0]
-        for j, d in enumerate((t1, t2)):
-            g = curl[:, :, d] + (h * h * CORRECTION_WEIGHT) * fieldobj.curl_d2(
-                d, d, flat).reshape(nf, npts)
-            integ = h * h * (g @ w2d)
-            coeffs[gmap.face_dof[fids, j]] = integ
+        # two tangential-curl integrals per interior face
+        faces = np.where((mesh.face_table[:, 0] == axis)
+                         & ~mesh.face_is_boundary)[0]
+        for run in np.array_split(faces, mesh.n):
+            P = np.repeat(mesh.face_table[run, 1:][:, None] * h, len(g1),
+                          axis=1)
+            P[:, :, t1] += g1
+            P[:, :, t2] += g2
+            flat = P.reshape(-1, 3)
+            curl = fieldobj.curl_value(flat).reshape(P.shape)
+            for j, d in enumerate((t1, t2)):
+                d2 = fieldobj.curl_d2(d, d, flat).reshape(P.shape[:2])
+                g = curl[:, :, d] + (h * h * CORRECTION_WEIGHT) * d2
+                coeffs[gmap.face_dof[run, j]] = h * h * (g @ w2)
     return coeffs
 
 
@@ -149,11 +105,6 @@ class MacroField:
     @property
     def size(self):
         return self.partition.macro_size
-
-    def local(self, m):
-        return LocalInterpolant(self.space_tag, self.coeffs[m],
-                                center=self.partition.macro_centers[m],
-                                h=self.size)
 
 
 def global_I3h(u_coeffs, mesh, gmap, partition):

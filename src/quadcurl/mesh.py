@@ -80,9 +80,7 @@ class BrickMesh:
         if n < 1:
             raise ValueError("mesh subdivisions must be >= 1")
         self.n = int(n)
-        h = 1.0 / n
-        self.h_axis = (h, h, h)
-        self.h_diag = float(np.sqrt(3.0)) * h
+        self.h = 1.0 / n
 
         self.n_cells = n**3
         self.n_vertices = (n + 1) ** 3
@@ -129,7 +127,7 @@ class BrickMesh:
     def _build_cell_tables(self):
         n = self.n
         self.cell_lattice = _lattice((n,) * 3)
-        self.cell_centers = (self.cell_lattice + 0.5) * self.h_axis[0]
+        self.cell_centers = (self.cell_lattice + 0.5) * self.h
         _, self.cell_vertices, self.cell_edges, self.cell_faces = \
             self.block_entities(self.cell_lattice, 1)
 
@@ -204,7 +202,7 @@ class MacroPartition:
         self.m = m
 
         self.macro_lattice = _lattice((m,) * 3)
-        H = 3.0 * mesh.h_axis[0]
+        H = 3.0 * mesh.h
         self.macro_centers = (self.macro_lattice + 0.5) * H
         self.macro_size = H
         self.macro_cells, _, self.macro_edges, self.macro_faces = \
@@ -231,7 +229,7 @@ def gauss_blocks(evaluate, mesh, sub, q, chunk):
     :meth:`BrickMesh.block_entities` and points in that of
     ``gauss_rule.box``.
     """
-    n, h = mesh.n, mesh.h_axis[0]
+    n, h = mesh.n, mesh.h
     nb, p = n // sub, sub * q
     r = gauss_rule(q).interval(-0.5, 0.5)[0]
     coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)

@@ -9,8 +9,7 @@ and no finite differences anywhere.  Coefficients are kept as exact rationals
 times an integer power of pi, which makes identities like ``div f = 0`` cancel
 to literal zero instead of rounding noise.  On the outer product of three 1D
 coordinate arrays the series are summed factor by factor from per-axis sin/cos
-tables (``TrigField.eval_grid``, ``ExactFields.grid_values`` and
-``ExactFields.f_grid_values``).
+tables (``ExactFields.grid_values`` and ``ExactFields.f_grid_values``).
 """
 
 from __future__ import annotations
@@ -93,13 +92,6 @@ class TrigField:
         return TrigField({k: v for k, v in out.items() if v != 0},
                          self.pi_power + 1)
 
-    def derivative(self, alpha):
-        f = self
-        for axis, order in enumerate(alpha):
-            for _ in range(order):
-                f = f.partial(axis)
-        return f
-
     def __neg__(self):
         return TrigField({k: -v for k, v in self.terms.items()}, self.pi_power)
 
@@ -142,11 +134,6 @@ class TrigField:
             out += float(c) * (basis(0, *k1, x) * basis(1, *k2, y)
                                * basis(2, *k3, z))
         return out * math.pi**self.pi_power
-
-    def eval_grid(self, x, y, z):
-        """Values on the outer product of 1D coordinate arrays:
-        ``(len(x), len(y), len(z))``, entry [i, j, k] at (x[i], y[j], z[k])."""
-        return _eval_grid(_grid_plan((self,)), x, y, z)[..., 0]
 
 
 def _grid_plan(fields):
@@ -278,15 +265,16 @@ class ExactFields:
         return np.stack(rows, axis=-2)
 
     def grid_values(self, x, y, z):
-        """u, curl u and grad curl u on the outer product of 1D coordinate
-        arrays, shaped like ``u_value``, ``curl_u_value`` and
-        ``grad_curl_u_value`` with the point axis replaced by
+        """grad curl u, curl u and u (the column order of
+        ``quadcurl.analysis.ErrorTriple``) on the outer product of 1D
+        coordinate arrays, shaped like ``grad_curl_u_value``,
+        ``curl_u_value`` and ``u_value`` with the point axis replaced by
         ``(len(x), len(y), len(z))``.  All 15 components share one set of
         per-axis sin/cos tables."""
         out = _eval_grid(self._grid_plan, x, y, z)
         grid = out.shape[:3]
-        return (out[..., 0:3], out[..., 3:6],
-                out[..., 6:15].reshape(grid + (3, 3)))
+        return (out[..., 6:15].reshape(grid + (3, 3)), out[..., 3:6],
+                out[..., 0:3])
 
     def f_value(self, pts):
         return self.f.eval(pts)

@@ -52,11 +52,6 @@ class Poly:
     def const(cls, value):
         return cls({(0, 0, 0): value})
 
-    def copy(self):
-        p = Poly.__new__(Poly)
-        p.coeffs = dict(self.coeffs)
-        return p
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
@@ -261,7 +256,7 @@ def legendre_poly(k, axis):
 
 
 class GaussRule:
-    """Tensor-product Gauss-Legendre rules on boxes, faces and edges.
+    """Tensor-product Gauss-Legendre rules on intervals and boxes.
 
     Order ``q`` per axis integrates per-axis polynomial degree <= 2q - 1
     exactly.
@@ -287,33 +282,6 @@ class GaussRule:
         W = (axes[0][1][:, None, None] * axes[1][1][None, :, None]
              * axes[2][1][None, None, :]).reshape(-1)
         return P, W
-
-    def face(self, axis, coord, lo2, hi2):
-        """2D rule on the plane ``x[axis] = coord``; lo2/hi2 span the other axes
-        in ascending order.  Returns 3D points ``(q^2, 3)`` and weights."""
-        t1, t2 = [a for a in range(3) if a != axis]
-        p1, w1 = self.interval(lo2[0], hi2[0])
-        p2, w2 = self.interval(lo2[1], hi2[1])
-        P = np.zeros((self.q * self.q, 3))
-        g1, g2 = np.meshgrid(p1, p2, indexing="ij")
-        P[:, axis] = coord
-        P[:, t1] = g1.reshape(-1)
-        P[:, t2] = g2.reshape(-1)
-        W = (w1[:, None] * w2[None, :]).reshape(-1)
-        return P, W
-
-    def edge(self, axis, fixed, lo, hi):
-        """1D rule along ``axis`` with the two transverse coordinates fixed.
-
-        ``fixed`` gives the transverse coordinates in ascending axis order.
-        """
-        t1, t2 = [a for a in range(3) if a != axis]
-        p, w = self.interval(lo, hi)
-        P = np.zeros((self.q, 3))
-        P[:, axis] = p
-        P[:, t1] = fixed[0]
-        P[:, t2] = fixed[1]
-        return P, w
 
 
 @lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
 """Element spaces on the scaled reference cell, with DoF functionals and dual bases.
 
-Six spaces are built here:
+``reference_spaces`` builds six spaces from one table of spanning set, DoFs
+and power of h:
 
 * ``WK``  -- the 18-dim nonconforming brick space with face-integral DoFs,
 * ``VK``  -- the 24-dim grad-curl brick space (12 edge + 12 face-curl DoFs),
@@ -236,14 +237,12 @@ def _q1_scalars():
     return [Poly.monomial(*e) for e in exps]
 
 
-def span_VK(perturb=None):
+def span_VK():
     """Spanning set of the 24-dim grad-curl space: grad Q1 + x cross WK.
 
     The cross-product generators overlap in one direction (x itself), so the
     18 of them are compressed to 17 by rank-revealing SVD in coefficient
-    space.  ``perturb=(index, delta)`` is a debug fault-injection hook: it
-    bumps one quadratic coefficient of one spanning field, which drives the
-    curl of the span outside WK.
+    space.
     """
     grads = []
     for q in _q1_scalars()[1:]:
@@ -269,14 +268,6 @@ def span_VK(perturb=None):
     full_mat, _ = coefficient_matrix(fields)
     if np.linalg.matrix_rank(full_mat, tol=1e-9 * np.abs(full_mat).max()) != 24:
         raise DegenerateSpan("grad Q1 + x cross WK span is rank deficient")
-
-    if perturb is not None:
-        idx, delta = perturb
-        comps = list(fields[idx].comps)
-        c0 = comps[0].copy()
-        c0.coeffs[(1, 2, 0)] = c0.coeffs.get((1, 2, 0), 0.0) + delta
-        comps[0] = c0
-        fields[idx] = PolyField(comps)
     return fields
 
 
@@ -293,85 +284,43 @@ def span_nedelec():
     return fields
 
 
-def _tensor_legendre(degs):
-    """All Legendre products with per-axis degree bounds ``degs``."""
-    out = []
-    for a in range(degs[0] + 1):
-        for b in range(degs[1] + 1):
-            for c in range(degs[2] + 1):
-                out.append(legendre_poly(a, 0) * legendre_poly(b, 1)
-                           * legendre_poly(c, 2))
-    return out
-
-
-def span_VM():
-    """Macro space Q_{2,3,3} x Q_{3,2,3} x Q_{3,3,2} in tensor Legendre form."""
+def span_macro(own, other):
+    """Macro span in tensor Legendre form: component c has per-axis degree
+    ``own`` along axis c and ``other`` along the other two axes.  V_M =
+    Q_{2,3,3} x Q_{3,2,3} x Q_{3,3,2} is (2, 3); W_M = Q_{3,2,2} x Q_{2,3,2}
+    x Q_{2,2,3} is (3, 2)."""
     fields = []
     for comp in range(3):
-        degs = [3, 3, 3]
-        degs[comp] = 2
-        for p in _tensor_legendre(degs):
-            fields.append(PolyField.unit(comp, p))
+        degs = [other] * 3
+        degs[comp] = own
+        for a, b, c in np.ndindex(*(d + 1 for d in degs)):
+            fields.append(PolyField.unit(comp, legendre_poly(a, 0)
+                                         * legendre_poly(b, 1)
+                                         * legendre_poly(c, 2)))
     return fields
-
-
-def span_WM():
-    """Macro space Q_{3,2,2} x Q_{2,3,2} x Q_{2,2,3} in tensor Legendre form."""
-    fields = []
-    for comp in range(3):
-        degs = [2, 2, 2]
-        degs[comp] = 3
-        for p in _tensor_legendre(degs):
-            fields.append(PolyField.unit(comp, p))
-    return fields
-
-
-# ---------------------------------------------------------------------------
-# builders
-# ---------------------------------------------------------------------------
-
-def build_WK():
-    dofs = _face_dofs(1, (("face_tangential", 0), ("face_tangential", 1),
-                          ("face_normal", 2)))
-    return dual_basis(span_WK(), dofs, "WK", dof_scale_power=2)
-
-
-def build_VK(perturb=None):
-    dofs = _edge_dofs(1) + _face_dofs(1, (("face_curl", 0), ("face_curl", 1)))
-    return dual_basis(span_VK(perturb), dofs, "VK", dof_scale_power=1)
-
-
-def build_nedelec():
-    return dual_basis(span_nedelec(), _edge_dofs(1), "NedelecK",
-                      dof_scale_power=1)
-
-
-def build_Q1():
-    dofs = [DofFunctional("vertex", fixed=tuple(v))
-            for v in (_lattice((2, 2, 2)) - 0.5).tolist()]
-    return dual_basis(_q1_scalars(), dofs, "Q1K", dof_scale_power=0)
-
-
-def build_VM():
-    return dual_basis(span_VM(), _edge_dofs(3), "VM", dof_scale_power=1)
-
-
-def build_WM():
-    return dual_basis(span_WM(), _face_dofs(3, (("face_normal", 2),)), "WM",
-                      dof_scale_power=2)
 
 
 @lru_cache(maxsize=None)
 def reference_spaces():
-    """All six reference spaces, built once and shared."""
-    return {
-        "WK": build_WK(),
-        "VK": build_VK(),
-        "NedelecK": build_nedelec(),
-        "Q1K": build_Q1(),
-        "VM": build_VM(),
-        "WM": build_WM(),
+    """All six reference spaces, built once and shared.  Per tag: the
+    spanning set, the DoFs and the power of h that scales reference DoFs to
+    physical ones."""
+    table = {
+        "WK": (span_WK(),
+               _face_dofs(1, (("face_tangential", 0), ("face_tangential", 1),
+                              ("face_normal", 2))), 2),
+        "VK": (span_VK(),
+               _edge_dofs(1) + _face_dofs(1, (("face_curl", 0),
+                                              ("face_curl", 1))), 1),
+        "NedelecK": (span_nedelec(), _edge_dofs(1), 1),
+        "Q1K": (_q1_scalars(),
+                [DofFunctional("vertex", fixed=tuple(v))
+                 for v in (_lattice((2, 2, 2)) - 0.5).tolist()], 0),
+        "VM": (span_macro(2, 3), _edge_dofs(3), 1),
+        "WM": (span_macro(3, 2), _face_dofs(3, (("face_normal", 2),)), 2),
     }
+    return {tag: dual_basis(span, dofs, tag, power)
+            for tag, (span, dofs, power) in table.items()}
 
 
 # ---------------------------------------------------------------------------

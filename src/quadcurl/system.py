@@ -183,14 +183,14 @@ class CellOperator(spla.LinearOperator):
 
 def assemble_A(mesh, gmap):
     """Stiffness of a_h: entry (i, j) = sum_K (grad curl phi_i, grad curl phi_j)_K."""
-    h = mesh.h_axis[0]
+    h = mesh.h
     return CellOperator(reference_matrices()["M2"] / h**3, gmap.cell_vdofs,
                         gmap.cell_vdofs, (gmap.n_vdofs, gmap.n_vdofs))
 
 
 def assemble_B(mesh, gmap):
     """Coupling b: entry (i, m) = sum_K (phi_i, grad q_m)_K."""
-    h = mesh.h_axis[0]
+    h = mesh.h
     return CellOperator(reference_matrices()["B"] * h, gmap.cell_vdofs,
                         gmap.cell_qdofs, (gmap.n_vdofs, gmap.n_qdofs))
 
@@ -198,7 +198,7 @@ def assemble_B(mesh, gmap):
 def assemble_q1_stiffness(mesh, gmap):
     """Q1 stiffness S on interior vertices: entry (m, l) =
     sum_K (grad q_m, grad q_l)_K."""
-    h = mesh.h_axis[0]
+    h = mesh.h
     return CellOperator(reference_matrices()["S"] * h, gmap.cell_qdofs,
                         gmap.cell_qdofs, (gmap.n_qdofs, gmap.n_qdofs))
 
@@ -238,7 +238,7 @@ def assemble_rhs(mesh, gmap, exact, mode="modified", q=6):
         raise ValueError(f"unknown rhs mode {mode!r}")
     wts, tables = _load_tables(q)
     phi = tables[mode]
-    h = mesh.h_axis[0]
+    h = mesh.h
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
     loc = np.empty(dof_cols.shape)

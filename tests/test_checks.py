@@ -14,8 +14,10 @@ def test_battery_all_pass_under_budget():
     assert len(names) == len(set(names))
 
 
-def test_fault_injection_trips_curl_inclusion():
-    results = checks.run_battery(vk_perturbation=(10, 1e-3))
+def test_fault_injection_trips_curl_inclusion(monkeypatch, perturbed_vk):
+    spaces = dict(checks.reference_spaces(), VK=perturbed_vk)
+    monkeypatch.setattr(checks, "reference_spaces", lambda: spaces)
+    results = checks.run_battery()
     by_name = {r.name: r for r in results}
     bad = [r for r in results if "curl VK" in r.name]
     assert len(bad) == 1 and not bad[0].passed

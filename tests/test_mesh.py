@@ -21,7 +21,6 @@ def test_closed_form_counts_small_n():
         m = build_mesh(n)
         assert m.n_edges == 3 * n * (n + 1) ** 2
         assert m.n_faces == 3 * n**2 * (n + 1)
-        assert m.h_diag == pytest.approx(np.sqrt(3.0) / n)
 
 
 @pytest.mark.parametrize("n,iv,ie,iface", [
@@ -129,7 +128,7 @@ def test_cell_tables_consistent_with_entity_tables():
 
 def test_centers_and_sizes():
     m = build_mesh(4)
-    assert m.h_axis == (0.25, 0.25, 0.25)
+    assert m.h == 0.25
     c0 = m.cell_centers[m.cell_id(1, 2, 3)]
     assert np.allclose(c0, [0.375, 0.625, 0.875])
 

@@ -56,13 +56,6 @@ def test_gauss_two_point_exact_for_cubic():
     assert float(wts @ pts**3) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_gauss_face_constant():
-    h = 0.25
-    pts, wts = gauss_rule(3).face(0, 0.5, (0.0, 0.0), (h, h))
-    assert np.all(pts[:, 0] == 0.5)
-    assert wts.sum() == pytest.approx(h * h, rel=1e-14)
-
-
 def test_gauss_sin_product_matches_antiderivative():
     # oracle: 1D antiderivative gives int_0^1 sin(pi t) dt = 2/pi per axis.
     # measured q=6 accuracy is 2.03e-10 absolute (the 12th derivative of the

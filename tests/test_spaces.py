@@ -5,7 +5,7 @@ from quadcurl.polyquad import Poly, PolyField, coefficient_matrix
 from quadcurl.polyquad import gauss_rule
 from quadcurl.spaces import (DofFunctional, SingularVandermonde,
                              curl_inclusion_residual,
-                             build_VK, dual_basis, dual_curl_table,
+                             dual_basis, dual_curl_table,
                              dual_gradcurl_table,
                              dual_gram_matrices, dual_value_table,
                              reference_spaces, span_VK, span_WK)
@@ -210,14 +210,13 @@ def test_gram_matrices_positive_semidefinite(spaces):
     assert np.linalg.eigvalsh(M0).min() > 0
 
 
-def test_gram_matrices_cached_per_space_not_per_tag(spaces):
+def test_gram_matrices_cached_per_space_not_per_tag(spaces, perturbed_vk):
     # a perturbed VK carries the tag "VK" but another span: it must get its
     # own Grams, not the cached reference ones
     ref = dual_gram_matrices(spaces["VK"])
-    perturbed_space = build_VK(perturb=(10, 1e-3))
-    perturbed = dual_gram_matrices(perturbed_space)
+    perturbed = dual_gram_matrices(perturbed_vk)
     assert any(not np.array_equal(a, b) for a, b in zip(ref, perturbed))
-    uncached = dual_gram_matrices.__wrapped__(perturbed_space)
+    uncached = dual_gram_matrices.__wrapped__(perturbed_vk)
     assert all(np.array_equal(a, b) for a, b in zip(perturbed, uncached))
 
 

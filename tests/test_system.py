@@ -48,7 +48,7 @@ def test_cell_operator_matches_assembled_stiffness(n):
     # skipping the eliminated boundary DoFs (-1)
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
-    h = mesh.h_axis[0]
+    h = mesh.h
     ref = system.reference_matrices()
     vdofs, qdofs = gmap.cell_vdofs, gmap.cell_qdofs
     cases = ((system.assemble_A(mesh, gmap), ref["M2"] / h**3, vdofs, vdofs),
@@ -84,7 +84,7 @@ def test_quadratic_form_matches_direct_integration(setup3):
     v = rng.standard_normal(gmap.n_vdofs)
     pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     gc = dual_gradcurl_table(reference_spaces()["VK"], pts)
-    h = mesh.h_axis[0]
+    h = mesh.h
     cols = gmap.cell_vdofs
     d = np.where(cols >= 0, v[np.clip(cols, 0, None)], 0.0) / h
     gch = np.einsum("ci,igkl->cgkl", d, gc) / h**2
@@ -149,7 +149,7 @@ def test_load_matches_pointwise_gauss_reference(setup3, exact):
     # oracle: f evaluated point by point at each cell's Gauss points and
     # tested against the reference dual tables, cell by cell
     mesh, gmap = setup3
-    h = mesh.h_axis[0]
+    h = mesh.h
     pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     for mode, tag in (("original", "VK"), ("modified", "NedelecK")):
         table = dual_value_table(reference_spaces()[tag], pts)
