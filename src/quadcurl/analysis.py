@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .mesh import NonDivisibleMesh, _lattice, gauss_blocks
-from .polyquad import gauss_rule
-from .spaces import (dual_curl_table, dual_gradcurl_table, dual_gram_matrices,
-                     dual_value_table, reference_spaces)
+from .mesh import NonDivisibleMesh, gauss_blocks
+from .spaces import dual_gram_matrices, gauss_tables, reference_spaces
 from .system import gather
 
 
-# macros per chunk of the macro error phases
+# cells per chunk of the cell error phase, macros per chunk of the macro ones
+CELL_CHUNK = 1024
 MACRO_CHUNK = 64
 
 
@@ -46,28 +44,6 @@ class ErrorTriple:
         return (self.curl_h1, self.curl_l2, self.l2)
 
 
-@lru_cache(maxsize=None)
-def _block_tables(tag, sub, q):
-    """Dual tables of the reference space ``tag`` at the Gauss points of the
-    reference cell cut into sub^3 cells (VK on a cell, VM on a macro), fine
-    cells and points in the order of ``mesh.gauss_blocks``.
-
-    Per ErrorTriple column a (dual matrix, point weights) pair: the table as
-    a dof-major (dim, fine cell x point x component) matrix and the Gauss
-    weight of each of its columns.
-    """
-    pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-    space = reference_spaces()[tag]
-    # all fine-cell grids stacked into one evaluation per dual field
-    bpts = ((_lattice((sub,) * 3)[:, None] + 0.5) / sub - 0.5
-            + pts / sub).reshape(-1, 3)
-    return tuple((table.reshape(space.dim, -1),
-                  np.tile(np.repeat(wts, k), sub**3))
-                 for table, k in ((dual_gradcurl_table(space, bpts), 9),
-                                  (dual_curl_table(space, bpts), 3),
-                                  (dual_value_table(space, bpts), 3)))
-
-
 def _sq_error(approx, scale, exact, w):
     """Weighted sum of squares of ``scale * approx - exact``.  Works in
     place in ``approx``, so a chunk needs one temporary of its size."""
@@ -77,30 +53,30 @@ def _sq_error(approx, scale, exact, w):
     return np.sum(approx @ w)
 
 
-def _block_error(block_coeffs, tag, sub, size, exact, mesh, q, chunk):
+def _block_error(block_coeffs, tag, sub, size, exact, mesh, chunk):
     """Error triple against the exact solution of the field that is, on each
     block of sub^3 cells with edge ``size``, the combination of the duals of
     reference space ``tag`` with coefficients ``block_coeffs(block ids)``;
     integrated per fine cell."""
     scales = (size**-2, 1.0 / size, 1.0)
     acc = np.zeros(3)
-    walk = gauss_blocks(exact.grid_values, mesh, sub, q, chunk)
+    walk = gauss_blocks(exact.grid_values, mesh, sub, chunk)
     for blocks, exact_vals in walk:
         coef = block_coeffs(blocks)
         for col, ((phi, w), s, ex) in enumerate(
-                zip(_block_tables(tag, sub, q), scales, exact_vals)):
+                zip(gauss_tables(tag, sub), scales, exact_vals)):
             acc[col] += _sq_error(coef @ phi, s, ex, w)
     return ErrorTriple(*np.sqrt(mesh.h**3 * acc))
 
 
-def error_vs_exact(u_vec, exact, mesh, gmap, q=6, chunk=1024):
+def error_vs_exact(u_vec, exact, mesh, gmap):
     """Error triple of a V_h coefficient vector against the exact solution."""
     h = mesh.h
 
     def ref_dofs(cells):
         return gather(u_vec, gmap.cell_vdofs[cells]) / h
 
-    return _block_error(ref_dofs, "VK", 1, h, exact, mesh, q, chunk)
+    return _block_error(ref_dofs, "VK", 1, h, exact, mesh, CELL_CHUNK)
 
 
 def _gram_norms(space, coeffs, size):
@@ -132,7 +108,7 @@ def macro_norms(macro_field):
     return _gram_norms(macro_field.space, macro_field.coeffs, macro_field.size)
 
 
-def macro_best_approximation(exact, mesh, partition, q=6):
+def macro_best_approximation(exact, mesh, partition):
     """Per-macro best approximation of the exact solution from V_M.
 
     On every macro, u is projected onto V_M in each norm of ErrorTriple (the
@@ -155,7 +131,7 @@ def macro_best_approximation(exact, mesh, partition, q=6):
     H = partition.macro_size
     # physical dual fields are scale x the reference tables
     columns = []
-    for (phi, w), scale, gram in zip(_block_tables("VM", 3, q),
+    for (phi, w), scale, gram in zip(gauss_tables("VM", 3),
                                      (H**-2, 1.0 / H, 1.0),
                                      reversed(dual_gram_matrices(vm))):
         ginv = np.linalg.pinv(H**3 * scale**2 * gram, rcond=1e-10,
@@ -164,7 +140,7 @@ def macro_best_approximation(exact, mesh, partition, q=6):
 
     acc = np.zeros(3)
     coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in columns)
-    walk = gauss_blocks(exact.grid_values, mesh, 3, q, MACRO_CHUNK)
+    walk = gauss_blocks(exact.grid_values, mesh, 3, MACRO_CHUNK)
     for macros, exact_vals in walk:
         for col, ((phi, w, scale, ginv), ex) in enumerate(
                 zip(columns, exact_vals)):
@@ -174,14 +150,14 @@ def macro_best_approximation(exact, mesh, partition, q=6):
     return ErrorTriple(*np.sqrt(acc)), coeffs
 
 
-def superconvergent_error(macro_field, exact, mesh, q=6):
+def superconvergent_error(macro_field, exact, mesh):
     """Error triple of the postprocessed field against the exact solution,
     integrated per fine cell."""
     part = macro_field.partition
     if part.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
     return _block_error(lambda macros: macro_field.coeffs[macros], "VM", 3,
-                        part.macro_size, exact, mesh, q, MACRO_CHUNK)
+                        part.macro_size, exact, mesh, MACRO_CHUNK)
 
 
 def compute_eoc(rows):

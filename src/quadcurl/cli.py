@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 invariant
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -28,7 +29,6 @@ class RunConfig:
     scheme: str = "modified"            # original | modified | both
     ns: tuple = DEFAULT_NS
     tol: float = 1e-10
-    quad_order: int = 6
     tasks: tuple = ("errors",)          # errors | superclose | superconv
     fmt: str = "both"                   # csv | markdown | both
     out_dir: str = "reports"
@@ -39,8 +39,9 @@ class RunConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.fmt not in ("csv", "markdown", "both"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.quad_order < 1:
-            raise ValueError("quadrature order must be >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"solver tolerance must be finite and > 0, "
+                             f"got {self.tol}")
         if not self.ns or any(n < 1 for n in self.ns):
             raise ValueError("mesh sizes must be positive")
         for task in self.tasks:
@@ -87,7 +88,6 @@ def _build_parser():
     p.add_argument("--task",
                    help="comma list of: errors, superclose, superconv, all")
     p.add_argument("--tol", type=float, help="solver relative residual")
-    p.add_argument("--quad-order", type=int, dest="quad_order")
     p.add_argument("--out", help="output directory for reports")
     p.add_argument("--format", choices=["csv", "markdown", "both"])
     p.add_argument("--extended", action="store_true", default=None,
@@ -101,8 +101,7 @@ def _build_parser():
 
 
 # the keys a --config file takes: the flags' own names ('-' read as '_')
-CONFIG_KEYS = ("scheme", "n", "task", "tol", "quad_order", "out", "format",
-               "extended")
+CONFIG_KEYS = ("scheme", "n", "task", "tol", "out", "format", "extended")
 
 
 def _merge_config(args):
@@ -137,9 +136,6 @@ def _merge_config(args):
     val = pick("tol", conv=float)
     if val is not None:
         cfg.tol = float(val)
-    val = pick("quad_order", conv=int)
-    if val is not None:
-        cfg.quad_order = int(val)
     val = pick("out", env="QUADCURL_OUT")
     if val is not None:
         cfg.out_dir = val
@@ -197,29 +193,28 @@ def _study_n(n, config, exact):
     from .mesh import build_mesh, macro_partition
 
     t0 = time.time()
-    q, tasks = config.quad_order, config.tasks
+    tasks = config.tasks
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
     A = system.assemble_A(mesh, gmap)
     B = system.assemble_B(mesh, gmap)
     part = macro_partition(mesh) if "superconv" in tasks else None
-    ihu = (interp.global_interp_Ih(exact, mesh, gmap, q=q)
+    ihu = (interp.global_interp_Ih(exact, mesh, gmap)
            if "superclose" in tasks else None)
     for scheme in config.schemes:
-        rhs = system.assemble_rhs(mesh, gmap, exact, mode=scheme, q=q)
+        rhs = system.assemble_rhs(mesh, gmap, exact, mode=scheme)
         sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
         u, _p, info = system.solve_saddle(sys_, tol=config.tol)
         rec = StudyRecord(n=n, scheme=scheme, info=info, mesh=mesh,
                           gmap=gmap, u=u, partition=part, ihu=ihu)
         for task in tasks:
             if task == "errors":
-                trip = analysis.error_vs_exact(u, exact, mesh, gmap, q=q)
+                trip = analysis.error_vs_exact(u, exact, mesh, gmap)
             elif task == "superclose":
                 trip = analysis.superclose_error(u, ihu, mesh, gmap)
             else:
                 rec.i3h_u = interp.global_I3h(u, mesh, gmap, part)
-                trip = analysis.superconvergent_error(rec.i3h_u, exact, mesh,
-                                                      q=q)
+                trip = analysis.superconvergent_error(rec.i3h_u, exact, mesh)
             rec.triples[task] = trip
         rec.elapsed = time.time() - t0
         yield rec
@@ -261,6 +256,10 @@ def selftest():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        print(f"configuration error: --threads must be >= 1, got "
+              f"{args.threads}", file=sys.stderr)
+        return EXIT_CONFIG
 
     # explicit flags win: the cap replaces thread settings already present
     threads = args.threads or os.environ.get("QUADCURL_THREADS")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import polyquad
 from .mesh import NonDivisibleMesh
-from .polyquad import gauss_rule
 from .spaces import CORRECTION_WEIGHT, reference_spaces
 from .system import gather
 
@@ -43,7 +43,7 @@ def interpolate(tag, v, corrected=True):
 # global operators
 # ---------------------------------------------------------------------------
 
-def global_interp_Ih(fieldobj, mesh, gmap, q=6):
+def global_interp_Ih(fieldobj, mesh, gmap):
     """Global corrected interpolation into V_h: one coefficient per interior
     DoF (edge tangential integrals; corrected face-curl integrals).
 
@@ -52,7 +52,7 @@ def global_interp_Ih(fieldobj, mesh, gmap, q=6):
     The interior entities of each axis are taken in ``mesh.n`` runs, about
     one lattice plane each, so the point arrays stay a plane in size.
     """
-    rule = gauss_rule(q)
+    rule = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
     h = mesh.h
     s, w = h * rule.pts01, rule.wts01
     g1, g2 = (g.reshape(-1) for g in np.meshgrid(s, s, indexing="ij"))

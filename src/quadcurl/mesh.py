@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polyquad import gauss_rule
+from . import polyquad
 
 
 class NonDivisibleMesh(Exception):
@@ -215,23 +215,24 @@ def macro_partition(mesh):
     return MacroPartition(mesh)
 
 
-def gauss_blocks(evaluate, mesh, sub, q, chunk):
+def gauss_blocks(evaluate, mesh, sub, chunk):
     """Fields at the Gauss points of every cell, walked block by block.
 
     The mesh is tiled by blocks of sub^3 cells (1 for cells, 3 for macros),
     numbered like the cells, lexicographically on the block lattice.  A chunk
     is a run of whole block rows at one first lattice index, about ``chunk``
-    blocks with contiguous ids, so the ``gauss_rule(q)`` points of its cells
-    form one tensor grid x * y * z.  ``evaluate(x, y, z)`` returns a tuple of
-    arrays on that grid, each (len(x), len(y), len(z), components...).
+    blocks with contiguous ids, so the Gauss points of its cells (order
+    ``polyquad.GAUSS_ORDER``) form one tensor grid x * y * z.
+    ``evaluate(x, y, z)`` returns a tuple of arrays on that grid, each
+    (len(x), len(y), len(z), components...).
     Yields ``(block id slice, values)``: per array of ``evaluate`` a
     (blocks, fine cell x point x component) array, fine cells in the order of
     :meth:`BrickMesh.block_entities` and points in that of
     ``gauss_rule.box``.
     """
-    n, h = mesh.n, mesh.h
+    n, h, q = mesh.n, mesh.h, polyquad.GAUSS_ORDER
     nb, p = n // sub, sub * q
-    r = gauss_rule(q).interval(-0.5, 0.5)[0]
+    r = polyquad.gauss_rule(q).interval(-0.5, 0.5)[0]
     coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)
     rows = min(nb, max(1, chunk // nb))
     for i in range(nb):

@@ -284,6 +284,12 @@ class GaussRule:
         return P, W
 
 
+# Gauss points per axis of every study quadrature (the load, I_h and the error
+# norms).  Readers look it up at call time; order 8 prints the same report
+# digits (tests/test_cli.py::test_gauss_order_is_converged).
+GAUSS_ORDER = 6
+
+
 @lru_cache(maxsize=8)
 def gauss_rule(q):
     return GaussRule(q)

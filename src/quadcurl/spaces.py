@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import polyquad
 from .mesh import _lattice, edge_lattice_order, face_lattice_order
 from .polyquad import (Poly, PolyField, coefficient_matrix, integrate_exact,
                        legendre_poly)
@@ -390,6 +391,29 @@ def dual_gradcurl_table(space, pts):
     table = _span_table(space, pts,
                         lambda f: [g for row in f.curl().grad() for g in row])
     return table.reshape(space.dim, len(pts), 3, 3)
+
+
+@lru_cache(maxsize=None)
+def gauss_tables(tag, sub):
+    """Dual tables of the reference space ``tag`` at the Gauss points of the
+    reference cell cut into sub^3 cells (VK on a cell, VM on a macro), fine
+    cells and points in the order of ``quadcurl.mesh.gauss_blocks``.
+
+    Per ErrorTriple column (grad curl, curl, value) a (dual matrix, point
+    weights) pair: the table as a dof-major (dim, fine cell x point x
+    component) matrix and the Gauss weight of each of its columns.
+    """
+    rule = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
+    pts, wts = rule.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    space = reference_spaces()[tag]
+    # all fine-cell grids stacked into one evaluation per dual field
+    bpts = ((_lattice((sub,) * 3)[:, None] + 0.5) / sub - 0.5
+            + pts / sub).reshape(-1, 3)
+    return tuple((table.reshape(space.dim, -1),
+                  np.tile(np.repeat(wts, k), sub**3))
+                 for table, k in ((dual_gradcurl_table(space, bpts), 9),
+                                  (dual_curl_table(space, bpts), 3),
+                                  (dual_value_table(space, bpts), 3)))
 
 
 def _span_gram(fields_a, fields_b, pairing):

@@ -41,8 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import gauss_blocks
-from .polyquad import gauss_rule
-from .spaces import (dual_gram_matrices, dual_value_table, reference_spaces,
+from .spaces import (dual_gram_matrices, gauss_tables, reference_spaces,
                      scalar_stiffness_matrix, vector_scalar_grad_matrix)
 
 
@@ -218,32 +217,21 @@ def gradient_inclusion_matrix(mesh, gmap):
                          shape=(gmap.n_vdofs, gmap.n_qdofs)).tocsr()
 
 
-@lru_cache(maxsize=None)
-def _load_tables(q):
-    """The Gauss weight of every (point, component) of the q^3 box rule, and
-    the test fields of each load mode there: (dof, point x component)."""
-    pts, wts = gauss_rule(q).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-    spcs = reference_spaces()
-    return np.repeat(wts, 3), {
-        mode: dual_value_table(spcs[tag], pts).reshape(spcs[tag].dim, -1)
-        for mode, tag in (("original", "VK"), ("modified", "NedelecK"))}
-
-
-def assemble_rhs(mesh, gmap, exact, mode="modified", q=6):
+def assemble_rhs(mesh, gmap, exact, mode="modified"):
     """Load vector of ``exact.f``: mode 'original' tests against the VK
-    duals, 'modified' against their edge reconstructions (face entries
-    exactly zero).  f is evaluated on the tensor grid of the cell Gauss
-    points, one x-slab of cells at a time."""
+    duals, 'modified' against their edge reconstructions (the NedelecK
+    duals; face entries exactly zero).  f is evaluated on the tensor grid of
+    the cell Gauss points, one x-slab of cells at a time."""
     if mode not in ("original", "modified"):
         raise ValueError(f"unknown rhs mode {mode!r}")
-    wts, tables = _load_tables(q)
-    phi = tables[mode]
+    # the value column of the test space's Gauss tables
+    phi, wts = gauss_tables("VK" if mode == "original" else "NedelecK", 1)[2]
     h = mesh.h
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
     loc = np.empty(dof_cols.shape)
     for cells, (f,) in gauss_blocks(
-            lambda x, y, z: (exact.f_grid_values(x, y, z),), mesh, 1, q,
+            lambda x, y, z: (exact.f_grid_values(x, y, z),), mesh, 1,
             mesh.n**2):
         loc[cells] = h * h * ((f * wts) @ phi.T)
     return scatter_add(loc, _slots(dof_cols, gmap.n_vdofs), gmap.n_vdofs)
@@ -271,10 +259,10 @@ class SaddleSystem:
         return np.concatenate([self.rhs, np.zeros(self.gmap.n_qdofs)])
 
 
-def build_system(mesh, gmap, exact, mode="modified", q=6):
+def build_system(mesh, gmap, exact, mode="modified"):
     A = assemble_A(mesh, gmap)
     B = assemble_B(mesh, gmap)
-    rhs = assemble_rhs(mesh, gmap, exact, mode=mode, q=q)
+    rhs = assemble_rhs(mesh, gmap, exact, mode=mode)
     return SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
 
 

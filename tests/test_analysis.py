@@ -231,16 +231,17 @@ def _assert_triples_close(a, b, rel=1e-12):
         assert x == pytest.approx(y, rel=rel)
 
 
-def test_grid_path_matches_pointwise_fallback(macro6):
+def test_grid_path_matches_pointwise_fallback(macro6, monkeypatch):
     mesh, part, ex, imu = macro6
     gmap = system.build_dof_map(mesh)
     pointwise = _PointwiseOnly(ex)
     v = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
-    # chunk=24 splits each slab of 36 cells into runs of 4 and 2 rows
+    want = analysis.error_vs_exact(v, pointwise, mesh, gmap)
+    # a chunk of 24 splits each slab of 36 cells into runs of 4 and 2 rows
     for chunk in (1024, 24):
-        _assert_triples_close(
-            analysis.error_vs_exact(v, ex, mesh, gmap, chunk=chunk),
-            analysis.error_vs_exact(v, pointwise, mesh, gmap))
+        monkeypatch.setattr(analysis, "CELL_CHUNK", chunk)
+        _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap),
+                              want)
     _assert_triples_close(analysis.superconvergent_error(imu, ex, mesh),
                           analysis.superconvergent_error(imu, pointwise, mesh))
     grid, grid_coeffs = analysis.macro_best_approximation(ex, mesh, part)

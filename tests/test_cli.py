@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quadcurl import cli, system
+from quadcurl import analysis, cli, polyquad, spaces, system
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -20,6 +20,38 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         cfg.validate()
     cli.RunConfig(ns=(36,), extended=True).validate()
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tolerance_is_a_configuration_error(tmp_path, tol):
+    # caught before any solve: no scipy traceback, no "solver failure"
+    rc = cli.main(["--n", "3", "--tol", tol, "--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_a_configuration_error(tmp_path, monkeypatch,
+                                                    threads):
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    rc = cli.main(["--threads", threads, "--n", "3",
+                   "--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_CONFIG
+    assert os.environ["OMP_NUM_THREADS"] == "4"
+    assert not (tmp_path / "r").exists()
+
+
+def test_quadrature_order_is_not_an_option(tmp_path, capsys):
+    # the Gauss order is the constant polyquad.GAUSS_ORDER
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--quad-order", "8", "--n", "3", "--out", str(tmp_path)])
+    assert err.value.code == cli.EXIT_CONFIG
+    for key in ("quad-order", "quad_order"):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(f"n=3\n{key}=8\nout={tmp_path / 'q'}\n")
+        assert cli.main(["--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "unknown config key quad_order" in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
 
 
 def test_nondivisible_superconv_exit_code(tmp_path):
@@ -79,6 +111,30 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+def test_out_precedence_flag_env_file_default(tmp_path, monkeypatch):
+    # explicit flag > QUADCURL_OUT > the file's out= > the default "reports"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QUADCURL_OUT", raising=False)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n=3\ntask=errors\nformat=csv\n")
+    base = ["--scheme", "modified", "--config", str(cfgfile)]
+    report = "modified_errors.csv"
+
+    assert cli.main(base) == cli.EXIT_OK
+    assert (tmp_path / "reports" / report).exists()
+    cfgfile.write_text(cfgfile.read_text() + "out=file_out\n")
+    assert cli.main(base) == cli.EXIT_OK
+    assert (tmp_path / "file_out" / report).exists()
+    monkeypatch.setenv("QUADCURL_OUT", "env_out")
+    assert cli.main(base) == cli.EXIT_OK
+    assert (tmp_path / "env_out" / report).exists()
+    assert cli.main(base + ["--out", "flag_out"]) == cli.EXIT_OK
+    assert (tmp_path / "flag_out" / report).exists()
+    # each level wrote only where it won
+    for d in ("reports", "file_out", "env_out", "flag_out"):
+        assert len(list((tmp_path / d).iterdir())) == 1
+
+
 def test_env_output_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QUADCURL_OUT", str(tmp_path / "env_out"))
     rc = cli.main(["--scheme", "modified", "--n", "3", "--task", "errors",
@@ -114,6 +170,40 @@ def test_cli_reproduces_reference_rows(tmp_path):
         got = (float(cells[1]), float(cells[3]), float(cells[5]))
         for g, w in zip(got, ref):
             assert abs(g - w) / w < 0.02
+
+
+def _clear_gauss_caches():
+    spaces.gauss_tables.cache_clear()
+    polyquad.gauss_rule.cache_clear()
+
+
+def test_gauss_order_is_converged(monkeypatch):
+    # the study quadratures (load, I_h, error norms) read GAUSS_ORDER at call
+    # time; order 8 must reprint every digit of the order-6 report rows
+    tasks = ("errors", "superclose", "superconv")
+
+    def study():
+        _clear_gauss_caches()
+        recs = list(cli.study(cli.RunConfig(scheme="modified", ns=(6, 12),
+                                            tasks=tasks)))
+        reports = {}
+        for t in tasks:
+            reports[t] = analysis.ConvergenceReport("modified", t)
+            for rec in recs:
+                reports[t].add(rec.n, rec.triples[t])
+        return reports
+
+    want = study()
+    monkeypatch.setattr(polyquad, "GAUSS_ORDER", 8)
+    try:
+        got = study()
+    finally:
+        monkeypatch.undo()
+        _clear_gauss_caches()
+    for t in tasks:
+        assert got[t].to_csv() == want[t].to_csv(), t
+        # the order reached the numbers: they move below the printed digits
+        assert got[t].rows != want[t].rows, t
 
 
 def test_threads_flag_overrides_preset_environment(monkeypatch):

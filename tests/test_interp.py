@@ -178,7 +178,7 @@ def test_smooth_path_matches_exact_path_on_polynomials():
 
     for K in range(mesh.n_cells):
         coeffs = interp.global_interp_Ih(CellField(mesh.cell_centers[K]),
-                                         mesh, gmap, q=6)
+                                         mesh, gmap)
         dofs = gmap.cell_vdofs[K]
         inner = dofs >= 0
         assert inner.any()
