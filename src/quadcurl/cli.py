@@ -256,17 +256,22 @@ def selftest():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print(f"configuration error: --threads must be >= 1, got "
-              f"{args.threads}", file=sys.stderr)
-        return EXIT_CONFIG
-
     # explicit flags win: the cap replaces thread settings already present
-    threads = args.threads or os.environ.get("QUADCURL_THREADS")
-    if threads:
+    source, threads = "--threads", args.threads
+    if threads is None and os.environ.get("QUADCURL_THREADS"):
+        source, threads = "QUADCURL_THREADS", os.environ["QUADCURL_THREADS"]
+    if threads is not None:
+        try:
+            count = int(threads)
+        except ValueError:
+            count = 0
+        if count < 1:
+            print(f"configuration error: {source} must be >= 1, got "
+                  f"{threads}", file=sys.stderr)
+            return EXIT_CONFIG
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+            os.environ[var] = str(count)
 
     if args.selftest:
         return EXIT_OK if selftest() else EXIT_INVARIANT

@@ -41,6 +41,18 @@ def test_threads_below_one_is_a_configuration_error(tmp_path, monkeypatch,
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1", "abc"])
+def test_bad_thread_environment_is_a_configuration_error(tmp_path, monkeypatch,
+                                                         threads):
+    # QUADCURL_THREADS is checked like --threads, never passed on unchecked
+    monkeypatch.setenv("QUADCURL_THREADS", threads)
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    rc = cli.main(["--n", "3", "--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_CONFIG
+    assert os.environ["OMP_NUM_THREADS"] == "4"
+    assert not (tmp_path / "r").exists()
+
+
 def test_quadrature_order_is_not_an_option(tmp_path, capsys):
     # the Gauss order is the constant polyquad.GAUSS_ORDER
     with pytest.raises(SystemExit) as err:

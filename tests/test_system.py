@@ -178,27 +178,75 @@ def test_rhs_orthogonal_to_gradients(setup3, exact):
         assert abs(float(rhs @ gq)) < 1e-9 * scale
 
 
-def test_solver_matches_dense_oracle(setup3, exact):
+def test_solver_matches_dense_oracle(exact):
     # the divergence-free load has G^T F ~ 0 and p = 0; a random load has
-    # G^T F != 0 and exercises the pressure solve
-    mesh, gmap = setup3
-    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
+    # G^T F != 0 and exercises the pressure solve.  At n = 3 the V-cycle has
+    # one level; n = 6 (6 -> 3) runs the coarse correction.
+    for n in (3, 6):
+        mesh = build_mesh(n)
+        gmap = system.build_dof_map(mesh)
+        sys_ = system.build_system(mesh, gmap, exact, mode="modified")
+        G = system.gradient_inclusion_matrix(mesh, gmap)
+        K = sys_.full_matrix().toarray()
+        random_load = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
+        for divergence_free, load in ((True, sys_.rhs), (False, random_load)):
+            sys_.rhs = load
+            u_it, p_it, _ = system.solve_saddle(sys_)
+            z = scipy.linalg.solve(K, sys_.full_rhs())
+            scale = max(1.0, np.abs(z).max())
+            assert np.abs(u_it - z[:gmap.n_vdofs]).max() < 1e-8 * scale
+            assert np.abs(p_it - z[gmap.n_vdofs:]).max() < 1e-8 * scale
+            assert np.abs(sys_.B.T @ u_it).max() < \
+                1e-12 * np.linalg.norm(load)
+            if divergence_free:
+                assert np.abs(p_it).max() < 1e-8
+            else:
+                assert np.linalg.norm(G.T @ load) > 0.1 * np.linalg.norm(load)
+                assert np.abs(p_it).max() > 0.1
+
+
+@pytest.mark.parametrize("n", [4, 9, 12])
+def test_prolongation_maps_coarse_gradients_to_fine_gradients(n):
+    # the weighted P of the V-cycle carries the coarse gradient G_H q to the
+    # fine gradient of the same trilinear q sampled at the fine vertices
+    # (sub = 2 at n = 4, 12; sub = 3 at n = 9)
+    mesh = build_mesh(n)
+    gmap = system.build_dof_map(mesh)
+    level = system.multigrid_levels(mesh, gmap,
+                                    system.assemble_A(mesh, gmap))[0]
+    coarse = build_mesh(n // (2 if n % 2 == 0 else 3))
+    cmap = system.build_dof_map(coarse)
+    values = np.zeros(coarse.n_vertices)
+    values[~coarse.vertex_is_boundary] = \
+        np.random.default_rng(7).standard_normal(cmap.n_qdofs)
+    # 1D linear interpolation from the coarse to the fine vertices, per axis
+    fine_x = np.arange(n + 1) * coarse.n / n
+    L = np.array([np.interp(fine_x, np.arange(coarse.n + 1), e)
+                  for e in np.eye(coarse.n + 1)]).T
+    sampled = np.einsum("ia,jb,kc,abc->ijk", L, L, L,
+                        values.reshape((coarse.n + 1,) * 3)).ravel()
+    want = system.gradient_inclusion_matrix(mesh, gmap) @ \
+        sampled[~mesh.vertex_is_boundary]
+    got = level.weights * (level.P @ (
+        system.gradient_inclusion_matrix(coarse, cmap)
+        @ values[~coarse.vertex_is_boundary]))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_tree_gauge_is_a_left_inverse_of_the_gradient():
+    # T G = I makes Q = I - G T a projector whose range holds no gradient;
+    # the adjoint is what Q^T applies
+    n = 5
+    mesh = build_mesh(n)
+    gmap = system.build_dof_map(mesh)
     G = system.gradient_inclusion_matrix(mesh, gmap)
-    K = sys_.full_matrix().toarray()
-    random_load = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
-    for divergence_free, load in ((True, sys_.rhs), (False, random_load)):
-        sys_.rhs = load
-        u_it, p_it, _ = system.solve_saddle(sys_)
-        z = scipy.linalg.solve(K, sys_.full_rhs())
-        scale = max(1.0, np.abs(z).max())
-        assert np.abs(u_it - z[:gmap.n_vdofs]).max() < 1e-8 * scale
-        assert np.abs(p_it - z[gmap.n_vdofs:]).max() < 1e-8 * scale
-        assert np.abs(sys_.B.T @ u_it).max() < 1e-12 * np.linalg.norm(load)
-        if divergence_free:
-            assert np.abs(p_it).max() < 1e-8
-        else:
-            assert np.linalg.norm(G.T @ load) > 0.1 * np.linalg.norm(load)
-            assert np.abs(p_it).max() > 0.1
+    rng = np.random.default_rng(8)
+    q = rng.standard_normal(gmap.n_qdofs)
+    z = rng.standard_normal(gmap.n_vdofs)
+    assert np.abs(system._tree_potential(G @ q, n) - q).max() < 1e-13
+    assert float(system._tree_potential(z, n) @ q) == pytest.approx(
+        float(z @ system._tree_potential_adjoint(q, n, gmap.n_vdofs)),
+        rel=1e-12)
 
 
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
