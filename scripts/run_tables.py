@@ -11,7 +11,7 @@ Markdown reports:
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (n = 48 has ~1M unknowns); that
-run took 99 s at a 670 MB peak on a 2-core machine with one BLAS thread.
+run took 79 s at a 555 MB peak on a 2-core machine with one BLAS thread.
 """
 
 import sys

@@ -1,11 +1,11 @@
 """Discrete error norms, superclose/superconvergence quantities and EOC tables.
 
 Errors against the exact (trigonometric) solution are integrated per cell with
-tensor Gauss rules.  The Gauss points of a slab of cells form a tensor grid
-(``quadcurl.mesh.gauss_blocks``), so the exact fields are evaluated there by
-sum factorization (``exact.grid_values``, in ErrorTriple column order), and
-one kernel for blocks of 1 (cells) and 3^3 (macros) contracts them with the
-dual tables by matrix products.  Differences of two discrete fields are
+tensor Gauss rules.  The Gauss points of a tile of blocks (cells, or 3^3
+macros) form a tensor grid (``quadcurl.mesh.gauss_tiles``), on which both
+the exact fields (``exact.grid_values``, in ErrorTriple column order) and
+the discrete ones (``quadcurl.spaces.TensorGrid``) are summed factor by
+factor, in one grid layout.  Differences of two discrete fields are
 integrated exactly through the reference Gram matrices, which keeps
 quadrature noise out of the superclose quantity (the smallest number in the
 study).
@@ -18,14 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import NonDivisibleMesh, gauss_blocks
-from .spaces import dual_gram_matrices, gauss_tables, reference_spaces
+from .mesh import NonDivisibleMesh, gauss_tiles
+from .spaces import TensorGrid, dual_gram_matrices, reference_spaces
 from .system import gather
-
-
-# cells per chunk of the cell error phase, macros per chunk of the macro ones
-CELL_CHUNK = 1024
-MACRO_CHUNK = 64
 
 
 class DegenerateError(Exception):
@@ -44,39 +39,40 @@ class ErrorTriple:
         return (self.curl_h1, self.curl_l2, self.l2)
 
 
-def _sq_error(approx, scale, exact, w):
-    """Weighted sum of squares of ``scale * approx - exact``.  Works in
-    place in ``approx``, so a chunk needs one temporary of its size."""
-    approx *= scale
-    approx -= exact
+def _sq_error(approx, exact, w):
+    """Weighted sum of squares of ``approx - exact`` on the grid of a tile,
+    ``w`` the weights on one block axis.  Works in place in ``approx``, so a
+    tile needs one temporary of its size."""
+    approx -= exact.reshape(approx.shape)
     np.square(approx, out=approx)
-    return np.sum(approx @ w)
+    p, ny, _, k = approx.shape
+    # sum over the z points of each block, then over the blocks of the tile
+    s = (approx.reshape(-1, p * k) @ w.repeat(k)).reshape(p, ny // p, p, -1)
+    return w @ s.sum(axis=(1, 3)) @ w
 
 
-def _block_error(block_coeffs, tag, sub, size, exact, mesh, chunk):
+def _block_error(block_coeffs, tag, sub, size, exact, mesh):
     """Error triple against the exact solution of the field that is, on each
     block of sub^3 cells with edge ``size``, the combination of the duals of
     reference space ``tag`` with coefficients ``block_coeffs(block ids)``;
     integrated per fine cell."""
+    grid = TensorGrid.gauss(reference_spaces()[tag], sub)
     scales = (size**-2, 1.0 / size, 1.0)
     acc = np.zeros(3)
-    walk = gauss_blocks(exact.grid_values, mesh, sub, chunk)
-    for blocks, exact_vals in walk:
+    for blocks, exact_vals in gauss_tiles(exact.grid_values, mesh, sub):
         coef = block_coeffs(blocks)
-        for col, ((phi, w), s, ex) in enumerate(
-                zip(gauss_tables(tag, sub), scales, exact_vals)):
-            acc[col] += _sq_error(coef @ phi, s, ex, w)
+        for col, (s, ex) in enumerate(zip(scales, exact_vals)):
+            acc[col] += _sq_error(grid.values(s * coef, col), ex, grid.weights)
     return ErrorTriple(*np.sqrt(mesh.h**3 * acc))
 
 
 def error_vs_exact(u_vec, exact, mesh, gmap):
     """Error triple of a V_h coefficient vector against the exact solution."""
     h = mesh.h
-
-    def ref_dofs(cells):
-        return gather(u_vec, gmap.cell_vdofs[cells]) / h
-
-    return _block_error(ref_dofs, "VK", 1, h, exact, mesh, CELL_CHUNK)
+    # padded once for the whole walk, as ``gather`` pads: -1 reads the zero
+    ref = np.append(u_vec / h, 0.0)
+    return _block_error(lambda cells: ref[gmap.cell_vdofs[cells]], "VK", 1, h,
+                        exact, mesh)
 
 
 def _gram_norms(space, coeffs, size):
@@ -127,27 +123,20 @@ def macro_best_approximation(exact, mesh, partition):
     if partition.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
     vm = reference_spaces()["VM"]
-    h = mesh.h
-    H = partition.macro_size
-    # physical dual fields are scale x the reference tables
-    columns = []
-    for (phi, w), scale, gram in zip(gauss_tables("VM", 3),
-                                     (H**-2, 1.0 / H, 1.0),
-                                     reversed(dual_gram_matrices(vm))):
-        ginv = np.linalg.pinv(H**3 * scale**2 * gram, rcond=1e-10,
-                              hermitian=True)
-        columns.append((phi, h**3 * w, scale, ginv))
-
+    grid = TensorGrid.gauss(vm, 3)
+    h, H = mesh.h, partition.macro_size
+    # physical dual fields are scale x the reference ones
+    scales = (H**-2, 1.0 / H, 1.0)
+    ginvs = [np.linalg.pinv(H**3 * s**2 * gram, rcond=1e-10, hermitian=True)
+             for s, gram in zip(scales, reversed(dual_gram_matrices(vm)))]
     acc = np.zeros(3)
-    coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in columns)
-    walk = gauss_blocks(exact.grid_values, mesh, 3, MACRO_CHUNK)
-    for macros, exact_vals in walk:
-        for col, ((phi, w, scale, ginv), ex) in enumerate(
-                zip(columns, exact_vals)):
-            c = scale * ((ex * w) @ phi.T) @ ginv
-            acc[col] += _sq_error(c @ phi, scale, ex, w)
+    coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in scales)
+    for macros, exact_vals in gauss_tiles(exact.grid_values, mesh, 3):
+        for col, (s, ginv, ex) in enumerate(zip(scales, ginvs, exact_vals)):
+            c = (s * h**3) * grid.moments(ex, col) @ ginv
+            acc[col] += _sq_error(grid.values(s * c, col), ex, grid.weights)
             coeffs[col][macros] = c
-    return ErrorTriple(*np.sqrt(acc)), coeffs
+    return ErrorTriple(*np.sqrt(h**3 * acc)), coeffs
 
 
 def superconvergent_error(macro_field, exact, mesh):
@@ -157,7 +146,7 @@ def superconvergent_error(macro_field, exact, mesh):
     if part.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
     return _block_error(lambda macros: macro_field.coeffs[macros], "VM", 3,
-                        part.macro_size, exact, mesh, MACRO_CHUNK)
+                        part.macro_size, exact, mesh)
 
 
 def compute_eoc(rows):

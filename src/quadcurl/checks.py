@@ -1,6 +1,6 @@
-"""Exact-identity battery: unisolvence, inclusions, commuting diagrams,
-orthogonality identities, jump integrals, the manufactured-solution
-cross-checks and the dense solver oracle.
+"""Exact-identity battery: unisolvence, inclusions, the factored dual tables,
+commuting diagrams, orthogonality identities, jump integrals, the
+manufactured-solution cross-checks and the dense solver oracle.
 
 Everything here is an independent verification path: the finite-difference
 load oracle evaluates the velocity directly from sin/cos products (never
@@ -20,7 +20,8 @@ from . import interp, mms, system
 from .mesh import build_mesh, macro_partition
 from .polyquad import Poly, PolyField, coefficient_matrix, integrate_exact
 from .polyquad import gauss_rule
-from .spaces import curl_inclusion_residual, grad_pair, reference_spaces
+from .spaces import (COLUMNS, TensorGrid, curl_inclusion_residual, grad_pair,
+                     reference_spaces)
 
 
 @dataclass
@@ -60,6 +61,25 @@ def check_curl_inclusions():
     r2 = curl_inclusion_residual(spcs["VM"], spcs["WM"])
     return _result("curl VK in WK / curl VM in WM", max(r1, r2), 1e-12,
                    f"cell {r1:.2e} macro {r2:.2e}")
+
+
+def check_factored_tables():
+    """Every vector space's factored table, summed by ``TensorGrid`` on the
+    tensor grid of seeded random points, equals its dual fields there."""
+    t = np.random.default_rng(16).uniform(-0.5, 0.5, 4)
+    xyz = np.meshgrid(t, t, t, indexing="ij")
+    worst = 0.0
+    for space in reference_spaces().values():
+        if not isinstance(space.span[0], PolyField):
+            continue    # Q1K is scalar
+        grid = TensorGrid(space, t, np.ones(len(t)))
+        for col, components in enumerate(COLUMNS):
+            want = np.array([[g(*xyz) for g in components(f)]
+                             for f in space.dual])
+            got = grid.values(np.eye(space.dim)[None], col).reshape(
+                4, 4, space.dim, 4, -1).transpose(2, 4, 0, 1, 3)
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+    return _result("factored tables match the dual fields", worst, 1e-12)
 
 
 def _random_polyfield(rng, deg):
@@ -417,6 +437,7 @@ def run_battery():
     return [
         check_unisolvence(),
         check_curl_inclusions(),
+        check_factored_tables(),
         check_commuting_cell(),
         check_commuting_macro(),
         check_gradient_orthogonality_quadratics(),

@@ -8,8 +8,8 @@ single-valued without sign bookkeeping.
 A cell is the sub = 1 case of a block of sub^3 cells; a macroelement is the
 sub = 3 case.  ``BrickMesh.block_entities`` fixes the local order of a
 block's cells, vertices, edges and faces, which is also the DoF order of the
-reference spaces, and ``gauss_blocks`` walks the Gauss points of the blocks
-as tensor grids, for the load (sub = 1) and the error phases.
+reference spaces, and ``gauss_tiles`` walks the Gauss points of tiles of
+blocks as tensor grids, for the load (sub = 1) and the error phases.
 """
 
 from __future__ import annotations
@@ -215,35 +215,32 @@ def macro_partition(mesh):
     return MacroPartition(mesh)
 
 
-def gauss_blocks(evaluate, mesh, sub, chunk):
-    """Fields at the Gauss points of every cell, walked block by block.
+# Gauss points per tile: its values (~4 MB) stay in cache, and the per-call
+# cost of an exact evaluation stays small (2^14, 2^16 ran slower at n = 48)
+TILE_POINTS = 2**15
+
+
+def gauss_tiles(evaluate, mesh, sub):
+    """Fields at the Gauss points of every cell, walked tile by tile.
 
     The mesh is tiled by blocks of sub^3 cells (1 for cells, 3 for macros),
-    numbered like the cells, lexicographically on the block lattice.  A chunk
-    is a run of whole block rows at one first lattice index, about ``chunk``
-    blocks with contiguous ids, so the Gauss points of its cells (order
-    ``polyquad.GAUSS_ORDER``) form one tensor grid x * y * z.
-    ``evaluate(x, y, z)`` returns a tuple of arrays on that grid, each
-    (len(x), len(y), len(z), components...).
-    Yields ``(block id slice, values)``: per array of ``evaluate`` a
-    (blocks, fine cell x point x component) array, fine cells in the order of
-    :meth:`BrickMesh.block_entities` and points in that of
-    ``gauss_rule.box``.
+    numbered like the cells, lexicographically on the block lattice.  A tile
+    is a box of nj x nk blocks at one first lattice index, with about
+    TILE_POINTS Gauss points (order ``polyquad.GAUSS_ORDER``), so its Gauss
+    points form one tensor grid x * y * z.  Yields ``(block ids, values)``:
+    the (nj, nk) ids and ``evaluate(x, y, z)`` as it returns, in the grid
+    layout of ``quadcurl.spaces.TensorGrid``.
     """
     n, h, q = mesh.n, mesh.h, polyquad.GAUSS_ORDER
     nb, p = n // sub, sub * q
     r = polyquad.gauss_rule(q).interval(-0.5, 0.5)[0]
     coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)
-    rows = min(nb, max(1, chunk // nb))
+    nk = min(nb, max(1, TILE_POINTS // p**3))
+    nj = min(nb, max(1, TILE_POINTS // (p**3 * nk)))
+    ids = np.arange(nb**3).reshape(nb, nb, nb)
     for i in range(nb):
-        for j in range(0, nb, rows):
-            nj = min(rows, nb - j)
-            vals = evaluate(coords[i * p:(i + 1) * p],
-                            coords[j * p:(j + nj) * p], coords)
-            blocks = tuple(
-                v.reshape(sub, q, nj, sub, q, nb, sub, q, -1)
-                .transpose(2, 5, 0, 3, 6, 1, 4, 7, 8).reshape(nj * nb, -1)
-                for v in vals)
-            del vals    # the grid layout is not needed while the caller works
-            start = (i * nb + j) * nb
-            yield slice(start, start + nj * nb), blocks
+        for j in range(0, nb, nj):
+            for k in range(0, nb, nk):
+                yield ids[i, j:j + nj, k:k + nk], evaluate(
+                    coords[i * p:(i + 1) * p], coords[j * p:(j + nj) * p],
+                    coords[k * p:(k + nk) * p])

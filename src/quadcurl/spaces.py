@@ -353,67 +353,106 @@ def curl_inclusion_residual(v_space, w_space):
 
 
 # ---------------------------------------------------------------------------
-# dual-basis evaluation tables and exact Gram matrices
+# the dual fields in tensor-monomial form: factored tables, their sum
+# factorization on tensor grids and their dense tables at points
 # ---------------------------------------------------------------------------
 
-def _span_table(space, pts, components):
-    """Dual-basis table from the span: (ndof, npts, ncomp).
+# per-axis degree bound of the factored tables; V_M = Q_{2,3,3} x ... has 3
+AXIS_DEGREE = 3
+# the scalar polynomials of a field per ErrorTriple column: grad curl (entry
+# [i, j] = d(curl f)_i/dx_j, row by row), curl, value
+COLUMNS = (lambda f: [g for row in f.curl().grad() for g in row],
+           lambda f: f.curl().comps, lambda f: f.comps)
 
-    ``components(field)`` lists the scalar polynomials to tabulate for one
-    spanning field.  They are evaluated at once through their coefficient
-    matrix over the monomials they use, then ``dual_coeffs`` maps span
-    values to dual values, one component at a time.
-    """
-    polys = [p for f in space.span for p in components(f)]
-    mat, monos = coefficient_matrix(polys)
-    mat = mat.reshape(space.dim, len(polys) // space.dim, len(monos))
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    basis = np.array([x**a * y**b * z**c for a, b, c in monos]).reshape(
-        len(monos), len(pts))
-    out = np.empty((space.dim, len(pts), mat.shape[1]))
-    for comp in range(mat.shape[1]):
-        out[:, :, comp] = space.dual_coeffs.T @ (mat[:, comp] @ basis)
-    return out
+
+@lru_cache(maxsize=None)
+def factored_table(space):
+    """The dual fields of a vector space as tensor-monomial coefficients, no
+    quadrature involved.  Per ErrorTriple column a (d, d, dim, d, K) array,
+    d = AXIS_DEGREE + 1: entry [a, b, j, c, k] is the coefficient of
+    x^a y^b z^c in the k-th polynomial of ``COLUMNS`` of dual j."""
+    d = AXIS_DEGREE + 1
+    out = []
+    for components in COLUMNS:
+        polys = [p for f in space.span for p in components(f)]
+        mat, monos = coefficient_matrix(polys)
+        span = np.zeros((d, d, d, space.dim, len(polys) // space.dim))
+        # a monomial of higher per-axis degree raises IndexError here
+        span[tuple(np.array(monos).T)] = mat.reshape(
+            span.shape[3:] + (-1,)).transpose(2, 0, 1)
+        dual = np.tensordot(span, space.dual_coeffs, axes=(3, 0))
+        out.append(dual.transpose(0, 1, 4, 2, 3))
+    return tuple(out)
+
+
+def _dense_table(space, pts, col):
+    """Column ``col`` of every dual at reference points: (ndof, npts, K)."""
+    x, y, z = (pts[:, a, None] ** np.arange(AXIS_DEGREE + 1) for a in range(3))
+    return np.einsum("abjck,pa,pb,pc->jpk", factored_table(space)[col],
+                     x, y, z, optimize=True)
 
 
 def dual_value_table(space, pts):
     """Values of all dual fields at reference points: (ndof, npts, 3)."""
-    return _span_table(space, pts, lambda f: f.comps)
+    return _dense_table(space, pts, 2)
 
 
 def dual_curl_table(space, pts):
-    return _span_table(space, pts, lambda f: f.curl().comps)
+    return _dense_table(space, pts, 1)
 
 
 def dual_gradcurl_table(space, pts):
     """Jacobians of the curls of all duals: (ndof, npts, 3, 3); entry
     [..., i, j] is d(curl f)_i / d x_j."""
-    table = _span_table(space, pts,
-                        lambda f: [g for row in f.curl().grad() for g in row])
-    return table.reshape(space.dim, len(pts), 3, 3)
+    return _dense_table(space, pts, 0).reshape(space.dim, len(pts), 3, 3)
 
 
-@lru_cache(maxsize=None)
-def gauss_tables(tag, sub):
-    """Dual tables of the reference space ``tag`` at the Gauss points of the
-    reference cell cut into sub^3 cells (VK on a cell, VM on a macro), fine
-    cells and points in the order of ``quadcurl.mesh.gauss_blocks``.
-
-    Per ErrorTriple column (grad curl, curl, value) a (dual matrix, point
-    weights) pair: the table as a dof-major (dim, fine cell x point x
-    component) matrix and the Gauss weight of each of its columns.
+class TensorGrid:
+    """Sum factorization of the factored table of ``space`` on the tensor
+    grid of a tile of nj x nk blocks at one first lattice index, in the
+    layout (len(x), len(y), len(z), K) of ``quadcurl.mms.ExactFields``'
+    ``grid_values``.  Every axis of a block (the reference frame) carries
+    the points ``t`` with weights ``w``.  The z powers are folded into the
+    table once, so either kernel is three small matmuls.
     """
-    rule = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
-    pts, wts = rule.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-    space = reference_spaces()[tag]
-    # all fine-cell grids stacked into one evaluation per dual field
-    bpts = ((_lattice((sub,) * 3)[:, None] + 0.5) / sub - 0.5
-            + pts / sub).reshape(-1, 3)
-    return tuple((table.reshape(space.dim, -1),
-                  np.tile(np.repeat(wts, k), sub**3))
-                 for table, k in ((dual_gradcurl_table(space, bpts), 9),
-                                  (dual_curl_table(space, bpts), 3),
-                                  (dual_value_table(space, bpts), 3)))
+
+    def __init__(self, space, t, w):
+        d = AXIS_DEGREE + 1
+        self.weights = np.asarray(w, dtype=float)
+        self.powers = np.asarray(t, dtype=float)[:, None] ** np.arange(d)
+        # per column (d, 1, d, dim, p K): [a, -, b, j, (z, k)]
+        self.tables = tuple(
+            np.einsum("abjck,zc->abjzk", C, self.powers).reshape(
+                d, 1, d, space.dim, -1) for C in factored_table(space))
+
+    @classmethod
+    def gauss(cls, space, sub):
+        """GAUSS_ORDER points (read now) per cell of a block of sub^3."""
+        t, w = polyquad.gauss_rule(polyquad.GAUSS_ORDER).interval(-0.5, 0.5)
+        return cls(space, (((np.arange(sub) + 0.5) / sub - 0.5)[:, None]
+                           + t / sub).ravel(), np.tile(w, sub))
+
+    def values(self, coeffs, col):
+        """The fields sum_j coeffs[.., j] dual_j of column ``col`` on the
+        grid of a tile; ``coeffs`` is (nj, nk, dim)."""
+        (nj, nk, _), P = coeffs.shape, self.powers
+        p, d = P.shape
+        v = np.matmul(coeffs[:, None], self.tables[col])  # [a, bj, b, bk, z, k]
+        v = np.matmul(P, v.reshape(d * nj, d, -1))        # [a, bj, y, bk, z, k]
+        return (P @ v.reshape(d, -1)).reshape(p, nj * p, nk * p, -1)
+
+    def moments(self, vals, col):
+        """The transpose of ``values``: the weighted sums of ``vals`` times
+        each dual of column ``col`` per block, (nj, nk, dim)."""
+        (p, d), table = self.powers.shape, self.tables[col]
+        nj, nk = vals.shape[1] // p, vals.shape[2] // p
+        Pw = (self.powers * self.weights[:, None]).T
+        m = Pw @ vals.reshape(p, -1)                      # [a, bj, y, bk, z, k]
+        m = np.matmul(Pw, m.reshape(d * nj, p, -1))       # [a, bj, b, bk, z, k]
+        m = m.reshape(d, nj, d, nk, p, -1) * self.weights[:, None]
+        m = np.matmul(m.reshape(d, nj, d, nk, -1),
+                      table.swapaxes(-1, -2))             # [a, bj, b, bk, j]
+        return m.sum(axis=(0, 2))
 
 
 def _span_gram(fields_a, fields_b, pairing):

@@ -18,13 +18,13 @@ exact zeros on all face DoFs.
 
 Local matrices are assembled once on the scaled reference cell and reused for
 every cell of the uniform mesh.  Only the load needs quadrature: f is summed
-on the tensor grid of the cell Gauss points (``quadcurl.mesh.gauss_blocks``)
-and tested against the reference dual tables by one matrix product.  No
-cell sum is assembled: A, B and the Q1 stiffness S are each a
-``CellOperator`` that applies its one cell matrix cell by cell (gather,
-matrix product, scatter-add), and B^T is the same gather and scatter with the
-roles of the two DoF tables swapped.  The gradient inclusion G is the only
-sparse matrix.
+on the tensor grid of the Gauss points of a tile of cells
+(``quadcurl.mesh.gauss_tiles``) and tested against the reference duals by
+sum factorization (``quadcurl.spaces.TensorGrid.moments``).  No cell sum
+is assembled: A, B and the Q1 stiffness S are each a ``CellOperator`` that
+applies its one cell matrix cell by cell (gather, matrix product,
+scatter-add), and B^T is the same gather and scatter with the roles of the
+two DoF tables swapped.  The gradient inclusion G is the only sparse matrix.
 
 The velocity CG is preconditioned by one multigrid V-cycle built from the
 same pieces: every level is the ``CellOperator`` A of a coarser mesh, and
@@ -32,8 +32,9 @@ the prolongation is a ``CellOperator`` whose local matrix holds the fine
 DoFs of the coarse duals.
 
 An eliminated boundary DoF is -1 in the DoF tables.  ``gather`` reads it as
-zero and ``scatter_add`` drops what is written to it; the operators, the load
-and the per-cell reads of the other modules all go through these two.
+zero and ``scatter_add`` drops what is written to it.  The operators send
+it once to a slot past the numbered DoFs (``_slots``, which checks bounds)
+and gather from those slot tables unchecked.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BrickMesh, _lattice, gauss_blocks
-from .spaces import (_edge_dofs, _face_dofs, dual_gram_matrices, gauss_tables,
+from .mesh import BrickMesh, _lattice, gauss_tiles
+from .spaces import (TensorGrid, _edge_dofs, _face_dofs, dual_gram_matrices,
                      reference_spaces, scalar_stiffness_matrix,
                      vector_scalar_grad_matrix)
 
@@ -119,14 +120,18 @@ def reference_matrices():
 
 def _slots(dofs, size):
     """The DoF table with each -1 (an eliminated boundary DoF) sent to the
-    slot ``size`` just past the numbered DoFs."""
-    return np.where(dofs >= 0, dofs, size)
+    slot ``size`` just past the numbered DoFs; raises IndexError for a DoF
+    beyond it, so a slot table is in bounds for every later read."""
+    slots = np.where(dofs >= 0, dofs, size)
+    if slots.max() > size:
+        raise IndexError(f"DoF {slots.max()} out of bounds for {size} DoFs")
+    return slots
 
 
-def gather(values, dofs, out=None):
-    """Entries of ``values`` at a DoF or slot table; an eliminated boundary
-    DoF (-1, or ``len(values)``) reads the zero appended at the end."""
-    return np.take(np.append(values, 0.0), dofs, out=out)
+def gather(values, dofs):
+    """Entries of ``values`` at a DoF table; an eliminated boundary DoF (-1)
+    reads the zero appended at the end."""
+    return np.take(np.append(values, 0.0), dofs)
 
 
 def scatter_add(entries, slots, size):
@@ -162,7 +167,9 @@ class CellOperator(spla.LinearOperator):
         if mat.shape not in self._work:
             self._work[mat.shape] = (np.empty(src.shape), np.empty(dst.shape))
         gathered, product = self._work[mat.shape]
-        gather(x, src, out=gathered)
+        # the slot tables were bounds-checked once by _slots; "clip" spares
+        # the buffered copy that np.take makes of ``out`` in "raise" mode
+        np.take(np.append(x, 0.0), src, out=gathered, mode="clip")
         np.matmul(gathered, mat, out=product)
         return scatter_add(product, dst, size)
 
@@ -226,20 +233,17 @@ def gradient_inclusion_matrix(mesh, gmap):
 def assemble_rhs(mesh, gmap, exact, mode="modified"):
     """Load vector of ``exact.f``: mode 'original' tests against the VK
     duals, 'modified' against their edge reconstructions (the NedelecK
-    duals; face entries exactly zero).  f is evaluated on the tensor grid of
-    the cell Gauss points, one x-slab of cells at a time."""
+    duals; face entries exactly zero), one tile of cells at a time."""
     if mode not in ("original", "modified"):
         raise ValueError(f"unknown rhs mode {mode!r}")
-    # the value column of the test space's Gauss tables
-    phi, wts = gauss_tables("VK" if mode == "original" else "NedelecK", 1)[2]
+    grid = TensorGrid.gauss(
+        reference_spaces()["VK" if mode == "original" else "NedelecK"], 1)
     h = mesh.h
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
     loc = np.empty(dof_cols.shape)
-    for cells, (f,) in gauss_blocks(
-            lambda x, y, z: (exact.f_grid_values(x, y, z),), mesh, 1,
-            mesh.n**2):
-        loc[cells] = h * h * ((f * wts) @ phi.T)
+    for cells, f in gauss_tiles(exact.f_grid_values, mesh, 1):
+        loc[cells] = h * h * grid.moments(f, 2)     # the value column
     return scatter_add(loc, _slots(dof_cols, gmap.n_vdofs), gmap.n_vdofs)
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from quadcurl import analysis, interp, mms, system
+from quadcurl import analysis, interp, mms, polyquad, system
+from quadcurl import mesh as mesh_module
 from quadcurl.analysis import (ConvergenceReport, DegenerateError, ErrorTriple,
                                compute_eoc, discrete_norms)
 from quadcurl.interp import MacroField
 from quadcurl.mesh import build_mesh, macro_partition
 from quadcurl.polyquad import gauss_rule
 from quadcurl.spaces import (dual_curl_table, dual_gradcurl_table,
-                             dual_value_table, reference_spaces)
+                             dual_gram_matrices, dual_value_table,
+                             reference_spaces)
 
 
 @pytest.fixture(scope="module")
@@ -237,16 +239,88 @@ def test_grid_path_matches_pointwise_fallback(macro6, monkeypatch):
     pointwise = _PointwiseOnly(ex)
     v = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
     want = analysis.error_vs_exact(v, pointwise, mesh, gmap)
-    # a chunk of 24 splits each slab of 36 cells into runs of 4 and 2 rows
-    for chunk in (1024, 24):
-        monkeypatch.setattr(analysis, "CELL_CHUNK", chunk)
-        _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap),
-                              want)
-    _assert_triples_close(analysis.superconvergent_error(imu, ex, mesh),
-                          analysis.superconvergent_error(imu, pointwise, mesh))
-    grid, grid_coeffs = analysis.macro_best_approximation(ex, mesh, part)
+    want_sc = analysis.superconvergent_error(imu, pointwise, mesh)
     point, point_coeffs = analysis.macro_best_approximation(pointwise, mesh,
                                                             part)
-    _assert_triples_close(grid, point)
-    for a, b in zip(grid_coeffs, point_coeffs):
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    # a cell has 6^3 Gauss points and a macro 18^3; tiles of 24 cells split
+    # each slab of 36 cells into runs of 4 and 2 rows, tiles of 4 cells each
+    # row of 6 into runs of 4 and 2, and a tile of one macro splits its row
+    for points in (mesh_module.TILE_POINTS, 24 * 6**3, 4 * 6**3, 18**3):
+        monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
+        _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap),
+                              want)
+        _assert_triples_close(analysis.superconvergent_error(imu, ex, mesh),
+                              want_sc)
+        grid, grid_coeffs = analysis.macro_best_approximation(ex, mesh, part)
+        _assert_triples_close(grid, point)
+        for a, b in zip(grid_coeffs, point_coeffs):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def _dense_blocks(mesh, sub, space):
+    """The dense per-block formula the factored kernels replaced: per block
+    of sub^3 cells, the physical Gauss points of its fine cells (cells in
+    lattice order), the Gauss weights (each fine cell summing to 1) and the
+    dense dual tables at the reference points, one (dim, points x K) matrix
+    per ErrorTriple column."""
+    pts, wts = gauss_rule(polyquad.GAUSS_ORDER).box((-0.5, -0.5, -0.5),
+                                                    (0.5, 0.5, 0.5))
+    fine = (np.indices((sub,) * 3).reshape(3, -1).T + 0.5) / sub - 0.5
+    ref = (fine[:, None] + pts / sub).reshape(-1, 3)
+    nb, size = mesh.n // sub, sub * mesh.h
+    centers = (np.indices((nb,) * 3).reshape(3, -1).T + 0.5) * size
+    tables = [t(space, ref).reshape(space.dim, -1)
+              for t in (dual_gradcurl_table, dual_curl_table,
+                        dual_value_table)]
+    return (centers[:, None] + size * ref).reshape(-1, 3), \
+        np.tile(wts, sub**3), tables
+
+
+def _dense_exact(exact, phys, blocks):
+    return [v.reshape(blocks, -1) for v in (exact.grad_curl_u_value(phys),
+                                            exact.curl_u_value(phys),
+                                            exact.u_value(phys))]
+
+
+def _dense_error(coeffs, scales, tables, w, ex, h):
+    sq = [np.sum(np.repeat(w, t.shape[1] // len(w))
+                 * (s * coeffs @ t - e) ** 2)
+          for s, t, e in zip(scales, tables, ex)]
+    return ErrorTriple(*np.sqrt(h**3 * np.array(sq)))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_kernels_match_dense_per_block_formula(n):
+    mesh = build_mesh(n)
+    gmap = system.build_dof_map(mesh)
+    part = macro_partition(mesh)
+    ex = mms.build_exact_fields()
+    h, H = mesh.h, part.macro_size
+    v = interp.global_interp_Ih(ex, mesh, gmap) \
+        + 1e-2 * np.random.default_rng(7).standard_normal(gmap.n_vdofs)
+
+    phys, w, tables = _dense_blocks(mesh, 1, reference_spaces()["VK"])
+    cells = np.where(gmap.cell_vdofs >= 0, v[gmap.cell_vdofs], 0.0) / h
+    want = _dense_error(cells, (h**-2, 1 / h, 1.0), tables, w,
+                        _dense_exact(ex, phys, mesh.n_cells), h)
+    _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap), want)
+
+    vm = reference_spaces()["VM"]
+    phys, w, tables = _dense_blocks(mesh, 3, vm)
+    exv = _dense_exact(ex, phys, part.n_macros)
+    scales = (H**-2, 1 / H, 1.0)
+    mf = interp.global_I3h(v, mesh, gmap, part)
+    want = _dense_error(mf.coeffs, scales, tables, w, exv, h)
+    _assert_triples_close(analysis.superconvergent_error(mf, ex, mesh), want)
+
+    # the L2 projection per column: (phi_i, u)_w through the pseudo-inverse
+    # of the Gram, as in macro_best_approximation
+    bound, coeffs = analysis.macro_best_approximation(ex, mesh, part)
+    for col, (s, t, e, gram) in enumerate(zip(
+            scales, tables, exv, reversed(dual_gram_matrices(vm)))):
+        ginv = np.linalg.pinv(H**3 * s**2 * gram, rcond=1e-10, hermitian=True)
+        wk = np.repeat(w, t.shape[1] // len(w))
+        c = s * ((e * h**3 * wk) @ t.T) @ ginv
+        assert np.abs(coeffs[col] - c).max() <= 1e-12 * np.abs(c).max()
+        dist = np.sqrt(h**3 * np.sum(wk * (s * c @ t - e) ** 2))
+        assert bound.as_tuple()[col] == pytest.approx(dist, rel=1e-12)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quadcurl import analysis, cli, polyquad, spaces, system
+from quadcurl import analysis, cli, polyquad, system
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -185,7 +185,9 @@ def test_cli_reproduces_reference_rows(tmp_path):
 
 
 def _clear_gauss_caches():
-    spaces.gauss_tables.cache_clear()
+    # the Gauss rules are the only cache that depends on the Gauss order:
+    # factored_table holds no quadrature, and TensorGrid.gauss and the walk
+    # read GAUSS_ORDER at every call
     polyquad.gauss_rule.cache_clear()
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from quadcurl.polyquad import Poly, PolyField, coefficient_matrix
 from quadcurl.polyquad import gauss_rule
-from quadcurl.spaces import (DofFunctional, SingularVandermonde,
+from quadcurl.spaces import (DofFunctional, SingularVandermonde, TensorGrid,
                              curl_inclusion_residual,
                              dual_basis, dual_curl_table,
                              dual_gradcurl_table,
@@ -239,3 +239,32 @@ def test_span_tables_match_dual_polynomials(spaces):
             assert table.shape == want.shape
             assert np.abs(table - want).max() <= 1e-12 * np.abs(want).max(), \
                 tag
+
+
+@pytest.mark.parametrize("tag", ["VK", "NedelecK", "VM"])
+@pytest.mark.parametrize("sub", [1, 3])
+def test_factored_tables_match_dual_tables_on_gauss_grids(spaces, tag, sub):
+    # oracle: the dense tables at the Gauss points of the reference frame cut
+    # into sub^3 cells, every dual evaluated through its 3D monomials
+    sp = spaces[tag]
+    grid = TensorGrid.gauss(sp, sub)
+    t = grid.powers[:, 1]
+    p = len(t)
+    pts = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    dense = (dual_gradcurl_table(sp, pts), dual_curl_table(sp, pts),
+             dual_value_table(sp, pts))
+    for col, want in enumerate(dense):
+        # every dual as its own block of a 1 x dim tile
+        got = grid.values(np.eye(sp.dim)[None], col)
+        got = got.reshape(p, p, sp.dim, p, -1).transpose(2, 0, 1, 3, 4)
+        want = want.reshape(got.shape)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # the moments kernel is the transpose: <values(c), g>_w = c . moments(g)
+        g = np.random.default_rng(col).standard_normal((p, p, 2 * p,
+                                                        want.shape[-1]))
+        c = np.random.default_rng(9).standard_normal((1, 2, sp.dim))
+        w = np.einsum("x,y,z->xyz", grid.weights, grid.weights,
+                      np.tile(grid.weights, 2))
+        lhs = np.einsum("xyzk,xyz->", grid.values(c, col) * g, w)
+        assert lhs == pytest.approx(np.sum(c * grid.moments(g, col)),
+                                    rel=1e-12)

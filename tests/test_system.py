@@ -76,6 +76,16 @@ def test_cell_operator_matches_assembled_stiffness(n):
                 op.diagonal()
 
 
+def test_cell_operator_rejects_out_of_range_dofs():
+    # the operators gather without a bounds check per apply, so the DoF
+    # tables are checked once, when the operator is built
+    dofs = np.array([[0, 1, -1], [1, 3, 2]])
+    system.CellOperator(np.eye(3), dofs, dofs, (3, 3))
+    dofs[1, 1] = 4
+    with pytest.raises(IndexError):
+        system.CellOperator(np.eye(3), dofs, dofs, (3, 3))
+
+
 def test_quadratic_form_matches_direct_integration(setup3):
     # oracle: per-cell Gauss integration of |grad curl v_h|^2
     mesh, gmap = setup3
@@ -145,23 +155,25 @@ def test_modified_rhs_face_entries_vanish(setup3, exact):
     assert np.abs(rhs[face_ids]).max() == 0.0
 
 
-def test_load_matches_pointwise_gauss_reference(setup3, exact):
+def test_load_matches_pointwise_gauss_reference(exact):
     # oracle: f evaluated point by point at each cell's Gauss points and
     # tested against the reference dual tables, cell by cell
-    mesh, gmap = setup3
-    h = mesh.h
     pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-    for mode, tag in (("original", "VK"), ("modified", "NedelecK")):
-        table = dual_value_table(reference_spaces()[tag], pts)
-        want = np.zeros(gmap.n_vdofs)
-        for center, dofs in zip(mesh.cell_centers, gmap.cell_vdofs):
-            f = exact.f_value(center + h * pts)
-            local = h * h * np.einsum("gk,igk,g->i", f, table, wts)
-            for dof, val in zip(dofs, local):
-                if dof >= 0:
-                    want[dof] += val
-        got = system.assemble_rhs(mesh, gmap, exact, mode=mode)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for n in (3, 6):
+        mesh = build_mesh(n)
+        gmap = system.build_dof_map(mesh)
+        h = mesh.h
+        for mode, tag in (("original", "VK"), ("modified", "NedelecK")):
+            table = dual_value_table(reference_spaces()[tag], pts)
+            want = np.zeros(gmap.n_vdofs)
+            for center, dofs in zip(mesh.cell_centers, gmap.cell_vdofs):
+                f = exact.f_value(center + h * pts)
+                local = h * h * np.einsum("gk,igk,g->i", f, table, wts)
+                for dof, val in zip(dofs, local):
+                    if dof >= 0:
+                        want[dof] += val
+            got = system.assemble_rhs(mesh, gmap, exact, mode=mode)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_rhs_orthogonal_to_gradients(setup3, exact):
