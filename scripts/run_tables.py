@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce the four convergence tables of the manufactured-solution study.
 
-Runs both schemes over n = 6, 12, 18, 24 with every task and writes CSV +
-Markdown reports:
+Runs both schemes over n = 6, 12, 18, 24 (``cli.DEFAULT_NS``) with every task
+and writes CSV + Markdown reports:
 
 * errors of the original and modified schemes,
 * supercloseness of the corrected interpolant (modified scheme),
@@ -10,8 +10,9 @@ Markdown reports:
 
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
-``--extended`` the study appends n = 36, 48 (n = 48 has ~1M unknowns); that
-run took 79 s at a 555 MB peak on a 2-core machine with one BLAS thread.
+``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
+~1M unknowns); that run took 79 s at a 555 MB peak on a 2-core machine with
+one BLAS thread.
 """
 
 import sys
@@ -21,7 +22,8 @@ from quadcurl import cli
 
 def main():
     argv = sys.argv[1:]
-    ns = "6,12,18,24" + (",36,48" if "--extended" in argv else "")
+    ns = cli.DEFAULT_NS + (cli.EXTENDED_NS if "--extended" in argv else ())
+    ns = ",".join(map(str, ns))
     return cli.main(["--scheme", "both", "--n", ns, "--task", "all"] + argv)
 
 

@@ -265,7 +265,7 @@ def check_divergence_free():
     vals = 0.0
     for fdiv in (div_u, div_f):
         vals = max(vals, float(np.abs(
-            fdiv.eval(pts[:, 0], pts[:, 1], pts[:, 2])).max()))
+            fdiv(pts[:, 0], pts[:, 1], pts[:, 2])).max()))
     extra = "series cancel exactly" if div_u.is_zero and div_f.is_zero else ""
     return _result("div u = div f = 0", vals, 1e-10, extra)
 

@@ -100,52 +100,41 @@ def _build_parser():
     return p
 
 
-# the keys a --config file takes: the flags' own names ('-' read as '_')
-CONFIG_KEYS = ("scheme", "n", "task", "tol", "out", "format", "extended")
+def _tasks(val):
+    tasks = tuple(t.strip() for t in val.split(",") if t.strip())
+    return ("errors", "superclose", "superconv") if "all" in tasks else tasks
+
+
+# flag (dest) or --config key ('-' read as '_') -> (RunConfig field, parser);
+# a parser takes the file's string or the flag's parsed value
+OPTIONS = {
+    "scheme": ("scheme", str),
+    "n": ("ns", lambda val: tuple(int(x) for x in val.split(",") if x)),
+    "task": ("tasks", _tasks),
+    "tol": ("tol", float),
+    "out": ("out_dir", str),
+    "format": ("fmt", str),
+    "extended": ("extended", lambda val: val in (True, "1", "true", "yes")),
+}
 
 
 def _merge_config(args):
-    """Precedence: explicit flags > environment > config file > defaults."""
+    """Precedence: explicit flags > environment (QUADCURL_OUT only) > config
+    file > defaults."""
     cfg = RunConfig()
     file_vals = _parse_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_vals) - set(CONFIG_KEYS))
+    unknown = sorted(set(file_vals) - set(OPTIONS))
     if unknown:
         raise ValueError(f"unknown config key {', '.join(unknown)} "
-                         f"(known: {', '.join(CONFIG_KEYS)})")
-
-    def pick(flag, env=None, conv=str):
-        if getattr(args, flag, None) is not None:
-            return getattr(args, flag)
-        if env and os.environ.get(env):
-            return conv(os.environ[env])
-        if flag in file_vals:
-            return conv(file_vals[flag])
-        return None
-
-    val = pick("scheme")
-    if val is not None:
-        cfg.scheme = val
-    val = pick("n")
-    if val is not None:
-        cfg.ns = tuple(int(x) for x in str(val).split(",") if x)
-    val = pick("task")
-    if val is not None:
-        tasks = tuple(t.strip() for t in str(val).split(",") if t.strip())
-        cfg.tasks = (("errors", "superclose", "superconv")
-                     if "all" in tasks else tasks)
-    val = pick("tol", conv=float)
-    if val is not None:
-        cfg.tol = float(val)
-    val = pick("out", env="QUADCURL_OUT")
-    if val is not None:
-        cfg.out_dir = val
-    val = pick("format")
-    if val is not None:
-        cfg.fmt = val
-    if args.extended is not None:
-        cfg.extended = args.extended
-    elif file_vals.get("extended") in ("1", "true", "yes"):
-        cfg.extended = True
+                         f"(known: {', '.join(OPTIONS)})")
+    for key, (attr, parse) in OPTIONS.items():
+        val = getattr(args, key)
+        if val is None and key == "out":
+            val = os.environ.get("QUADCURL_OUT") or None
+        if val is None:
+            val = file_vals.get(key)
+        if val is not None:
+            setattr(cfg, attr, parse(val))
     return cfg
 
 

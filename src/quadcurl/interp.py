@@ -9,7 +9,8 @@ takes a smooth-field object exposing
 
 * ``value(pts) -> (..., 3)``
 * ``curl_value(pts) -> (..., 3)``
-* ``curl_d2(comp, axis, pts) -> (...)``  second partials of curl components
+* ``curl_d2(axis, pts) -> (...)``  the in-plane second partial
+  d^2 (curl u)_axis / d x_axis^2, the only one the correction reads
 
 (see ``quadcurl.mms.ExactFields``) and integrates the corrected DoFs with
 tensor Gauss rules on the physical entities, about one lattice plane of
@@ -79,7 +80,7 @@ def global_interp_Ih(fieldobj, mesh, gmap):
             flat = P.reshape(-1, 3)
             curl = fieldobj.curl_value(flat).reshape(P.shape)
             for j, d in enumerate((t1, t2)):
-                d2 = fieldobj.curl_d2(d, d, flat).reshape(P.shape[:2])
+                d2 = fieldobj.curl_d2(d, flat).reshape(P.shape[:2])
                 g = curl[:, :, d] + (h * h * CORRECTION_WEIGHT) * d2
                 coeffs[gmap.face_dof[run, j]] = h * h * (g @ w2)
     return coeffs

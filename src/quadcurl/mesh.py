@@ -149,8 +149,6 @@ class BrickMesh:
 
 def build_mesh(n):
     """Build the uniform n x n x n brick mesh of the unit cube."""
-    if n < 1:
-        raise ValueError("mesh subdivisions must be >= 1")
     return BrickMesh(n)
 
 

@@ -7,9 +7,13 @@ sin 3t) / 4`` turns every field into a finite sum of separable products of
 derivatives of any order are exact linear recombinations: no symbolic algebra
 and no finite differences anywhere.  Coefficients are kept as exact rationals
 times an integer power of pi, which makes identities like ``div f = 0`` cancel
-to literal zero instead of rounding noise.  On the outer product of three 1D
-coordinate arrays the series are summed factor by factor from per-axis sin/cos
-tables (``ExactFields.grid_values`` and ``ExactFields.f_grid_values``).
+to literal zero instead of rounding noise.  A ``TrigField`` has the scalar
+interface of ``quadcurl.polyquad.Poly`` (``diff``, ``+``, ``-`` and
+``__call__(x, y, z)``), so ``PolyField`` carries the vector fields and their
+curl, div and grad.  On the outer product of three 1D coordinate arrays the
+series are summed factor by factor from per-axis sin/cos tables
+(``ExactFields.grid_values`` and ``ExactFields.f_grid_values``); pointwise
+``__call__`` stays the independent reference for that sum.
 """
 
 from __future__ import annotations
@@ -19,35 +23,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .polyquad import PolyField
+
 SIN, COS = 0, 1
 
 
-class TrigSeries1D:
-    """Finite series sum_m a_m sin(m pi t) / cos(m pi t) with exact coefficients.
-
-    ``terms`` maps ``(kind, m)`` to a Fraction; the whole series carries a
-    common integer power of pi.  ``TrigField.separable`` multiplies three of
-    them into a field, which differentiates term by term.
-    """
-
-    __slots__ = ("terms", "pi_power")
-
-    def __init__(self, terms=None, pi_power=0):
-        self.terms = dict(terms or {})
-        self.pi_power = pi_power
-
-    @classmethod
-    def sin_cubed(cls):
-        """sin^3(pi t) = (3/4) sin(pi t) - (1/4) sin(3 pi t)."""
-        return cls({(SIN, 1): Fraction(3, 4), (SIN, 3): Fraction(-1, 4)})
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        for (kind, m), c in self.terms.items():
-            arg = m * np.pi * t
-            out += float(c) * (np.sin(arg) if kind == SIN else np.cos(arg))
-        return out * math.pi**self.pi_power
+# sin^3(pi t) = (3/4) sin(pi t) - (1/4) sin(3 pi t), as a (kind, m) -> Fraction
+# map of one axis; ``TrigField.separable`` multiplies three such maps
+SIN_CUBED = {(SIN, 1): Fraction(3, 4), (SIN, 3): Fraction(-1, 4)}
 
 
 class TrigField:
@@ -66,18 +49,15 @@ class TrigField:
 
     @classmethod
     def separable(cls, s1, s2, s3):
-        terms = {}
-        for k1, c1 in s1.terms.items():
-            for k2, c2 in s2.terms.items():
-                for k3, c3 in s3.terms.items():
-                    terms[(k1, k2, k3)] = c1 * c2 * c3
-        return cls(terms, s1.pi_power + s2.pi_power + s3.pi_power)
+        """Product of three per-axis ``(kind, m) -> Fraction`` maps."""
+        return cls({(k1, k2, k3): c1 * c2 * c3 for k1, c1 in s1.items()
+                    for k2, c2 in s2.items() for k3, c3 in s3.items()})
 
     @property
     def is_zero(self):
         return not self.terms
 
-    def partial(self, axis):
+    def diff(self, axis):
         out = {}
         for key, c in self.terms.items():
             kind, m = key[axis]
@@ -114,13 +94,11 @@ class TrigField:
     def __sub__(self, other):
         return self + (-other)
 
-    def eval(self, x, y, z):
+    def __call__(self, x, y, z):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         out = np.zeros(np.broadcast(x, y, z).shape)
-        if not self.terms:
-            return out
         cache = {}
 
         def basis(axis, kind, m, t):
@@ -190,59 +168,31 @@ def _eval_grid(plan, x, y, z):
             @ zc.reshape(len(pairs), -1)).reshape(shape)
 
 
-class VectorTrigField:
-    """Three-component field of TrigFields."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        self.comps = tuple(comps)
-
-    def curl(self):
-        c0, c1, c2 = self.comps
-        return VectorTrigField((
-            c2.partial(1) - c1.partial(2),
-            c0.partial(2) - c2.partial(0),
-            c1.partial(0) - c0.partial(1),
-        ))
-
-    def div(self):
-        return (self.comps[0].partial(0) + self.comps[1].partial(1)
-                + self.comps[2].partial(2))
-
-    def laplacian(self):
-        out = []
-        for c in self.comps:
-            out.append(c.partial(0).partial(0) + c.partial(1).partial(1)
-                       + c.partial(2).partial(2))
-        return VectorTrigField(out)
-
-    def eval(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        return np.stack([c.eval(x, y, z) for c in self.comps], axis=-1)
+def _at(pts):
+    """The three coordinate arrays of an (..., 3) point array."""
+    pts = np.asarray(pts, dtype=float)
+    return pts[..., 0], pts[..., 1], pts[..., 2]
 
 
 class ExactFields:
-    """The manufactured solution bundle: u, curl u, grad curl u, laplacian of
-    curl u, the load f = -curl(laplacian(curl u)), and the second partials of
-    curl u that the corrected interpolation reads."""
+    """The manufactured solution bundle: u, curl u, grad curl u, the load
+    f = -curl(laplacian(curl u)), and the in-plane second partials of curl u
+    that the corrected interpolation reads.  The vector fields are
+    ``quadcurl.polyquad.PolyField``s of ``TrigField``s."""
 
     def __init__(self):
-        s = TrigSeries1D.sin_cubed()
-        self.phi = TrigField.separable(s, s, s)
-        zero = TrigField()
+        self.phi = TrigField.separable(SIN_CUBED, SIN_CUBED, SIN_CUBED)
         # u = curl (0, 0, phi) = (d phi/dx2, -d phi/dx1, 0)
-        self.u = VectorTrigField((self.phi.partial(1), -self.phi.partial(0),
-                                  zero))
+        self.u = PolyField((self.phi.diff(1), -self.phi.diff(0), TrigField()))
         self.curl_u = self.u.curl()
-        self.delta_curl_u = self.curl_u.laplacian()
-        self.f = VectorTrigField(tuple(-c for c in self.delta_curl_u.curl().comps))
-        self.grad_curl_u = tuple(tuple(c.partial(j) for j in range(3))
-                                 for c in self.curl_u.comps)
-        # entry [i][j] = d^2 (curl u)_i / d x_j^2
-        self.curl_u_d2 = tuple(tuple(g.partial(j) for j, g in enumerate(row))
-                               for row in self.grad_curl_u)
+        laplacian_curl_u = PolyField(
+            sum((c.diff(j).diff(j) for j in range(3)), TrigField())
+            for c in self.curl_u.comps)
+        self.f = -laplacian_curl_u.curl()
+        self.grad_curl_u = self.curl_u.grad()
+        # entry [i] = d^2 (curl u)_i / d x_i^2
+        self.curl_u_d2 = tuple(row[i].diff(i)
+                               for i, row in enumerate(self.grad_curl_u))
         self._grid_plan = _grid_plan(
             self.u.comps + self.curl_u.comps
             + tuple(g for row in self.grad_curl_u for g in row))
@@ -251,16 +201,15 @@ class ExactFields:
     # -- vectorized callables ------------------------------------------------
 
     def u_value(self, pts):
-        return self.u.eval(pts)
+        return self.u(*_at(pts))
 
     def curl_u_value(self, pts):
-        return self.curl_u.eval(pts)
+        return self.curl_u(*_at(pts))
 
     def grad_curl_u_value(self, pts):
         """Jacobian of curl u: shape (..., 3, 3), entry [i, j] = d(curl u)_i / dx_j."""
-        pts = np.asarray(pts, dtype=float)
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        rows = [np.stack([g.eval(x, y, z) for g in row], axis=-1)
+        x, y, z = _at(pts)
+        rows = [np.stack([g(x, y, z) for g in row], axis=-1)
                 for row in self.grad_curl_u]
         return np.stack(rows, axis=-2)
 
@@ -277,7 +226,7 @@ class ExactFields:
                 out[..., 0:3])
 
     def f_value(self, pts):
-        return self.f.eval(pts)
+        return self.f(*_at(pts))
 
     def f_grid_values(self, x, y, z):
         """f on the grid x * y * z, like ``grid_values``; a plan of its own,
@@ -286,17 +235,12 @@ class ExactFields:
 
     # -- interpolation protocol (duck-typed against quadcurl.interp) ---------
 
-    def value(self, pts):
-        return self.u.eval(pts)
+    value = u_value
+    curl_value = curl_u_value
 
-    def curl_value(self, pts):
-        return self.curl_u.eval(pts)
-
-    def curl_d2(self, comp, axis, pts):
-        """Second partial of (curl u)_comp along ``axis`` at points."""
-        pts = np.asarray(pts, dtype=float)
-        return self.curl_u_d2[comp][axis].eval(
-            pts[..., 0], pts[..., 1], pts[..., 2])
+    def curl_d2(self, axis, pts):
+        """Second partial of (curl u)_axis along ``axis`` at points."""
+        return self.curl_u_d2[axis](*_at(pts))
 
 
 def build_exact_fields():

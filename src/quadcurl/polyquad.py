@@ -151,7 +151,13 @@ def integrate_exact(p, lo=(-0.5, -0.5, -0.5), hi=(0.5, 0.5, 0.5)):
 
 
 class PolyField:
-    """Three-component polynomial vector field."""
+    """Three-component vector field.
+
+    The components are ``Poly``s, or any scalar field with ``diff``, ``+``,
+    ``-`` and ``__call__(x, y, z)`` (the trigonometric series of
+    ``quadcurl.mms``); ``curl``, ``div``, ``grad``, negation and evaluation
+    need nothing more.
+    """
 
     __slots__ = ("comps",)
 
@@ -216,11 +222,11 @@ class PolyField:
         return np.stack(vals, axis=-1)
 
 
-def coefficient_matrix(fields, monomials=None):
+def coefficient_matrix(fields):
     """Stack polynomial (or field) coefficients into a dense matrix.
 
     Returns ``(mat, monomials)`` where ``mat[i]`` is the coefficient vector of
-    ``fields[i]`` over the shared monomial list.  Vector fields use keys
+    ``fields[i]`` over the sorted union of their monomials.  Vector fields use keys
     ``(component, exponents)``.
     """
     keys = set()
@@ -232,8 +238,7 @@ def coefficient_matrix(fields, monomials=None):
             row = dict(f.coeffs)
         rows.append(row)
         keys.update(row)
-    if monomials is None:
-        monomials = sorted(keys)
+    monomials = sorted(keys)
     index = {m: j for j, m in enumerate(monomials)}
     mat = np.zeros((len(fields), len(monomials)))
     for i, row in enumerate(rows):

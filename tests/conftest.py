@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from quadcurl import checks
 from quadcurl.polyquad import Poly, PolyField
 from quadcurl.spaces import dual_basis, reference_spaces, span_VK
 
@@ -12,3 +15,12 @@ def perturbed_vk():
     span = span_VK()
     span[10] = span[10] + PolyField.unit(0, Poly.monomial(1, 2, 0, coef=1e-3))
     return dual_basis(span, reference_spaces()["VK"].dofs, "VK", 1)
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """One run of the exact-identity battery, shared by every test that reads
+    it: (results, seconds it took)."""
+    t0 = time.time()
+    results = checks.run_battery()
+    return results, time.time() - t0

@@ -202,10 +202,8 @@ def test_criterion_4_superconvergence(study):
             + ")", failures)
 
 
-def test_criterion_5_identity_battery():
-    t0 = time.time()
-    results = checks.run_battery()
-    elapsed = time.time() - t0
+def test_criterion_5_identity_battery(battery):
+    results, elapsed = battery
     failures = [r.line() for r in results if not r.passed]
     if elapsed > 60.0:
         failures.append(f"battery took {elapsed:.0f}s (> 60s)")

@@ -1,12 +1,8 @@
-import time
-
 from quadcurl import checks
 
 
-def test_battery_all_pass_under_budget():
-    t0 = time.time()
-    results = checks.run_battery()
-    elapsed = time.time() - t0
+def test_battery_all_pass_under_budget(battery):
+    results, elapsed = battery
     for r in results:
         assert r.passed, r.line()
     assert elapsed < 60.0

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quadcurl import analysis, cli, polyquad, system
+from quadcurl import analysis, checks, cli, polyquad, system
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -155,8 +155,17 @@ def test_env_output_override(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "modified_errors.csv").exists()
 
 
-def test_selftest_passes():
+def test_selftest_passes(monkeypatch, capsys):
+    # the battery itself runs once per session (the ``battery`` fixture);
+    # here a stub battery sets the exit code: 0 when all pass, 4 otherwise
+    ok = checks.CheckResult("stub", True, "fine")
+    bad = checks.CheckResult("stub failure", False, "off")
+    monkeypatch.setattr(checks, "run_battery", lambda: [ok])
     assert cli.main(["--selftest"]) == cli.EXIT_OK
+    assert "all checks passed" in capsys.readouterr().out
+    monkeypatch.setattr(checks, "run_battery", lambda: [ok, bad])
+    assert cli.main(["--selftest"]) == cli.EXIT_INVARIANT
+    assert "[FAIL] stub failure: off" in capsys.readouterr().out
 
 
 def test_unreachable_tolerance_reports_solver_failure(tmp_path):

@@ -13,22 +13,25 @@ def exact():
     return mms.build_exact_fields()
 
 
+# cos(0 pi t) = 1: a constant factor on an axis
+ONE = {(mms.COS, 0): Fraction(1)}
+
+
 def test_sin_cubed_series_matches_direct():
-    s = mms.TrigSeries1D.sin_cubed()
+    # sin^3(pi x) as a field, constant along the other two axes
+    s = mms.TrigField.separable(mms.SIN_CUBED, ONE, ONE)
     t = np.random.default_rng(0).uniform(0, 1, 200)
-    assert np.abs(s.eval(t) - np.sin(np.pi * t) ** 3).max() < 1e-13
+    assert np.abs(s(t, 0.3, 0.7) - np.sin(np.pi * t) ** 3).max() < 1e-13
 
 
 def test_series_differentiation_maps_sin_to_cos():
-    # sin^3(pi x) as a field: cos(0 pi t) = 1 on the other two axes
-    one = mms.TrigSeries1D({(mms.COS, 0): Fraction(1)})
-    phi = mms.TrigField.separable(mms.TrigSeries1D.sin_cubed(), one, one)
-    d = phi.partial(0)
+    phi = mms.TrigField.separable(mms.SIN_CUBED, ONE, ONE)
+    d = phi.diff(0)
     assert all(key[0][0] == mms.COS for key in d.terms)
     assert d.pi_power == 1
     t = np.linspace(0.05, 0.95, 50)
     direct = 3 * np.pi * np.sin(np.pi * t) ** 2 * np.cos(np.pi * t)
-    assert np.abs(d.eval(t, 0.3, 0.7) - direct).max() < 1e-12
+    assert np.abs(d(t, 0.3, 0.7) - direct).max() < 1e-12
 
 
 def test_u_vanishes_on_boundary(exact):
@@ -46,7 +49,7 @@ def test_divergence_free(exact):
     pts = rng.uniform(0.05, 0.95, (20, 3))
     div_u = exact.u.div()
     assert div_u.is_zero
-    assert np.abs(div_u.eval(pts[:, 0], pts[:, 1], pts[:, 2])).max() < 1e-12
+    assert np.abs(div_u(pts[:, 0], pts[:, 1], pts[:, 2])).max() < 1e-12
     assert exact.f.div().is_zero
 
 
@@ -80,10 +83,10 @@ def test_curl_u_matches_fd_oracle(exact):
 
 def test_second_derivative_matches_central_fd(exact):
     from quadcurl.checks import _fd_weights
-    s = mms.TrigSeries1D.sin_cubed()
+    s = mms.SIN_CUBED
     phi = mms.TrigField.separable(s, s, s)
     pts = np.array([[0.5, 0.3, 0.7]])
-    val = phi.partial(0).partial(0).eval(*pts.T)[0]
+    val = phi.diff(0).diff(0)(*pts.T)[0]
     dt = 0.01
     offs, w = _fd_weights(2, 11)    # 9th-order second derivative
     f = lambda x: np.sin(np.pi * x) ** 3 * np.sin(np.pi * 0.3) ** 3 \
@@ -96,16 +99,16 @@ def test_first_derivatives_vanish_at_corners(exact):
     corners = np.array([[i, j, k] for i in (0.0, 1.0) for j in (0.0, 1.0)
                         for k in (0.0, 1.0)])
     for axis in range(3):
-        vals = exact.phi.partial(axis).eval(*corners.T)
+        vals = exact.phi.diff(axis)(*corners.T)
         assert np.abs(vals).max() < 1e-14
 
 
 def test_mixed_third_derivative_symmetric(exact):
     pts = np.random.default_rng(5).uniform(0.1, 0.9, (10, 3))
-    base = exact.phi.partial(0).partial(1).partial(2).eval(*pts.T)
+    base = exact.phi.diff(0).diff(1).diff(2)(*pts.T)
     # separable product: any order of the three partials gives the same field
-    d = exact.phi.partial(2).partial(0).partial(1)
-    again = d.eval(pts[:, 0], pts[:, 1], pts[:, 2])
+    d = exact.phi.diff(2).diff(0).diff(1)
+    again = d(pts[:, 0], pts[:, 1], pts[:, 2])
     assert np.allclose(base, again, rtol=1e-13)
 
 
@@ -114,8 +117,8 @@ def test_grad_curl_consistent_with_partials(exact):
     jac = exact.grad_curl_u_value(pts)
     for i in range(3):
         for j in range(3):
-            direct = exact.grad_curl_u[i][j].eval(pts[:, 0], pts[:, 1],
-                                                  pts[:, 2])
+            direct = exact.grad_curl_u[i][j](pts[:, 0], pts[:, 1],
+                                             pts[:, 2])
             assert np.allclose(jac[:, i, j], direct, rtol=1e-13)
 
 
@@ -140,3 +143,21 @@ def test_grid_values_match_pointwise_methods(exact):
                           exact.u_value(pts))):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_curl_d2_matches_fd_of_grad_curl(exact):
+    # the in-plane second partials I_h reads, against an 8th-order central
+    # difference of the diagonal of grad curl u along the same axis
+    from quadcurl.checks import _fd_weights
+    pts = np.random.default_rng(8).uniform(0.1, 0.9, (50, 3))
+    dt = 0.01
+    offs, w = _fd_weights(1, 9)
+    for axis in range(3):
+        fd = np.zeros(len(pts))
+        for o, wi in zip(offs, w):
+            shifted = pts.copy()
+            shifted[:, axis] += o * dt
+            fd += wi * exact.grad_curl_u_value(shifted)[:, axis, axis]
+        fd /= dt
+        got = exact.curl_d2(axis, pts)
+        assert np.abs(got - fd).max() / np.abs(got).max() < 1e-8
