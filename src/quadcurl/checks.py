@@ -1,6 +1,7 @@
-"""Exact-identity battery: unisolvence, inclusions, the factored dual tables,
-commuting diagrams, orthogonality identities, jump integrals, the
-manufactured-solution cross-checks and the dense solver oracle.
+"""Exact-identity battery: unisolvence, the reference tables against the
+polynomial algebra, inclusions, the factored dual tables, commuting
+diagrams, orthogonality identities, jump integrals, the manufactured-solution
+cross-checks and the dense solver oracle.
 
 Everything here is an independent verification path: the finite-difference
 load oracle evaluates the velocity directly from sin/cos products (never
@@ -20,8 +21,16 @@ from . import interp, mms, system
 from .mesh import build_mesh, macro_partition
 from .polyquad import Poly, PolyField, coefficient_matrix, integrate_exact
 from .polyquad import gauss_rule
-from .spaces import (COLUMNS, TensorGrid, curl_inclusion_residual, grad_pair,
-                     reference_spaces)
+from .spaces import (TensorGrid, _edge_dofs, _face_dofs,
+                     curl_inclusion_residual, dual_gram_matrices, grad_pair,
+                     reference_spaces, scalar_stiffness_matrix,
+                     vector_scalar_grad_matrix)
+
+# the scalar polynomials of a field per ErrorTriple column, in the order of
+# ``spaces.factored_table``: grad curl (entry [i, j] = d(curl f)_i/dx_j, row
+# by row), curl, value
+COLUMNS = (lambda f: [g for row in f.curl().grad() for g in row],
+           lambda f: f.curl().comps, lambda f: f.comps)
 
 
 @dataclass
@@ -61,6 +70,49 @@ def check_curl_inclusions():
     r2 = curl_inclusion_residual(spcs["VM"], spcs["WM"])
     return _result("curl VK in WK / curl VM in WM", max(r1, r2), 1e-12,
                    f"cell {r1:.2e} macro {r2:.2e}")
+
+
+def _poly_gram(fields_a, fields_b, pairing):
+    return np.array([[pairing(a, b) for b in fields_b] for a in fields_a])
+
+
+def _l2_pair(a, b):
+    return integrate_exact(a.dot(b) if isinstance(a, PolyField) else a * b)
+
+
+def _applied(dofs, fields):
+    return np.array([[d.apply(f) for f in fields] for d in dofs])
+
+
+def check_reference_tables():
+    """The reference tables built by matrix products over tensor monomials
+    equal the same tables from the Poly algebra: every space's Vandermonde
+    by ``DofFunctional.apply``, the VK Gram triple, B and S by
+    ``integrate_exact`` and ``grad_pair``, and the prolongations P(2), P(3)
+    by ``apply`` on the VK span."""
+    spcs = reference_spaces()
+    vk, q1 = spcs["VK"], spcs["Q1K"]
+    C, Q = vk.dual_coeffs, q1.dual_coeffs
+    curls = [f.curl() for f in vk.span]
+    grads = [PolyField((p.diff(0), p.diff(1), p.diff(2))) for p in q1.span]
+    M0, M1, M2 = dual_gram_matrices(vk)
+    pairs = [(s.vandermonde, _applied(s.dofs, s.span)) for s in spcs.values()]
+    pairs += [
+        (M0, C.T @ _poly_gram(vk.span, vk.span, _l2_pair) @ C),
+        (M1, C.T @ _poly_gram(curls, curls, _l2_pair) @ C),
+        (M2, C.T @ _poly_gram(curls, curls, grad_pair) @ C),
+        (vector_scalar_grad_matrix(vk, q1),
+         C.T @ _poly_gram(vk.span, grads, _l2_pair) @ Q),
+        (scalar_stiffness_matrix(q1),
+         Q.T @ _poly_gram(grads, grads, _l2_pair) @ Q)]
+    for sub in (2, 3):
+        dofs = _edge_dofs(sub) + _face_dofs(sub, (("face_curl", 0),
+                                                  ("face_curl", 1)))
+        pairs.append((system.prolongation_matrix(sub),
+                      _applied(dofs, vk.span) @ C))
+    worst = max(float(np.abs(got - want).max()) / float(np.abs(want).max())
+                for got, want in pairs)
+    return _result("reference tables match the Poly algebra", worst, 1e-13)
 
 
 def check_factored_tables():
@@ -404,7 +456,7 @@ def check_solver_oracle():
         mesh = build_mesh(n)
         gmap = system.build_dof_map(mesh)
         sys_ = system.build_system(mesh, gmap, ex)
-        K = sys_.full_matrix().toarray()
+        K = sys_.full_matrix()
         loads = {mode: system.assemble_rhs(mesh, gmap, ex, mode=mode)
                  for mode in ("original", "modified")}
         loads["random"] = \
@@ -436,6 +488,7 @@ def run_battery():
     """Run every exact-identity check; returns a list of CheckResult."""
     return [
         check_unisolvence(),
+        check_reference_tables(),
         check_curl_inclusions(),
         check_factored_tables(),
         check_commuting_cell(),

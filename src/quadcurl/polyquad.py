@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Exponent sanity cap; the largest products formed here (macro-space Gram
-# matrices) stay below per-axis degree 7.
+# Exponent sanity cap; the largest products formed here (pairings of two
+# fields of per-axis degree 3) stay below per-axis degree 7.
 MAX_EXPONENT = 16
 
 

@@ -19,6 +19,14 @@ of edge length ``h`` are the reference DoFs times ``h**dof_scale_power``, the
 same factor for every DoF of a space, so a single Vandermonde factorization
 serves every cell of the uniform mesh.  The DoF functionals also evaluate the
 h^2/12-corrected tangential face integrals of the modified interpolation.
+
+Every reference table (the Vandermondes, the Gram matrices, the coupling,
+the Q1 stiffness and the factored dual tables) is a few small matrix
+products over tensor-monomial coefficient arrays (``coefficient_array``):
+a DoF is one row of 1D moments and powers, and an L2 pairing contracts
+each axis with the exact moment matrix ``MOMENTS``.  ``DofFunctional.apply``
+and the ``Poly`` algebra stay as the oracle that ``quadcurl.checks``
+compares these tables against.
 """
 
 from __future__ import annotations
@@ -53,6 +61,98 @@ def _others(axis):
 CORRECTION_WEIGHT = 1.0 / 12.0
 
 
+# ---------------------------------------------------------------------------
+# tensor-monomial coefficient arrays: every reference table is a few small
+# matrix products over them, with exact 1D moments in place of quadrature
+# ---------------------------------------------------------------------------
+
+# per-axis degree bound of the coefficient arrays; V_M = Q_{2,3,3} x ... has 3
+AXIS_DEGREE = 3
+
+
+def _powers(t):
+    """t^e, e = 0..AXIS_DEGREE: the weights of a frozen coordinate."""
+    return t ** np.arange(AXIS_DEGREE + 1)
+
+
+def _moments(lo, hi, degree=AXIS_DEGREE):
+    """int_lo^hi t^e dt, e = 0..degree: the weights of an integration span."""
+    e = np.arange(1, degree + 2)
+    return (hi ** e - lo ** e) / e
+
+
+def _outer(factors):
+    x, y, z = factors
+    return x[:, None, None] * y[:, None] * z
+
+
+# MOMENTS[e, e'] = int_{-1/2}^{1/2} t^(e + e') dt, the L2 pairing of two
+# powers on the reference cell; DIFF[e - 1, e] = e, the derivative of t^e
+_E = np.arange(AXIS_DEGREE + 1)
+MOMENTS = _moments(-0.5, 0.5, 2 * AXIS_DEGREE)[np.add.outer(_E, _E)]
+DIFF = np.diag(np.arange(1.0, AXIS_DEGREE + 1), k=1)
+
+
+def coefficient_array(fields):
+    """Coefficients of Polys or PolyFields as an (n, K, d, d, d) array,
+    d = AXIS_DEGREE + 1 and K = 1 or 3 components: entry [i, k, a, b, c] is
+    the coefficient of x^a y^b z^c in component k of field i."""
+    comps = [f.comps if isinstance(f, PolyField) else (f,) for f in fields]
+    d = AXIS_DEGREE + 1
+    out = np.zeros((len(fields), len(comps[0]), d, d, d))
+    for i, field in enumerate(comps):
+        for k, poly in enumerate(field):
+            for mono, c in poly.coeffs.items():
+                if max(mono) > AXIS_DEGREE:
+                    raise ValueError(f"monomial {mono} above per-axis degree "
+                                     f"{AXIS_DEGREE}")
+                out[(i, k) + mono] = c
+    return out
+
+
+def _along(arr, mat, axis):
+    """``mat`` applied along spatial ``axis`` (0-2) of (..., d, d, d)."""
+    return np.moveaxis(np.tensordot(arr, mat, axes=(axis - 3, 1)), -1,
+                       axis - 3)
+
+
+def _curl(arr):
+    """Curls of (n, 3, d, d, d) coefficient arrays."""
+    def diff(k, axis):
+        return _along(arr[:, k], DIFF, axis)
+    return np.stack([diff(2, 1) - diff(1, 2), diff(0, 2) - diff(2, 0),
+                     diff(1, 0) - diff(0, 1)], axis=1)
+
+
+def _grad(arr):
+    """Component-wise gradients of (n, K, d, d, d) coefficient arrays,
+    (n, 3K, d, d, d): component 3 k + j is d comp_k / d x_j."""
+    g = np.stack([_along(arr, DIFF, j) for j in range(3)], axis=2)
+    return g.reshape((len(arr), -1) + arr.shape[2:])
+
+
+def _l2_gram(a, b):
+    """Exact L2 Gram matrix (a_i, b_j) on the reference cell of two stacks
+    of coefficient arrays with the same K (Frobenius pairing over K)."""
+    for axis in range(3):
+        b = _along(b, MOMENTS, axis)
+    return a.reshape(len(a), -1) @ b.reshape(len(b), -1).T
+
+
+def functional_matrix(dofs, fields):
+    """DoF_i(fields_j) for every pair, as one product of the DoF weight rows
+    (``DofFunctional.weights``) with the coefficients of the fields and, for
+    vector fields, of their curls."""
+    arr = coefficient_array(fields)
+    if arr.shape[1] == 3:
+        arr = np.concatenate([arr, _curl(arr)], axis=1)
+    rows = np.zeros((len(dofs),) + arr.shape[1:])
+    for i, dof in enumerate(dofs):
+        comp, w = dof.weights()
+        rows[i, comp] = w
+    return rows.reshape(len(dofs), -1) @ arr.reshape(len(arr), -1).T
+
+
 @dataclass(frozen=True)
 class DofFunctional:
     """A DoF functional in reference coordinates.
@@ -73,7 +173,9 @@ class DofFunctional:
     ``apply(field)`` is the canonical DoF.  ``apply(field, corrected=True)``
     is the DoF of the modified interpolation: the two tangential face kinds
     integrate the integrand plus CORRECTION_WEIGHT times its second derivative
-    along ``direction``; every other kind ignores the flag.
+    along ``direction``; every other kind ignores the flag.  ``weights()`` is
+    the canonical DoF as one row over tensor-monomial coefficients; ``apply``
+    is the oracle it is checked against.
     """
 
     kind: str
@@ -81,6 +183,28 @@ class DofFunctional:
     direction: int = 0
     span: tuple = ()
     fixed: tuple = ()
+
+    def weights(self):
+        """(component, w): the DoF of a field is the sum of w[a, b, c] times
+        the coefficient of x^a y^b z^c in that component, components 0-2
+        the field's and 3-5 its curl's (see ``coefficient_array``).  w is
+        the outer product of per-axis factors: the 1D moments along a span
+        and the powers at a frozen coordinate."""
+        if self.kind == "vertex":
+            return 0, _outer([_powers(v) for v in self.fixed])
+        factors = [None] * 3
+        t1, t2 = _others(self.axis)
+        if self.kind == "edge_tangential":
+            factors[self.axis] = _moments(*self.span)
+            factors[t1], factors[t2] = (_powers(v) for v in self.fixed)
+            return self.axis, _outer(factors)
+        factors[self.axis] = _powers(self.fixed)
+        factors[t1], factors[t2] = (_moments(*s) for s in self.span)
+        comps = {"face_curl": 3 + self.direction,
+                 "face_tangential": self.direction, "face_normal": self.axis}
+        if self.kind not in comps:
+            raise ValueError(f"unknown DoF kind {self.kind!r}")
+        return comps[self.kind], _outer(factors)
 
     def apply(self, field, corrected=False):
         """Exact evaluation on a Poly (vertex kind) or PolyField."""
@@ -162,10 +286,7 @@ def dual_basis(span, dofs, tag, dof_scale_power):
     if ndof != nspan:
         raise SingularVandermonde(
             f"{tag}: {ndof} DoFs vs {nspan} spanning fields")
-    V = np.empty((ndof, nspan))
-    for i, dof in enumerate(dofs):
-        for j, field in enumerate(span):
-            V[i, j] = dof.apply(field)
+    V = functional_matrix(dofs, span)
     cond = float(np.linalg.cond(V))
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularVandermonde(f"{tag}: Vandermonde condition {cond:.3e}")
@@ -357,32 +478,21 @@ def curl_inclusion_residual(v_space, w_space):
 # factorization on tensor grids and their dense tables at points
 # ---------------------------------------------------------------------------
 
-# per-axis degree bound of the factored tables; V_M = Q_{2,3,3} x ... has 3
-AXIS_DEGREE = 3
-# the scalar polynomials of a field per ErrorTriple column: grad curl (entry
-# [i, j] = d(curl f)_i/dx_j, row by row), curl, value
-COLUMNS = (lambda f: [g for row in f.curl().grad() for g in row],
-           lambda f: f.curl().comps, lambda f: f.comps)
-
-
 @lru_cache(maxsize=None)
 def factored_table(space):
     """The dual fields of a vector space as tensor-monomial coefficients, no
     quadrature involved.  Per ErrorTriple column a (d, d, dim, d, K) array,
     d = AXIS_DEGREE + 1: entry [a, b, j, c, k] is the coefficient of
-    x^a y^b z^c in the k-th polynomial of ``COLUMNS`` of dual j."""
-    d = AXIS_DEGREE + 1
-    out = []
-    for components in COLUMNS:
-        polys = [p for f in space.span for p in components(f)]
-        mat, monos = coefficient_matrix(polys)
-        span = np.zeros((d, d, d, space.dim, len(polys) // space.dim))
-        # a monomial of higher per-axis degree raises IndexError here
-        span[tuple(np.array(monos).T)] = mat.reshape(
-            span.shape[3:] + (-1,)).transpose(2, 0, 1)
-        dual = np.tensordot(span, space.dual_coeffs, axes=(3, 0))
-        out.append(dual.transpose(0, 1, 4, 2, 3))
-    return tuple(out)
+    x^a y^b z^c in the k-th polynomial of the column of dual j.  The columns
+    are grad curl (K = 9, entry k = 3 i + j is d(curl f)_i / dx_j), curl and
+    value (K = 3)."""
+    value = coefficient_array(space.span)
+    curl = _curl(value)
+    # stored in [a, b, c, k, j] order: TensorGrid's einsum keeps the layout
+    # of its input, and its matmuls ran ~10% slower at n = 24 on another
+    return tuple(np.tensordot(arr.transpose(2, 3, 4, 1, 0), space.dual_coeffs,
+                              axes=(4, 0)).transpose(0, 1, 4, 2, 3)
+                 for arr in (_grad(curl), curl, value))
 
 
 def _dense_table(space, pts, col):
@@ -455,20 +565,6 @@ class TensorGrid:
         return m.sum(axis=(0, 2))
 
 
-def _span_gram(fields_a, fields_b, pairing):
-    n, m = len(fields_a), len(fields_b)
-    G = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            G[i, j] = pairing(fields_a[i], fields_b[j])
-    return G
-
-
-def _l2_pair(a, b):
-    return integrate_exact(a.dot(b)) if isinstance(a, PolyField) \
-        else integrate_exact(a * b)
-
-
 def grad_pair(a, b):
     """Exact (grad a, grad b) of two polynomial fields, Frobenius pairing."""
     total = 0.0
@@ -484,32 +580,29 @@ def dual_gram_matrices(space):
     """Exact reference Gram matrices of the dual basis:
 
     ``M0[i,j] = (dual_i, dual_j)``, ``M1`` the same for curls, ``M2`` for curl
-    Jacobians (Frobenius pairing).  Computed once per space via span-level
-    integration and the dual coefficient transform.
+    Jacobians (Frobenius pairing).  Computed once per space from the span's
+    coefficient arrays and the dual coefficient transform.
     """
-    span = space.span
-    curls = [f.curl() for f in span]
+    value = coefficient_array(space.span)
+    curl = _curl(value)
     C = space.dual_coeffs
     trip = []
-    for G in (_span_gram(span, span, _l2_pair),
-              _span_gram(curls, curls, _l2_pair),
-              _span_gram(curls, curls, grad_pair)):
-        M = C.T @ G @ C
+    for arr in (value, curl, _grad(curl)):
+        M = C.T @ _l2_gram(arr, arr) @ C
         trip.append((M + M.T) / 2.0)
     return tuple(trip)
 
 
 def vector_scalar_grad_matrix(vspace, qspace):
     """Exact reference matrix ``(dual_i, grad qdual_m)``: (vdim, qdim)."""
-    grads = [PolyField((p.diff(0), p.diff(1), p.diff(2))) for p in qspace.span]
-    G = _span_gram(vspace.span, grads, _l2_pair)
+    G = _l2_gram(coefficient_array(vspace.span),
+                 _grad(coefficient_array(qspace.span)))
     return vspace.dual_coeffs.T @ G @ qspace.dual_coeffs
 
 
 def scalar_stiffness_matrix(qspace):
     """Exact reference Q1 stiffness: ``(grad qdual_m, grad qdual_l)``."""
-    grads = [PolyField((p.diff(0), p.diff(1), p.diff(2))) for p in qspace.span]
-    G = _span_gram(grads, grads, _l2_pair)
+    grads = _grad(coefficient_array(qspace.span))
     C = qspace.dual_coeffs
-    M = C.T @ G @ C
+    M = C.T @ _l2_gram(grads, grads) @ C
     return (M + M.T) / 2.0

@@ -20,13 +20,15 @@ Local matrices are assembled once on the scaled reference cell and reused for
 every cell of the uniform mesh.  Only the load needs quadrature: f is summed
 on the tensor grid of the Gauss points of a tile of cells
 (``quadcurl.mesh.gauss_tiles``) and tested against the reference duals by
-sum factorization (``quadcurl.spaces.TensorGrid.moments``).  No cell sum
+sum factorization (``quadcurl.spaces.TensorGrid.moments``).  No matrix
 is assembled: A, B and the Q1 stiffness S are each a ``CellOperator`` that
 applies its one cell matrix cell by cell (gather, matrix product,
 scatter-add), and B^T is the same gather and scatter with the roles of the
-two DoF tables swapped.  The gradient inclusion G is the only sparse matrix.
+two DoF tables swapped.  The gradient inclusion G is a ``CellOperator``
+over the interior edges, with the local matrix [[1, -1]].
 
-The velocity CG is preconditioned by one multigrid V-cycle built from the
+The solves are CG (``_pcg``, a loop of numpy vector operations).  The
+velocity CG is preconditioned by one multigrid V-cycle built from the
 same pieces: every level is the ``CellOperator`` A of a coarser mesh, and
 the prolongation is a ``CellOperator`` whose local matrix holds the fine
 DoFs of the coarse duals.
@@ -39,25 +41,26 @@ and gather from those slot tables unchecked.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import BrickMesh, _lattice, gauss_tiles
 from .spaces import (TensorGrid, _edge_dofs, _face_dofs, dual_gram_matrices,
-                     reference_spaces, scalar_stiffness_matrix,
-                     vector_scalar_grad_matrix)
+                     functional_matrix, reference_spaces,
+                     scalar_stiffness_matrix, vector_scalar_grad_matrix)
 
 
 class MaxIterations(Exception):
-    """Solve missed its tolerance; carries the final relative residual."""
+    """Solve missed its tolerance; carries the final relative residual and
+    ``tail``, the last velocity CG residual norms relative to the load."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, tail=()):
         super().__init__(message)
         self.residual = residual
+        self.tail = tuple(tail)
 
 
 class SingularSystem(Exception):
@@ -141,14 +144,16 @@ def scatter_add(entries, slots, size):
                        minlength=size + 1)[:size]
 
 
-class CellOperator(spla.LinearOperator):
+class CellOperator:
     """The sum over all cells of one local matrix, applied without assembly:
     x -> sum_K R_K^T local C_K x, where C_K gathers the column DoFs
-    col_dofs[K] and R_K the row DoFs row_dofs[K].  A, B and the Q1 stiffness
-    are all of this form."""
+    col_dofs[K] and R_K the row DoFs row_dofs[K].  A, B, the Q1 stiffness,
+    the gradient inclusion G (one "cell" per interior edge) and the
+    prolongation are all of this form.  ``op @ x`` applies it to a vector,
+    or column by column to a matrix, and ``op.T @ x`` its transpose."""
 
     def __init__(self, local, row_dofs, col_dofs, shape):
-        super().__init__(dtype=np.float64, shape=shape)
+        self.shape = shape
         self.local = local
         self.rows = _slots(row_dofs, shape[0])
         self.cols = (self.rows if col_dofs is row_dofs
@@ -173,12 +178,30 @@ class CellOperator(spla.LinearOperator):
         np.matmul(gathered, mat, out=product)
         return scatter_add(product, dst, size)
 
-    def _matvec(self, x):
+    def matvec(self, x):
         return self._apply(self.local.T, self.cols, self.rows, self.shape[0],
                            x)
 
-    def _rmatvec(self, x):
+    def rmatvec(self, x):
         return self._apply(self.local, self.rows, self.cols, self.shape[1], x)
+
+    def __matmul__(self, x):
+        """``matvec`` on a vector, column by column on a matrix."""
+        if np.ndim(x) == 1:
+            return self.matvec(x)
+        out = np.empty((self.shape[0], x.shape[1]))
+        for j in range(x.shape[1]):
+            out[:, j] = self.matvec(x[:, j])
+        return out
+
+    @cached_property
+    def T(self):
+        """The transpose: the same tables, the roles of rows and columns
+        swapped."""
+        t = copy.copy(self)
+        t.local, t.rows, t.cols = self.local.T, self.cols, self.rows
+        t.shape = self.shape[::-1]
+        return t
 
     def diagonal(self):
         """Jacobi diagonal; needs one DoF table for rows and columns."""
@@ -190,7 +213,7 @@ class CellOperator(spla.LinearOperator):
 
     def toarray(self):
         """Dense matrix, column by column (for small dense oracles)."""
-        return self.matmat(np.eye(self.shape[1]))
+        return self @ np.eye(self.shape[1])
 
 
 def assemble_A(mesh, gmap):
@@ -216,18 +239,16 @@ def assemble_q1_stiffness(mesh, gmap):
 
 
 def gradient_inclusion_matrix(mesh, gmap):
-    """Sparse G with (grad q_h) coefficients = G q: the edge DoF of a gradient
-    is the head-minus-tail vertex difference; face-curl DoFs vanish."""
+    """G with (grad q_h) coefficients = G q, a ``CellOperator`` over the
+    interior edges: the edge DoF of a gradient is the head-minus-tail vertex
+    difference (local matrix [[1, -1]]); face-curl DoFs vanish."""
     eids = np.where(~mesh.edge_is_boundary)[0]
     axis, i, j, k = mesh.edge_table[eids].T
     tail = mesh.vertex_id(i, j, k)
     head = tail + (mesh.n + 1) ** (2 - axis)    # vertex stride along the axis
-    rows = np.tile(gmap.edge_dof[eids], 2)
-    cols = gmap.vertex_dof[np.concatenate([head, tail])]
-    data = np.repeat([1.0, -1.0], len(eids))
-    keep = cols >= 0
-    return sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
-                         shape=(gmap.n_vdofs, gmap.n_qdofs)).tocsr()
+    return CellOperator(np.array([[1.0, -1.0]]), gmap.edge_dof[eids, None],
+                        gmap.vertex_dof[np.stack([head, tail], axis=1)],
+                        (gmap.n_vdofs, gmap.n_qdofs))
 
 
 def assemble_rhs(mesh, gmap, exact, mode="modified"):
@@ -260,10 +281,10 @@ class SaddleSystem:
         return self.gmap.n_vdofs + self.gmap.n_qdofs
 
     def full_matrix(self):
-        """Sparse copy of the whole saddle matrix, built from the dense A and
-        B (for small dense oracles)."""
-        A, B = (sp.csr_matrix(M.toarray()) for M in (self.A, self.B))
-        return sp.bmat([[A, B], [B.T, None]], format="csr")
+        """Dense copy of the whole saddle matrix (for small dense oracles)."""
+        B = self.B.toarray()
+        return np.block([[self.A.toarray(), B],
+                         [B.T, np.zeros((B.shape[1], B.shape[1]))]])
 
     def full_rhs(self):
         return np.concatenate([self.rhs, np.zeros(self.gmap.n_qdofs)])
@@ -299,8 +320,7 @@ def prolongation_matrix(sub):
     dofs = _edge_dofs(sub) + _face_dofs(sub, (("face_curl", 0),
                                               ("face_curl", 1)))
     # the fine DoFs of the spanning fields, mapped to the duals
-    return np.array([[d.apply(f) for f in vk.span] for d in dofs]) \
-        @ vk.dual_coeffs
+    return functional_matrix(dofs, vk.span) @ vk.dual_coeffs
 
 
 def _coarsening(n):
@@ -399,8 +419,8 @@ def _tree_potential_adjoint(v, n, size):
 
 
 def velocity_preconditioner(mesh, gmap, A, G):
-    """One V-cycle in the tree gauge: r -> Q V(Q^T r), Q = I - G T with the
-    T of :func:`_tree_potential`.
+    """One V-cycle in the tree gauge, as the function r -> Q V(Q^T r),
+    Q = I - G T with the T of :func:`_tree_potential`.
 
     A is singular (A G = 0), and the V-cycle adds gradients to its output.
     They leave A w unchanged, but their round-off in A p seeds a near-null
@@ -416,21 +436,36 @@ def velocity_preconditioner(mesh, gmap, A, G):
         z = v_cycle(levels, r - _tree_potential_adjoint(G.T @ r, n, r.size))
         return z - G @ _tree_potential(z, n)
 
-    # the dtype spares the trial apply that LinearOperator makes to find it
-    return spla.LinearOperator(A.shape, matvec=apply, dtype=np.float64)
+    return apply
 
 
 def _pcg(M, b, atol, maxiter, precond):
-    """CG on the symmetric positive (semi)definite M with the preconditioner
-    ``precond``, stopped at ||M x - b|| < atol; returns (x, iterations)."""
-    count = [0]
-
-    def tick(_):
-        count[0] += 1
-
-    x, _ = spla.cg(M, b, rtol=0.0, atol=atol, maxiter=maxiter, M=precond,
-                   callback=tick)
-    return x, count[0]
+    """CG from x = 0 on the symmetric positive (semi)definite M with the
+    preconditioner function ``precond``, stopped at ||M x - b|| < atol or
+    after ``maxiter`` steps; returns (x, iterations, the residual norm before
+    each step).  It performs the operations of scipy 1.17's
+    ``scipy.sparse.linalg.cg`` in the same order, so its iterates are the
+    same."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    norms = []
+    for its in range(maxiter):
+        norms.append(float(np.linalg.norm(r)))
+        if norms[-1] < atol:
+            return x, its, norms
+        z = precond(r)
+        rho = np.dot(r, z)
+        if its == 0:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = M @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, norms
 
 
 def solve_saddle(system, tol=1e-10):
@@ -446,12 +481,14 @@ def solve_saddle(system, tol=1e-10):
 
     S is applied from its Q1 cell matrix, not formed as G^T B: the
     decoupling assumes G^T B = S, which the tests check.  All three solves
-    are CG on cell operators: the two S solves with the Jacobi
+    are ``_pcg`` on cell operators: the two S solves with the Jacobi
     preconditioner, the velocity solve with one multigrid V-cycle
     (``velocity_preconditioner``), which keeps its iteration count about
     constant in n (15 at n = 24, 17 at n = 48).  Returns (u, p, info),
     u and p the V_h and Q_h coefficient arrays; info carries the velocity
-    CG iterations and the relative residual of the full system.
+    CG iterations and the relative residual of the full system.  A relative
+    residual above ``tol`` raises ``MaxIterations`` with the last five
+    velocity CG residuals; a non-finite one raises ``SingularSystem``.
     """
     A, B, F = system.A, system.B, system.rhs
     fnorm = float(np.linalg.norm(F))
@@ -461,7 +498,11 @@ def solve_saddle(system, tol=1e-10):
 
     G = gradient_inclusion_matrix(system.mesh, system.gmap)
     S = assemble_q1_stiffness(system.mesh, system.gmap)
-    jacobi = sp.diags(1.0 / S.diagonal())
+    inv_diag = 1.0 / S.diagonal()
+
+    def jacobi(r):
+        return inv_diag * r
+
     # S needs ~3n iterations and the V-cycle CG on A ~20 at tol 1e-10; the
     # cap only stops unreachable tolerances
     maxiter = 500 + 10 * system.mesh.n
@@ -469,10 +510,11 @@ def solve_saddle(system, tol=1e-10):
     # budget: a pressure residual would leave F - B p inconsistent, and the
     # projection residual is B^T u itself
     s_atol = 1e-3 * tol * fnorm
-    p, _ = _pcg(S, G.T @ F, s_atol, maxiter, jacobi)
-    w, its = _pcg(A, F - B @ p, 0.5 * tol * fnorm, maxiter,
-                  velocity_preconditioner(system.mesh, system.gmap, A, G))
-    y, _ = _pcg(S, B.T @ w, s_atol, maxiter, jacobi)
+    p, _, _ = _pcg(S, G.T @ F, s_atol, maxiter, jacobi)
+    w, its, norms = _pcg(A, F - B @ p, 0.5 * tol * fnorm, maxiter,
+                         velocity_preconditioner(system.mesh, system.gmap, A,
+                                                 G))
+    y, _, _ = _pcg(S, B.T @ w, s_atol, maxiter, jacobi)
     u = w - G @ y
 
     res = float(np.hypot(np.linalg.norm(A @ u + B @ p - F),
@@ -480,7 +522,9 @@ def solve_saddle(system, tol=1e-10):
     if not np.isfinite(res):
         raise SingularSystem("solve produced non-finite values")
     if res > tol:
+        tail = [r / fnorm for r in norms[-5:]]
         raise MaxIterations(
             f"relative residual {res:.3e} above tol {tol:.1e} "
-            f"after {its} CG iterations", residual=res)
+            f"after {its} CG iterations; last velocity CG residuals "
+            + " ".join(f"{t:.2e}" for t in tail), residual=res, tail=tail)
     return u, p, {"method": "mgcg", "residual": res, "iterations": its}

@@ -13,12 +13,9 @@ def test_battery_all_pass_under_budget(battery):
 def test_fault_injection_trips_curl_inclusion(monkeypatch, perturbed_vk):
     spaces = dict(checks.reference_spaces(), VK=perturbed_vk)
     monkeypatch.setattr(checks, "reference_spaces", lambda: spaces)
-    results = checks.run_battery()
-    by_name = {r.name: r for r in results}
-    bad = [r for r in results if "curl VK" in r.name]
-    assert len(bad) == 1 and not bad[0].passed
+    assert not checks.check_curl_inclusions().passed
     # the perturbation must not silently break unrelated checks
-    assert by_name["unisolvence DoF_i(dual_j)=delta"].passed
+    assert checks.check_unisolvence().passed
 
 
 def test_check_lines_format():

@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -168,10 +171,30 @@ def test_selftest_passes(monkeypatch, capsys):
     assert "[FAIL] stub failure: off" in capsys.readouterr().out
 
 
-def test_unreachable_tolerance_reports_solver_failure(tmp_path):
+def test_unreachable_tolerance_reports_solver_failure(tmp_path, capsys):
     rc = cli.main(["--scheme", "modified", "--n", "3", "--task", "errors",
                    "--out", str(tmp_path), "--tol", "1e-18"])
     assert rc == cli.EXIT_SOLVER
+    assert "last velocity CG residuals" in capsys.readouterr().err
+
+
+def test_study_loads_no_scipy(tmp_path):
+    # scipy serves only the self-test oracle; the test session imports it
+    # itself, so the study runs in a fresh interpreter
+    code = ("import json, sys\n"
+            "from quadcurl import cli\n"
+            f"rc = cli.main(['--n', '3', '--task', 'all', '--out', "
+            f"{str(tmp_path)!r}])\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+            "    if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rc == cli.EXIT_OK
+    assert loaded == []
 
 
 def test_cli_reproduces_reference_rows(tmp_path):

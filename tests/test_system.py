@@ -199,7 +199,7 @@ def test_solver_matches_dense_oracle(exact):
         gmap = system.build_dof_map(mesh)
         sys_ = system.build_system(mesh, gmap, exact, mode="modified")
         G = system.gradient_inclusion_matrix(mesh, gmap)
-        K = sys_.full_matrix().toarray()
+        K = sys_.full_matrix()
         random_load = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
         for divergence_free, load in ((True, sys_.rhs), (False, random_load)):
             sys_.rhs = load
@@ -307,4 +307,8 @@ def test_unreachable_tolerance_raises_max_iterations(setup3, exact):
     with pytest.raises(system.MaxIterations) as err:
         system.solve_saddle(sys_, tol=1e-16)
     assert err.value.residual is not None
+    # the last velocity CG residuals show how far the solve got
+    tail = err.value.tail
+    assert len(tail) == 5 and np.all(np.isfinite(tail))
+    assert f"{tail[-1]:.2e}" in str(err.value)
 
