@@ -11,8 +11,8 @@ and writes CSV + Markdown reports:
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
-~1M unknowns); that run took 79 s at a 555 MB peak on a 2-core machine with
-one BLAS thread.
+~1M unknowns); that run took 57 s at a 533 MB peak on a 2-core machine with
+one BLAS thread (commit cf962d4).
 """
 
 import sys

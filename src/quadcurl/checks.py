@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import interp, mms, system
+from . import interp, mms, polyquad, system
 from .mesh import build_mesh, macro_partition
-from .polyquad import Poly, PolyField, coefficient_matrix, integrate_exact
-from .polyquad import gauss_rule
-from .spaces import (TensorGrid, _edge_dofs, _face_dofs,
-                     curl_inclusion_residual, dual_gram_matrices, grad_pair,
-                     reference_spaces, scalar_stiffness_matrix,
-                     vector_scalar_grad_matrix)
+from .polyquad import Poly, PolyField, integrate_exact
+from .spaces import (TensorGrid, coefficient_array, curl_inclusion_residual,
+                     dual_gram_matrices, grad_pair, reference_spaces,
+                     scalar_stiffness_matrix, vector_scalar_grad_matrix,
+                     vk_dofs)
 
 # the scalar polynomials of a field per ErrorTriple column, in the order of
 # ``spaces.factored_table``: grad curl (entry [i, j] = d(curl f)_i/dx_j, row
@@ -106,10 +105,8 @@ def check_reference_tables():
         (scalar_stiffness_matrix(q1),
          Q.T @ _poly_gram(grads, grads, _l2_pair) @ Q)]
     for sub in (2, 3):
-        dofs = _edge_dofs(sub) + _face_dofs(sub, (("face_curl", 0),
-                                                  ("face_curl", 1)))
         pairs.append((system.prolongation_matrix(sub),
-                      _applied(dofs, vk.span) @ C))
+                      _applied(vk_dofs(sub), vk.span) @ C))
     worst = max(float(np.abs(got - want).max()) / float(np.abs(want).max())
                 for got, want in pairs)
     return _result("reference tables match the Poly algebra", worst, 1e-13)
@@ -147,7 +144,7 @@ def _random_polyfield(rng, deg):
 
 
 def _field_difference(a, b):
-    mat, _ = coefficient_matrix([a, b])
+    mat = coefficient_array([a, b]).reshape(2, -1)
     scale = max(1.0, float(np.abs(mat).max()))
     return float(np.abs(mat[0] - mat[1]).max()) / scale
 
@@ -417,7 +414,8 @@ def check_load_fd_oracle():
 
 def check_i3h_collapse():
     """Postprocessing the interpolant equals postprocessing the field itself
-    (both reduce to the same fine-edge integrals), at n = 3."""
+    (both reduce to the same fine-edge integrals), at n = 3.  The direct
+    integrals take the study's Gauss order, as I_h does."""
     ex = mms.build_exact_fields()
     mesh = build_mesh(3)
     gmap = system.build_dof_map(mesh)
@@ -427,7 +425,7 @@ def check_i3h_collapse():
 
     # direct fine-edge integrals of u (boundary edges stay zero: the exact
     # tangential trace vanishes there)
-    rule = gauss_rule(6)
+    rule = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
     h = mesh.h
     vals = np.zeros(mesh.n_edges)
     for eid in np.where(~mesh.edge_is_boundary)[0]:

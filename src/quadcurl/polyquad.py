@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial algebra on boxes and tensor-product Gauss quadrature.
+"""Exact multivariate polynomial algebra on boxes and Gauss-Legendre quadrature.
 
 Scalar polynomials are sparse maps from monomial exponent triples to float
 coefficients.  All calculus (differentiation, curl, box integration) happens
@@ -222,31 +222,6 @@ class PolyField:
         return np.stack(vals, axis=-1)
 
 
-def coefficient_matrix(fields):
-    """Stack polynomial (or field) coefficients into a dense matrix.
-
-    Returns ``(mat, monomials)`` where ``mat[i]`` is the coefficient vector of
-    ``fields[i]`` over the sorted union of their monomials.  Vector fields use keys
-    ``(component, exponents)``.
-    """
-    keys = set()
-    rows = []
-    for f in fields:
-        if isinstance(f, PolyField):
-            row = {(k, m): c for k in range(3) for m, c in f.comps[k].coeffs.items()}
-        else:
-            row = dict(f.coeffs)
-        rows.append(row)
-        keys.update(row)
-    monomials = sorted(keys)
-    index = {m: j for j, m in enumerate(monomials)}
-    mat = np.zeros((len(fields), len(monomials)))
-    for i, row in enumerate(rows):
-        for m, c in row.items():
-            mat[i, index[m]] = c
-    return mat, monomials
-
-
 @lru_cache(maxsize=None)
 def legendre_poly(k, axis):
     """Legendre polynomial scaled to [-1/2, 1/2] along one axis, as a Poly."""
@@ -261,7 +236,7 @@ def legendre_poly(k, axis):
 
 
 class GaussRule:
-    """Tensor-product Gauss-Legendre rules on intervals and boxes.
+    """Gauss-Legendre rules on intervals (boxes take their tensor products).
 
     Order ``q`` per axis integrates per-axis polynomial degree <= 2q - 1
     exactly.
@@ -278,15 +253,6 @@ class GaussRule:
 
     def interval(self, lo, hi):
         return lo + (hi - lo) * self.pts01, (hi - lo) * self.wts01
-
-    def box(self, lo, hi):
-        """3D rule: returns points ``(q^3, 3)`` and weights ``(q^3,)``."""
-        axes = [self.interval(lo[i], hi[i]) for i in range(3)]
-        P = np.stack(np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij"),
-                     axis=-1).reshape(-1, 3)
-        W = (axes[0][1][:, None, None] * axes[1][1][None, :, None]
-             * axes[2][1][None, None, :]).reshape(-1)
-        return P, W
 
 
 # Gauss points per axis of every study quadrature (the load, I_h and the error

@@ -14,19 +14,23 @@ Everything lives on the cell-centered scaled frame ``[-1/2, 1/2]^3``
 (macro spaces on the same frame subdivided 3x3x3).  Edge and face DoFs are
 built by two enumerations over the fine entities of the frame cut into
 sub^3 cells, sub = 1 or 3, in the local order of
-``quadcurl.mesh.BrickMesh.block_entities``.  Physical DoFs on a cell
-of edge length ``h`` are the reference DoFs times ``h**dof_scale_power``, the
-same factor for every DoF of a space, so a single Vandermonde factorization
-serves every cell of the uniform mesh.  The DoF functionals also evaluate the
-h^2/12-corrected tangential face integrals of the modified interpolation.
+``quadcurl.mesh.BrickMesh.block_entities``; ``vk_dofs`` is the VK layout
+there, which the prolongations of ``quadcurl.system`` also read.  Physical
+DoFs on a cell of edge length ``h`` are the reference DoFs times
+``h**dof_scale_power``, the same factor for every DoF of a space, so a
+single Vandermonde factorization serves every cell of the uniform mesh.
+The DoF functionals also evaluate the h^2/12-corrected tangential face
+integrals of the modified interpolation.
 
-Every reference table (the Vandermondes, the Gram matrices, the coupling,
-the Q1 stiffness and the factored dual tables) is a few small matrix
-products over tensor-monomial coefficient arrays (``coefficient_array``):
-a DoF is one row of 1D moments and powers, and an L2 pairing contracts
-each axis with the exact moment matrix ``MOMENTS``.  ``DofFunctional.apply``
-and the ``Poly`` algebra stay as the oracle that ``quadcurl.checks``
-compares these tables against.
+``coefficient_array`` is the one coefficient form of a polynomial field:
+tensor monomials of per-axis degree <= ``AXIS_DEGREE``.  Every reference
+table (the Vandermondes, the Gram matrices, the coupling, the Q1 stiffness,
+the factored dual tables) and the reference checks (the compression of the
+VK span, the curl inclusions) are a few small matrix products over such
+arrays: a DoF is one row of 1D moments and powers, and an L2 pairing
+contracts each axis with the exact moment matrix ``MOMENTS``.
+``DofFunctional.apply`` and the ``Poly`` algebra stay as the oracle that
+``quadcurl.checks`` compares these tables against.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ import numpy as np
 
 from . import polyquad
 from .mesh import _lattice, edge_lattice_order, face_lattice_order
-from .polyquad import (Poly, PolyField, coefficient_matrix, integrate_exact,
-                       legendre_poly)
+from .polyquad import Poly, PolyField, integrate_exact, legendre_poly
 
 
 class DegenerateSpan(Exception):
@@ -108,6 +111,12 @@ def coefficient_array(fields):
                                      f"{AXIS_DEGREE}")
                 out[(i, k) + mono] = c
     return out
+
+
+def _as_field(row):
+    """The PolyField of one flattened (3, d, d, d) coefficient array."""
+    return PolyField([Poly(dict(np.ndenumerate(comp))) for comp in
+                      row.reshape((3,) + (AXIS_DEGREE + 1,) * 3)])
 
 
 def _along(arr, mat, axis):
@@ -330,20 +339,28 @@ def _face_dofs(sub, per_face):
     return dofs
 
 
+def vk_dofs(sub):
+    """The DoFs of V_K on the fine entities: the edge tangential integrals,
+    then two face-curl integrals per face."""
+    return _edge_dofs(sub) + _face_dofs(sub, (("face_curl", 0),
+                                              ("face_curl", 1)))
+
+
 # ---------------------------------------------------------------------------
 # spanning sets
 # ---------------------------------------------------------------------------
 
-def _p1_scalars():
-    return [Poly.const(1.0), Poly.monomial(1, 0, 0), Poly.monomial(0, 1, 0),
-            Poly.monomial(0, 0, 1)]
+def _q1_scalars():
+    exps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+            (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    return [Poly.monomial(*e) for e in exps]
 
 
 def span_WK():
     """[P1]^3 plus the transverse squares: 18 fields."""
     fields = []
     for comp in range(3):
-        for p in _p1_scalars():
+        for p in _q1_scalars()[:4]:     # 1, x, y, z
             fields.append(PolyField.unit(comp, p))
     for comp in range(3):
         for other in _others(comp):
@@ -353,12 +370,6 @@ def span_WK():
     return fields
 
 
-def _q1_scalars():
-    exps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-            (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    return [Poly.monomial(*e) for e in exps]
-
-
 def span_VK():
     """Spanning set of the 24-dim grad-curl space: grad Q1 + x cross WK.
 
@@ -366,29 +377,24 @@ def span_VK():
     18 of them are compressed to 17 by rank-revealing SVD in coefficient
     space.
     """
-    grads = []
-    for q in _q1_scalars()[1:]:
-        grads.append(PolyField((q.diff(0), q.diff(1), q.diff(2))))
-
-    x_field = PolyField((Poly.monomial(1, 0, 0), Poly.monomial(0, 1, 0),
-                         Poly.monomial(0, 0, 1)))
-    crosses = [x_field.cross(w) for w in span_WK()]
-    mat, monos = coefficient_matrix(crosses)
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    scalars = _q1_scalars()
+    grads = [PolyField([q.diff(j) for j in range(3)]) for q in scalars[1:]]
+    x_field = PolyField(scalars[1:4])
+    mat = coefficient_array([x_field.cross(w) for w in span_WK()])
+    mat = mat.reshape(len(mat), -1)
+    # the SVD runs over the monomials that occur only: over all of them it
+    # returns another basis in round-off
+    used = mat.any(axis=0)
+    _, s, vt = np.linalg.svd(mat[:, used], full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-9))
     if rank != 17:
         raise DegenerateSpan(f"x cross WK rank {rank}, expected 17")
-    reduced = []
-    for r in range(17):
-        comps = [Poly.zero(), Poly.zero(), Poly.zero()]
-        for (comp, mono), c in zip(monos, vt[r]):
-            if c != 0.0:
-                comps[comp] = comps[comp] + Poly.monomial(*mono, coef=c)
-        reduced.append(PolyField(comps))
+    reduced = np.zeros((17, mat.shape[1]))
+    reduced[:, used] = vt[:17]
 
-    fields = grads + reduced
-    full_mat, _ = coefficient_matrix(fields)
-    if np.linalg.matrix_rank(full_mat, tol=1e-9 * np.abs(full_mat).max()) != 24:
+    fields = grads + [_as_field(r) for r in reduced]
+    full = coefficient_array(fields).reshape(len(fields), -1)
+    if np.linalg.matrix_rank(full, tol=1e-9 * np.abs(full).max()) != 24:
         raise DegenerateSpan("grad Q1 + x cross WK span is rank deficient")
     return fields
 
@@ -431,9 +437,7 @@ def reference_spaces():
         "WK": (span_WK(),
                _face_dofs(1, (("face_tangential", 0), ("face_tangential", 1),
                               ("face_normal", 2))), 2),
-        "VK": (span_VK(),
-               _edge_dofs(1) + _face_dofs(1, (("face_curl", 0),
-                                              ("face_curl", 1))), 1),
+        "VK": (span_VK(), vk_dofs(1), 1),
         "NedelecK": (span_nedelec(), _edge_dofs(1), 1),
         "Q1K": (_q1_scalars(),
                 [DofFunctional("vertex", fixed=tuple(v))
@@ -452,30 +456,17 @@ def reference_spaces():
 def curl_inclusion_residual(v_space, w_space):
     """Largest least-squares residual of curl(dual of V) against span(W),
     normalized by the curl coefficient magnitude."""
-    w_mat, monos = coefficient_matrix(w_space.span)
-    index = {m: i for i, m in enumerate(monos)}
-    worst = 0.0
-    for v in v_space.dual:
-        c = v.curl()
-        cvec = np.zeros(len(monos))
-        extra = 0.0
-        for comp in range(3):
-            for mono, coef in c.comps[comp].coeffs.items():
-                key = (comp, mono)
-                if key in index:
-                    cvec[index[key]] = coef
-                else:
-                    extra += coef**2
-        sol, res, *_ = np.linalg.lstsq(w_mat.T, cvec, rcond=None)
-        r = np.linalg.norm(w_mat.T @ sol - cvec) ** 2 + extra
-        scale = max(1.0, float(np.linalg.norm(cvec)))
-        worst = max(worst, np.sqrt(r) / scale)
-    return worst
+    w = coefficient_array(w_space.span).reshape(w_space.dim, -1).T
+    curls = (v_space.dual_coeffs.T @ _curl(coefficient_array(
+        v_space.span)).reshape(v_space.dim, -1)).T
+    sol, *_ = np.linalg.lstsq(w, curls, rcond=None)
+    res = np.linalg.norm(w @ sol - curls, axis=0)
+    return float((res / np.maximum(1.0, np.linalg.norm(curls, axis=0))).max())
 
 
 # ---------------------------------------------------------------------------
-# the dual fields in tensor-monomial form: factored tables, their sum
-# factorization on tensor grids and their dense tables at points
+# the dual fields in tensor-monomial form: factored tables and their sum
+# factorization on tensor grids
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -493,28 +484,6 @@ def factored_table(space):
     return tuple(np.tensordot(arr.transpose(2, 3, 4, 1, 0), space.dual_coeffs,
                               axes=(4, 0)).transpose(0, 1, 4, 2, 3)
                  for arr in (_grad(curl), curl, value))
-
-
-def _dense_table(space, pts, col):
-    """Column ``col`` of every dual at reference points: (ndof, npts, K)."""
-    x, y, z = (pts[:, a, None] ** np.arange(AXIS_DEGREE + 1) for a in range(3))
-    return np.einsum("abjck,pa,pb,pc->jpk", factored_table(space)[col],
-                     x, y, z, optimize=True)
-
-
-def dual_value_table(space, pts):
-    """Values of all dual fields at reference points: (ndof, npts, 3)."""
-    return _dense_table(space, pts, 2)
-
-
-def dual_curl_table(space, pts):
-    return _dense_table(space, pts, 1)
-
-
-def dual_gradcurl_table(space, pts):
-    """Jacobians of the curls of all duals: (ndof, npts, 3, 3); entry
-    [..., i, j] is d(curl f)_i / d x_j."""
-    return _dense_table(space, pts, 0).reshape(space.dim, len(pts), 3, 3)
 
 
 class TensorGrid:

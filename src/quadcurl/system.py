@@ -48,9 +48,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .mesh import BrickMesh, _lattice, gauss_tiles
-from .spaces import (TensorGrid, _edge_dofs, _face_dofs, dual_gram_matrices,
-                     functional_matrix, reference_spaces,
-                     scalar_stiffness_matrix, vector_scalar_grad_matrix)
+from .spaces import (TensorGrid, dual_gram_matrices, functional_matrix,
+                     reference_spaces, scalar_stiffness_matrix,
+                     vector_scalar_grad_matrix, vk_dofs)
 
 
 class MaxIterations(Exception):
@@ -317,10 +317,8 @@ def prolongation_matrix(sub):
     the coarse reference frame.  Physical DoFs scale as h^1 and the physical
     dual as 1/H, so the matrix serves every cell size."""
     vk = reference_spaces()["VK"]
-    dofs = _edge_dofs(sub) + _face_dofs(sub, (("face_curl", 0),
-                                              ("face_curl", 1)))
     # the fine DoFs of the spanning fields, mapped to the duals
-    return functional_matrix(dofs, vk.span) @ vk.dual_coeffs
+    return functional_matrix(vk_dofs(sub), vk.span) @ vk.dual_coeffs
 
 
 def _coarsening(n):

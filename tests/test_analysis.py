@@ -7,10 +7,9 @@ from quadcurl.analysis import (ConvergenceReport, DegenerateError, ErrorTriple,
                                compute_eoc, discrete_norms)
 from quadcurl.interp import MacroField
 from quadcurl.mesh import build_mesh, macro_partition
-from quadcurl.polyquad import gauss_rule
-from quadcurl.spaces import (dual_curl_table, dual_gradcurl_table,
-                             dual_gram_matrices, dual_value_table,
-                             reference_spaces)
+from quadcurl.spaces import dual_gram_matrices, reference_spaces
+from tables import (dual_curl_table, dual_gradcurl_table, dual_value_table,
+                    gauss_box)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +34,7 @@ def test_discrete_norms_match_quadrature(setup3):
     trip = discrete_norms(v, mesh, gmap)
 
     vk = reference_spaces()["VK"]
-    pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    pts, wts = gauss_box(6)
     val = dual_value_table(vk, pts)
     curl = dual_curl_table(vk, pts)
     gc = dual_gradcurl_table(vk, pts)
@@ -263,8 +262,7 @@ def _dense_blocks(mesh, sub, space):
     lattice order), the Gauss weights (each fine cell summing to 1) and the
     dense dual tables at the reference points, one (dim, points x K) matrix
     per ErrorTriple column."""
-    pts, wts = gauss_rule(polyquad.GAUSS_ORDER).box((-0.5, -0.5, -0.5),
-                                                    (0.5, 0.5, 0.5))
+    pts, wts = gauss_box(polyquad.GAUSS_ORDER)
     fine = (np.indices((sub,) * 3).reshape(3, -1).T + 0.5) / sub - 0.5
     ref = (fine[:, None] + pts / sub).reshape(-1, 3)
     nb, size = mesh.n // sub, sub * mesh.h

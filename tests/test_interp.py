@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadcurl import interp, mms, system
+from quadcurl import interp, mms, polyquad, system
 from quadcurl.checks import (_field_difference, _random_polyfield,
                              check_commuting_cell, check_commuting_macro,
                              check_gradient_orthogonality_quadratics,
@@ -144,6 +144,19 @@ def test_macro_interp_reproduces_vm_polynomials():
 
 def test_postprocessing_collapse_identity():
     assert check_i3h_collapse().passed
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_postprocessing_collapse_at_other_gauss_orders(monkeypatch, order):
+    # I_h reads GAUSS_ORDER at call time, so the direct fine-edge integrals
+    # of the check must take the same order for the identity to hold
+    monkeypatch.setattr(polyquad, "GAUSS_ORDER", order)
+    polyquad.gauss_rule.cache_clear()
+    try:
+        assert check_i3h_collapse().passed
+    finally:
+        monkeypatch.undo()
+        polyquad.gauss_rule.cache_clear()
 
 
 def test_smooth_path_matches_exact_path_on_polynomials():

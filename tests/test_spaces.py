@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
-from quadcurl.polyquad import Poly, PolyField, coefficient_matrix
-from quadcurl.polyquad import gauss_rule
-from quadcurl.spaces import (DofFunctional, SingularVandermonde, TensorGrid,
-                             curl_inclusion_residual,
-                             dual_basis, dual_curl_table,
-                             dual_gradcurl_table,
-                             dual_gram_matrices, dual_value_table,
-                             reference_spaces, span_VK, span_WK)
+from quadcurl.checks import _field_difference
+from quadcurl.polyquad import Poly, PolyField
+from quadcurl.spaces import (AXIS_DEGREE, DofFunctional, SingularVandermonde,
+                             TensorGrid, coefficient_array,
+                             curl_inclusion_residual, dual_basis,
+                             dual_gram_matrices, reference_spaces, span_VK,
+                             span_WK)
+from tables import (dual_curl_table, dual_gradcurl_table, dual_value_table,
+                    gauss_box)
 
 
 @pytest.fixture(scope="module")
 def spaces():
     return reference_spaces()
+
+
+def _flat(fields):
+    """One row of tensor-monomial coefficients per field."""
+    return coefficient_array(fields).reshape(len(fields), -1)
 
 
 def test_dimensions(spaces):
@@ -36,7 +42,7 @@ def test_unisolvence_identity(spaces):
 def test_vk_span_structure():
     fields = span_VK()
     assert len(fields) == 24
-    mat, _ = coefficient_matrix(fields)
+    mat = _flat(fields)
     assert np.linalg.matrix_rank(mat, tol=1e-9 * np.abs(mat).max()) == 24
 
 
@@ -44,7 +50,7 @@ def test_gradient_of_trilinear_in_span(spaces):
     # grad(xyz) = (yz, xz, xy) must lie in span(VK)
     q = Poly.monomial(1, 1, 1)
     g = PolyField((q.diff(0), q.diff(1), q.diff(2)))
-    mat, monos = coefficient_matrix(span_VK() + [g])
+    mat = _flat(span_VK() + [g])
     span_mat, target = mat[:-1], mat[-1]
     sol, *_ = np.linalg.lstsq(span_mat.T, target, rcond=None)
     assert np.linalg.norm(span_mat.T @ sol - target) < 1e-10
@@ -54,9 +60,20 @@ def test_cross_product_field_in_span():
     # x cross (1,0,0) = (0, z, -y)
     target = PolyField((Poly.zero(), Poly.monomial(0, 0, 1),
                         -Poly.monomial(0, 1, 0)))
-    mat, _ = coefficient_matrix(span_VK() + [target])
+    mat = _flat(span_VK() + [target])
     sol, *_ = np.linalg.lstsq(mat[:-1].T, mat[-1], rcond=None)
     assert np.linalg.norm(mat[:-1].T @ sol - mat[-1]) < 1e-12
+
+
+def test_coefficient_array_rejects_degree_above_axis_degree():
+    # the one guard of every reader of the coefficient form (span_VK,
+    # curl_inclusion_residual, _field_difference): a term past AXIS_DEGREE
+    # raises rather than being dropped
+    field = PolyField.unit(0, Poly.monomial(AXIS_DEGREE + 1, 0, 0))
+    with pytest.raises(ValueError, match="above per-axis degree"):
+        coefficient_array([field])
+    with pytest.raises(ValueError, match="above per-axis degree"):
+        _field_difference(field, PolyField.unit(0))
 
 
 def test_curl_inclusions(spaces):
@@ -223,7 +240,7 @@ def test_gram_matrices_cached_per_space_not_per_tag(spaces, perturbed_vk):
 def test_span_tables_match_dual_polynomials(spaces):
     # the tables come from the span and dual_coeffs; evaluating every dense
     # dual polynomial at the points is the oracle
-    pts, _ = gauss_rule(3).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    pts, _ = gauss_box(3)
     x, y, z = pts.T
     for tag in ("VK", "NedelecK", "VM"):
         sp = spaces[tag]

@@ -4,9 +4,8 @@ import scipy.linalg
 
 from quadcurl import mms, system
 from quadcurl.mesh import build_mesh
-from quadcurl.polyquad import gauss_rule
-from quadcurl.spaces import (dual_gradcurl_table, dual_value_table,
-                             reference_spaces)
+from quadcurl.spaces import reference_spaces
+from tables import dual_gradcurl_table, dual_value_table, gauss_box
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +91,7 @@ def test_quadratic_form_matches_direct_integration(setup3):
     A = system.assemble_A(mesh, gmap)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(gmap.n_vdofs)
-    pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    pts, wts = gauss_box(6)
     gc = dual_gradcurl_table(reference_spaces()["VK"], pts)
     h = mesh.h
     cols = gmap.cell_vdofs
@@ -121,7 +120,7 @@ def test_coupling_entries_match_quadrature_oracle():
     # instead and integrate with Gauss
     ref = system.reference_matrices()
     spcs = reference_spaces()
-    pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    pts, wts = gauss_box(6)
     vk_tab = dual_value_table(spcs["VK"], pts)
     q1_grad = np.array([[p.diff(j)(*pts.T) for j in range(3)]
                         for p in spcs["Q1K"].dual]).transpose(0, 2, 1)
@@ -158,7 +157,7 @@ def test_modified_rhs_face_entries_vanish(setup3, exact):
 def test_load_matches_pointwise_gauss_reference(exact):
     # oracle: f evaluated point by point at each cell's Gauss points and
     # tested against the reference dual tables, cell by cell
-    pts, wts = gauss_rule(6).box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    pts, wts = gauss_box(6)
     for n in (3, 6):
         mesh = build_mesh(n)
         gmap = system.build_dof_map(mesh)
