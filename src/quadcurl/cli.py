@@ -181,7 +181,7 @@ def _study_n(n, config, exact):
     from . import analysis, interp, system
     from .mesh import build_mesh, macro_partition
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     tasks = config.tasks
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
@@ -205,7 +205,7 @@ def _study_n(n, config, exact):
                 rec.i3h_u = interp.global_I3h(u, mesh, gmap, part)
                 trip = analysis.superconvergent_error(rec.i3h_u, exact, mesh)
             rec.triples[task] = trip
-        rec.elapsed = time.time() - t0
+        rec.elapsed = time.perf_counter() - t0
         yield rec
 
 
@@ -233,13 +233,13 @@ def run(config):
 def selftest():
     """Run the invariant battery; prints one verdict line per check."""
     from .checks import run_battery
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = run_battery()
     for r in results:
         print(r.line())
     ok = all(r.passed for r in results)
     print(f"{'all checks passed' if ok else 'CHECKS FAILED'} "
-          f"({time.time() - t0:.1f}s)")
+          f"({time.perf_counter() - t0:.1f}s)")
     return ok
 
 

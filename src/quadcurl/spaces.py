@@ -24,11 +24,11 @@ integrals of the modified interpolation.
 
 ``coefficient_array`` is the one coefficient form of a polynomial field:
 tensor monomials of per-axis degree <= ``AXIS_DEGREE``.  Every reference
-table (the Vandermondes, the Gram matrices, the coupling, the Q1 stiffness,
-the factored dual tables) and the reference checks (the compression of the
-VK span, the curl inclusions) are a few small matrix products over such
-arrays: a DoF is one row of 1D moments and powers, and an L2 pairing
-contracts each axis with the exact moment matrix ``MOMENTS``.
+table (the Vandermondes, the Gram matrices, the coupling, the factored dual
+tables) and the reference checks (the compression of the VK span, the curl
+inclusions) are a few small matrix products over such arrays: a DoF is
+one row of 1D moments and powers, and an L2 pairing contracts each axis
+with the exact moment matrix ``MOMENTS``.
 ``DofFunctional.apply`` and the ``Poly`` algebra stay as the oracle that
 ``quadcurl.checks`` compares these tables against.
 """
@@ -567,11 +567,3 @@ def vector_scalar_grad_matrix(vspace, qspace):
     G = _l2_gram(coefficient_array(vspace.span),
                  _grad(coefficient_array(qspace.span)))
     return vspace.dual_coeffs.T @ G @ qspace.dual_coeffs
-
-
-def scalar_stiffness_matrix(qspace):
-    """Exact reference Q1 stiffness: ``(grad qdual_m, grad qdual_l)``."""
-    grads = _grad(coefficient_array(qspace.span))
-    C = qspace.dual_coeffs
-    M = C.T @ _l2_gram(grads, grads) @ C
-    return (M + M.T) / 2.0

@@ -21,17 +21,19 @@ every cell of the uniform mesh.  Only the load needs quadrature: f is summed
 on the tensor grid of the Gauss points of a tile of cells
 (``quadcurl.mesh.gauss_tiles``) and tested against the reference duals by
 sum factorization (``quadcurl.spaces.TensorGrid.moments``).  No matrix
-is assembled: A, B and the Q1 stiffness S are each a ``CellOperator`` that
-applies its one cell matrix cell by cell (gather, matrix product,
-scatter-add), and B^T is the same gather and scatter with the roles of the
-two DoF tables swapped.  The gradient inclusion G is a ``CellOperator``
-over the interior edges, with the local matrix [[1, -1]].
+is assembled: A and B are each a ``CellOperator`` that applies its one cell
+matrix cell by cell (gather, matrix product, scatter-add), and B^T is the
+same gather and scatter with the roles of the two DoF tables swapped.  The
+gradient inclusion G is a ``CellOperator`` over the interior edges, with the
+local matrix [[1, -1]].
 
-The solves are CG (``_pcg``, a loop of numpy vector operations).  The
-velocity CG is preconditioned by one multigrid V-cycle built from the
-same pieces: every level is the ``CellOperator`` A of a coarser mesh, and
-the prolongation is a ``CellOperator`` whose local matrix holds the fine
-DoFs of the coarse duals.
+The velocity solve is CG (``_pcg``, a loop of numpy vector operations),
+preconditioned by one multigrid V-cycle built from the same pieces: every
+level is the ``CellOperator`` A of a coarser mesh, and the prolongation is
+a ``CellOperator`` whose local matrix holds the fine DoFs of the coarse
+duals.  The pressure and the projection need the inverse of the Q1
+stiffness S = G^T B, which ``q1_inverse`` applies exactly by fast
+diagonalization.
 
 An eliminated boundary DoF is -1 in the DoF tables.  ``gather`` reads it as
 zero and ``scatter_add`` drops what is written to it.  The operators send
@@ -49,8 +51,7 @@ import numpy as np
 
 from .mesh import BrickMesh, _lattice, gauss_tiles
 from .spaces import (TensorGrid, dual_gram_matrices, functional_matrix,
-                     reference_spaces, scalar_stiffness_matrix,
-                     vector_scalar_grad_matrix, vk_dofs)
+                     reference_spaces, vector_scalar_grad_matrix, vk_dofs)
 
 
 class MaxIterations(Exception):
@@ -111,14 +112,11 @@ def build_dof_map(mesh):
 
 @lru_cache(maxsize=None)
 def reference_matrices():
-    """Reference-cell matrices shared by all cells: dual Gram triples for VK,
-    the velocity/pressure coupling and the Q1 stiffness."""
-    spcs = reference_spaces()
-    vk, q1 = spcs["VK"], spcs["Q1K"]
-    M0, M1, M2 = dual_gram_matrices(vk)
-    B = vector_scalar_grad_matrix(vk, q1)
-    S = scalar_stiffness_matrix(q1)
-    return {"M0": M0, "M1": M1, "M2": M2, "B": B, "S": S}
+    """Reference-cell matrices shared by all cells: the grad-curl Gram
+    matrix M2 of the VK duals and the velocity/pressure coupling B."""
+    vk, q1 = reference_spaces()["VK"], reference_spaces()["Q1K"]
+    return {"M2": dual_gram_matrices(vk)[2],
+            "B": vector_scalar_grad_matrix(vk, q1)}
 
 
 def _slots(dofs, size):
@@ -147,10 +145,10 @@ def scatter_add(entries, slots, size):
 class CellOperator:
     """The sum over all cells of one local matrix, applied without assembly:
     x -> sum_K R_K^T local C_K x, where C_K gathers the column DoFs
-    col_dofs[K] and R_K the row DoFs row_dofs[K].  A, B, the Q1 stiffness,
-    the gradient inclusion G (one "cell" per interior edge) and the
-    prolongation are all of this form.  ``op @ x`` applies it to a vector,
-    or column by column to a matrix, and ``op.T @ x`` its transpose."""
+    col_dofs[K] and R_K the row DoFs row_dofs[K].  A, B, the gradient
+    inclusion G (one "cell" per interior edge) and the prolongation are all
+    of this form.  ``op @ x`` applies it to a vector, or column by column
+    to a matrix, and ``op.T @ x`` its transpose."""
 
     def __init__(self, local, row_dofs, col_dofs, shape):
         self.shape = shape
@@ -228,14 +226,6 @@ def assemble_B(mesh, gmap):
     h = mesh.h
     return CellOperator(reference_matrices()["B"] * h, gmap.cell_vdofs,
                         gmap.cell_qdofs, (gmap.n_vdofs, gmap.n_qdofs))
-
-
-def assemble_q1_stiffness(mesh, gmap):
-    """Q1 stiffness S on interior vertices: entry (m, l) =
-    sum_K (grad q_m, grad q_l)_K."""
-    h = mesh.h
-    return CellOperator(reference_matrices()["S"] * h, gmap.cell_qdofs,
-                        gmap.cell_qdofs, (gmap.n_qdofs, gmap.n_qdofs))
 
 
 def gradient_inclusion_matrix(mesh, gmap):
@@ -437,6 +427,32 @@ def velocity_preconditioner(mesh, gmap, A, G):
     return apply
 
 
+def q1_inverse(n):
+    """S^-1 for the Q1 stiffness S of the n-mesh, as the function b -> S^-1 b
+    on interior-vertex vectors, by fast diagonalization (Lynch, Rice and
+    Thomas, Numer. Math. 6, 1964).  On the uniform mesh S = K x M x M +
+    M x K x M + M x M x K, with K and M the 1D stiffness and mass on the
+    n - 1 interior nodes.  The orthonormal DST-I vectors
+    sqrt(2/n) sin(j k pi/n) diagonalize both, with the eigenvalues
+    n (2 - 2 cos t_j) and (4 + 2 cos t_j) / (6 n), t_j = j pi/n."""
+    m = n - 1
+    t = np.arange(1, n) * np.pi / n
+    Q = np.sqrt(2.0 / n) * np.sin(np.outer(np.arange(1, n), t))
+    k, mass = n * (2.0 - 2.0 * np.cos(t)), (4.0 + 2.0 * np.cos(t)) / (6.0 * n)
+    lam = (k[:, None, None] * mass[:, None] * mass
+           + mass[:, None, None] * k[:, None] * mass
+           + mass[:, None, None] * mass[:, None] * k)
+
+    def transform(x):
+        # Q (symmetric) along the first axis, then rotate the axes; three
+        # turns transform every axis once and restore their order
+        for _ in range(3):
+            x = (Q @ x.reshape(m, -1)).reshape(m, m, m).transpose(1, 2, 0)
+        return x
+
+    return lambda b: transform(transform(b.reshape(m, m, m)) / lam).ravel()
+
+
 def _pcg(M, b, atol, maxiter, precond):
     """CG from x = 0 on the symmetric positive (semi)definite M with the
     preconditioner function ``precond``, stopped at ||M x - b|| < atol or
@@ -466,6 +482,11 @@ def _pcg(M, b, atol, maxiter, precond):
     return x, maxiter, norms
 
 
+# cap of the velocity CG, which takes 9-18 iterations at tol 1e-10 for
+# n = 6..48: it only stops unreachable tolerances
+MAX_ITERATIONS = 100
+
+
 def solve_saddle(system, tol=1e-10):
     """Solve the saddle system to relative residual <= tol.
 
@@ -477,10 +498,9 @@ def solve_saddle(system, tol=1e-10):
        G^T (F - B p) = 0;
     3. projection: u = w - G S^-1 B^T w, so A u = A w and B^T u = 0.
 
-    S is applied from its Q1 cell matrix, not formed as G^T B: the
-    decoupling assumes G^T B = S, which the tests check.  All three solves
-    are ``_pcg`` on cell operators: the two S solves with the Jacobi
-    preconditioner, the velocity solve with one multigrid V-cycle
+    Both S solves are exact (``q1_inverse``); the decoupling assumes
+    G^T B = S, which the tests check.  The velocity solve is ``_pcg`` on
+    the cell operator A, preconditioned by one multigrid V-cycle
     (``velocity_preconditioner``), which keeps its iteration count about
     constant in n (15 at n = 24, 17 at n = 48).  Returns (u, p, info),
     u and p the V_h and Q_h coefficient arrays; info carries the velocity
@@ -495,25 +515,12 @@ def solve_saddle(system, tol=1e-10):
                 {"method": "trivial", "residual": 0.0, "iterations": 0})
 
     G = gradient_inclusion_matrix(system.mesh, system.gmap)
-    S = assemble_q1_stiffness(system.mesh, system.gmap)
-    inv_diag = 1.0 / S.diagonal()
-
-    def jacobi(r):
-        return inv_diag * r
-
-    # S needs ~3n iterations and the V-cycle CG on A ~20 at tol 1e-10; the
-    # cap only stops unreachable tolerances
-    maxiter = 500 + 10 * system.mesh.n
-    # S is cheap to solve, so both S solves run to a thousandth of the
-    # budget: a pressure residual would leave F - B p inconsistent, and the
-    # projection residual is B^T u itself
-    s_atol = 1e-3 * tol * fnorm
-    p, _, _ = _pcg(S, G.T @ F, s_atol, maxiter, jacobi)
-    w, its, norms = _pcg(A, F - B @ p, 0.5 * tol * fnorm, maxiter,
+    s_inv = q1_inverse(system.mesh.n)
+    p = s_inv(G.T @ F)
+    w, its, norms = _pcg(A, F - B @ p, 0.5 * tol * fnorm, MAX_ITERATIONS,
                          velocity_preconditioner(system.mesh, system.gmap, A,
                                                  G))
-    y, _, _ = _pcg(S, B.T @ w, s_atol, maxiter, jacobi)
-    u = w - G @ y
+    u = w - G @ s_inv(B.T @ w)
 
     res = float(np.hypot(np.linalg.norm(A @ u + B @ p - F),
                          np.linalg.norm(B.T @ u))) / fnorm

@@ -171,6 +171,24 @@ def test_selftest_passes(monkeypatch, capsys):
     assert "[FAIL] stub failure: off" in capsys.readouterr().out
 
 
+def test_selftest_reports_a_check_that_raises(monkeypatch, capsys):
+    # a check that raises is one failing result, not a crash: the results
+    # before and after it still print and the exit code is 4
+    def ok():
+        return checks.CheckResult("stub", True, "fine")
+
+    def broken():
+        raise system.MaxIterations("residual 1e-3")
+
+    monkeypatch.setattr(checks, "BATTERY", (ok, broken, ok))
+    assert cli.main(["--selftest"]) == cli.EXIT_INVARIANT
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["[PASS] stub: fine",
+                       "[FAIL] broken: raised MaxIterations: residual 1e-3",
+                       "[PASS] stub: fine"]
+    assert out[3].startswith("CHECKS FAILED")
+
+
 def test_unreachable_tolerance_reports_solver_failure(tmp_path, capsys):
     rc = cli.main(["--scheme", "modified", "--n", "3", "--task", "errors",
                    "--out", str(tmp_path), "--tol", "1e-18"])

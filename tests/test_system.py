@@ -51,9 +51,7 @@ def test_cell_operator_matches_assembled_stiffness(n):
     ref = system.reference_matrices()
     vdofs, qdofs = gmap.cell_vdofs, gmap.cell_qdofs
     cases = ((system.assemble_A(mesh, gmap), ref["M2"] / h**3, vdofs, vdofs),
-             (system.assemble_B(mesh, gmap), ref["B"] * h, vdofs, qdofs),
-             (system.assemble_q1_stiffness(mesh, gmap), ref["S"] * h, qdofs,
-              qdofs))
+             (system.assemble_B(mesh, gmap), ref["B"] * h, vdofs, qdofs))
     rng = np.random.default_rng(6)
     for op, local, rows, cols in cases:
         dense = np.zeros(op.shape)
@@ -101,17 +99,18 @@ def test_quadratic_form_matches_direct_integration(setup3):
     assert float(v @ (A @ v)) == pytest.approx(direct, rel=1e-10)
 
 
-def test_coupling_reproduces_q1_stiffness(setup3):
-    mesh, gmap = setup3
-    # the pressure decoupling of solve_saddle rests on G^T B = S
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_q1_inverse_inverts_the_coupling_product(n):
+    # the pressure decoupling of solve_saddle rests on G^T B = S, the Q1
+    # stiffness that q1_inverse inverts by fast diagonalization
+    mesh = build_mesh(n)
+    gmap = system.build_dof_map(mesh)
     B = system.assemble_B(mesh, gmap).toarray()
     G = system.gradient_inclusion_matrix(mesh, gmap)
-    S = system.assemble_q1_stiffness(mesh, gmap).toarray()
-    assert np.abs(G.T @ B - S).max() < 1e-12
-    rng = np.random.default_rng(2)
-    q = rng.standard_normal(gmap.n_qdofs)
-    energy = float(q @ (G.T @ B @ q))
-    assert energy > 0
+    want = np.linalg.inv(G.T @ B)
+    s_inv = system.q1_inverse(n)
+    got = np.array([s_inv(e) for e in np.eye(gmap.n_qdofs)]).T
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def test_coupling_entries_match_quadrature_oracle():
