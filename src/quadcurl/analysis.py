@@ -69,7 +69,7 @@ def _block_error(block_coeffs, tag, sub, size, exact, mesh):
 def error_vs_exact(u_vec, exact, mesh, gmap):
     """Error triple of a V_h coefficient vector against the exact solution."""
     h = mesh.h
-    # padded once for the whole walk, as ``gather`` pads: -1 reads the zero
+    # padded once for the walk, as ``gather`` pads: an eliminated DoF reads 0
     ref = np.append(u_vec / h, 0.0)
     return _block_error(lambda cells: ref[gmap.cell_vdofs[cells]], "VK", 1, h,
                         exact, mesh)

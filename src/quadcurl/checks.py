@@ -168,8 +168,8 @@ def _patch_fields(rng):
     h = 1.0 / 3.0
     edge_vals = rng.standard_normal(patch.n_edges)
     face_vals = rng.standard_normal((patch.n_faces, 2))
-    phys = np.concatenate([edge_vals[patch.cell_edges],
-                           face_vals[patch.cell_faces].reshape(-1, 12)], axis=1)
+    phys = system.vk_table(edge_vals, face_vals, patch.cell_edges,
+                           patch.cell_faces)
     ref = phys / h**vk.dof_scale_power
     return patch, [vk.combine(r) for r in ref], edge_vals
 

@@ -42,8 +42,12 @@ class RunConfig:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"solver tolerance must be finite and > 0, "
                              f"got {self.tol}")
-        if not self.ns or any(n < 1 for n in self.ns):
-            raise ValueError("mesh sizes must be positive")
+        # n = 1 has no interior unknowns; a repeated n gives no rate
+        if not self.ns or min(self.ns) < 2 or len(set(self.ns)) < len(self.ns):
+            raise ValueError(f"mesh sizes must be distinct and >= 2, got "
+                             f"{self.ns}")
+        if not self.tasks:
+            raise ValueError("no task given")
         for task in self.tasks:
             if task not in ("errors", "superclose", "superconv"):
                 raise ValueError(f"unknown task {task!r}")
@@ -213,6 +217,8 @@ def run(config):
     """Execute the configured studies; returns report paths per (scheme, task)."""
     from . import analysis
 
+    # an unusable output directory fails here, before the first solve
+    os.makedirs(config.out_dir, exist_ok=True)
     reports = {(s, t): analysis.ConvergenceReport(scheme=s, quantity=t)
                for s in config.schemes for t in config.tasks}
     for rec in study(config):
@@ -277,7 +283,7 @@ def main(argv=None):
         from .system import MaxIterations, SingularSystem
         try:
             run(config)
-        except NonDivisibleMesh as exc:
+        except (NonDivisibleMesh, OSError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except (MaxIterations, SingularSystem) as exc:

@@ -35,10 +35,10 @@ duals.  The pressure and the projection need the inverse of the Q1
 stiffness S = G^T B, which ``q1_inverse`` applies exactly by fast
 diagonalization.
 
-An eliminated boundary DoF is -1 in the DoF tables.  ``gather`` reads it as
-zero and ``scatter_add`` drops what is written to it.  The operators send
-it once to a slot past the numbered DoFs (``_slots``, which checks bounds)
-and gather from those slot tables unchecked.
+The DoF tables give every eliminated boundary DoF the slot just past the
+numbered ones (``n_vdofs`` for V_h, ``n_qdofs`` for Q_h).  A gather reads
+that slot from a zero appended to the vector, and ``scatter_add`` drops
+what is written to it, so every reader uses the tables as built.
 """
 
 from __future__ import annotations
@@ -74,40 +74,41 @@ class GlobalDofMap:
 
     n_vdofs: int
     n_qdofs: int
-    edge_dof: np.ndarray      # (n_edges,) id or -1
-    face_dof: np.ndarray      # (n_faces, 2) ids or -1
-    vertex_dof: np.ndarray    # (n_vertices,) id or -1
+    # ids below n_vdofs / n_qdofs; an eliminated DoF holds that count
+    edge_dof: np.ndarray      # (n_edges,)
+    face_dof: np.ndarray      # (n_faces, 2)
+    vertex_dof: np.ndarray    # (n_vertices,)
     cell_vdofs: np.ndarray    # (n_cells, 24)
     cell_qdofs: np.ndarray    # (n_cells, 8)
 
 
+def vk_table(edge_vals, face_vals, edges, faces):
+    """Per-block table in the VK DoF layout: the entries of ``edge_vals`` at
+    ``edges``, then the two entries of ``face_vals`` at each of ``faces``."""
+    return np.concatenate(
+        [edge_vals[edges], face_vals[faces].reshape(len(faces), -1)], axis=1)
+
+
 def build_dof_map(mesh):
-    edge_dof = np.full(mesh.n_edges, -1, dtype=np.int64)
-    interior_edges = np.where(~mesh.edge_is_boundary)[0]
-    edge_dof[interior_edges] = np.arange(len(interior_edges))
+    n_edges = np.count_nonzero(~mesh.edge_is_boundary)
+    n_faces = np.count_nonzero(~mesh.face_is_boundary)
+    n_vdofs = n_edges + 2 * n_faces
+    edge_dof = np.full(mesh.n_edges, n_vdofs, dtype=np.int64)
+    edge_dof[~mesh.edge_is_boundary] = np.arange(n_edges)
+    face_dof = np.full((mesh.n_faces, 2), n_vdofs, dtype=np.int64)
+    face_dof[~mesh.face_is_boundary] = \
+        np.arange(n_edges, n_vdofs).reshape(n_faces, 2)
 
-    face_dof = np.full((mesh.n_faces, 2), -1, dtype=np.int64)
-    interior_faces = np.where(~mesh.face_is_boundary)[0]
-    base = len(interior_edges)
-    face_dof[interior_faces, 0] = base + 2 * np.arange(len(interior_faces))
-    face_dof[interior_faces, 1] = base + 2 * np.arange(len(interior_faces)) + 1
-    n_vdofs = base + 2 * len(interior_faces)
+    n_qdofs = np.count_nonzero(~mesh.vertex_is_boundary)
+    vertex_dof = np.full(mesh.n_vertices, n_qdofs, dtype=np.int64)
+    vertex_dof[~mesh.vertex_is_boundary] = np.arange(n_qdofs)
 
-    vertex_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    interior_vertices = np.where(~mesh.vertex_is_boundary)[0]
-    vertex_dof[interior_vertices] = np.arange(len(interior_vertices))
-
-    cell_vdofs = np.empty((mesh.n_cells, 24), dtype=np.int64)
-    cell_vdofs[:, :12] = edge_dof[mesh.cell_edges]
-    for f in range(6):
-        cell_vdofs[:, 12 + 2 * f] = face_dof[mesh.cell_faces[:, f], 0]
-        cell_vdofs[:, 12 + 2 * f + 1] = face_dof[mesh.cell_faces[:, f], 1]
-    cell_qdofs = vertex_dof[mesh.cell_vertices]
-
-    return GlobalDofMap(n_vdofs=n_vdofs, n_qdofs=len(interior_vertices),
+    return GlobalDofMap(n_vdofs=n_vdofs, n_qdofs=n_qdofs,
                         edge_dof=edge_dof, face_dof=face_dof,
-                        vertex_dof=vertex_dof, cell_vdofs=cell_vdofs,
-                        cell_qdofs=cell_qdofs)
+                        vertex_dof=vertex_dof,
+                        cell_vdofs=vk_table(edge_dof, face_dof,
+                                            mesh.cell_edges, mesh.cell_faces),
+                        cell_qdofs=vertex_dof[mesh.cell_vertices])
 
 
 @lru_cache(maxsize=None)
@@ -119,26 +120,16 @@ def reference_matrices():
             "B": vector_scalar_grad_matrix(vk, q1)}
 
 
-def _slots(dofs, size):
-    """The DoF table with each -1 (an eliminated boundary DoF) sent to the
-    slot ``size`` just past the numbered DoFs; raises IndexError for a DoF
-    beyond it, so a slot table is in bounds for every later read."""
-    slots = np.where(dofs >= 0, dofs, size)
-    if slots.max() > size:
-        raise IndexError(f"DoF {slots.max()} out of bounds for {size} DoFs")
-    return slots
-
-
 def gather(values, dofs):
-    """Entries of ``values`` at a DoF table; an eliminated boundary DoF (-1)
-    reads the zero appended at the end."""
+    """Entries of ``values`` at a DoF table; the slot of an eliminated DoF,
+    ``len(values)``, reads the zero appended at the end."""
     return np.take(np.append(values, 0.0), dofs)
 
 
-def scatter_add(entries, slots, size):
-    """Sum of ``entries`` into a vector of ``size`` by a slot table; the
-    entries of eliminated boundary DoFs (slot ``size``) are dropped."""
-    return np.bincount(slots.ravel(), weights=entries.ravel(),
+def scatter_add(entries, dofs, size):
+    """Sum of ``entries`` into a vector of ``size`` by a DoF table; the
+    entries of eliminated DoFs (slot ``size``) are dropped."""
+    return np.bincount(dofs.ravel(), weights=entries.ravel(),
                        minlength=size + 1)[:size]
 
 
@@ -148,40 +139,38 @@ class CellOperator:
     col_dofs[K] and R_K the row DoFs row_dofs[K].  A, B, the gradient
     inclusion G (one "cell" per interior edge) and the prolongation are all
     of this form.  ``op @ x`` applies it to a vector, or column by column
-    to a matrix, and ``op.T @ x`` its transpose."""
+    to a matrix, and ``op.T @ x`` its transpose.  A table entry equal to
+    the size of its side is an eliminated DoF (see ``gather``); any other
+    id outside [0, size) raises IndexError here, once, since the applies
+    gather without a bounds check."""
 
     def __init__(self, local, row_dofs, col_dofs, shape):
+        for dofs, size in ((row_dofs, shape[0]), (col_dofs, shape[1])):
+            if dofs.min() < 0 or dofs.max() > size:
+                raise IndexError(f"DoF table outside [0, {size}]")
         self.shape = shape
         self.local = local
-        self.rows = _slots(row_dofs, shape[0])
-        self.cols = (self.rows if col_dofs is row_dofs
-                     else _slots(col_dofs, shape[1]))
+        self.rows, self.cols = row_dofs, col_dofs
         # local entries one apply multiplies that couple two numbered DoFs
-        self.nnz = int((row_dofs >= 0).sum(axis=1)
-                       @ (col_dofs >= 0).sum(axis=1))
-        # work arrays per direction, reused by every apply (so an operator
-        # serves one thread at a time): fresh ones of this size cost more in
-        # page faults than the apply itself
+        self.nnz = int((row_dofs < shape[0]).sum(axis=1)
+                       @ (col_dofs < shape[1]).sum(axis=1))
+        # work arrays per direction (the transpose shares them), reused by
+        # every apply (so an operator serves one thread at a time): fresh
+        # ones of this size cost more in page faults than the apply itself
         self._work = {}
 
-    def _apply(self, mat, src, dst, size, x):
-        """Gather x at the ``src`` table, multiply each cell by ``mat`` and
-        scatter-add into ``size`` entries at the ``dst`` table."""
-        if mat.shape not in self._work:
-            self._work[mat.shape] = (np.empty(src.shape), np.empty(dst.shape))
-        gathered, product = self._work[mat.shape]
-        # the slot tables were bounds-checked once by _slots; "clip" spares
-        # the buffered copy that np.take makes of ``out`` in "raise" mode
-        np.take(np.append(x, 0.0), src, out=gathered, mode="clip")
-        np.matmul(gathered, mat, out=product)
-        return scatter_add(product, dst, size)
-
     def matvec(self, x):
-        return self._apply(self.local.T, self.cols, self.rows, self.shape[0],
-                           x)
-
-    def rmatvec(self, x):
-        return self._apply(self.local, self.rows, self.cols, self.shape[1], x)
+        """Gather x at the column table, multiply each cell by the local
+        matrix and scatter-add at the row table."""
+        if self.local.shape not in self._work:
+            self._work[self.local.shape] = (np.empty(self.cols.shape),
+                                            np.empty(self.rows.shape))
+        gathered, product = self._work[self.local.shape]
+        # the tables were bounds-checked once by __init__; "clip" spares
+        # the buffered copy that np.take makes of ``out`` in "raise" mode
+        np.take(np.append(x, 0.0), self.cols, out=gathered, mode="clip")
+        np.matmul(gathered, self.local.T, out=product)
+        return scatter_add(product, self.rows, self.shape[0])
 
     def __matmul__(self, x):
         """``matvec`` on a vector, column by column on a matrix."""
@@ -255,7 +244,7 @@ def assemble_rhs(mesh, gmap, exact, mode="modified"):
     loc = np.empty(dof_cols.shape)
     for cells, f in gauss_tiles(exact.f_grid_values, mesh, 1):
         loc[cells] = h * h * grid.moments(f, 2)     # the value column
-    return scatter_add(loc, _slots(dof_cols, gmap.n_vdofs), gmap.n_vdofs)
+    return scatter_add(loc, dof_cols, gmap.n_vdofs)
 
 
 @dataclass
@@ -347,12 +336,10 @@ def multigrid_levels(mesh, gmap, A):
         cmap = build_dof_map(coarse)
         _, _, edges, faces = mesh.block_entities(
             sub * _lattice((coarse.n,) * 3), sub)
-        rows = np.concatenate([gmap.edge_dof[edges],
-                               gmap.face_dof[faces].reshape(len(faces), -1)],
-                              axis=1)
+        rows = vk_table(gmap.edge_dof, gmap.face_dof, edges, faces)
         level.P = CellOperator(prolongation_matrix(sub), rows,
                                cmap.cell_vdofs, (gmap.n_vdofs, cmap.n_vdofs))
-        level.weights = 1.0 / scatter_add(np.ones(rows.shape), level.P.rows,
+        level.weights = 1.0 / scatter_add(np.ones(rows.shape), rows,
                                           gmap.n_vdofs)
         mesh, gmap, A = coarse, cmap, assemble_A(coarse, cmap)
 
@@ -382,8 +369,7 @@ def v_cycle(levels, b):
     x = _chebyshev(level, b)
     if level.P is not None:
         r = level.weights * (b - level.A @ x)
-        x += level.weights * level.P.matvec(
-            v_cycle(levels[1:], level.P.rmatvec(r)))
+        x += level.weights * (level.P @ v_cycle(levels[1:], level.P.T @ r))
     return _chebyshev(level, b, x)
 
 

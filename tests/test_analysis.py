@@ -40,7 +40,7 @@ def test_discrete_norms_match_quadrature(setup3):
     gc = dual_gradcurl_table(vk, pts)
     h = mesh.h
     cols = gmap.cell_vdofs
-    d = np.where(cols >= 0, v[np.clip(cols, 0, None)], 0.0) / h
+    d = np.append(v, 0.0)[cols] / h
     n0 = h**3 * np.einsum("ci,igk,cj,jgk,g->", d, val, d, val, wts)
     n1 = h * np.einsum("ci,igk,cj,jgk,g->", d, curl, d, curl, wts)
     n2 = (1 / h) * np.einsum("ci,igkl,cj,jgkl,g->", d, gc, d, gc, wts)
@@ -298,7 +298,7 @@ def test_kernels_match_dense_per_block_formula(n):
         + 1e-2 * np.random.default_rng(7).standard_normal(gmap.n_vdofs)
 
     phys, w, tables = _dense_blocks(mesh, 1, reference_spaces()["VK"])
-    cells = np.where(gmap.cell_vdofs >= 0, v[gmap.cell_vdofs], 0.0) / h
+    cells = np.append(v, 0.0)[gmap.cell_vdofs] / h
     want = _dense_error(cells, (h**-2, 1 / h, 1.0), tables, w,
                         _dense_exact(ex, phys, mesh.n_cells), h)
     _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap), want)

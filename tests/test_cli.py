@@ -33,6 +33,30 @@ def test_bad_tolerance_is_a_configuration_error(tmp_path, tol):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("args", [["--n", "3,3"], ["--n", "6,3,6"],
+                                  ["--n", "1,2", "--task", "superclose"],
+                                  ["--n", "3", "--task", ","]])
+def test_bad_sizes_and_empty_tasks_fail_before_any_solve(tmp_path, capsys,
+                                                        args):
+    # a repeated n (no rate between equal sizes), a one-cell mesh (no
+    # interior unknowns) and an empty task list are configuration errors
+    rc = cli.main(args + ["--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_CONFIG
+    assert "solved" not in capsys.readouterr().out
+    assert not (tmp_path / "r").exists()
+
+
+def test_output_path_that_is_a_file_fails_before_any_solve(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = cli.main(["--n", "3", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "solved" not in captured.out
+    assert captured.err.startswith("configuration error")
+    assert out.read_text() == ""
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_is_a_configuration_error(tmp_path, monkeypatch,
                                                     threads):

@@ -30,6 +30,32 @@ def test_dof_counts_match_closed_forms():
         assert gmap.n_qdofs == (n - 1) ** 3
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dof_tables_number_interior_dofs_once_and_slot_the_rest(n):
+    # an eliminated boundary DoF holds the slot just past the numbered DoFs
+    mesh = build_mesh(n)
+    gmap = system.build_dof_map(mesh)
+    nv, nq = gmap.n_vdofs, gmap.n_qdofs
+    for table, size in ((gmap.edge_dof, nv), (gmap.face_dof, nv),
+                        (gmap.cell_vdofs, nv), (gmap.vertex_dof, nq),
+                        (gmap.cell_qdofs, nq)):
+        assert table.min() >= 0 and table.max() <= size
+    vids = np.concatenate([gmap.edge_dof, gmap.face_dof.ravel()])
+    assert np.array_equal(np.sort(vids[vids < nv]), np.arange(nv))
+    qids = gmap.vertex_dof[gmap.vertex_dof < nq]
+    assert np.array_equal(np.sort(qids), np.arange(nq))
+    assert np.all(gmap.edge_dof[mesh.edge_is_boundary] == nv)
+    assert np.all(gmap.face_dof[mesh.face_is_boundary] == nv)
+    assert np.all(gmap.vertex_dof[mesh.vertex_is_boundary] == nq)
+    assert np.all(gmap.edge_dof[~mesh.edge_is_boundary] < nv)
+    assert np.all(gmap.face_dof[~mesh.face_is_boundary] < nv)
+    assert np.all(gmap.vertex_dof[~mesh.vertex_is_boundary] < nq)
+    assert np.array_equal(gmap.cell_vdofs,
+                          system.vk_table(gmap.edge_dof, gmap.face_dof,
+                                          mesh.cell_edges, mesh.cell_faces))
+    assert np.array_equal(gmap.cell_qdofs, gmap.vertex_dof[mesh.cell_vertices])
+
+
 def test_stiffness_annihilates_gradients(setup3):
     mesh, gmap = setup3
     A = system.assemble_A(mesh, gmap)
@@ -44,7 +70,7 @@ def test_stiffness_annihilates_gradients(setup3):
 @pytest.mark.parametrize("n", [2, 3])
 def test_cell_operator_matches_assembled_stiffness(n):
     # reference: each cell matrix added into a dense matrix cell by cell,
-    # skipping the eliminated boundary DoFs (-1)
+    # skipping the eliminated boundary DoFs (the slot past the numbered ones)
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
     h = mesh.h
@@ -56,8 +82,8 @@ def test_cell_operator_matches_assembled_stiffness(n):
     for op, local, rows, cols in cases:
         dense = np.zeros(op.shape)
         for r, c in zip(rows, cols):
-            dense[np.ix_(r[r >= 0], c[c >= 0])] += local[np.ix_(r >= 0,
-                                                                c >= 0)]
+            r_in, c_in = r < op.shape[0], c < op.shape[1]
+            dense[np.ix_(r[r_in], c[c_in])] += local[np.ix_(r_in, c_in)]
         tol = 1e-13 * np.abs(dense).max()
         assert np.abs(op.toarray() - dense).max() < tol
         X = rng.standard_normal((op.shape[1], 3))
@@ -76,11 +102,12 @@ def test_cell_operator_matches_assembled_stiffness(n):
 def test_cell_operator_rejects_out_of_range_dofs():
     # the operators gather without a bounds check per apply, so the DoF
     # tables are checked once, when the operator is built
-    dofs = np.array([[0, 1, -1], [1, 3, 2]])
+    dofs = np.array([[0, 1, 3], [1, 3, 2]])
     system.CellOperator(np.eye(3), dofs, dofs, (3, 3))
-    dofs[1, 1] = 4
-    with pytest.raises(IndexError):
-        system.CellOperator(np.eye(3), dofs, dofs, (3, 3))
+    for bad in (4, -1):
+        dofs[1, 1] = bad
+        with pytest.raises(IndexError):
+            system.CellOperator(np.eye(3), dofs, dofs, (3, 3))
 
 
 def test_quadratic_form_matches_direct_integration(setup3):
@@ -93,7 +120,7 @@ def test_quadratic_form_matches_direct_integration(setup3):
     gc = dual_gradcurl_table(reference_spaces()["VK"], pts)
     h = mesh.h
     cols = gmap.cell_vdofs
-    d = np.where(cols >= 0, v[np.clip(cols, 0, None)], 0.0) / h
+    d = np.append(v, 0.0)[cols] / h
     gch = np.einsum("ci,igkl->cgkl", d, gc) / h**2
     direct = h**3 * np.einsum("cgkl,g->", gch**2, wts)
     assert float(v @ (A @ v)) == pytest.approx(direct, rel=1e-10)
@@ -149,7 +176,7 @@ def test_schemes_share_matrices(setup3, exact):
 def test_modified_rhs_face_entries_vanish(setup3, exact):
     mesh, gmap = setup3
     rhs = system.assemble_rhs(mesh, gmap, exact, mode="modified")
-    face_ids = gmap.face_dof[gmap.face_dof[:, 0] >= 0].ravel()
+    face_ids = gmap.face_dof[gmap.face_dof[:, 0] < gmap.n_vdofs].ravel()
     assert np.abs(rhs[face_ids]).max() == 0.0
 
 
@@ -168,7 +195,7 @@ def test_load_matches_pointwise_gauss_reference(exact):
                 f = exact.f_value(center + h * pts)
                 local = h * h * np.einsum("gk,igk,g->i", f, table, wts)
                 for dof, val in zip(dofs, local):
-                    if dof >= 0:
+                    if dof < gmap.n_vdofs:
                         want[dof] += val
             got = system.assemble_rhs(mesh, gmap, exact, mode=mode)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
