@@ -109,6 +109,14 @@ def _tasks(val):
     return ("errors", "superclose", "superconv") if "all" in tasks else tasks
 
 
+def _flag(val):
+    """A boolean from the flag (True) or a config file word."""
+    word = str(val).lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {val!r}")
+    return word in ("1", "true", "yes")
+
+
 # flag (dest) or --config key ('-' read as '_') -> (RunConfig field, parser);
 # a parser takes the file's string or the flag's parsed value
 OPTIONS = {
@@ -118,7 +126,7 @@ OPTIONS = {
     "tol": ("tol", float),
     "out": ("out_dir", str),
     "format": ("fmt", str),
-    "extended": ("extended", lambda val: val in (True, "1", "true", "yes")),
+    "extended": ("extended", _flag),
 }
 
 
@@ -138,7 +146,10 @@ def _merge_config(args):
         if val is None:
             val = file_vals.get(key)
         if val is not None:
-            setattr(cfg, attr, parse(val))
+            try:
+                setattr(cfg, attr, parse(val))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return cfg
 
 

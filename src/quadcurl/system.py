@@ -31,9 +31,10 @@ The velocity solve is CG (``_pcg``, a loop of numpy vector operations),
 preconditioned by one multigrid V-cycle built from the same pieces: every
 level is the ``CellOperator`` A of a coarser mesh, and the prolongation is
 a ``CellOperator`` whose local matrix holds the fine DoFs of the coarse
-duals.  The pressure and the projection need the inverse of the Q1
-stiffness S = G^T B, which ``q1_inverse`` applies exactly by fast
-diagonalization.
+duals.  The pressure and the one projector onto the discretely
+divergence-free fields, I - G S^-1 B^T, applied to every V-cycle output,
+need the inverse of the Q1 stiffness S = G^T B, which ``q1_inverse``
+applies exactly by fast diagonalization.
 
 The DoF tables give every eliminated boundary DoF the slot just past the
 numbered ones (``n_vdofs`` for V_h, ``n_qdofs`` for Q_h).  A gather reads
@@ -154,18 +155,16 @@ class CellOperator:
         # local entries one apply multiplies that couple two numbered DoFs
         self.nnz = int((row_dofs < shape[0]).sum(axis=1)
                        @ (col_dofs < shape[1]).sum(axis=1))
-        # work arrays per direction (the transpose shares them), reused by
-        # every apply (so an operator serves one thread at a time): fresh
-        # ones of this size cost more in page faults than the apply itself
-        self._work = {}
+        # work arrays (gathered, product), reused by every apply (so an
+        # operator serves one thread at a time; they take memory once an
+        # apply writes them): fresh ones of this size cost more in page
+        # faults than the apply itself.  The transpose swaps their roles.
+        self._work = (np.empty(col_dofs.shape), np.empty(row_dofs.shape))
 
     def matvec(self, x):
         """Gather x at the column table, multiply each cell by the local
         matrix and scatter-add at the row table."""
-        if self.local.shape not in self._work:
-            self._work[self.local.shape] = (np.empty(self.cols.shape),
-                                            np.empty(self.rows.shape))
-        gathered, product = self._work[self.local.shape]
+        gathered, product = self._work
         # the tables were bounds-checked once by __init__; "clip" spares
         # the buffered copy that np.take makes of ``out`` in "raise" mode
         np.take(np.append(x, 0.0), self.cols, out=gathered, mode="clip")
@@ -188,6 +187,7 @@ class CellOperator:
         t = copy.copy(self)
         t.local, t.rows, t.cols = self.local.T, self.cols, self.rows
         t.shape = self.shape[::-1]
+        t._work = self._work[::-1]
         return t
 
     def diagonal(self):
@@ -373,42 +373,23 @@ def v_cycle(levels, b):
     return _chebyshev(level, b, x)
 
 
-def _tree_potential(z, n):
-    """T z, with T a left inverse of the gradient inclusion (T G = I): the
-    interior-vertex values that summing the x-edge DoFs of z along each
-    x-line from the face x = 0 reaches.  The x-edges form a spanning forest
-    of the interior vertices rooted at that face (a tree gauge); the interior
-    x-edges are the first n (n-1)^2 velocity DoFs, in lattice order."""
-    m = n - 1
-    return np.cumsum(z[:n * m * m].reshape(n, m, m), axis=0)[:-1].ravel()
+def velocity_preconditioner(system, G, s_inv):
+    """One V-cycle, then the divergence projection: r -> Q V(r) with
+    Q = I - G S^-1 B^T, ``s_inv`` the S^-1 of :func:`q1_inverse`.
 
-
-def _tree_potential_adjoint(v, n, size):
-    """T^T v for the T of :func:`_tree_potential`, a vector of ``size``."""
-    m = n - 1
-    out = np.zeros(size)
-    out[:n * m * m].reshape(n, m, m)[:-1] = \
-        np.cumsum(v.reshape(m, m, m)[::-1], axis=0)[::-1]
-    return out
-
-
-def velocity_preconditioner(mesh, gmap, A, G):
-    """One V-cycle in the tree gauge, as the function r -> Q V(Q^T r),
-    Q = I - G T with the T of :func:`_tree_potential`.
-
-    A is singular (A G = 0), and the V-cycle adds gradients to its output.
-    They leave A w unchanged, but their round-off in A p seeds a near-null
-    mode of the preconditioned operator, which CG amplifies once the
-    residual nears its floor: at n = 48 the residual fell to 7e-11, then
-    grew fivefold per iteration to 9e-6, and CG took 33 iterations instead
-    of 17.  Q is the identity modulo gradients, so the convergence of A w is
-    unchanged, and its range holds no gradient."""
-    levels = multigrid_levels(mesh, gmap, A)
-    n = mesh.n
+    Q G = 0 since B^T G = S, so A Q = A and CG converges as with the bare
+    V-cycle; B^T Q = 0, so every CG iterate is divergence-free.  The CG
+    residuals r are consistent (G^T r = 0), so Q^T r = r and Q V is
+    symmetric on them.  Without Q, the gradients that the V-cycle adds
+    leave A p unchanged, but their round-off seeds a near-null mode of the
+    singular A once the residual nears its floor (n = 48 took 33
+    iterations instead of 17)."""
+    levels = multigrid_levels(system.mesh, system.gmap, system.A)
+    B = system.B
 
     def apply(r):
-        z = v_cycle(levels, r - _tree_potential_adjoint(G.T @ r, n, r.size))
-        return z - G @ _tree_potential(z, n)
+        z = v_cycle(levels, r)
+        return z - G @ s_inv(B.T @ z)
 
     return apply
 
@@ -439,19 +420,25 @@ def q1_inverse(n):
     return lambda b: transform(transform(b.reshape(m, m, m)) / lam).ravel()
 
 
+# CG steps over which a residual that has not halved counts as stagnant
+STAGNATION_WINDOW = 10
+
+
 def _pcg(M, b, atol, maxiter, precond):
     """CG from x = 0 on the symmetric positive (semi)definite M with the
-    preconditioner function ``precond``, stopped at ||M x - b|| < atol or
-    after ``maxiter`` steps; returns (x, iterations, the residual norm before
-    each step).  It performs the operations of scipy 1.17's
-    ``scipy.sparse.linalg.cg`` in the same order, so its iterates are the
-    same."""
+    preconditioner function ``precond``, stopped at ||M x - b|| < atol, after
+    ``maxiter`` steps or once the residual norm has not halved in
+    STAGNATION_WINDOW steps (its round-off floor); returns (x, iterations,
+    the residual norm before each step).  It performs the operations of
+    scipy 1.17's ``scipy.sparse.linalg.cg`` in the same order, so its
+    iterates are the same."""
     x = np.zeros_like(b)
     r = b.copy()
     norms = []
     for its in range(maxiter):
         norms.append(float(np.linalg.norm(r)))
-        if norms[-1] < atol:
+        if norms[-1] < atol or (its >= STAGNATION_WINDOW and norms[-1] >
+                                norms[-1 - STAGNATION_WINDOW] / 2):
             return x, its, norms
         z = precond(r)
         rho = np.dot(r, z)
@@ -469,7 +456,7 @@ def _pcg(M, b, atol, maxiter, precond):
 
 
 # cap of the velocity CG, which takes 9-18 iterations at tol 1e-10 for
-# n = 6..48: it only stops unreachable tolerances
+# n = 6..48: it only stops unreachable tolerances that do not stagnate
 MAX_ITERATIONS = 100
 
 
@@ -480,17 +467,17 @@ def solve_saddle(system, tol=1e-10):
     A G = 0, so G^T B = S is the Q1 stiffness and the unknowns decouple:
 
     1. pressure: S p = G^T F;
-    2. velocity: A w = F - B p, singular but consistent since
-       G^T (F - B p) = 0;
-    3. projection: u = w - G S^-1 B^T w, so A u = A w and B^T u = 0.
+    2. velocity: A u = F - B p with B^T u = 0, singular but consistent
+       since G^T (F - B p) = 0.
 
-    Both S solves are exact (``q1_inverse``); the decoupling assumes
-    G^T B = S, which the tests check.  The velocity solve is ``_pcg`` on
-    the cell operator A, preconditioned by one multigrid V-cycle
-    (``velocity_preconditioner``), which keeps its iteration count about
-    constant in n (15 at n = 24, 17 at n = 48).  Returns (u, p, info),
-    u and p the V_h and Q_h coefficient arrays; info carries the velocity
-    CG iterations and the relative residual of the full system.  A relative
+    S^-1 is exact (``q1_inverse``); the decoupling assumes G^T B = S, which
+    the tests check.  The velocity solve is ``_pcg`` on the cell operator A,
+    preconditioned by one multigrid V-cycle and the projection
+    I - G S^-1 B^T (``velocity_preconditioner``), so every CG iterate is
+    divergence-free and the iteration count stays about constant in n (15
+    at n = 24, 17 at n = 48).  Returns (u, p, info), u and p the V_h and Q_h
+    coefficient arrays; info carries the velocity CG iterations and the
+    relative residual of the full system, ||B^T u|| included.  A relative
     residual above ``tol`` raises ``MaxIterations`` with the last five
     velocity CG residuals; a non-finite one raises ``SingularSystem``.
     """
@@ -503,10 +490,8 @@ def solve_saddle(system, tol=1e-10):
     G = gradient_inclusion_matrix(system.mesh, system.gmap)
     s_inv = q1_inverse(system.mesh.n)
     p = s_inv(G.T @ F)
-    w, its, norms = _pcg(A, F - B @ p, 0.5 * tol * fnorm, MAX_ITERATIONS,
-                         velocity_preconditioner(system.mesh, system.gmap, A,
-                                                 G))
-    u = w - G @ s_inv(B.T @ w)
+    u, its, norms = _pcg(A, F - B @ p, 0.5 * tol * fnorm, MAX_ITERATIONS,
+                         velocity_preconditioner(system, G, s_inv))
 
     res = float(np.hypot(np.linalg.norm(A @ u + B @ p - F),
                          np.linalg.norm(B.T @ u))) / fnorm

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,25 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("word,want", [
+    ("True", True), ("YES", True), ("1", True), ("true", True),
+    ("False", False), ("NO", False), ("0", False), ("false", False),
+    ("maybe", None), ("", None), ("2", None)])
+def test_config_file_boolean_words(tmp_path, capsys, word, want):
+    # 1/true/yes and 0/false/no in any case; any other word is a
+    # configuration error, raised before any solve
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"extended = {word}\nn = 3\n")
+    args = ["--config", str(cfgfile), "--out", str(tmp_path / "r")]
+    if want is None:
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert "extended: expected" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+    else:
+        assert cli._merge_config(
+            cli._build_parser().parse_args(args)).extended is want
+
+
 def test_out_precedence_flag_env_file_default(tmp_path, monkeypatch):
     # explicit flag > QUADCURL_OUT > the file's out= > the default "reports"
     monkeypatch.chdir(tmp_path)
@@ -218,6 +238,17 @@ def test_unreachable_tolerance_reports_solver_failure(tmp_path, capsys):
                    "--out", str(tmp_path), "--tol", "1e-18"])
     assert rc == cli.EXIT_SOLVER
     assert "last velocity CG residuals" in capsys.readouterr().err
+
+
+def test_stagnant_solve_stops_early(tmp_path, capsys):
+    # at n = 6 the residual sits at its round-off floor from step 11 on;
+    # the stagnation stop ends CG well before MAX_ITERATIONS
+    rc = cli.main(["--scheme", "modified", "--n", "6", "--task", "errors",
+                   "--out", str(tmp_path), "--tol", "1e-18"])
+    assert rc == cli.EXIT_SOLVER
+    its = int(re.search(r"after (\d+) CG iterations",
+                        capsys.readouterr().err).group(1))
+    assert its < 30
 
 
 def test_study_loads_no_scipy(tmp_path):

@@ -270,20 +270,55 @@ def test_prolongation_maps_coarse_gradients_to_fine_gradients(n):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_tree_gauge_is_a_left_inverse_of_the_gradient():
-    # T G = I makes Q = I - G T a projector whose range holds no gradient;
-    # the adjoint is what Q^T applies
-    n = 5
+@pytest.mark.parametrize("n", [5, 6])
+def test_preconditioner_projects_onto_divergence_free_fields(n, exact):
+    # r -> Q V(r), Q = I - G S^-1 B^T: every output is discretely
+    # divergence-free, and on consistent residuals (G^T r = 0) the map is
+    # symmetric, as CG needs (n = 5 has one level, n = 6 runs 6 -> 3)
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
+    B = sys_.B
     G = system.gradient_inclusion_matrix(mesh, gmap)
+    s_inv = system.q1_inverse(n)
+    precond = system.velocity_preconditioner(sys_, G, s_inv)
+    b_norm = np.linalg.norm(B.toarray(), 2)
     rng = np.random.default_rng(8)
-    q = rng.standard_normal(gmap.n_qdofs)
-    z = rng.standard_normal(gmap.n_vdofs)
-    assert np.abs(system._tree_potential(G @ q, n) - q).max() < 1e-13
-    assert float(system._tree_potential(z, n) @ q) == pytest.approx(
-        float(z @ system._tree_potential_adjoint(q, n, gmap.n_vdofs)),
-        rel=1e-12)
+    for _ in range(3):
+        z = precond(rng.standard_normal(gmap.n_vdofs))
+        assert np.linalg.norm(B.T @ z) < 1e-13 * b_norm * np.linalg.norm(z)
+
+    def consistent(x):
+        return x - B @ s_inv(G.T @ x)
+
+    r, s = (consistent(rng.standard_normal(gmap.n_vdofs)) for _ in range(2))
+    assert np.linalg.norm(G.T @ r) < 1e-12 * np.linalg.norm(r)
+    assert float(s @ precond(r)) == pytest.approx(float(precond(s) @ r),
+                                                   rel=1e-12)
+
+
+def test_transpose_shares_the_work_arrays_of_its_operator():
+    # B and B^T, and a prolongation P and P^T, applied in turn: each apply
+    # matches its dense product, and the transpose reads the forward
+    # operator's one pair of work arrays with the roles swapped
+    mesh = build_mesh(6)
+    gmap = system.build_dof_map(mesh)
+    B = system.assemble_B(mesh, gmap)
+    P = system.multigrid_levels(mesh, gmap,
+                                system.assemble_A(mesh, gmap))[0].P
+    rng = np.random.default_rng(9)
+    for op in (B, P):
+        dense = op.toarray()
+        tol = 1e-13 * np.abs(dense).max()
+        pair = [id(a) for a in op._work]
+        for _ in range(2):
+            y = rng.standard_normal(op.shape[1])
+            x = rng.standard_normal(op.shape[0])
+            assert np.abs(op @ y - dense @ y).max() < tol * np.abs(y).sum()
+            assert np.abs(op.T @ x - dense.T @ x).max() < tol * np.abs(x).sum()
+        assert [id(a) for a in op._work] == pair
+        assert [id(a) for a in op.T._work] == pair[::-1]
+        assert [a.shape for a in op._work] == [op.cols.shape, op.rows.shape]
 
 
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
