@@ -11,9 +11,9 @@ and writes CSV + Markdown reports:
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
-~1M unknowns); that run took 67-73 s at a 411-413 MB peak on a 2-core
-machine with one BLAS thread, with the divergence projection inside the
-velocity preconditioner (471 MB at its parent commit f6cfd2f).
+~1M unknowns); that run took 59 s at a 416 MB peak on a 2-core machine with
+one BLAS thread (``--threads 1``), at the commit after 29cd545 that made the
+manufactured solution coefficient arrays.
 """
 
 import sys

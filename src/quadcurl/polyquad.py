@@ -3,7 +3,11 @@
 Scalar polynomials are sparse maps from monomial exponent triples to float
 coefficients.  All calculus (differentiation, curl, box integration) happens
 at the coefficient level, so results are exact up to floating-point rounding.
-Gauss rules handle non-polynomial integrands (trigonometric exact solutions).
+The same holds for separable coefficient arrays (``along``,
+``coefficient_curl``, ``coefficient_grad``), given the derivative matrix of
+their 1D basis: tensor monomials in ``quadcurl.spaces``, sin/cos in
+``quadcurl.mms``.  Gauss rules handle non-polynomial integrands
+(trigonometric exact solutions).
 """
 
 from __future__ import annotations
@@ -151,13 +155,7 @@ def integrate_exact(p, lo=(-0.5, -0.5, -0.5), hi=(0.5, 0.5, 0.5)):
 
 
 class PolyField:
-    """Three-component vector field.
-
-    The components are ``Poly``s, or any scalar field with ``diff``, ``+``,
-    ``-`` and ``__call__(x, y, z)`` (the trigonometric series of
-    ``quadcurl.mms``); ``curl``, ``div``, ``grad``, negation and evaluation
-    need nothing more.
-    """
+    """Three-component vector field of ``Poly``s."""
 
     __slots__ = ("comps",)
 
@@ -220,6 +218,34 @@ class PolyField:
     def __call__(self, x, y, z):
         vals = [c(x, y, z) for c in self.comps]
         return np.stack(vals, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# vector calculus on separable coefficient arrays: entry [..., k, a, b, c] of
+# a (..., K, d, d, d) array weighs basis_a(x) basis_b(y) basis_c(z) in
+# component k, for a 1D basis that d/dt maps into itself; the matrix ``diff``
+# holds that map, diff[a', a] = coefficient of basis_a' in d basis_a / dt
+# ---------------------------------------------------------------------------
+
+def along(arr, mat, axis):
+    """``mat`` applied along spatial ``axis`` (0-2) of (..., d, d, d)."""
+    return np.moveaxis(np.tensordot(arr, mat, axes=(axis - 3, 1)), -1,
+                       axis - 3)
+
+
+def coefficient_curl(arr, diff):
+    """Curls of (..., 3, d, d, d) coefficient arrays."""
+    def d(k, axis):
+        return along(arr[..., k, :, :, :], diff, axis)
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0),
+                     d(1, 0) - d(0, 1)], axis=-4)
+
+
+def coefficient_grad(arr, diff):
+    """Component-wise gradients of (..., K, d, d, d) coefficient arrays,
+    (..., 3K, d, d, d): component 3 k + j is d comp_k / d x_j."""
+    g = np.stack([along(arr, diff, j) for j in range(3)], axis=-4)
+    return g.reshape(arr.shape[:-4] + (-1,) + arr.shape[-3:])
 
 
 @lru_cache(maxsize=None)

@@ -42,7 +42,8 @@ import numpy as np
 
 from . import polyquad
 from .mesh import _lattice, edge_lattice_order, face_lattice_order
-from .polyquad import Poly, PolyField, integrate_exact, legendre_poly
+from .polyquad import (Poly, PolyField, along, coefficient_curl,
+                       coefficient_grad, integrate_exact, legendre_poly)
 
 
 class DegenerateSpan(Exception):
@@ -119,32 +120,11 @@ def _as_field(row):
                       row.reshape((3,) + (AXIS_DEGREE + 1,) * 3)])
 
 
-def _along(arr, mat, axis):
-    """``mat`` applied along spatial ``axis`` (0-2) of (..., d, d, d)."""
-    return np.moveaxis(np.tensordot(arr, mat, axes=(axis - 3, 1)), -1,
-                       axis - 3)
-
-
-def _curl(arr):
-    """Curls of (n, 3, d, d, d) coefficient arrays."""
-    def diff(k, axis):
-        return _along(arr[:, k], DIFF, axis)
-    return np.stack([diff(2, 1) - diff(1, 2), diff(0, 2) - diff(2, 0),
-                     diff(1, 0) - diff(0, 1)], axis=1)
-
-
-def _grad(arr):
-    """Component-wise gradients of (n, K, d, d, d) coefficient arrays,
-    (n, 3K, d, d, d): component 3 k + j is d comp_k / d x_j."""
-    g = np.stack([_along(arr, DIFF, j) for j in range(3)], axis=2)
-    return g.reshape((len(arr), -1) + arr.shape[2:])
-
-
 def _l2_gram(a, b):
     """Exact L2 Gram matrix (a_i, b_j) on the reference cell of two stacks
     of coefficient arrays with the same K (Frobenius pairing over K)."""
     for axis in range(3):
-        b = _along(b, MOMENTS, axis)
+        b = along(b, MOMENTS, axis)
     return a.reshape(len(a), -1) @ b.reshape(len(b), -1).T
 
 
@@ -154,7 +134,7 @@ def functional_matrix(dofs, fields):
     vector fields, of their curls."""
     arr = coefficient_array(fields)
     if arr.shape[1] == 3:
-        arr = np.concatenate([arr, _curl(arr)], axis=1)
+        arr = np.concatenate([arr, coefficient_curl(arr, DIFF)], axis=1)
     rows = np.zeros((len(dofs),) + arr.shape[1:])
     for i, dof in enumerate(dofs):
         comp, w = dof.weights()
@@ -457,8 +437,8 @@ def curl_inclusion_residual(v_space, w_space):
     """Largest least-squares residual of curl(dual of V) against span(W),
     normalized by the curl coefficient magnitude."""
     w = coefficient_array(w_space.span).reshape(w_space.dim, -1).T
-    curls = (v_space.dual_coeffs.T @ _curl(coefficient_array(
-        v_space.span)).reshape(v_space.dim, -1)).T
+    curls = (v_space.dual_coeffs.T @ coefficient_curl(coefficient_array(
+        v_space.span), DIFF).reshape(v_space.dim, -1)).T
     sol, *_ = np.linalg.lstsq(w, curls, rcond=None)
     res = np.linalg.norm(w @ sol - curls, axis=0)
     return float((res / np.maximum(1.0, np.linalg.norm(curls, axis=0))).max())
@@ -478,12 +458,12 @@ def factored_table(space):
     are grad curl (K = 9, entry k = 3 i + j is d(curl f)_i / dx_j), curl and
     value (K = 3)."""
     value = coefficient_array(space.span)
-    curl = _curl(value)
+    curl = coefficient_curl(value, DIFF)
     # stored in [a, b, c, k, j] order: TensorGrid's einsum keeps the layout
     # of its input, and its matmuls ran ~10% slower at n = 24 on another
     return tuple(np.tensordot(arr.transpose(2, 3, 4, 1, 0), space.dual_coeffs,
                               axes=(4, 0)).transpose(0, 1, 4, 2, 3)
-                 for arr in (_grad(curl), curl, value))
+                 for arr in (coefficient_grad(curl, DIFF), curl, value))
 
 
 class TensorGrid:
@@ -553,10 +533,10 @@ def dual_gram_matrices(space):
     coefficient arrays and the dual coefficient transform.
     """
     value = coefficient_array(space.span)
-    curl = _curl(value)
+    curl = coefficient_curl(value, DIFF)
     C = space.dual_coeffs
     trip = []
-    for arr in (value, curl, _grad(curl)):
+    for arr in (value, curl, coefficient_grad(curl, DIFF)):
         M = C.T @ _l2_gram(arr, arr) @ C
         trip.append((M + M.T) / 2.0)
     return tuple(trip)
@@ -565,5 +545,5 @@ def dual_gram_matrices(space):
 def vector_scalar_grad_matrix(vspace, qspace):
     """Exact reference matrix ``(dual_i, grad qdual_m)``: (vdim, qdim)."""
     G = _l2_gram(coefficient_array(vspace.span),
-                 _grad(coefficient_array(qspace.span)))
+                 coefficient_grad(coefficient_array(qspace.span), DIFF))
     return vspace.dual_coeffs.T @ G @ qspace.dual_coeffs

@@ -42,6 +42,23 @@ def test_interior_counts(n, iv, ie, iface):
         assert (~m.face_is_boundary[self_f]).sum() == n**2 * (n - 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_boundary_flags_follow_the_midpoint_rule(n):
+    # an entity is boundary iff its midpoint lies on the cube boundary; in
+    # units of h/2 the midpoint is twice the lattice index plus one along
+    # each axis the entity spans
+    m = build_mesh(n)
+    unit = np.eye(3, dtype=int)
+    midpoints = {"vertices": 2 * m.vertex_table,
+                 "edges": 2 * m.edge_table[:, 1:] + unit[m.edge_table[:, 0]],
+                 "faces": 2 * m.face_table[:, 1:] + 1
+                 - unit[m.face_table[:, 0]]}
+    flags = classify_boundary(m)
+    for kind, mid in midpoints.items():
+        on_boundary = np.any((mid == 0) | (mid == 2 * n), axis=1)
+        assert np.array_equal(flags[kind], on_boundary), kind
+
+
 def test_rejects_empty_mesh():
     with pytest.raises(ValueError):
         build_mesh(0)

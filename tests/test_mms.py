@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,25 +12,27 @@ def exact():
     return mms.build_exact_fields()
 
 
-# cos(0 pi t) = 1: a constant factor on an axis
-ONE = {(mms.COS, 0): Fraction(1)}
+def _sin3(t):
+    return np.sin(np.pi * t) ** 3
 
 
-def test_sin_cubed_series_matches_direct():
-    # sin^3(pi x) as a field, constant along the other two axes
-    s = mms.TrigField.separable(mms.SIN_CUBED, ONE, ONE)
+def test_sin_cubed_series_matches_direct(exact):
+    # phi = sin^3(pi x) times the constant sin^3 factors of y = 0.3, z = 0.7
     t = np.random.default_rng(0).uniform(0, 1, 200)
-    assert np.abs(s(t, 0.3, 0.7) - np.sin(np.pi * t) ** 3).max() < 1e-13
+    direct = _sin3(t) * _sin3(0.3) * _sin3(0.7)
+    assert np.abs(exact.phi(t, 0.3, 0.7)[:, 0] - direct).max() < 1e-13
 
 
-def test_series_differentiation_maps_sin_to_cos():
-    phi = mms.TrigField.separable(mms.SIN_CUBED, ONE, ONE)
-    d = phi.diff(0)
-    assert all(key[0][0] == mms.COS for key in d.terms)
+def test_series_differentiation_maps_sin_to_cos(exact):
+    d = exact.phi.diff(0)
+    # the x factor of every term is a cosine: no sine coefficient is left
+    assert not d.coef[:, :len(mms.FREQS)].any()
+    assert d.coef[:, len(mms.FREQS):].any()
     assert d.pi_power == 1
     t = np.linspace(0.05, 0.95, 50)
-    direct = 3 * np.pi * np.sin(np.pi * t) ** 2 * np.cos(np.pi * t)
-    assert np.abs(d(t, 0.3, 0.7) - direct).max() < 1e-12
+    direct = 3 * np.pi * np.sin(np.pi * t) ** 2 * np.cos(np.pi * t) \
+        * _sin3(0.3) * _sin3(0.7)
+    assert np.abs(d(t, 0.3, 0.7)[:, 0] - direct).max() < 1e-12
 
 
 def test_u_vanishes_on_boundary(exact):
@@ -83,10 +84,8 @@ def test_curl_u_matches_fd_oracle(exact):
 
 def test_second_derivative_matches_central_fd(exact):
     from quadcurl.checks import _fd_weights
-    s = mms.SIN_CUBED
-    phi = mms.TrigField.separable(s, s, s)
     pts = np.array([[0.5, 0.3, 0.7]])
-    val = phi.diff(0).diff(0)(*pts.T)[0]
+    val = exact.phi.diff(0).diff(0)(*pts.T)[0, 0]
     dt = 0.01
     offs, w = _fd_weights(2, 11)    # 9th-order second derivative
     f = lambda x: np.sin(np.pi * x) ** 3 * np.sin(np.pi * 0.3) ** 3 \
@@ -117,16 +116,15 @@ def test_grad_curl_consistent_with_partials(exact):
     jac = exact.grad_curl_u_value(pts)
     for i in range(3):
         for j in range(3):
-            direct = exact.grad_curl_u[i][j](pts[:, 0], pts[:, 1],
-                                             pts[:, 2])
-            assert np.allclose(jac[:, i, j], direct, rtol=1e-13)
+            direct = exact.curl_u.diff(j)(pts[:, 0], pts[:, 1], pts[:, 2])
+            assert np.allclose(jac[:, i, j], direct[:, i], rtol=1e-13)
 
 
 def test_pi_power_bookkeeping(exact):
     # f = -curl(laplacian(curl u)) carries 5 derivatives of phi
     assert exact.phi.pi_power == 0
-    assert exact.u.comps[0].pi_power == 1
-    assert exact.f.comps[0].pi_power == 5
+    assert exact.u.pi_power == 1
+    assert exact.f.pi_power == 5
     assert math.isfinite(float(exact.f_value(np.array([[0.3, 0.4, 0.6]]))[0, 0]))
 
 
@@ -143,6 +141,19 @@ def test_grid_values_match_pointwise_methods(exact):
                           exact.u_value(pts))):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_u_matches_direct_formula(exact):
+    # interior values of both evaluators against sin/cos products taken
+    # straight from u = curl (0, 0, phi), outside the series algebra
+    pts = np.random.default_rng(9).uniform(0.05, 0.95, (50, 3))
+    want = _u_direct(pts)
+    assert np.abs(exact.u_value(pts) - want).max() \
+        <= 1e-14 * np.abs(want).max()
+    x, y, z = _grid_axes()
+    want = _u_direct(np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1))
+    assert np.abs(exact.grid_values(x, y, z)[2] - want).max() \
+        <= 1e-14 * np.abs(want).max()
 
 
 def test_curl_d2_matches_fd_of_grad_curl(exact):
