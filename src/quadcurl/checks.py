@@ -377,18 +377,16 @@ def fd_curl4(field, pts):
             offs, w = _fd_weights(order, npts)
             grids.append(offs * FD_STEP)
             weights.append(w / FD_STEP**order)
-        mesh = np.meshgrid(*grids, indexing="ij") if grids else []
+        mesh = np.meshgrid(*grids, indexing="ij")
         wmesh = weights[0]
         for w in weights[1:]:
             wmesh = np.multiply.outer(wmesh, w)
-        stencil = np.zeros((wmesh.size if grids else 1, 3))
-        if grids:
-            for dim, (ax, _) in enumerate(axes):
-                stencil[:, ax] = mesh[dim].reshape(-1)
+        stencil = np.zeros((wmesh.size, 3))
+        for dim, (ax, _) in enumerate(axes):
+            stencil[:, ax] = mesh[dim].reshape(-1)
         P = pts[:, None, :] + stencil[None, :, :]
         vals = field(P.reshape(-1, 3)).reshape(len(pts), -1, 3)[:, :, src]
-        out[:, comp] += coef * (vals @ (wmesh.reshape(-1) if grids else
-                                        np.ones(1)))
+        out[:, comp] += coef * (vals @ wmesh.reshape(-1))
     return out
 
 

@@ -5,18 +5,15 @@ space's own DoF functionals exactly to a reference-frame ``PolyField``, with
 the tangential face integrals corrected by default (see
 ``quadcurl.spaces.DofFunctional``), and returns the interpolant as a
 reference-frame ``PolyField``.  The global operator ``global_interp_Ih``
-takes a smooth-field object exposing
-
-* ``value(pts) -> (..., 3)``
-* ``curl_value(pts) -> (..., 3)``
-* ``curl_d2(axis, pts) -> (...)``  the in-plane second partial
-  d^2 (curl u)_axis / d x_axis^2, the only one the correction reads
-
-(see ``quadcurl.mms.ExactFields``) and integrates the corrected DoFs with
-tensor Gauss rules on the physical entities, about one lattice plane of
-entities per evaluation.  The correction weight is
-``h^2 * CORRECTION_WEIGHT`` there and ``CORRECTION_WEIGHT`` on the scaled
-frame, so one reference operator serves the whole mesh.
+reads a smooth field through three methods of one signature
+``(component, x, y, z) -> (len(x), len(y), len(z))``: ``value``,
+``curl_value`` and ``curl_d2`` give one component of u, of curl u and of
+d^2 (curl u)_c / d x_c^2 (the in-plane second partial the correction reads)
+on the tensor grid x * y * z (see ``quadcurl.mms.ExactFields``).  It
+integrates the corrected DoFs with tensor Gauss rules on the physical
+entities, where the correction weight is ``h^2 * CORRECTION_WEIGHT``; on the
+scaled frame it is ``CORRECTION_WEIGHT``, so one reference operator serves
+the whole mesh.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyquad
-from .mesh import NonDivisibleMesh
+from .mesh import NonDivisibleMesh, plane_tiles
 from .spaces import CORRECTION_WEIGHT, reference_spaces
 from .system import gather
 
@@ -50,39 +47,43 @@ def global_interp_Ih(fieldobj, mesh, gmap):
 
     Fields with vanishing tangential trace and curl trace on the cube
     boundary have vanishing boundary DoFs, so elimination is consistent.
-    The interior entities of each axis are taken in ``mesh.n`` runs, about
-    one lattice plane each, so the point arrays stay a plane in size.
+    The Gauss points of a box of entities form a tensor grid (Gauss
+    abscissae along the entities, lattice planes across them), taken one
+    tile of interior planes (``mesh.plane_tiles``) per axis at a time.
     """
     rule = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
-    h = mesh.h
-    s, w = h * rule.pts01, rule.wts01
-    g1, g2 = (g.reshape(-1) for g in np.meshgrid(s, s, indexing="ij"))
-    w2 = (w[:, None] * w[None, :]).reshape(-1)
+    n, h, q = mesh.n, mesh.h, rule.q
+
+    def integral(method, component, index, spans):
+        # method on the grid of the entities index, Gauss axes contracted
+        vals = method(component, *[((i[:, None] + rule.pts01) * h).ravel()
+                                   if a in spans else i * h
+                                   for a, i in enumerate(index)])
+        for a in spans:
+            s = vals.shape[:a] + (vals.shape[a] // q, q) + vals.shape[a + 1:]
+            vals = np.moveaxis(vals.reshape(s), a + 1, -1) @ (h * rule.wts01)
+        return vals
+
     coeffs = np.zeros(gmap.n_vdofs)
+    cells, inner = np.arange(n), np.arange(1, n)
     for axis in range(3):
         t1, t2 = [a for a in range(3) if a != axis]
-        edges = np.where((mesh.edge_table[:, 0] == axis)
-                         & ~mesh.edge_is_boundary)[0]
-        for run in np.array_split(edges, mesh.n):
-            P = np.repeat(mesh.edge_table[run, 1:][:, None] * h, len(s), axis=1)
-            P[:, :, axis] += s
-            vals = fieldobj.value(P.reshape(-1, 3)).reshape(P.shape)
-            coeffs[gmap.edge_dof[run]] = h * (vals[:, :, axis] @ w)
+        for planes in plane_tiles(n, (n * q)**2):
+            # edges along axis in the tile's planes across t1
+            index = [inner] * 3
+            index[axis], index[t1] = cells, planes
+            ids = gmap.edge_dof[mesh.edge_id(axis, *np.ix_(*index))]
+            coeffs[ids] = integral(fieldobj.value, axis, index, [axis])
 
-        # two tangential-curl integrals per interior face
-        faces = np.where((mesh.face_table[:, 0] == axis)
-                         & ~mesh.face_is_boundary)[0]
-        for run in np.array_split(faces, mesh.n):
-            P = np.repeat(mesh.face_table[run, 1:][:, None] * h, len(g1),
-                          axis=1)
-            P[:, :, t1] += g1
-            P[:, :, t2] += g2
-            flat = P.reshape(-1, 3)
-            curl = fieldobj.curl_value(flat).reshape(P.shape)
+            # two tangential-curl integrals per face normal to axis
+            index = [cells] * 3
+            index[axis] = planes
+            ids = gmap.face_dof[mesh.face_id(axis, *np.ix_(*index))]
             for j, d in enumerate((t1, t2)):
-                d2 = fieldobj.curl_d2(d, flat).reshape(P.shape[:2])
-                g = curl[:, :, d] + (h * h * CORRECTION_WEIGHT) * d2
-                coeffs[gmap.face_dof[run, j]] = h * h * (g @ w2)
+                coeffs[ids[..., j]] = (
+                    integral(fieldobj.curl_value, d, index, [t1, t2])
+                    + (h * h * CORRECTION_WEIGHT)
+                    * integral(fieldobj.curl_d2, d, index, [t1, t2]))
     return coeffs
 
 

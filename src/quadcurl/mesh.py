@@ -9,7 +9,8 @@ A cell is the sub = 1 case of a block of sub^3 cells; a macroelement is the
 sub = 3 case.  ``BrickMesh.block_entities`` fixes the local order of a
 block's cells, vertices, edges and faces, which is also the DoF order of the
 reference spaces, and ``gauss_tiles`` walks the Gauss points of tiles of
-blocks as tensor grids, for the load (sub = 1) and the error phases.
+blocks as tensor grids, for the load (sub = 1) and the error phases;
+``plane_tiles`` cuts the interior lattice planes into tiles of that size.
 """
 
 from __future__ import annotations
@@ -225,3 +226,10 @@ def gauss_tiles(evaluate, mesh, sub):
                 yield ids[i, j:j + nj, k:k + nk], evaluate(
                     coords[i * p:(i + 1) * p], coords[j * p:(j + nj) * p],
                     coords[k * p:(k + nk) * p])
+
+
+def plane_tiles(n, per_plane):
+    """Interior lattice coordinates 1 .. n - 1 in runs of planes of
+    ``per_plane`` values, about the values of a tile of the 15 error fields."""
+    tile = max(1, 15 * TILE_POINTS // per_plane)
+    return [np.arange(lo, min(lo + tile, n)) for lo in range(1, n, tile)]

@@ -15,11 +15,10 @@ so every coefficient is exact in floating point and identities like
 ``div f = 0`` cancel to literal zero instead of rounding noise.
 
 Both evaluators read the same arrays.  Pointwise, ``TrigSeries.__call__``
-sums the nonzero basis products one at a time from one set of per-axis
-sin/cos tables per call.  On the outer product of three 1D coordinate arrays
-(``ExactFields.grid_values`` and ``ExactFields.f_grid_values``) one matmul
-sums all (x, y) basis pairs; the pointwise sum stays the independent
-reference for that sum.
+sums the nonzero basis products one at a time, the independent reference
+for the grid sum: on the outer product of three 1D coordinate arrays one
+matmul sums the (x, y) basis pairs of the error fields (``grid_values``), of
+f (``f_grid_values``) or of one component for I_h (``value``, ...).
 """
 
 from __future__ import annotations
@@ -102,25 +101,19 @@ class TrigSeries:
 
 def _eval_grid(coef, x, y, z):
     """Sum factorization of (F, d, d, d) coefficients (powers of pi folded
-    in) on the tensor grid x * y * z: (len(x), len(y), len(z), F).
-
-    The z factors of each (x, y) basis pair fold into one 1D combination per
-    field, so one matmul of the (x, y) basis products against those
-    combinations gives every field at every grid point.
+    in) on the tensor grid x * y * z: (len(x), len(y), len(z), F).  The z
+    factors of each (x, y) basis pair some field uses fold into one 1D
+    combination per field, so one matmul gives every field at every point.
     """
     d = 2 * len(FREQS)
     axes = [np.asarray(t, dtype=float).reshape(-1) for t in (x, y, z)]
     tx, ty, tz = (np.stack([_basis(a, t) for a in range(d)]) for t in axes)
-    xy = tx.T[:, None, :, None] * ty.T[None, :, None, :]
-    zc = np.einsum("cz,fabc->abzf", tz, coef)
-    return (xy.reshape(-1, d * d) @ zc.reshape(d * d, -1)).reshape(
-        tx.shape[1], ty.shape[1], tz.shape[1], len(coef))
-
-
-def _at(pts):
-    """The three coordinate arrays of an (..., 3) point array."""
-    pts = np.asarray(pts, dtype=float)
-    return pts[..., 0], pts[..., 1], pts[..., 2]
+    a, b = np.nonzero(coef.any(axis=(0, 3)))
+    nx, ny, nz = (len(t) for t in axes)
+    xy = (tx[a].T[:, None, :] * ty[b].T[None, :, :]).reshape(nx * ny, len(a))
+    zc = np.einsum("cz,fabc->abzf", tz, coef)[a, b]
+    return (xy @ zc.reshape(len(a), nz * len(coef))).reshape(
+        nx, ny, nz, len(coef))
 
 
 class ExactFields:
@@ -149,14 +142,14 @@ class ExactFields:
     # -- vectorized callables ------------------------------------------------
 
     def u_value(self, pts):
-        return self.u(*_at(pts))
+        return self.u(*np.moveaxis(pts, -1, 0))
 
     def curl_u_value(self, pts):
-        return self.curl_u(*_at(pts))
+        return self.curl_u(*np.moveaxis(pts, -1, 0))
 
     def grad_curl_u_value(self, pts):
         """Jacobian of curl u: shape (..., 3, 3), entry [i, j] = d(curl u)_i / dx_j."""
-        vals = self.grad_curl_u(*_at(pts))
+        vals = self.grad_curl_u(*np.moveaxis(pts, -1, 0))
         return vals.reshape(vals.shape[:-1] + (3, 3))
 
     def grid_values(self, x, y, z):
@@ -172,7 +165,7 @@ class ExactFields:
                 out[..., 0:3])
 
     def f_value(self, pts):
-        return self.f(*_at(pts))
+        return self.f(*np.moveaxis(pts, -1, 0))
 
     def f_grid_values(self, x, y, z):
         """f on the grid x * y * z, like ``grid_values``; a sum of its own,
@@ -181,12 +174,17 @@ class ExactFields:
 
     # -- interpolation protocol (duck-typed against quadcurl.interp) ---------
 
-    value = u_value
-    curl_value = curl_u_value
+    def value(self, component, x, y, z):
+        """Component ``component`` of u on the grid x * y * z."""
+        return _eval_grid(self.u.scaled()[[component]], x, y, z)[..., 0]
 
-    def curl_d2(self, axis, pts):
-        """Second partial of (curl u)_axis along ``axis`` at points."""
-        return self.curl_u_d2[axis](*_at(pts))[..., 0]
+    def curl_value(self, component, x, y, z):
+        """Component ``component`` of curl u on the grid x * y * z."""
+        return _eval_grid(self.curl_u.scaled()[[component]], x, y, z)[..., 0]
+
+    def curl_d2(self, component, x, y, z):
+        """d^2 (curl u)_component / d x_component^2 on the grid x * y * z."""
+        return _eval_grid(self.curl_u_d2[component].scaled(), x, y, z)[..., 0]
 
 
 def build_exact_fields():

@@ -143,11 +143,6 @@ class Poly:
             total += term
         return total
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "Poly(0)"
-        return "Poly(" + ", ".join(f"{m}: {c:g}" for m, c in sorted(self.coeffs.items())) + ")"
-
 
 def integrate_exact(p, lo=(-0.5, -0.5, -0.5), hi=(0.5, 0.5, 0.5)):
     """Monomial-wise closed-form integration of a scalar polynomial over a box."""

@@ -370,8 +370,10 @@ def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
 def test_benchmark_tracer_sees_every_wrapped_call(tmp_path, monkeypatch):
     # the benchmark's --trace 1 wraps these module attributes by name and
     # stops when a span it expects (mms.eval and cli.save among them)
-    # records no call; a renamed or bypassed collaborator, or a pass that no
-    # longer evaluates the exact fields pointwise, would fail every traced run
+    # records no call; the mms.eval spans are now the grid calls of the
+    # interpolation protocol (value, curl_value, curl_d2) that I_h makes, so
+    # a renamed or bypassed collaborator, or an I_h that no longer calls
+    # that protocol, would fail every traced run
     bench = _load_bench(monkeypatch)
     from spans import WRAPPED
     for name, workload in sorted(bench.WORKLOADS.items()):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quadcurl import interp, mms, polyquad, system
+from quadcurl import mesh as mesh_module
 from quadcurl.checks import (_field_difference, _random_polyfield,
                              check_commuting_cell, check_commuting_macro,
                              check_gradient_orthogonality_quadratics,
@@ -38,11 +39,12 @@ def _face_rule(mesh, fid, rule):
 
 
 def _corrected_curl_integrals(ex, mesh, fid, rule):
-    """The two corrected tangential-curl integrals of the face ``fid``."""
+    """The two corrected tangential-curl integrals of the face ``fid``, from
+    the pointwise ``TrigSeries`` fields."""
     axis, P, W = _face_rule(mesh, fid, rule)
-    curl = ex.curl_u_value(P)
+    curl = ex.curl_u(*P.T)
     return [float(W @ (curl[:, d] + mesh.h**2 * CORRECTION_WEIGHT
-                       * ex.curl_d2(d, P)))
+                       * ex.curl_u_d2[d](*P.T)[:, 0]))
             for d in range(3) if d != axis]
 
 
@@ -172,22 +174,23 @@ def test_smooth_path_matches_exact_path_on_polynomials():
     want = _dof_values("VK", v) * h
 
     class CellField:
+        # the polynomial on the grid x * y * z, in the frame of one cell
         def __init__(self, center):
             self.center = center
 
-        def _ref(self, pts):
-            ref = (pts - self.center) / h
-            return ref[:, 0], ref[:, 1], ref[:, 2]
+        def _ref(self, x, y, z):
+            X = np.meshgrid(x, y, z, indexing="ij")
+            return [(X[a] - self.center[a]) / h for a in range(3)]
 
-        def value(self, pts):
-            return v(*self._ref(pts))
+        def value(self, component, x, y, z):
+            return v.comps[component](*self._ref(x, y, z))
 
-        def curl_value(self, pts):
-            return curl(*self._ref(pts)) / h
+        def curl_value(self, component, x, y, z):
+            return curl.comps[component](*self._ref(x, y, z)) / h
 
-        def curl_d2(self, axis, pts):
-            d2 = curl.comps[axis].diff(axis).diff(axis)
-            return d2(*self._ref(pts)) / h**3
+        def curl_d2(self, component, x, y, z):
+            d2 = curl.comps[component].diff(component).diff(component)
+            return d2(*self._ref(x, y, z)) / h**3
 
     for K in range(mesh.n_cells):
         coeffs = interp.global_interp_Ih(CellField(mesh.cell_centers[K]),
@@ -214,21 +217,33 @@ def test_boundary_dofs_of_exact_solution_vanish():
     assert worst < 1e-13
 
 
-def test_global_interpolation_preserves_edge_integrals():
+def test_global_interpolation_preserves_edge_integrals(monkeypatch):
     # every interior edge and face DoF against its own Gauss rule, one entity
-    # at a time; n = 4 gives four lattice planes per axis
+    # at a time.  n = 2 has one interior plane per axis.  A face plane holds
+    # (6n)^2 Gauss points, so 200 and 600 TILE_POINTS cut the n - 1 planes
+    # of n = 5 into tiles of 3 + 1 and those of n = 9 into 3 + 3 + 2 and
+    # single planes; the default takes them all at once
     ex = mms.build_exact_fields()
-    mesh = build_mesh(4)
-    gmap = system.build_dof_map(mesh)
-    coeffs = interp.global_interp_Ih(ex, mesh, gmap)
     rule = gauss_rule(6)
-    for eid in np.where(~mesh.edge_is_boundary)[0]:
-        axis, P, W = _edge_rule(mesh, eid, rule)
-        val = float(W @ ex.u_value(P)[:, axis])
-        assert coeffs[gmap.edge_dof[eid]] == pytest.approx(val, abs=1e-14)
-    for fid in np.where(~mesh.face_is_boundary)[0]:
-        vals = _corrected_curl_integrals(ex, mesh, fid, rule)
-        assert coeffs[gmap.face_dof[fid]] == pytest.approx(vals, abs=1e-14)
+    for n in (2, 4, 5, 9):
+        mesh = build_mesh(n)
+        gmap = system.build_dof_map(mesh)
+        edges = np.where(~mesh.edge_is_boundary)[0]
+        faces = np.where(~mesh.face_is_boundary)[0]
+        want_edges = []
+        for eid in edges:
+            axis, P, W = _edge_rule(mesh, eid, rule)
+            want_edges.append(float(W @ ex.u_value(P)[:, axis]))
+        want_faces = [_corrected_curl_integrals(ex, mesh, fid, rule)
+                      for fid in faces]
+        for points in (mesh_module.TILE_POINTS, 200, 600):
+            monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
+            coeffs = interp.global_interp_Ih(ex, mesh, gmap)
+            assert coeffs[gmap.edge_dof[edges]] == pytest.approx(
+                want_edges, abs=1e-14)
+            assert coeffs[gmap.face_dof[faces]] == pytest.approx(
+                np.array(want_faces), abs=1e-14)
+        monkeypatch.undo()
 
 
 def test_macro_field_evaluation_scaling():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quadcurl.mesh import (NonDivisibleMesh, build_mesh, classify_boundary,
-                           macro_partition)
+from quadcurl.mesh import (TILE_POINTS, NonDivisibleMesh, build_mesh,
+                           classify_boundary, macro_partition, plane_tiles)
 
 
 @pytest.mark.parametrize("n,cells,verts,edges,faces", [
@@ -170,3 +170,17 @@ def test_entity_ids_invert_lattice_tables():
                               np.arange(mesh.n_edges))
         assert np.array_equal(mesh.face_id(*mesh.face_table.T),
                               np.arange(mesh.n_faces))
+
+
+def test_plane_tiles_cover_the_interior_planes_once():
+    # I_h walks these tiles and calls the field on each: every interior
+    # plane once, in order, no empty tile (n = 1 has no interior plane), and
+    # no tile longer than the value budget allows
+    for n in range(1, 11):
+        for per_plane in (1, 900, 15 * TILE_POINTS // 3, 10**9):
+            tiles = plane_tiles(n, per_plane)
+            assert all(len(t) > 0 for t in tiles)
+            assert np.array_equal(np.concatenate([[]] + tiles),
+                                  np.arange(1, n))
+            limit = max(1, 15 * TILE_POINTS // per_plane)
+            assert all(len(t) <= limit for t in tiles)

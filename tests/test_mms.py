@@ -141,6 +141,16 @@ def test_grid_values_match_pointwise_methods(exact):
                           exact.u_value(pts))):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the interpolation protocol: one component on the grid
+    X = np.meshgrid(x, y, z, indexing="ij")
+    for c in range(3):
+        for got, want in ((exact.value(c, x, y, z), exact.u(*X)[..., c]),
+                          (exact.curl_value(c, x, y, z),
+                           exact.curl_u(*X)[..., c]),
+                          (exact.curl_d2(c, x, y, z),
+                           exact.curl_u_d2[c](*X)[..., 0])):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_u_matches_direct_formula(exact):
@@ -157,18 +167,22 @@ def test_u_matches_direct_formula(exact):
 
 
 def test_curl_d2_matches_fd_of_grad_curl(exact):
-    # the in-plane second partials I_h reads, against an 8th-order central
-    # difference of the diagonal of grad curl u along the same axis
+    # the in-plane second partials I_h reads, on a grid, against an
+    # 8th-order central difference of the diagonal of grad curl u along the
+    # same axis
     from quadcurl.checks import _fd_weights
-    pts = np.random.default_rng(8).uniform(0.1, 0.9, (50, 3))
+    rng = np.random.default_rng(8)
+    axes = [rng.uniform(0.1, 0.9, k) for k in (4, 3, 5)]
     dt = 0.01
     offs, w = _fd_weights(1, 9)
     for axis in range(3):
-        fd = np.zeros(len(pts))
+        fd = 0.0
         for o, wi in zip(offs, w):
-            shifted = pts.copy()
-            shifted[:, axis] += o * dt
-            fd += wi * exact.grad_curl_u_value(shifted)[:, axis, axis]
+            shifted = list(axes)
+            shifted[axis] = axes[axis] + o * dt
+            pts = np.stack(np.meshgrid(*shifted, indexing="ij"), axis=-1)
+            fd = fd + wi * exact.grad_curl_u_value(pts)[..., axis, axis]
         fd /= dt
-        got = exact.curl_d2(axis, pts)
+        got = exact.curl_d2(axis, *axes)
+        assert got.shape == fd.shape
         assert np.abs(got - fd).max() / np.abs(got).max() < 1e-8
