@@ -11,9 +11,9 @@ and writes CSV + Markdown reports:
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
-~1M unknowns); that run took 49 s at a 418 MB peak on a 2-core machine with
-one BLAS thread (``--threads 1``), once I_h read the exact fields on tensor
-grids (63 s at 412 MB at 2d30d90, run right after it).
+~1M unknowns); that run took 30-32 s at a 417 MB peak on a 2-core machine
+with one BLAS thread (``--threads 1``), once the error walks took the exact
+fields factored over x (39 s at 422 MB at 667631c, run before it).
 """
 
 import sys

@@ -1,14 +1,15 @@
 """Discrete error norms, superclose/superconvergence quantities and EOC tables.
 
 Errors against the exact (trigonometric) solution are integrated per cell with
-tensor Gauss rules.  The Gauss points of a tile of blocks (cells, or 3^3
-macros) form a tensor grid (``quadcurl.mesh.gauss_tiles``), on which both
-the exact fields (``exact.grid_values``, in ErrorTriple column order) and
-the discrete ones (``quadcurl.spaces.TensorGrid``) are summed factor by
-factor, in one grid layout.  Differences of two discrete fields are
-integrated exactly through the reference Gram matrices, which keeps
-quadrature noise out of the superclose quantity (the smallest number in the
-study).
+tensor Gauss rules, on the tensor grids of tiles of blocks (cells, or 3^3
+macros) walked a column of tiles at a time (``quadcurl.mesh.gauss_tiles``).
+The exact fields enter factored over x (``exact.x_factored``), their (y, z)
+factor built once per column, and the discrete field (``TensorGrid``) summed
+up to its x powers, so a tile's weighted squared error per ErrorTriple column
+is one matmul [P_x | -T_x] @ [V; E] and one dot product, every table carrying
+sqrt(w).  Differences of two discrete fields are integrated exactly through
+the reference Gram matrices, which keeps quadrature noise out of the
+superclose quantity (the smallest number in the study).
 """
 
 from __future__ import annotations
@@ -39,16 +40,37 @@ class ErrorTriple:
         return (self.curl_h1, self.curl_l2, self.l2)
 
 
-def _sq_error(approx, exact, w):
-    """Weighted sum of squares of ``approx - exact`` on the grid of a tile,
-    ``w`` the weights on one block axis.  Works in place in ``approx``, so a
-    tile needs one temporary of its size."""
-    approx -= exact.reshape(approx.shape)
-    np.square(approx, out=approx)
-    p, ny, _, k = approx.shape
-    # sum over the z points of each block, then over the blocks of the tile
-    s = (approx.reshape(-1, p * k) @ w.repeat(k)).reshape(p, ny // p, p, -1)
-    return w @ s.sum(axis=(1, 3)) @ w
+def _walk(exact, mesh, grid, sub):
+    """Yields ``(blocks, tx, stacks)`` per tile: its (nj, nk) block ids, the
+    x basis of ``exact.x_factored`` at its x points (p, B), and per
+    ErrorTriple column a (d + B, ny, nz, K) stack whose last B rows hold the
+    exact (y, z) factor, built once per column of tiles, and whose first d
+    rows are free.  Every table carries sqrt(w), like those of ``grid``."""
+    (p, d), root = grid.powers.shape, grid.scale
+    for blocks, x, y, z in gauss_tiles(mesh, sub):
+        X, E = exact.x_factored(x.ravel(), y, z)
+        B, ny, nz = E.shape[:3]
+        w = np.outer(np.tile(root, ny // p), np.tile(root, nz // p))[..., None]
+        stacks = []
+        for cols in (slice(0, 9), slice(9, 12), slice(12, 15)):
+            stack = np.empty((d + B, ny, nz, cols.stop - cols.start))
+            np.multiply(E[..., cols], w, out=stack[d:])
+            stacks.append(stack)
+        X = X.reshape(len(x), p, B) * root[:, None]
+        for i, tx in enumerate(X):
+            yield blocks[i], tx, stacks
+
+
+def _tile_error(grid, coeffs, col, tx, stack):
+    """Weighted squared error of the field sum_j coeffs[.., j] dual_j of
+    column ``col`` on one tile: ||[P_x | -T_x] @ [V; E]||^2, with its x-power
+    factor V written to the free rows of ``stack``.  The square is of the
+    weighted difference itself, never expanded."""
+    d = grid.powers.shape[1]
+    grid.factors(coeffs, col, out=stack[:d])
+    r = (np.concatenate([grid.powers, -tx], axis=1)
+         @ stack.reshape(len(stack), -1)).ravel()
+    return np.dot(r, r)
 
 
 def _block_error(block_coeffs, tag, sub, size, exact, mesh):
@@ -56,13 +78,13 @@ def _block_error(block_coeffs, tag, sub, size, exact, mesh):
     block of sub^3 cells with edge ``size``, the combination of the duals of
     reference space ``tag`` with coefficients ``block_coeffs(block ids)``;
     integrated per fine cell."""
-    grid = TensorGrid.gauss(reference_spaces()[tag], sub)
+    grid = TensorGrid.gauss(reference_spaces()[tag], sub, root=True)
     scales = (size**-2, 1.0 / size, 1.0)
     acc = np.zeros(3)
-    for blocks, exact_vals in gauss_tiles(exact.grid_values, mesh, sub):
+    for blocks, tx, stacks in _walk(exact, mesh, grid, sub):
         coef = block_coeffs(blocks)
-        for col, (s, ex) in enumerate(zip(scales, exact_vals)):
-            acc[col] += _sq_error(grid.values(s * coef, col), ex, grid.weights)
+        for col, (s, stack) in enumerate(zip(scales, stacks)):
+            acc[col] += _tile_error(grid, s * coef, col, tx, stack)
     return ErrorTriple(*np.sqrt(mesh.h**3 * acc))
 
 
@@ -80,9 +102,9 @@ def _gram_norms(space, coeffs, size):
     ``space``: ``coeffs`` holds the reference DoFs of one cell of edge
     ``size`` per row."""
     M0, M1, M2 = dual_gram_matrices(space)
-    n0 = size**3 * np.einsum("ci,ij,cj->", coeffs, M0, coeffs)
-    n1 = size * np.einsum("ci,ij,cj->", coeffs, M1, coeffs)
-    n2 = (1.0 / size) * np.einsum("ci,ij,cj->", coeffs, M2, coeffs)
+    n0 = size**3 * np.vdot(coeffs @ M0, coeffs)
+    n1 = size * np.vdot(coeffs @ M1, coeffs)
+    n2 = (1.0 / size) * np.vdot(coeffs @ M2, coeffs)
     return ErrorTriple(math.sqrt(max(n2, 0.0)), math.sqrt(max(n1, 0.0)),
                        math.sqrt(max(n0, 0.0)))
 
@@ -123,7 +145,8 @@ def macro_best_approximation(exact, mesh, partition):
     if partition.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
     vm = reference_spaces()["VM"]
-    grid = TensorGrid.gauss(vm, 3)
+    grid = TensorGrid.gauss(vm, 3, root=True)
+    d = grid.powers.shape[1]
     h, H = mesh.h, partition.macro_size
     # physical dual fields are scale x the reference ones
     scales = (H**-2, 1.0 / H, 1.0)
@@ -131,10 +154,10 @@ def macro_best_approximation(exact, mesh, partition):
              for s, gram in zip(scales, reversed(dual_gram_matrices(vm)))]
     acc = np.zeros(3)
     coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in scales)
-    for macros, exact_vals in gauss_tiles(exact.grid_values, mesh, 3):
-        for col, (s, ginv, ex) in enumerate(zip(scales, ginvs, exact_vals)):
-            c = (s * h**3) * grid.moments(ex, col) @ ginv
-            acc[col] += _sq_error(grid.values(s * c, col), ex, grid.weights)
+    for macros, tx, stacks in _walk(exact, mesh, grid, 3):
+        for col, (s, ginv, stack) in enumerate(zip(scales, ginvs, stacks)):
+            c = (s * h**3) * grid.moments(stack[d:], col, x=tx) @ ginv
+            acc[col] += _tile_error(grid, s * c, col, tx, stack)
             coeffs[col][macros] = c
     return ErrorTriple(*np.sqrt(h**3 * acc)), coeffs
 

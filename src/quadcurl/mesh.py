@@ -8,8 +8,8 @@ single-valued without sign bookkeeping.
 A cell is the sub = 1 case of a block of sub^3 cells; a macroelement is the
 sub = 3 case.  ``BrickMesh.block_entities`` fixes the local order of a
 block's cells, vertices, edges and faces, which is also the DoF order of the
-reference spaces, and ``gauss_tiles`` walks the Gauss points of tiles of
-blocks as tensor grids, for the load (sub = 1) and the error phases;
+reference spaces, and ``gauss_tiles`` walks the Gauss points of columns of
+tiles of blocks as tensor grids, for the load (sub = 1) and the error phases;
 ``plane_tiles`` cuts the interior lattice planes into tiles of that size.
 """
 
@@ -202,16 +202,17 @@ def macro_partition(mesh):
 TILE_POINTS = 2**15
 
 
-def gauss_tiles(evaluate, mesh, sub):
-    """Fields at the Gauss points of every cell, walked tile by tile.
+def gauss_tiles(mesh, sub):
+    """The Gauss points of every cell as tensor grids, column by column.
 
     The mesh is tiled by blocks of sub^3 cells (1 for cells, 3 for macros),
     numbered like the cells, lexicographically on the block lattice.  A tile
-    is a box of nj x nk blocks at one first lattice index, with about
+    is a box of nj x nk blocks at one first lattice index i, with about
     TILE_POINTS Gauss points (order ``polyquad.GAUSS_ORDER``), so its Gauss
-    points form one tensor grid x * y * z.  Yields ``(block ids, values)``:
-    the (nj, nk) ids and ``evaluate(x, y, z)`` as it returns, in the grid
-    layout of ``quadcurl.spaces.TensorGrid``.
+    points form one tensor grid x * y * z.  Yields ``(ids, x, y, z)`` per
+    column of tiles (one (j, k) range, every i): tile i is ``ids[i]``, of
+    the (nb, nj, nk) block ids, on the grid ``x[i] * y * z``, in the layout
+    of ``quadcurl.spaces.TensorGrid``.
     """
     n, h, q = mesh.n, mesh.h, polyquad.GAUSS_ORDER
     nb, p = n // sub, sub * q
@@ -220,12 +221,11 @@ def gauss_tiles(evaluate, mesh, sub):
     nk = min(nb, max(1, TILE_POINTS // p**3))
     nj = min(nb, max(1, TILE_POINTS // (p**3 * nk)))
     ids = np.arange(nb**3).reshape(nb, nb, nb)
-    for i in range(nb):
-        for j in range(0, nb, nj):
-            for k in range(0, nb, nk):
-                yield ids[i, j:j + nj, k:k + nk], evaluate(
-                    coords[i * p:(i + 1) * p], coords[j * p:(j + nj) * p],
-                    coords[k * p:(k + nk) * p])
+    x = coords.reshape(nb, p)
+    for j in range(0, nb, nj):
+        for k in range(0, nb, nk):
+            yield (ids[:, j:j + nj, k:k + nk], x, coords[j * p:(j + nj) * p],
+                   coords[k * p:(k + nk) * p])
 
 
 def plane_tiles(n, per_plane):

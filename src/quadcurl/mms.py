@@ -16,9 +16,10 @@ so every coefficient is exact in floating point and identities like
 
 Both evaluators read the same arrays.  Pointwise, ``TrigSeries.__call__``
 sums the nonzero basis products one at a time, the independent reference
-for the grid sum: on the outer product of three 1D coordinate arrays one
-matmul sums the (x, y) basis pairs of the error fields (``grid_values``), of
-f (``f_grid_values``) or of one component for I_h (``value``, ...).
+for the grid sums: on the outer product of three 1D coordinate arrays one
+matmul sums the (x, y) basis pairs of f (``f_grid_values``) or of one
+component for I_h (``value``, ...); the error fields stop at their (y, z)
+factor per x basis function (``x_factored``).
 """
 
 from __future__ import annotations
@@ -99,17 +100,21 @@ class TrigSeries:
         return np.moveaxis(out * math.pi**self.pi_power, 0, -1)
 
 
+def _tables(*axes):
+    """The per-axis basis at each 1D coordinate array: (d, len(t)) each."""
+    return [np.stack([_basis(a, np.asarray(t, dtype=float).reshape(-1))
+                      for a in range(2 * len(FREQS))]) for t in axes]
+
+
 def _eval_grid(coef, x, y, z):
     """Sum factorization of (F, d, d, d) coefficients (powers of pi folded
     in) on the tensor grid x * y * z: (len(x), len(y), len(z), F).  The z
     factors of each (x, y) basis pair some field uses fold into one 1D
     combination per field, so one matmul gives every field at every point.
     """
-    d = 2 * len(FREQS)
-    axes = [np.asarray(t, dtype=float).reshape(-1) for t in (x, y, z)]
-    tx, ty, tz = (np.stack([_basis(a, t) for a in range(d)]) for t in axes)
+    tx, ty, tz = _tables(x, y, z)
     a, b = np.nonzero(coef.any(axis=(0, 3)))
-    nx, ny, nz = (len(t) for t in axes)
+    nx, ny, nz = tx.shape[1], ty.shape[1], tz.shape[1]
     xy = (tx[a].T[:, None, :] * ty[b].T[None, :, :]).reshape(nx * ny, len(a))
     zc = np.einsum("cz,fabc->abzf", tz, coef)[a, b]
     return (xy @ zc.reshape(len(a), nz * len(coef))).reshape(
@@ -136,8 +141,8 @@ class ExactFields:
         self.curl_u_d2 = tuple(
             TrigSeries(self.curl_u.coef[i, None], self.curl_u.pi_power)
             .diff(i).diff(i) for i in range(3))
-        self._grid_coef = np.concatenate(
-            [g.scaled() for g in (self.u, self.curl_u, self.grad_curl_u)])
+        self._error_coef = np.concatenate(
+            [g.scaled() for g in (self.grad_curl_u, self.curl_u, self.u)])
 
     # -- vectorized callables ------------------------------------------------
 
@@ -152,24 +157,25 @@ class ExactFields:
         vals = self.grad_curl_u(*np.moveaxis(pts, -1, 0))
         return vals.reshape(vals.shape[:-1] + (3, 3))
 
-    def grid_values(self, x, y, z):
-        """grad curl u, curl u and u (the column order of
-        ``quadcurl.analysis.ErrorTriple``) on the outer product of 1D
-        coordinate arrays, shaped like ``grad_curl_u_value``,
-        ``curl_u_value`` and ``u_value`` with the point axis replaced by
-        ``(len(x), len(y), len(z))``.  All 15 components share one set of
-        per-axis sin/cos tables."""
-        out = _eval_grid(self._grid_coef, x, y, z)
-        grid = out.shape[:3]
-        return (out[..., 6:15].reshape(grid + (3, 3)), out[..., 3:6],
-                out[..., 0:3])
+    def x_factored(self, x, y, z):
+        """grad curl u, curl u and u on the grid x * y * z, factored over x:
+        ``(X, E)``, X (len(x), B) the B x basis functions at x and
+        E (B, len(y), len(z), 15) the (y, z) factor, so the fields are X @ E
+        over B; components in ErrorTriple column order (grad curl entry
+        3 i + j is d(curl u)_i / d x_j)."""
+        tx, ty, tz = _tables(x, y, z)
+        coef = self._error_coef
+        zc = np.einsum("cz,fabc->abzf", tz, coef)            # [a, b, z, f]
+        E = np.matmul(ty.T, zc.reshape(len(tx), len(ty), -1))  # [a, y, z, f]
+        return tx.T, E.reshape(len(tx), ty.shape[1], tz.shape[1], len(coef))
 
     def f_value(self, pts):
         return self.f(*np.moveaxis(pts, -1, 0))
 
     def f_grid_values(self, x, y, z):
-        """f on the grid x * y * z, like ``grid_values``; a sum of its own,
-        so the load and the error phases never evaluate each other's fields."""
+        """f on the grid x * y * z, (len(x), len(y), len(z), 3); a sum of
+        its own, so the load and the error phases never evaluate each
+        other's fields."""
         return _eval_grid(self.f.scaled(), x, y, z)
 
     # -- interpolation protocol (duck-typed against quadcurl.interp) ---------

@@ -469,44 +469,55 @@ def factored_table(space):
 class TensorGrid:
     """Sum factorization of the factored table of ``space`` on the tensor
     grid of a tile of nj x nk blocks at one first lattice index, in the
-    layout (len(x), len(y), len(z), K) of ``quadcurl.mms.ExactFields``'
-    ``grid_values``.  Every axis of a block (the reference frame) carries
-    the points ``t`` with weights ``w``.  The z powers are folded into the
-    table once, so either kernel is three small matmuls.
+    layout (len(x), len(y), len(z), K) of ``quadcurl.mesh.gauss_tiles``.
+    Every axis of a block (the reference frame) carries the points ``t``
+    with weights ``w``, its table multiplied by ``scale`` point by point.
+    The z powers are folded into the table once, so ``factors`` is two
+    small matmuls and ``moments`` three.
     """
 
-    def __init__(self, space, t, w):
+    def __init__(self, space, t, w, scale=1.0):
         d = AXIS_DEGREE + 1
-        self.weights = np.asarray(w, dtype=float)
-        self.powers = np.asarray(t, dtype=float)[:, None] ** np.arange(d)
+        self.weights, self.scale = np.asarray(w, dtype=float), scale
+        self.powers = (np.asarray(t, dtype=float)[:, None] ** np.arange(d)
+                       * np.reshape(scale, (-1, 1)))
         # per column (d, 1, d, dim, p K): [a, -, b, j, (z, k)]
         self.tables = tuple(
             np.einsum("abjck,zc->abjzk", C, self.powers).reshape(
                 d, 1, d, space.dim, -1) for C in factored_table(space))
 
     @classmethod
-    def gauss(cls, space, sub):
-        """GAUSS_ORDER points (read now) per cell of a block of sub^3."""
+    def gauss(cls, space, sub, root=False):
+        """GAUSS_ORDER points (read now) per cell of a block of sub^3; with
+        ``root`` scaled by sqrt(w) and weighted by 1, so the fields carry
+        sqrt(w) per axis and ``moments`` take values that do."""
         t, w = polyquad.gauss_rule(polyquad.GAUSS_ORDER).interval(-0.5, 0.5)
-        return cls(space, (((np.arange(sub) + 0.5) / sub - 0.5)[:, None]
-                           + t / sub).ravel(), np.tile(w, sub))
+        t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None] + t / sub).ravel()
+        w = np.tile(w, sub)
+        return cls(space, t, np.ones_like(w), np.sqrt(w)) if root else \
+            cls(space, t, w)
 
-    def values(self, coeffs, col):
+    def factors(self, coeffs, col, out=None):
         """The fields sum_j coeffs[.., j] dual_j of column ``col`` on the
-        grid of a tile; ``coeffs`` is (nj, nk, dim)."""
+        grid of a tile, ``coeffs`` (nj, nk, dim), up to their x powers:
+        (d, nj p, nk p, K), the values being ``powers @ factors`` over the
+        first axis; into ``out`` if given, C-contiguous of that shape."""
         (nj, nk, _), P = coeffs.shape, self.powers
         p, d = P.shape
         v = np.matmul(coeffs[:, None], self.tables[col])  # [a, bj, b, bk, z, k]
-        v = np.matmul(P, v.reshape(d * nj, d, -1))        # [a, bj, y, bk, z, k]
-        return (P @ v.reshape(d, -1)).reshape(p, nj * p, nk * p, -1)
+        v = np.matmul(P, v.reshape(d * nj, d, -1),        # [a, bj, y, bk, z, k]
+                      out=None if out is None else out.reshape(d * nj, p, -1))
+        return v.reshape(d, nj * p, nk * p, -1)
 
-    def moments(self, vals, col):
-        """The transpose of ``values``: the weighted sums of ``vals`` times
-        each dual of column ``col`` per block, (nj, nk, dim)."""
+    def moments(self, vals, col, x=None):
+        """The transpose of the fields: the weighted sums of ``vals`` times
+        each dual of column ``col`` per block, (nj, nk, dim).  ``vals`` is on
+        the grid of a tile, or, given ``x`` (p, B), its factor (B, ny, nz, K)
+        over x: the values are ``x @ vals`` over the first axis."""
         (p, d), table = self.powers.shape, self.tables[col]
         nj, nk = vals.shape[1] // p, vals.shape[2] // p
         Pw = (self.powers * self.weights[:, None]).T
-        m = Pw @ vals.reshape(p, -1)                      # [a, bj, y, bk, z, k]
+        m = (Pw if x is None else Pw @ x) @ vals.reshape(len(vals), -1)
         m = np.matmul(Pw, m.reshape(d * nj, p, -1))       # [a, bj, b, bk, z, k]
         m = m.reshape(d, nj, d, nk, p, -1) * self.weights[:, None]
         m = np.matmul(m.reshape(d, nj, d, nk, -1),

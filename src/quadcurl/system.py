@@ -242,8 +242,10 @@ def assemble_rhs(mesh, gmap, exact, mode="modified"):
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
     loc = np.empty(dof_cols.shape)
-    for cells, f in gauss_tiles(exact.f_grid_values, mesh, 1):
-        loc[cells] = h * h * grid.moments(f, 2)     # the value column
+    for cells, x, y, z in gauss_tiles(mesh, 1):
+        for row, xi in zip(cells, x):
+            # the value column
+            loc[row] = h * h * grid.moments(exact.f_grid_values(xi, y, z), 2)
     return scatter_add(loc, dof_cols, gmap.n_vdofs)
 
 

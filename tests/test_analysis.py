@@ -132,15 +132,17 @@ def macro6():
 
 
 class _PointwiseGrid:
-    """``grid_values`` built from the pointwise methods at the meshgrid
-    points: the reference for the sum-factorized grid of the exact fields."""
+    """``x_factored`` built from the pointwise methods at the meshgrid
+    points, with the identity over the given x abscissae (the mesh's x
+    Gauss abscissae in a walk) as its x factor: the reference for the
+    sum-factorized form of the exact fields."""
 
-    def grid_values(self, x, y, z):
+    def x_factored(self, x, y, z):
         P = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
         flat, grid = P.reshape(-1, 3), P.shape[:3]
-        return (self.grad_curl_u_value(flat).reshape(grid + (3, 3)),
-                self.curl_u_value(flat).reshape(grid + (3,)),
-                self.u_value(flat).reshape(grid + (3,)))
+        vals = [f(flat).reshape(grid + (-1,)) for f in (
+            self.grad_curl_u_value, self.curl_u_value, self.u_value)]
+        return np.eye(len(x)), np.concatenate(vals, axis=-1)
 
 
 class _MacroFieldAsExact(_PointwiseGrid):
@@ -232,8 +234,8 @@ def _assert_triples_close(a, b, rel=1e-12):
         assert x == pytest.approx(y, rel=rel)
 
 
-def test_grid_path_matches_pointwise_fallback(macro6, monkeypatch):
-    mesh, part, ex, imu = macro6
+def _assert_grid_matches_pointwise(mesh, part, ex, imu, monkeypatch,
+                                   tile_points):
     gmap = system.build_dof_map(mesh)
     pointwise = _PointwiseOnly(ex)
     v = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
@@ -241,10 +243,7 @@ def test_grid_path_matches_pointwise_fallback(macro6, monkeypatch):
     want_sc = analysis.superconvergent_error(imu, pointwise, mesh)
     point, point_coeffs = analysis.macro_best_approximation(pointwise, mesh,
                                                             part)
-    # a cell has 6^3 Gauss points and a macro 18^3; tiles of 24 cells split
-    # each slab of 36 cells into runs of 4 and 2 rows, tiles of 4 cells each
-    # row of 6 into runs of 4 and 2, and a tile of one macro splits its row
-    for points in (mesh_module.TILE_POINTS, 24 * 6**3, 4 * 6**3, 18**3):
+    for points in (mesh_module.TILE_POINTS,) + tile_points:
         monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
         _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap),
                               want)
@@ -254,6 +253,31 @@ def test_grid_path_matches_pointwise_fallback(macro6, monkeypatch):
         _assert_triples_close(grid, point)
         for a, b in zip(grid_coeffs, point_coeffs):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_grid_path_matches_pointwise_fallback(macro6, monkeypatch):
+    # a cell has 6^3 Gauss points and a macro 18^3; tiles of 24 cells split
+    # each slab of 36 cells into runs of 4 and 2 rows, tiles of 4 cells each
+    # row of 6 into runs of 4 and 2, and a tile of one macro splits its row,
+    # so the last column of tiles is partial in j or in k
+    _assert_grid_matches_pointwise(*macro6, monkeypatch,
+                                   (24 * 6**3, 4 * 6**3, 18**3))
+
+
+def test_grid_path_matches_pointwise_fallback_at_n9(monkeypatch):
+    # 9 cells and 3 macros a row: tiles of 2 x 9 cells cut j into runs of 2
+    # (the last column of tiles partial in j), tiles of 4 cells cut k into
+    # runs of 4 (partial in k); tiles of 2 macros cut k into 2 and 1, tiles
+    # of 2 x 3 macros j into 2 and 1
+    mesh = build_mesh(9)
+    gmap = system.build_dof_map(mesh)
+    part = macro_partition(mesh)
+    ex = mms.build_exact_fields()
+    imu = interp.global_I3h(interp.global_interp_Ih(ex, mesh, gmap),
+                            mesh, gmap, part)
+    _assert_grid_matches_pointwise(mesh, part, ex, imu, monkeypatch,
+                                   (2 * 9 * 6**3, 4 * 6**3, 2 * 18**3,
+                                    6 * 18**3))
 
 
 def _dense_blocks(mesh, sub, space):

@@ -136,11 +136,18 @@ def _grid_axes():
 def test_grid_values_match_pointwise_methods(exact):
     x, y, z = _grid_axes()
     pts = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
-    for got, want in zip(exact.grid_values(x, y, z),
-                         (exact.grad_curl_u_value(pts), exact.curl_u_value(pts),
-                          exact.u_value(pts))):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the error fields factored over x, in ErrorTriple column order
+    X, E = exact.x_factored(x, y, z)
+    assert X.shape == (len(x), len(E))
+    got = np.tensordot(X, E, axes=(1, 0))
+    want = np.concatenate([exact.grad_curl_u_value(pts).reshape(pts.shape[:3]
+                                                                + (9,)),
+                           exact.curl_u_value(pts), exact.u_value(pts)],
+                          axis=-1)
+    assert got.shape == want.shape
+    for c in range(want.shape[-1]):
+        assert np.abs(got[..., c] - want[..., c]).max() \
+            <= 1e-14 * np.abs(want[..., c]).max()
     # the interpolation protocol: one component on the grid
     X = np.meshgrid(x, y, z, indexing="ij")
     for c in range(3):
@@ -162,7 +169,8 @@ def test_u_matches_direct_formula(exact):
         <= 1e-14 * np.abs(want).max()
     x, y, z = _grid_axes()
     want = _u_direct(np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1))
-    assert np.abs(exact.grid_values(x, y, z)[2] - want).max() \
+    X, E = exact.x_factored(x, y, z)
+    assert np.abs(np.tensordot(X, E[..., 12:], axes=(1, 0)) - want).max() \
         <= 1e-14 * np.abs(want).max()
 
 
