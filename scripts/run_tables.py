@@ -11,9 +11,10 @@ and writes CSV + Markdown reports:
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
-~1M unknowns); that run took 30-32 s at a 417 MB peak on a 2-core machine
-with one BLAS thread (``--threads 1``), once the error walks took the exact
-fields factored over x (39 s at 422 MB at 667631c, run before it).
+~1M unknowns); that run took 29-30 s at a 417-419 MB peak on a 2-core
+machine with one BLAS thread (``--threads 1``), with the load and the error
+walks on one exact-field kernel (30-33 s at 410-420 MB at 0811496, measured
+alongside it).
 """
 
 import sys

@@ -2,14 +2,15 @@
 
 Errors against the exact (trigonometric) solution are integrated per cell with
 tensor Gauss rules, on the tensor grids of tiles of blocks (cells, or 3^3
-macros) walked a column of tiles at a time (``quadcurl.mesh.gauss_tiles``).
-The exact fields enter factored over x (``exact.x_factored``), their (y, z)
-factor built once per column, and the discrete field (``TensorGrid``) summed
-up to its x powers, so a tile's weighted squared error per ErrorTriple column
-is one matmul [P_x | -T_x] @ [V; E] and one dot product, every table carrying
-sqrt(w).  Differences of two discrete fields are integrated exactly through
-the reference Gram matrices, which keeps quadrature noise out of the
-superclose quantity (the smallest number in the study).
+macros) walked a column of tiles at a time (``quadcurl.spaces.gauss_walk``,
+the walk of the load).  The exact fields enter factored over x
+(``exact.x_factored``), their (y, z) factor built once per column, and the
+discrete field (``TensorGrid``) summed up to its x powers, so a tile's
+weighted squared error per ErrorTriple column is one matmul
+[P_x | -T_x] @ [V; E] and one dot product, every table carrying sqrt(w).  Differences of two
+discrete fields are integrated exactly through the reference Gram matrices,
+which keeps quadrature noise out of the superclose quantity (the smallest
+number in the study).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import NonDivisibleMesh, gauss_tiles
-from .spaces import TensorGrid, dual_gram_matrices, reference_spaces
+from .mesh import NonDivisibleMesh
+from .spaces import (TensorGrid, dual_gram_matrices, gauss_walk,
+                     reference_spaces)
 from .system import gather
 
 
@@ -40,25 +42,8 @@ class ErrorTriple:
         return (self.curl_h1, self.curl_l2, self.l2)
 
 
-def _walk(exact, mesh, grid, sub):
-    """Yields ``(blocks, tx, stacks)`` per tile: its (nj, nk) block ids, the
-    x basis of ``exact.x_factored`` at its x points (p, B), and per
-    ErrorTriple column a (d + B, ny, nz, K) stack whose last B rows hold the
-    exact (y, z) factor, built once per column of tiles, and whose first d
-    rows are free.  Every table carries sqrt(w), like those of ``grid``."""
-    (p, d), root = grid.powers.shape, grid.scale
-    for blocks, x, y, z in gauss_tiles(mesh, sub):
-        X, E = exact.x_factored(x.ravel(), y, z)
-        B, ny, nz = E.shape[:3]
-        w = np.outer(np.tile(root, ny // p), np.tile(root, nz // p))[..., None]
-        stacks = []
-        for cols in (slice(0, 9), slice(9, 12), slice(12, 15)):
-            stack = np.empty((d + B, ny, nz, cols.stop - cols.start))
-            np.multiply(E[..., cols], w, out=stack[d:])
-            stacks.append(stack)
-        X = X.reshape(len(x), p, B) * root[:, None]
-        for i, tx in enumerate(X):
-            yield blocks[i], tx, stacks
+# the ErrorTriple columns of the exact fields of ``exact.x_factored``
+_COLUMNS = (slice(0, 9), slice(9, 12), slice(12, 15))
 
 
 def _tile_error(grid, coeffs, col, tx, stack):
@@ -78,10 +63,11 @@ def _block_error(block_coeffs, tag, sub, size, exact, mesh):
     block of sub^3 cells with edge ``size``, the combination of the duals of
     reference space ``tag`` with coefficients ``block_coeffs(block ids)``;
     integrated per fine cell."""
-    grid = TensorGrid.gauss(reference_spaces()[tag], sub, root=True)
+    grid = TensorGrid.gauss(reference_spaces()[tag], sub)
     scales = (size**-2, 1.0 / size, 1.0)
     acc = np.zeros(3)
-    for blocks, tx, stacks in _walk(exact, mesh, grid, sub):
+    for blocks, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, sub,
+                                         _COLUMNS):
         coef = block_coeffs(blocks)
         for col, (s, stack) in enumerate(zip(scales, stacks)):
             acc[col] += _tile_error(grid, s * coef, col, tx, stack)
@@ -145,7 +131,7 @@ def macro_best_approximation(exact, mesh, partition):
     if partition.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
     vm = reference_spaces()["VM"]
-    grid = TensorGrid.gauss(vm, 3, root=True)
+    grid = TensorGrid.gauss(vm, 3)
     d = grid.powers.shape[1]
     h, H = mesh.h, partition.macro_size
     # physical dual fields are scale x the reference ones
@@ -154,7 +140,8 @@ def macro_best_approximation(exact, mesh, partition):
              for s, gram in zip(scales, reversed(dual_gram_matrices(vm)))]
     acc = np.zeros(3)
     coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in scales)
-    for macros, tx, stacks in _walk(exact, mesh, grid, 3):
+    for macros, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, 3,
+                                         _COLUMNS):
         for col, (s, ginv, stack) in enumerate(zip(scales, ginvs, stacks)):
             c = (s * h**3) * grid.moments(stack[d:], col, x=tx) @ ginv
             acc[col] += _tile_error(grid, s * c, col, tx, stack)

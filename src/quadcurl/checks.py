@@ -118,7 +118,7 @@ def check_factored_tables():
     for space in reference_spaces().values():
         if not isinstance(space.span[0], PolyField):
             continue    # Q1K is scalar
-        grid = TensorGrid(space, t, np.ones(len(t)))
+        grid = TensorGrid(space, t)
         for col, components in enumerate(COLUMNS):
             want = np.array([[g(*xyz) for g in components(f)]
                              for f in space.dual])

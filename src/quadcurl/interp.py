@@ -9,11 +9,11 @@ reads a smooth field through three methods of one signature
 ``(component, x, y, z) -> (len(x), len(y), len(z))``: ``value``,
 ``curl_value`` and ``curl_d2`` give one component of u, of curl u and of
 d^2 (curl u)_c / d x_c^2 (the in-plane second partial the correction reads)
-on the tensor grid x * y * z (see ``quadcurl.mms.ExactFields``).  It
-integrates the corrected DoFs with tensor Gauss rules on the physical
-entities, where the correction weight is ``h^2 * CORRECTION_WEIGHT``; on the
-scaled frame it is ``CORRECTION_WEIGHT``, so one reference operator serves
-the whole mesh.
+on the tensor grid x * y * z (``quadcurl.mms.ExactFields`` takes each from
+its one grid kernel, ``factored``).  It integrates the corrected DoFs with
+tensor Gauss rules on the physical entities, where the correction weight is
+``h^2 * CORRECTION_WEIGHT``; on the scaled frame it is
+``CORRECTION_WEIGHT``, so one reference operator serves the whole mesh.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ so every coefficient is exact in floating point and identities like
 
 Both evaluators read the same arrays.  Pointwise, ``TrigSeries.__call__``
 sums the nonzero basis products one at a time, the independent reference
-for the grid sums: on the outer product of three 1D coordinate arrays one
-matmul sums the (x, y) basis pairs of f (``f_grid_values``) or of one
-component for I_h (``value``, ...); the error fields stop at their (y, z)
-factor per x basis function (``x_factored``).
+for the grid sums.  On the outer product of three 1D coordinate arrays
+every field goes through one kernel, ``factored``: the x basis at x and
+the (y, z) factor.  The load and the error walks keep the factor, built
+once per column of tiles; I_h (``value``, ...) takes the product.
 """
 
 from __future__ import annotations
@@ -106,19 +106,15 @@ def _tables(*axes):
                       for a in range(2 * len(FREQS))]) for t in axes]
 
 
-def _eval_grid(coef, x, y, z):
+def factored(coef, x, y, z):
     """Sum factorization of (F, d, d, d) coefficients (powers of pi folded
-    in) on the tensor grid x * y * z: (len(x), len(y), len(z), F).  The z
-    factors of each (x, y) basis pair some field uses fold into one 1D
-    combination per field, so one matmul gives every field at every point.
-    """
+    in) on the grid x * y * z, stopped before the x sum: ``(X, E)``,
+    X (len(x), d) the x basis at x and E (d, len(y), len(z), F) the (y, z)
+    factor, so the fields are X @ E over d."""
     tx, ty, tz = _tables(x, y, z)
-    a, b = np.nonzero(coef.any(axis=(0, 3)))
-    nx, ny, nz = tx.shape[1], ty.shape[1], tz.shape[1]
-    xy = (tx[a].T[:, None, :] * ty[b].T[None, :, :]).reshape(nx * ny, len(a))
-    zc = np.einsum("cz,fabc->abzf", tz, coef)[a, b]
-    return (xy @ zc.reshape(len(a), nz * len(coef))).reshape(
-        nx, ny, nz, len(coef))
+    zc = np.einsum("cz,fabc->abzf", tz, coef)            # [a, b, z, f]
+    E = np.matmul(ty.T, zc.reshape(len(tx), len(ty), -1))  # [a, y, z, f]
+    return tx.T, E.reshape(len(tx), ty.shape[1], tz.shape[1], len(coef))
 
 
 class ExactFields:
@@ -158,39 +154,30 @@ class ExactFields:
         return vals.reshape(vals.shape[:-1] + (3, 3))
 
     def x_factored(self, x, y, z):
-        """grad curl u, curl u and u on the grid x * y * z, factored over x:
-        ``(X, E)``, X (len(x), B) the B x basis functions at x and
-        E (B, len(y), len(z), 15) the (y, z) factor, so the fields are X @ E
-        over B; components in ErrorTriple column order (grad curl entry
-        3 i + j is d(curl u)_i / d x_j)."""
-        tx, ty, tz = _tables(x, y, z)
-        coef = self._error_coef
-        zc = np.einsum("cz,fabc->abzf", tz, coef)            # [a, b, z, f]
-        E = np.matmul(ty.T, zc.reshape(len(tx), len(ty), -1))  # [a, y, z, f]
-        return tx.T, E.reshape(len(tx), ty.shape[1], tz.shape[1], len(coef))
+        """grad curl u, curl u and u on the grid x * y * z, factored over x
+        (``factored``); components in ErrorTriple column order (grad curl
+        entry 3 i + j is d(curl u)_i / d x_j)."""
+        return factored(self._error_coef, x, y, z)
 
     def f_value(self, pts):
         return self.f(*np.moveaxis(pts, -1, 0))
-
-    def f_grid_values(self, x, y, z):
-        """f on the grid x * y * z, (len(x), len(y), len(z), 3); a sum of
-        its own, so the load and the error phases never evaluate each
-        other's fields."""
-        return _eval_grid(self.f.scaled(), x, y, z)
 
     # -- interpolation protocol (duck-typed against quadcurl.interp) ---------
 
     def value(self, component, x, y, z):
         """Component ``component`` of u on the grid x * y * z."""
-        return _eval_grid(self.u.scaled()[[component]], x, y, z)[..., 0]
+        coef = self.u.scaled()[[component]]
+        return np.tensordot(*factored(coef, x, y, z), axes=1)[..., 0]
 
     def curl_value(self, component, x, y, z):
         """Component ``component`` of curl u on the grid x * y * z."""
-        return _eval_grid(self.curl_u.scaled()[[component]], x, y, z)[..., 0]
+        coef = self.curl_u.scaled()[[component]]
+        return np.tensordot(*factored(coef, x, y, z), axes=1)[..., 0]
 
     def curl_d2(self, component, x, y, z):
         """d^2 (curl u)_component / d x_component^2 on the grid x * y * z."""
-        return _eval_grid(self.curl_u_d2[component].scaled(), x, y, z)[..., 0]
+        coef = self.curl_u_d2[component].scaled()
+        return np.tensordot(*factored(coef, x, y, z), axes=1)[..., 0]
 
 
 def build_exact_fields():

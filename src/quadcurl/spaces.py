@@ -41,7 +41,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import polyquad
-from .mesh import _lattice, edge_lattice_order, face_lattice_order
+from .mesh import (_lattice, edge_lattice_order, face_lattice_order,
+                   gauss_tiles)
 from .polyquad import (Poly, PolyField, along, coefficient_curl,
                        coefficient_grad, integrate_exact, legendre_poly)
 
@@ -470,15 +471,16 @@ class TensorGrid:
     """Sum factorization of the factored table of ``space`` on the tensor
     grid of a tile of nj x nk blocks at one first lattice index, in the
     layout (len(x), len(y), len(z), K) of ``quadcurl.mesh.gauss_tiles``.
-    Every axis of a block (the reference frame) carries the points ``t``
-    with weights ``w``, its table multiplied by ``scale`` point by point.
-    The z powers are folded into the table once, so ``factors`` is two
-    small matmuls and ``moments`` three.
+    Every axis of a block (the reference frame) carries the points ``t``,
+    its table multiplied by ``scale`` point by point: by sqrt(w) on the
+    Gauss grids of ``gauss``, where fields and values that carry it as well
+    square and pair to weighted integrals.  The z powers are folded into the
+    table once, so ``factors`` is two small matmuls and ``moments`` three.
     """
 
-    def __init__(self, space, t, w, scale=1.0):
+    def __init__(self, space, t, scale=1.0):
         d = AXIS_DEGREE + 1
-        self.weights, self.scale = np.asarray(w, dtype=float), scale
+        self.scale = scale
         self.powers = (np.asarray(t, dtype=float)[:, None] ** np.arange(d)
                        * np.reshape(scale, (-1, 1)))
         # per column (d, 1, d, dim, p K): [a, -, b, j, (z, k)]
@@ -487,15 +489,11 @@ class TensorGrid:
                 d, 1, d, space.dim, -1) for C in factored_table(space))
 
     @classmethod
-    def gauss(cls, space, sub, root=False):
-        """GAUSS_ORDER points (read now) per cell of a block of sub^3; with
-        ``root`` scaled by sqrt(w) and weighted by 1, so the fields carry
-        sqrt(w) per axis and ``moments`` take values that do."""
+    def gauss(cls, space, sub):
+        """GAUSS_ORDER points (read now) per cell of a block of sub^3."""
         t, w = polyquad.gauss_rule(polyquad.GAUSS_ORDER).interval(-0.5, 0.5)
         t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None] + t / sub).ravel()
-        w = np.tile(w, sub)
-        return cls(space, t, np.ones_like(w), np.sqrt(w)) if root else \
-            cls(space, t, w)
+        return cls(space, t, np.sqrt(np.tile(w, sub)))
 
     def factors(self, coeffs, col, out=None):
         """The fields sum_j coeffs[.., j] dual_j of column ``col`` on the
@@ -509,20 +507,40 @@ class TensorGrid:
                       out=None if out is None else out.reshape(d * nj, p, -1))
         return v.reshape(d, nj * p, nk * p, -1)
 
-    def moments(self, vals, col, x=None):
-        """The transpose of the fields: the weighted sums of ``vals`` times
-        each dual of column ``col`` per block, (nj, nk, dim).  ``vals`` is on
-        the grid of a tile, or, given ``x`` (p, B), its factor (B, ny, nz, K)
-        over x: the values are ``x @ vals`` over the first axis."""
+    def moments(self, vals, col, x):
+        """The transpose of the fields: the sums of values times each dual
+        of column ``col`` per block, (nj, nk, dim), the values given by their
+        factor ``vals`` (B, ny, nz, K) over x on the grid of a tile and their
+        x basis ``x`` (p, B): they are ``x @ vals`` over the first axis."""
         (p, d), table = self.powers.shape, self.tables[col]
         nj, nk = vals.shape[1] // p, vals.shape[2] // p
-        Pw = (self.powers * self.weights[:, None]).T
-        m = (Pw if x is None else Pw @ x) @ vals.reshape(len(vals), -1)
-        m = np.matmul(Pw, m.reshape(d * nj, p, -1))       # [a, bj, b, bk, z, k]
-        m = m.reshape(d, nj, d, nk, p, -1) * self.weights[:, None]
-        m = np.matmul(m.reshape(d, nj, d, nk, -1),
+        m = (self.powers.T @ x) @ vals.reshape(len(vals), -1)
+        m = np.matmul(self.powers.T, m.reshape(d * nj, p, -1))
+        m = np.matmul(m.reshape(d, nj, d, nk, -1),      # [a, bj, b, bk, (z, k)]
                       table.swapaxes(-1, -2))             # [a, bj, b, bk, j]
         return m.sum(axis=(0, 2))
+
+
+def gauss_walk(factor, mesh, grid, sub, cols):
+    """The Gauss grids of the tiles of blocks of sub^3 cells
+    (``quadcurl.mesh.gauss_tiles``) with a field given factored over x by
+    ``factor(x, y, z) -> (X, E)`` (as ``quadcurl.mms.factored``).  Yields
+    ``(blocks, tx, stacks)`` per tile: its (nj, nk) block ids, the x basis
+    at its x points (p, B), and per slice of the field's components in
+    ``cols`` a (d + B, ny, nz, K) stack whose last B rows hold the (y, z)
+    factor, built once per column of tiles, and whose first d rows are
+    free.  Every table carries sqrt(w), like those of ``grid``."""
+    (p, d), root = grid.powers.shape, grid.scale
+    for blocks, x, y, z in gauss_tiles(mesh, sub):
+        X, E = factor(x.ravel(), y, z)
+        B, ny, nz = E.shape[:3]
+        w = np.outer(np.tile(root, ny // p), np.tile(root, nz // p))[..., None]
+        stacks = [np.empty((d + B, ny, nz, c.stop - c.start)) for c in cols]
+        for c, stack in zip(cols, stacks):
+            np.multiply(E[..., c], w, out=stack[d:])
+        X = X.reshape(len(x), p, B) * root[:, None]
+        for i, tx in enumerate(X):
+            yield blocks[i], tx, stacks
 
 
 def grad_pair(a, b):

@@ -17,10 +17,10 @@ Nedelec space and every face-curl dual to zero, so the reconstructed load has
 exact zeros on all face DoFs.
 
 Local matrices are assembled once on the scaled reference cell and reused for
-every cell of the uniform mesh.  Only the load needs quadrature: f is summed
-on the tensor grid of the Gauss points of a tile of cells
-(``quadcurl.mesh.gauss_tiles``) and tested against the reference duals by
-sum factorization (``quadcurl.spaces.TensorGrid.moments``).  No matrix
+every cell of the uniform mesh.  Only the load needs quadrature: f enters
+factored over x (``quadcurl.mms.factored``) on the Gauss grids of the walk
+of the error norms (``quadcurl.spaces.gauss_walk``) and is tested against
+the reference duals by sum factorization (``TensorGrid.moments``).  No matrix
 is assembled: A and B are each a ``CellOperator`` that applies its one cell
 matrix cell by cell (gather, matrix product, scatter-add), and B^T is the
 same gather and scatter with the roles of the two DoF tables swapped.  The
@@ -46,13 +46,15 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .mesh import BrickMesh, _lattice, gauss_tiles
+from .mesh import BrickMesh, _lattice
+from .mms import factored
 from .spaces import (TensorGrid, dual_gram_matrices, functional_matrix,
-                     reference_spaces, vector_scalar_grad_matrix, vk_dofs)
+                     gauss_walk, reference_spaces, vector_scalar_grad_matrix,
+                     vk_dofs)
 
 
 class MaxIterations(Exception):
@@ -238,14 +240,14 @@ def assemble_rhs(mesh, gmap, exact, mode="modified"):
         raise ValueError(f"unknown rhs mode {mode!r}")
     grid = TensorGrid.gauss(
         reference_spaces()["VK" if mode == "original" else "NedelecK"], 1)
-    h = mesh.h
+    h, d = mesh.h, grid.powers.shape[1]
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
     loc = np.empty(dof_cols.shape)
-    for cells, x, y, z in gauss_tiles(mesh, 1):
-        for row, xi in zip(cells, x):
-            # the value column
-            loc[row] = h * h * grid.moments(exact.f_grid_values(xi, y, z), 2)
+    for cells, tx, (stack,) in gauss_walk(partial(factored, exact.f.scaled()),
+                                          mesh, grid, 1, (slice(0, 3),)):
+        # the value column
+        loc[cells] = h * h * grid.moments(stack[d:], 2, x=tx)
     return scatter_add(loc, dof_cols, gmap.n_vdofs)
 
 
@@ -478,7 +480,8 @@ def solve_saddle(system, tol=1e-10):
     I - G S^-1 B^T (``velocity_preconditioner``), so every CG iterate is
     divergence-free and the iteration count stays about constant in n (15
     at n = 24, 17 at n = 48).  Returns (u, p, info), u and p the V_h and Q_h
-    coefficient arrays; info carries the velocity CG iterations and the
+    coefficient arrays; info carries the velocity CG iterations, their
+    residual norms (``norms``, as ``_pcg`` returns them) and the
     relative residual of the full system, ||B^T u|| included.  A relative
     residual above ``tol`` raises ``MaxIterations`` with the last five
     velocity CG residuals; a non-finite one raises ``SingularSystem``.
@@ -487,7 +490,8 @@ def solve_saddle(system, tol=1e-10):
     fnorm = float(np.linalg.norm(F))
     if fnorm == 0.0:    # also the empty system of a one-cell mesh
         return (np.zeros(system.gmap.n_vdofs), np.zeros(system.gmap.n_qdofs),
-                {"method": "trivial", "residual": 0.0, "iterations": 0})
+                {"method": "trivial", "residual": 0.0, "iterations": 0,
+                 "norms": [0.0]})
 
     G = gradient_inclusion_matrix(system.mesh, system.gmap)
     s_inv = q1_inverse(system.mesh.n)
@@ -505,4 +509,5 @@ def solve_saddle(system, tol=1e-10):
             f"relative residual {res:.3e} above tol {tol:.1e} "
             f"after {its} CG iterations; last velocity CG residuals "
             + " ".join(f"{t:.2e}" for t in tail), residual=res, tail=tail)
-    return u, p, {"method": "mgcg", "residual": res, "iterations": its}
+    return u, p, {"method": "mgcg", "residual": res, "iterations": its,
+                  "norms": norms}

@@ -148,8 +148,15 @@ def test_grid_values_match_pointwise_methods(exact):
     for c in range(want.shape[-1]):
         assert np.abs(got[..., c] - want[..., c]).max() \
             <= 1e-14 * np.abs(want[..., c]).max()
-    # the interpolation protocol: one component on the grid
+    # the load through the same kernel, factored over x
     X = np.meshgrid(x, y, z, indexing="ij")
+    got = np.tensordot(*mms.factored(exact.f.scaled(), x, y, z), axes=1)
+    want = exact.f(*X)
+    assert got.shape == want.shape
+    for c in range(3):
+        assert np.abs(got[..., c] - want[..., c]).max() \
+            <= 1e-14 * np.abs(want[..., c]).max()
+    # the interpolation protocol: one component on the grid
     for c in range(3):
         for got, want in ((exact.value(c, x, y, z), exact.u(*X)[..., c]),
                           (exact.curl_value(c, x, y, z),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadcurl.checks import _field_difference
-from quadcurl.polyquad import Poly, PolyField
+from quadcurl.polyquad import GAUSS_ORDER, Poly, PolyField, gauss_rule
 from quadcurl.spaces import (AXIS_DEGREE, DofFunctional, SingularVandermonde,
                              TensorGrid, coefficient_array,
                              curl_inclusion_residual, dual_basis,
@@ -268,10 +268,13 @@ def _values(grid, coeffs, col):
 @pytest.mark.parametrize("sub", [1, 3])
 def test_factored_tables_match_dual_tables_on_gauss_grids(spaces, tag, sub):
     # oracle: the dense tables at the Gauss points of the reference frame cut
-    # into sub^3 cells, every dual evaluated through its 3D monomials
+    # into sub^3 cells, every dual evaluated through its 3D monomials and
+    # weighted by sqrt(w) per axis, as the grid's fields are
     sp = spaces[tag]
     grid = TensorGrid.gauss(sp, sub)
-    t = grid.powers[:, 1]
+    t, w = gauss_rule(GAUSS_ORDER).interval(-0.5, 0.5)
+    t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None] + t / sub).ravel()
+    root = np.sqrt(np.tile(w, sub))
     p = len(t)
     pts = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
     dense = (dual_gradcurl_table(sp, pts), dual_curl_table(sp, pts),
@@ -280,14 +283,13 @@ def test_factored_tables_match_dual_tables_on_gauss_grids(spaces, tag, sub):
         # every dual as its own block of a 1 x dim tile
         got = _values(grid, np.eye(sp.dim)[None], col)
         got = got.reshape(p, p, sp.dim, p, -1).transpose(2, 0, 1, 3, 4)
-        want = want.reshape(got.shape)
+        want = want.reshape(got.shape) * np.einsum(
+            "x,y,z->xyz", root, root, root)[..., None]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        # the moments kernel is the transpose: <values(c), g>_w = c . moments(g)
+        # the moments kernel is the transpose: <values(c), g> = c . moments(g)
         g = np.random.default_rng(col).standard_normal((p, p, 2 * p,
                                                         want.shape[-1]))
         c = np.random.default_rng(9).standard_normal((1, 2, sp.dim))
-        w = np.einsum("x,y,z->xyz", grid.weights, grid.weights,
-                      np.tile(grid.weights, 2))
-        lhs = np.einsum("xyzk,xyz->", _values(grid, c, col) * g, w)
-        assert lhs == pytest.approx(np.sum(c * grid.moments(g, col)),
-                                    rel=1e-12)
+        lhs = np.sum(_values(grid, c, col) * g)
+        rhs = np.sum(c * grid.moments(g, col, np.eye(p)))
+        assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from quadcurl import mesh as mesh_module
 from quadcurl import mms, system
 from quadcurl.mesh import build_mesh
 from quadcurl.spaces import reference_spaces
@@ -180,11 +181,15 @@ def test_modified_rhs_face_entries_vanish(setup3, exact):
     assert np.abs(rhs[face_ids]).max() == 0.0
 
 
-def test_load_matches_pointwise_gauss_reference(exact):
+def test_load_matches_pointwise_gauss_reference(exact, monkeypatch):
     # oracle: f evaluated point by point at each cell's Gauss points and
-    # tested against the reference dual tables, cell by cell
+    # tested against the reference dual tables, cell by cell.  At n = 9,
+    # tiles of 2 x 9 cells cut j into runs of 2 (the last column of tiles
+    # partial in j) and tiles of 4 cells cut k into runs of 4 (partial in
+    # k), so the load reads f's (y, z) factor of more than one column
     pts, wts = gauss_box(6)
-    for n in (3, 6):
+    default = mesh_module.TILE_POINTS
+    for n, tile_points in ((3, ()), (6, ()), (9, (2 * 9 * 6**3, 4 * 6**3))):
         mesh = build_mesh(n)
         gmap = system.build_dof_map(mesh)
         h = mesh.h
@@ -197,8 +202,10 @@ def test_load_matches_pointwise_gauss_reference(exact):
                 for dof, val in zip(dofs, local):
                     if dof < gmap.n_vdofs:
                         want[dof] += val
-            got = system.assemble_rhs(mesh, gmap, exact, mode=mode)
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            for points in (default,) + tile_points:
+                monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
+                got = system.assemble_rhs(mesh, gmap, exact, mode=mode)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_rhs_orthogonal_to_gradients(setup3, exact):
@@ -359,6 +366,21 @@ def test_galerkin_residual_random_test_vectors(setup3, exact):
     for _ in range(20):
         v = rng.standard_normal(len(r))
         assert abs(float(r @ v)) <= 1e-9 * np.linalg.norm(b) * np.linalg.norm(v)
+
+
+def test_solve_returns_the_residual_history(exact):
+    mesh = build_mesh(6)
+    gmap = system.build_dof_map(mesh)
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
+    tol = 1e-10
+    _u, _p, info = system.solve_saddle(sys_, tol=tol)
+    norms = info["norms"]
+    assert len(norms) == info["iterations"] + 1
+    assert norms[-1] < 0.5 * tol * np.linalg.norm(sys_.rhs)
+    sys_.rhs = np.zeros_like(sys_.rhs)
+    _u, _p, info = system.solve_saddle(sys_)
+    assert info["method"] == "trivial"
+    assert len(info["norms"]) == info["iterations"] + 1
 
 
 def test_unreachable_tolerance_raises_max_iterations(setup3, exact):
