@@ -11,9 +11,9 @@ and writes CSV + Markdown reports:
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
-~1M unknowns); that run took 29-30 s at a 417-419 MB peak on a 2-core
-machine with one BLAS thread (``--threads 1``), with the load and the error
-walks on one exact-field kernel (30-33 s at 410-420 MB at 0811496, measured
+~1M unknowns); that run took 28.6-30.5 s at a 354-358 MB peak on a 2-core
+machine with one BLAS thread (``--threads 1``), with one shared work pair
+for every cell operator (27.6-29.4 s at 417-418 MB at 1e17577, measured
 alongside it).
 """
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -235,10 +236,12 @@ def run(config):
     for rec in study(config):
         for task, trip in rec.triples.items():
             reports[(rec.scheme, task)].add(rec.n, trip)
+        # the process's resident high-water mark (ru_maxrss is in KB)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"  n={rec.n} scheme={rec.scheme}: solved "
               f"({rec.info['method']}, {rec.info['iterations']} its, "
               f"residual {rec.info['residual']:.2e}), "
-              f"{rec.elapsed:.1f}s elapsed")
+              f"{rec.elapsed:.1f}s elapsed, peak {peak:.1f} MB")
         del rec             # let the next n start without this one
     paths = {}
     for key, report in reports.items():

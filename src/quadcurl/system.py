@@ -45,6 +45,7 @@ what is written to it, so every reader uses the tables as built.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -136,6 +137,27 @@ def scatter_add(entries, dofs, size):
                        minlength=size + 1)[:size]
 
 
+# The (gathered, product) work arrays of every CellOperator; they take
+# memory once an apply writes them, and fresh ones per apply cost more in
+# page faults than the apply itself.  Only one apply runs at a time and the
+# fine A's pair is the largest of its mesh, so one pair serves A, B, G and
+# every V-cycle level.  Each array grows to the largest request (a study
+# builds the fine A of each mesh first); operators built before a growth
+# keep views of the old one.
+_WORK = [np.empty(0), np.empty(0)]
+
+
+def _work_views(*shapes):
+    """Views of ``_WORK`` with the given (gathered, product) shapes."""
+    views = []
+    for i, shape in enumerate(shapes):
+        size = math.prod(shape)
+        if _WORK[i].size < size:
+            _WORK[i] = np.empty(size)
+        views.append(_WORK[i][:size].reshape(shape))
+    return tuple(views)
+
+
 class CellOperator:
     """The sum over all cells of one local matrix, applied without assembly:
     x -> sum_K R_K^T local C_K x, where C_K gathers the column DoFs
@@ -145,7 +167,12 @@ class CellOperator:
     to a matrix, and ``op.T @ x`` its transpose.  A table entry equal to
     the size of its side is an eliminated DoF (see ``gather``); any other
     id outside [0, size) raises IndexError here, once, since the applies
-    gather without a bounds check."""
+    gather without a bounds check.
+
+    Every apply writes the same pair of work arrays (gathered, product),
+    ``_work_views`` of the process-wide ``_WORK``, so the applies of a
+    process run one at a time; an apply returns a fresh vector, never a
+    view of the pair."""
 
     def __init__(self, local, row_dofs, col_dofs, shape):
         for dofs, size in ((row_dofs, shape[0]), (col_dofs, shape[1])):
@@ -157,11 +184,9 @@ class CellOperator:
         # local entries one apply multiplies that couple two numbered DoFs
         self.nnz = int((row_dofs < shape[0]).sum(axis=1)
                        @ (col_dofs < shape[1]).sum(axis=1))
-        # work arrays (gathered, product), reused by every apply (so an
-        # operator serves one thread at a time; they take memory once an
-        # apply writes them): fresh ones of this size cost more in page
-        # faults than the apply itself.  The transpose swaps their roles.
-        self._work = (np.empty(col_dofs.shape), np.empty(row_dofs.shape))
+        # views of the shared work pair, taken once; the transpose swaps
+        # their roles
+        self._work = _work_views(col_dofs.shape, row_dofs.shape)
 
     def matvec(self, x):
         """Gather x at the column table, multiply each cell by the local
@@ -372,8 +397,10 @@ def v_cycle(levels, b):
     level = levels[0]
     x = _chebyshev(level, b)
     if level.P is not None:
-        r = level.weights * (b - level.A @ x)
-        x += level.weights * (level.P @ v_cycle(levels[1:], level.P.T @ r))
+        # the restricted residual only: the fine one is gone before the
+        # recursion
+        coarse = level.P.T @ (level.weights * (b - level.A @ x))
+        x += level.weights * (level.P @ v_cycle(levels[1:], coarse))
     return _chebyshev(level, b, x)
 
 
@@ -393,7 +420,8 @@ def velocity_preconditioner(system, G, s_inv):
 
     def apply(r):
         z = v_cycle(levels, r)
-        return z - G @ s_inv(B.T @ z)
+        z -= G @ s_inv(B.T @ z)     # z is the V-cycle's own array
+        return z
 
     return apply
 

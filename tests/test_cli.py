@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -362,9 +363,15 @@ def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
     cli.run(cli.RunConfig(scheme="both", ns=(3,), out_dir=str(tmp_path),
                           fmt="csv"))
     assert len(calls) == 2
-    solved = bench.SOLVED.findall(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    solved = bench.SOLVED.findall(out)
     assert [(m[0], m[1]) for m in solved] == [("3", "original"),
                                               ("3", "modified")]
+    # each solved line ends with the process peak so far, in MB
+    peaks = [float(p) for p in re.findall(
+        r"solved .*s elapsed, peak (\d+\.\d) MB$", out, flags=re.M)]
+    assert len(peaks) == 2 and 0 < peaks[0] <= peaks[1] <= \
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.05
 
 
 def test_benchmark_tracer_sees_every_wrapped_call(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -304,15 +306,21 @@ def test_preconditioner_projects_onto_divergence_free_fields(n, exact):
                                                    rel=1e-12)
 
 
-def test_transpose_shares_the_work_arrays_of_its_operator():
+def test_transpose_shares_the_work_arrays_of_its_operator(monkeypatch):
     # B and B^T, and a prolongation P and P^T, applied in turn: each apply
     # matches its dense product, and the transpose reads the forward
-    # operator's one pair of work arrays with the roles swapped
+    # operator's one pair of work arrays with the roles swapped.  Every
+    # operator of a solve set-up (A, B, G and each V-cycle level's A and P,
+    # built fine A first as ``cli._study_n`` does) views the one shared
+    # pair, which the fine A sizes
+    monkeypatch.setattr(system, "_WORK", [np.empty(0), np.empty(0)])
     mesh = build_mesh(6)
     gmap = system.build_dof_map(mesh)
+    A = system.assemble_A(mesh, gmap)
     B = system.assemble_B(mesh, gmap)
-    P = system.multigrid_levels(mesh, gmap,
-                                system.assemble_A(mesh, gmap))[0].P
+    G = system.gradient_inclusion_matrix(mesh, gmap)
+    levels = system.multigrid_levels(mesh, gmap, A)
+    P = levels[0].P
     rng = np.random.default_rng(9)
     for op in (B, P):
         dense = op.toarray()
@@ -326,6 +334,74 @@ def test_transpose_shares_the_work_arrays_of_its_operator():
         assert [id(a) for a in op._work] == pair
         assert [id(a) for a in op.T._work] == pair[::-1]
         assert [a.shape for a in op._work] == [op.cols.shape, op.rows.shape]
+
+    shared = system._WORK
+    assert [a.size for a in shared] == [A.cols.size, A.rows.size]
+    assert len(levels) == 2
+    ops = [A, B, G] + [level.A for level in levels] + \
+        [level.P for level in levels if level.P is not None]
+    for op in ops:
+        for work, buf in zip(op._work, shared):
+            assert np.shares_memory(work, buf)
+        for work, buf in zip(op.T._work, shared[::-1]):
+            assert np.shares_memory(work, buf)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_applies_return_vectors_that_later_applies_leave_alone(n, exact):
+    # every apply writes the shared work pair, so a result that viewed it
+    # would change under the next apply; each result kept across the applies
+    # of a solve set-up still equals its dense product, and no apply, the
+    # preconditioner or the CG changes its input
+    mesh = build_mesh(n)
+    gmap = system.build_dof_map(mesh)
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
+    G = system.gradient_inclusion_matrix(mesh, gmap)
+    levels = system.multigrid_levels(mesh, gmap, sys_.A)
+    ops = [sys_.A, sys_.B, sys_.B.T, G, G.T] + \
+        [op for level in levels if level.P is not None
+         for op in (level.P, level.P.T)]
+    dense = [op.toarray() for op in ops]
+    rng = np.random.default_rng(10)
+    inputs = [rng.standard_normal(op.shape[1]) for op in ops]
+    kept = [x.copy() for x in inputs]
+    results = [op @ x for op, x in zip(ops, inputs)]
+    for d, x, y in zip(dense, kept, results):
+        assert np.abs(y - d @ x).max() <= 1e-13 * np.abs(d).max() * \
+            np.abs(x).sum()
+    for x, x0 in zip(inputs, kept):
+        assert np.array_equal(x, x0)
+
+    s_inv = system.q1_inverse(n)
+    precond = system.velocity_preconditioner(sys_, G, s_inv)
+    r = sys_.rhs - sys_.B @ s_inv(G.T @ sys_.rhs)
+    r0 = r.copy()
+    z = precond(r)
+    assert np.array_equal(r, r0)
+    assert not np.shares_memory(z, r)
+    x, its, _ = system._pcg(sys_.A, r, 1e-10 * np.linalg.norm(r), 100,
+                            precond)
+    assert its > 0 and np.array_equal(r, r0)
+    assert not np.shares_memory(x, r)
+
+
+def test_second_solve_stays_within_21_velocity_vectors(exact):
+    # the tracemalloc peak of a solve on a mesh whose A already exists: the
+    # CG vectors, the V-cycle's temporaries and the coarse hierarchy (19.3
+    # vectors at n = 12).  One work pair per operator read 23.7, and 24.6
+    # with the V-cycle's fine residual and the projection's copy alive longer
+    mesh = build_mesh(12)
+    gmap = system.build_dof_map(mesh)
+    sys_ = system.build_system(mesh, gmap, exact, mode="modified")
+    system.solve_saddle(sys_)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        system.solve_saddle(sys_)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 8 * gmap.n_vdofs
 
 
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
