@@ -11,10 +11,13 @@ and writes CSV + Markdown reports:
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
-~1M unknowns); that run took 28.6-30.5 s at a 354-358 MB peak on a 2-core
-machine with one BLAS thread (``--threads 1``), with one shared work pair
-for every cell operator (27.6-29.4 s at 417-418 MB at 1e17577, measured
-alongside it).
+~1M unknowns).  On a 2-core machine with one BLAS thread (``--threads 1``)
+that run takes ~17 s, each mesh size's original scheme solved in a forked
+worker beside the modified one; the processes peak near 340 MB each and
+544 MB together in Pss (``BENCH_two-processes.json``, written by
+``scripts/bench.py``).  In one process it took 28.7 s at a 356 MB peak
+(``BENCH_a74fc7c.json``).  Without a thread setting the study stays in one
+process (see ``cli._can_fork``).
 """
 
 import sys

@@ -43,10 +43,10 @@ class ErrorTriple:
 
 
 # the ErrorTriple columns of the exact fields of ``exact.x_factored``
-_COLUMNS = (slice(0, 9), slice(9, 12), slice(12, 15))
+COLUMNS = (slice(0, 9), slice(9, 12), slice(12, 15))
 
 
-def _tile_error(grid, coeffs, col, tx, stack):
+def tile_error(grid, coeffs, col, tx, stack):
     """Weighted squared error of the field sum_j coeffs[.., j] dual_j of
     column ``col`` on one tile: ||[P_x | -T_x] @ [V; E]||^2, with its x-power
     factor V written to the free rows of ``stack``.  The square is of the
@@ -67,10 +67,10 @@ def _block_error(block_coeffs, tag, sub, size, exact, mesh):
     scales = (size**-2, 1.0 / size, 1.0)
     acc = np.zeros(3)
     for blocks, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, sub,
-                                         _COLUMNS):
+                                         COLUMNS):
         coef = block_coeffs(blocks)
         for col, (s, stack) in enumerate(zip(scales, stacks)):
-            acc[col] += _tile_error(grid, s * coef, col, tx, stack)
+            acc[col] += tile_error(grid, s * coef, col, tx, stack)
     return ErrorTriple(*np.sqrt(mesh.h**3 * acc))
 
 
@@ -83,7 +83,7 @@ def error_vs_exact(u_vec, exact, mesh, gmap):
                         exact, mesh)
 
 
-def _gram_norms(space, coeffs, size):
+def gram_norms(space, coeffs, size):
     """Exact norms of a piecewise field through the reference Gram triple of
     ``space``: ``coeffs`` holds the reference DoFs of one cell of edge
     ``size`` per row."""
@@ -98,55 +98,13 @@ def _gram_norms(space, coeffs, size):
 def discrete_norms(vec, mesh, gmap):
     """Exact norms of a V_h coefficient vector via the reference Gram triple."""
     h = mesh.h
-    return _gram_norms(reference_spaces()["VK"],
+    return gram_norms(reference_spaces()["VK"],
                        gather(vec, gmap.cell_vdofs) / h, h)
 
 
 def superclose_error(u_vec, ihu_vec, mesh, gmap):
     """Norms of I_h u - u_h, exact in coefficient space."""
     return discrete_norms(ihu_vec - u_vec, mesh, gmap)
-
-
-def macro_norms(macro_field):
-    """Exact norms of a MacroField via the reference VM Gram triple."""
-    return _gram_norms(macro_field.space, macro_field.coeffs, macro_field.size)
-
-
-def macro_best_approximation(exact, mesh, partition):
-    """Per-macro best approximation of the exact solution from V_M.
-
-    On every macro, u is projected onto V_M in each norm of ErrorTriple (the
-    grad-curl seminorm, the L2 norm of the curl, the L2 norm).  The distance
-    from u to its projection P_M u is a lower bound for the matching column
-    of ``superconvergent_error`` of *any* field v in V_M, and by Pythagoras
-    the measured error squared is that bound squared plus the norm of
-    P_M u - v squared.  The two curl Grams are singular (gradients, and for
-    the seminorm fields of constant curl, span their kernels); the
-    pseudo-inverse picks one projection, which leaves the distances unchanged.
-
-    Returns ``(bounds, coeffs)``: an ErrorTriple of the distances and a
-    triple of (n_macros, dim VM) reference-coefficient arrays of P_M u, both
-    in ErrorTriple column order.
-    """
-    if partition.mesh.n != mesh.n:
-        raise NonDivisibleMesh("macro partition does not match the mesh")
-    vm = reference_spaces()["VM"]
-    grid = TensorGrid.gauss(vm, 3)
-    d = grid.powers.shape[1]
-    h, H = mesh.h, partition.macro_size
-    # physical dual fields are scale x the reference ones
-    scales = (H**-2, 1.0 / H, 1.0)
-    ginvs = [np.linalg.pinv(H**3 * s**2 * gram, rcond=1e-10, hermitian=True)
-             for s, gram in zip(scales, reversed(dual_gram_matrices(vm)))]
-    acc = np.zeros(3)
-    coeffs = tuple(np.empty((partition.n_macros, vm.dim)) for _ in scales)
-    for macros, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, 3,
-                                         _COLUMNS):
-        for col, (s, ginv, stack) in enumerate(zip(scales, ginvs, stacks)):
-            c = (s * h**3) * grid.moments(stack[d:], col, x=tx) @ ginv
-            acc[col] += _tile_error(grid, s * c, col, tx, stack)
-            coeffs[col][macros] = c
-    return ErrorTriple(*np.sqrt(h**3 * acc)), coeffs
 
 
 def superconvergent_error(macro_field, exact, mesh):

@@ -9,17 +9,22 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 invariant
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import resource
+import signal
 import sys
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
+# the numerics backends' thread variables, which ``--threads`` sets
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 DEFAULT_NS = (6, 12, 18, 24)
 EXTENDED_NS = (36, 48)
@@ -57,6 +62,18 @@ class RunConfig:
             if bad:
                 raise ValueError(
                     f"superconv task needs n divisible by 3, got {bad}")
+        # numpy's import reads the thread variables, which main sets first
+        from .system import MAX_COARSEST, coarsest
+        for n in self.ns:
+            if coarsest(n) > MAX_COARSEST:
+                near = [next(m for m in itertools.count(n + step, step)
+                             if coarsest(m) <= MAX_COARSEST)
+                        for step in (-1, 1)]
+                raise ValueError(
+                    f"n={n}: the multigrid hierarchy, which halves or "
+                    f"thirds the mesh, ends at {coarsest(n)} cells per "
+                    f"edge, above the {MAX_COARSEST} the solver converges "
+                    f"from; nearest accepted sizes {near[0]} and {near[1]}")
         if not self.extended:
             big = [n for n in self.ns if n > max(DEFAULT_NS)]
             if big:
@@ -170,6 +187,7 @@ class StudyRecord:
     i3h_u: object = None        # I3h u_h (superconv task)
     triples: dict = field(default_factory=dict)    # task -> ErrorTriple
     elapsed: float = 0.0        # seconds since this n started
+    peak_mb: float = 0.0        # peak RSS of the process that solved it
 
 
 def study(config):
@@ -193,7 +211,10 @@ def study(config):
 
 
 def _study_n(n, config, exact):
-    """The records of one mesh size."""
+    """The records of one mesh size.  Its schemes share the mesh, DoF map,
+    A, B, the partition and I_h u; with two schemes and cores for both
+    processes' BLAS threads (``_can_fork``) a forked worker solves the
+    first while this process solves the last."""
     from . import analysis, interp, system
     from .mesh import build_mesh, macro_partition
 
@@ -206,12 +227,14 @@ def _study_n(n, config, exact):
     part = macro_partition(mesh) if "superconv" in tasks else None
     ihu = (interp.global_interp_Ih(exact, mesh, gmap)
            if "superclose" in tasks else None)
-    for scheme in config.schemes:
+    shared = {"mesh": mesh, "gmap": gmap, "partition": part, "ihu": ihu}
+
+    def solve(scheme):
+        """The record of one scheme: its load, solve and every task."""
         rhs = system.assemble_rhs(mesh, gmap, exact, mode=scheme)
         sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
         u, _p, info = system.solve_saddle(sys_, tol=config.tol)
-        rec = StudyRecord(n=n, scheme=scheme, info=info, mesh=mesh,
-                          gmap=gmap, u=u, partition=part, ihu=ihu)
+        rec = StudyRecord(n=n, scheme=scheme, info=info, u=u, **shared)
         for task in tasks:
             if task == "errors":
                 trip = analysis.error_vs_exact(u, exact, mesh, gmap)
@@ -222,7 +245,116 @@ def _study_n(n, config, exact):
                 trip = analysis.superconvergent_error(rec.i3h_u, exact, mesh)
             rec.triples[task] = trip
         rec.elapsed = time.perf_counter() - t0
-        yield rec
+        # this process's resident high-water mark (ru_maxrss is in KB)
+        rec.peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        return rec
+
+    if len(config.schemes) == 2 and _can_fork():
+        yield from _forked(solve, config.schemes, shared)
+    else:
+        yield from map(solve, config.schemes)
+
+
+def _can_fork():
+    """Whether a forked worker can solve a scheme beside this process: no
+    other Python thread runs (fork would copy the locks it holds) and the
+    BLAS threads of both processes fit in the usable cores.  Each process
+    runs as many BLAS threads as the largest thread variable set (main sets
+    them from ``--threads``), else one per core, OpenBLAS's default, which
+    leaves no room for a second process."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return False
+    cores = len(os.sched_getaffinity(0))
+    quota = _cpu_quota()
+    if quota is not None:
+        cores = min(cores, int(quota))
+    blas = max((int(v) for v in map(os.environ.get, THREAD_VARS)
+                if v and v.isdigit()), default=cores)
+    return 2 * blas <= cores
+
+
+def _cpu_quota(root="/sys/fs/cgroup"):
+    """The CPUs a cgroup quota grants (v2 ``cpu.max``, v1
+    ``cpu.cfs_quota_us`` over its period), or None when none is set."""
+    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us",
+                                 "cpu/cpu.cfs_period_us")):
+        try:
+            fields = []
+            for name in names:
+                with open(f"{root}/{name}", encoding="ascii") as fh:
+                    fields += fh.read().split()
+        except OSError:
+            continue
+        return None if fields[0] in ("max", "-1") else \
+            int(fields[0]) / int(fields[1])
+    return None
+
+
+def _forked(solve, schemes, shared):
+    """The records of two schemes in study order, the first solved in a
+    forked worker while this process solves the second.  A failure is
+    raised where the serial loop raises it: at the first failing record in
+    study order, after the records before it."""
+    import multiprocessing
+
+    # fork, not spawn: the worker shares the mesh pages and the warm
+    # reference tables, and nothing is pickled on the way in
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_worker, daemon=True,
+                         args=(send, solve, schemes[0], shared))
+    try:
+        worker.start()
+    except OSError:     # no process to be had (memory, process limit)
+        recv.close()
+        yield from map(solve, schemes)
+        return
+    finally:
+        send.close()
+    try:
+        last = _outcome(solve, schemes[1])
+        try:
+            first = recv.recv()
+        except EOFError:    # killed (out of memory, a signal): solve here
+            worker.join()
+            print(f"warning: the worker solving scheme {schemes[0]} exited "
+                  f"with code {worker.exitcode} before sending its record; "
+                  "solving it in this process")
+            first = _outcome(solve, schemes[0])
+    except BaseException:   # ^C here: stop the worker
+        worker.terminate()
+        raise
+    finally:
+        recv.close()
+        worker.join()
+    for rec in (first, last):
+        if isinstance(rec, Exception):
+            raise rec
+        yield _with_shared(rec, shared)
+
+
+def _outcome(solve, scheme):
+    """The record of a scheme, or the exception that stopped it."""
+    try:
+        return solve(scheme)
+    except Exception as exc:
+        return exc
+
+
+def _worker(send, solve, scheme, shared):
+    """Forked worker: sends the outcome of one scheme, its record without
+    the objects of its n that both processes hold."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent stops it
+    rec = _outcome(solve, scheme)
+    send.send(rec if isinstance(rec, Exception) else
+              _with_shared(rec, dict.fromkeys(shared)))
+
+
+def _with_shared(rec, shared):
+    """``rec`` with the objects both processes hold set from ``shared``;
+    None values detach them for the pipe."""
+    i3h = rec.i3h_u and replace(rec.i3h_u, partition=shared["partition"])
+    return replace(rec, i3h_u=i3h, **shared)
 
 
 def run(config):
@@ -236,12 +368,10 @@ def run(config):
     for rec in study(config):
         for task, trip in rec.triples.items():
             reports[(rec.scheme, task)].add(rec.n, trip)
-        # the process's resident high-water mark (ru_maxrss is in KB)
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"  n={rec.n} scheme={rec.scheme}: solved "
               f"({rec.info['method']}, {rec.info['iterations']} its, "
               f"residual {rec.info['residual']:.2e}), "
-              f"{rec.elapsed:.1f}s elapsed, peak {peak:.1f} MB")
+              f"{rec.elapsed:.1f}s elapsed, peak {rec.peak_mb:.1f} MB")
         del rec             # let the next n start without this one
     paths = {}
     for key, report in reports.items():
@@ -278,8 +408,7 @@ def main(argv=None):
             print(f"configuration error: {source} must be >= 1, got "
                   f"{threads}", file=sys.stderr)
             return EXIT_CONFIG
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
+        for var in THREAD_VARS:
             os.environ[var] = str(count)
 
     if args.selftest:

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -24,3 +25,12 @@ def battery():
     t0 = time.perf_counter()
     results = checks.run_battery()
     return results, time.perf_counter() - t0
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """A two-scheme study forks a worker per mesh size; every test must end
+    with it joined, whether the study succeeded or failed."""
+    yield
+    if "multiprocessing" in sys.modules:
+        assert sys.modules["multiprocessing"].active_children() == []

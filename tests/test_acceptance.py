@@ -24,6 +24,7 @@ import pytest
 from quadcurl import analysis, checks, cli, interp, mms, system
 from quadcurl.analysis import compute_eoc
 from quadcurl.mesh import build_mesh
+from macro_oracles import macro_best_approximation, macro_norms
 
 # reference study tables: n -> (|curl_h e|_1h, ||curl_h e||_0, ||e||_0);
 # all asserted at VALUE_RTOL except columns 2-3 of "superconv", which are
@@ -76,13 +77,12 @@ def study():
             data["triples"][("modified", task, n)] = trip
         # lower bounds and their Pythagorean split, outside the timed leg
         part = rec.partition
-        bound, proj = analysis.macro_best_approximation(exact, rec.mesh, part)
+        bound, proj = macro_best_approximation(exact, rec.mesh, part)
         data["bounds"][n] = bound
         data["split"][n] = tuple(
-            analysis.macro_norms(
-                interp.MacroField(part, "VM", c - rec.i3h_u.coeffs))
+            macro_norms(interp.MacroField(part, "VM", c - rec.i3h_u.coeffs))
             .as_tuple()[col] for col, c in enumerate(proj))
-        data["triples"][("modified", "postclose", n)] = analysis.macro_norms(
+        data["triples"][("modified", "postclose", n)] = macro_norms(
             interp.global_I3h(rec.ihu - rec.u, rec.mesh, rec.gmap, part))
         del rec
         t0 = time.perf_counter()

@@ -8,6 +8,7 @@ from quadcurl.analysis import (ConvergenceReport, DegenerateError, ErrorTriple,
 from quadcurl.interp import MacroField
 from quadcurl.mesh import build_mesh, macro_partition
 from quadcurl.spaces import dual_gram_matrices, reference_spaces
+from macro_oracles import macro_best_approximation, macro_norms
 from tables import (dual_curl_table, dual_gradcurl_table, dual_value_table,
                     gauss_box)
 
@@ -194,7 +195,7 @@ def test_macro_norms_match_quadrature(macro6):
     mf = _random_macro_field(part, 3)
     zero = _MacroFieldAsExact(MacroField(part, "VM", np.zeros_like(mf.coeffs)))
     quad = analysis.superconvergent_error(mf, zero, mesh)
-    exact = analysis.macro_norms(mf)
+    exact = macro_norms(mf)
     for a, b in zip(exact.as_tuple(), quad.as_tuple()):
         assert a == pytest.approx(b, rel=1e-10)
 
@@ -202,20 +203,20 @@ def test_macro_norms_match_quadrature(macro6):
 def test_best_approximation_of_a_field_in_VM_is_zero(macro6):
     mesh, part, _ex, _imu = macro6
     mf = _random_macro_field(part, 4)
-    bound, _coeffs = analysis.macro_best_approximation(
-        _MacroFieldAsExact(mf), mesh, part)
-    for b, norm in zip(bound.as_tuple(), analysis.macro_norms(mf).as_tuple()):
+    bound, _coeffs = macro_best_approximation(_MacroFieldAsExact(mf), mesh,
+                                              part)
+    for b, norm in zip(bound.as_tuple(), macro_norms(mf).as_tuple()):
         assert b <= 1e-10 * norm
 
 
 def test_best_approximation_bounds_the_macro_interpolant(macro6):
     mesh, part, ex, imu = macro6
-    bound, coeffs = analysis.macro_best_approximation(ex, mesh, part)
+    bound, coeffs = macro_best_approximation(ex, mesh, part)
     err = analysis.superconvergent_error(imu, ex, mesh)
     for col, (b, e) in enumerate(zip(bound.as_tuple(), err.as_tuple())):
         assert 0.0 < b <= e
         # Pythagoras: |u - I_M u|^2 = |u - P_M u|^2 + |P_M u - I_M u|^2
-        rest = analysis.macro_norms(
+        rest = macro_norms(
             MacroField(part, "VM", coeffs[col] - imu.coeffs)).as_tuple()[col]
         assert e**2 == pytest.approx(b**2 + rest**2, rel=1e-8)
 
@@ -241,15 +242,14 @@ def _assert_grid_matches_pointwise(mesh, part, ex, imu, monkeypatch,
     v = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
     want = analysis.error_vs_exact(v, pointwise, mesh, gmap)
     want_sc = analysis.superconvergent_error(imu, pointwise, mesh)
-    point, point_coeffs = analysis.macro_best_approximation(pointwise, mesh,
-                                                            part)
+    point, point_coeffs = macro_best_approximation(pointwise, mesh, part)
     for points in (mesh_module.TILE_POINTS,) + tile_points:
         monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
         _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap),
                               want)
         _assert_triples_close(analysis.superconvergent_error(imu, ex, mesh),
                               want_sc)
-        grid, grid_coeffs = analysis.macro_best_approximation(ex, mesh, part)
+        grid, grid_coeffs = macro_best_approximation(ex, mesh, part)
         _assert_triples_close(grid, point)
         for a, b in zip(grid_coeffs, point_coeffs):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -337,7 +337,7 @@ def test_kernels_match_dense_per_block_formula(n):
 
     # the L2 projection per column: (phi_i, u)_w through the pseudo-inverse
     # of the Gram, as in macro_best_approximation
-    bound, coeffs = analysis.macro_best_approximation(ex, mesh, part)
+    bound, coeffs = macro_best_approximation(ex, mesh, part)
     for col, (s, t, e, gram) in enumerate(zip(
             scales, tables, exv, reversed(dual_gram_matrices(vm)))):
         ginv = np.linalg.pinv(H**3 * s**2 * gram, rcond=1e-10, hermitian=True)

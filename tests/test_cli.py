@@ -1,10 +1,14 @@
+import contextlib
 import importlib.util
 import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -247,9 +251,10 @@ def test_stagnant_solve_stops_early(tmp_path, capsys):
     rc = cli.main(["--scheme", "modified", "--n", "6", "--task", "errors",
                    "--out", str(tmp_path), "--tol", "1e-18"])
     assert rc == cli.EXIT_SOLVER
-    its = int(re.search(r"after (\d+) CG iterations",
-                        capsys.readouterr().err).group(1))
+    err = capsys.readouterr().err
+    its = int(re.search(r"after (\d+) CG iterations", err).group(1))
     assert its < 30
+    assert "(stopped by stagnation: no halving in 10 steps)" in err
 
 
 def test_study_loads_no_scipy(tmp_path):
@@ -350,28 +355,37 @@ def _load_bench(monkeypatch):
 def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
         tmp_path, monkeypatch, capsys):
     # the benchmark counts solves by wrapping system.solve_saddle and reads
-    # the solver facts from stdout with its SOLVED pattern
+    # the solver facts from stdout with its SOLVED pattern; a forked worker
+    # solves the first scheme, so each solve appends its process id to a
+    # file that both processes write
     bench = _load_bench(monkeypatch)
-    calls = []
+    log = tmp_path / "solves"
     solve = system.solve_saddle
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(system, "solve_saddle", counting)
+    _cores(monkeypatch, 2)
     cli.run(cli.RunConfig(scheme="both", ns=(3,), out_dir=str(tmp_path),
                           fmt="csv"))
-    assert len(calls) == 2
+    pids = log.read_text().split()
+    assert len(pids) == 2
+    assert len(set(pids)) == 2 and str(os.getpid()) in pids
     out = capsys.readouterr().out
     solved = bench.SOLVED.findall(out)
     assert [(m[0], m[1]) for m in solved] == [("3", "original"),
                                               ("3", "modified")]
-    # each solved line ends with the process peak so far, in MB
+    # each solved line ends with the peak of the process that solved it, in
+    # MB: the worker's (original) and this process's (modified)
     peaks = [float(p) for p in re.findall(
         r"solved .*s elapsed, peak (\d+\.\d) MB$", out, flags=re.M)]
-    assert len(peaks) == 2 and 0 < peaks[0] <= peaks[1] <= \
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.05
+    bounds = [resource.getrusage(who).ru_maxrss / 1024 + 0.05 for who in
+              (resource.RUSAGE_CHILDREN, resource.RUSAGE_SELF)]
+    assert len(peaks) == 2
+    assert all(0 < p <= b for p, b in zip(peaks, bounds))
 
 
 def test_benchmark_tracer_sees_every_wrapped_call(tmp_path, monkeypatch):
@@ -402,3 +416,325 @@ def test_extended_warning_names_velocity_unknowns(monkeypatch, capsys):
     list(cli.study(cli.RunConfig(ns=(24, 48), extended=True)))
     assert capsys.readouterr().out.splitlines() == [
         "warning: n=48 is an extended run (967,824 velocity unknowns)"]
+
+
+# -- the two schemes of a mesh size on two processes -------------------------
+
+def _cores(monkeypatch, count, threads="1"):
+    """Make ``cli`` see ``count`` usable cores, no CPU quota and ``threads``
+    BLAS threads per process: 2 cores take the forked path, 1 the serial
+    one, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    monkeypatch.setattr(cli, "_cpu_quota", lambda: None)
+    for var in cli.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+
+
+@pytest.mark.parametrize("cores, threads, quota, forks", [
+    (2, "1", None, True),
+    (4, "2", None, True),
+    (2, None, None, False),     # OpenBLAS runs one thread per core
+    (4, None, None, False),
+    (2, "2", None, False),
+    (4, "3", None, False),
+    (1, "1", None, False),
+    (2, "1", 1.0, False),       # a cgroup quota of one CPU
+    (8, "1", 2.5, True),
+])
+def test_fork_only_when_both_processes_blas_threads_fit(monkeypatch, cores,
+                                                         threads, quota,
+                                                         forks):
+    _cores(monkeypatch, cores, threads)
+    monkeypatch.setattr(cli, "_cpu_quota", lambda: quota)
+    assert cli._can_fork() is forks
+    # the largest variable set counts, whichever backend reads it
+    monkeypatch.setenv("OMP_NUM_THREADS", str(cores))
+    assert cli._can_fork() is False
+
+
+def test_cpu_quota_reads_cgroup_files(tmp_path):
+    def quota(files):
+        """The quota read from a cgroup root holding ``files``."""
+        root = tmp_path / str(len(list(tmp_path.iterdir())))
+        (root / "cpu").mkdir(parents=True)
+        for name, text in files.items():
+            (root / name).write_text(text + "\n")
+        return cli._cpu_quota(str(root))
+
+    v1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+    assert quota({"cpu.max": "150000 100000"}) == 1.5
+    assert quota({"cpu.max": "max 100000"}) is None
+    assert quota(dict(zip(v1, ("200000", "100000")))) == 2.0
+    assert quota(dict(zip(v1, ("-1", "100000")))) is None
+    assert quota({}) is None
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block takes longer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _fail_scheme(monkeypatch, scheme, action):
+    """Run ``action()`` in place of the load of ``scheme``; the forked
+    worker solves "original", this process "modified"."""
+    load = system.assemble_rhs
+
+    def assemble_rhs(mesh, gmap, exact, mode="modified"):
+        if mode == scheme:
+            action()
+        return load(mesh, gmap, exact, mode=mode)
+
+    monkeypatch.setattr(system, "assemble_rhs", assemble_rhs)
+
+
+def test_forked_and_serial_paths_write_identical_reports(tmp_path,
+                                                         monkeypatch):
+    forked = []
+    fork = cli._forked
+    monkeypatch.setattr(cli, "_forked",
+                        lambda *a: forked.append(a) or fork(*a))
+    files = {}
+    for cores in (2, 1):
+        _cores(monkeypatch, cores)
+        out = tmp_path / f"cores{cores}"
+        cli.run(cli.RunConfig(scheme="both", ns=(3, 6),
+                              tasks=("errors", "superclose", "superconv"),
+                              out_dir=str(out)))
+        files[cores] = {p.name: p.read_bytes() for p in out.iterdir()}
+        # one worker per mesh size on two cores, none on one
+        assert len(forked) == 2
+    assert len(files[2]) == 12
+    assert files[2] == files[1]
+    # fork would copy the locks another thread holds: serial again
+    _cores(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        cli.run(cli.RunConfig(scheme="both", ns=(3,),
+                              out_dir=str(tmp_path / "thread")))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert len(forked) == 2 and not thread.is_alive()
+
+
+def test_failed_fork_solves_the_schemes_in_turn(tmp_path, monkeypatch,
+                                               capsys):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cores(monkeypatch, 2)
+    rc = cli.main(["--scheme", "both", "--n", "3", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    assert re.findall(r"scheme=(\w+): solved", capsys.readouterr().out) == \
+        ["original", "modified"]
+
+
+def test_forked_records_match_serial_records(monkeypatch):
+    # the worker's record comes back through a pipe without the objects of
+    # its n; this process puts its own back
+    config = cli.RunConfig(scheme="both", ns=(3,),
+                           tasks=("errors", "superclose", "superconv"))
+    _cores(monkeypatch, 1)
+    serial = list(cli.study(config))
+    _cores(monkeypatch, 2)
+    forked = list(cli.study(config))
+    assert [r.scheme for r in forked] == ["original", "modified"]
+    for s, f in zip(serial, forked):
+        assert f.triples == s.triples
+        assert f.info == s.info
+        assert (f.u == s.u).all() and (f.ihu == s.ihu).all()
+        assert (f.i3h_u.coeffs == s.i3h_u.coeffs).all()
+        assert f.i3h_u.partition is f.partition
+        assert f.mesh is forked[1].mesh and f.gmap is forked[1].gmap
+
+
+@pytest.mark.parametrize("exc", [
+    system.MaxIterations("stub failure", residual=1.5e-3, tail=(0.5, 0.25)),
+    system.SingularSystem("stub failure")])
+def test_worker_failure_reaches_main(tmp_path, monkeypatch, capsys, exc):
+    # raised in the worker, pickled through the pipe, raised here with its
+    # message, residual and tail intact
+    def fail():
+        raise exc
+
+    _fail_scheme(monkeypatch, "original", fail)
+    _cores(monkeypatch, 2)
+    with pytest.raises(type(exc)) as err:
+        cli.run(cli.RunConfig(scheme="both", ns=(3,), out_dir=str(tmp_path)))
+    assert str(err.value) == "stub failure"
+    assert vars(err.value) == vars(exc)
+    rc = cli.main(["--scheme", "both", "--n", "3", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: stub failure\n"
+    assert "solved" not in captured.out
+
+
+def test_parent_failure_comes_after_the_worker_record(tmp_path, monkeypatch,
+                                                      capsys):
+    # as in the serial loop, the original record is printed before the
+    # modified scheme's failure
+    def fail():
+        raise system.SingularSystem("stub failure")
+
+    _fail_scheme(monkeypatch, "modified", fail)
+    outputs = []
+    for cores in (2, 1):
+        _cores(monkeypatch, cores)
+        rc = cli.main(["--scheme", "both", "--n", "3", "--out",
+                       str(tmp_path)])
+        assert rc == cli.EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.err == "solver failure: stub failure\n"
+        outputs.append(re.sub(r"[\d.]+s elapsed, peak [\d.]+ MB", "",
+                              captured.out))
+    assert outputs[0] == outputs[1]
+    assert "n=3 scheme=original: solved" in outputs[0]
+
+
+def test_both_schemes_failing_report_the_first_in_study_order(tmp_path,
+                                                              monkeypatch,
+                                                              capsys):
+    # at tol 1e-18 both schemes stagnate; the serial run reports the
+    # original scheme's failure, and so must the forked one
+    errs = []
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        rc = cli.main(["--scheme", "both", "--n", "3", "--tol", "1e-18",
+                       "--out", str(tmp_path)])
+        assert rc == cli.EXIT_SOLVER
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("solver failure: relative residual 2.785e-16")
+
+
+def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
+    # a worker that exits without sending (killed, out of memory) must not
+    # leave this process waiting on the pipe, nor end the study: this
+    # process solves its scheme and says so
+    pid = os.getpid()
+    _fail_scheme(monkeypatch, "original",
+                 lambda: os.getpid() != pid and os._exit(7))
+    _cores(monkeypatch, 2)
+    with _deadline(60):
+        rc = cli.main(["--scheme", "both", "--n", "3", "--out",
+                       str(tmp_path / "dead")])
+    assert rc == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert ("warning: the worker solving scheme original exited with code 7 "
+            "before sending its record; solving it in this process") in out
+    assert re.findall(r"scheme=(\w+): solved", out) == ["original",
+                                                         "modified"]
+    _cores(monkeypatch, 1)
+    cli.main(["--scheme", "both", "--n", "3", "--out",
+              str(tmp_path / "serial")])
+    for path in (tmp_path / "serial").iterdir():
+        assert (tmp_path / "dead" / path.name).read_bytes() == \
+            path.read_bytes()
+
+
+def test_interrupted_parent_stops_the_worker(tmp_path, monkeypatch):
+    # ^C in this process terminates a worker that would run for a minute
+    def interrupt():
+        raise KeyboardInterrupt
+
+    _fail_scheme(monkeypatch, "original", lambda: time.sleep(60))
+    _fail_scheme(monkeypatch, "modified", interrupt)
+    _cores(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with _deadline(30):
+        rc = cli.main(["--scheme", "both", "--n", "3", "--out",
+                       str(tmp_path)])
+    assert rc == 130
+    assert time.perf_counter() - t0 < 30
+
+
+
+def test_bench_script_parses_solved_lines_and_sums_the_tree_pss():
+    path = BENCH_DIR.parent / "scripts" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bench_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    line = ("  n=24 scheme=modified: solved (mgcg, 15 its, residual "
+            "8.70e-12), 1.8s elapsed, peak 73.9 MB\n")
+    assert script._solves(line) == [{
+        "n": 24, "scheme": "modified", "iterations": 15,
+        "residual": 8.7e-12, "elapsed_s": 1.8, "peak_mb": 73.9}]
+    # this process and its child, each with a share of the pages they hold
+    child = subprocess.Popen([sys.executable, "-c",
+                              "import time; time.sleep(60)"])
+    try:
+        pss = script.tree_pss_mb(os.getpid())
+    finally:
+        child.kill()
+        child.wait()
+    assert {os.getpid(), child.pid} <= set(pss)
+    assert all(mb > 0 for mb in pss.values())
+
+# -- every accepted mesh size solves ------------------------------------------
+
+def _bottom(n):
+    """The coarsest mesh of the V-cycle of an n-mesh, from _coarsening."""
+    while system._coarsening(n):
+        n //= system._coarsening(n)
+    return n
+
+
+def test_validate_refuses_sizes_whose_hierarchy_ends_above_13():
+    refused = []
+    for n in range(2, 61):
+        config = cli.RunConfig(ns=(n,), extended=True)
+        if _bottom(n) > 13:
+            with pytest.raises(ValueError, match="ends at"):
+                config.validate()
+            refused.append(n)
+        else:
+            config.validate()
+    # the sizes that stagnated after 10 CG steps; 13 and 26 (-> 13) solve
+    assert {17, 19, 23, 25, 34, 35} <= set(refused)
+    assert 13 not in refused and 26 not in refused
+
+
+def test_size_without_coarse_level_is_a_configuration_error(tmp_path, capsys):
+    rc = cli.main(["--n", "6,17", "--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "solved" not in captured.out
+    assert "n=17" in captured.err and "16 and 18" in captured.err
+    assert not (tmp_path / "r").exists()
+
+
+def test_every_accepted_size_up_to_26_solves():
+    ns = tuple(n for n in range(2, 27) if _bottom(n) <= 13)
+    config = cli.RunConfig(scheme="modified", ns=ns, tasks=("errors",),
+                           extended=True)
+    config.validate()
+    its = {rec.n: rec.info["iterations"] for rec in cli.study(config)}
+    assert sorted(its) == list(ns)
+    assert max(its.values()) < system.MAX_ITERATIONS
+
+
+def test_iteration_cap_names_itself(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(system, "MAX_ITERATIONS", 3)
+    rc = cli.main(["--scheme", "modified", "--n", "6", "--out",
+                   str(tmp_path)])
+    assert rc == cli.EXIT_SOLVER
+    assert "after 3 CG iterations (stopped at the iteration cap)" in \
+        capsys.readouterr().err
+
