@@ -10,13 +10,17 @@ weighted squared error per ErrorTriple column is one matmul
 [P_x | -T_x] @ [V; E] and one dot product, every table carrying sqrt(w).  Differences of two
 discrete fields are integrated exactly through the reference Gram matrices,
 which keeps quadrature noise out of the superclose quantity (the smallest
-number in the study).
+number in the study).  An error walk also splits by Pythagoras: the
+per-block best approximation of the exact solution (``best_approximation``,
+walked without u_h, so it can run while u_h is solved for) plus an exact
+Gram term of coefficient differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,10 +47,10 @@ class ErrorTriple:
 
 
 # the ErrorTriple columns of the exact fields of ``exact.x_factored``
-COLUMNS = (slice(0, 9), slice(9, 12), slice(12, 15))
+_COLUMNS = (slice(0, 9), slice(9, 12), slice(12, 15))
 
 
-def tile_error(grid, coeffs, col, tx, stack):
+def _tile_error(grid, coeffs, col, tx, stack):
     """Weighted squared error of the field sum_j coeffs[.., j] dual_j of
     column ``col`` on one tile: ||[P_x | -T_x] @ [V; E]||^2, with its x-power
     factor V written to the free rows of ``stack``.  The square is of the
@@ -58,29 +62,116 @@ def tile_error(grid, coeffs, col, tx, stack):
     return np.dot(r, r)
 
 
-def _block_error(block_coeffs, tag, sub, size, exact, mesh):
+# cells per block edge of the walk of each reference space: VK fields are
+# piecewise per cell, VM fields per macro of 3^3 cells
+_BLOCK_SUB = {"VK": 1, "VM": 3}
+
+
+def _scales(size):
+    """Physical over reference dual field per ErrorTriple column, on a block
+    of edge ``size``."""
+    return (size**-2, 1.0 / size, 1.0)
+
+
+def _block_error(block_coeffs, tag, exact, mesh, best):
     """Error triple against the exact solution of the field that is, on each
-    block of sub^3 cells with edge ``size``, the combination of the duals of
-    reference space ``tag`` with coefficients ``block_coeffs(block ids)``;
-    integrated per fine cell."""
-    grid = TensorGrid.gauss(reference_spaces()[tag], sub)
-    scales = (size**-2, 1.0 / size, 1.0)
+    block of the walk of reference space ``tag``, the combination of its
+    duals with coefficients ``block_coeffs(block ids)``; integrated per fine
+    cell.  ``best``, when given, is the ``best_approximation`` of the exact
+    solution from that space, and the split
+    ||g - g_h||^2 = ||g - P g||^2 + ||P g - g_h||^2 replaces the walk, its
+    second term exact through the reference Grams.  Each of its columns is
+    used before the next is read."""
+    space, sub = reference_spaces()[tag], _BLOCK_SUB[tag]
+    size = sub * mesh.h
+    scales = _scales(size)
+    if best is not None:
+        sq, roots, columns = best
+        acc = np.array(sq, dtype=float)
+        for col, (s, root, c) in enumerate(zip(scales, roots, columns)):
+            d = block_coeffs(np.arange((mesh.n // sub) ** 3))
+            d = np.subtract(c, d, out=d) @ root
+            acc[col] += size**3 * s**2 * np.vdot(d, d)
+        return ErrorTriple(*np.sqrt(acc))
+    grid = TensorGrid.gauss(space, sub)
     acc = np.zeros(3)
     for blocks, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, sub,
-                                         COLUMNS):
+                                         _COLUMNS):
         coef = block_coeffs(blocks)
         for col, (s, stack) in enumerate(zip(scales, stacks)):
-            acc[col] += tile_error(grid, s * coef, col, tx, stack)
+            acc[col] += _tile_error(grid, s * coef, col, tx, stack)
     return ErrorTriple(*np.sqrt(mesh.h**3 * acc))
 
 
-def error_vs_exact(u_vec, exact, mesh, gmap):
-    """Error triple of a V_h coefficient vector against the exact solution."""
-    h = mesh.h
+@lru_cache(maxsize=None)
+def _gram_roots(space):
+    """Per ErrorTriple column, a root R = V sqrt(L) of the reference Gram
+    matrix G = V L V^T of ``space`` on its range (L > 1e-10 max L), so
+    G = R R^T and V L^-1 V^T is the pseudo-inverse.  The two curl Grams are
+    singular (gradients, and for the seminorm fields of constant curl, span
+    their kernels).  The pseudo-inverse picks one projection, which leaves
+    the distances unchanged; the norm ||d R|| of coefficients d leaves out
+    their kernel part, which a discrete solution carries at the size of the
+    solution, not of its error: in d G d^T its round-off moved the n = 48
+    superconv triple by 2e-9."""
+    out = []
+    for gram in reversed(dual_gram_matrices(space)):
+        w, v = np.linalg.eigh(gram)
+        keep = w > 1e-10 * w.max()
+        out.append(v[:, keep] * np.sqrt(w[keep]))
+    return tuple(out)
+
+
+def best_approximation(tag, exact, mesh):
+    """Per-block best approximation of the exact solution from reference
+    space ``tag`` ("VK" per cell, "VM" per macro).
+
+    On every block, each ErrorTriple column g of the exact solution (grad
+    curl u, curl u, u) is projected onto that column of the space's duals.
+    The squared distance ||g - P g||^2 bounds the squared error of *any*
+    field of the space in that column from below; by Pythagoras the error
+    is that bound plus ||P g - g_h||^2.  Neither part needs the discrete
+    solution to be known beforehand: ``error_vs_exact`` and
+    ``superconvergent_error`` take the result as ``best`` and add the
+    second.
+
+    Returns ``(sq, roots, coeffs)``: the three squared distances, the
+    roots of the reference Grams that the second term is measured with
+    (``_gram_roots``), and per column the (blocks, dim) reference
+    coefficients of P g, in the units of the discrete fields' (V_h
+    coefficients over h per cell, ``MacroField`` coefficients per macro).
+    """
+    space, sub = reference_spaces()[tag], _BLOCK_SUB[tag]
+    if mesh.n % sub:
+        raise NonDivisibleMesh(f"{tag} blocks of {sub}^3 cells need n "
+                               f"divisible by {sub}, got n={mesh.n}")
+    grid = TensorGrid.gauss(space, sub)
+    d = grid.powers.shape[1]
+    scales = _scales(sub * mesh.h)
+    roots = _gram_roots(space)
+    # V L^-1 V^T = Q Q^T, Q = R / L, from each root R = V sqrt(L)
+    ginvs = [q @ q.T for q in (r / (r * r).sum(axis=0) for r in roots)]
+    acc = np.zeros(3)
+    coeffs = tuple(np.empty(((mesh.n // sub) ** 3, space.dim))
+                   for _ in scales)
+    for blocks, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, sub,
+                                         _COLUMNS):
+        for col, (s, ginv, stack) in enumerate(zip(scales, ginvs, stacks)):
+            # moments and Gram both physical: h^3 s and (sub h)^3 s^2 times
+            # the reference ones
+            c = grid.moments(stack[d:], col, x=tx) @ ginv / (sub**3 * s)
+            acc[col] += _tile_error(grid, s * c, col, tx, stack)
+            coeffs[col][blocks] = c
+    return mesh.h**3 * acc, roots, coeffs
+
+
+def error_vs_exact(u_vec, exact, mesh, gmap, best=None):
+    """Error triple of a V_h coefficient vector against the exact solution;
+    by the split of ``best_approximation("VK", ...)`` when given."""
     # padded once for the walk, as ``gather`` pads: an eliminated DoF reads 0
-    ref = np.append(u_vec / h, 0.0)
-    return _block_error(lambda cells: ref[gmap.cell_vdofs[cells]], "VK", 1, h,
-                        exact, mesh)
+    ref = np.append(u_vec / mesh.h, 0.0)
+    return _block_error(lambda cells: ref[gmap.cell_vdofs[cells]], "VK",
+                        exact, mesh, best)
 
 
 def gram_norms(space, coeffs, size):
@@ -107,14 +198,14 @@ def superclose_error(u_vec, ihu_vec, mesh, gmap):
     return discrete_norms(ihu_vec - u_vec, mesh, gmap)
 
 
-def superconvergent_error(macro_field, exact, mesh):
+def superconvergent_error(macro_field, exact, mesh, best=None):
     """Error triple of the postprocessed field against the exact solution,
-    integrated per fine cell."""
-    part = macro_field.partition
-    if part.mesh.n != mesh.n:
+    integrated per fine cell; by the split of ``best_approximation("VM",
+    ...)`` when given."""
+    if macro_field.partition.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
-    return _block_error(lambda macros: macro_field.coeffs[macros], "VM", 3,
-                        part.macro_size, exact, mesh)
+    return _block_error(lambda macros: macro_field.coeffs[macros], "VM",
+                        exact, mesh, best)
 
 
 def compute_eoc(rows):

@@ -9,15 +9,18 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 invariant
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import math
 import os
+import pickle
 import resource
 import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,6 +31,14 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 DEFAULT_NS = (6, 12, 18, 24)
 EXTENDED_NS = (36, 48)
+# the reference space of the error walk of each task that the best
+# approximation splits (``analysis.best_approximation``)
+SPLIT_SPACES = {"errors": "VK", "superconv": "VM"}
+# the smallest n whose one-scheme study computes its best approximations in
+# a forked worker.  Medians of 12 studies of every task, one BLAS thread on
+# two cores: 291 ms walked here against 242 ms forked at n = 15, but 137
+# against 197 ms at n = 12 and 30 against 58 ms at n = 6
+SPLIT_MIN_N = 15
 
 
 @dataclass
@@ -39,6 +50,7 @@ class RunConfig:
     fmt: str = "both"                   # csv | markdown | both
     out_dir: str = "reports"
     extended: bool = False
+    record: str = None                  # JSON-lines file, one line a solve
 
     def validate(self):
         if self.scheme not in ("original", "modified", "both"):
@@ -116,6 +128,8 @@ def _build_parser():
                    help="allow n beyond 24 (paper-scale runs)")
     p.add_argument("--selftest", action="store_true",
                    help="run the exact-identity battery and exit")
+    p.add_argument("--record",
+                   help="append one JSON line per solve to this file")
     p.add_argument("--threads", type=int,
                    help="numerics backend thread cap (best effort)")
     p.add_argument("--config", help="key=value file with the same options")
@@ -145,6 +159,7 @@ OPTIONS = {
     "out": ("out_dir", str),
     "format": ("fmt", str),
     "extended": ("extended", _flag),
+    "record": ("record", str),
 }
 
 
@@ -188,6 +203,7 @@ class StudyRecord:
     triples: dict = field(default_factory=dict)    # task -> ErrorTriple
     elapsed: float = 0.0        # seconds since this n started
     peak_mb: float = 0.0        # peak RSS of the process that solved it
+    walk: str = "direct"        # "split": a triple from the best approximation
 
 
 def study(config):
@@ -212,9 +228,11 @@ def study(config):
 
 def _study_n(n, config, exact):
     """The records of one mesh size.  Its schemes share the mesh, DoF map,
-    A, B, the partition and I_h u; with two schemes and cores for both
-    processes' BLAS threads (``_can_fork``) a forked worker solves the
-    first while this process solves the last."""
+    A, B, the partition and I_h u.  With cores for two processes' BLAS
+    threads (``_can_fork``) a forked worker works beside this process: with
+    two schemes it solves the first while this process solves the last;
+    with one, from n = SPLIT_MIN_N on, it computes the best approximations
+    of the errors and superconv walks while this process solves."""
     from . import analysis, interp, system
     from .mesh import build_mesh, macro_partition
 
@@ -229,34 +247,50 @@ def _study_n(n, config, exact):
            if "superclose" in tasks else None)
     shared = {"mesh": mesh, "gmap": gmap, "partition": part, "ihu": ihu}
 
-    def solve(scheme):
-        """The record of one scheme: its load, solve and every task."""
+    def solve(scheme, best=None):
+        """The record of one scheme: its load, solve and every task.
+        ``best(tag)``, when given, reads the best approximation from
+        reference space ``tag`` that the next split walk adds to."""
         rhs = system.assemble_rhs(mesh, gmap, exact, mode=scheme)
         sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
         u, _p, info = system.solve_saddle(sys_, tol=config.tol)
         rec = StudyRecord(n=n, scheme=scheme, info=info, u=u, **shared)
         for task in tasks:
+            if task == "superclose":
+                rec.triples[task] = analysis.superclose_error(u, ihu, mesh,
+                                                              gmap)
+                continue
             if task == "errors":
-                trip = analysis.error_vs_exact(u, exact, mesh, gmap)
-            elif task == "superclose":
-                trip = analysis.superclose_error(u, ihu, mesh, gmap)
+                measure = functools.partial(analysis.error_vs_exact, u,
+                                            exact, mesh, gmap)
             else:
                 rec.i3h_u = interp.global_I3h(u, mesh, gmap, part)
-                trip = analysis.superconvergent_error(rec.i3h_u, exact, mesh)
-            rec.triples[task] = trip
+                measure = functools.partial(analysis.superconvergent_error,
+                                            rec.i3h_u, exact, mesh)
+            trip = None
+            if best is not None:
+                try:
+                    trip = measure(best=best(SPLIT_SPACES[task]))
+                    rec.walk = "split"
+                except EOFError:    # the worker died: walk here
+                    pass
+            rec.triples[task] = measure() if trip is None else trip
         rec.elapsed = time.perf_counter() - t0
         # this process's resident high-water mark (ru_maxrss is in KB)
         rec.peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return rec
 
+    tags = [SPLIT_SPACES[task] for task in tasks if task in SPLIT_SPACES]
     if len(config.schemes) == 2 and _can_fork():
         yield from _forked(solve, config.schemes, shared)
+    elif tags and n >= SPLIT_MIN_N and _can_fork():
+        yield _beside(solve, config.schemes[0], tags, exact, mesh)
     else:
         yield from map(solve, config.schemes)
 
 
 def _can_fork():
-    """Whether a forked worker can solve a scheme beside this process: no
+    """Whether a forked worker can compute beside this process: no
     other Python thread runs (fork would copy the locks it holds) and the
     BLAS threads of both processes fit in the usable cores.  Each process
     runs as many BLAS threads as the largest thread variable set (main sets
@@ -290,64 +324,151 @@ def _cpu_quota(root="/sys/fs/cgroup"):
     return None
 
 
+class _Worker:
+    """A forked child process running ``target(send)`` beside this one,
+    ``send`` a binary file on the pipe that ``recv`` reads: ``target``
+    pickles its messages into it and writes raw array bytes after them, and
+    an exception it raises is pickled in their place and raised here.
+    ``os.fork`` itself, not spawn: the worker shares the mesh pages and the
+    warm reference tables, and nothing is pickled on the way in; nor
+    ``multiprocessing``, whose import and first use took 1.4 MB of this
+    process's memory.  Raises OSError when no process is to be had (memory,
+    the process limit).  Leaving its ``with`` block by an exception (^C, a
+    failure here or the worker's) terminates the worker; it is reaped on the
+    way out."""
+
+    def __init__(self, target, name, lost):
+        self.name, self.lost, self.code = name, lost, None
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            _work(read, write, target)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        if kind is not None and self.code is None:
+            os.kill(self.pid, signal.SIGTERM)
+        self.pipe.close()
+        self._reap()
+
+    def _reap(self):
+        """The worker's exit code, once it has exited (negative: the
+        signal that ended it)."""
+        if self.code is None:
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
+
+    def recv(self, into=None):
+        """The worker's next message, or its next ``into.nbytes`` bytes read
+        into the array ``into``.  When the worker exited without sending
+        them (killed, out of memory), warns the first time, with the
+        ``lost`` text, and raises EOFError."""
+        try:
+            if into is not None:
+                if self.pipe.readinto(into) < into.nbytes:
+                    raise EOFError
+                return into
+            msg = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            if self.code is None:
+                print(f"warning: the worker {self.name} exited with code "
+                      f"{self._reap()} {self.lost}")
+            raise EOFError from None
+        if isinstance(msg, Exception):
+            raise msg
+        return msg
+
+
+def _work(read, write, target):
+    """The forked worker: ``target(send)``, or the exception it raised,
+    written to the pipe; it exits here and never returns to the stack it
+    was forked from."""
+    code = 1
+    try:
+        os.close(read)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent stops it
+        with open(write, "wb") as send:
+            try:
+                target(send)
+            except Exception as exc:
+                pickle.dump(exc, send)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _forked(solve, schemes, shared):
     """The records of two schemes in study order, the first solved in a
     forked worker while this process solves the second.  A failure is
     raised where the serial loop raises it: at the first failing record in
     study order, after the records before it."""
-    import multiprocessing
+    def first(send):
+        # the record without the objects of its n that both processes hold
+        pickle.dump(_with_shared(solve(schemes[0]), dict.fromkeys(shared)),
+                    send)
 
-    # fork, not spawn: the worker shares the mesh pages and the warm
-    # reference tables, and nothing is pickled on the way in
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_worker, daemon=True,
-                         args=(send, solve, schemes[0], shared))
     try:
-        worker.start()
-    except OSError:     # no process to be had (memory, process limit)
-        recv.close()
+        worker = _Worker(first, f"solving scheme {schemes[0]}",
+                         "before sending its record; solving it in this "
+                         "process")
+    except OSError:
         yield from map(solve, schemes)
         return
-    finally:
-        send.close()
-    try:
-        last = _outcome(solve, schemes[1])
+    with worker:
         try:
-            first = recv.recv()
-        except EOFError:    # killed (out of memory, a signal): solve here
-            worker.join()
-            print(f"warning: the worker solving scheme {schemes[0]} exited "
-                  f"with code {worker.exitcode} before sending its record; "
-                  "solving it in this process")
-            first = _outcome(solve, schemes[0])
-    except BaseException:   # ^C here: stop the worker
-        worker.terminate()
-        raise
-    finally:
-        recv.close()
-        worker.join()
-    for rec in (first, last):
-        if isinstance(rec, Exception):
-            raise rec
-        yield _with_shared(rec, shared)
+            last = solve(schemes[1])
+        except Exception as exc:    # raised after the first record
+            last = exc
+        try:
+            rec = worker.recv()
+        except EOFError:    # the worker died: solve its scheme here
+            rec = solve(schemes[0])
+    yield _with_shared(rec, shared)
+    if isinstance(last, Exception):
+        raise last
+    yield last
 
 
-def _outcome(solve, scheme):
-    """The record of a scheme, or the exception that stopped it."""
+def _beside(solve, scheme, tags, exact, mesh):
+    """The record of one scheme whose error walks add to the best
+    approximations from the reference spaces ``tags`` (in task order),
+    which a forked worker computes while this process solves.  The worker
+    sends them when all are done; this process reads the columns of one
+    space into one buffer, each when its walk needs it."""
+    import numpy as np
+
+    from . import analysis
+
+    def approximate(send):
+        done = [analysis.best_approximation(tag, exact, mesh) for tag in tags]
+        for sq, roots, coeffs in done:
+            pickle.dump((sq, roots, coeffs[0].shape), send)
+            for c in coeffs:
+                send.write(c)
+
     try:
+        worker = _Worker(approximate, "computing the best approximations",
+                         "before sending them; walking the errors in this "
+                         "process")
+    except OSError:
         return solve(scheme)
-    except Exception as exc:
-        return exc
 
+    def best(tag):
+        sq, roots, shape = worker.recv()
+        column = np.empty(shape)
+        return sq, roots, (worker.recv(into=column) for _ in range(3))
 
-def _worker(send, solve, scheme, shared):
-    """Forked worker: sends the outcome of one scheme, its record without
-    the objects of its n that both processes hold."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent stops it
-    rec = _outcome(solve, scheme)
-    send.send(rec if isinstance(rec, Exception) else
-              _with_shared(rec, dict.fromkeys(shared)))
+    with worker:
+        return solve(scheme, best)
 
 
 def _with_shared(rec, shared):
@@ -357,22 +478,46 @@ def _with_shared(rec, shared):
     return replace(rec, i3h_u=i3h, **shared)
 
 
+def _record_line(config, rec):
+    """The ``--record`` line of one solve: the config, the sizes, the solver
+    facts (``info``: method, iterations, residual history ``norms``, final
+    residual), the time and memory, every triple at full precision (JSON
+    writes a float as its ``repr``) and the walk that measured them."""
+    import json     # only runs that record pay its import
+
+    line = {"config": asdict(config), "n": rec.n, "scheme": rec.scheme,
+            "velocity_unknowns": rec.gmap.n_vdofs,
+            "pressure_unknowns": rec.gmap.n_qdofs, **rec.info,
+            "elapsed": rec.elapsed, "peak_mb": rec.peak_mb,
+            "triples": {task: trip.as_tuple()
+                        for task, trip in rec.triples.items()},
+            "walk": rec.walk}
+    # numpy scalars as Python numbers
+    return json.dumps(line, default=lambda value: value.item())
+
+
 def run(config):
     """Execute the configured studies; returns report paths per (scheme, task)."""
     from . import analysis
 
-    # an unusable output directory fails here, before the first solve
+    # an unusable output directory or record file fails here, before the
+    # first solve
     os.makedirs(config.out_dir, exist_ok=True)
     reports = {(s, t): analysis.ConvergenceReport(scheme=s, quantity=t)
                for s in config.schemes for t in config.tasks}
-    for rec in study(config):
-        for task, trip in rec.triples.items():
-            reports[(rec.scheme, task)].add(rec.n, trip)
-        print(f"  n={rec.n} scheme={rec.scheme}: solved "
-              f"({rec.info['method']}, {rec.info['iterations']} its, "
-              f"residual {rec.info['residual']:.2e}), "
-              f"{rec.elapsed:.1f}s elapsed, peak {rec.peak_mb:.1f} MB")
-        del rec             # let the next n start without this one
+    with (open(config.record, "a", encoding="utf-8") if config.record
+          else contextlib.nullcontext()) as record:
+        for rec in study(config):
+            for task, trip in rec.triples.items():
+                reports[(rec.scheme, task)].add(rec.n, trip)
+            print(f"  n={rec.n} scheme={rec.scheme}: solved "
+                  f"({rec.info['method']}, {rec.info['iterations']} its, "
+                  f"residual {rec.info['residual']:.2e}), "
+                  f"{rec.elapsed:.1f}s elapsed, peak {rec.peak_mb:.1f} MB")
+            if record:
+                record.write(_record_line(config, rec) + "\n")
+                record.flush()
+            del rec             # let the next n start without this one
     paths = {}
     for key, report in reports.items():
         paths[key] = report.save(config.out_dir, fmt=config.fmt)

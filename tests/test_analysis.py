@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from quadcurl import analysis, interp, mms, polyquad, system
+from quadcurl import analysis, cli, interp, mms, polyquad, system
 from quadcurl import mesh as mesh_module
 from quadcurl.analysis import (ConvergenceReport, DegenerateError, ErrorTriple,
                                compute_eoc, discrete_norms)
 from quadcurl.interp import MacroField
 from quadcurl.mesh import build_mesh, macro_partition
 from quadcurl.spaces import dual_gram_matrices, reference_spaces
-from macro_oracles import macro_best_approximation, macro_norms
+from macro_oracles import macro_norms
 from tables import (dual_curl_table, dual_gradcurl_table, dual_value_table,
                     gauss_box)
 
@@ -183,6 +183,47 @@ class _MacroFieldAsExact(_PointwiseGrid):
         return self._eval(pts, "gc")
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_split_walks_match_direct_walks(n):
+    # ||g - g_h||^2 = ||g - P g||^2 + ||P g - g_h||^2 on the solves of both
+    # schemes: the split of the best approximation from VK (errors) and VM
+    # (superconv) against the direct walk, in every column
+    ex = mms.build_exact_fields()
+    config = cli.RunConfig(scheme="both", ns=(n,),
+                           tasks=("errors", "superconv"))
+    for rec in cli.study(config):
+        mesh = rec.mesh
+        vk, vm = (analysis.best_approximation(tag, ex, mesh)
+                  for tag in ("VK", "VM"))
+        pairs = [(analysis.error_vs_exact(rec.u, ex, mesh, rec.gmap),
+                  analysis.error_vs_exact(rec.u, ex, mesh, rec.gmap,
+                                          best=vk)),
+                 (analysis.superconvergent_error(rec.i3h_u, ex, mesh),
+                  analysis.superconvergent_error(rec.i3h_u, ex, mesh,
+                                                 best=vm))]
+        for direct, split in pairs:
+            _assert_triples_close(split, direct, rel=1e-10)
+
+
+def test_split_walk_leaves_out_gradients():
+    # a gradient (G q, curl-free) added to a V_h field moves neither curl
+    # column; the split measures them through a root of the Gram on its
+    # range, so a gradient 1e4 times the field leaves no trace, where the
+    # quadratic form of the full Gram kept its round-off squared
+    mesh = build_mesh(6)
+    gmap = system.build_dof_map(mesh)
+    ex = mms.build_exact_fields()
+    v = interp.global_interp_Ih(ex, mesh, gmap)
+    q = np.random.default_rng(8).standard_normal(gmap.n_qdofs)
+    grad = system.gradient_inclusion_matrix(mesh, gmap) @ q
+    grad *= 1e4 * np.abs(v).max() / np.abs(grad).max()
+    best = analysis.best_approximation("VK", ex, mesh)
+    want = analysis.error_vs_exact(v, ex, mesh, gmap, best=best).as_tuple()
+    got = analysis.error_vs_exact(v + grad, ex, mesh, gmap,
+                                  best=best).as_tuple()
+    assert got[:2] == pytest.approx(want[:2], rel=1e-10)
+
+
 def _random_macro_field(part, seed):
     rng = np.random.default_rng(seed)
     return MacroField(part, "VM", rng.standard_normal((part.n_macros, 144)))
@@ -203,17 +244,16 @@ def test_macro_norms_match_quadrature(macro6):
 def test_best_approximation_of_a_field_in_VM_is_zero(macro6):
     mesh, part, _ex, _imu = macro6
     mf = _random_macro_field(part, 4)
-    bound, _coeffs = macro_best_approximation(_MacroFieldAsExact(mf), mesh,
-                                              part)
-    for b, norm in zip(bound.as_tuple(), macro_norms(mf).as_tuple()):
+    sq, _, _ = analysis.best_approximation("VM", _MacroFieldAsExact(mf), mesh)
+    for b, norm in zip(np.sqrt(sq), macro_norms(mf).as_tuple()):
         assert b <= 1e-10 * norm
 
 
 def test_best_approximation_bounds_the_macro_interpolant(macro6):
     mesh, part, ex, imu = macro6
-    bound, coeffs = macro_best_approximation(ex, mesh, part)
+    sq, _, coeffs = analysis.best_approximation("VM", ex, mesh)
     err = analysis.superconvergent_error(imu, ex, mesh)
-    for col, (b, e) in enumerate(zip(bound.as_tuple(), err.as_tuple())):
+    for col, (b, e) in enumerate(zip(np.sqrt(sq), err.as_tuple())):
         assert 0.0 < b <= e
         # Pythagoras: |u - I_M u|^2 = |u - P_M u|^2 + |P_M u - I_M u|^2
         rest = macro_norms(
@@ -242,17 +282,21 @@ def _assert_grid_matches_pointwise(mesh, part, ex, imu, monkeypatch,
     v = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
     want = analysis.error_vs_exact(v, pointwise, mesh, gmap)
     want_sc = analysis.superconvergent_error(imu, pointwise, mesh)
-    point, point_coeffs = macro_best_approximation(pointwise, mesh, part)
+    point = {tag: analysis.best_approximation(tag, pointwise, mesh)
+             for tag in ("VK", "VM")}
     for points in (mesh_module.TILE_POINTS,) + tile_points:
         monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
         _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap),
                               want)
         _assert_triples_close(analysis.superconvergent_error(imu, ex, mesh),
                               want_sc)
-        grid, grid_coeffs = macro_best_approximation(ex, mesh, part)
-        _assert_triples_close(grid, point)
-        for a, b in zip(grid_coeffs, point_coeffs):
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        for tag, (point_sq, _, point_coeffs) in point.items():
+            grid_sq, _, grid_coeffs = analysis.best_approximation(tag, ex,
+                                                                  mesh)
+            _assert_triples_close(ErrorTriple(*np.sqrt(grid_sq)),
+                                  ErrorTriple(*np.sqrt(point_sq)))
+            for a, b in zip(grid_coeffs, point_coeffs):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_grid_path_matches_pointwise_fallback(macro6, monkeypatch):
@@ -336,8 +380,8 @@ def test_kernels_match_dense_per_block_formula(n):
     _assert_triples_close(analysis.superconvergent_error(mf, ex, mesh), want)
 
     # the L2 projection per column: (phi_i, u)_w through the pseudo-inverse
-    # of the Gram, as in macro_best_approximation
-    bound, coeffs = macro_best_approximation(ex, mesh, part)
+    # of the Gram, as in analysis.best_approximation
+    sq, _, coeffs = analysis.best_approximation("VM", ex, mesh)
     for col, (s, t, e, gram) in enumerate(zip(
             scales, tables, exv, reversed(dual_gram_matrices(vm)))):
         ginv = np.linalg.pinv(H**3 * s**2 * gram, rcond=1e-10, hermitian=True)
@@ -345,4 +389,4 @@ def test_kernels_match_dense_per_block_formula(n):
         c = s * ((e * h**3 * wk) @ t.T) @ ginv
         assert np.abs(coeffs[col] - c).max() <= 1e-12 * np.abs(c).max()
         dist = np.sqrt(h**3 * np.sum(wk * (s * c @ t - e) ** 2))
-        assert bound.as_tuple()[col] == pytest.approx(dist, rel=1e-12)
+        assert np.sqrt(sq[col]) == pytest.approx(dist, rel=1e-12)

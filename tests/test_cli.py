@@ -16,6 +16,7 @@ import pytest
 from quadcurl import analysis, checks, cli, polyquad, system
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+ALL_TASKS = ("errors", "superclose", "superconv")
 
 
 def test_config_validation_errors():
@@ -132,6 +133,48 @@ def test_both_schemes_two_reports(tmp_path):
     assert rc == cli.EXIT_OK
     assert (tmp_path / "original_errors.csv").exists()
     assert (tmp_path / "modified_errors.csv").exists()
+
+
+def test_record_appends_one_line_per_solve(tmp_path):
+    # --record (config key record) appends a JSON line per solve: the
+    # config, the unknowns, the solver facts with the residual history, the
+    # time and memory, the triples at full precision and the walk
+    record, out = tmp_path / "runs.jsonl", tmp_path / "out"
+    argv = ["--scheme", "both", "--n", "3,6", "--task", "all", "--out",
+            str(out)]
+    assert cli.main(argv + ["--record", str(record)]) == cli.EXIT_OK
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"record={record}\n")
+    assert cli.main(argv + ["--config", str(cfgfile)]) == cli.EXIT_OK
+    lines = [json.loads(line) for line in record.read_text().splitlines()]
+    assert [(r["n"], r["scheme"]) for r in lines] == 2 * [
+        (3, "original"), (3, "modified"), (6, "original"), (6, "modified")]
+    config = {"scheme": "both", "ns": [3, 6], "tol": 1e-10,
+              "tasks": list(ALL_TASKS), "fmt": "both", "out_dir": str(out),
+              "extended": False, "record": str(record)}
+    for r in lines:
+        n = r["n"]
+        assert set(r) == {"config", "n", "scheme", "velocity_unknowns",
+                          "pressure_unknowns", "method", "iterations",
+                          "norms", "residual", "elapsed", "peak_mb",
+                          "triples", "walk"}
+        assert r["config"] == config
+        assert r["velocity_unknowns"] == 3 * n * (n - 1)**2 \
+            + 6 * n**2 * (n - 1)
+        assert r["pressure_unknowns"] == (n - 1)**3
+        assert r["method"] == "mgcg"
+        assert len(r["norms"]) == r["iterations"] + 1
+        assert r["norms"][-1] < r["norms"][0]
+        assert 0 < r["residual"] <= 1e-10
+        assert r["elapsed"] > 0 and r["peak_mb"] > 0
+        assert r["walk"] == "direct"
+        assert set(r["triples"]) == set(ALL_TASKS)
+        # the report prints each value of the line to 7 digits
+        for task, trip in r["triples"].items():
+            rows = (out / f"{r['scheme']}_{task}.csv").read_text()
+            row = next(line.split(",") for line in rows.splitlines()
+                       if line.startswith(f"{n},"))
+            assert [f"{v:.6E}" for v in trip] == row[1::2]
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -500,6 +543,39 @@ def _fail_scheme(monkeypatch, scheme, action):
     monkeypatch.setattr(system, "assemble_rhs", assemble_rhs)
 
 
+# the two studies that fork, as RunConfig fields: the worker solves the
+# original scheme of both, or computes the best approximations of one
+FORKED = {
+    "schemes": {"scheme": "both", "ns": (3,), "tasks": ("errors",)},
+    "walks": {"scheme": "modified", "ns": (cli.SPLIT_MIN_N,),
+              "tasks": ALL_TASKS},
+}
+
+
+def _argv(split, out):
+    """The command line of the study of ``FORKED[split]``."""
+    fields = FORKED[split]
+    return ["--scheme", fields["scheme"],
+            "--n", ",".join(map(str, fields["ns"])),
+            "--task", ",".join(fields["tasks"]), "--out", str(out)]
+
+
+def _fail_worker(monkeypatch, split, action):
+    """Run ``action()`` in the worker's part of the study of
+    ``FORKED[split]``: the load of the original scheme, or the best
+    approximations, which only the worker computes."""
+    if split == "schemes":
+        _fail_scheme(monkeypatch, "original", action)
+        return
+    approximate = analysis.best_approximation
+
+    def best_approximation(*args):
+        action()
+        return approximate(*args)
+
+    monkeypatch.setattr(analysis, "best_approximation", best_approximation)
+
+
 def test_forked_and_serial_paths_write_identical_reports(tmp_path,
                                                          monkeypatch):
     forked = []
@@ -547,21 +623,54 @@ def test_failed_fork_solves_the_schemes_in_turn(tmp_path, monkeypatch,
 
 def test_forked_records_match_serial_records(monkeypatch):
     # the worker's record comes back through a pipe without the objects of
-    # its n; this process puts its own back
-    config = cli.RunConfig(scheme="both", ns=(3,),
-                           tasks=("errors", "superclose", "superconv"))
-    _cores(monkeypatch, 1)
-    serial = list(cli.study(config))
+    # its n; this process puts its own back.  With one scheme the worker
+    # sends the best approximations instead, and the errors and superconv
+    # triples come from their split: the solve and the superclose triple
+    # stay bitwise those of the serial path, the split triples within 1e-10
+    for split, fields in sorted(FORKED.items()):
+        config = cli.RunConfig(**dict(fields, tasks=ALL_TASKS))
+        _cores(monkeypatch, 1)
+        serial = list(cli.study(config))
+        _cores(monkeypatch, 2)
+        forked = list(cli.study(config))
+        assert [r.scheme for r in forked] == list(config.schemes)
+        assert {r.walk for r in serial} == {"direct"}
+        assert {r.walk for r in forked} == {
+            "split" if split == "walks" else "direct"}
+        for s, f in zip(serial, forked):
+            for task, trip in s.triples.items():
+                if split == "walks" and task != "superclose":
+                    assert f.triples[task].as_tuple() == pytest.approx(
+                        trip.as_tuple(), rel=1e-10)
+                else:
+                    assert f.triples[task] == trip
+            assert f.info == s.info
+            assert (f.u == s.u).all() and (f.ihu == s.ihu).all()
+            assert (f.i3h_u.coeffs == s.i3h_u.coeffs).all()
+            assert f.i3h_u.partition is f.partition
+            assert f.mesh is forked[-1].mesh and f.gmap is forked[-1].gmap
+
+
+def test_one_scheme_forks_from_split_min_n_for_a_split_task(monkeypatch):
+    # the benchmark's n = 3 set-up pass, any n below SPLIT_MIN_N and a study
+    # with no errors or superconv task walk in this process alone
+    beside = []
+    split = cli._beside
+    monkeypatch.setattr(cli, "_beside",
+                        lambda *a: beside.append(a[1:]) or split(*a))
     _cores(monkeypatch, 2)
-    forked = list(cli.study(config))
-    assert [r.scheme for r in forked] == ["original", "modified"]
-    for s, f in zip(serial, forked):
-        assert f.triples == s.triples
-        assert f.info == s.info
-        assert (f.u == s.u).all() and (f.ihu == s.ihu).all()
-        assert (f.i3h_u.coeffs == s.i3h_u.coeffs).all()
-        assert f.i3h_u.partition is f.partition
-        assert f.mesh is forked[1].mesh and f.gmap is forked[1].gmap
+    bench = _load_bench(monkeypatch)
+    small = list(range(6, cli.SPLIT_MIN_N, 3))
+    for config in (cli.RunConfig(**bench.SETUP_CONFIG),
+                   cli.RunConfig(ns=tuple(small), tasks=ALL_TASKS),
+                   cli.RunConfig(ns=(cli.SPLIT_MIN_N,),
+                                 tasks=("superclose",))):
+        assert {r.walk for r in cli.study(config)} == {"direct"}
+    assert small and beside == []
+    config = cli.RunConfig(ns=(cli.SPLIT_MIN_N,), tasks=("superconv",))
+    assert [r.walk for r in cli.study(config)] == ["split"]
+    assert [(scheme, tags) for scheme, tags, *_ in beside] == [
+        ("modified", ["VM"])]
 
 
 @pytest.mark.parametrize("exc", [
@@ -569,21 +678,24 @@ def test_forked_records_match_serial_records(monkeypatch):
     system.SingularSystem("stub failure")])
 def test_worker_failure_reaches_main(tmp_path, monkeypatch, capsys, exc):
     # raised in the worker, pickled through the pipe, raised here with its
-    # message, residual and tail intact
+    # message, residual and tail intact, in both forked studies
     def fail():
         raise exc
 
-    _fail_scheme(monkeypatch, "original", fail)
     _cores(monkeypatch, 2)
-    with pytest.raises(type(exc)) as err:
-        cli.run(cli.RunConfig(scheme="both", ns=(3,), out_dir=str(tmp_path)))
-    assert str(err.value) == "stub failure"
-    assert vars(err.value) == vars(exc)
-    rc = cli.main(["--scheme", "both", "--n", "3", "--out", str(tmp_path)])
-    assert rc == cli.EXIT_SOLVER
-    captured = capsys.readouterr()
-    assert captured.err == "solver failure: stub failure\n"
-    assert "solved" not in captured.out
+    for split in sorted(FORKED):
+        with monkeypatch.context() as patch:
+            _fail_worker(patch, split, fail)
+            with pytest.raises(type(exc)) as err:
+                cli.run(cli.RunConfig(**FORKED[split],
+                                      out_dir=str(tmp_path)))
+            assert str(err.value) == "stub failure"
+            assert vars(err.value) == vars(exc)
+            rc = cli.main(_argv(split, tmp_path))
+        assert rc == cli.EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.err == "solver failure: stub failure\n"
+        assert "solved" not in captured.out
 
 
 def test_parent_failure_comes_after_the_worker_record(tmp_path, monkeypatch,
@@ -627,42 +739,56 @@ def test_both_schemes_failing_report_the_first_in_study_order(tmp_path,
 def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
     # a worker that exits without sending (killed, out of memory) must not
     # leave this process waiting on the pipe, nor end the study: this
-    # process solves its scheme and says so
+    # process does the worker's part, solving its scheme or walking the
+    # errors directly, and says so once
+    warnings = {
+        "schemes": "warning: the worker solving scheme original exited with "
+                   "code 7 before sending its record; solving it in this "
+                   "process",
+        "walks": "warning: the worker computing the best approximations "
+                 "exited with code 7 before sending them; walking the "
+                 "errors in this process"}
     pid = os.getpid()
-    _fail_scheme(monkeypatch, "original",
-                 lambda: os.getpid() != pid and os._exit(7))
-    _cores(monkeypatch, 2)
-    with _deadline(60):
-        rc = cli.main(["--scheme", "both", "--n", "3", "--out",
-                       str(tmp_path / "dead")])
-    assert rc == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert ("warning: the worker solving scheme original exited with code 7 "
-            "before sending its record; solving it in this process") in out
-    assert re.findall(r"scheme=(\w+): solved", out) == ["original",
-                                                         "modified"]
-    _cores(monkeypatch, 1)
-    cli.main(["--scheme", "both", "--n", "3", "--out",
-              str(tmp_path / "serial")])
-    for path in (tmp_path / "serial").iterdir():
-        assert (tmp_path / "dead" / path.name).read_bytes() == \
-            path.read_bytes()
+    for split, warning in sorted(warnings.items()):
+        out_dir = tmp_path / split
+        with monkeypatch.context() as patch:
+            _fail_worker(patch, split,
+                         lambda: os.getpid() != pid and os._exit(7))
+            _cores(patch, 2)
+            with _deadline(60):
+                rc = cli.main(_argv(split, out_dir / "dead")
+                              + ["--record", str(out_dir / "record")])
+        assert rc == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("warning:") == 1 and warning in out
+        assert re.findall(r"scheme=(\w+): solved", out) == \
+            list(cli.RunConfig(scheme=FORKED[split]["scheme"]).schemes)
+        assert {json.loads(line)["walk"] for line in
+                (out_dir / "record").read_text().splitlines()} == {"direct"}
+        _cores(monkeypatch, 1)
+        cli.main(_argv(split, out_dir / "serial"))
+        capsys.readouterr()
+        for path in (out_dir / "serial").iterdir():
+            assert (out_dir / "dead" / path.name).read_bytes() == \
+                path.read_bytes()
 
 
 def test_interrupted_parent_stops_the_worker(tmp_path, monkeypatch):
-    # ^C in this process terminates a worker that would run for a minute
+    # ^C in this process, which loads the modified scheme, terminates a
+    # worker that would run for a minute, in both forked studies
     def interrupt():
         raise KeyboardInterrupt
 
-    _fail_scheme(monkeypatch, "original", lambda: time.sleep(60))
     _fail_scheme(monkeypatch, "modified", interrupt)
     _cores(monkeypatch, 2)
-    t0 = time.perf_counter()
-    with _deadline(30):
-        rc = cli.main(["--scheme", "both", "--n", "3", "--out",
-                       str(tmp_path)])
-    assert rc == 130
-    assert time.perf_counter() - t0 < 30
+    for split in sorted(FORKED):
+        with monkeypatch.context() as patch:
+            _fail_worker(patch, split, lambda: time.sleep(60))
+            t0 = time.perf_counter()
+            with _deadline(30):
+                rc = cli.main(_argv(split, tmp_path))
+        assert rc == 130
+        assert time.perf_counter() - t0 < 30
 
 
 
