@@ -6,19 +6,20 @@
 Runs ``scripts/run_tables.py --extended --threads 1`` on this checkout's
 ``src`` three times in child processes and writes ``BENCH_<LABEL>.json`` at
 the repository root.  The runs must agree in every report file and in the
-iterations and residual of every solve.  The record holds the median wall
-time, the peak resident memory of the largest process of any run
-(``RUSAGE_CHILDREN``), the largest sum of a run's proportional set sizes
-(Pss from ``/proc/PID/smaps_rollup``, Linux, sampled every 0.1 s: a page
-shared by k processes counts 1/k to each, so the sum is the memory the
+iterations, residual and triples of every solve.  The record holds the
+median wall time, the peak resident memory of the largest process of any
+run (``RUSAGE_CHILDREN``), the largest sum of a run's proportional set
+sizes (Pss from ``/proc/PID/smaps_rollup``, Linux, sampled every 0.1 s: a
+page shared by k processes counts 1/k to each, so the sum is the memory the
 run's processes hold together), and per run its wall time, Pss peak with
-each process's share at that sample, and every "solved" line (n, scheme,
-CG iterations, final relative residual, seconds since its n started, peak
-MB of the process that solved it).  The machine fields have the shape of
-``perfbench/run.py``'s ``environment()``: CPU, usable cores, versions,
-commit, a digest of ``src/quadcurl`` and the thread variables;
-``git_dirty`` says whether ``src/`` differs from that commit.  The last
-run's reports go to ``--out`` when given.
+each process's share at that sample, and the ``--record`` line of every
+solve (n, scheme, unknowns, CG iterations, residual history, seconds since
+its n started, peak MB of the process that solved it, every triple at full
+precision).  The machine fields have the shape of ``perfbench/run.py``'s
+``environment()``: CPU, usable cores, versions, commit, a digest of
+``src/quadcurl`` and the thread variables; ``git_dirty`` says whether
+``src/`` differs from that commit.  The last run's reports go to ``--out``
+when given.
 """
 
 import argparse
@@ -40,8 +41,6 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # runs per record: the record's wall time is their median
 RUNS = 3
 PSS_INTERVAL = 0.1      # seconds between samples of the run's Pss
-SOLVED = re.compile(r"n=(\d+) scheme=(\w+): solved \(\w+, (\d+) its, "
-                    r"residual ([^)]+)\), ([\d.]+)s elapsed, peak ([\d.]+) MB")
 
 
 def _git(*args):
@@ -103,32 +102,39 @@ def tree_pss_mb(pid):
 
 
 def run(out_dir, env):
-    """One ``--extended`` run: (wall seconds, stdout, the largest summed Pss
-    of the run's processes, each process's share at that sample)."""
-    cmd = [sys.executable, str(ROOT / "scripts" / "run_tables.py"),
-           "--extended", "--threads", "1", "--out", str(out_dir)]
+    """One ``--extended`` run, its reports written to ``out_dir``: (wall
+    seconds, its records, the largest summed Pss of the run's processes,
+    each process's share at that sample)."""
     peak = (0.0, [])
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+    with tempfile.TemporaryDirectory() as tmp:
+        record = Path(tmp, "record.jsonl")
+        cmd = [sys.executable, str(ROOT / "scripts" / "run_tables.py"),
+               "--extended", "--threads", "1", "--out", str(out_dir),
+               "--record", str(record)]
         t0 = time.perf_counter()
-        proc = subprocess.Popen(cmd, env=env, stdout=out, text=True)
+        proc = subprocess.Popen(cmd, env=env)
         while proc.poll() is None:
             pss = tree_pss_mb(proc.pid)
             if sum(pss.values()) > peak[0]:
                 peak = (sum(pss.values()), sorted(pss.values()))
             time.sleep(PSS_INTERVAL)
         wall = time.perf_counter() - t0
-        out.seek(0)
-        stdout = out.read()
-    sys.stdout.write(stdout)
-    if proc.returncode != 0:
-        raise SystemExit(f"run_tables.py exited with {proc.returncode}")
-    return wall, stdout, *peak
+        if proc.returncode != 0:
+            raise SystemExit(f"run_tables.py exited with {proc.returncode}")
+        return wall, records(record), *peak
 
 
-def _solves(stdout):
-    return [{"n": int(m[1]), "scheme": m[2], "iterations": int(m[3]),
-             "residual": float(m[4]), "elapsed_s": float(m[5]),
-             "peak_mb": float(m[6])} for m in SOLVED.finditer(stdout)]
+def records(path):
+    """The ``--record`` lines of the file ``path``, one dict a solve."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def facts(solves):
+    """What the runs must agree in: per solve its n, scheme, CG iterations,
+    final residual and triples."""
+    return [(r["n"], r["scheme"], r["iterations"], r["residual"],
+             r["triples"]) for r in solves]
 
 
 def main(argv=None):
@@ -146,16 +152,15 @@ def main(argv=None):
         for i in range(RUNS):
             out = Path(args.out) if args.out and i == RUNS - 1 else \
                 Path(tmp, str(i))
-            wall, stdout, pss, parts = run(out, env)
+            wall, solves, pss, parts = run(out, env)
             runs.append({"wall_s": wall, "peak_pss_total_mb": pss,
-                         "pss_at_peak_mb": parts, "solves": _solves(stdout)})
+                         "pss_at_peak_mb": parts, "records": solves})
             reports.append({f.name: f.read_bytes() for f in out.iterdir()})
     # read before any other child (git) can raise it
     peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    facts = [[(s["n"], s["scheme"], s["iterations"], s["residual"])
-              for s in r["solves"]] for r in runs]
-    if any(f != facts[0] for f in facts) or \
-            any(r != reports[0] for r in reports) or not facts[0]:
+    agree = [facts(r["records"]) for r in runs]
+    if any(f != agree[0] for f in agree) or \
+            any(r != reports[0] for r in reports) or not agree[0]:
         raise SystemExit("the runs disagree in their solves or reports")
     walls = sorted(r["wall_s"] for r in runs)
     record = {"label": args.label,

@@ -175,15 +175,15 @@ def error_vs_exact(u_vec, exact, mesh, gmap, best=None):
 
 
 def gram_norms(space, coeffs, size):
-    """Exact norms of a piecewise field through the reference Gram triple of
-    ``space``: ``coeffs`` holds the reference DoFs of one cell of edge
-    ``size`` per row."""
-    M0, M1, M2 = dual_gram_matrices(space)
-    n0 = size**3 * np.vdot(coeffs @ M0, coeffs)
-    n1 = size * np.vdot(coeffs @ M1, coeffs)
-    n2 = (1.0 / size) * np.vdot(coeffs @ M2, coeffs)
-    return ErrorTriple(math.sqrt(max(n2, 0.0)), math.sqrt(max(n1, 0.0)),
-                       math.sqrt(max(n0, 0.0)))
+    """Exact norms of a piecewise field through the reference Gram roots of
+    ``space`` (``_gram_roots``), as ||d R||, which leaves out the kernel
+    part of the coefficients: ``coeffs`` holds the reference DoFs of one
+    cell of edge ``size`` per row."""
+    out = []
+    for power, root in zip((-1, 1, 3), _gram_roots(space)):
+        d = coeffs @ root
+        out.append(math.sqrt(size**power * np.vdot(d, d)))
+    return ErrorTriple(*out)
 
 
 def discrete_norms(vec, mesh, gmap):

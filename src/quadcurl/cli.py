@@ -229,10 +229,13 @@ def study(config):
 def _study_n(n, config, exact):
     """The records of one mesh size.  Its schemes share the mesh, DoF map,
     A, B, the partition and I_h u.  With cores for two processes' BLAS
-    threads (``_can_fork``) a forked worker works beside this process: with
-    two schemes it solves the first while this process solves the last;
-    with one, from n = SPLIT_MIN_N on, it computes the best approximations
-    of the errors and superconv walks while this process solves."""
+    threads (``_can_fork``) one forked worker (``_Worker``) works beside
+    this process, on the job the study gives it: with two schemes it solves
+    the first while this process solves the last; with one, from n =
+    SPLIT_MIN_N on, it computes the best approximations of the errors and
+    superconv walks while this process solves.  A fork that fails runs the
+    study serially; a worker that dies leaves its part to this process.
+    Records and failures come in the serial loop's order."""
     from . import analysis, interp, system
     from .mesh import build_mesh, macro_partition
 
@@ -249,8 +252,8 @@ def _study_n(n, config, exact):
 
     def solve(scheme, best=None):
         """The record of one scheme: its load, solve and every task.
-        ``best(tag)``, when given, reads the best approximation from
-        reference space ``tag`` that the next split walk adds to."""
+        ``best()``, when given, reads the best approximation that the next
+        split walk adds to."""
         rhs = system.assemble_rhs(mesh, gmap, exact, mode=scheme)
         sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
         u, _p, info = system.solve_saddle(sys_, tol=config.tol)
@@ -270,7 +273,7 @@ def _study_n(n, config, exact):
             trip = None
             if best is not None:
                 try:
-                    trip = measure(best=best(SPLIT_SPACES[task]))
+                    trip = measure(best=best())
                     rec.walk = "split"
                 except EOFError:    # the worker died: walk here
                     pass
@@ -280,13 +283,60 @@ def _study_n(n, config, exact):
         rec.peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return rec
 
+    schemes = config.schemes
     tags = [SPLIT_SPACES[task] for task in tasks if task in SPLIT_SPACES]
-    if len(config.schemes) == 2 and _can_fork():
-        yield from _forked(solve, config.schemes, shared)
-    elif tags and n >= SPLIT_MIN_N and _can_fork():
-        yield _beside(solve, config.schemes[0], tags, exact, mesh)
+    if len(schemes) == 2:
+        def job(send):
+            # the record without the objects of its n that both processes
+            # hold
+            pickle.dump(_with_shared(solve(schemes[0]),
+                                     dict.fromkeys(shared)), send)
+
+        about = (f"solving scheme {schemes[0]}", "before sending its "
+                 "record; solving it in this process")
     else:
-        yield from map(solve, config.schemes)
+        def job(send):
+            # every walk before the first send: a send blocks on a full
+            # pipe until this process, done solving, reads
+            done = [analysis.best_approximation(tag, exact, mesh)
+                    for tag in tags]
+            for sq, roots, coeffs in done:
+                pickle.dump((sq, roots), send)
+                for column in coeffs:
+                    pickle.dump(column, send)
+
+        about = ("computing the best approximations", "before sending "
+                 "them; walking the errors in this process")
+    worker = None
+    if (len(schemes) == 2 or tags and n >= SPLIT_MIN_N) and _can_fork():
+        try:
+            worker = _Worker(job, *about)
+        except OSError:
+            pass
+    if worker is None:
+        yield from map(solve, schemes)
+        return
+
+    def best():
+        sq, roots = worker.recv()
+        return sq, roots, (worker.recv() for _ in roots)
+
+    with worker:
+        if len(schemes) == 1:
+            recs = [solve(schemes[0], best)]
+        else:
+            try:
+                last = solve(schemes[1])
+            except Exception as exc:    # raised after the first record
+                last = exc
+            try:
+                recs = [_with_shared(worker.recv(), shared), last]
+            except EOFError:    # the worker died: solve its scheme here
+                recs = [solve(schemes[0]), last]
+    for rec in recs:
+        if isinstance(rec, Exception):
+            raise rec
+        yield rec
 
 
 def _can_fork():
@@ -327,15 +377,14 @@ def _cpu_quota(root="/sys/fs/cgroup"):
 class _Worker:
     """A forked child process running ``target(send)`` beside this one,
     ``send`` a binary file on the pipe that ``recv`` reads: ``target``
-    pickles its messages into it and writes raw array bytes after them, and
-    an exception it raises is pickled in their place and raised here.
-    ``os.fork`` itself, not spawn: the worker shares the mesh pages and the
-    warm reference tables, and nothing is pickled on the way in; nor
-    ``multiprocessing``, whose import and first use took 1.4 MB of this
-    process's memory.  Raises OSError when no process is to be had (memory,
-    the process limit).  Leaving its ``with`` block by an exception (^C, a
-    failure here or the worker's) terminates the worker; it is reaped on the
-    way out."""
+    pickles its messages into it, and an exception it raises is pickled in
+    their place and raised here.  ``os.fork`` itself, not spawn: the worker
+    shares the mesh pages and the warm reference tables, and nothing is
+    pickled on the way in; nor ``multiprocessing``, whose import and first
+    use took 1.4 MB of this process's memory.  Raises OSError when no
+    process is to be had (memory, the process limit).  Leaving its
+    ``with`` block by an exception (^C, a failure here or the worker's)
+    terminates the worker; it is reaped on the way out."""
 
     def __init__(self, target, name, lost):
         self.name, self.lost, self.code = name, lost, None
@@ -367,16 +416,11 @@ class _Worker:
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.code
 
-    def recv(self, into=None):
-        """The worker's next message, or its next ``into.nbytes`` bytes read
-        into the array ``into``.  When the worker exited without sending
-        them (killed, out of memory), warns the first time, with the
+    def recv(self):
+        """The worker's next message.  When the worker exited without
+        sending it (killed, out of memory), warns the first time, with the
         ``lost`` text, and raises EOFError."""
         try:
-            if into is not None:
-                if self.pipe.readinto(into) < into.nbytes:
-                    raise EOFError
-                return into
             msg = pickle.load(self.pipe)
         except (EOFError, pickle.UnpicklingError):
             if self.code is None:
@@ -404,71 +448,6 @@ def _work(read, write, target):
         code = 0
     finally:
         os._exit(code)
-
-
-def _forked(solve, schemes, shared):
-    """The records of two schemes in study order, the first solved in a
-    forked worker while this process solves the second.  A failure is
-    raised where the serial loop raises it: at the first failing record in
-    study order, after the records before it."""
-    def first(send):
-        # the record without the objects of its n that both processes hold
-        pickle.dump(_with_shared(solve(schemes[0]), dict.fromkeys(shared)),
-                    send)
-
-    try:
-        worker = _Worker(first, f"solving scheme {schemes[0]}",
-                         "before sending its record; solving it in this "
-                         "process")
-    except OSError:
-        yield from map(solve, schemes)
-        return
-    with worker:
-        try:
-            last = solve(schemes[1])
-        except Exception as exc:    # raised after the first record
-            last = exc
-        try:
-            rec = worker.recv()
-        except EOFError:    # the worker died: solve its scheme here
-            rec = solve(schemes[0])
-    yield _with_shared(rec, shared)
-    if isinstance(last, Exception):
-        raise last
-    yield last
-
-
-def _beside(solve, scheme, tags, exact, mesh):
-    """The record of one scheme whose error walks add to the best
-    approximations from the reference spaces ``tags`` (in task order),
-    which a forked worker computes while this process solves.  The worker
-    sends them when all are done; this process reads the columns of one
-    space into one buffer, each when its walk needs it."""
-    import numpy as np
-
-    from . import analysis
-
-    def approximate(send):
-        done = [analysis.best_approximation(tag, exact, mesh) for tag in tags]
-        for sq, roots, coeffs in done:
-            pickle.dump((sq, roots, coeffs[0].shape), send)
-            for c in coeffs:
-                send.write(c)
-
-    try:
-        worker = _Worker(approximate, "computing the best approximations",
-                         "before sending them; walking the errors in this "
-                         "process")
-    except OSError:
-        return solve(scheme)
-
-    def best(tag):
-        sq, roots, shape = worker.recv()
-        column = np.empty(shape)
-        return sq, roots, (worker.recv(into=column) for _ in range(3))
-
-    with worker:
-        return solve(scheme, best)
 
 
 def _with_shared(rec, shared):

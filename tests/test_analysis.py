@@ -207,9 +207,10 @@ def test_split_walks_match_direct_walks(n):
 
 def test_split_walk_leaves_out_gradients():
     # a gradient (G q, curl-free) added to a V_h field moves neither curl
-    # column; the split measures them through a root of the Gram on its
-    # range, so a gradient 1e4 times the field leaves no trace, where the
-    # quadratic form of the full Gram kept its round-off squared
+    # column; the split and the exact Gram norms measure them through a
+    # root of the Gram on its range, so a gradient 1e4 times the field
+    # leaves no trace, where the quadratic form of the full Gram kept its
+    # round-off squared
     mesh = build_mesh(6)
     gmap = system.build_dof_map(mesh)
     ex = mms.build_exact_fields()
@@ -221,6 +222,9 @@ def test_split_walk_leaves_out_gradients():
     want = analysis.error_vs_exact(v, ex, mesh, gmap, best=best).as_tuple()
     got = analysis.error_vs_exact(v + grad, ex, mesh, gmap,
                                   best=best).as_tuple()
+    assert got[:2] == pytest.approx(want[:2], rel=1e-10)
+    want = discrete_norms(v, mesh, gmap).as_tuple()
+    got = discrete_norms(v + grad, mesh, gmap).as_tuple()
     assert got[:2] == pytest.approx(want[:2], rel=1e-10)
 
 

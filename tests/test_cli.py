@@ -576,12 +576,19 @@ def _fail_worker(monkeypatch, split, action):
     monkeypatch.setattr(analysis, "best_approximation", best_approximation)
 
 
+def _count_workers(monkeypatch):
+    """The names of the workers ``cli`` forks from now on, in order."""
+    names = []
+    worker = cli._Worker
+    monkeypatch.setattr(cli, "_Worker",
+                        lambda job, name, lost: names.append(name)
+                        or worker(job, name, lost))
+    return names
+
+
 def test_forked_and_serial_paths_write_identical_reports(tmp_path,
                                                          monkeypatch):
-    forked = []
-    fork = cli._forked
-    monkeypatch.setattr(cli, "_forked",
-                        lambda *a: forked.append(a) or fork(*a))
+    forked = _count_workers(monkeypatch)
     files = {}
     for cores in (2, 1):
         _cores(monkeypatch, cores)
@@ -610,15 +617,29 @@ def test_forked_and_serial_paths_write_identical_reports(tmp_path,
 
 def test_failed_fork_solves_the_schemes_in_turn(tmp_path, monkeypatch,
                                                capsys):
+    # with no process to be had, both forked studies run as the serial loop
+    # does: its schemes in turn, its errors walked directly
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    _cores(monkeypatch, 2)
-    rc = cli.main(["--scheme", "both", "--n", "3", "--out", str(tmp_path)])
-    assert rc == cli.EXIT_OK
-    assert re.findall(r"scheme=(\w+): solved", capsys.readouterr().out) == \
-        ["original", "modified"]
+    for split in sorted(FORKED):
+        out_dir = tmp_path / split
+        _cores(monkeypatch, 1)
+        cli.main(_argv(split, out_dir / "serial"))
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", no_fork)
+            _cores(patch, 2)
+            rc = cli.main(_argv(split, out_dir / "failed")
+                          + ["--record", str(out_dir / "record")])
+        assert rc == cli.EXIT_OK
+        assert re.findall(r"scheme=(\w+): solved", capsys.readouterr().out) \
+            == list(cli.RunConfig(scheme=FORKED[split]["scheme"]).schemes)
+        assert {json.loads(line)["walk"] for line in
+                (out_dir / "record").read_text().splitlines()} == {"direct"}
+        for path in (out_dir / "serial").iterdir():
+            assert (out_dir / "failed" / path.name).read_bytes() == \
+                path.read_bytes()
 
 
 def test_forked_records_match_serial_records(monkeypatch):
@@ -654,10 +675,7 @@ def test_forked_records_match_serial_records(monkeypatch):
 def test_one_scheme_forks_from_split_min_n_for_a_split_task(monkeypatch):
     # the benchmark's n = 3 set-up pass, any n below SPLIT_MIN_N and a study
     # with no errors or superconv task walk in this process alone
-    beside = []
-    split = cli._beside
-    monkeypatch.setattr(cli, "_beside",
-                        lambda *a: beside.append(a[1:]) or split(*a))
+    beside = _count_workers(monkeypatch)
     _cores(monkeypatch, 2)
     bench = _load_bench(monkeypatch)
     small = list(range(6, cli.SPLIT_MIN_N, 3))
@@ -668,9 +686,9 @@ def test_one_scheme_forks_from_split_min_n_for_a_split_task(monkeypatch):
         assert {r.walk for r in cli.study(config)} == {"direct"}
     assert small and beside == []
     config = cli.RunConfig(ns=(cli.SPLIT_MIN_N,), tasks=("superconv",))
-    assert [r.walk for r in cli.study(config)] == ["split"]
-    assert [(scheme, tags) for scheme, tags, *_ in beside] == [
-        ("modified", ["VM"])]
+    assert [(r.scheme, r.walk) for r in cli.study(config)] == [
+        ("modified", "split")]
+    assert beside == ["computing the best approximations"]
 
 
 @pytest.mark.parametrize("exc", [
@@ -792,16 +810,22 @@ def test_interrupted_parent_stops_the_worker(tmp_path, monkeypatch):
 
 
 
-def test_bench_script_parses_solved_lines_and_sums_the_tree_pss():
+def test_bench_script_reads_records_and_sums_the_tree_pss(tmp_path):
     path = BENCH_DIR.parent / "scripts" / "bench.py"
     spec = importlib.util.spec_from_file_location("bench_script", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    line = ("  n=24 scheme=modified: solved (mgcg, 15 its, residual "
-            "8.70e-12), 1.8s elapsed, peak 73.9 MB\n")
-    assert script._solves(line) == [{
-        "n": 24, "scheme": "modified", "iterations": 15,
-        "residual": 8.7e-12, "elapsed_s": 1.8, "peak_mb": 73.9}]
+    # a run's record lines, and its solves' facts at full precision
+    record = tmp_path / "record.jsonl"
+    argv = ["--n", "3", "--task", "all", "--out", str(tmp_path)]
+    assert cli.main(argv + ["--record", str(record)]) == cli.EXIT_OK
+    [line] = script.records(record)
+    [rec] = cli.study(cli.RunConfig(ns=(3,), tasks=ALL_TASKS))
+    assert line["velocity_unknowns"] == rec.gmap.n_vdofs
+    assert line["elapsed"] > 0 and line["peak_mb"] > 0
+    assert script.facts([line]) == [(
+        3, "modified", rec.info["iterations"], rec.info["residual"],
+        {task: list(trip.as_tuple()) for task, trip in rec.triples.items()})]
     # this process and its child, each with a share of the pages they hold
     child = subprocess.Popen([sys.executable, "-c",
                               "import time; time.sleep(60)"])
