@@ -115,7 +115,7 @@ def _gram_roots(space):
     solution, not of its error: in d G d^T its round-off moved the n = 48
     superconv triple by 2e-9."""
     out = []
-    for gram in reversed(dual_gram_matrices(space)):
+    for gram in dual_gram_matrices(space):
         w, v = np.linalg.eigh(gram)
         keep = w > 1e-10 * w.max()
         out.append(v[:, keep] * np.sqrt(w[keep]))

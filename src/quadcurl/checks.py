@@ -93,7 +93,7 @@ def check_reference_tables():
     C, Q = vk.dual_coeffs, q1.dual_coeffs
     curls = [f.curl() for f in vk.span]
     grads = [PolyField((p.diff(0), p.diff(1), p.diff(2))) for p in q1.span]
-    M0, M1, M2 = dual_gram_matrices(vk)
+    M2, M1, M0 = dual_gram_matrices(vk)
     pairs = [(s.vandermonde, _applied(s.dofs, s.span)) for s in spcs.values()]
     pairs += [
         (M0, C.T @ _poly_gram(vk.span, vk.span, _l2_pair) @ C),

@@ -231,11 +231,14 @@ def _study_n(n, config, exact):
     A, B, the partition and I_h u.  With cores for two processes' BLAS
     threads (``_can_fork``) one forked worker (``_Worker``) works beside
     this process, on the job the study gives it: with two schemes it solves
-    the first while this process solves the last; with one, from n =
+    the second while this process solves the first; with one, from n =
     SPLIT_MIN_N on, it computes the best approximations of the errors and
     superconv walks while this process solves.  A fork that fails runs the
     study serially; a worker that dies leaves its part to this process.
-    Records and failures come in the serial loop's order."""
+    Records and failures come in the serial loop's order, each as soon as
+    this process has it: the first record while the worker may still run.
+    Closing this generator, or an exception in its consumer, leaves the
+    ``with`` block, which terminates and reaps the worker."""
     from . import analysis, interp, system
     from .mesh import build_mesh, macro_partition
 
@@ -289,10 +292,11 @@ def _study_n(n, config, exact):
         def job(send):
             # the record without the objects of its n that both processes
             # hold
-            pickle.dump(_with_shared(solve(schemes[0]),
+            pickle.dump(_with_shared(solve(schemes[1]),
                                      dict.fromkeys(shared)), send)
 
-        about = (f"solving scheme {schemes[0]}", "before sending its "
+        best = None
+        about = (f"solving scheme {schemes[1]}", "before sending its "
                  "record; solving it in this process")
     else:
         def job(send):
@@ -305,6 +309,10 @@ def _study_n(n, config, exact):
                 for column in coeffs:
                     pickle.dump(column, send)
 
+        def best():
+            sq, roots = worker.recv()
+            return sq, roots, (worker.recv() for _ in roots)
+
         about = ("computing the best approximations", "before sending "
                  "them; walking the errors in this process")
     worker = None
@@ -316,27 +324,14 @@ def _study_n(n, config, exact):
     if worker is None:
         yield from map(solve, schemes)
         return
-
-    def best():
-        sq, roots = worker.recv()
-        return sq, roots, (worker.recv() for _ in roots)
-
     with worker:
-        if len(schemes) == 1:
-            recs = [solve(schemes[0], best)]
-        else:
+        yield solve(schemes[0], best)
+        for scheme in schemes[1:]:
             try:
-                last = solve(schemes[1])
-            except Exception as exc:    # raised after the first record
-                last = exc
-            try:
-                recs = [_with_shared(worker.recv(), shared), last]
+                rec = _with_shared(worker.recv(), shared)
             except EOFError:    # the worker died: solve its scheme here
-                recs = [solve(schemes[0]), last]
-    for rec in recs:
-        if isinstance(rec, Exception):
-            raise rec
-        yield rec
+                rec = solve(scheme)
+            yield rec
 
 
 def _can_fork():
@@ -345,7 +340,8 @@ def _can_fork():
     BLAS threads of both processes fit in the usable cores.  Each process
     runs as many BLAS threads as the largest thread variable set (main sets
     them from ``--threads``), else one per core, OpenBLAS's default, which
-    leaves no room for a second process."""
+    leaves no room for a second process; OpenBLAS reads a count below 1 as
+    unset."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return False
     cores = len(os.sched_getaffinity(0))
@@ -353,7 +349,7 @@ def _can_fork():
     if quota is not None:
         cores = min(cores, int(quota))
     blas = max((int(v) for v in map(os.environ.get, THREAD_VARS)
-                if v and v.isdigit()), default=cores)
+                if v and v.isdigit() and int(v) >= 1), default=cores)
     return 2 * blas <= cores
 
 

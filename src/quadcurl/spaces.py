@@ -555,17 +555,16 @@ def grad_pair(a, b):
 
 @lru_cache(maxsize=None)
 def dual_gram_matrices(space):
-    """Exact reference Gram matrices of the dual basis:
-
-    ``M0[i,j] = (dual_i, dual_j)``, ``M1`` the same for curls, ``M2`` for curl
-    Jacobians (Frobenius pairing).  Computed once per space from the span's
-    coefficient arrays and the dual coefficient transform.
+    """Exact reference Gram matrices of the dual basis in ErrorTriple order:
+    ``M2`` for curl Jacobians (Frobenius pairing), ``M1[i,j] = (curl dual_i,
+    curl dual_j)``, ``M0`` for the duals.  Computed once per space from the
+    span's coefficient arrays and the dual coefficient transform.
     """
     value = coefficient_array(space.span)
     curl = coefficient_curl(value, DIFF)
     C = space.dual_coeffs
     trip = []
-    for arr in (value, curl, coefficient_grad(curl, DIFF)):
+    for arr in (coefficient_grad(curl, DIFF), curl, value):
         M = C.T @ _l2_gram(arr, arr) @ C
         trip.append((M + M.T) / 2.0)
     return tuple(trip)

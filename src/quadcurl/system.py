@@ -120,7 +120,7 @@ def reference_matrices():
     """Reference-cell matrices shared by all cells: the grad-curl Gram
     matrix M2 of the VK duals and the velocity/pressure coupling B."""
     vk, q1 = reference_spaces()["VK"], reference_spaces()["Q1K"]
-    return {"M2": dual_gram_matrices(vk)[2],
+    return {"M2": dual_gram_matrices(vk)[0],
             "B": vector_scalar_grad_matrix(vk, q1)}
 
 

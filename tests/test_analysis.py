@@ -387,7 +387,7 @@ def test_kernels_match_dense_per_block_formula(n):
     # of the Gram, as in analysis.best_approximation
     sq, _, coeffs = analysis.best_approximation("VM", ex, mesh)
     for col, (s, t, e, gram) in enumerate(zip(
-            scales, tables, exv, reversed(dual_gram_matrices(vm)))):
+            scales, tables, exv, dual_gram_matrices(vm))):
         ginv = np.linalg.pinv(H**3 * s**2 * gram, rcond=1e-10, hermitian=True)
         wk = np.repeat(w, t.shape[1] // len(w))
         c = s * ((e * h**3 * wk) @ t.T) @ ginv

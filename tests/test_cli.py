@@ -399,7 +399,7 @@ def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
         tmp_path, monkeypatch, capsys):
     # the benchmark counts solves by wrapping system.solve_saddle and reads
     # the solver facts from stdout with its SOLVED pattern; a forked worker
-    # solves the first scheme, so each solve appends its process id to a
+    # solves the second scheme, so each solve appends its process id to a
     # file that both processes write
     bench = _load_bench(monkeypatch)
     log = tmp_path / "solves"
@@ -422,11 +422,11 @@ def test_run_solves_once_per_scheme_with_benchmark_solver_lines(
     assert [(m[0], m[1]) for m in solved] == [("3", "original"),
                                               ("3", "modified")]
     # each solved line ends with the peak of the process that solved it, in
-    # MB: the worker's (original) and this process's (modified)
+    # MB: this process's (original) and the worker's (modified)
     peaks = [float(p) for p in re.findall(
         r"solved .*s elapsed, peak (\d+\.\d) MB$", out, flags=re.M)]
     bounds = [resource.getrusage(who).ru_maxrss / 1024 + 0.05 for who in
-              (resource.RUSAGE_CHILDREN, resource.RUSAGE_SELF)]
+              (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
     assert len(peaks) == 2
     assert all(0 < p <= b for p, b in zip(peaks, bounds))
 
@@ -480,6 +480,7 @@ def _cores(monkeypatch, count, threads="1"):
     (2, "1", None, True),
     (4, "2", None, True),
     (2, None, None, False),     # OpenBLAS runs one thread per core
+    (2, "0", None, False),      # and so it does for a count below 1
     (4, None, None, False),
     (2, "2", None, False),
     (4, "3", None, False),
@@ -531,8 +532,8 @@ def _deadline(seconds):
 
 
 def _fail_scheme(monkeypatch, scheme, action):
-    """Run ``action()`` in place of the load of ``scheme``; the forked
-    worker solves "original", this process "modified"."""
+    """Run ``action()`` in place of the load of ``scheme``; this process
+    solves "original", the forked worker "modified"."""
     load = system.assemble_rhs
 
     def assemble_rhs(mesh, gmap, exact, mode="modified"):
@@ -544,7 +545,7 @@ def _fail_scheme(monkeypatch, scheme, action):
 
 
 # the two studies that fork, as RunConfig fields: the worker solves the
-# original scheme of both, or computes the best approximations of one
+# modified scheme of both, or computes the best approximations of one
 FORKED = {
     "schemes": {"scheme": "both", "ns": (3,), "tasks": ("errors",)},
     "walks": {"scheme": "modified", "ns": (cli.SPLIT_MIN_N,),
@@ -562,10 +563,10 @@ def _argv(split, out):
 
 def _fail_worker(monkeypatch, split, action):
     """Run ``action()`` in the worker's part of the study of
-    ``FORKED[split]``: the load of the original scheme, or the best
+    ``FORKED[split]``: the load of the modified scheme, or the best
     approximations, which only the worker computes."""
     if split == "schemes":
-        _fail_scheme(monkeypatch, "original", action)
+        _fail_scheme(monkeypatch, "modified", action)
         return
     approximate = analysis.best_approximation
 
@@ -696,7 +697,8 @@ def test_one_scheme_forks_from_split_min_n_for_a_split_task(monkeypatch):
     system.SingularSystem("stub failure")])
 def test_worker_failure_reaches_main(tmp_path, monkeypatch, capsys, exc):
     # raised in the worker, pickled through the pipe, raised here with its
-    # message, residual and tail intact, in both forked studies
+    # message, residual and tail intact, in both forked studies, after the
+    # records the serial loop prints before the failing scheme
     def fail():
         raise exc
 
@@ -709,17 +711,21 @@ def test_worker_failure_reaches_main(tmp_path, monkeypatch, capsys, exc):
                                       out_dir=str(tmp_path)))
             assert str(err.value) == "stub failure"
             assert vars(err.value) == vars(exc)
+            capsys.readouterr()
             rc = cli.main(_argv(split, tmp_path))
         assert rc == cli.EXIT_SOLVER
         captured = capsys.readouterr()
         assert captured.err == "solver failure: stub failure\n"
-        assert "solved" not in captured.out
+        schemes = cli.RunConfig(scheme=FORKED[split]["scheme"]).schemes
+        assert re.findall(r"scheme=(\w+): solved", captured.out) == \
+            list(schemes[:-1])
 
 
-def test_parent_failure_comes_after_the_worker_record(tmp_path, monkeypatch,
-                                                      capsys):
+def test_second_scheme_failure_comes_after_the_first_record(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
     # as in the serial loop, the original record is printed before the
-    # modified scheme's failure
+    # modified scheme's failure, which the worker raises
     def fail():
         raise system.SingularSystem("stub failure")
 
@@ -736,6 +742,50 @@ def test_parent_failure_comes_after_the_worker_record(tmp_path, monkeypatch,
                               captured.out))
     assert outputs[0] == outputs[1]
     assert "n=3 scheme=original: solved" in outputs[0]
+
+
+def test_first_scheme_failure_does_not_wait_for_the_second(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    # the serial loop never starts the modified scheme after the original
+    # one fails; the forked study ends as soon, terminating a worker whose
+    # modified load would run for a minute
+    def fail():
+        raise system.SingularSystem("stub failure")
+
+    _fail_scheme(monkeypatch, "original", fail)
+    _fail_scheme(monkeypatch, "modified", lambda: time.sleep(60))
+    _cores(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with _deadline(30):
+        rc = cli.main(["--scheme", "both", "--n", "3", "--out",
+                       str(tmp_path)])
+    assert time.perf_counter() - t0 < 30
+    assert rc == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: stub failure\n"
+    assert "solved" not in captured.out
+
+
+def test_consumer_failure_stops_the_worker(tmp_path, monkeypatch):
+    # the first record reaches the caller while the worker solves the
+    # second scheme; a failure in the caller closes the study, which
+    # terminates the worker instead of waiting a minute for it
+    def fail(config, rec):
+        raise OSError(28, "No space left on device")
+
+    _fail_scheme(monkeypatch, "modified", lambda: time.sleep(60))
+    monkeypatch.setattr(cli, "_record_line", fail)
+    _cores(monkeypatch, 2)
+    config = cli.RunConfig(scheme="both", ns=(3,), out_dir=str(tmp_path),
+                           record=str(tmp_path / "record"))
+    t0 = time.perf_counter()
+    # TimeoutError is an OSError too: match the failure's own message
+    with _deadline(30), pytest.raises(OSError, match="No space left"):
+        cli.run(config)
+    assert time.perf_counter() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)      # no worker, running or exited
 
 
 def test_both_schemes_failing_report_the_first_in_study_order(tmp_path,
@@ -760,7 +810,7 @@ def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
     # process does the worker's part, solving its scheme or walking the
     # errors directly, and says so once
     warnings = {
-        "schemes": "warning: the worker solving scheme original exited with "
+        "schemes": "warning: the worker solving scheme modified exited with "
                    "code 7 before sending its record; solving it in this "
                    "process",
         "walks": "warning: the worker computing the best approximations "
@@ -792,15 +842,16 @@ def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
 
 
 def test_interrupted_parent_stops_the_worker(tmp_path, monkeypatch):
-    # ^C in this process, which loads the modified scheme, terminates a
-    # worker that would run for a minute, in both forked studies
+    # ^C in this process, which loads the study's first scheme, terminates
+    # a worker that would run for a minute, in both forked studies
     def interrupt():
         raise KeyboardInterrupt
 
-    _fail_scheme(monkeypatch, "modified", interrupt)
     _cores(monkeypatch, 2)
     for split in sorted(FORKED):
+        first = cli.RunConfig(scheme=FORKED[split]["scheme"]).schemes[0]
         with monkeypatch.context() as patch:
+            _fail_scheme(patch, first, interrupt)
             _fail_worker(patch, split, lambda: time.sleep(60))
             t0 = time.perf_counter()
             with _deadline(30):

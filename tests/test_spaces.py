@@ -218,7 +218,7 @@ def test_dual_basis_rejects_singular_system():
 
 
 def test_gram_matrices_positive_semidefinite(spaces):
-    M0, M1, M2 = dual_gram_matrices(spaces["VK"])
+    M2, M1, M0 = dual_gram_matrices(spaces["VK"])
     for M in (M0, M1, M2):
         assert np.abs(M - M.T).max() == 0.0
         w = np.linalg.eigvalsh(M)
