@@ -13,8 +13,8 @@ Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
 ~1M unknowns).  On a 2-core machine with one BLAS thread (``--threads 1``)
 that run takes ~17 s, each mesh size's modified scheme solved in a forked
-worker beside the original one; the processes peak at 331-343 MB each and
-545 MB together in Pss (``BENCH_baseline.json``, written by
+worker beside the original one; the processes peak at 236-245 MB each and
+400 MB together in Pss (``BENCH_lean-working-set.json``, written by
 ``scripts/bench.py``).  In one process it took 28.7 s at a 356 MB peak
 (``BENCH_a74fc7c.json``).  Without a thread setting the study stays in one
 process (see ``cli._can_fork``).

@@ -80,8 +80,9 @@ def _block_error(block_coeffs, tag, exact, mesh, best):
     cell.  ``best``, when given, is the ``best_approximation`` of the exact
     solution from that space, and the split
     ||g - g_h||^2 = ||g - P g||^2 + ||P g - g_h||^2 replaces the walk, its
-    second term exact through the reference Grams.  Each of its columns is
-    used before the next is read."""
+    second term exact through the reference Grams, with every block's
+    coefficients as the fresh array ``block_coeffs(None)``.  Each of its
+    columns is used before the next is read."""
     space, sub = reference_spaces()[tag], _BLOCK_SUB[tag]
     size = sub * mesh.h
     scales = _scales(size)
@@ -89,9 +90,10 @@ def _block_error(block_coeffs, tag, exact, mesh, best):
         sq, roots, columns = best
         acc = np.array(sq, dtype=float)
         for col, (s, root, c) in enumerate(zip(scales, roots, columns)):
-            d = block_coeffs(np.arange((mesh.n // sub) ** 3))
+            d = block_coeffs(None)
             d = np.subtract(c, d, out=d) @ root
             acc[col] += size**3 * s**2 * np.vdot(d, d)
+            del c, d    # before the next column is read
         return ErrorTriple(*np.sqrt(acc))
     grid = TensorGrid.gauss(space, sub)
     acc = np.zeros(3)
@@ -168,10 +170,13 @@ def best_approximation(tag, exact, mesh):
 def error_vs_exact(u_vec, exact, mesh, gmap, best=None):
     """Error triple of a V_h coefficient vector against the exact solution;
     by the split of ``best_approximation("VK", ...)`` when given."""
-    # padded once for the walk, as ``gather`` pads: an eliminated DoF reads 0
+    # padded once for the walk, as ``gather`` pads: an eliminated DoF reads
+    # 0; every cell's by np.take, which reads the DoF table where it is
     ref = np.append(u_vec / mesh.h, 0.0)
-    return _block_error(lambda cells: ref[gmap.cell_vdofs[cells]], "VK",
-                        exact, mesh, best)
+    return _block_error(
+        lambda cells: np.take(ref, gmap.cell_vdofs if cells is None
+                              else gmap.cell_vdofs[cells]),
+        "VK", exact, mesh, best)
 
 
 def gram_norms(space, coeffs, size):
@@ -204,8 +209,9 @@ def superconvergent_error(macro_field, exact, mesh, best=None):
     ...)`` when given."""
     if macro_field.partition.mesh.n != mesh.n:
         raise NonDivisibleMesh("macro partition does not match the mesh")
-    return _block_error(lambda macros: macro_field.coeffs[macros], "VM",
-                        exact, mesh, best)
+    return _block_error(lambda macros: macro_field.coeffs.copy()
+                        if macros is None else macro_field.coeffs[macros],
+                        "VM", exact, mesh, best)
 
 
 def compute_eoc(rows):

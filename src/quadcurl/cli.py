@@ -228,7 +228,9 @@ def study(config):
 
 def _study_n(n, config, exact):
     """The records of one mesh size.  Its schemes share the mesh, DoF map,
-    A, B, the partition and I_h u.  With cores for two processes' BLAS
+    A, B, the partition and I_h u; a two-scheme study builds the last two
+    before its first solve, a one-scheme study after its solve, which never
+    reads them.  With cores for two processes' BLAS
     threads (``_can_fork``) one forked worker (``_Worker``) works beside
     this process, on the job the study gives it: with two schemes it solves
     the second while this process solves the first; with one, from n =
@@ -248,10 +250,14 @@ def _study_n(n, config, exact):
     gmap = system.build_dof_map(mesh)
     A = system.assemble_A(mesh, gmap)
     B = system.assemble_B(mesh, gmap)
-    part = macro_partition(mesh) if "superconv" in tasks else None
-    ihu = (interp.global_interp_Ih(exact, mesh, gmap)
-           if "superclose" in tasks else None)
-    shared = {"mesh": mesh, "gmap": gmap, "partition": part, "ihu": ihu}
+    shared = {"mesh": mesh, "gmap": gmap, "partition": None, "ihu": None}
+
+    def share():
+        """The partition and I_h u of the tasks that read them, once."""
+        if "superconv" in tasks and shared["partition"] is None:
+            shared["partition"] = macro_partition(mesh)
+        if "superclose" in tasks and shared["ihu"] is None:
+            shared["ihu"] = interp.global_interp_Ih(exact, mesh, gmap)
 
     def solve(scheme, best=None):
         """The record of one scheme: its load, solve and every task.
@@ -260,17 +266,18 @@ def _study_n(n, config, exact):
         rhs = system.assemble_rhs(mesh, gmap, exact, mode=scheme)
         sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
         u, _p, info = system.solve_saddle(sys_, tol=config.tol)
+        share()
         rec = StudyRecord(n=n, scheme=scheme, info=info, u=u, **shared)
         for task in tasks:
             if task == "superclose":
-                rec.triples[task] = analysis.superclose_error(u, ihu, mesh,
-                                                              gmap)
+                rec.triples[task] = analysis.superclose_error(u, rec.ihu,
+                                                              mesh, gmap)
                 continue
             if task == "errors":
                 measure = functools.partial(analysis.error_vs_exact, u,
                                             exact, mesh, gmap)
             else:
-                rec.i3h_u = interp.global_I3h(u, mesh, gmap, part)
+                rec.i3h_u = interp.global_I3h(u, mesh, gmap, rec.partition)
                 measure = functools.partial(analysis.superconvergent_error,
                                             rec.i3h_u, exact, mesh)
             trip = None
@@ -289,6 +296,8 @@ def _study_n(n, config, exact):
     schemes = config.schemes
     tags = [SPLIT_SPACES[task] for task in tasks if task in SPLIT_SPACES]
     if len(schemes) == 2:
+        share()     # before the fork: both processes read them
+
         def job(send):
             # the record without the objects of its n that both processes
             # hold

@@ -15,6 +15,8 @@ tiles of blocks as tensor grids, for the load (sub = 1) and the error phases;
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import polyquad
@@ -74,7 +76,12 @@ def face_lattice_order(n):
 class BrickMesh:
     """Uniform n x n x n partition of [0,1]^3 with indexed entities.
 
-    Immutable after construction; all index tables are plain numpy arrays.
+    Holds its sizes and boundary flags.  The lattice and per-cell tables
+    (``edge_table`` ... ``cell_faces``) are ``cached_property`` values, built
+    on first read and kept from then on; the study pipeline reads none of
+    them: ``classify_boundary`` and ``build_dof_map`` build the cell tables
+    for one use (``cell_entities``), and the other readers use the id
+    arithmetic.  At n = 48 the tables take 51 MB.
     """
 
     def __init__(self, n):
@@ -90,8 +97,6 @@ class BrickMesh:
         self.n_edges = 3 * self.edges_per_axis
         self.n_faces = 3 * self.faces_per_axis
 
-        self._build_entity_tables()
-        self._build_cell_tables()
         flags = classify_boundary(self)
         self.vertex_is_boundary = flags["vertices"]
         self.edge_is_boundary = flags["edges"]
@@ -99,11 +104,19 @@ class BrickMesh:
 
     # -- entity lattice tables -------------------------------------------
 
-    def _build_entity_tables(self):
-        n = self.n
-        self.edge_table = edge_lattice_order(n)   # (n_edges, 4): axis,i,j,k
-        self.face_table = face_lattice_order(n)   # (n_faces, 4)
-        self.vertex_table = _lattice((n + 1,) * 3)
+    @cached_property
+    def edge_table(self):
+        """(n_edges, 4) rows axis, i, j, k (``edge_lattice_order``)."""
+        return edge_lattice_order(self.n)
+
+    @cached_property
+    def face_table(self):
+        """(n_faces, 4) rows axis, i, j, k (``face_lattice_order``)."""
+        return face_lattice_order(self.n)
+
+    @cached_property
+    def vertex_table(self):
+        return _lattice((self.n + 1,) * 3)
 
     def vertex_id(self, i, j, k):
         n1 = self.n + 1
@@ -123,29 +136,73 @@ class BrickMesh:
         within = _within_axis_block(axis, i, j, k, self.n + 1, self.n)
         return np.asarray(axis) * self.faces_per_axis + within
 
+    def edge_lattice(self, ids):
+        """``(axis, i, j, k)`` of edge ids, the rows of ``edge_table`` at
+        ``ids``, by division: the inverse of ``edge_id``."""
+        n = self.n
+        axis, within = np.divmod(ids, self.edges_per_axis)
+        within, k = np.divmod(within, np.where(axis == 2, n, n + 1))
+        i, j = np.divmod(within, np.where(axis == 1, n, n + 1))
+        return axis, i, j, k
+
     # -- per-cell connectivity ---------------------------------------------
 
-    def _build_cell_tables(self):
-        n = self.n
-        self.cell_lattice = _lattice((n,) * 3)
-        self.cell_centers = (self.cell_lattice + 0.5) * self.h
-        _, self.cell_vertices, self.cell_edges, self.cell_faces = \
-            self.block_entities(self.cell_lattice, 1)
+    @cached_property
+    def cell_lattice(self):
+        return _lattice((self.n,) * 3)
+
+    @cached_property
+    def cell_centers(self):
+        return (self.cell_lattice + 0.5) * self.h
+
+    @cached_property
+    def cell_vertices(self):
+        return self.cell_entities()[0]
+
+    @cached_property
+    def cell_edges(self):
+        return self.cell_entities()[1]
+
+    @cached_property
+    def cell_faces(self):
+        return self.cell_entities()[2]
+
+    def cell_entities(self):
+        """``(vertices, edges, faces)`` of every cell, built afresh for one
+        use (see ``block_entities``)."""
+        return self.block_entities(_lattice((self.n,) * 3), 1)[1:]
 
     def block_entities(self, corners, sub):
         """``(cells, vertices, edges, faces)`` of the blocks of sub^3 cells
         with low lattice corners ``corners``, each (blocks, local entities):
         local cells and vertices in the order of :func:`_lattice`, edges and
         faces in that of :func:`edge_lattice_order` /
-        :func:`face_lattice_order` at n = sub."""
-        low = corners.T[:, :, None]
-        cells = self.cell_id(*(low + _lattice((sub,) * 3).T[:, None]))
-        verts = self.vertex_id(*(low + _lattice((sub + 1,) * 3).T[:, None]))
-        edges = edge_lattice_order(sub).T
-        edges = self.edge_id(edges[0], *(low + edges[1:, None]))
-        faces = face_lattice_order(sub).T
-        faces = self.face_id(faces[0], *(low + faces[1:, None]))
-        return cells, verts, edges, faces
+        :func:`face_lattice_order` at n = sub.
+
+        Every id is linear in the lattice coordinates, with the strides of
+        the mesh (per axis class for edges and faces), so the id of a local
+        entity of a block is the id of the block's corner plus that of the
+        entity in the block at the origin."""
+        low = corners.T
+        cells = self.cell_id(*low)[:, None] + \
+            self.cell_id(*_lattice((sub,) * 3).T)
+        verts = self.vertex_id(*low)[:, None] + \
+            self.vertex_id(*_lattice((sub + 1,) * 3).T)
+
+        def by_axis(entity_id, local):
+            # local rows (axis, i, j, k), axis-major: one class at a time
+            out = np.empty((len(corners), len(local)), dtype=np.int64)
+            per = len(local) // 3
+            for axis in range(3):
+                offsets = entity_id(axis, *local[axis * per:(axis + 1) * per,
+                                                 1:].T)
+                np.add(entity_id(axis, *low)[:, None],
+                       offsets - entity_id(axis, 0, 0, 0),
+                       out=out[:, axis * per:(axis + 1) * per])
+            return out
+
+        return (cells, verts, by_axis(self.edge_id, edge_lattice_order(sub)),
+                by_axis(self.face_id, face_lattice_order(sub)))
 
 
 def build_mesh(n):
@@ -157,11 +214,12 @@ def classify_boundary(mesh):
     """Boundary flags per entity: an entity is interior iff all the cells
     around it exist (8 around a vertex, 4 around an edge, 2 around a face),
     so it is boundary iff it lies in the closure of the cube boundary."""
-    def short(cell_table, count, around):
-        return np.bincount(cell_table.ravel(), minlength=count) < around
-    return {"vertices": short(mesh.cell_vertices, mesh.n_vertices, 8),
-            "edges": short(mesh.cell_edges, mesh.n_edges, 4),
-            "faces": short(mesh.cell_faces, mesh.n_faces, 2)}
+    flags = {}
+    for kind, table, count, around in zip(
+            ("vertices", "edges", "faces"), mesh.cell_entities(),
+            (mesh.n_vertices, mesh.n_edges, mesh.n_faces), (8, 4, 2)):
+        flags[kind] = np.bincount(table.ravel(), minlength=count) < around
+    return flags
 
 
 class MacroPartition:

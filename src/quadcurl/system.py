@@ -88,9 +88,13 @@ class GlobalDofMap:
 
 def vk_table(edge_vals, face_vals, edges, faces):
     """Per-block table in the VK DoF layout: the entries of ``edge_vals`` at
-    ``edges``, then the two entries of ``face_vals`` at each of ``faces``."""
-    return np.concatenate(
-        [edge_vals[edges], face_vals[faces].reshape(len(faces), -1)], axis=1)
+    ``edges``, then the two entries of ``face_vals`` at each of ``faces``;
+    the parts are copied in one at a time, not joined."""
+    ne = edges.shape[1]
+    table = np.empty((len(edges), ne + 2 * faces.shape[1]), edge_vals.dtype)
+    table[:, :ne] = edge_vals[edges]
+    table[:, ne:] = face_vals[faces].reshape(len(faces), -1)
+    return table
 
 
 def build_dof_map(mesh):
@@ -107,12 +111,12 @@ def build_dof_map(mesh):
     vertex_dof = np.full(mesh.n_vertices, n_qdofs, dtype=np.int64)
     vertex_dof[~mesh.vertex_is_boundary] = np.arange(n_qdofs)
 
+    vertices, edges, faces = mesh.cell_entities()
     return GlobalDofMap(n_vdofs=n_vdofs, n_qdofs=n_qdofs,
                         edge_dof=edge_dof, face_dof=face_dof,
                         vertex_dof=vertex_dof,
-                        cell_vdofs=vk_table(edge_dof, face_dof,
-                                            mesh.cell_edges, mesh.cell_faces),
-                        cell_qdofs=vertex_dof[mesh.cell_vertices])
+                        cell_vdofs=vk_table(edge_dof, face_dof, edges, faces),
+                        cell_qdofs=vertex_dof[vertices])
 
 
 @lru_cache(maxsize=None)
@@ -139,12 +143,27 @@ def scatter_add(entries, dofs, size):
 
 # The (gathered, product) work arrays of every CellOperator; they take
 # memory once an apply writes them, and fresh ones per apply cost more in
-# page faults than the apply itself.  Only one apply runs at a time and the
-# fine A's pair is the largest of its mesh, so one pair serves A, B, G and
-# every V-cycle level.  Each array grows to the largest request (a study
-# builds the fine A of each mesh first); operators built before a growth
-# keep views of the old one.
+# page faults than the apply itself.  An apply gathers one chunk of table
+# rows at a time and keeps the product of every row, which the scatter
+# (``bincount``) reads at once.  Only one apply runs at a time and the fine
+# A's arrays are the largest of its mesh, so one pair serves A, B, G and
+# every V-cycle level, both ways.  Each array grows to the largest request
+# (a study builds the fine A of each mesh first); operators built before a
+# growth keep views of the old one.
 _WORK = [np.empty(0), np.empty(0)]
+# Table rows per gathered chunk at most: 2048 rows of the fine A's 24
+# columns take 384 KB.  An apply of A took as long as with every row
+# gathered at once (interleaved medians of three runs at n = 24 and 48,
+# one BLAS thread on two cores, within 6 % either way).  A chunk holds at
+# most CHUNK * _WIDTH values, so a wider table (P^T gathers the 126 or 360
+# fine DoFs of a coarse cell) takes fewer rows and fits the gather array
+# that the fine A sizes.  The chunks of a table are as even as can be, and of
+# two rows at least: numpy multiplies a single row by gemv, whose sums
+# differ from gemm's, while chunks of two rows or more give bitwise the
+# product of every row at once (OpenBLAS 0.3.31, the layouts of every
+# operator here).
+CHUNK = 2048
+_WIDTH = 24
 
 
 def _work_views(*shapes):
@@ -169,10 +188,10 @@ class CellOperator:
     id outside [0, size) raises IndexError here, once, since the applies
     gather without a bounds check.
 
-    Every apply writes the same pair of work arrays (gathered, product),
-    ``_work_views`` of the process-wide ``_WORK``, so the applies of a
-    process run one at a time; an apply returns a fresh vector, never a
-    view of the pair."""
+    Every apply writes the same pair of work arrays, ``_work_views`` of the
+    process-wide ``_WORK``: a chunk of at most CHUNK gathered table rows
+    and the product of every row.  So the applies of a process run one at
+    a time; an apply returns a fresh vector, never a view of the pair."""
 
     def __init__(self, local, row_dofs, col_dofs, shape):
         for dofs, size in ((row_dofs, shape[0]), (col_dofs, shape[1])):
@@ -184,18 +203,31 @@ class CellOperator:
         # local entries one apply multiplies that couple two numbered DoFs
         self.nnz = int((row_dofs < shape[0]).sum(axis=1)
                        @ (col_dofs < shape[1]).sum(axis=1))
-        # views of the shared work pair, taken once; the transpose swaps
-        # their roles
-        self._work = _work_views(col_dofs.shape, row_dofs.shape)
+        self._take_work()
+
+    def _take_work(self):
+        """Take this direction's views of the shared work pair, a gathered
+        chunk of the column table and the product of every row, and the
+        table rows where its chunks start (see CHUNK)."""
+        n, width = self.cols.shape
+        cap = max(1, min(CHUNK, CHUNK * _WIDTH // width))
+        count = max(1, min(-(-n // cap), n // 2))
+        self._bounds = [n * i // count for i in range(count + 1)]
+        self._work = _work_views((-(-n // count), width), self.rows.shape)
 
     def matvec(self, x):
         """Gather x at the column table, multiply each cell by the local
-        matrix and scatter-add at the row table."""
+        matrix and scatter-add at the row table, a chunk of cells at a
+        time up to the scatter."""
         gathered, product = self._work
-        # the tables were bounds-checked once by __init__; "clip" spares
-        # the buffered copy that np.take makes of ``out`` in "raise" mode
-        np.take(np.append(x, 0.0), self.cols, out=gathered, mode="clip")
-        np.matmul(gathered, self.local.T, out=product)
+        padded = np.append(x, 0.0)
+        for lo, hi in zip(self._bounds, self._bounds[1:]):
+            chunk = gathered[:hi - lo]
+            # the tables were bounds-checked once by __init__; "clip"
+            # spares the buffered copy that np.take makes of ``out`` in
+            # "raise" mode
+            np.take(padded, self.cols[lo:hi], out=chunk, mode="clip")
+            np.matmul(chunk, self.local.T, out=product[lo:hi])
         return scatter_add(product, self.rows, self.shape[0])
 
     def __matmul__(self, x):
@@ -214,16 +246,17 @@ class CellOperator:
         t = copy.copy(self)
         t.local, t.rows, t.cols = self.local.T, self.cols, self.rows
         t.shape = self.shape[::-1]
-        t._work = self._work[::-1]
+        t._take_work()
         return t
 
     def diagonal(self):
-        """Jacobi diagonal; needs one DoF table for rows and columns."""
+        """Jacobi diagonal; needs one DoF table for rows and columns.  Its
+        entries go through the product work array, as an apply's do."""
         if self.cols is not self.rows:
             raise ValueError("diagonal needs one DoF table for both sides")
-        return scatter_add(
-            np.broadcast_to(np.diag(self.local), self.rows.shape), self.rows,
-            self.shape[0])
+        product = self._work[1]
+        product[...] = np.diag(self.local)
+        return scatter_add(product, self.rows, self.shape[0])
 
     def toarray(self):
         """Dense matrix, column by column (for small dense oracles)."""
@@ -249,7 +282,7 @@ def gradient_inclusion_matrix(mesh, gmap):
     interior edges: the edge DoF of a gradient is the head-minus-tail vertex
     difference (local matrix [[1, -1]]); face-curl DoFs vanish."""
     eids = np.where(~mesh.edge_is_boundary)[0]
-    axis, i, j, k = mesh.edge_table[eids].T
+    axis, i, j, k = mesh.edge_lattice(eids)
     tail = mesh.vertex_id(i, j, k)
     head = tail + (mesh.n + 1) ** (2 - axis)    # vertex stride along the axis
     return CellOperator(np.array([[1.0, -1.0]]), gmap.edge_dof[eids, None],
@@ -376,13 +409,12 @@ def multigrid_levels(mesh, gmap, A):
             return levels
         coarse = BrickMesh(mesh.n // sub)
         cmap = build_dof_map(coarse)
-        _, _, edges, faces = mesh.block_entities(
-            sub * _lattice((coarse.n,) * 3), sub)
-        rows = vk_table(gmap.edge_dof, gmap.face_dof, edges, faces)
+        rows = vk_table(gmap.edge_dof, gmap.face_dof, *mesh.block_entities(
+            sub * _lattice((coarse.n,) * 3), sub)[2:])
         level.P = CellOperator(prolongation_matrix(sub), rows,
                                cmap.cell_vdofs, (gmap.n_vdofs, cmap.n_vdofs))
-        level.weights = 1.0 / scatter_add(np.ones(rows.shape), rows,
-                                          gmap.n_vdofs)
+        level.weights = 1.0 / np.bincount(rows.ravel(),
+                                          minlength=gmap.n_vdofs + 1)[:-1]
         mesh, gmap, A = coarse, cmap, assemble_A(coarse, cmap)
 
 
@@ -492,11 +524,14 @@ def _pcg(M, b, atol, maxiter, precond):
         else:
             p *= rho / rho_prev
             p += z
+        # z and q are not alive through the next preconditioner call
+        del z
         q = M @ p
         alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
+        del q
     return x, maxiter, norms
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib.util
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from quadcurl import analysis, checks, cli, polyquad, system
+from quadcurl.mesh import BrickMesh
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 ALL_TASKS = ("errors", "superclose", "superconv")
@@ -516,11 +518,17 @@ def test_cpu_quota_reads_cgroup_files(tmp_path):
     assert quota({}) is None
 
 
+class _Expired(Exception):
+    """A ``_deadline`` passed.  Not an OSError, unlike TimeoutError, so no
+    handler of ``cli`` (the configuration error of ``main``, the serial
+    fallback of a fork that fails) takes it for a failure of its own."""
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
-    """Raise TimeoutError in this process if the block takes longer."""
+    """Raise ``_Expired`` in this process if the block takes longer."""
     def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
+        raise _Expired(f"no result within {seconds} s")
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
@@ -780,8 +788,7 @@ def test_consumer_failure_stops_the_worker(tmp_path, monkeypatch):
     config = cli.RunConfig(scheme="both", ns=(3,), out_dir=str(tmp_path),
                            record=str(tmp_path / "record"))
     t0 = time.perf_counter()
-    # TimeoutError is an OSError too: match the failure's own message
-    with _deadline(30), pytest.raises(OSError, match="No space left"):
+    with _deadline(30), pytest.raises(OSError):
         cli.run(config)
     assert time.perf_counter() - t0 < 30
     with pytest.raises(ChildProcessError):
@@ -859,6 +866,37 @@ def test_interrupted_parent_stops_the_worker(tmp_path, monkeypatch):
         assert rc == 130
         assert time.perf_counter() - t0 < 30
 
+
+
+def test_deadline_passes_through_main(tmp_path, monkeypatch):
+    # a deadline that passes inside ``cli.main``, here in the load, leaves
+    # it as itself: not as a configuration error's exit code
+    _fail_scheme(monkeypatch, "modified", lambda: time.sleep(60))
+    _cores(monkeypatch, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(_Expired), _deadline(1):
+        cli.main(["--n", "3", "--out", str(tmp_path)])
+    assert time.perf_counter() - t0 < 30
+
+
+def test_study_builds_no_mesh_table(monkeypatch):
+    # the study numbers the mesh by its id arithmetic and builds the cell
+    # tables for one use: on the serial path, the one-scheme split and the
+    # two-scheme fork its mesh holds none of the lazy tables
+    lazy = {name for name, attr in vars(BrickMesh).items()
+            if isinstance(attr, functools.cached_property)}
+    assert len(lazy) == 8
+    monkeypatch.setattr(cli, "SPLIT_MIN_N", 6)
+    forked = _count_workers(monkeypatch)
+    for cores, scheme in ((1, "modified"), (2, "modified"), (2, "both")):
+        _cores(monkeypatch, cores)
+        config = cli.RunConfig(scheme=scheme, ns=(6,), tasks=ALL_TASKS)
+        recs = list(cli.study(config))
+        assert [r.scheme for r in recs] == list(config.schemes)
+        for rec in recs:
+            assert not lazy & set(vars(rec.mesh))
+    assert forked == ["computing the best approximations",
+                      "solving scheme modified"]
 
 
 def test_bench_script_reads_records_and_sums_the_tree_pss(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from quadcurl.mesh import (TILE_POINTS, NonDivisibleMesh, build_mesh,
-                           classify_boundary, macro_partition, plane_tiles)
+from quadcurl.mesh import (TILE_POINTS, NonDivisibleMesh, _lattice,
+                           build_mesh, classify_boundary, edge_lattice_order,
+                           face_lattice_order, macro_partition, plane_tiles)
 
 
 @pytest.mark.parametrize("n,cells,verts,edges,faces", [
@@ -170,6 +171,46 @@ def test_entity_ids_invert_lattice_tables():
                               np.arange(mesh.n_edges))
         assert np.array_equal(mesh.face_id(*mesh.face_table.T),
                               np.arange(mesh.n_faces))
+        # and the division back
+        ids = np.arange(mesh.n_edges)[::-1]
+        assert np.array_equal(np.stack(mesh.edge_lattice(ids), axis=1),
+                              mesh.edge_table[ids])
+
+
+def _broadcast_block_entities(mesh, corners, sub):
+    # oracle: every local entity's lattice point shifted by every corner,
+    # broadcast, and numbered by the id functions
+    low = corners.T[:, :, None]
+    cells = mesh.cell_id(*(low + _lattice((sub,) * 3).T[:, None]))
+    verts = mesh.vertex_id(*(low + _lattice((sub + 1,) * 3).T[:, None]))
+    edges = edge_lattice_order(sub).T
+    edges = mesh.edge_id(edges[0], *(low + edges[1:, None]))
+    faces = face_lattice_order(sub).T
+    faces = mesh.face_id(faces[0], *(low + faces[1:, None]))
+    return cells, verts, edges, faces
+
+
+def test_block_entities_match_the_broadcast_construction():
+    for n in range(1, 8):
+        mesh = build_mesh(n)
+        for sub in (1, 2, 3):
+            if n % sub:
+                continue
+            corners = sub * _lattice((n // sub,) * 3)
+            got = mesh.block_entities(corners, sub)
+            for table, want in zip(got, _broadcast_block_entities(
+                    mesh, corners, sub)):
+                assert table.dtype == want.dtype
+                assert np.array_equal(table, want)
+
+
+def test_mesh_tables_are_built_on_first_read():
+    mesh = build_mesh(4)
+    lazy = ("edge_table", "face_table", "vertex_table", "cell_lattice",
+            "cell_centers", "cell_vertices", "cell_edges", "cell_faces")
+    assert not set(lazy) & set(vars(mesh))
+    assert mesh.cell_edges is mesh.cell_edges
+    assert np.array_equal(mesh.cell_faces, mesh.cell_entities()[2])
 
 
 def test_plane_tiles_cover_the_interior_planes_once():

@@ -308,11 +308,12 @@ def test_preconditioner_projects_onto_divergence_free_fields(n, exact):
 
 def test_transpose_shares_the_work_arrays_of_its_operator(monkeypatch):
     # B and B^T, and a prolongation P and P^T, applied in turn: each apply
-    # matches its dense product, and the transpose reads the forward
-    # operator's one pair of work arrays with the roles swapped.  Every
-    # operator of a solve set-up (A, B, G and each V-cycle level's A and P,
-    # built fine A first as ``cli._study_n`` does) views the one shared
-    # pair, which the fine A sizes
+    # matches its dense product, and both directions keep their views of
+    # the one shared pair: a gathered chunk of at most CHUNK table rows and
+    # the product of every row.  Every operator of a solve set-up (A, B, G
+    # and each V-cycle level's A and P, built fine A first as
+    # ``cli._study_n`` does) views the one shared pair both ways, which the
+    # fine A sizes
     monkeypatch.setattr(system, "_WORK", [np.empty(0), np.empty(0)])
     mesh = build_mesh(6)
     gmap = system.build_dof_map(mesh)
@@ -332,19 +333,64 @@ def test_transpose_shares_the_work_arrays_of_its_operator(monkeypatch):
             assert np.abs(op @ y - dense @ y).max() < tol * np.abs(y).sum()
             assert np.abs(op.T @ x - dense.T @ x).max() < tol * np.abs(x).sum()
         assert [id(a) for a in op._work] == pair
-        assert [id(a) for a in op.T._work] == pair[::-1]
-        assert [a.shape for a in op._work] == [op.cols.shape, op.rows.shape]
+        for way, (cols, rows) in ((op, (op.cols, op.rows)),
+                                  (op.T, (op.rows, op.cols))):
+            gathered, product = way._work
+            assert len(gathered) <= system.CHUNK
+            assert gathered.shape[1] == cols.shape[1]
+            assert product.shape == rows.shape
 
     shared = system._WORK
-    assert [a.size for a in shared] == [A.cols.size, A.rows.size]
+    assert [a.size for a in shared] == [
+        min(len(A.cols), system.CHUNK) * A.cols.shape[1], A.rows.size]
     assert len(levels) == 2
     ops = [A, B, G] + [level.A for level in levels] + \
         [level.P for level in levels if level.P is not None]
     for op in ops:
-        for work, buf in zip(op._work, shared):
-            assert np.shares_memory(work, buf)
-        for work, buf in zip(op.T._work, shared[::-1]):
-            assert np.shares_memory(work, buf)
+        for way in (op, op.T):
+            for work, buf in zip(way._work, shared):
+                assert np.shares_memory(work, buf)
+
+
+def _cell_by_cell(op):
+    # reference: the local matrix added into a dense matrix cell by cell,
+    # the eliminated DoFs' slot (the size of each side) cut off at the end
+    dense = np.zeros((op.shape[0] + 1, op.shape[1] + 1))
+    for rows, cols in zip(op.rows, op.cols):
+        np.add.at(dense, np.ix_(rows, cols), op.local)
+    return dense[:-1, :-1]
+
+
+def test_chunked_applies_match_dense_products_and_whole_solves(monkeypatch,
+                                                               exact):
+    # with 5 table rows a chunk, every operator of a solve set-up and its
+    # transpose gathers many chunks, the last one short, and still matches
+    # its dense product; the solve takes bitwise the steps it takes with
+    # every row in one chunk
+    mesh = build_mesh(6)
+    gmap = system.build_dof_map(mesh)
+    monkeypatch.setattr(system, "CHUNK", 5)
+    A = system.assemble_A(mesh, gmap)
+    G = system.gradient_inclusion_matrix(mesh, gmap)
+    B = system.assemble_B(mesh, gmap)
+    P = system.multigrid_levels(mesh, gmap, A)[0].P
+    rng = np.random.default_rng(11)
+    for op in (A, B, B.T, G, P, P.T):
+        assert len(op._work[0]) <= 5 < len(op.cols)
+        dense = _cell_by_cell(op)
+        x = rng.standard_normal(op.shape[1])
+        assert np.abs(op @ x - dense @ x).max() <= \
+            1e-13 * np.abs(dense).max() * np.abs(x).sum()
+
+    solves = []
+    for chunk in (5, mesh.n_cells):
+        monkeypatch.setattr(system, "CHUNK", chunk)
+        sys_ = system.build_system(mesh, gmap, exact, mode="modified")
+        assert len(sys_.A._work[0]) == chunk
+        solves.append(system.solve_saddle(sys_))
+    (u5, p5, info5), (u, p, info) = solves
+    assert info5 == info        # the CG count and every residual norm
+    assert np.array_equal(u5, u) and np.array_equal(p5, p)
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -385,10 +431,11 @@ def test_applies_return_vectors_that_later_applies_leave_alone(n, exact):
     assert not np.shares_memory(x, r)
 
 
-def test_second_solve_stays_within_21_velocity_vectors(exact):
+def test_second_solve_stays_within_18_velocity_vectors(exact):
     # the tracemalloc peak of a solve on a mesh whose A already exists: the
-    # CG vectors, the V-cycle's temporaries and the coarse hierarchy (19.3
-    # vectors at n = 12).  One work pair per operator read 23.7, and 24.6
+    # CG vectors, the V-cycle's temporaries and the coarse hierarchy (17.3
+    # vectors at n = 12).  It read 19.3 with the CG's z and q alive through
+    # the preconditioner, 23.7 with one work pair per operator, and 24.6
     # with the V-cycle's fine residual and the projection's copy alive longer
     mesh = build_mesh(12)
     gmap = system.build_dof_map(mesh)
@@ -401,7 +448,7 @@ def test_second_solve_stays_within_21_velocity_vectors(exact):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 21 * 8 * gmap.n_vdofs
+    assert peak <= 18 * 8 * gmap.n_vdofs
 
 
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
