@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import interp, mms, polyquad, system
-from .mesh import build_mesh, macro_partition
+from .mesh import _lattice, build_mesh, face_lattice_order, macro_partition
 from .polyquad import Poly, PolyField, integrate_exact
 from .spaces import (TensorGrid, coefficient_array, curl_inclusion_residual,
                      dual_gram_matrices, grad_pair, reference_spaces,
@@ -162,24 +162,24 @@ def check_commuting_cell():
 
 def _patch_fields(rng):
     """Random discrete field on a 3x3x3 patch: single-valued DoFs on the patch
-    entities (no boundary elimination), returned as per-cell reference
-    PolyFields plus the shared DoF tables."""
+    entities (no boundary elimination), returned as the patch's cell faces,
+    per-cell reference PolyFields and the edge DoF values."""
     patch = build_mesh(3)
     vk = reference_spaces()["VK"]
     h = 1.0 / 3.0
     edge_vals = rng.standard_normal(patch.n_edges)
     face_vals = rng.standard_normal((patch.n_faces, 2))
-    phys = system.vk_table(edge_vals, face_vals, patch.cell_edges,
-                           patch.cell_faces)
+    _, cell_edges, cell_faces = patch.cell_entities()
+    phys = system.vk_table(edge_vals, face_vals, cell_edges, cell_faces)
     ref = phys / h**vk.dof_scale_power
-    return patch, [vk.combine(r) for r in ref], edge_vals
+    return cell_faces, [vk.combine(r) for r in ref], edge_vals
 
 
 def check_commuting_macro():
     """Macro commuting diagram on a random discrete field over one macro: the
     macro face interpolation of the piecewise curl equals the curl of the
     macro edge interpolation."""
-    patch, fields, edge_vals = _patch_fields(np.random.default_rng(12))
+    cell_faces, fields, edge_vals = _patch_fields(np.random.default_rng(12))
     spcs = reference_spaces()
     vm, wm = spcs["VM"], spcs["WM"]
     h = 1.0 / 3.0
@@ -190,13 +190,12 @@ def check_commuting_macro():
 
     # fine-face normal integrals of the piecewise curl, one adjacent cell each
     pim_ref = np.zeros(wm.dim)
-    _, first = np.unique(patch.cell_faces, return_index=True)
+    _, first = np.unique(cell_faces, return_index=True)
     owner = first // 6      # the first cell, in cell order, holding the face
-    for fid in range(patch.n_faces):
+    cells = _lattice((3,) * 3)
+    for fid, (axis, *lat) in enumerate(face_lattice_order(3)):
         c = owner[fid]
-        axis = patch.face_table[fid, 0]
-        lat = patch.face_table[fid, 1:]
-        side = lat[axis] - patch.cell_lattice[c][axis]    # 0 or 1
+        side = lat[axis] - cells[c, axis]    # 0 or 1
         curl_c = fields[c].curl().comps[axis]
         g = curl_c.substitute(axis, side - 0.5)
         lo, hi = [-0.5] * 3, [0.5] * 3
@@ -274,12 +273,13 @@ def check_face_jumps():
     face_vals[mesh.face_is_boundary] = 0.0
     # local DoF order per face is (t1, t2, n), so cell c's DoFs are its
     # six faces' values in turn
-    cell_ref = face_vals[mesh.cell_faces].reshape(-1, 18) / h**wk.dof_scale_power
+    cell_faces = mesh.cell_entities()[2]
+    cell_ref = face_vals[cell_faces].reshape(-1, 18) / h**wk.dof_scale_power
     fields = [wk.combine(r) for r in cell_ref]
 
     worst = 0.0
     for fid in np.where(~mesh.face_is_boundary)[0]:
-        cells, local = np.nonzero(mesh.cell_faces == fid)
+        cells, local = np.nonzero(cell_faces == fid)
         ints = np.array([[wk.dofs[3 * f + k].apply(fields[c]) for k in range(3)]
                          for c, f in zip(cells, local)]) * h**2
         worst = max(worst, np.abs(ints[0] - ints[1]).max())
@@ -425,8 +425,8 @@ def check_i3h_collapse():
     h = mesh.h
     vals = np.zeros(mesh.n_edges)
     for eid in np.where(~mesh.edge_is_boundary)[0]:
-        axis = mesh.edge_table[eid, 0]
-        P = np.tile(h * mesh.edge_table[eid, 1:], (rule.q, 1))
+        axis, *lat = mesh.edge_lattice(eid)
+        P = np.tile(h * np.array(lat), (rule.q, 1))
         P[:, axis] += h * rule.pts01
         vals[eid] = h * (rule.wts01 @ ex.u_value(P)[:, axis])
     direct = vals[part.macro_edges[0]] / part.macro_size

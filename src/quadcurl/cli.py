@@ -20,7 +20,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -188,18 +188,15 @@ def _merge_config(args):
 
 @dataclass
 class StudyRecord:
-    """One solve of a study: solver facts, the triple of each requested task
-    and the objects later measurements need."""
+    """One solve of a study, as plain facts: its sizes, the solver facts,
+    u_h and the triple of each requested task."""
 
     n: int
     scheme: str
+    velocity_unknowns: int
+    pressure_unknowns: int
     info: dict                  # solver facts from ``system.solve_saddle``
-    mesh: object
-    gmap: object
     u: object                   # V_h coefficients of u_h
-    partition: object = None    # macro partition (superconv task)
-    ihu: object = None          # I_h u (superclose task)
-    i3h_u: object = None        # I3h u_h (superconv task)
     triples: dict = field(default_factory=dict)    # task -> ErrorTriple
     elapsed: float = 0.0        # seconds since this n started
     peak_mb: float = 0.0        # peak RSS of the process that solved it
@@ -230,7 +227,8 @@ def _study_n(n, config, exact):
     """The records of one mesh size.  Its schemes share the mesh, DoF map,
     A, B, the partition and I_h u; a two-scheme study builds the last two
     before its first solve, a one-scheme study after its solve, which never
-    reads them.  With cores for two processes' BLAS
+    reads them.  No record holds any of them, so a record crosses the pipe
+    from the worker as it is.  With cores for two processes' BLAS
     threads (``_can_fork``) one forked worker (``_Worker``) works beside
     this process, on the job the study gives it: with two schemes it solves
     the second while this process solves the first; with one, from n =
@@ -250,7 +248,7 @@ def _study_n(n, config, exact):
     gmap = system.build_dof_map(mesh)
     A = system.assemble_A(mesh, gmap)
     B = system.assemble_B(mesh, gmap)
-    shared = {"mesh": mesh, "gmap": gmap, "partition": None, "ihu": None}
+    shared = {"partition": None, "ihu": None}
 
     def share():
         """The partition and I_h u of the tasks that read them, once."""
@@ -267,19 +265,21 @@ def _study_n(n, config, exact):
         sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
         u, _p, info = system.solve_saddle(sys_, tol=config.tol)
         share()
-        rec = StudyRecord(n=n, scheme=scheme, info=info, u=u, **shared)
+        rec = StudyRecord(n=n, scheme=scheme,
+                          velocity_unknowns=int(gmap.n_vdofs),
+                          pressure_unknowns=int(gmap.n_qdofs), info=info, u=u)
         for task in tasks:
             if task == "superclose":
-                rec.triples[task] = analysis.superclose_error(u, rec.ihu,
-                                                              mesh, gmap)
+                rec.triples[task] = analysis.superclose_error(
+                    u, shared["ihu"], mesh, gmap)
                 continue
             if task == "errors":
                 measure = functools.partial(analysis.error_vs_exact, u,
                                             exact, mesh, gmap)
             else:
-                rec.i3h_u = interp.global_I3h(u, mesh, gmap, rec.partition)
+                i3h_u = interp.global_I3h(u, mesh, gmap, shared["partition"])
                 measure = functools.partial(analysis.superconvergent_error,
-                                            rec.i3h_u, exact, mesh)
+                                            i3h_u, exact, mesh)
             trip = None
             if best is not None:
                 try:
@@ -299,10 +299,7 @@ def _study_n(n, config, exact):
         share()     # before the fork: both processes read them
 
         def job(send):
-            # the record without the objects of its n that both processes
-            # hold
-            pickle.dump(_with_shared(solve(schemes[1]),
-                                     dict.fromkeys(shared)), send)
+            pickle.dump(solve(schemes[1]), send)
 
         best = None
         about = (f"solving scheme {schemes[1]}", "before sending its "
@@ -337,7 +334,7 @@ def _study_n(n, config, exact):
         yield solve(schemes[0], best)
         for scheme in schemes[1:]:
             try:
-                rec = _with_shared(worker.recv(), shared)
+                rec = worker.recv()
             except EOFError:    # the worker died: solve its scheme here
                 rec = solve(scheme)
             yield rec
@@ -455,13 +452,6 @@ def _work(read, write, target):
         os._exit(code)
 
 
-def _with_shared(rec, shared):
-    """``rec`` with the objects both processes hold set from ``shared``;
-    None values detach them for the pipe."""
-    i3h = rec.i3h_u and replace(rec.i3h_u, partition=shared["partition"])
-    return replace(rec, i3h_u=i3h, **shared)
-
-
 def _record_line(config, rec):
     """The ``--record`` line of one solve: the config, the sizes, the solver
     facts (``info``: method, iterations, residual history ``norms``, final
@@ -470,8 +460,8 @@ def _record_line(config, rec):
     import json     # only runs that record pay its import
 
     line = {"config": asdict(config), "n": rec.n, "scheme": rec.scheme,
-            "velocity_unknowns": rec.gmap.n_vdofs,
-            "pressure_unknowns": rec.gmap.n_qdofs, **rec.info,
+            "velocity_unknowns": rec.velocity_unknowns,
+            "pressure_unknowns": rec.pressure_unknowns, **rec.info,
             "elapsed": rec.elapsed, "peak_mb": rec.peak_mb,
             "triples": {task: trip.as_tuple()
                         for task, trip in rec.triples.items()},

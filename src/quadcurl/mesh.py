@@ -15,8 +15,6 @@ tiles of blocks as tensor grids, for the load (sub = 1) and the error phases;
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import polyquad
@@ -76,12 +74,9 @@ def face_lattice_order(n):
 class BrickMesh:
     """Uniform n x n x n partition of [0,1]^3 with indexed entities.
 
-    Holds its sizes and boundary flags.  The lattice and per-cell tables
-    (``edge_table`` ... ``cell_faces``) are ``cached_property`` values, built
-    on first read and kept from then on; the study pipeline reads none of
-    them: ``classify_boundary`` and ``build_dof_map`` build the cell tables
-    for one use (``cell_entities``), and the other readers use the id
-    arithmetic.  At n = 48 the tables take 51 MB.
+    Holds its sizes and boundary flags and no table: the id functions and
+    ``edge_lattice`` number the entities by arithmetic, and
+    ``cell_entities`` builds the per-cell tables for one use.
     """
 
     def __init__(self, n):
@@ -102,22 +97,6 @@ class BrickMesh:
         self.edge_is_boundary = flags["edges"]
         self.face_is_boundary = flags["faces"]
 
-    # -- entity lattice tables -------------------------------------------
-
-    @cached_property
-    def edge_table(self):
-        """(n_edges, 4) rows axis, i, j, k (``edge_lattice_order``)."""
-        return edge_lattice_order(self.n)
-
-    @cached_property
-    def face_table(self):
-        """(n_faces, 4) rows axis, i, j, k (``face_lattice_order``)."""
-        return face_lattice_order(self.n)
-
-    @cached_property
-    def vertex_table(self):
-        return _lattice((self.n + 1,) * 3)
-
     def vertex_id(self, i, j, k):
         n1 = self.n + 1
         return (np.asarray(i) * n1 + np.asarray(j)) * n1 + np.asarray(k)
@@ -137,35 +116,14 @@ class BrickMesh:
         return np.asarray(axis) * self.faces_per_axis + within
 
     def edge_lattice(self, ids):
-        """``(axis, i, j, k)`` of edge ids, the rows of ``edge_table`` at
-        ``ids``, by division: the inverse of ``edge_id``."""
+        """``(axis, i, j, k)`` of edge ids, the rows of
+        ``edge_lattice_order(n)`` at ``ids``, by division: the inverse of
+        ``edge_id``."""
         n = self.n
         axis, within = np.divmod(ids, self.edges_per_axis)
         within, k = np.divmod(within, np.where(axis == 2, n, n + 1))
         i, j = np.divmod(within, np.where(axis == 1, n, n + 1))
         return axis, i, j, k
-
-    # -- per-cell connectivity ---------------------------------------------
-
-    @cached_property
-    def cell_lattice(self):
-        return _lattice((self.n,) * 3)
-
-    @cached_property
-    def cell_centers(self):
-        return (self.cell_lattice + 0.5) * self.h
-
-    @cached_property
-    def cell_vertices(self):
-        return self.cell_entities()[0]
-
-    @cached_property
-    def cell_edges(self):
-        return self.cell_entities()[1]
-
-    @cached_property
-    def cell_faces(self):
-        return self.cell_entities()[2]
 
     def cell_entities(self):
         """``(vertices, edges, faces)`` of every cell, built afresh for one
@@ -211,15 +169,26 @@ def build_mesh(n):
 
 
 def classify_boundary(mesh):
-    """Boundary flags per entity: an entity is interior iff all the cells
-    around it exist (8 around a vertex, 4 around an edge, 2 around a face),
-    so it is boundary iff it lies in the closure of the cube boundary."""
-    flags = {}
-    for kind, table, count, around in zip(
-            ("vertices", "edges", "faces"), mesh.cell_entities(),
-            (mesh.n_vertices, mesh.n_edges, mesh.n_faces), (8, 4, 2)):
-        flags[kind] = np.bincount(table.ravel(), minlength=count) < around
-    return flags
+    """Boundary flags per entity, in id order: an entity is boundary iff it
+    lies in the closure of the cube boundary, that is iff one of its lattice
+    coordinates that run over [0, n] (every one of a vertex, the two across
+    an edge, the normal one of a face) is 0 or n."""
+    n = mesh.n
+    ends = np.zeros(n + 1, dtype=bool)
+    ends[[0, n]] = True
+    inner = np.zeros(n, dtype=bool)
+
+    def box(x, y, z):
+        # lexicographic, as ``_lattice``
+        return (x[:, None, None] | y[:, None] | z).ravel()
+
+    def by_axis(along, across):
+        # axis-major, as ``_axis_major_lattice``
+        return np.concatenate([box(*(along if d == axis else across
+                                     for d in range(3))) for axis in range(3)])
+
+    return {"vertices": box(ends, ends, ends), "edges": by_axis(inner, ends),
+            "faces": by_axis(ends, inner)}
 
 
 class MacroPartition:

@@ -24,7 +24,8 @@ import pytest
 
 from quadcurl import analysis, checks, cli, interp, mms, system
 from quadcurl.analysis import ErrorTriple, compute_eoc
-from quadcurl.mesh import build_mesh
+from quadcurl.mesh import build_mesh, macro_partition
+import golden
 from macro_oracles import macro_norms
 
 # reference study tables: n -> (|curl_h e|_1h, ||curl_h e||_0, ||e||_0);
@@ -65,34 +66,38 @@ def study():
     exact = mms.build_exact_fields()
     data = {"triples": {}, "bounds": {}, "split": {}, "iterations": {},
             "u": {}, "walltime_n24": None}
-    modified = cli.RunConfig(scheme="modified", ns=(6, 12, 18, 24),
-                             tasks=("errors", "superclose", "superconv"))
+    modified, original = golden.STUDIES
     t0 = time.perf_counter()
     for rec in cli.study(modified):
         n = rec.n
         if n == 24:
             data["walltime_n24"] = time.perf_counter() - t0
-        data["iterations"][n] = rec.info["iterations"]
+        data["iterations"][("modified", n)] = rec.info["iterations"]
         data["u"][n] = rec.u
         for task, trip in rec.triples.items():
             data["triples"][("modified", task, n)] = trip
-        # lower bounds and their Pythagorean split, outside the timed leg;
-        # the measured triple by the direct walk, since a study that forks
-        # measures it by that split
-        part = rec.partition
+        # lower bounds and their Pythagorean split, outside the timed leg, on
+        # the mesh, I_h u and I3h u_h rebuilt from n and u_h; the measured
+        # triple by the direct walk, since a study that forks measures it by
+        # that split
+        mesh = build_mesh(n)
+        gmap = system.build_dof_map(mesh)
+        part = macro_partition(mesh)
+        i3h_u = interp.global_I3h(rec.u, mesh, gmap, part)
         data["triples"][("modified", "superconv", n)] = \
-            analysis.superconvergent_error(rec.i3h_u, exact, rec.mesh)
-        sq, _, proj = analysis.best_approximation("VM", exact, rec.mesh)
+            analysis.superconvergent_error(i3h_u, exact, mesh)
+        sq, _, proj = analysis.best_approximation("VM", exact, mesh)
         data["bounds"][n] = ErrorTriple(*np.sqrt(sq))
         data["split"][n] = tuple(
-            macro_norms(interp.MacroField(part, "VM", c - rec.i3h_u.coeffs))
+            macro_norms(interp.MacroField(part, "VM", c - i3h_u.coeffs))
             .as_tuple()[col] for col, c in enumerate(proj))
+        ihu = interp.global_interp_Ih(exact, mesh, gmap)
         data["triples"][("modified", "postclose", n)] = macro_norms(
-            interp.global_I3h(rec.ihu - rec.u, rec.mesh, rec.gmap, part))
+            interp.global_I3h(ihu - rec.u, mesh, gmap, part))
         del rec
         t0 = time.perf_counter()
-    original = cli.RunConfig(scheme="original", ns=(6, 12, 18))
     for rec in cli.study(original):
+        data["iterations"][("original", rec.n)] = rec.info["iterations"]
         data["triples"][("original", "errors", rec.n)] = rec.triples["errors"]
     return data
 
@@ -151,7 +156,8 @@ def test_criterion_1_modified_scheme_errors(study):
         failures.append(f"n=24 leg took {wall:.0f}s (> 900s)")
     # the V-cycle keeps the velocity CG count about constant in n (Jacobi
     # took 42/134/279/480 iterations at n = 6..24)
-    its = study["iterations"]
+    its = {n: k for (scheme, n), k in study["iterations"].items()
+           if scheme == "modified"}
     failures += [f"n={n}: {k} velocity CG iterations (> 30)"
                  for n, k in its.items() if k > 30]
     # refinement must strictly decrease every column
@@ -212,6 +218,24 @@ def test_criterion_4_superconvergence(study):
                   for col in (1, 2)]
     _report(4, "postprocessed superconvergence table (" + "; ".join(shown)
             + ")", failures)
+
+
+def test_study_matches_the_golden_records(study):
+    # every solve of the fixture against its committed full-precision record
+    # (tests/golden.py): the CG count exactly, each triple to 1e-10, which
+    # the split and the direct walks share (they agree to ~1e-13)
+    records = golden.load()
+    assert sorted((g["scheme"], g["n"]) for g in records) == \
+        sorted(study["iterations"])
+    for g in records:
+        key = (g["scheme"], g["n"])
+        assert study["iterations"][key] == g["iterations"], key
+        assert {task for scheme, task, n in study["triples"]
+                if (scheme, n) == key and task != "postclose"} == \
+            set(g["triples"]), key
+        for task, want in g["triples"].items():
+            got = study["triples"][(g["scheme"], task, g["n"])].as_tuple()
+            assert got == pytest.approx(want, rel=1e-10, abs=0), (key, task)
 
 
 def test_criterion_8_correction_sets_the_superclose_rate(study, monkeypatch):

@@ -8,7 +8,8 @@ from quadcurl.checks import (_field_difference, _random_polyfield,
                              check_gradient_orthogonality_quadratics,
                              check_i3h_collapse, check_l2_orthogonality_linears,
                              check_mean_curl_preservation)
-from quadcurl.mesh import build_mesh, macro_partition
+from quadcurl.mesh import (_lattice, build_mesh, face_lattice_order,
+                           macro_partition)
 from quadcurl.polyquad import Poly, PolyField, gauss_rule
 from quadcurl.spaces import CORRECTION_WEIGHT, reference_spaces
 
@@ -21,18 +22,18 @@ def _dof_values(tag, v, corrected=True):
 
 def _edge_rule(mesh, eid, rule):
     """Axis, Gauss points and weights of the mesh edge ``eid``."""
-    axis = mesh.edge_table[eid, 0]
-    P = np.tile(mesh.h * mesh.edge_table[eid, 1:], (rule.q, 1))
+    axis, *lat = mesh.edge_lattice(eid)
+    P = np.tile(mesh.h * np.array(lat), (rule.q, 1))
     P[:, axis] += mesh.h * rule.pts01
     return axis, P, mesh.h * rule.wts01
 
 
 def _face_rule(mesh, fid, rule):
     """Normal axis, Gauss points and weights of the mesh face ``fid``."""
-    axis = mesh.face_table[fid, 0]
+    axis, *lat = face_lattice_order(mesh.n)[fid]
     t1, t2 = [a for a in range(3) if a != axis]
     g1, g2 = np.meshgrid(rule.pts01, rule.pts01, indexing="ij")
-    P = np.tile(mesh.h * mesh.face_table[fid, 1:], (rule.q**2, 1))
+    P = np.tile(mesh.h * np.array(lat), (rule.q**2, 1))
     P[:, t1] += mesh.h * g1.ravel()
     P[:, t2] += mesh.h * g2.ravel()
     return axis, P, mesh.h**2 * np.outer(rule.wts01, rule.wts01).ravel()
@@ -192,9 +193,9 @@ def test_smooth_path_matches_exact_path_on_polynomials():
             d2 = curl.comps[component].diff(component).diff(component)
             return d2(*self._ref(x, y, z)) / h**3
 
+    centers = (_lattice((mesh.n,) * 3) + 0.5) * h
     for K in range(mesh.n_cells):
-        coeffs = interp.global_interp_Ih(CellField(mesh.cell_centers[K]),
-                                         mesh, gmap)
+        coeffs = interp.global_interp_Ih(CellField(centers[K]), mesh, gmap)
         dofs = gmap.cell_vdofs[K]
         inner = dofs < gmap.n_vdofs
         assert inner.any()

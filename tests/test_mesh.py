@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadcurl.mesh import (TILE_POINTS, NonDivisibleMesh, _lattice,
+from quadcurl.mesh import (TILE_POINTS, BrickMesh, NonDivisibleMesh, _lattice,
                            build_mesh, classify_boundary, edge_lattice_order,
                            face_lattice_order, macro_partition, plane_tiles)
 
@@ -37,9 +37,9 @@ def test_interior_counts(n, iv, ie, iface):
     assert (~flags["faces"]).sum() == iface
     # per-axis closed forms
     for axis in range(3):
-        sel = m.edge_table[:, 0] == axis
+        sel = edge_lattice_order(n)[:, 0] == axis
         assert (~m.edge_is_boundary[sel]).sum() == n * (n - 1) ** 2
-        self_f = m.face_table[:, 0] == axis
+        self_f = face_lattice_order(n)[:, 0] == axis
         assert (~m.face_is_boundary[self_f]).sum() == n**2 * (n - 1)
 
 
@@ -50,14 +50,42 @@ def test_boundary_flags_follow_the_midpoint_rule(n):
     # each axis the entity spans
     m = build_mesh(n)
     unit = np.eye(3, dtype=int)
-    midpoints = {"vertices": 2 * m.vertex_table,
-                 "edges": 2 * m.edge_table[:, 1:] + unit[m.edge_table[:, 0]],
-                 "faces": 2 * m.face_table[:, 1:] + 1
-                 - unit[m.face_table[:, 0]]}
+    edges, faces = edge_lattice_order(n), face_lattice_order(n)
+    midpoints = {"vertices": 2 * _lattice((n + 1,) * 3),
+                 "edges": 2 * edges[:, 1:] + unit[edges[:, 0]],
+                 "faces": 2 * faces[:, 1:] + 1 - unit[faces[:, 0]]}
     flags = classify_boundary(m)
     for kind, mid in midpoints.items():
         on_boundary = np.any((mid == 0) | (mid == 2 * n), axis=1)
         assert np.array_equal(flags[kind], on_boundary), kind
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_boundary_flags_follow_cell_incidence(n):
+    # oracle: an entity is interior iff every cell around it exists, 8
+    # around a vertex, 4 around an edge and 2 around a face, counted over
+    # the cell tables
+    m = build_mesh(n)
+    flags = classify_boundary(m)
+    for kind, table, count, around in zip(
+            ("vertices", "edges", "faces"), m.cell_entities(),
+            (m.n_vertices, m.n_edges, m.n_faces), (8, 4, 2)):
+        want = np.bincount(table.ravel(), minlength=count) < around
+        assert flags[kind].dtype == bool and np.array_equal(flags[kind],
+                                                            want), kind
+    assert np.array_equal(m.vertex_is_boundary, flags["vertices"])
+    assert np.array_equal(m.edge_is_boundary, flags["edges"])
+    assert np.array_equal(m.face_is_boundary, flags["faces"])
+
+
+def test_build_mesh_builds_no_cell_table(monkeypatch):
+    # the boundary flags come from the lattice coordinates alone
+    def refuse(*args):
+        raise AssertionError("block_entities called")
+
+    monkeypatch.setattr(BrickMesh, "block_entities", refuse)
+    for n in range(1, 7):
+        build_mesh(n)
 
 
 def test_rejects_empty_mesh():
@@ -68,7 +96,7 @@ def test_rejects_empty_mesh():
 def test_interior_edge_shared_by_four_cells():
     m = build_mesh(3)
     counts = np.zeros(m.n_edges, dtype=int)
-    for row in m.cell_edges:
+    for row in m.cell_entities()[1]:
         counts[row] += 1
     interior = ~m.edge_is_boundary
     assert np.all(counts[interior] == 4)
@@ -77,7 +105,7 @@ def test_interior_edge_shared_by_four_cells():
 def test_interior_face_shared_by_two_cells():
     m = build_mesh(3)
     counts = np.zeros(m.n_faces, dtype=int)
-    for row in m.cell_faces:
+    for row in m.cell_entities()[2]:
         counts[row] += 1
     assert np.all(counts[~m.face_is_boundary] == 2)
     assert np.all(counts[m.face_is_boundary] == 1)
@@ -109,10 +137,11 @@ def test_cell_tables_consistent_with_entity_tables():
     m = build_mesh(2)
     # the first cell's low-corner vertex is (0,0,0) and its x-edges sit at
     # lattice (0, dy, dz)
-    assert m.cell_vertices[0, 0] == m.vertex_id(0, 0, 0)
-    assert m.cell_edges[0, 0] == m.edge_id(0, 0, 0, 0)
-    assert m.cell_faces[0, 0] == m.face_id(0, 0, 0, 0)
-    assert m.cell_faces[0, 1] == m.face_id(0, 1, 0, 0)
+    cell_vertices, cell_edges, cell_faces = m.cell_entities()
+    assert cell_vertices[0, 0] == m.vertex_id(0, 0, 0)
+    assert cell_edges[0, 0] == m.edge_id(0, 0, 0, 0)
+    assert cell_faces[0, 0] == m.face_id(0, 0, 0, 0)
+    assert cell_faces[0, 1] == m.face_id(0, 1, 0, 0)
     # whole tables against a triple loop over the cells: edges axis-major
     # with transverse offsets lexicographic, faces (low, high) per normal
     # axis, vertices with local id dx*4 + dy*2 + dz
@@ -138,8 +167,9 @@ def test_cell_tables_consistent_with_entity_tables():
                     verts.append([m.vertex_id(i + a, j + b, k + c)
                                   for a in (0, 1) for b in (0, 1)
                                   for c in (0, 1)])
-        for table, want in ((m.cell_edges, edges), (m.cell_faces, faces),
-                             (m.cell_vertices, verts)):
+        cell_vertices, cell_edges, cell_faces = m.cell_entities()
+        for table, want in ((cell_edges, edges), (cell_faces, faces),
+                             (cell_vertices, verts)):
             assert table.shape == (n**3, len(want[0]))
             assert np.array_equal(table, np.array(want))
 
@@ -147,7 +177,8 @@ def test_cell_tables_consistent_with_entity_tables():
 def test_centers_and_sizes():
     m = build_mesh(4)
     assert m.h == 0.25
-    c0 = m.cell_centers[m.cell_id(1, 2, 3)]
+    # cell ids number the cell lattice lexicographically
+    c0 = (_lattice((4,) * 3)[m.cell_id(1, 2, 3)] + 0.5) * m.h
     assert np.allclose(c0, [0.375, 0.625, 0.875])
 
 
@@ -165,16 +196,15 @@ def _loop_lattice(along, across):
 def test_entity_ids_invert_lattice_tables():
     for n in range(1, 6):
         mesh = build_mesh(n)
-        assert np.array_equal(mesh.edge_table, _loop_lattice(n, n + 1))
-        assert np.array_equal(mesh.face_table, _loop_lattice(n + 1, n))
-        assert np.array_equal(mesh.edge_id(*mesh.edge_table.T),
-                              np.arange(mesh.n_edges))
-        assert np.array_equal(mesh.face_id(*mesh.face_table.T),
-                              np.arange(mesh.n_faces))
+        edges, faces = edge_lattice_order(n), face_lattice_order(n)
+        assert np.array_equal(edges, _loop_lattice(n, n + 1))
+        assert np.array_equal(faces, _loop_lattice(n + 1, n))
+        assert np.array_equal(mesh.edge_id(*edges.T), np.arange(mesh.n_edges))
+        assert np.array_equal(mesh.face_id(*faces.T), np.arange(mesh.n_faces))
         # and the division back
         ids = np.arange(mesh.n_edges)[::-1]
         assert np.array_equal(np.stack(mesh.edge_lattice(ids), axis=1),
-                              mesh.edge_table[ids])
+                              edges[ids])
 
 
 def _broadcast_block_entities(mesh, corners, sub):
@@ -202,15 +232,6 @@ def test_block_entities_match_the_broadcast_construction():
                     mesh, corners, sub)):
                 assert table.dtype == want.dtype
                 assert np.array_equal(table, want)
-
-
-def test_mesh_tables_are_built_on_first_read():
-    mesh = build_mesh(4)
-    lazy = ("edge_table", "face_table", "vertex_table", "cell_lattice",
-            "cell_centers", "cell_vertices", "cell_edges", "cell_faces")
-    assert not set(lazy) & set(vars(mesh))
-    assert mesh.cell_edges is mesh.cell_edges
-    assert np.array_equal(mesh.cell_faces, mesh.cell_entities()[2])
 
 
 def test_plane_tiles_cover_the_interior_planes_once():

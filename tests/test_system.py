@@ -53,10 +53,11 @@ def test_dof_tables_number_interior_dofs_once_and_slot_the_rest(n):
     assert np.all(gmap.edge_dof[~mesh.edge_is_boundary] < nv)
     assert np.all(gmap.face_dof[~mesh.face_is_boundary] < nv)
     assert np.all(gmap.vertex_dof[~mesh.vertex_is_boundary] < nq)
+    vertices, edges, faces = mesh.cell_entities()
     assert np.array_equal(gmap.cell_vdofs,
-                          system.vk_table(gmap.edge_dof, gmap.face_dof,
-                                          mesh.cell_edges, mesh.cell_faces))
-    assert np.array_equal(gmap.cell_qdofs, gmap.vertex_dof[mesh.cell_vertices])
+                          system.vk_table(gmap.edge_dof, gmap.face_dof, edges,
+                                          faces))
+    assert np.array_equal(gmap.cell_qdofs, gmap.vertex_dof[vertices])
 
 
 def test_stiffness_annihilates_gradients(setup3):
@@ -198,7 +199,8 @@ def test_load_matches_pointwise_gauss_reference(exact, monkeypatch):
         for mode, tag in (("original", "VK"), ("modified", "NedelecK")):
             table = dual_value_table(reference_spaces()[tag], pts)
             want = np.zeros(gmap.n_vdofs)
-            for center, dofs in zip(mesh.cell_centers, gmap.cell_vdofs):
+            centers = (mesh_module._lattice((n,) * 3) + 0.5) * h
+            for center, dofs in zip(centers, gmap.cell_vdofs):
                 f = exact.f_value(center + h * pts)
                 local = h * h * np.einsum("gk,igk,g->i", f, table, wts)
                 for dof, val in zip(dofs, local):
