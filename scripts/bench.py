@@ -3,10 +3,16 @@
 
     python scripts/bench.py LABEL [--out DIR]
 
-Runs ``scripts/run_tables.py --extended --threads 1`` on this checkout's
-``src`` three times in child processes and writes ``BENCH_<LABEL>.json`` at
-the repository root.  The runs must agree in every report file and in the
-iterations, residual and triples of every solve.  The record holds the
+Runs ``scripts/run_tables.py --extended`` on this checkout's ``src`` three
+times in child processes and writes ``BENCH_<LABEL>.json`` at the repository
+root.  The children inherit no thread variable (``THREAD_VARS``,
+``QUADCURL_THREADS``), so they time the default: the thread count that
+``cli.main`` sets from the usable cores.  The runs must agree in every
+report file and in the iterations, residual and triples of every solve, and
+every solve that ``tests/data/golden.jsonl`` also holds must match it: the
+CG count exactly, each triple of a task that both hold to 1e-10 relative
+(the golden test's bound); the largest drift is printed and recorded
+(``golden_drift``), and a miss exits non-zero.  The record holds the
 median wall time, the peak resident memory of the largest process of any
 run (``RUSAGE_CHILDREN``), the largest sum of a run's proportional set
 sizes (Pss from ``/proc/PID/smaps_rollup``, Linux, sampled every 0.1 s: a
@@ -41,6 +47,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # runs per record: the record's wall time is their median
 RUNS = 3
 PSS_INTERVAL = 0.1      # seconds between samples of the run's Pss
+GOLDEN = ROOT / "tests" / "data" / "golden.jsonl"
+GOLDEN_RTOL = 1e-10     # the golden test's bound
 
 
 def _git(*args):
@@ -109,8 +117,7 @@ def run(out_dir, env):
     with tempfile.TemporaryDirectory() as tmp:
         record = Path(tmp, "record.jsonl")
         cmd = [sys.executable, str(ROOT / "scripts" / "run_tables.py"),
-               "--extended", "--threads", "1", "--out", str(out_dir),
-               "--record", str(record)]
+               "--extended", "--out", str(out_dir), "--record", str(record)]
         t0 = time.perf_counter()
         proc = subprocess.Popen(cmd, env=env)
         while proc.poll() is None:
@@ -137,6 +144,32 @@ def facts(solves):
              r["triples"]) for r in solves]
 
 
+def golden_drift(runs):
+    """The largest relative drift of the runs' triples from the golden
+    records over every (n, scheme, task) that both hold.  Exits on a CG
+    count that differs, a drift above GOLDEN_RTOL (NaN included) or no
+    triple in common."""
+    golden = {(g["n"], g["scheme"]): g for g in records(GOLDEN)}
+    drifts = []
+    for solve in (r for run in runs for r in run["records"]):
+        key = (solve["n"], solve["scheme"])
+        want = golden.get(key)
+        if want is None:
+            continue
+        if solve["iterations"] != want["iterations"]:
+            raise SystemExit(f"n={key[0]} {key[1]}: {solve['iterations']} "
+                             f"CG iterations, golden {want['iterations']}")
+        for task in want["triples"].keys() & solve["triples"].keys():
+            drifts += [abs(x - y) / abs(y) for x, y in
+                       zip(solve["triples"][task], want["triples"][task])]
+    drift = max(drifts, default=0.0)
+    print(f"largest drift from the golden records {drift:.1e} over "
+          f"{len(drifts)} values")
+    if not drifts or not all(d <= GOLDEN_RTOL for d in drifts):
+        raise SystemExit(f"the runs miss the golden records {GOLDEN}")
+    return drift
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("label", help="names the file BENCH_<label>.json")
@@ -145,8 +178,9 @@ def main(argv=None):
     if not re.fullmatch(r"[\w.-]+", args.label):
         p.error(f"label must be letters, digits, '.', '_' or '-', got "
                 f"{args.label!r}")
-    env = dict(os.environ, PYTHONPATH=str(SRC), **dict.fromkeys(
-        THREAD_VARS, "1"))
+    env = {key: value for key, value in os.environ.items()
+           if key not in THREAD_VARS + ("QUADCURL_THREADS",)}
+    env["PYTHONPATH"] = str(SRC)
     runs, reports = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(RUNS):
@@ -162,10 +196,12 @@ def main(argv=None):
     if any(f != agree[0] for f in agree) or \
             any(r != reports[0] for r in reports) or not agree[0]:
         raise SystemExit("the runs disagree in their solves or reports")
+    drift = golden_drift(runs)
     walls = sorted(r["wall_s"] for r in runs)
     record = {"label": args.label,
-              "command": "scripts/run_tables.py --extended --threads 1",
-              "wall_s": walls[RUNS // 2], "peak_children_mb": peak,
+              "command": "scripts/run_tables.py --extended",
+              "wall_s": walls[RUNS // 2], "golden_drift": drift,
+              "peak_children_mb": peak,
               "peak_pss_total_mb": max(r["peak_pss_total_mb"] for r in runs),
               "pss_interval_s": PSS_INTERVAL, "runs": runs,
               "env": environment(env)}

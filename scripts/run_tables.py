@@ -11,13 +11,17 @@ and writes CSV + Markdown reports:
 Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
-~1M unknowns).  On a 2-core machine with one BLAS thread (``--threads 1``)
-that run takes ~17 s, each mesh size's modified scheme solved in a forked
-worker beside the original one; the processes peak at 236-245 MB each and
-400 MB together in Pss (``BENCH_lean-working-set.json``, written by
-``scripts/bench.py``).  In one process it took 28.7 s at a 356 MB peak
-(``BENCH_a74fc7c.json``).  Without a thread setting the study stays in one
-process (see ``cli._can_fork``).
+~1M unknowns).  With no thread setting the CLI gives each process half the
+usable cores' BLAS threads, so on two cores or more each mesh size's
+modified scheme is solved in a forked worker beside the original one
+(``cli._can_fork``); on one core the study runs in one process.  On a
+2-core machine the ``--extended`` run takes ~15 s that way
+(``BENCH_default-threads.json``, written by ``scripts/bench.py``); the
+processes peak at ~250 MB each and ~400 MB together in Pss.  In one process
+of two BLAS threads it took 25.5-27.3 s at 983a56c, and 28.7 s at a 356 MB
+peak at a74fc7c (``BENCH_a74fc7c.json``).  Half the cores a process is measured on 1 and 2
+cores only; on more it is a guess.  To keep one process, pass ``--threads``
+equal to the core count.
 """
 
 import sys

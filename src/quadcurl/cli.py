@@ -3,7 +3,7 @@ self-test battery.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 invariant
 (self-test) failure.  Heavy imports happen after thread-count handling so that
-``--threads`` (or QUADCURL_THREADS) can still influence the numerics backend.
+the count (``--threads``, QUADCURL_THREADS or the cores) reaches the backend.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
-# the numerics backends' thread variables, which ``--threads`` sets
+# the numerics backends' thread variables, which ``main`` sets
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 DEFAULT_NS = (6, 12, 18, 24)
@@ -131,7 +131,7 @@ def _build_parser():
     p.add_argument("--record",
                    help="append one JSON line per solve to this file")
     p.add_argument("--threads", type=int,
-                   help="numerics backend thread cap (best effort)")
+                   help="BLAS threads a process (default: half the cores)")
     p.add_argument("--config", help="key=value file with the same options")
     return p
 
@@ -344,19 +344,24 @@ def _can_fork():
     """Whether a forked worker can compute beside this process: no
     other Python thread runs (fork would copy the locks it holds) and the
     BLAS threads of both processes fit in the usable cores.  Each process
-    runs as many BLAS threads as the largest thread variable set (main sets
-    them from ``--threads``), else one per core, OpenBLAS's default, which
-    leaves no room for a second process; OpenBLAS reads a count below 1 as
-    unset."""
+    runs ``_blas_threads()`` BLAS threads, else one per core, OpenBLAS's
+    default, which leaves no room for a second process."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return False
-    cores = len(os.sched_getaffinity(0))
-    quota = _cpu_quota()
-    if quota is not None:
-        cores = min(cores, int(quota))
-    blas = max((int(v) for v in map(os.environ.get, THREAD_VARS)
-                if v and v.isdigit() and int(v) >= 1), default=cores)
-    return 2 * blas <= cores
+    cores = _usable_cores()
+    return 2 * (_blas_threads() or cores) <= cores
+
+
+def _usable_cores():
+    """The affinity mask's cores, capped by a cgroup CPU quota."""
+    return int(min(len(os.sched_getaffinity(0)), _cpu_quota() or math.inf))
+
+
+def _blas_threads():
+    """The largest thread variable set (main sets them), or None: OpenBLAS
+    reads a count below 1 as unset."""
+    return max((int(v) for v in map(os.environ.get, THREAD_VARS)
+                if v and v.isdigit() and int(v) >= 1), default=None)
 
 
 def _cpu_quota(root="/sys/fs/cgroup"):
@@ -518,6 +523,10 @@ def main(argv=None):
     source, threads = "--threads", args.threads
     if threads is None and os.environ.get("QUADCURL_THREADS"):
         source, threads = "QUADCURL_THREADS", os.environ["QUADCURL_THREADS"]
+    if threads is None and _blas_threads() is None and \
+            hasattr(os, "sched_getaffinity"):
+        # nothing set: half the usable cores a process, so two fit (_can_fork)
+        threads = max(1, _usable_cores() // 2)
     if threads is not None:
         try:
             count = int(threads)

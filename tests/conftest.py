@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from quadcurl import checks
+from quadcurl import checks, cli
 from quadcurl.polyquad import Poly, PolyField
 from quadcurl.spaces import dual_basis, reference_spaces, span_VK
 
@@ -40,3 +40,18 @@ def no_worker_left():
         return
     pytest.fail(f"child process {pid} left unreaped" if pid else
                 "a child process left running")
+
+
+@pytest.fixture(autouse=True)
+def thread_variables_restored():
+    """``cli.main`` with no thread setting writes the thread variables (half
+    the usable cores), and ``cli._can_fork`` reads them: every test leaves
+    them as it found them, so whether a later study forks does not depend
+    on the order the tests run in."""
+    saved = {var: os.environ.get(var) for var in cli.THREAD_VARS}
+    yield
+    for var, value in saved.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value

@@ -26,6 +26,7 @@ from quadcurl import analysis, checks, cli, interp, mms, system
 from quadcurl.analysis import ErrorTriple, compute_eoc
 from quadcurl.mesh import build_mesh, macro_partition
 import golden
+import symmetry
 from macro_oracles import macro_norms
 
 # reference study tables: n -> (|curl_h e|_1h, ||curl_h e||_0, ||e||_0);
@@ -73,7 +74,7 @@ def study():
         if n == 24:
             data["walltime_n24"] = time.perf_counter() - t0
         data["iterations"][("modified", n)] = rec.info["iterations"]
-        data["u"][n] = rec.u
+        data["u"][("modified", n)] = rec.u
         for task, trip in rec.triples.items():
             data["triples"][("modified", task, n)] = trip
         # lower bounds and their Pythagorean split, outside the timed leg, on
@@ -98,6 +99,7 @@ def study():
         t0 = time.perf_counter()
     for rec in cli.study(original):
         data["iterations"][("original", rec.n)] = rec.info["iterations"]
+        data["u"][("original", rec.n)] = rec.u
         data["triples"][("original", "errors", rec.n)] = rec.triples["errors"]
     return data
 
@@ -238,6 +240,26 @@ def test_study_matches_the_golden_records(study):
             assert got == pytest.approx(want, rel=1e-10, abs=0), (key, task)
 
 
+def test_solutions_share_the_symmetries_of_u(study):
+    # u is an eigenvector of the reflections x_a -> 1 - x_a and the x <-> y
+    # swap, and each maps DoFs to DoFs (tests/symmetry.py): u_h of both
+    # schemes and I_h u, rebuilt from n, must be eigenvectors too
+    exact = mms.build_exact_fields()
+    for n in (6, 12):
+        mesh = build_mesh(n)
+        gmap = system.build_dof_map(mesh)
+        fields = {"I_h u": interp.global_interp_Ih(exact, mesh, gmap),
+                  **{f"{scheme} u_h": study["u"][(scheme, n)]
+                     for scheme in ("modified", "original")}}
+        for name in symmetry.MAPS:
+            # each map is one to one on the interior DoFs
+            _, target, _ = symmetry.dof_map(mesh, gmap, name)
+            assert np.array_equal(np.sort(target), np.arange(gmap.n_vdofs))
+            for label, v in fields.items():
+                assert symmetry.defect(v, mesh, gmap, name) <= 1e-12, \
+                    (n, name, label)
+
+
 def test_criterion_8_correction_sets_the_superclose_rate(study, monkeypatch):
     # the same modified solves against I_h without its h^2/12 correction of
     # the face-curl DoFs: column 1 of |I_h u - u_h| drops to O(h)
@@ -249,8 +271,8 @@ def test_criterion_8_correction_sets_the_superclose_rate(study, monkeypatch):
         mesh = build_mesh(n)
         gmap = system.build_dof_map(mesh)
         ihu = interp.global_interp_Ih(exact, mesh, gmap)
-        plain.append((n, analysis.superclose_error(study["u"][n], ihu, mesh,
-                                                   gmap)))
+        plain.append((n, analysis.superclose_error(study["u"][("modified", n)],
+                                                   ihu, mesh, gmap)))
     corrected = _rows(study, "modified", "superclose", ns)
     failures = ["uncorrected " + f for f in _eoc_failures(
         plain, (1.0,) * 3, 0.2, cols=(0,))]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from quadcurl import analysis, checks, cli, polyquad, system
+import golden
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 ALL_TASKS = ("errors", "superclose", "superconv")
@@ -500,6 +501,54 @@ def test_fork_only_when_both_processes_blas_threads_fit(monkeypatch, cores,
     assert cli._can_fork() is False
 
 
+def _main_on_cores(monkeypatch, tmp_path, cores, quota=None, argv=(),
+                   env=()):
+    """``cli.main`` on a two-scheme n = 3 study, seeing ``cores`` usable
+    cores under a CPU ``quota`` and no thread setting but ``argv`` and the
+    variables ``env``: (the thread variables it leaves, the workers it
+    forked)."""
+    _cores(monkeypatch, cores, threads=None)
+    monkeypatch.setattr(cli, "_cpu_quota", lambda: quota)
+    monkeypatch.delenv("QUADCURL_THREADS", raising=False)
+    for var, value in env:
+        monkeypatch.setenv(var, value)
+    forked = _count_workers(monkeypatch)
+    rc = cli.main(["--scheme", "both", "--n", "3", "--out", str(tmp_path),
+                   "--format", "csv", *argv])
+    assert rc == cli.EXIT_OK
+    return {var: os.environ.get(var) for var in cli.THREAD_VARS}, forked
+
+
+@pytest.mark.parametrize("cores, quota, threads, forks", [
+    (1, None, "1", False),
+    (2, None, "1", True),
+    (8, None, "4", True),
+    (4, 1.5, "1", False),       # a quota of 1.5 CPUs leaves one core
+])
+def test_no_thread_setting_gives_each_process_half_the_usable_cores(
+        monkeypatch, tmp_path, cores, quota, threads, forks):
+    env, forked = _main_on_cores(monkeypatch, tmp_path, cores, quota)
+    assert env == dict.fromkeys(cli.THREAD_VARS, threads)
+    assert forked == (["solving scheme modified"] if forks else [])
+
+
+@pytest.mark.parametrize("argv, env, want", [
+    (["--threads", "3"], (), dict.fromkeys(cli.THREAD_VARS, "3")),
+    ([], [("QUADCURL_THREADS", "3")], dict.fromkeys(cli.THREAD_VARS, "3")),
+    ([], [("OPENBLAS_NUM_THREADS", "3")],
+     {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "3",
+      "MKL_NUM_THREADS": None}),
+])
+def test_an_explicit_thread_setting_wins_over_the_cores(monkeypatch,
+                                                       tmp_path, argv, env,
+                                                       want):
+    # 8 cores would give 4 threads a process; 3 of them still fit twice
+    got, forked = _main_on_cores(monkeypatch, tmp_path, 8, argv=argv,
+                                 env=env)
+    assert got == want
+    assert forked == ["solving scheme modified"]
+
+
 def test_cpu_quota_reads_cgroup_files(tmp_path):
     def quota(files):
         """The quota read from a cgroup root holding ``files``."""
@@ -879,11 +928,17 @@ def test_deadline_passes_through_main(tmp_path, monkeypatch):
     assert time.perf_counter() - t0 < 30
 
 
-def test_bench_script_reads_records_and_sums_the_tree_pss(tmp_path):
+def _bench_script():
+    """scripts/bench.py as a module."""
     path = BENCH_DIR.parent / "scripts" / "bench.py"
     spec = importlib.util.spec_from_file_location("bench_script", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_bench_script_reads_records_and_sums_the_tree_pss(tmp_path):
+    script = _bench_script()
     # a run's record lines, and its solves' facts at full precision
     record = tmp_path / "record.jsonl"
     argv = ["--n", "3", "--task", "all", "--out", str(tmp_path)]
@@ -905,6 +960,34 @@ def test_bench_script_reads_records_and_sums_the_tree_pss(tmp_path):
         child.wait()
     assert {os.getpid(), child.pid} <= set(pss)
     assert all(mb > 0 for mb in pss.values())
+
+
+def test_bench_script_checks_its_runs_against_the_golden_records(capsys):
+    # every solve that the golden file holds, in every run: the CG count
+    # exactly and each triple to 1e-10; a solve it does not hold (n = 36)
+    # is not compared
+    script = _bench_script()
+
+    def drift(task="errors", col=0, scale=1.0, iterations=0):
+        """The drift of two runs of the golden solves, one value of the
+        first scaled and its CG count moved."""
+        solves = golden.load()
+        solves.append(dict(solves[0], n=36, iterations=99))
+        solves[0]["triples"][task][col] *= scale
+        solves[0]["iterations"] += iterations
+        return script.golden_drift([{"records": solves}] * 2)
+
+    assert drift() == 0.0
+    assert drift(col=1, scale=1 + 5e-11) == pytest.approx(5e-11, rel=1e-3)
+    assert "largest drift from the golden records 5.0e-11" in \
+        capsys.readouterr().out
+    for miss in ({"task": "superclose", "col": 2, "scale": 0.0},
+                 {"scale": np.nan}, {"iterations": 1}):
+        with pytest.raises(SystemExit):
+            drift(**miss)
+    with pytest.raises(SystemExit):     # no solve in common
+        script.golden_drift([{"records": []}])
+
 
 # -- every accepted mesh size solves ------------------------------------------
 
