@@ -43,7 +43,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# the checkout's thread variables; cli imports no numerics
+sys.path.insert(0, str(SRC))
+from quadcurl.cli import THREAD_VARS
+
 # runs per record: the record's wall time is their median
 RUNS = 3
 PSS_INTERVAL = 0.1      # seconds between samples of the run's Pss

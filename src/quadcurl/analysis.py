@@ -7,13 +7,15 @@ the walk of the load).  The exact fields enter factored over x
 (``exact.x_factored``), their (y, z) factor built once per column, and the
 discrete field (``TensorGrid``) summed up to its x powers, so a tile's
 weighted squared error per ErrorTriple column is one matmul
-[P_x | -T_x] @ [V; E] and one dot product, every table carrying sqrt(w).  Differences of two
-discrete fields are integrated exactly through the reference Gram matrices,
-which keeps quadrature noise out of the superclose quantity (the smallest
-number in the study).  An error walk also splits by Pythagoras: the
-per-block best approximation of the exact solution (``best_approximation``,
-walked without u_h, so it can run while u_h is solved for) plus an exact
-Gram term of coefficient differences.
+[P_x | -T_x] @ [V; E] and one dot product, every table carrying sqrt(w),
+the discrete field read from one (blocks, dim) coefficient table (u_h's
+over h per cell, or ``interp.global_I3h``'s per macro).  Differences of
+two discrete fields are integrated exactly through the reference Gram
+matrices, which keeps quadrature noise out of the superclose quantity (the
+smallest number in the study).  An error walk also splits by Pythagoras:
+the per-block best approximation of the exact solution
+(``best_approximation``, walked without u_h, so it can run while u_h is
+solved for) plus an exact Gram term of coefficient differences.
 """
 
 from __future__ import annotations
@@ -73,25 +75,26 @@ def _scales(size):
     return (size**-2, 1.0 / size, 1.0)
 
 
-def _block_error(block_coeffs, tag, exact, mesh, best):
+def _block_error(coeffs, tag, exact, mesh, best):
     """Error triple against the exact solution of the field that is, on each
     block of the walk of reference space ``tag``, the combination of its
-    duals with coefficients ``block_coeffs(block ids)``; integrated per fine
-    cell.  ``best``, when given, is the ``best_approximation`` of the exact
+    duals with that block's row of ``coeffs``; integrated per fine cell.
+    ``best``, when given, is the ``best_approximation`` of the exact
     solution from that space, and the split
     ||g - g_h||^2 = ||g - P g||^2 + ||P g - g_h||^2 replaces the walk, its
-    second term exact through the reference Grams, with every block's
-    coefficients as the fresh array ``block_coeffs(None)``.  Each of its
-    columns is used before the next is read."""
+    second term exact through the reference Grams.  The split overwrites
+    the columns of ``best`` with their differences from ``coeffs``, each
+    used before the next is read."""
     space, sub = reference_spaces()[tag], _BLOCK_SUB[tag]
+    if mesh.n % sub or len(coeffs) != (mesh.n // sub) ** 3:
+        raise NonDivisibleMesh(f"{len(coeffs)} blocks do not tile n={mesh.n}")
     size = sub * mesh.h
     scales = _scales(size)
     if best is not None:
         sq, roots, columns = best
         acc = np.array(sq, dtype=float)
         for col, (s, root, c) in enumerate(zip(scales, roots, columns)):
-            d = block_coeffs(None)
-            d = np.subtract(c, d, out=d) @ root
+            d = np.subtract(c, coeffs, out=c) @ root
             acc[col] += size**3 * s**2 * np.vdot(d, d)
             del c, d    # before the next column is read
         return ErrorTriple(*np.sqrt(acc))
@@ -99,7 +102,7 @@ def _block_error(block_coeffs, tag, exact, mesh, best):
     acc = np.zeros(3)
     for blocks, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, sub,
                                          _COLUMNS):
-        coef = block_coeffs(blocks)
+        coef = coeffs[blocks]
         for col, (s, stack) in enumerate(zip(scales, stacks)):
             acc[col] += _tile_error(grid, s * coef, col, tx, stack)
     return ErrorTriple(*np.sqrt(mesh.h**3 * acc))
@@ -141,7 +144,7 @@ def best_approximation(tag, exact, mesh):
     roots of the reference Grams that the second term is measured with
     (``_gram_roots``), and per column the (blocks, dim) reference
     coefficients of P g, in the units of the discrete fields' (V_h
-    coefficients over h per cell, ``MacroField`` coefficients per macro).
+    coefficients over h per cell, ``interp.global_I3h``'s per macro).
     """
     space, sub = reference_spaces()[tag], _BLOCK_SUB[tag]
     if mesh.n % sub:
@@ -170,13 +173,8 @@ def best_approximation(tag, exact, mesh):
 def error_vs_exact(u_vec, exact, mesh, gmap, best=None):
     """Error triple of a V_h coefficient vector against the exact solution;
     by the split of ``best_approximation("VK", ...)`` when given."""
-    # padded once for the walk, as ``gather`` pads: an eliminated DoF reads
-    # 0; every cell's by np.take, which reads the DoF table where it is
-    ref = np.append(u_vec / mesh.h, 0.0)
-    return _block_error(
-        lambda cells: np.take(ref, gmap.cell_vdofs if cells is None
-                              else gmap.cell_vdofs[cells]),
-        "VK", exact, mesh, best)
+    return _block_error(gather(u_vec, gmap.cell_vdofs) / mesh.h, "VK", exact,
+                        mesh, best)
 
 
 def gram_norms(space, coeffs, size):
@@ -203,15 +201,12 @@ def superclose_error(u_vec, ihu_vec, mesh, gmap):
     return discrete_norms(ihu_vec - u_vec, mesh, gmap)
 
 
-def superconvergent_error(macro_field, exact, mesh, best=None):
-    """Error triple of the postprocessed field against the exact solution,
-    integrated per fine cell; by the split of ``best_approximation("VM",
-    ...)`` when given."""
-    if macro_field.partition.mesh.n != mesh.n:
-        raise NonDivisibleMesh("macro partition does not match the mesh")
-    return _block_error(lambda macros: macro_field.coeffs.copy()
-                        if macros is None else macro_field.coeffs[macros],
-                        "VM", exact, mesh, best)
+def superconvergent_error(macro_coeffs, exact, mesh, best=None):
+    """Error triple of the postprocessed field, its (macros, 144) reference
+    V_M coefficients ``macro_coeffs`` (``interp.global_I3h``), against the
+    exact solution, integrated per fine cell; by the split of
+    ``best_approximation("VM", ...)`` when given."""
+    return _block_error(macro_coeffs, "VM", exact, mesh, best)
 
 
 def compute_eoc(rows):

@@ -429,9 +429,9 @@ def check_i3h_collapse():
         P = np.tile(h * np.array(lat), (rule.q, 1))
         P[:, axis] += h * rule.pts01
         vals[eid] = h * (rule.wts01 @ ex.u_value(P)[:, axis])
-    direct = vals[part.macro_edges[0]] / part.macro_size
+    direct = vals[part[0]] / (3 * h)
     scale = max(1.0, float(np.abs(direct).max()))
-    defect = float(np.abs(m1.coeffs[0] - direct).max()) / scale
+    defect = float(np.abs(m1[0] - direct).max()) / scale
     return _result("postprocessing collapses through interpolation",
                    defect, 1e-10)
 

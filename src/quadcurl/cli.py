@@ -64,8 +64,9 @@ class RunConfig:
         if not self.ns or min(self.ns) < 2 or len(set(self.ns)) < len(self.ns):
             raise ValueError(f"mesh sizes must be distinct and >= 2, got "
                              f"{self.ns}")
-        if not self.tasks:
-            raise ValueError("no task given")
+        if not self.tasks or len(set(self.tasks)) < len(self.tasks):
+            raise ValueError(f"tasks must be distinct and at least one, got "
+                             f"{self.tasks}")
         for task in self.tasks:
             if task not in ("errors", "superclose", "superconv"):
                 raise ValueError(f"unknown task {task!r}")
@@ -461,7 +462,8 @@ def _record_line(config, rec):
     """The ``--record`` line of one solve: the config, the sizes, the solver
     facts (``info``: method, iterations, residual history ``norms``, final
     residual), the time and memory, every triple at full precision (JSON
-    writes a float as its ``repr``) and the walk that measured them."""
+    writes a float as its ``repr``), the walk that measured them and the
+    BLAS threads a process, which decide the fork (``_blas_threads``)."""
     import json     # only runs that record pay its import
 
     line = {"config": asdict(config), "n": rec.n, "scheme": rec.scheme,
@@ -470,7 +472,7 @@ def _record_line(config, rec):
             "elapsed": rec.elapsed, "peak_mb": rec.peak_mb,
             "triples": {task: trip.as_tuple()
                         for task, trip in rec.triples.items()},
-            "walk": rec.walk}
+            "walk": rec.walk, "threads": _blas_threads()}
     # numpy scalars as Python numbers
     return json.dumps(line, default=lambda value: value.item())
 

@@ -14,11 +14,11 @@ its one grid kernel, ``factored``).  It integrates the corrected DoFs with
 tensor Gauss rules on the physical entities, where the correction weight is
 ``h^2 * CORRECTION_WEIGHT``; on the scaled frame it is
 ``CORRECTION_WEIGHT``, so one reference operator serves the whole mesh.
+``global_I3h`` returns I3h u_h as a plain (macros, 144) array of reference
+V_M coefficients, read off the fine-edge coefficients of u_h.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,37 +87,16 @@ def global_interp_Ih(fieldobj, mesh, gmap):
     return coeffs
 
 
-@dataclass
-class MacroField:
-    """Piecewise-polynomial field over the macro partition.
-
-    ``coeffs[m]`` are reference DoF values (dual-basis coefficients) of macro
-    ``m`` on its scaled frame; the physical field on macro ``m`` is
-    ``Phi_m((x - center_m) / H)`` with ``H`` the macro edge length.
-    """
-
-    partition: object
-    space_tag: str
-    coeffs: np.ndarray   # (n_macros, ndof)
-
-    @property
-    def space(self):
-        return reference_spaces()[self.space_tag]
-
-    @property
-    def size(self):
-        return self.partition.macro_size
-
-
-def global_I3h(u_coeffs, mesh, gmap, partition):
-    """Macro postprocessing of a V_h coefficient vector.
+def global_I3h(u_coeffs, mesh, gmap, macro_edges):
+    """Macro postprocessing of a V_h coefficient vector: the (macros, 144)
+    reference coefficients of I3h u_h in V_M, one macro per row of
+    ``macro_edges`` (``mesh.macro_partition``), on the macro's scaled frame
+    of edge H = 3h.
 
     The 144 fine-edge tangential integrals of each macro are exactly the V_h
     edge coefficients (boundary edges contribute zero), so no quadrature or
     local solve is involved.
     """
-    if partition.mesh.n != mesh.n:
-        raise NonDivisibleMesh("partition does not match mesh")
-    H = partition.macro_size
-    vals = gather(u_coeffs, gmap.edge_dof[partition.macro_edges])  # (nm, 144)
-    return MacroField(partition, "VM", vals / H)
+    if mesh.n % 3 or len(macro_edges) != (mesh.n // 3) ** 3:
+        raise NonDivisibleMesh("macro partition does not match the mesh")
+    return gather(u_coeffs, gmap.edge_dof[macro_edges]) / (3 * mesh.h)

@@ -8,9 +8,10 @@ single-valued without sign bookkeeping.
 A cell is the sub = 1 case of a block of sub^3 cells; a macroelement is the
 sub = 3 case.  ``BrickMesh.block_entities`` fixes the local order of a
 block's cells, vertices, edges and faces, which is also the DoF order of the
-reference spaces, and ``gauss_tiles`` walks the Gauss points of columns of
-tiles of blocks as tensor grids, for the load (sub = 1) and the error phases;
-``plane_tiles`` cuts the interior lattice planes into tiles of that size.
+reference spaces (``macro_partition``: the (macros, 144) fine edges).
+``gauss_tiles`` walks the Gauss points of columns of tiles of blocks as
+tensor grids, for the load (sub = 1) and the error phases; ``plane_tiles``
+cuts the interior lattice planes into tiles of that size.
 """
 
 from __future__ import annotations
@@ -191,37 +192,15 @@ def classify_boundary(mesh):
             "faces": by_axis(ends, inner)}
 
 
-class MacroPartition:
-    """Disjoint tiling of the mesh into 3 x 3 x 3 macroelements.
-
-    ``macro_edges`` and ``macro_faces`` list the fine entities of each macro in
-    the canonical local order of :func:`edge_lattice_order` /
-    :func:`face_lattice_order` at n = 3, which is the DoF order of the macro
-    element spaces.
-    """
-
-    def __init__(self, mesh):
-        n = mesh.n
-        if n % 3 != 0:
-            raise NonDivisibleMesh(
-                f"macro partition needs n divisible by 3, got n={n}")
-        m = n // 3
-        self.mesh = mesh
-        self.n_macros = m**3
-        self.m = m
-
-        self.macro_lattice = _lattice((m,) * 3)
-        H = 3.0 * mesh.h
-        self.macro_centers = (self.macro_lattice + 0.5) * H
-        self.macro_size = H
-        self.macro_cells, _, self.macro_edges, self.macro_faces = \
-            mesh.block_entities(3 * self.macro_lattice, 3)
-
-
 def macro_partition(mesh):
-    """Macroelement partition of the mesh; raises NonDivisibleMesh unless
-    n is a multiple of 3."""
-    return MacroPartition(mesh)
+    """The fine edges of every 3 x 3 x 3 macroelement, (macros, 144), macros
+    numbered lexicographically on the macro lattice and edges in the order of
+    :func:`edge_lattice_order` at n = 3, the DoF order of the macro space;
+    raises NonDivisibleMesh unless n is a multiple of 3."""
+    if mesh.n % 3:
+        raise NonDivisibleMesh(
+            f"macro partition needs n divisible by 3, got n={mesh.n}")
+    return mesh.block_entities(3 * _lattice((mesh.n // 3,) * 3), 3)[2]
 
 
 # Gauss points per tile: at n = 48 the load and both error walks took 2.35 s

@@ -90,11 +90,11 @@ def study():
         sq, _, proj = analysis.best_approximation("VM", exact, mesh)
         data["bounds"][n] = ErrorTriple(*np.sqrt(sq))
         data["split"][n] = tuple(
-            macro_norms(interp.MacroField(part, "VM", c - i3h_u.coeffs))
-            .as_tuple()[col] for col, c in enumerate(proj))
+            macro_norms(c - i3h_u, mesh).as_tuple()[col]
+            for col, c in enumerate(proj))
         ihu = interp.global_interp_Ih(exact, mesh, gmap)
         data["triples"][("modified", "postclose", n)] = macro_norms(
-            interp.global_I3h(ihu - rec.u, mesh, gmap, part))
+            interp.global_I3h(ihu - rec.u, mesh, gmap, part), mesh)
         del rec
         t0 = time.perf_counter()
     for rec in cli.study(original):

@@ -5,8 +5,7 @@ from quadcurl import analysis, cli, interp, mms, polyquad, system
 from quadcurl import mesh as mesh_module
 from quadcurl.analysis import (ConvergenceReport, DegenerateError, ErrorTriple,
                                compute_eoc, discrete_norms)
-from quadcurl.interp import MacroField
-from quadcurl.mesh import build_mesh, macro_partition
+from quadcurl.mesh import NonDivisibleMesh, build_mesh, macro_partition
 from quadcurl.spaces import dual_gram_matrices, reference_spaces
 from macro_oracles import macro_norms
 from tables import (dual_curl_table, dual_gradcurl_table, dual_value_table,
@@ -124,12 +123,11 @@ def test_error_vs_exact_of_interpolant_is_small(setup3):
 def macro6():
     mesh = build_mesh(6)
     gmap = system.build_dof_map(mesh)
-    part = macro_partition(mesh)
     ex = mms.build_exact_fields()
     # I_M u: the macro edge interpolant reads the exact edge integrals of I_h u
     imu = interp.global_I3h(interp.global_interp_Ih(ex, mesh, gmap),
-                            mesh, gmap, part)
-    return mesh, part, ex, imu
+                            mesh, gmap, macro_partition(mesh))
+    return mesh, ex, imu
 
 
 class _PointwiseGrid:
@@ -147,21 +145,22 @@ class _PointwiseGrid:
 
 
 class _MacroFieldAsExact(_PointwiseGrid):
-    """A MacroField behind the exact-field interface (u, curl u, grad curl u)."""
+    """A macro field, its (macros, 144) reference V_M coefficients on
+    ``mesh``, behind the exact-field interface (u, curl u, grad curl u)."""
 
-    def __init__(self, mf):
-        self.mf = mf
+    def __init__(self, coeffs, mesh):
+        self.coeffs, self.m, self.H = coeffs, mesh.n // 3, 3 * mesh.h
 
     def _eval(self, pts, kind):
-        part = self.mf.partition
-        H = part.macro_size
+        H = self.H
         lat = np.floor(pts / H).astype(int)
-        macro = (lat[:, 0] * part.m + lat[:, 1]) * part.m + lat[:, 2]
+        macro = (lat[:, 0] * self.m + lat[:, 1]) * self.m + lat[:, 2]
+        centers = (lat + 0.5) * H
         out = np.empty((len(pts), 3) + ((3,) if kind == "gc" else ()))
         for m in np.unique(macro):
             sel = macro == m
-            field = self.mf.space.combine(self.mf.coeffs[m])
-            ref = ((pts[sel] - part.macro_centers[m]) / H).T
+            field = reference_spaces()["VM"].combine(self.coeffs[m])
+            ref = ((pts[sel] - centers[sel]) / H).T
             if kind == "val":
                 out[sel] = field(*ref)
             elif kind == "curl":
@@ -220,7 +219,11 @@ def test_split_walk_leaves_out_gradients():
     grad = system.gradient_inclusion_matrix(mesh, gmap) @ q
     grad *= 1e4 * np.abs(v).max() / np.abs(grad).max()
     best = analysis.best_approximation("VK", ex, mesh)
-    want = analysis.error_vs_exact(v, ex, mesh, gmap, best=best).as_tuple()
+    # the split overwrites the columns it is given: the first one a copy
+    sq, roots, columns = best
+    want = analysis.error_vs_exact(
+        v, ex, mesh, gmap,
+        best=(sq, roots, [c.copy() for c in columns])).as_tuple()
     got = analysis.error_vs_exact(v + grad, ex, mesh, gmap,
                                   best=best).as_tuple()
     assert got[:2] == pytest.approx(want[:2], rel=1e-10)
@@ -229,41 +232,53 @@ def test_split_walk_leaves_out_gradients():
     assert got[:2] == pytest.approx(want[:2], rel=1e-10)
 
 
-def _random_macro_field(part, seed):
+def _random_macro_coeffs(mesh, seed):
     rng = np.random.default_rng(seed)
-    return MacroField(part, "VM", rng.standard_normal((part.n_macros, 144)))
+    return rng.standard_normal(((mesh.n // 3) ** 3, 144))
 
 
 def test_macro_norms_match_quadrature(macro6):
     # exact-Gram norms of a macro field against per-fine-cell Gauss
     # integration of its distance to the zero field
-    mesh, part, _ex, _imu = macro6
-    mf = _random_macro_field(part, 3)
-    zero = _MacroFieldAsExact(MacroField(part, "VM", np.zeros_like(mf.coeffs)))
+    mesh, _ex, _imu = macro6
+    mf = _random_macro_coeffs(mesh, 3)
+    zero = _MacroFieldAsExact(np.zeros_like(mf), mesh)
     quad = analysis.superconvergent_error(mf, zero, mesh)
-    exact = macro_norms(mf)
+    exact = macro_norms(mf, mesh)
     for a, b in zip(exact.as_tuple(), quad.as_tuple()):
         assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_best_approximation_of_a_field_in_VM_is_zero(macro6):
-    mesh, part, _ex, _imu = macro6
-    mf = _random_macro_field(part, 4)
-    sq, _, _ = analysis.best_approximation("VM", _MacroFieldAsExact(mf), mesh)
-    for b, norm in zip(np.sqrt(sq), macro_norms(mf).as_tuple()):
+    mesh, _ex, _imu = macro6
+    mf = _random_macro_coeffs(mesh, 4)
+    sq, _, _ = analysis.best_approximation("VM", _MacroFieldAsExact(mf, mesh),
+                                           mesh)
+    for b, norm in zip(np.sqrt(sq), macro_norms(mf, mesh).as_tuple()):
         assert b <= 1e-10 * norm
 
 
 def test_best_approximation_bounds_the_macro_interpolant(macro6):
-    mesh, part, ex, imu = macro6
+    mesh, ex, imu = macro6
     sq, _, coeffs = analysis.best_approximation("VM", ex, mesh)
     err = analysis.superconvergent_error(imu, ex, mesh)
     for col, (b, e) in enumerate(zip(np.sqrt(sq), err.as_tuple())):
         assert 0.0 < b <= e
         # Pythagoras: |u - I_M u|^2 = |u - P_M u|^2 + |P_M u - I_M u|^2
-        rest = macro_norms(
-            MacroField(part, "VM", coeffs[col] - imu.coeffs)).as_tuple()[col]
+        rest = macro_norms(coeffs[col] - imu, mesh).as_tuple()[col]
         assert e**2 == pytest.approx(b**2 + rest**2, rel=1e-8)
+
+
+def test_macro_tables_of_another_mesh_are_refused(macro6):
+    # on the 6-mesh, I3h given the 9-mesh's macro edges and the superconv
+    # walk given 27 macros' coefficients, as the 9-mesh has
+    mesh, ex, _imu = macro6
+    gmap = system.build_dof_map(mesh)
+    with pytest.raises(NonDivisibleMesh):
+        interp.global_I3h(np.zeros(gmap.n_vdofs), mesh, gmap,
+                          macro_partition(build_mesh(9)))
+    with pytest.raises(NonDivisibleMesh):
+        analysis.superconvergent_error(np.zeros((27, 144)), ex, mesh)
 
 
 class _PointwiseOnly(_PointwiseGrid):
@@ -280,8 +295,7 @@ def _assert_triples_close(a, b, rel=1e-12):
         assert x == pytest.approx(y, rel=rel)
 
 
-def _assert_grid_matches_pointwise(mesh, part, ex, imu, monkeypatch,
-                                   tile_points):
+def _assert_grid_matches_pointwise(mesh, ex, imu, monkeypatch, tile_points):
     gmap = system.build_dof_map(mesh)
     pointwise = _PointwiseOnly(ex)
     v = np.random.default_rng(5).standard_normal(gmap.n_vdofs)
@@ -320,11 +334,10 @@ def test_grid_path_matches_pointwise_fallback_at_n9(monkeypatch):
     # of 2 x 3 macros j into 2 and 1
     mesh = build_mesh(9)
     gmap = system.build_dof_map(mesh)
-    part = macro_partition(mesh)
     ex = mms.build_exact_fields()
     imu = interp.global_I3h(interp.global_interp_Ih(ex, mesh, gmap),
-                            mesh, gmap, part)
-    _assert_grid_matches_pointwise(mesh, part, ex, imu, monkeypatch,
+                            mesh, gmap, macro_partition(mesh))
+    _assert_grid_matches_pointwise(mesh, ex, imu, monkeypatch,
                                    (2 * 9 * 6**3, 4 * 6**3, 2 * 18**3,
                                     6 * 18**3))
 
@@ -364,9 +377,8 @@ def _dense_error(coeffs, scales, tables, w, ex, h):
 def test_kernels_match_dense_per_block_formula(n):
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
-    part = macro_partition(mesh)
     ex = mms.build_exact_fields()
-    h, H = mesh.h, part.macro_size
+    h, H = mesh.h, 3 * mesh.h
     v = interp.global_interp_Ih(ex, mesh, gmap) \
         + 1e-2 * np.random.default_rng(7).standard_normal(gmap.n_vdofs)
 
@@ -378,10 +390,10 @@ def test_kernels_match_dense_per_block_formula(n):
 
     vm = reference_spaces()["VM"]
     phys, w, tables = _dense_blocks(mesh, 3, vm)
-    exv = _dense_exact(ex, phys, part.n_macros)
+    exv = _dense_exact(ex, phys, (n // 3) ** 3)
     scales = (H**-2, 1 / H, 1.0)
-    mf = interp.global_I3h(v, mesh, gmap, part)
-    want = _dense_error(mf.coeffs, scales, tables, w, exv, h)
+    mf = interp.global_I3h(v, mesh, gmap, macro_partition(mesh))
+    want = _dense_error(mf, scales, tables, w, exv, h)
     _assert_triples_close(analysis.superconvergent_error(mf, ex, mesh), want)
 
     # the L2 projection per column: (phi_i, u)_w through the pseudo-inverse

@@ -44,11 +44,14 @@ def test_bad_tolerance_is_a_configuration_error(tmp_path, tol):
 
 @pytest.mark.parametrize("args", [["--n", "3,3"], ["--n", "6,3,6"],
                                   ["--n", "1,2", "--task", "superclose"],
-                                  ["--n", "3", "--task", ","]])
+                                  ["--n", "3", "--task", ","],
+                                  ["--n", "3", "--task",
+                                   "errors,errors,superclose"]])
 def test_bad_sizes_and_empty_tasks_fail_before_any_solve(tmp_path, capsys,
                                                         args):
     # a repeated n (no rate between equal sizes), a one-cell mesh (no
-    # interior unknowns) and an empty task list are configuration errors
+    # interior unknowns), an empty task list and a repeated task (computed
+    # twice) are configuration errors
     rc = cli.main(args + ["--out", str(tmp_path / "r")])
     assert rc == cli.EXIT_CONFIG
     assert "solved" not in capsys.readouterr().out
@@ -137,10 +140,11 @@ def test_both_schemes_two_reports(tmp_path):
     assert (tmp_path / "modified_errors.csv").exists()
 
 
-def test_record_appends_one_line_per_solve(tmp_path):
+def test_record_appends_one_line_per_solve(tmp_path, monkeypatch):
     # --record (config key record) appends a JSON line per solve: the
     # config, the unknowns, the solver facts with the residual history, the
-    # time and memory, the triples at full precision and the walk
+    # time and memory, the triples at full precision, the walk and the BLAS
+    # threads a process, which main set
     record, out = tmp_path / "runs.jsonl", tmp_path / "out"
     argv = ["--scheme", "both", "--n", "3,6", "--task", "all", "--out",
             str(out)]
@@ -159,8 +163,9 @@ def test_record_appends_one_line_per_solve(tmp_path):
         assert set(r) == {"config", "n", "scheme", "velocity_unknowns",
                           "pressure_unknowns", "method", "iterations",
                           "norms", "residual", "elapsed", "peak_mb",
-                          "triples", "walk"}
+                          "triples", "walk", "threads"}
         assert r["config"] == config
+        assert r["threads"] == cli._blas_threads() >= 1
         assert r["velocity_unknowns"] == 3 * n * (n - 1)**2 \
             + 6 * n**2 * (n - 1)
         assert r["pressure_unknowns"] == (n - 1)**3
@@ -177,6 +182,13 @@ def test_record_appends_one_line_per_solve(tmp_path):
             row = next(line.split(",") for line in rows.splitlines()
                        if line.startswith(f"{n},"))
             assert [f"{v:.6E}" for v in trip] == row[1::2]
+    # no thread variable set: null
+    for var in cli.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    rec = cli.StudyRecord(n=3, scheme="modified", velocity_unknowns=0,
+                          pressure_unknowns=0, info={}, u=None)
+    line = json.loads(cli._record_line(cli.RunConfig(), rec))
+    assert line["threads"] is None
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -252,16 +252,16 @@ def test_macro_field_evaluation_scaling():
     # the macro interpolant, including the 1/H curl scaling
     mesh = build_mesh(6)
     part = macro_partition(mesh)
-    H = part.macro_size
+    H = 3 * mesh.h
     lin = PolyField((Poly.monomial(0, 1, 0), Poly.zero(), Poly.zero()))
     rule = gauss_rule(4)
     vals = np.empty(144)
-    for idx, eid in enumerate(part.macro_edges[0]):
+    for idx, eid in enumerate(part[0]):
         axis, P, W = _edge_rule(mesh, eid, rule)
         vals[idx] = float(W @ lin(P[:, 0], P[:, 1], P[:, 2])[:, axis])
     field = reference_spaces()["VM"].combine(vals / H)
     pts = np.random.default_rng(6).uniform(0.05, 0.45, (5, 3))
-    ref = ((pts - part.macro_centers[0]) / H).T
+    ref = ((pts - 0.5 * H) / H).T     # macro 0's center (H/2, H/2, H/2)
     assert np.allclose(field(*ref), lin(pts[:, 0], pts[:, 1], pts[:, 2]),
                        atol=1e-11)
     assert np.allclose(field.curl()(*ref)[:, 2] / H, -1.0, atol=1e-10)

@@ -111,20 +111,30 @@ def test_interior_face_shared_by_two_cells():
     assert np.all(counts[m.face_is_boundary] == 1)
 
 
+def _macro_blocks(m):
+    """``block_entities`` of the macros, at the corners of
+    ``macro_partition``: (cells, vertices, edges, faces)."""
+    return m.block_entities(3 * _lattice((m.n // 3,) * 3), 3)
+
+
 def test_macro_partition_single_block():
     m = build_mesh(3)
     part = macro_partition(m)
-    assert part.n_macros == 1
-    assert part.macro_edges.shape == (1, 144)
-    assert part.macro_faces.shape == (1, 108)
-    assert sorted(part.macro_cells[0]) == list(range(27))
+    cells, _, edges, faces = _macro_blocks(m)
+    assert part.shape == (1, 144)
+    assert np.array_equal(part, edges)
+    assert faces.shape == (1, 108)
+    assert sorted(cells[0]) == list(range(27))
 
 
 def test_macro_partition_eight_blocks():
-    part = macro_partition(build_mesh(6))
-    assert part.n_macros == 8
+    m = build_mesh(6)
+    part = macro_partition(m)
+    cells, _, edges, _ = _macro_blocks(m)
+    assert len(part) == 8
+    assert np.array_equal(part, edges)
     # disjoint cover
-    all_cells = np.sort(part.macro_cells.reshape(-1))
+    all_cells = np.sort(cells.reshape(-1))
     assert np.array_equal(all_cells, np.arange(216))
 
 
