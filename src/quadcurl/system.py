@@ -338,7 +338,9 @@ def build_system(mesh, gmap, exact, mode="modified"):
     return SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
 
 
-# Chebyshev smoother of the V-cycle: degree 4 in D^-1 A on [LAMBDA/8, LAMBDA].
+# Chebyshev smoother of the V-cycle: the fourth-kind Chebyshev polynomial of
+# degree 4 in D^-1 A (Lottes, "Optimal polynomial smoothers for multigrid
+# V-cycles", 2023), which needs only an upper bound LAMBDA of the spectrum.
 # LAMBDA = 24/7 is the supremum of the Fourier symbol of D^-1 A: A is
 # translation invariant and D constant per DoF class, so the A of every mesh
 # is a compression of the lattice operator and its spectrum lies below
@@ -347,7 +349,30 @@ def build_system(mesh, gmap, exact, mode="modified"):
 # deterministic.
 CHEBYSHEV_DEGREE = 4
 LAMBDA = 24.0 / 7.0
-LAMBDA_MIN = LAMBDA / 8.0
+
+
+def _fourth_kind_coefficients(degree, lam):
+    """Monomial coefficients c_0 .. c_{degree-1} of the polynomial p of the
+    fourth-kind Chebyshev smoother x = x0 + p(D^-1 A) D^-1 (b - A x0), from
+    its three-term recurrence on polynomials in t = D^-1 A: rho_0 = 1,
+    d_0 = 4 / (3 lam), and for k = 1 .. degree-1 rho_k = rho_{k-1} - t d_{k-1},
+    d_k = (2k-1)/(2k+3) d_{k-1} + (8k+4)/((2k+3) lam) rho_k; p = sum d_k."""
+    rho, d = np.zeros(degree), np.zeros(degree)
+    rho[0], d[0] = 1.0, 4.0 / (3.0 * lam)
+    p = d.copy()
+    for k in range(1, degree):
+        rho[1:] -= d[:-1]
+        d = ((2 * k - 1) * d + (8 * k + 4) / lam * rho) / (2 * k + 3)
+        p += d
+    return p
+
+
+# p(t) s = c_0 (s + c_1/c_0 t (s + c_2/c_1 t (s + c_3/c_2 t s))): Horner's
+# rule, each step one apply of D^-1 A times the ratio plus s; the ratios
+# c_{k+1}/c_k, innermost (k = degree-2) first
+CHEBYSHEV_COEFFICIENTS = _fourth_kind_coefficients(CHEBYSHEV_DEGREE, LAMBDA)
+HORNER_RATIOS = (CHEBYSHEV_COEFFICIENTS[1:]
+                 / CHEBYSHEV_COEFFICIENTS[:-1])[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -373,8 +398,8 @@ def _coarsening(n):
 
 
 # the largest coarsest level, which is only smoothed, that the velocity CG
-# copes with: 34 iterations at n = 13, while at n = 17 the residual stops
-# halving (stagnation) after 10
+# copes with: 31 iterations at n = 13 (33 at n = 26 -> 13), while n = 17
+# takes 50 and at n = 19 the residual stops halving (stagnation) after 10
 MAX_COARSEST = 13
 
 
@@ -419,19 +444,26 @@ def multigrid_levels(mesh, gmap, A):
 
 
 def _chebyshev(level, b, x=None):
-    """x + p(D^-1 A) D^-1 (b - A x), p the Chebyshev polynomial of degree
-    CHEBYSHEV_DEGREE on [LAMBDA_MIN, LAMBDA]; x = None starts from zero
-    without the residual apply."""
-    theta, delta = (LAMBDA + LAMBDA_MIN) / 2.0, (LAMBDA - LAMBDA_MIN) / 2.0
-    r = b if x is None else b - level.A @ x
-    d = level.inv_diag * r / theta
-    x = d.copy() if x is None else x + d
-    rho = delta / theta
-    for _ in range(CHEBYSHEV_DEGREE - 1):
-        r = r - level.A @ d
-        rho, previous = 1.0 / (2.0 * theta / delta - rho), rho
-        d = rho * previous * d + (2.0 * rho / delta) * (level.inv_diag * r)
-        x += d
+    """x + p(D^-1 A) D^-1 (b - A x), p the fourth-kind polynomial of
+    CHEBYSHEV_COEFFICIENTS by Horner's rule; x = None starts from zero
+    without the residual apply, and a given x is updated in place.  Every
+    step works in place on the fresh vector that its apply returns."""
+    if x is None:
+        s = level.inv_diag * b
+    else:
+        s = level.A @ x
+        np.subtract(b, s, out=s)
+        s *= level.inv_diag
+    y = s
+    for ratio in HORNER_RATIOS:
+        y = level.A @ y
+        y *= level.inv_diag
+        y *= ratio
+        y += s
+    y *= CHEBYSHEV_COEFFICIENTS[0]
+    if x is None:
+        return y
+    x += y
     return x
 
 
@@ -459,7 +491,7 @@ def velocity_preconditioner(system, G, s_inv):
     symmetric on them.  Without Q, the gradients that the V-cycle adds
     leave A p unchanged, but their round-off seeds a near-null mode of the
     singular A once the residual nears its floor (n = 48 took 33
-    iterations instead of 17)."""
+    iterations instead of 17 with the first-kind smoother)."""
     levels = multigrid_levels(system.mesh, system.gmap, system.A)
     B = system.B
 
@@ -535,7 +567,7 @@ def _pcg(M, b, atol, maxiter, precond):
     return x, maxiter, norms
 
 
-# cap of the velocity CG, which takes 9-18 iterations at tol 1e-10 for
+# cap of the velocity CG, which takes 8-17 iterations at tol 1e-10 for
 # n = 6..48: it only stops unreachable tolerances that do not stagnate
 MAX_ITERATIONS = 100
 
@@ -554,8 +586,8 @@ def solve_saddle(system, tol=1e-10):
     the tests check.  The velocity solve is ``_pcg`` on the cell operator A,
     preconditioned by one multigrid V-cycle and the projection
     I - G S^-1 B^T (``velocity_preconditioner``), so every CG iterate is
-    divergence-free and the iteration count stays about constant in n (15
-    at n = 24, 17 at n = 48).  Returns (u, p, info), u and p the V_h and Q_h
+    divergence-free and the iteration count stays about constant in n (14
+    at n = 24, 16 at n = 48).  Returns (u, p, info), u and p the V_h and Q_h
     coefficient arrays; info carries the velocity CG iterations, their
     residual norms (``norms``, as ``_pcg`` returns them) and the
     relative residual of the full system, ||B^T u|| included.  A relative

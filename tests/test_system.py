@@ -281,6 +281,33 @@ def test_prolongation_maps_coarse_gradients_to_fine_gradients(n):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("start", ["zero", "nonzero"])
+def test_smoother_is_the_fourth_kind_chebyshev_recurrence(start):
+    # the Horner evaluation of the smoother equals the fourth-kind
+    # Chebyshev three-term recurrence (Lottes 2023) on [0, LAMBDA], written
+    # out here: x_k = x_{k-1} + d_{k-1}, r_k = r_{k-1} - A d_{k-1},
+    # d_k = (2k-1)/(2k+3) d_{k-1} + (8k+4)/((2k+3) LAMBDA) D^-1 r_k
+    mesh = build_mesh(6)
+    gmap = system.build_dof_map(mesh)
+    A = system.assemble_A(mesh, gmap)
+    level = system.Level(A, 1.0 / A.diagonal())
+    rng = np.random.default_rng(12)
+    b = rng.standard_normal(gmap.n_vdofs)
+    x0 = (np.zeros(gmap.n_vdofs) if start == "zero"
+          else rng.standard_normal(gmap.n_vdofs))
+    lam = system.LAMBDA
+    x, r = x0, b - A @ x0
+    d = 4.0 / (3.0 * lam) * level.inv_diag * r
+    for k in range(1, system.CHEBYSHEV_DEGREE):
+        x = x + d
+        r = r - A @ d
+        d = (2 * k - 1) / (2 * k + 3) * d \
+            + (8 * k + 4) / ((2 * k + 3) * lam) * level.inv_diag * r
+    want = x + d
+    got = system._chebyshev(level, b, None if start == "zero" else x0.copy())
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_preconditioner_projects_onto_divergence_free_fields(n, exact):
     # r -> Q V(r), Q = I - G S^-1 B^T: every output is discretely
@@ -433,12 +460,13 @@ def test_applies_return_vectors_that_later_applies_leave_alone(n, exact):
     assert not np.shares_memory(x, r)
 
 
-def test_second_solve_stays_within_18_velocity_vectors(exact):
+def test_second_solve_stays_within_16_velocity_vectors(exact):
     # the tracemalloc peak of a solve on a mesh whose A already exists: the
-    # CG vectors, the V-cycle's temporaries and the coarse hierarchy (17.3
-    # vectors at n = 12).  It read 19.3 with the CG's z and q alive through
-    # the preconditioner, 23.7 with one work pair per operator, and 24.6
-    # with the V-cycle's fine residual and the projection's copy alive longer
+    # CG vectors, the V-cycle's temporaries and the coarse hierarchy (15.3
+    # vectors at n = 12).  It read 17.3 with the first-kind smoother's
+    # three-term recurrence, 19.3 with the CG's z and q alive through the
+    # preconditioner, 23.7 with one work pair per operator, and 24.6 with
+    # the V-cycle's fine residual and the projection's copy alive longer
     mesh = build_mesh(12)
     gmap = system.build_dof_map(mesh)
     sys_ = system.build_system(mesh, gmap, exact, mode="modified")
@@ -450,7 +478,7 @@ def test_second_solve_stays_within_18_velocity_vectors(exact):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * 8 * gmap.n_vdofs
+    assert peak <= 16 * 8 * gmap.n_vdofs
 
 
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
