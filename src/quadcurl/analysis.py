@@ -4,18 +4,22 @@ Errors against the exact (trigonometric) solution are integrated per cell with
 tensor Gauss rules, on the tensor grids of tiles of blocks (cells, or 3^3
 macros) walked a column of tiles at a time (``quadcurl.spaces.gauss_walk``,
 the walk of the load).  The exact fields enter factored over x
-(``exact.x_factored``), their (y, z) factor built once per column, and the
-discrete field (``TensorGrid``) summed up to its x powers, so a tile's
-weighted squared error per ErrorTriple column is one matmul
-[P_x | -T_x] @ [V; E] and one dot product, every table carrying sqrt(w),
-the discrete field read from one (blocks, dim) coefficient table (u_h's
-over h per cell, or ``interp.global_I3h``'s per macro).  Differences of
-two discrete fields are integrated exactly through the reference Gram
-matrices, which keeps quadrature noise out of the superclose quantity (the
-smallest number in the study).  An error walk also splits by Pythagoras:
-the per-block best approximation of the exact solution
-(``best_approximation``, walked without u_h, so it can run while u_h is
-solved for) plus an exact Gram term of coefficient differences.
+(``exact.x_factored``): per ErrorTriple column a stack holds their (y, z)
+factor E, built once per column of tiles from that column's components
+alone, and free rows for the discrete field (``TensorGrid``) summed up to
+its x powers, V.  A tile's weighted squared error per column is then
+[P_x | -T_x] @ [V; E] and its dot product, every table carrying sqrt(w),
+formed and squared in row blocks of the tile's y axis (``_row_blocks``) of
+at most the 384 KB of a cell-operator gather, so that a block is squared
+while it is still in L2; the discrete field is read from one (blocks, dim)
+coefficient table (u_h's over h per cell, or ``interp.global_I3h``'s per
+macro).  Differences of two discrete fields are integrated exactly through
+the reference Gram matrices, in the same row blocks, which keeps quadrature
+noise out of the superclose quantity (the smallest number in the study).
+An error walk also splits by Pythagoras: the per-block best approximation
+of the exact solution (``best_approximation``, walked without u_h, so it
+can run while u_h is solved for) plus an exact Gram term of coefficient
+differences.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import system
 from .mesh import NonDivisibleMesh
 from .spaces import (TensorGrid, dual_gram_matrices, gauss_walk,
                      reference_spaces)
-from .system import gather
 
 
 class DegenerateError(Exception):
@@ -52,16 +56,40 @@ class ErrorTriple:
 _COLUMNS = (slice(0, 9), slice(9, 12), slice(12, 15))
 
 
+def _row_blocks(rows, width):
+    """Slices of ``rows`` rows of ``width`` values in blocks of at most
+    ``system.CHUNK * system._WIDTH`` values (and of one row at least): the
+    384 KB of a cell-operator gather, so a block and the operands it is
+    made from stay in a 2 MB L2 while it is squared."""
+    step = max(1, system.CHUNK * system._WIDTH // width)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 def _tile_error(grid, coeffs, col, tx, stack):
     """Weighted squared error of the field sum_j coeffs[.., j] dual_j of
     column ``col`` on one tile: ||[P_x | -T_x] @ [V; E]||^2, with its x-power
-    factor V written to the free rows of ``stack``.  The square is of the
-    weighted difference itself, never expanded."""
+    factor V written to the free rows of ``stack``.  The residual is formed
+    and squared in row blocks of the tile's y axis (``_row_blocks``), each a
+    view of the stack's rows; the square is of the weighted difference
+    itself, never expanded."""
     d = grid.powers.shape[1]
     grid.factors(coeffs, col, out=stack[:d])
-    r = (np.concatenate([grid.powers, -tx], axis=1)
-         @ stack.reshape(len(stack), -1)).ravel()
-    return np.dot(r, r)
+    lhs = np.concatenate([grid.powers, -tx], axis=1)
+    sq = 0.0
+    for rows in _row_blocks(stack.shape[1], len(lhs) * stack[0, 0].size):
+        r = lhs @ stack[:, rows].reshape(len(stack), -1)
+        sq += np.vdot(r, r)
+    return sq
+
+
+def _gram_square(coeffs, root):
+    """||coeffs @ root||^2, in the row blocks of ``_row_blocks``, so no
+    (rows, rank) product of the whole table exists."""
+    sq = 0.0
+    for rows in _row_blocks(len(coeffs), root.shape[1]):
+        d = coeffs[rows] @ root
+        sq += np.vdot(d, d)
+    return sq
 
 
 # cells per block edge of the walk of each reference space: VK fields are
@@ -82,9 +110,9 @@ def _block_error(coeffs, tag, exact, mesh, best):
     ``best``, when given, is the ``best_approximation`` of the exact
     solution from that space, and the split
     ||g - g_h||^2 = ||g - P g||^2 + ||P g - g_h||^2 replaces the walk, its
-    second term exact through the reference Grams.  The split overwrites
-    the columns of ``best`` with their differences from ``coeffs``, each
-    used before the next is read."""
+    second term exact through the reference Grams, in row blocks
+    (``_gram_square``).  The split overwrites the columns of ``best`` with
+    their differences from ``coeffs``."""
     space, sub = reference_spaces()[tag], _BLOCK_SUB[tag]
     if mesh.n % sub or len(coeffs) != (mesh.n // sub) ** 3:
         raise NonDivisibleMesh(f"{len(coeffs)} blocks do not tile n={mesh.n}")
@@ -94,9 +122,8 @@ def _block_error(coeffs, tag, exact, mesh, best):
         sq, roots, columns = best
         acc = np.array(sq, dtype=float)
         for col, (s, root, c) in enumerate(zip(scales, roots, columns)):
-            d = np.subtract(c, coeffs, out=c) @ root
-            acc[col] += size**3 * s**2 * np.vdot(d, d)
-            del c, d    # before the next column is read
+            np.subtract(c, coeffs, out=c)
+            acc[col] += size**3 * s**2 * _gram_square(c, root)
         return ErrorTriple(*np.sqrt(acc))
     grid = TensorGrid.gauss(space, sub)
     acc = np.zeros(3)
@@ -173,27 +200,27 @@ def best_approximation(tag, exact, mesh):
 def error_vs_exact(u_vec, exact, mesh, gmap, best=None):
     """Error triple of a V_h coefficient vector against the exact solution;
     by the split of ``best_approximation("VK", ...)`` when given."""
-    return _block_error(gather(u_vec, gmap.cell_vdofs) / mesh.h, "VK", exact,
-                        mesh, best)
+    cells = system.gather(u_vec, gmap.cell_vdofs)
+    cells /= mesh.h
+    return _block_error(cells, "VK", exact, mesh, best)
 
 
 def gram_norms(space, coeffs, size):
     """Exact norms of a piecewise field through the reference Gram roots of
-    ``space`` (``_gram_roots``), as ||d R||, which leaves out the kernel
-    part of the coefficients: ``coeffs`` holds the reference DoFs of one
-    cell of edge ``size`` per row."""
-    out = []
-    for power, root in zip((-1, 1, 3), _gram_roots(space)):
-        d = coeffs @ root
-        out.append(math.sqrt(size**power * np.vdot(d, d)))
-    return ErrorTriple(*out)
+    ``space`` (``_gram_roots``), as ||d R|| in row blocks
+    (``_gram_square``), which leaves out the kernel part of the
+    coefficients: ``coeffs`` holds the reference DoFs of one cell of edge
+    ``size`` per row."""
+    return ErrorTriple(*(math.sqrt(size**power * _gram_square(coeffs, root))
+                         for power, root in zip((-1, 1, 3),
+                                                _gram_roots(space))))
 
 
 def discrete_norms(vec, mesh, gmap):
     """Exact norms of a V_h coefficient vector via the reference Gram triple."""
-    h = mesh.h
-    return gram_norms(reference_spaces()["VK"],
-                       gather(vec, gmap.cell_vdofs) / h, h)
+    cells = system.gather(vec, gmap.cell_vdofs)
+    cells /= mesh.h
+    return gram_norms(reference_spaces()["VK"], cells, mesh.h)
 
 
 def superclose_error(u_vec, ihu_vec, mesh, gmap):

@@ -36,8 +36,8 @@ EXTENDED_NS = (36, 48)
 SPLIT_SPACES = {"errors": "VK", "superconv": "VM"}
 # the smallest n whose one-scheme study computes its best approximations in
 # a forked worker.  Medians of 12 studies of every task, one BLAS thread on
-# two cores: 291 ms walked here against 242 ms forked at n = 15, but 137
-# against 197 ms at n = 12 and 30 against 58 ms at n = 6
+# two cores, with the error walks in row blocks: 190 ms walked here against
+# 168 ms forked at n = 15, but 81 against 109 ms at n = 12
 SPLIT_MIN_N = 15
 
 

@@ -203,8 +203,9 @@ def macro_partition(mesh):
     return mesh.block_entities(3 * _lattice((mesh.n // 3,) * 3), 3)[2]
 
 
-# Gauss points per tile: at n = 48 the load and both error walks took 2.35 s
-# at 2^15, 2.59 s at 2^14 and 2.44 s at 2^16 (one BLAS thread, 2 cores)
+# Gauss points per tile: at n = 48 the load and both error walks took 1.57 s
+# at 2^15, 1.96 s at 2^14 and 1.63 s at 2^16 (medians of three, the
+# residual in row blocks; one BLAS thread, 2 cores)
 TILE_POINTS = 2**15
 
 
@@ -236,6 +237,8 @@ def gauss_tiles(mesh, sub):
 
 def plane_tiles(n, per_plane):
     """Interior lattice coordinates 1 .. n - 1 in runs of planes of
-    ``per_plane`` values, about the values of a tile of the 15 error fields."""
+    ``per_plane`` values, at most 15 * TILE_POINTS values (3.9 MB) a run and
+    one plane at least: the size of one exact-field component that
+    ``interp.global_interp_Ih`` reads on a run."""
     tile = max(1, 15 * TILE_POINTS // per_plane)
     return [np.arange(lo, min(lo + tile, n)) for lo in range(1, n, tile)]

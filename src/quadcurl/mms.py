@@ -106,12 +106,14 @@ def _tables(*axes):
                       for a in range(2 * len(FREQS))]) for t in axes]
 
 
-def factored(coef, x, y, z):
-    """Sum factorization of (F, d, d, d) coefficients (powers of pi folded
-    in) on the grid x * y * z, stopped before the x sum: ``(X, E)``,
-    X (len(x), d) the x basis at x and E (d, len(y), len(z), F) the (y, z)
-    factor, so the fields are X @ E over d."""
+def factored(coef, x, y, z, comps=slice(None)):
+    """Sum factorization of the components ``comps`` of (F, d, d, d)
+    coefficients (powers of pi folded in) on the grid x * y * z, stopped
+    before the x sum: ``(X, E)``, X (len(x), d) the x basis at x and
+    E (d, len(y), len(z), len(comps)) the (y, z) factor, so the fields are
+    X @ E over d."""
     tx, ty, tz = _tables(x, y, z)
+    coef = coef[comps]
     zc = np.einsum("cz,fabc->abzf", tz, coef)            # [a, b, z, f]
     E = np.matmul(ty.T, zc.reshape(len(tx), len(ty), -1))  # [a, y, z, f]
     return tx.T, E.reshape(len(tx), ty.shape[1], tz.shape[1], len(coef))
@@ -153,11 +155,11 @@ class ExactFields:
         vals = self.grad_curl_u(*np.moveaxis(pts, -1, 0))
         return vals.reshape(vals.shape[:-1] + (3, 3))
 
-    def x_factored(self, x, y, z):
-        """grad curl u, curl u and u on the grid x * y * z, factored over x
-        (``factored``); components in ErrorTriple column order (grad curl
-        entry 3 i + j is d(curl u)_i / d x_j)."""
-        return factored(self._error_coef, x, y, z)
+    def x_factored(self, x, y, z, comps=slice(None)):
+        """The components ``comps`` of grad curl u, curl u and u on the grid
+        x * y * z, factored over x (``factored``); components in ErrorTriple
+        column order (grad curl entry 3 i + j is d(curl u)_i / d x_j)."""
+        return factored(self._error_coef, x, y, z, comps)
 
     def f_value(self, pts):
         return self.f(*np.moveaxis(pts, -1, 0))

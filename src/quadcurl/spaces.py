@@ -524,21 +524,27 @@ class TensorGrid:
 def gauss_walk(factor, mesh, grid, sub, cols):
     """The Gauss grids of the tiles of blocks of sub^3 cells
     (``quadcurl.mesh.gauss_tiles``) with a field given factored over x by
-    ``factor(x, y, z) -> (X, E)`` (as ``quadcurl.mms.factored``).  Yields
-    ``(blocks, tx, stacks)`` per tile: its (nj, nk) block ids, the x basis
-    at its x points (p, B), and per slice of the field's components in
-    ``cols`` a (d + B, ny, nz, K) stack whose last B rows hold the (y, z)
-    factor, built once per column of tiles, and whose first d rows are
-    free.  Every table carries sqrt(w), like those of ``grid``."""
+    ``factor(x, y, z, comps) -> (X, E)``, E holding the components
+    ``comps`` (as ``quadcurl.mms.factored``).  Yields ``(blocks, tx,
+    stacks)`` per tile: its (nj, nk) block ids, the x basis at its x points
+    (p, B), and per slice of the field's components in ``cols`` a
+    (d + B, ny, nz, K) stack whose last B rows hold the (y, z) factor of
+    those components and whose first d rows are free.  The stacks are built
+    once per column of tiles, each from its own call of ``factor`` whose
+    result is dropped before the next call, so the factor of all the
+    components together never lives beside them.  Every table carries
+    sqrt(w), like those of ``grid``."""
     (p, d), root = grid.powers.shape, grid.scale
     for blocks, x, y, z in gauss_tiles(mesh, sub):
-        X, E = factor(x.ravel(), y, z)
-        B, ny, nz = E.shape[:3]
-        w = np.outer(np.tile(root, ny // p), np.tile(root, nz // p))[..., None]
-        stacks = [np.empty((d + B, ny, nz, c.stop - c.start)) for c in cols]
-        for c, stack in zip(cols, stacks):
-            np.multiply(E[..., c], w, out=stack[d:])
-        X = X.reshape(len(x), p, B) * root[:, None]
+        w = np.outer(np.tile(root, len(y) // p),
+                     np.tile(root, len(z) // p))[..., None]
+        stacks = []
+        for c in cols:
+            X, E = factor(x.ravel(), y, z, c)
+            stacks.append(np.empty((d + len(E),) + E.shape[1:]))
+            np.multiply(E, w, out=stacks[-1][d:])
+            del E       # before the next column's factor is made
+        X = X.reshape(len(x), p, -1) * root[:, None]
         for i, tx in enumerate(X):
             yield blocks[i], tx, stacks
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,8 @@ from quadcurl import mesh as mesh_module
 from quadcurl.analysis import (ConvergenceReport, DegenerateError, ErrorTriple,
                                compute_eoc, discrete_norms)
 from quadcurl.mesh import NonDivisibleMesh, build_mesh, macro_partition
-from quadcurl.spaces import dual_gram_matrices, reference_spaces
+from quadcurl.spaces import (TensorGrid, dual_gram_matrices, gauss_walk,
+                             reference_spaces)
 from macro_oracles import macro_norms
 from tables import (dual_curl_table, dual_gradcurl_table, dual_value_table,
                     gauss_box)
@@ -136,12 +140,12 @@ class _PointwiseGrid:
     Gauss abscissae in a walk) as its x factor: the reference for the
     sum-factorized form of the exact fields."""
 
-    def x_factored(self, x, y, z):
+    def x_factored(self, x, y, z, comps=slice(None)):
         P = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
         flat, grid = P.reshape(-1, 3), P.shape[:3]
         vals = [f(flat).reshape(grid + (-1,)) for f in (
             self.grad_curl_u_value, self.curl_u_value, self.u_value)]
-        return np.eye(len(x)), np.concatenate(vals, axis=-1)
+        return np.eye(len(x)), np.concatenate(vals, axis=-1)[..., comps]
 
 
 class _MacroFieldAsExact(_PointwiseGrid):
@@ -230,6 +234,84 @@ def test_split_walk_leaves_out_gradients():
     want = discrete_norms(v, mesh, gmap).as_tuple()
     got = discrete_norms(v + grad, mesh, gmap).as_tuple()
     assert got[:2] == pytest.approx(want[:2], rel=1e-10)
+
+
+# block sizes (``system.CHUNK`` rows of ``system._WIDTH`` values) that cut
+# the n = 6 arrays into row blocks whose last one is short: 410 cuts the
+# 36 y rows of a VK tile's residual into runs of 5 (grad curl) and 15 (curl,
+# value), 13 the 216 cells of a VK combine into runs of 22 (rank 14) and 13
+# (rank 24) and the 8 macros of a VM one into runs of 3 (rank 81), and 5
+# the cells into runs of 7 (rank 17) and 5 (rank 24)
+_RAGGED_CHUNKS = (5, 13, 410)
+
+
+def test_row_blocks_match_whole_array_forms(macro6, monkeypatch):
+    # the tile residual, the split combine and gram_norms summed in row
+    # blocks against the same sums over the whole arrays
+    mesh, ex, imu = macro6
+    gmap = system.build_dof_map(mesh)
+    rng = np.random.default_rng(11)
+    v = interp.global_interp_Ih(ex, mesh, gmap) \
+        + 1e-2 * rng.standard_normal(gmap.n_vdofs)
+    cells = np.append(v, 0.0)[gmap.cell_vdofs] / mesh.h
+    for chunk in _RAGGED_CHUNKS:
+        monkeypatch.setattr(system, "CHUNK", chunk)
+        for tag, sub, coeffs in (("VK", 1, cells), ("VM", 3, imu)):
+            space = reference_spaces()[tag]
+            size = sub * mesh.h
+            scales = analysis._scales(size)
+            grid = TensorGrid.gauss(space, sub)
+            for blocks, tx, stacks in gauss_walk(
+                    ex.x_factored, mesh, grid, sub, analysis._COLUMNS):
+                coef = rng.standard_normal(blocks.shape + (space.dim,))
+                for col, stack in enumerate(stacks):
+                    got = analysis._tile_error(grid, coef, col, tx, stack)
+                    r = np.concatenate([grid.powers, -tx], axis=1) \
+                        @ stack.reshape(len(stack), -1)
+                    assert got == pytest.approx(np.vdot(r, r), rel=1e-13)
+            sq, roots, columns = analysis.best_approximation(tag, ex, mesh)
+            want = [math.sqrt(a + size**3 * s**2 * np.vdot(d, d))
+                    for a, s, d in zip(sq, scales, ((c - coeffs) @ root
+                                       for c, root in zip(columns, roots)))]
+            got = analysis._block_error(coeffs, tag, ex, mesh,
+                                        (sq, roots, columns))
+            assert got.as_tuple() == pytest.approx(want, rel=1e-13)
+            want = [math.sqrt(size**power * np.vdot(d, d))
+                    for power, d in zip((-1, 1, 3),
+                                        (coeffs @ root for root in roots))]
+            got = analysis.gram_norms(space, coeffs, size)
+            assert got.as_tuple() == pytest.approx(want, rel=1e-13)
+
+
+def test_error_walks_stay_within_their_stacks():
+    # the tracemalloc peaks of the VK walks at n = 12 against the bytes of
+    # the stacks of one column of tiles (the whole (y, z) plane, 5.0 MB):
+    # 1.35 for the error walk and 1.78 for the best approximation, whose
+    # moments take a stack's x powers.  With the tile's residual formed
+    # whole and the factor of all 15 components kept beside the stacks
+    # they read 2.09 and 2.28
+    mesh = build_mesh(12)
+    gmap = system.build_dof_map(mesh)
+    ex = mms.build_exact_fields()
+    v = interp.global_interp_Ih(ex, mesh, gmap)
+    grid = TensorGrid.gauss(reference_spaces()["VK"], 1)
+    _, _, stacks = next(gauss_walk(ex.x_factored, mesh, grid, 1,
+                                   analysis._COLUMNS))
+    stack_bytes = sum(s.nbytes for s in stacks)
+    del stacks
+    for walk, bound in ((lambda: analysis.error_vs_exact(v, ex, mesh, gmap),
+                         1.5),
+                        (lambda: analysis.best_approximation("VK", ex, mesh),
+                         2.0)):
+        walk()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            walk()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * stack_bytes
 
 
 def _random_macro_coeffs(mesh, seed):

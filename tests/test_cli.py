@@ -1020,8 +1020,8 @@ def test_validate_refuses_sizes_whose_hierarchy_ends_above_13():
             refused.append(n)
         else:
             config.validate()
-    # sizes whose coarsest level is above 13: 17 takes 50 CG steps, 19, 23
-    # and 25 stagnate after 10; 13 and 26 (-> 13) solve
+    # sizes whose coarsest level is above 13: 17 takes 50 CG steps, but 34
+    # (-> 17), 19, 23 and 25 stagnate after 10; 13 and 26 (-> 13) solve
     assert {17, 19, 23, 25, 34, 35} <= set(refused)
     assert 13 not in refused and 26 not in refused
 
