@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import math
 import os
 import pickle
@@ -75,18 +74,6 @@ class RunConfig:
             if bad:
                 raise ValueError(
                     f"superconv task needs n divisible by 3, got {bad}")
-        # numpy's import reads the thread variables, which main sets first
-        from .system import MAX_COARSEST, coarsest
-        for n in self.ns:
-            if coarsest(n) > MAX_COARSEST:
-                near = [next(m for m in itertools.count(n + step, step)
-                             if coarsest(m) <= MAX_COARSEST)
-                        for step in (-1, 1)]
-                raise ValueError(
-                    f"n={n}: the multigrid hierarchy, which halves or "
-                    f"thirds the mesh, ends at {coarsest(n)} cells per "
-                    f"edge, above the {MAX_COARSEST} the solver converges "
-                    f"from; nearest accepted sizes {near[0]} and {near[1]}")
         if not self.extended:
             big = [n for n in self.ns if n > max(DEFAULT_NS)]
             if big:

@@ -281,16 +281,19 @@ def test_prolongation_maps_coarse_gradients_to_fine_gradients(n):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("start", ["zero", "nonzero"])
-def test_smoother_is_the_fourth_kind_chebyshev_recurrence(start):
-    # the Horner evaluation of the smoother equals the fourth-kind
-    # Chebyshev three-term recurrence (Lottes 2023) on [0, LAMBDA], written
-    # out here: x_k = x_{k-1} + d_{k-1}, r_k = r_{k-1} - A d_{k-1},
-    # d_k = (2k-1)/(2k+3) d_{k-1} + (8k+4)/((2k+3) LAMBDA) D^-1 r_k
+@pytest.mark.parametrize("start, degree", [
+    ("zero", 4), ("nonzero", 4), ("zero", 14), ("nonzero", 14)],
+    ids=["zero", "nonzero", "zero-14", "nonzero-14"])
+def test_smoother_is_the_fourth_kind_chebyshev_recurrence(start, degree):
+    # the smoother equals the fourth-kind Chebyshev three-term recurrence
+    # (Lottes 2023) on [0, LAMBDA], written out here: x_k = x_{k-1} +
+    # d_{k-1}, r_k = r_{k-1} - A d_{k-1}, d_k = (2k-1)/(2k+3) d_{k-1} +
+    # (8k+4)/((2k+3) LAMBDA) D^-1 r_k; degree 4 by Horner's rule, and the
+    # degree of a coarsest level above 3 cells per edge (2 * 7 at n = 7)
     mesh = build_mesh(6)
     gmap = system.build_dof_map(mesh)
     A = system.assemble_A(mesh, gmap)
-    level = system.Level(A, 1.0 / A.diagonal())
+    level = system.Level(A, 1.0 / A.diagonal(), degree)
     rng = np.random.default_rng(12)
     b = rng.standard_normal(gmap.n_vdofs)
     x0 = (np.zeros(gmap.n_vdofs) if start == "zero"
@@ -298,7 +301,7 @@ def test_smoother_is_the_fourth_kind_chebyshev_recurrence(start):
     lam = system.LAMBDA
     x, r = x0, b - A @ x0
     d = 4.0 / (3.0 * lam) * level.inv_diag * r
-    for k in range(1, system.CHEBYSHEV_DEGREE):
+    for k in range(1, degree):
         x = x + d
         r = r - A @ d
         d = (2 * k - 1) / (2 * k + 3) * d \
@@ -308,11 +311,13 @@ def test_smoother_is_the_fourth_kind_chebyshev_recurrence(start):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7, 10])
 def test_preconditioner_projects_onto_divergence_free_fields(n, exact):
     # r -> Q V(r), Q = I - G S^-1 B^T: every output is discretely
     # divergence-free, and on consistent residuals (G^T r = 0) the map is
-    # symmetric, as CG needs (n = 5 has one level, n = 6 runs 6 -> 3)
+    # symmetric, as CG needs: n = 5 and 7 have one level, smoothed with
+    # degree 10 and 14; n = 6 runs 6 -> 3 and n = 10 runs 10 -> 5, whose
+    # coarsest level smooths with degree 10
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
     sys_ = system.build_system(mesh, gmap, exact, mode="modified")
