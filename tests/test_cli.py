@@ -1016,6 +1016,19 @@ def test_validate_accepts_every_size_when_extended():
         cli.RunConfig(ns=(25,)).validate()
 
 
+def test_size_without_coarse_level_is_a_configuration_error(tmp_path, capsys):
+    # n = 25 is coprime to 6, so its hierarchy has no coarse level; that
+    # alone is no error, but without --extended n > 24 is, and the CLI
+    # refuses it before it solves n = 6 or writes a report
+    assert system._coarsening(25) is None
+    rc = cli.main(["--n", "6,25", "--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "solved" not in captured.out
+    assert "[25]" in captured.err and "--extended" in captured.err
+    assert not (tmp_path / "r").exists()
+
+
 def test_every_accepted_size_up_to_26_solves(tmp_path, capsys):
     # a coarsest level above 3 cells per edge, n_c, smooths with degree
     # 2 n_c, so every size solves: at most 22 CG iterations, at n = 21 (with
