@@ -8,19 +8,20 @@ times in child processes and writes ``BENCH_<LABEL>.json`` at the repository
 root.  The children inherit no thread variable (``THREAD_VARS``,
 ``QUADCURL_THREADS``), so they time the default: the thread count that
 ``cli.main`` sets from the usable cores.  The runs must agree in every
-report file and in the iterations, residual and triples of every solve, and
-every solve that ``tests/data/golden.jsonl`` also holds must match it: the
-CG count exactly, each triple of a task that both hold to 1e-10 relative
-(the golden test's bound); the largest drift is printed and recorded
+report file and in the iterations, residual and triples of every solve
+(its record, ``cli.record``, read by ``tests/golden.py``), and the solves
+must pass ``golden.compare``, the golden test's one comparison: the CG
+count exactly, each triple of a task that the golden file also holds to
+1e-10 relative; the largest drift is printed and recorded
 (``golden_drift``), and a miss exits non-zero.  The record holds the
 median wall time, the peak resident memory of the largest process of any
 run (``RUSAGE_CHILDREN``), the largest sum of a run's proportional set
 sizes (Pss from ``/proc/PID/smaps_rollup``, Linux, sampled every 0.1 s: a
 page shared by k processes counts 1/k to each, so the sum is the memory the
 run's processes hold together), and per run its wall time, Pss peak with
-each process's share at that sample, and the ``--record`` line of every
-solve (n, scheme, unknowns, CG iterations, residual history, seconds since
-its n started, peak MB of the process that solved it, every triple at full
+each process's share at that sample, and the record of every solve (n,
+scheme, unknowns, CG iterations, residual history, seconds since its n
+started, peak MB of the process that solved it, every triple at full
 precision).  The machine fields have the shape of ``perfbench/run.py``'s
 ``environment()``: CPU, usable cores, versions, commit, a digest of
 ``src/quadcurl`` and the thread variables; ``git_dirty`` says whether
@@ -43,15 +44,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-# the checkout's thread variables; cli imports no numerics
-sys.path.insert(0, str(SRC))
+# the checkout's thread variables (cli imports no numerics) and golden
+# records
+sys.path[:0] = [str(SRC), str(ROOT / "tests")]
+import golden
 from quadcurl.cli import THREAD_VARS
 
 # runs per record: the record's wall time is their median
 RUNS = 3
 PSS_INTERVAL = 0.1      # seconds between samples of the run's Pss
-GOLDEN = ROOT / "tests" / "data" / "golden.jsonl"
-GOLDEN_RTOL = 1e-10     # the golden test's bound
 
 
 def _git(*args):
@@ -131,13 +132,7 @@ def run(out_dir, env):
         wall = time.perf_counter() - t0
         if proc.returncode != 0:
             raise SystemExit(f"run_tables.py exited with {proc.returncode}")
-        return wall, records(record), *peak
-
-
-def records(path):
-    """The ``--record`` lines of the file ``path``, one dict a solve."""
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh]
+        return wall, golden.load(record), *peak
 
 
 def facts(solves):
@@ -145,32 +140,6 @@ def facts(solves):
     final residual and triples."""
     return [(r["n"], r["scheme"], r["iterations"], r["residual"],
              r["triples"]) for r in solves]
-
-
-def golden_drift(runs):
-    """The largest relative drift of the runs' triples from the golden
-    records over every (n, scheme, task) that both hold.  Exits on a CG
-    count that differs, a drift above GOLDEN_RTOL (NaN included) or no
-    triple in common."""
-    golden = {(g["n"], g["scheme"]): g for g in records(GOLDEN)}
-    drifts = []
-    for solve in (r for run in runs for r in run["records"]):
-        key = (solve["n"], solve["scheme"])
-        want = golden.get(key)
-        if want is None:
-            continue
-        if solve["iterations"] != want["iterations"]:
-            raise SystemExit(f"n={key[0]} {key[1]}: {solve['iterations']} "
-                             f"CG iterations, golden {want['iterations']}")
-        for task in want["triples"].keys() & solve["triples"].keys():
-            drifts += [abs(x - y) / abs(y) for x, y in
-                       zip(solve["triples"][task], want["triples"][task])]
-    drift = max(drifts, default=0.0)
-    print(f"largest drift from the golden records {drift:.1e} over "
-          f"{len(drifts)} values")
-    if not drifts or not all(d <= GOLDEN_RTOL for d in drifts):
-        raise SystemExit(f"the runs miss the golden records {GOLDEN}")
-    return drift
 
 
 def main(argv=None):
@@ -199,7 +168,11 @@ def main(argv=None):
     if any(f != agree[0] for f in agree) or \
             any(r != reports[0] for r in reports) or not agree[0]:
         raise SystemExit("the runs disagree in their solves or reports")
-    drift = golden_drift(runs)
+    try:
+        drift = golden.compare(r for run in runs for r in run["records"])
+    except ValueError as exc:
+        raise SystemExit(f"the runs miss the golden records: {exc}")
+    print(f"largest drift from the golden records {drift:.1e}")
     walls = sorted(r["wall_s"] for r in runs)
     record = {"label": args.label,
               "command": "scripts/run_tables.py --extended",

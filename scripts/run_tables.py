@@ -15,9 +15,11 @@ Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 usable cores' BLAS threads, so on two cores or more each mesh size's
 modified scheme is solved in a forked worker beside the original one
 (``cli._can_fork``); on one core the study runs in one process.  On a
-2-core machine the ``--extended`` run takes ~15 s that way
-(``BENCH_default-threads.json``, written by ``scripts/bench.py``); the
-processes peak at ~250 MB each and ~400 MB together in Pss.  In one process
+2-core machine the ``--extended`` run takes ~10 s that way
+(``BENCH_coarse-solve.json``, written by ``scripts/bench.py``); the
+processes peak at ~235 MB each and ~380 MB together in Pss.  When that
+default came in it took ~15 s (``BENCH_default-threads.json``), at ~250 MB
+a process and ~400 MB together.  In one process
 of two BLAS threads it took 25.5-27.3 s at 983a56c, and 28.7 s at a 356 MB
 peak at a74fc7c (``BENCH_a74fc7c.json``).  Half the cores a process is measured on 1 and 2
 cores only; on more it is a guess.  To keep one process, pass ``--threads``

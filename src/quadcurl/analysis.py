@@ -25,7 +25,7 @@ differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -260,10 +260,14 @@ class ConvergenceReport:
 
     scheme: str
     quantity: str
-    rows: list = field(default_factory=list)   # [(n, ErrorTriple)]
+    rows: list                  # [(n, ErrorTriple)]
 
-    def add(self, n, triple):
-        self.rows.append((int(n), triple))
+    @classmethod
+    def from_records(cls, records, scheme, quantity):
+        """Rows ``triples[quantity]`` of the ``scheme`` records, in order."""
+        return cls(scheme, quantity,
+                   [(r["n"], ErrorTriple(*r["triples"][quantity]))
+                    for r in records if r["scheme"] == scheme])
 
     @property
     def eocs(self):

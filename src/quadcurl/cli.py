@@ -445,49 +445,47 @@ def _work(read, write, target):
         os._exit(code)
 
 
-def _record_line(config, rec):
-    """The ``--record`` line of one solve: the config, the sizes, the solver
-    facts (``info``: method, iterations, residual history ``norms``, final
-    residual), the time and memory, every triple at full precision (JSON
-    writes a float as its ``repr``), the walk that measured them and the
-    BLAS threads a process, which decide the fork (``_blas_threads``)."""
-    import json     # only runs that record pay its import
-
-    line = {"config": asdict(config), "n": rec.n, "scheme": rec.scheme,
+def record(config, rec):
+    """The record of one solve, the one format of its facts, which ``run``
+    writes as a ``--record`` line and renders the reports from: the config,
+    the sizes, the solver facts (``info``: method, iterations, residual
+    history ``norms``, final residual), the time and memory, every triple
+    at full precision, the walk that measured them and the BLAS threads a
+    process, which decide the fork (``_blas_threads``)."""
+    return {"config": asdict(config), "n": rec.n, "scheme": rec.scheme,
             "velocity_unknowns": rec.velocity_unknowns,
             "pressure_unknowns": rec.pressure_unknowns, **rec.info,
             "elapsed": rec.elapsed, "peak_mb": rec.peak_mb,
             "triples": {task: trip.as_tuple()
                         for task, trip in rec.triples.items()},
             "walk": rec.walk, "threads": _blas_threads()}
-    # numpy scalars as Python numbers
-    return json.dumps(line, default=lambda value: value.item())
 
 
 def run(config):
     """Execute the configured studies; returns report paths per (scheme, task)."""
     from . import analysis
 
-    # an unusable output directory or record file fails here, before the
-    # first solve
-    os.makedirs(config.out_dir, exist_ok=True)
-    reports = {(s, t): analysis.ConvergenceReport(scheme=s, quantity=t)
-               for s in config.schemes for t in config.tasks}
+    # an unusable record file or output directory fails here, before the
+    # first solve, the record file first so that it leaves no directory
+    records = []
     with (open(config.record, "a", encoding="utf-8") if config.record
-          else contextlib.nullcontext()) as record:
+          else contextlib.nullcontext()) as sink:
+        os.makedirs(config.out_dir, exist_ok=True)
         for rec in study(config):
-            for task, trip in rec.triples.items():
-                reports[(rec.scheme, task)].add(rec.n, trip)
             print(f"  n={rec.n} scheme={rec.scheme}: solved "
                   f"({rec.info['method']}, {rec.info['iterations']} its, "
                   f"residual {rec.info['residual']:.2e}), "
                   f"{rec.elapsed:.1f}s elapsed, peak {rec.peak_mb:.1f} MB")
-            if record:
-                record.write(_record_line(config, rec) + "\n")
-                record.flush()
+            records.append(record(config, rec))
             del rec             # let the next n start without this one
+            if sink:
+                import json     # only runs that record pay its import
+                # a float as its repr, a numpy scalar as a Python number
+                print(json.dumps(records[-1], default=lambda v: v.item()),
+                      file=sink, flush=True)
     paths = {}
-    for key, report in reports.items():
+    for key in [(s, t) for s in config.schemes for t in config.tasks]:
+        report = analysis.ConvergenceReport.from_records(records, *key)
         paths[key] = report.save(config.out_dir, fmt=config.fmt)
         print(f"wrote {', '.join(paths[key])}")
     return paths

@@ -65,7 +65,7 @@ def study():
     """Run the modified and the original study once through ``cli.study`` and
     collect all quantities."""
     exact = mms.build_exact_fields()
-    data = {"triples": {}, "bounds": {}, "split": {}, "iterations": {},
+    data = {"records": [], "triples": {}, "bounds": {}, "split": {},
             "u": {}, "walltime_n24": None}
     modified, original = golden.STUDIES
     t0 = time.perf_counter()
@@ -73,10 +73,7 @@ def study():
         n = rec.n
         if n == 24:
             data["walltime_n24"] = time.perf_counter() - t0
-        data["iterations"][("modified", n)] = rec.info["iterations"]
         data["u"][("modified", n)] = rec.u
-        for task, trip in rec.triples.items():
-            data["triples"][("modified", task, n)] = trip
         # lower bounds and their Pythagorean split, outside the timed leg, on
         # the mesh, I_h u and I3h u_h rebuilt from n and u_h; the measured
         # triple by the direct walk, since a study that forks measures it by
@@ -85,7 +82,7 @@ def study():
         gmap = system.build_dof_map(mesh)
         part = macro_partition(mesh)
         i3h_u = interp.global_I3h(rec.u, mesh, gmap, part)
-        data["triples"][("modified", "superconv", n)] = \
+        rec.triples["superconv"] = \
             analysis.superconvergent_error(i3h_u, exact, mesh)
         sq, _, proj = analysis.best_approximation("VM", exact, mesh)
         data["bounds"][n] = ErrorTriple(*np.sqrt(sq))
@@ -95,12 +92,15 @@ def study():
         ihu = interp.global_interp_Ih(exact, mesh, gmap)
         data["triples"][("modified", "postclose", n)] = macro_norms(
             interp.global_I3h(ihu - rec.u, mesh, gmap, part), mesh)
+        data["records"].append(cli.record(modified, rec))
         del rec
         t0 = time.perf_counter()
     for rec in cli.study(original):
-        data["iterations"][("original", rec.n)] = rec.info["iterations"]
         data["u"][("original", rec.n)] = rec.u
-        data["triples"][("original", "errors", rec.n)] = rec.triples["errors"]
+        data["records"].append(cli.record(original, rec))
+    for r in data["records"]:
+        for task, trip in r["triples"].items():
+            data["triples"][(r["scheme"], task, r["n"])] = ErrorTriple(*trip)
     return data
 
 
@@ -158,8 +158,8 @@ def test_criterion_1_modified_scheme_errors(study):
         failures.append(f"n=24 leg took {wall:.0f}s (> 900s)")
     # the V-cycle keeps the velocity CG count about constant in n (Jacobi
     # took 42/134/279/480 iterations at n = 6..24)
-    its = {n: k for (scheme, n), k in study["iterations"].items()
-           if scheme == "modified"}
+    its = {r["n"]: r["iterations"] for r in study["records"]
+           if r["scheme"] == "modified"}
     failures += [f"n={n}: {k} velocity CG iterations (> 30)"
                  for n, k in its.items() if k > 30]
     # refinement must strictly decrease every column
@@ -223,21 +223,13 @@ def test_criterion_4_superconvergence(study):
 
 
 def test_study_matches_the_golden_records(study):
-    # every solve of the fixture against its committed full-precision record
-    # (tests/golden.py): the CG count exactly, each triple to 1e-10, which
-    # the split and the direct walks share (they agree to ~1e-13)
-    records = golden.load()
-    assert sorted((g["scheme"], g["n"]) for g in records) == \
-        sorted(study["iterations"])
-    for g in records:
-        key = (g["scheme"], g["n"])
-        assert study["iterations"][key] == g["iterations"], key
-        assert {task for scheme, task, n in study["triples"]
-                if (scheme, n) == key and task != "postclose"} == \
-            set(g["triples"]), key
-        for task, want in g["triples"].items():
-            got = study["triples"][(g["scheme"], task, g["n"])].as_tuple()
-            assert got == pytest.approx(want, rel=1e-10, abs=0), (key, task)
+    # every solve of the fixture, with every task, against its committed
+    # full-precision record (tests/golden.py): the CG count exactly, each
+    # triple to golden.RTOL, which the split and the direct walks share
+    assert [(r["n"], r["scheme"], set(r["triples"]))
+            for r in study["records"]] == \
+        [(g["n"], g["scheme"], set(g["triples"])) for g in golden.load()]
+    golden.compare(study["records"])
 
 
 def test_solutions_share_the_symmetries_of_u(study):

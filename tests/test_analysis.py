@@ -95,9 +95,12 @@ def test_eoc_rejects_degenerate_errors():
 
 
 def test_report_csv_and_markdown(tmp_path):
-    rep = ConvergenceReport(scheme="modified", quantity="errors")
-    rep.add(6, ErrorTriple(4.332e1, 1.836, 2.344e-1))
-    rep.add(12, ErrorTriple(2.159e1, 4.734e-1, 1.081e-1))
+    # rows in record order, of the report's scheme only
+    records = [{"n": n, "scheme": s, "triples": {"errors": t}} for n, s, t in (
+        (6, "modified", (4.332e1, 1.836, 2.344e-1)),
+        (6, "original", (4.351e1, 1.548, 2.244e-1)),
+        (12, "modified", (2.159e1, 4.734e-1, 1.081e-1)))]
+    rep = ConvergenceReport.from_records(records, "modified", "errors")
     csv = rep.to_csv()
     lines = csv.strip().splitlines()
     assert lines[0] == "n,err1,eoc1,err2,eoc2,err3,eoc3"

@@ -46,12 +46,15 @@ def test_bad_tolerance_is_a_configuration_error(tmp_path, tol):
                                   ["--n", "1,2", "--task", "superclose"],
                                   ["--n", "3", "--task", ","],
                                   ["--n", "3", "--task",
-                                   "errors,errors,superclose"]])
+                                   "errors,errors,superclose"],
+                                  ["--n", "3", "--record",
+                                   f"{os.devnull}/r.jsonl"]])
 def test_bad_sizes_and_empty_tasks_fail_before_any_solve(tmp_path, capsys,
                                                         args):
     # a repeated n (no rate between equal sizes), a one-cell mesh (no
-    # interior unknowns), an empty task list and a repeated task (computed
-    # twice) are configuration errors
+    # interior unknowns), an empty task list, a repeated task (computed
+    # twice) and a record file that cannot be opened are configuration
+    # errors, and none leaves an output directory
     rc = cli.main(args + ["--out", str(tmp_path / "r")])
     assert rc == cli.EXIT_CONFIG
     assert "solved" not in capsys.readouterr().out
@@ -176,19 +179,19 @@ def test_record_appends_one_line_per_solve(tmp_path, monkeypatch):
         assert r["elapsed"] > 0 and r["peak_mb"] > 0
         assert r["walk"] == "direct"
         assert set(r["triples"]) == set(ALL_TASKS)
-        # the report prints each value of the line to 7 digits
-        for task, trip in r["triples"].items():
-            rows = (out / f"{r['scheme']}_{task}.csv").read_text()
-            row = next(line.split(",") for line in rows.splitlines()
-                       if line.startswith(f"{n},"))
-            assert [f"{v:.6E}" for v in trip] == row[1::2]
+    # the reports rendered from the run's own lines are the files it wrote
+    for scheme in ("original", "modified"):
+        for task in ALL_TASKS:
+            analysis.ConvergenceReport.from_records(
+                lines[4:], scheme, task).save(tmp_path / "again")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == \
+        {p.name: p.read_bytes() for p in (tmp_path / "again").iterdir()}
     # no thread variable set: null
     for var in cli.THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     rec = cli.StudyRecord(n=3, scheme="modified", velocity_unknowns=0,
                           pressure_unknowns=0, info={}, u=None)
-    line = json.loads(cli._record_line(cli.RunConfig(), rec))
-    assert line["threads"] is None
+    assert cli.record(cli.RunConfig(), rec)["threads"] is None
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -366,14 +369,11 @@ def test_gauss_order_is_converged(monkeypatch):
 
     def study():
         _clear_gauss_caches()
-        recs = list(cli.study(cli.RunConfig(scheme="modified", ns=(6, 12),
-                                            tasks=tasks)))
-        reports = {}
-        for t in tasks:
-            reports[t] = analysis.ConvergenceReport("modified", t)
-            for rec in recs:
-                reports[t].add(rec.n, rec.triples[t])
-        return reports
+        config = cli.RunConfig(scheme="modified", ns=(6, 12), tasks=tasks)
+        records = [cli.record(config, rec) for rec in cli.study(config)]
+        return {t: analysis.ConvergenceReport.from_records(records,
+                                                           "modified", t)
+                for t in tasks}
 
     want = study()
     monkeypatch.setattr(polyquad, "GAUSS_ORDER", 8)
@@ -844,7 +844,7 @@ def test_consumer_failure_stops_the_worker(tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     _fail_scheme(monkeypatch, "modified", lambda: time.sleep(60))
-    monkeypatch.setattr(cli, "_record_line", fail)
+    monkeypatch.setattr(cli, "record", fail)
     _cores(monkeypatch, 2)
     config = cli.RunConfig(scheme="both", ns=(3,), out_dir=str(tmp_path),
                            record=str(tmp_path / "record"))
@@ -889,21 +889,21 @@ def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
                  "errors in this process"}
     pid = os.getpid()
     for split, warning in sorted(warnings.items()):
-        out_dir = tmp_path / split
+        out_dir, record = tmp_path / split, tmp_path / f"{split}.jsonl"
         with monkeypatch.context() as patch:
             _fail_worker(patch, split,
                          lambda: os.getpid() != pid and os._exit(7))
             _cores(patch, 2)
             with _deadline(60):
                 rc = cli.main(_argv(split, out_dir / "dead")
-                              + ["--record", str(out_dir / "record")])
+                              + ["--record", str(record)])
         assert rc == cli.EXIT_OK
         out = capsys.readouterr().out
         assert out.count("warning:") == 1 and warning in out
         assert re.findall(r"scheme=(\w+): solved", out) == \
             list(cli.RunConfig(scheme=FORKED[split]["scheme"]).schemes)
         assert {json.loads(line)["walk"] for line in
-                (out_dir / "record").read_text().splitlines()} == {"direct"}
+                record.read_text().splitlines()} == {"direct"}
         _cores(monkeypatch, 1)
         cli.main(_argv(split, out_dir / "serial"))
         capsys.readouterr()
@@ -958,7 +958,7 @@ def test_bench_script_reads_records_and_sums_the_tree_pss(tmp_path):
     record = tmp_path / "record.jsonl"
     argv = ["--n", "3", "--task", "all", "--out", str(tmp_path)]
     assert cli.main(argv + ["--record", str(record)]) == cli.EXIT_OK
-    [line] = script.records(record)
+    [line] = golden.load(record)
     [rec] = cli.study(cli.RunConfig(ns=(3,), tasks=ALL_TASKS))
     assert line["velocity_unknowns"] == rec.velocity_unknowns
     assert line["elapsed"] > 0 and line["peak_mb"] > 0
@@ -977,12 +977,10 @@ def test_bench_script_reads_records_and_sums_the_tree_pss(tmp_path):
     assert all(mb > 0 for mb in pss.values())
 
 
-def test_bench_script_checks_its_runs_against_the_golden_records(capsys):
-    # every solve that the golden file holds, in every run: the CG count
-    # exactly and each triple to 1e-10; a solve it does not hold (n = 36)
-    # is not compared
-    script = _bench_script()
-
+def test_bench_script_checks_its_runs_against_the_golden_records():
+    # the one comparison, which scripts/bench.py runs on every solve of its
+    # runs: the CG count exactly and each triple to 1e-10; a solve that the
+    # golden file does not hold (n = 36) is not compared
     def drift(task="errors", col=0, scale=1.0, iterations=0):
         """The drift of two runs of the golden solves, one value of the
         first scaled and its CG count moved."""
@@ -990,18 +988,16 @@ def test_bench_script_checks_its_runs_against_the_golden_records(capsys):
         solves.append(dict(solves[0], n=36, iterations=99))
         solves[0]["triples"][task][col] *= scale
         solves[0]["iterations"] += iterations
-        return script.golden_drift([{"records": solves}] * 2)
+        return golden.compare(solves * 2)
 
     assert drift() == 0.0
     assert drift(col=1, scale=1 + 5e-11) == pytest.approx(5e-11, rel=1e-3)
-    assert "largest drift from the golden records 5.0e-11" in \
-        capsys.readouterr().out
     for miss in ({"task": "superclose", "col": 2, "scale": 0.0},
                  {"scale": np.nan}, {"iterations": 1}):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError):
             drift(**miss)
-    with pytest.raises(SystemExit):     # no solve in common
-        script.golden_drift([{"records": []}])
+    with pytest.raises(ValueError):     # no solve in common
+        golden.compare([dict(golden.load()[0], n=36)])
 
 
 # -- every mesh size solves ----------------------------------------------------
