@@ -3,11 +3,11 @@
 Errors against the exact (trigonometric) solution are integrated per cell with
 tensor Gauss rules, on the tensor grids of tiles of blocks (cells, or 3^3
 macros) walked a column of tiles at a time (``quadcurl.spaces.gauss_walk``,
-the walk of the load).  The exact fields enter factored over x
-(``exact.x_factored``): per ErrorTriple column a stack holds their (y, z)
-factor E, built once per column of tiles from that column's components
-alone, and free rows for the discrete field (``TensorGrid``) summed up to
-its x powers, V.  A tile's weighted squared error per column is then
+the walk of the load), one ErrorTriple column per walk.  The exact fields
+enter factored over x (``exact.x_factored``): the walk's one stack holds
+the (y, z) factor E of that column's components, written into it once per
+column of tiles, and free rows for the discrete field (``TensorGrid``,
+which holds that column's table alone) summed up to its x powers, V.  A tile's weighted squared error per column is then
 [P_x | -T_x] @ [V; E] and its dot product, every table carrying sqrt(w),
 formed and squared in row blocks of the tile's y axis (``_row_blocks``) of
 at most the 384 KB of a cell-operator gather, so that a block is squared
@@ -65,15 +65,15 @@ def _row_blocks(rows, width):
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _tile_error(grid, coeffs, col, tx, stack):
-    """Weighted squared error of the field sum_j coeffs[.., j] dual_j of
-    column ``col`` on one tile: ||[P_x | -T_x] @ [V; E]||^2, with its x-power
+def _tile_error(grid, coeffs, tx, stack):
+    """Weighted squared error of the field sum_j coeffs[.., j] dual_j of the
+    grid's column on one tile: ||[P_x | -T_x] @ [V; E]||^2, with its x-power
     factor V written to the free rows of ``stack``.  The residual is formed
     and squared in row blocks of the tile's y axis (``_row_blocks``), each a
     view of the stack's rows; the square is of the weighted difference
     itself, never expanded."""
     d = grid.powers.shape[1]
-    grid.factors(coeffs, col, out=stack[:d])
+    grid.factors(coeffs, out=stack[:d])
     lhs = np.concatenate([grid.powers, -tx], axis=1)
     sq = 0.0
     for rows in _row_blocks(stack.shape[1], len(lhs) * stack[0, 0].size):
@@ -106,11 +106,11 @@ def _scales(size):
 def _block_error(coeffs, tag, exact, mesh, best):
     """Error triple against the exact solution of the field that is, on each
     block of the walk of reference space ``tag``, the combination of its
-    duals with that block's row of ``coeffs``; integrated per fine cell.
-    ``best``, when given, is the ``best_approximation`` of the exact
-    solution from that space, and the split
-    ||g - g_h||^2 = ||g - P g||^2 + ||P g - g_h||^2 replaces the walk, its
-    second term exact through the reference Grams, in row blocks
+    duals with that block's row of ``coeffs``; integrated per fine cell, one
+    ErrorTriple column at a time.  ``best``, when given, is the
+    ``best_approximation`` of the exact solution from that space, and the
+    split ||g - g_h||^2 = ||g - P g||^2 + ||P g - g_h||^2 replaces the walk,
+    its second term exact through the reference Grams, in row blocks
     (``_gram_square``).  The split overwrites the columns of ``best`` with
     their differences from ``coeffs``."""
     space, sub = reference_spaces()[tag], _BLOCK_SUB[tag]
@@ -125,13 +125,13 @@ def _block_error(coeffs, tag, exact, mesh, best):
             np.subtract(c, coeffs, out=c)
             acc[col] += size**3 * s**2 * _gram_square(c, root)
         return ErrorTriple(*np.sqrt(acc))
-    grid = TensorGrid.gauss(space, sub)
     acc = np.zeros(3)
-    for blocks, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, sub,
-                                         _COLUMNS):
-        coef = coeffs[blocks]
-        for col, (s, stack) in enumerate(zip(scales, stacks)):
-            acc[col] += _tile_error(grid, s * coef, col, tx, stack)
+    for col, s in enumerate(scales):
+        grid = TensorGrid.gauss(space, col, sub)
+        for blocks, tx, stack in gauss_walk(exact.x_factored, mesh, grid, sub,
+                                            _COLUMNS[col]):
+            acc[col] += _tile_error(grid, s * coeffs[blocks], tx, stack)
+        del grid, stack     # before the next column's table and stack
     return ErrorTriple(*np.sqrt(mesh.h**3 * acc))
 
 
@@ -177,24 +177,24 @@ def best_approximation(tag, exact, mesh):
     if mesh.n % sub:
         raise NonDivisibleMesh(f"{tag} blocks of {sub}^3 cells need n "
                                f"divisible by {sub}, got n={mesh.n}")
-    grid = TensorGrid.gauss(space, sub)
-    d = grid.powers.shape[1]
     scales = _scales(sub * mesh.h)
     roots = _gram_roots(space)
-    # V L^-1 V^T = Q Q^T, Q = R / L, from each root R = V sqrt(L)
-    ginvs = [q @ q.T for q in (r / (r * r).sum(axis=0) for r in roots)]
-    acc = np.zeros(3)
-    coeffs = tuple(np.empty(((mesh.n // sub) ** 3, space.dim))
-                   for _ in scales)
-    for blocks, tx, stacks in gauss_walk(exact.x_factored, mesh, grid, sub,
-                                         _COLUMNS):
-        for col, (s, ginv, stack) in enumerate(zip(scales, ginvs, stacks)):
+    acc, coeffs = np.zeros(3), []
+    for col, (s, root) in enumerate(zip(scales, roots)):
+        # V L^-1 V^T = Q Q^T, Q = R / L, from the root R = V sqrt(L)
+        q = root / (root * root).sum(axis=0)
+        grid, ginv = TensorGrid.gauss(space, col, sub), q @ q.T
+        d = grid.powers.shape[1]
+        coeffs.append(np.empty(((mesh.n // sub) ** 3, space.dim)))
+        for blocks, tx, stack in gauss_walk(exact.x_factored, mesh, grid, sub,
+                                            _COLUMNS[col]):
             # moments and Gram both physical: h^3 s and (sub h)^3 s^2 times
             # the reference ones
-            c = grid.moments(stack[d:], col, x=tx) @ ginv / (sub**3 * s)
-            acc[col] += _tile_error(grid, s * c, col, tx, stack)
+            c = grid.moments(stack[d:], tx) @ ginv / (sub**3 * s)
+            acc[col] += _tile_error(grid, s * c, tx, stack)
             coeffs[col][blocks] = c
-    return mesh.h**3 * acc, roots, coeffs
+        del grid, stack     # before the next column's table and stack
+    return mesh.h**3 * acc, roots, tuple(coeffs)
 
 
 def error_vs_exact(u_vec, exact, mesh, gmap, best=None):

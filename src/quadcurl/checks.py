@@ -118,11 +118,11 @@ def check_factored_tables():
     for space in reference_spaces().values():
         if not isinstance(space.span[0], PolyField):
             continue    # Q1K is scalar
-        grid = TensorGrid(space, t)
         for col, components in enumerate(COLUMNS):
             want = np.array([[g(*xyz) for g in components(f)]
                              for f in space.dual])
-            got = grid.factors(np.eye(space.dim)[None], col)
+            grid = TensorGrid(space, col, t)
+            got = grid.factors(np.eye(space.dim)[None])
             got = (grid.powers @ got.reshape(len(got), -1)).reshape(
                 4, 4, space.dim, 4, -1).transpose(2, 4, 0, 1, 3)
             worst = max(worst, np.abs(got - want).max() / np.abs(want).max())

@@ -3,7 +3,9 @@ self-test battery.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 invariant
 (self-test) failure.  Heavy imports happen after thread-count handling so that
-the count (``--threads``, QUADCURL_THREADS or the cores) reaches the backend.
+the count (``--threads``, QUADCURL_THREADS or the cores) reaches the backend;
+where numpy was loaded before ``main``, its BLAS has read its count, and
+``main`` leaves the thread variables as they are.
 """
 
 from __future__ import annotations
@@ -345,9 +347,16 @@ def _usable_cores():
     return int(min(len(os.sched_getaffinity(0)), _cpu_quota() or math.inf))
 
 
+def _numpy_loaded():
+    """Whether numpy, and the BLAS that reads the thread variables when it
+    loads, is already loaded in this process."""
+    return "numpy" in sys.modules
+
+
 def _blas_threads():
-    """The largest thread variable set (main sets them), or None: OpenBLAS
-    reads a count below 1 as unset."""
+    """The largest thread variable set, or None: OpenBLAS reads a count
+    below 1 as unset.  ``main`` sets them only before numpy loads, so they
+    hold the count the loaded BLAS read."""
     return max((int(v) for v in map(os.environ.get, THREAD_VARS)
                 if v and v.isdigit() and int(v) >= 1), default=None)
 
@@ -461,12 +470,27 @@ def record(config, rec):
             "walk": rec.walk, "threads": _blas_threads()}
 
 
+def _check_makeable(path):
+    """Raise NotADirectoryError unless ``path`` is a directory or
+    ``os.makedirs`` can make it: its nearest existing ancestor must be a
+    directory that this process may write in."""
+    head = path = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head) or head != path and \
+            not os.access(head, os.W_OK | os.X_OK):
+        raise NotADirectoryError(f"cannot make output directory {path}: "
+                                 f"{head} is not a writable directory")
+
+
 def run(config):
     """Execute the configured studies; returns report paths per (scheme, task)."""
     from . import analysis
 
-    # an unusable record file or output directory fails here, before the
-    # first solve, the record file first so that it leaves no directory
+    # an unusable output directory or record file fails here, before the
+    # first solve and before either is created: the directory's place is
+    # checked first, and opening the record file is the last step that fails
+    _check_makeable(config.out_dir)
     records = []
     with (open(config.record, "a", encoding="utf-8") if config.record
           else contextlib.nullcontext()) as sink:
@@ -523,8 +547,11 @@ def main(argv=None):
             print(f"configuration error: {source} must be >= 1, got "
                   f"{threads}", file=sys.stderr)
             return EXIT_CONFIG
-        for var in THREAD_VARS:
-            os.environ[var] = str(count)
+        # a loaded BLAS has read its count: the variables keep telling
+        # _can_fork that count
+        if not _numpy_loaded():
+            for var in THREAD_VARS:
+                os.environ[var] = str(count)
 
     if args.selftest:
         return EXIT_OK if selftest() else EXIT_INVARIANT

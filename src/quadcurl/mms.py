@@ -18,8 +18,9 @@ Both evaluators read the same arrays.  Pointwise, ``TrigSeries.__call__``
 sums the nonzero basis products one at a time, the independent reference
 for the grid sums.  On the outer product of three 1D coordinate arrays
 every field goes through one kernel, ``factored``: the x basis at x and
-the (y, z) factor.  The load and the error walks keep the factor, built
-once per column of tiles; I_h (``value``, ...) takes the product.
+the (y, z) factor.  The load and the error walks keep the factor, written
+into their stack once per column of tiles; I_h (``value``, ...) takes the
+product.
 """
 
 from __future__ import annotations
@@ -106,16 +107,18 @@ def _tables(*axes):
                       for a in range(2 * len(FREQS))]) for t in axes]
 
 
-def factored(coef, x, y, z, comps=slice(None)):
+def factored(coef, x, y, z, comps=slice(None), out=None):
     """Sum factorization of the components ``comps`` of (F, d, d, d)
     coefficients (powers of pi folded in) on the grid x * y * z, stopped
     before the x sum: ``(X, E)``, X (len(x), d) the x basis at x and
-    E (d, len(y), len(z), len(comps)) the (y, z) factor, so the fields are
-    X @ E over d."""
+    E (d, len(y), len(z), len(comps)) the (y, z) factor, written into
+    ``out`` if given (C-contiguous), so the fields are X @ E over d."""
     tx, ty, tz = _tables(x, y, z)
     coef = coef[comps]
     zc = np.einsum("cz,fabc->abzf", tz, coef)            # [a, b, z, f]
-    E = np.matmul(ty.T, zc.reshape(len(tx), len(ty), -1))  # [a, y, z, f]
+    E = np.matmul(ty.T, zc.reshape(len(tx), len(ty), -1),  # [a, y, z, f]
+                  out=None if out is None else
+                  out.reshape(len(tx), ty.shape[1], -1))
     return tx.T, E.reshape(len(tx), ty.shape[1], tz.shape[1], len(coef))
 
 
@@ -155,11 +158,11 @@ class ExactFields:
         vals = self.grad_curl_u(*np.moveaxis(pts, -1, 0))
         return vals.reshape(vals.shape[:-1] + (3, 3))
 
-    def x_factored(self, x, y, z, comps=slice(None)):
+    def x_factored(self, x, y, z, comps=slice(None), out=None):
         """The components ``comps`` of grad curl u, curl u and u on the grid
-        x * y * z, factored over x (``factored``); components in ErrorTriple
+        x * y * z, factored over x by ``factored``; components in ErrorTriple
         column order (grad curl entry 3 i + j is d(curl u)_i / d x_j)."""
-        return factored(self._error_coef, x, y, z, comps)
+        return factored(self._error_coef, x, y, z, comps, out)
 
     def f_value(self, pts):
         return self.f(*np.moveaxis(pts, -1, 0))

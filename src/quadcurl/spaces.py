@@ -468,85 +468,87 @@ def factored_table(space):
 
 
 class TensorGrid:
-    """Sum factorization of the factored table of ``space`` on the tensor
-    grid of a tile of nj x nk blocks at one first lattice index, in the
-    layout (len(x), len(y), len(z), K) of ``quadcurl.mesh.gauss_tiles``.
-    Every axis of a block (the reference frame) carries the points ``t``,
-    its table multiplied by ``scale`` point by point: by sqrt(w) on the
-    Gauss grids of ``gauss``, where fields and values that carry it as well
-    square and pair to weighted integrals.  The z powers are folded into the
-    table once, so ``factors`` is two small matmuls and ``moments`` three.
+    """Sum factorization of ErrorTriple column ``col`` of the factored table
+    of ``space``, the only table it holds, on the tensor grid of a tile of
+    nj x nk blocks at one first lattice index, in the layout (len(x), len(y),
+    len(z), K) of ``quadcurl.mesh.gauss_tiles``.  Every axis of a block (the
+    reference frame) carries the points ``t``, its table multiplied by
+    ``scale`` point by point: by sqrt(w) on the Gauss grids of ``gauss``,
+    where fields and values that carry it as well square and pair to
+    weighted integrals.  The z powers are folded into the table once, so
+    ``factors`` is two small matmuls and ``moments`` three.
     """
 
-    def __init__(self, space, t, scale=1.0):
+    def __init__(self, space, col, t, scale=1.0):
         d = AXIS_DEGREE + 1
         self.scale = scale
         self.powers = (np.asarray(t, dtype=float)[:, None] ** np.arange(d)
                        * np.reshape(scale, (-1, 1)))
-        # per column (d, 1, d, dim, p K): [a, -, b, j, (z, k)]
-        self.tables = tuple(
-            np.einsum("abjck,zc->abjzk", C, self.powers).reshape(
-                d, 1, d, space.dim, -1) for C in factored_table(space))
+        # (d, 1, d, dim, p K): [a, -, b, j, (z, k)]
+        self.table = np.einsum("abjck,zc->abjzk", factored_table(space)[col],
+                               self.powers).reshape(d, 1, d, space.dim, -1)
 
     @classmethod
-    def gauss(cls, space, sub):
+    def gauss(cls, space, col, sub):
         """GAUSS_ORDER points (read now) per cell of a block of sub^3."""
         t, w = polyquad.gauss_rule(polyquad.GAUSS_ORDER).interval(-0.5, 0.5)
         t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None] + t / sub).ravel()
-        return cls(space, t, np.sqrt(np.tile(w, sub)))
+        return cls(space, col, t, np.sqrt(np.tile(w, sub)))
 
-    def factors(self, coeffs, col, out=None):
-        """The fields sum_j coeffs[.., j] dual_j of column ``col`` on the
-        grid of a tile, ``coeffs`` (nj, nk, dim), up to their x powers:
+    def factors(self, coeffs, out=None):
+        """The fields sum_j coeffs[.., j] dual_j of the column on the grid
+        of a tile, ``coeffs`` (nj, nk, dim), up to their x powers:
         (d, nj p, nk p, K), the values being ``powers @ factors`` over the
         first axis; into ``out`` if given, C-contiguous of that shape."""
         (nj, nk, _), P = coeffs.shape, self.powers
         p, d = P.shape
-        v = np.matmul(coeffs[:, None], self.tables[col])  # [a, bj, b, bk, z, k]
+        v = np.matmul(coeffs[:, None], self.table)       # [a, bj, b, bk, z, k]
         v = np.matmul(P, v.reshape(d * nj, d, -1),        # [a, bj, y, bk, z, k]
                       out=None if out is None else out.reshape(d * nj, p, -1))
         return v.reshape(d, nj * p, nk * p, -1)
 
-    def moments(self, vals, col, x):
+    def moments(self, vals, x):
         """The transpose of the fields: the sums of values times each dual
-        of column ``col`` per block, (nj, nk, dim), the values given by their
+        of the column per block, (nj, nk, dim), the values given by their
         factor ``vals`` (B, ny, nz, K) over x on the grid of a tile and their
         x basis ``x`` (p, B): they are ``x @ vals`` over the first axis."""
-        (p, d), table = self.powers.shape, self.tables[col]
+        p, d = self.powers.shape
         nj, nk = vals.shape[1] // p, vals.shape[2] // p
         m = (self.powers.T @ x) @ vals.reshape(len(vals), -1)
         m = np.matmul(self.powers.T, m.reshape(d * nj, p, -1))
         m = np.matmul(m.reshape(d, nj, d, nk, -1),      # [a, bj, b, bk, (z, k)]
-                      table.swapaxes(-1, -2))             # [a, bj, b, bk, j]
+                      self.table.swapaxes(-1, -2))        # [a, bj, b, bk, j]
         return m.sum(axis=(0, 2))
 
 
-def gauss_walk(factor, mesh, grid, sub, cols):
+def gauss_walk(factor, mesh, grid, sub, comps, free=True):
     """The Gauss grids of the tiles of blocks of sub^3 cells
     (``quadcurl.mesh.gauss_tiles``) with a field given factored over x by
-    ``factor(x, y, z, comps) -> (X, E)``, E holding the components
+    ``factor(x, y, z, comps, out=None) -> (X, E)``, E holding the components
     ``comps`` (as ``quadcurl.mms.factored``).  Yields ``(blocks, tx,
-    stacks)`` per tile: its (nj, nk) block ids, the x basis at its x points
-    (p, B), and per slice of the field's components in ``cols`` a
-    (d + B, ny, nz, K) stack whose last B rows hold the (y, z) factor of
-    those components and whose first d rows are free.  The stacks are built
-    once per column of tiles, each from its own call of ``factor`` whose
-    result is dropped before the next call, so the factor of all the
-    components together never lives beside them.  Every table carries
-    sqrt(w), like those of ``grid``."""
+    stack)`` per tile: its (nj, nk) block ids, the x basis at its x points
+    (p, B), and a (d + B, ny, nz, K) stack whose last B rows hold the
+    (y, z) factor and whose first d rows are free, or a (B, ny, nz, K) one
+    of the factor alone when ``free`` is false.  ``factor`` writes the
+    factor into the stack, a view of the one buffer of the walk, which every
+    column of tiles refills: the walk holds one stack and no factor beside
+    it.  Every table carries sqrt(w), like those of ``grid``."""
     (p, d), root = grid.powers.shape, grid.scale
+    buf = None
     for blocks, x, y, z in gauss_tiles(mesh, sub):
-        w = np.outer(np.tile(root, len(y) // p),
-                     np.tile(root, len(z) // p))[..., None]
-        stacks = []
-        for c in cols:
-            X, E = factor(x.ravel(), y, z, c)
-            stacks.append(np.empty((d + len(E),) + E.shape[1:]))
-            np.multiply(E, w, out=stacks[-1][d:])
-            del E       # before the next column's factor is made
-        X = X.reshape(len(x), p, -1) * root[:, None]
+        if buf is None:
+            # the x basis and E's shape from one (y, z) point; the first
+            # column of tiles is the widest
+            X, E = factor(x.ravel(), y[:1], z[:1], comps)
+            X = X.reshape(len(x), p, -1) * root[:, None]
+            lead, B, K = d if free else 0, len(E), E.shape[-1]
+            buf = np.empty((lead + B) * len(y) * len(z) * K)
+        stack = np.ndarray((lead + B, len(y), len(z), K), buffer=buf)
+        factor(x.ravel(), y, z, comps, out=stack[lead:])
+        stack[lead:] *= np.outer(np.tile(root, len(y) // p),
+                                 np.tile(root, len(z) // p))[..., None]
         for i, tx in enumerate(X):
-            yield blocks[i], tx, stacks
+            yield blocks[i], tx, stack
 
 
 def grad_pair(a, b):

@@ -296,16 +296,16 @@ def assemble_rhs(mesh, gmap, exact, mode="modified"):
     duals; face entries exactly zero), one tile of cells at a time."""
     if mode not in ("original", "modified"):
         raise ValueError(f"unknown rhs mode {mode!r}")
+    # the value column
     grid = TensorGrid.gauss(
-        reference_spaces()["VK" if mode == "original" else "NedelecK"], 1)
-    h, d = mesh.h, grid.powers.shape[1]
+        reference_spaces()["VK" if mode == "original" else "NedelecK"], 2, 1)
+    h = mesh.h
     dof_cols = gmap.cell_vdofs if mode == "original" else gmap.cell_vdofs[:, :12]
 
     loc = np.empty(dof_cols.shape)
-    for cells, tx, (stack,) in gauss_walk(partial(factored, exact.f.scaled()),
-                                          mesh, grid, 1, (slice(0, 3),)):
-        # the value column
-        loc[cells] = h * h * grid.moments(stack[d:], 2, x=tx)
+    for cells, tx, stack in gauss_walk(partial(factored, exact.f.scaled()),
+                                       mesh, grid, 1, slice(0, 3), free=False):
+        loc[cells] = h * h * grid.moments(stack, tx)
     return scatter_add(loc, dof_cols, gmap.n_vdofs)
 
 
@@ -401,16 +401,16 @@ def _coarsening(n):
 class Level:
     """One mesh of the V-cycle: A, the inverse of its diagonal, the degree
     of its smoother and, above the coarsest level, the prolongation P from
-    the next coarser mesh with the weights that average it (1 / the coarse
-    cells that share a fine DoF).  The coarsest level has no direct solve;
-    above 3 cells per edge, n_c, it smooths with degree 2 n_c, since the
-    smallest nonzero eigenvalue of D^-1 A falls like 1/n_c^2."""
+    the next coarser mesh, which averages: the rows of its local matrix are
+    scaled by 1 / the coarse cells that share their fine DoF.  The coarsest
+    level has no direct solve; above 3 cells per edge, n_c, it smooths with
+    degree 2 n_c, since the smallest nonzero eigenvalue of D^-1 A falls
+    like 1/n_c^2."""
 
     A: CellOperator
     inv_diag: np.ndarray
     degree: int = CHEBYSHEV_DEGREE
     P: CellOperator | None = None
-    weights: np.ndarray | None = None
 
 
 def multigrid_levels(mesh, gmap, A):
@@ -429,10 +429,13 @@ def multigrid_levels(mesh, gmap, A):
         cmap = build_dof_map(coarse)
         rows = vk_table(gmap.edge_dof, gmap.face_dof, *mesh.block_entities(
             sub * _lattice((coarse.n,) * 3), sub)[2:])
-        level.P = CellOperator(prolongation_matrix(sub), rows,
+        # averaging: a numbered fine DoF is shared by 2 coarse cells per
+        # fixed coordinate of its entity on a cell's boundary, a power of
+        # two, so P @ v and P.T @ r are bitwise the weighted products
+        share = [2 ** np.count_nonzero(np.abs(dof.fixed) == 0.5)
+                 for dof in vk_dofs(sub)]
+        level.P = CellOperator(prolongation_matrix(sub) / np.c_[share], rows,
                                cmap.cell_vdofs, (gmap.n_vdofs, cmap.n_vdofs))
-        level.weights = 1.0 / np.bincount(rows.ravel(),
-                                          minlength=gmap.n_vdofs + 1)[:-1]
         mesh, gmap, A = coarse, cmap, assemble_A(coarse, cmap)
 
 
@@ -485,10 +488,11 @@ def v_cycle(levels, b):
     level = levels[0]
     x = _chebyshev(level, b)
     if level.P is not None:
-        # the restricted residual only: the fine one is gone before the
-        # recursion
-        coarse = level.P.T @ (level.weights * (b - level.A @ x))
-        x += level.weights * (level.P @ v_cycle(levels[1:], coarse))
+        # the residual in the apply's array, gone before the recursion
+        r = level.A @ x
+        coarse = level.P.T @ np.subtract(b, r, out=r)
+        del r
+        x += level.P @ v_cycle(levels[1:], coarse)
     return _chebyshev(level, b, x)
 
 

@@ -48,17 +48,22 @@ def test_bad_tolerance_is_a_configuration_error(tmp_path, tol):
                                   ["--n", "3", "--task",
                                    "errors,errors,superclose"],
                                   ["--n", "3", "--record",
-                                   f"{os.devnull}/r.jsonl"]])
+                                   f"{os.devnull}/r.jsonl"],
+                                  ["--n", "3", "--out", "{tmp}/taken",
+                                   "--record", "{tmp}/new.jsonl"]])
 def test_bad_sizes_and_empty_tasks_fail_before_any_solve(tmp_path, capsys,
                                                         args):
     # a repeated n (no rate between equal sizes), a one-cell mesh (no
     # interior unknowns), an empty task list, a repeated task (computed
-    # twice) and a record file that cannot be opened are configuration
-    # errors, and none leaves an output directory
-    rc = cli.main(args + ["--out", str(tmp_path / "r")])
+    # twice), a record file that cannot be opened and an output path that
+    # is a file beside a new record file are configuration errors, and
+    # none leaves an output directory or a record file
+    (tmp_path / "taken").write_text("")
+    rc = cli.main(["--out", str(tmp_path / "r")]
+                  + [arg.format(tmp=tmp_path) for arg in args])
     assert rc == cli.EXIT_CONFIG
     assert "solved" not in capsys.readouterr().out
-    assert not (tmp_path / "r").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_output_path_that_is_a_file_fails_before_any_solve(tmp_path, capsys):
@@ -148,6 +153,7 @@ def test_record_appends_one_line_per_solve(tmp_path, monkeypatch):
     # config, the unknowns, the solver facts with the residual history, the
     # time and memory, the triples at full precision, the walk and the BLAS
     # threads a process, which main set
+    monkeypatch.setattr(cli, "_numpy_loaded", lambda: False)
     record, out = tmp_path / "runs.jsonl", tmp_path / "out"
     argv = ["--scheme", "both", "--n", "3,6", "--task", "all", "--out",
             str(out)]
@@ -389,13 +395,18 @@ def test_gauss_order_is_converged(monkeypatch):
 
 
 def test_threads_flag_overrides_preset_environment(monkeypatch):
-    # explicit flags win: --threads replaces thread variables already set
+    # explicit flags win: --threads replaces thread variables already set,
+    # as long as numpy has not loaded; in this process it has, its BLAS
+    # read the 4, and the variables keep saying so
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "4")
-    rc = cli.main(["--threads", "1", "--n", "0"])
-    assert rc == cli.EXIT_CONFIG
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        assert os.environ[var] == "1"
+    for loaded, want in ((True, "4"), (False, "1")):
+        monkeypatch.setattr(cli, "_numpy_loaded", lambda: loaded)
+        rc = cli.main(["--threads", "1", "--n", "0"])
+        assert rc == cli.EXIT_CONFIG
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            assert os.environ[var] == want
 
 
 def _load_bench(monkeypatch):
@@ -517,9 +528,10 @@ def _main_on_cores(monkeypatch, tmp_path, cores, quota=None, argv=(),
                    env=()):
     """``cli.main`` on a two-scheme n = 3 study, seeing ``cores`` usable
     cores under a CPU ``quota`` and no thread setting but ``argv`` and the
-    variables ``env``: (the thread variables it leaves, the workers it
-    forked)."""
+    variables ``env``, and numpy not loaded yet, as in a fresh process:
+    (the thread variables it leaves, the workers it forked)."""
     _cores(monkeypatch, cores, threads=None)
+    monkeypatch.setattr(cli, "_numpy_loaded", lambda: False)
     monkeypatch.setattr(cli, "_cpu_quota", lambda: quota)
     monkeypatch.delenv("QUADCURL_THREADS", raising=False)
     for var, value in env:
@@ -559,6 +571,37 @@ def test_an_explicit_thread_setting_wins_over_the_cores(monkeypatch,
                                  env=env)
     assert got == want
     assert forked == ["solving scheme modified"]
+
+
+@pytest.mark.parametrize("first, forks, threads", [
+    ("numpy", 0, None), ("quadcurl.cli", 1, "1")])
+def test_fork_follows_the_blas_threads_numpy_loaded_with(tmp_path, first,
+                                                        forks, threads):
+    # a fresh interpreter on two cores with no thread variable: when numpy
+    # loads before main, its BLAS keeps one thread per core whatever main
+    # would set, so the two schemes are solved here and no variable is
+    # set; when main runs first, each process gets one thread and forks
+    code = (f"import json, os, {first}\n"
+            "from quadcurl import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "cli._cpu_quota = lambda: None\n"
+            "forked, worker = [], cli._Worker\n"
+            "cli._Worker = lambda *args: forked.append(args) or "
+            "worker(*args)\n"
+            f"rc = cli.main(['--scheme', 'both', '--n', '3', '--out', "
+            f"{str(tmp_path)!r}])\n"
+            "print(json.dumps([rc, len(forked), [os.environ.get(var)\n"
+            "    for var in cli.THREAD_VARS]]))\n")
+    env = {key: value for key, value in os.environ.items()
+           if key not in cli.THREAD_VARS + ("QUADCURL_THREADS",)}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rc, count, values = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rc == cli.EXIT_OK
+    assert count == forks
+    assert values == [threads] * len(cli.THREAD_VARS)
 
 
 def test_cpu_quota_reads_cgroup_files(tmp_path):

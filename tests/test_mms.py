@@ -148,6 +148,10 @@ def test_grid_values_match_pointwise_methods(exact):
     for c in range(want.shape[-1]):
         assert np.abs(got[..., c] - want[..., c]).max() \
             <= 1e-14 * np.abs(want[..., c]).max()
+    # a column's factor written into a given array is the same, bitwise
+    out = np.empty(E[..., 9:12].shape)
+    exact.x_factored(x, y, z, slice(9, 12), out=out)
+    assert np.array_equal(out, E[..., 9:12])
     # the load through the same kernel, factored over x
     X = np.meshgrid(x, y, z, indexing="ij")
     got = np.tensordot(*mms.factored(exact.f.scaled(), x, y, z), axes=1)

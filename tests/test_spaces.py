@@ -258,9 +258,9 @@ def test_span_tables_match_dual_polynomials(spaces):
                 tag
 
 
-def _values(grid, coeffs, col):
+def _values(grid, coeffs):
     """The fields on the grid of a tile: the x powers times ``factors``."""
-    v = grid.factors(coeffs, col)
+    v = grid.factors(coeffs)
     return np.tensordot(grid.powers, v, axes=(1, 0))
 
 
@@ -271,7 +271,6 @@ def test_factored_tables_match_dual_tables_on_gauss_grids(spaces, tag, sub):
     # into sub^3 cells, every dual evaluated through its 3D monomials and
     # weighted by sqrt(w) per axis, as the grid's fields are
     sp = spaces[tag]
-    grid = TensorGrid.gauss(sp, sub)
     t, w = gauss_rule(GAUSS_ORDER).interval(-0.5, 0.5)
     t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None] + t / sub).ravel()
     root = np.sqrt(np.tile(w, sub))
@@ -281,7 +280,8 @@ def test_factored_tables_match_dual_tables_on_gauss_grids(spaces, tag, sub):
              dual_value_table(sp, pts))
     for col, want in enumerate(dense):
         # every dual as its own block of a 1 x dim tile
-        got = _values(grid, np.eye(sp.dim)[None], col)
+        grid = TensorGrid.gauss(sp, col, sub)
+        got = _values(grid, np.eye(sp.dim)[None])
         got = got.reshape(p, p, sp.dim, p, -1).transpose(2, 0, 1, 3, 4)
         want = want.reshape(got.shape) * np.einsum(
             "x,y,z->xyz", root, root, root)[..., None]
@@ -290,6 +290,6 @@ def test_factored_tables_match_dual_tables_on_gauss_grids(spaces, tag, sub):
         g = np.random.default_rng(col).standard_normal((p, p, 2 * p,
                                                         want.shape[-1]))
         c = np.random.default_rng(9).standard_normal((1, 2, sp.dim))
-        lhs = np.sum(_values(grid, c, col) * g)
-        rhs = np.sum(c * grid.moments(g, col, np.eye(p)))
+        lhs = np.sum(_values(grid, c) * g)
+        rhs = np.sum(c * grid.moments(g, np.eye(p)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
