@@ -421,14 +421,14 @@ def check_i3h_collapse():
 
     # direct fine-edge integrals of u (boundary edges stay zero: the exact
     # tangential trace vanishes there)
-    rule = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
+    points, weights = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
     h = mesh.h
     vals = np.zeros(mesh.n_edges)
     for eid in np.where(~mesh.edge_is_boundary)[0]:
         axis, *lat = mesh.edge_lattice(eid)
-        P = np.tile(h * np.array(lat), (rule.q, 1))
-        P[:, axis] += h * rule.pts01
-        vals[eid] = h * (rule.wts01 @ ex.u_value(P)[:, axis])
+        P = np.tile(h * np.array(lat), (len(points), 1))
+        P[:, axis] += h * points
+        vals[eid] = h * (weights @ ex.u_value(P)[:, axis])
     direct = vals[part[0]] / (3 * h)
     scale = max(1.0, float(np.abs(direct).max()))
     defect = float(np.abs(m1[0] - direct).max()) / scale

@@ -343,8 +343,9 @@ def _can_fork():
 
 
 def _usable_cores():
-    """The affinity mask's cores, capped by a cgroup CPU quota."""
-    return int(min(len(os.sched_getaffinity(0)), _cpu_quota() or math.inf))
+    """Cores in the affinity mask, capped by a cgroup CPU quota; at least 1."""
+    return max(1, int(min(len(os.sched_getaffinity(0)),
+                          _cpu_quota() or math.inf)))
 
 
 def _numpy_loaded():
@@ -479,7 +480,7 @@ def _check_makeable(path):
         head = os.path.dirname(head)
     if not os.path.isdir(head) or head != path and \
             not os.access(head, os.W_OK | os.X_OK):
-        raise NotADirectoryError(f"cannot make output directory {path}: "
+        raise NotADirectoryError(f"cannot make directory {path}: "
                                  f"{head} is not a writable directory")
 
 
@@ -488,9 +489,13 @@ def run(config):
     from . import analysis
 
     # an unusable output directory or record file fails here, before the
-    # first solve and before either is created: the directory's place is
-    # checked first, and opening the record file is the last step that fails
+    # first solve and before either is created: both places are checked
+    # first, and opening the record file is the last step that fails
     _check_makeable(config.out_dir)
+    if config.record:
+        folder = os.path.dirname(os.path.abspath(config.record))
+        _check_makeable(folder)
+        os.makedirs(folder, exist_ok=True)
     records = []
     with (open(config.record, "a", encoding="utf-8") if config.record
           else contextlib.nullcontext()) as sink:

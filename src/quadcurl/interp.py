@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import polyquad
-from .mesh import NonDivisibleMesh, plane_tiles
+from .mesh import NonDivisibleMesh
 from .spaces import CORRECTION_WEIGHT, reference_spaces
 from .system import gather
 
@@ -48,42 +48,42 @@ def global_interp_Ih(fieldobj, mesh, gmap):
     Fields with vanishing tangential trace and curl trace on the cube
     boundary have vanishing boundary DoFs, so elimination is consistent.
     The Gauss points of a box of entities form a tensor grid (Gauss
-    abscissae along the entities, lattice planes across them), taken one
-    tile of interior planes (``mesh.plane_tiles``) per axis at a time.
+    abscissae along the entities, lattice planes across them), so each
+    axis's interior edges, and each axis's interior faces, take one call of
+    the field method per component.
     """
-    rule = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
-    n, h, q = mesh.n, mesh.h, rule.q
+    points, weights = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
+    n, h, q = mesh.n, mesh.h, len(points)
 
     def integral(method, component, index, spans):
         # method on the grid of the entities index, Gauss axes contracted
-        vals = method(component, *[((i[:, None] + rule.pts01) * h).ravel()
+        vals = method(component, *[((i[:, None] + points) * h).ravel()
                                    if a in spans else i * h
                                    for a, i in enumerate(index)])
         for a in spans:
             s = vals.shape[:a] + (vals.shape[a] // q, q) + vals.shape[a + 1:]
-            vals = np.moveaxis(vals.reshape(s), a + 1, -1) @ (h * rule.wts01)
+            vals = np.moveaxis(vals.reshape(s), a + 1, -1) @ (h * weights)
         return vals
 
     coeffs = np.zeros(gmap.n_vdofs)
     cells, inner = np.arange(n), np.arange(1, n)
     for axis in range(3):
         t1, t2 = [a for a in range(3) if a != axis]
-        for planes in plane_tiles(n, (n * q)**2):
-            # edges along axis in the tile's planes across t1
-            index = [inner] * 3
-            index[axis], index[t1] = cells, planes
-            ids = gmap.edge_dof[mesh.edge_id(axis, *np.ix_(*index))]
-            coeffs[ids] = integral(fieldobj.value, axis, index, [axis])
+        # interior edges along axis
+        index = [inner] * 3
+        index[axis] = cells
+        ids = gmap.edge_dof[mesh.edge_id(axis, *np.ix_(*index))]
+        coeffs[ids] = integral(fieldobj.value, axis, index, [axis])
 
-            # two tangential-curl integrals per face normal to axis
-            index = [cells] * 3
-            index[axis] = planes
-            ids = gmap.face_dof[mesh.face_id(axis, *np.ix_(*index))]
-            for j, d in enumerate((t1, t2)):
-                coeffs[ids[..., j]] = (
-                    integral(fieldobj.curl_value, d, index, [t1, t2])
-                    + (h * h * CORRECTION_WEIGHT)
-                    * integral(fieldobj.curl_d2, d, index, [t1, t2]))
+        # two tangential-curl integrals per interior face normal to axis
+        index = [cells] * 3
+        index[axis] = inner
+        ids = gmap.face_dof[mesh.face_id(axis, *np.ix_(*index))]
+        for j, d in enumerate((t1, t2)):
+            coeffs[ids[..., j]] = (
+                integral(fieldobj.curl_value, d, index, [t1, t2])
+                + (h * h * CORRECTION_WEIGHT)
+                * integral(fieldobj.curl_d2, d, index, [t1, t2]))
     return coeffs
 
 

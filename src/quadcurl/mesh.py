@@ -10,8 +10,7 @@ sub = 3 case.  ``BrickMesh.block_entities`` fixes the local order of a
 block's cells, vertices, edges and faces, which is also the DoF order of the
 reference spaces (``macro_partition``: the (macros, 144) fine edges).
 ``gauss_tiles`` walks the Gauss points of columns of tiles of blocks as
-tensor grids, for the load (sub = 1) and the error phases; ``plane_tiles``
-cuts the interior lattice planes into tiles of that size.
+tensor grids, for the load (sub = 1) and the error phases.
 """
 
 from __future__ import annotations
@@ -215,7 +214,8 @@ def gauss_tiles(mesh, sub):
     The mesh is tiled by blocks of sub^3 cells (1 for cells, 3 for macros),
     numbered like the cells, lexicographically on the block lattice.  A tile
     is a box of nj x nk blocks at one first lattice index i, with about
-    TILE_POINTS Gauss points (order ``polyquad.GAUSS_ORDER``), so its Gauss
+    TILE_POINTS Gauss points (order ``polyquad.GAUSS_ORDER``, the rule's
+    points on [0, 1] less 1/2 about each cell's center), so its Gauss
     points form one tensor grid x * y * z.  Yields ``(ids, x, y, z)`` per
     column of tiles (one (j, k) range, every i): tile i is ``ids[i]``, of
     the (nb, nj, nk) block ids, on the grid ``x[i] * y * z``, in the layout
@@ -223,7 +223,7 @@ def gauss_tiles(mesh, sub):
     """
     n, h, q = mesh.n, mesh.h, polyquad.GAUSS_ORDER
     nb, p = n // sub, sub * q
-    r = polyquad.gauss_rule(q).interval(-0.5, 0.5)[0]
+    r = polyquad.gauss_rule(q)[0] - 0.5
     coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)
     nk = min(nb, max(1, TILE_POINTS // p**3))
     nj = min(nb, max(1, TILE_POINTS // (p**3 * nk)))
@@ -234,11 +234,3 @@ def gauss_tiles(mesh, sub):
             yield (ids[:, j:j + nj, k:k + nk], x, coords[j * p:(j + nj) * p],
                    coords[k * p:(k + nk) * p])
 
-
-def plane_tiles(n, per_plane):
-    """Interior lattice coordinates 1 .. n - 1 in runs of planes of
-    ``per_plane`` values, at most 15 * TILE_POINTS values (3.9 MB) a run and
-    one plane at least: the size of one exact-field component that
-    ``interp.global_interp_Ih`` reads on a run."""
-    tile = max(1, 15 * TILE_POINTS // per_plane)
-    return [np.arange(lo, min(lo + tile, n)) for lo in range(1, n, tile)]

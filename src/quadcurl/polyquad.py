@@ -6,8 +6,8 @@ at the coefficient level, so results are exact up to floating-point rounding.
 The same holds for separable coefficient arrays (``along``,
 ``coefficient_curl``, ``coefficient_grad``), given the derivative matrix of
 their 1D basis: tensor monomials in ``quadcurl.spaces``, sin/cos in
-``quadcurl.mms``.  Gauss rules handle non-polynomial integrands
-(trigonometric exact solutions).
+``quadcurl.mms``.  Gauss rules, plain ``(points, weights)`` pairs on
+[0, 1], handle non-polynomial integrands (trigonometric exact solutions).
 """
 
 from __future__ import annotations
@@ -256,26 +256,6 @@ def legendre_poly(k, axis):
     return out
 
 
-class GaussRule:
-    """Gauss-Legendre rules on intervals (boxes take their tensor products).
-
-    Order ``q`` per axis integrates per-axis polynomial degree <= 2q - 1
-    exactly.
-    """
-
-    def __init__(self, q):
-        if q < 1:
-            raise ValueError("Gauss order must be >= 1")
-        self.q = int(q)
-        # reference points/weights on [0, 1]
-        x, w = np.polynomial.legendre.leggauss(self.q)
-        self.pts01 = 0.5 * (x + 1.0)
-        self.wts01 = 0.5 * w
-
-    def interval(self, lo, hi):
-        return lo + (hi - lo) * self.pts01, (hi - lo) * self.wts01
-
-
 # Gauss points per axis of every study quadrature (the load, I_h and the error
 # norms).  Readers look it up at call time; order 8 prints the same report
 # digits (tests/test_cli.py::test_gauss_order_is_converged).
@@ -284,6 +264,10 @@ GAUSS_ORDER = 6
 
 @lru_cache(maxsize=8)
 def gauss_rule(q):
-    return GaussRule(q)
-
-
+    """The Gauss-Legendre rule of ``q`` >= 1 points on [0, 1], ``(points,
+    weights)``, read-only since every caller shares them: exact to degree
+    2q - 1; boxes take tensor products, the reference cell ``points - 0.5``."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    points, weights = 0.5 * (x + 1.0), 0.5 * w
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights

@@ -491,8 +491,9 @@ class TensorGrid:
     @classmethod
     def gauss(cls, space, col, sub):
         """GAUSS_ORDER points (read now) per cell of a block of sub^3."""
-        t, w = polyquad.gauss_rule(polyquad.GAUSS_ORDER).interval(-0.5, 0.5)
-        t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None] + t / sub).ravel()
+        t, w = polyquad.gauss_rule(polyquad.GAUSS_ORDER)
+        t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None]
+             + (t - 0.5) / sub).ravel()
         return cls(space, col, t, np.sqrt(np.tile(w, sub)))
 
     def factors(self, coeffs, out=None):

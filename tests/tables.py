@@ -12,7 +12,9 @@ REFERENCE_CELL = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 def gauss_box(q, lo=REFERENCE_CELL[0], hi=REFERENCE_CELL[1]):
     """Tensor Gauss rule of order q on a box: points (q^3, 3), weights
     (q^3,)."""
-    axes = [gauss_rule(q).interval(lo[i], hi[i]) for i in range(3)]
+    t, w = gauss_rule(q)
+    axes = [(lo[i] + (hi[i] - lo[i]) * t, (hi[i] - lo[i]) * w)
+            for i in range(3)]
     P = np.stack(np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij"),
                  axis=-1).reshape(-1, 3)
     W = (axes[0][1][:, None, None] * axes[1][1][None, :, None]

@@ -284,14 +284,20 @@ def test_criterion_5_identity_battery(battery):
     _report(5, f"exact-identity battery ({elapsed:.1f}s)", failures)
 
 
-def test_criterion_6_solver_oracle():
-    r = checks.check_solver_oracle()
+def _battery_result(battery, check):
+    """The result of ``check`` in the session's battery run."""
+    return dict(zip(checks.BATTERY, battery[0]))[check]
+
+
+def test_criterion_6_solver_oracle(battery):
+    r = _battery_result(battery, checks.check_solver_oracle)
     _report(6, r.detail, [] if r.passed else [r.line()])
 
 
-def test_criterion_7_manufactured_solution_integrity():
+def test_criterion_7_manufactured_solution_integrity(battery):
     failures = []
-    for check in (checks.check_divergence_free(), checks.check_load_fd_oracle()):
+    for check in (_battery_result(battery, checks.check_divergence_free),
+                  _battery_result(battery, checks.check_load_fd_oracle)):
         if not check.passed:
             failures.append(check.line())
     _report(7, "divergence-free and FD load oracle", failures)

@@ -127,13 +127,15 @@ def test_unknown_scheme_exit_code(tmp_path):
 
 
 def test_run_writes_reports_and_is_deterministic(tmp_path):
+    # each run makes its output directory, and a record file inside it
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     for out in (out1, out2):
         rc = cli.main(["--scheme", "modified", "--n", "3", "--task",
                        "errors,superclose", "--out", str(out),
-                       "--format", "csv"])
+                       "--record", str(out / "run.jsonl"), "--format", "csv"])
         assert rc == cli.EXIT_OK
+        assert len((out / "run.jsonl").read_text().splitlines()) == 1
     f1 = (out1 / "modified_errors.csv").read_bytes()
     f2 = (out2 / "modified_errors.csv").read_bytes()
     assert f1 == f2
@@ -512,6 +514,7 @@ def _cores(monkeypatch, count, threads="1"):
     (1, "1", None, False),
     (2, "1", 1.0, False),       # a cgroup quota of one CPU
     (8, "1", 2.5, True),
+    (2, None, 0.5, False),      # a quota below one CPU counts as one core
 ])
 def test_fork_only_when_both_processes_blas_threads_fit(monkeypatch, cores,
                                                          threads, quota,

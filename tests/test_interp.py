@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quadcurl import interp, mms, polyquad, system
-from quadcurl import mesh as mesh_module
 from quadcurl.checks import (_field_difference, _random_polyfield,
                              check_commuting_cell, check_commuting_macro,
                              check_gradient_orthogonality_quadratics,
@@ -21,22 +20,23 @@ def _dof_values(tag, v, corrected=True):
 
 
 def _edge_rule(mesh, eid, rule):
-    """Axis, Gauss points and weights of the mesh edge ``eid``."""
-    axis, *lat = mesh.edge_lattice(eid)
-    P = np.tile(mesh.h * np.array(lat), (rule.q, 1))
-    P[:, axis] += mesh.h * rule.pts01
-    return axis, P, mesh.h * rule.wts01
+    """Axis, Gauss points and weights of the mesh edge ``eid``, for the
+    ``(points, weights)`` rule on [0, 1]."""
+    (t, w), (axis, *lat) = rule, mesh.edge_lattice(eid)
+    P = np.tile(mesh.h * np.array(lat), (len(t), 1))
+    P[:, axis] += mesh.h * t
+    return axis, P, mesh.h * w
 
 
 def _face_rule(mesh, fid, rule):
     """Normal axis, Gauss points and weights of the mesh face ``fid``."""
-    axis, *lat = face_lattice_order(mesh.n)[fid]
+    (t, w), (axis, *lat) = rule, face_lattice_order(mesh.n)[fid]
     t1, t2 = [a for a in range(3) if a != axis]
-    g1, g2 = np.meshgrid(rule.pts01, rule.pts01, indexing="ij")
-    P = np.tile(mesh.h * np.array(lat), (rule.q**2, 1))
+    g1, g2 = np.meshgrid(t, t, indexing="ij")
+    P = np.tile(mesh.h * np.array(lat), (len(t)**2, 1))
     P[:, t1] += mesh.h * g1.ravel()
     P[:, t2] += mesh.h * g2.ravel()
-    return axis, P, mesh.h**2 * np.outer(rule.wts01, rule.wts01).ravel()
+    return axis, P, mesh.h**2 * np.outer(w, w).ravel()
 
 
 def _corrected_curl_integrals(ex, mesh, fid, rule):
@@ -218,12 +218,9 @@ def test_boundary_dofs_of_exact_solution_vanish():
     assert worst < 1e-13
 
 
-def test_global_interpolation_preserves_edge_integrals(monkeypatch):
+def test_global_interpolation_preserves_edge_integrals():
     # every interior edge and face DoF against its own Gauss rule, one entity
-    # at a time.  n = 2 has one interior plane per axis.  A face plane holds
-    # (6n)^2 Gauss points, so 200 and 600 TILE_POINTS cut the n - 1 planes
-    # of n = 5 into tiles of 3 + 1 and those of n = 9 into 3 + 3 + 2 and
-    # single planes; the default takes them all at once
+    # at a time.  n = 2 has one interior plane per axis
     ex = mms.build_exact_fields()
     rule = gauss_rule(6)
     for n in (2, 4, 5, 9):
@@ -237,14 +234,11 @@ def test_global_interpolation_preserves_edge_integrals(monkeypatch):
             want_edges.append(float(W @ ex.u_value(P)[:, axis]))
         want_faces = [_corrected_curl_integrals(ex, mesh, fid, rule)
                       for fid in faces]
-        for points in (mesh_module.TILE_POINTS, 200, 600):
-            monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
-            coeffs = interp.global_interp_Ih(ex, mesh, gmap)
-            assert coeffs[gmap.edge_dof[edges]] == pytest.approx(
-                want_edges, abs=1e-14)
-            assert coeffs[gmap.face_dof[faces]] == pytest.approx(
-                np.array(want_faces), abs=1e-14)
-        monkeypatch.undo()
+        coeffs = interp.global_interp_Ih(ex, mesh, gmap)
+        assert coeffs[gmap.edge_dof[edges]] == pytest.approx(
+            want_edges, abs=1e-14)
+        assert coeffs[gmap.face_dof[faces]] == pytest.approx(
+            np.array(want_faces), abs=1e-14)
 
 
 def test_macro_field_evaluation_scaling():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from quadcurl.mesh import (TILE_POINTS, BrickMesh, NonDivisibleMesh, _lattice,
-                           build_mesh, classify_boundary, edge_lattice_order,
-                           face_lattice_order, macro_partition, plane_tiles)
+from quadcurl.mesh import (BrickMesh, NonDivisibleMesh, _lattice, build_mesh,
+                           classify_boundary, edge_lattice_order,
+                           face_lattice_order, macro_partition)
 
 
 @pytest.mark.parametrize("n,cells,verts,edges,faces", [
@@ -243,16 +243,3 @@ def test_block_entities_match_the_broadcast_construction():
                 assert table.dtype == want.dtype
                 assert np.array_equal(table, want)
 
-
-def test_plane_tiles_cover_the_interior_planes_once():
-    # I_h walks these tiles and calls the field on each: every interior
-    # plane once, in order, no empty tile (n = 1 has no interior plane), and
-    # no tile longer than the value budget allows
-    for n in range(1, 11):
-        for per_plane in (1, 900, 15 * TILE_POINTS // 3, 10**9):
-            tiles = plane_tiles(n, per_plane)
-            assert all(len(t) > 0 for t in tiles)
-            assert np.array_equal(np.concatenate([[]] + tiles),
-                                  np.arange(1, n))
-            limit = max(1, 15 * TILE_POINTS // per_plane)
-            assert all(len(t) <= limit for t in tiles)

@@ -271,8 +271,9 @@ def test_factored_tables_match_dual_tables_on_gauss_grids(spaces, tag, sub):
     # into sub^3 cells, every dual evaluated through its 3D monomials and
     # weighted by sqrt(w) per axis, as the grid's fields are
     sp = spaces[tag]
-    t, w = gauss_rule(GAUSS_ORDER).interval(-0.5, 0.5)
-    t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None] + t / sub).ravel()
+    t, w = gauss_rule(GAUSS_ORDER)
+    t = (((np.arange(sub) + 0.5) / sub - 0.5)[:, None]
+         + (t - 0.5) / sub).ravel()
     root = np.sqrt(np.tile(w, sub))
     p = len(t)
     pts = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
