@@ -12,16 +12,19 @@ Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 ``--tol``, ``--format``, ``--threads``, ``--config``, ...).  With
 ``--extended`` the study appends n = 36, 48 (``cli.EXTENDED_NS``; n = 48 has
 ~1M unknowns).  With no thread setting the CLI gives each process half the
-usable cores' BLAS threads, so on two cores or more each mesh size's
-modified scheme is solved in a forked worker beside the original one
-(``cli._can_fork``); on one core the study runs in one process.  On a
-2-core machine the ``--extended`` run takes ~10 s that way
-(``BENCH_coarse-solve.json``, written by ``scripts/bench.py``); the
-processes peak at ~235 MB each and ~380 MB together in Pss.  When that
+usable cores' BLAS threads, so on two cores or more one worker, forked
+before the first mesh, solves the modified scheme of every mesh size
+beside the original one (``cli._can_fork``), each process on its own mesh
+and matrices; on one core the study runs in one process.  On a 2-core
+machine the ``--extended`` run took 12.4-12.8 s that way
+(``BENCH_one-worker.json``, written by ``scripts/bench.py``), against
+medians of 12.1 and 11.0 s for alternated records of a worker forked per
+mesh size; the processes peak at ~215 MB each and ~400 MB together in Pss.
+An earlier record took ~10 s (``BENCH_coarse-solve.json``).  When that
 default came in it took ~15 s (``BENCH_default-threads.json``), at ~250 MB
-a process and ~400 MB together.  In one process
-of two BLAS threads it took 25.5-27.3 s at 983a56c, and 28.7 s at a 356 MB
-peak at a74fc7c (``BENCH_a74fc7c.json``).  Half the cores a process is measured on 1 and 2
+a process and ~400 MB together.  In one process of two BLAS threads it
+took 25.5-27.3 s at 983a56c, and 28.7 s at a 356 MB peak at a74fc7c
+(``BENCH_a74fc7c.json``).  Half the cores a process is measured on 1 and 2
 cores only; on more it is a guess.  To keep one process, pass ``--threads``
 equal to the core count.
 """

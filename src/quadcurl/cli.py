@@ -21,7 +21,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,37 +198,87 @@ def study(config):
     ``StudyRecord`` per solve.
 
     Collaborators are looked up as module attributes at call time, so
-    wrappers installed on those attributes see every call.
+    wrappers installed on those attributes see every call.  The study's
+    one forked worker (``_fork``), when it has one, lives in the ``with``
+    block: closing this generator, or an exception in its consumer,
+    terminates and reaps it.
     """
     from . import mms
 
     exact = mms.build_exact_fields()
-    for n in config.ns:
-        if n > max(DEFAULT_NS):
-            # interior edges plus two DoFs per interior face
-            unknowns = 3 * n * (n - 1) ** 2 + 6 * n**2 * (n - 1)
-            print(f"warning: n={n} is an extended run "
-                  f"({unknowns:,} velocity unknowns)")
-        # one generator frame per n: nothing of this n outlives its records
-        yield from _study_n(n, config, exact)
+    worker = _fork(config, exact)
+    with worker or contextlib.nullcontext():
+        for n in config.ns:
+            if n > max(DEFAULT_NS):
+                # interior edges plus two DoFs per interior face
+                unknowns = 3 * n * (n - 1) ** 2 + 6 * n**2 * (n - 1)
+                print(f"warning: n={n} is an extended run "
+                      f"({unknowns:,} velocity unknowns)")
+            # one generator frame per n: nothing of this n outlives its
+            # records
+            yield from _study_n(n, config, exact, worker)
 
 
-def _study_n(n, config, exact):
+def _fork(config, exact):
+    """The study's forked worker (``_Worker``), or None when the study
+    runs in this process alone: when it has no job for a worker, when the
+    BLAS threads of two processes do not fit (``_can_fork``) or when the
+    fork fails.  With two schemes the worker runs the serial pipeline of
+    the second over every n, sending each record as it is made.  With one,
+    and an errors or superconv task, it computes the best approximations
+    of those walks at every n from SPLIT_MIN_N on, in study order, from
+    the mesh alone."""
+    from . import analysis
+    from .mesh import build_mesh
+
+    schemes = config.schemes
+    tags = [SPLIT_SPACES[task] for task in config.tasks if task in SPLIT_SPACES]
+    walked = [n for n in config.ns if n >= SPLIT_MIN_N] if tags else []
+    if len(schemes) == 2:
+        second = replace(config, scheme=schemes[1])
+
+        def job():
+            for n in config.ns:
+                yield _study_n(n, second, exact)
+
+        about = (f"solving scheme {schemes[1]}", "before sending its "
+                 "record; solving it in this process")
+    elif walked:
+        def job():
+            for n in walked:
+                mesh = build_mesh(n)
+                # every walk of this n before its first send: a send blocks
+                # on a full pipe until the main process, done solving, reads
+                done = [analysis.best_approximation(tag, exact, mesh)
+                        for tag in tags]
+                yield [msg for sq, roots, coeffs in done
+                       for msg in ((sq, roots), *coeffs)]
+
+        about = ("computing the best approximations", "before sending "
+                 "them; walking the errors in this process")
+    else:
+        return None
+    if not _can_fork():
+        return None
+    try:
+        return _Worker(job, *about)
+    except OSError:
+        return None
+
+
+def _study_n(n, config, exact, worker=None):
     """The records of one mesh size.  Its schemes share the mesh, DoF map,
-    A, B, the partition and I_h u; a two-scheme study builds the last two
-    before its first solve, a one-scheme study after its solve, which never
-    reads them.  No record holds any of them, so a record crosses the pipe
-    from the worker as it is.  With cores for two processes' BLAS
-    threads (``_can_fork``) one forked worker (``_Worker``) works beside
-    this process, on the job the study gives it: with two schemes it solves
-    the second while this process solves the first; with one, from n =
-    SPLIT_MIN_N on, it computes the best approximations of the errors and
-    superconv walks while this process solves.  A fork that fails runs the
-    study serially; a worker that dies leaves its part to this process.
-    Records and failures come in the serial loop's order, each as soon as
-    this process has it: the first record while the worker may still run.
-    Closing this generator, or an exception in its consumer, leaves the
-    ``with`` block, which terminates and reaps the worker."""
+    A, B, the partition and I_h u, each built in this process; the last two
+    after the first solve, which never reads them.  No record holds any of
+    them, so a record crosses the pipe from the worker as it is.  With the
+    study's ``worker`` (``_fork``), which builds its own, this process does
+    its part beside the worker's: with two schemes it solves the first
+    while the worker solves the second; with one, from n = SPLIT_MIN_N on,
+    the errors and superconv walks read the best approximations that the
+    worker computes while this process solves.  A worker that died leaves
+    its part to this process.  Records and failures come in the serial
+    loop's order, each as soon as this process has it: the first record
+    while the worker may still run."""
     from . import analysis, interp, system
     from .mesh import build_mesh, macro_partition
 
@@ -283,51 +333,22 @@ def _study_n(n, config, exact):
         rec.peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return rec
 
+    def best():
+        sq, roots = worker.recv()
+        return sq, roots, (worker.recv() for _ in roots)
+
     schemes = config.schemes
-    tags = [SPLIT_SPACES[task] for task in tasks if task in SPLIT_SPACES]
-    if len(schemes) == 2:
-        share()     # before the fork: both processes read them
-
-        def job(send):
-            pickle.dump(solve(schemes[1]), send)
-
-        best = None
-        about = (f"solving scheme {schemes[1]}", "before sending its "
-                 "record; solving it in this process")
-    else:
-        def job(send):
-            # every walk before the first send: a send blocks on a full
-            # pipe until this process, done solving, reads
-            done = [analysis.best_approximation(tag, exact, mesh)
-                    for tag in tags]
-            for sq, roots, coeffs in done:
-                pickle.dump((sq, roots), send)
-                for column in coeffs:
-                    pickle.dump(column, send)
-
-        def best():
-            sq, roots = worker.recv()
-            return sq, roots, (worker.recv() for _ in roots)
-
-        about = ("computing the best approximations", "before sending "
-                 "them; walking the errors in this process")
-    worker = None
-    if (len(schemes) == 2 or tags and n >= SPLIT_MIN_N) and _can_fork():
-        try:
-            worker = _Worker(job, *about)
-        except OSError:
-            pass
     if worker is None:
         yield from map(solve, schemes)
-        return
-    with worker:
-        yield solve(schemes[0], best)
-        for scheme in schemes[1:]:
-            try:
-                rec = worker.recv()
-            except EOFError:    # the worker died: solve its scheme here
-                rec = solve(scheme)
-            yield rec
+    elif len(schemes) == 1:
+        yield solve(schemes[0], best if n >= SPLIT_MIN_N else None)
+    else:
+        yield solve(schemes[0])
+        try:
+            rec = worker.recv()
+        except EOFError:    # the worker died: solve its scheme here
+            rec = solve(schemes[1])
+        yield rec
 
 
 def _can_fork():
@@ -380,14 +401,16 @@ def _cpu_quota(root="/sys/fs/cgroup"):
 
 
 class _Worker:
-    """A forked child process running ``target(send)`` beside this one,
-    ``send`` a binary file on the pipe that ``recv`` reads: ``target``
-    pickles its messages into it, and an exception it raises is pickled in
-    their place and raised here.  ``os.fork`` itself, not spawn: the worker
-    shares the mesh pages and the warm reference tables, and nothing is
-    pickled on the way in; nor ``multiprocessing``, whose import and first
-    use took 1.4 MB of this process's memory.  Raises OSError when no
-    process is to be had (memory, the process limit).  Leaving its
+    """A forked child process running ``target()`` beside this one for a
+    whole study: ``target`` yields batches of messages, and the child
+    pickles each batch into the pipe that ``recv`` reads and flushes it; an
+    exception it raises is pickled in their place and raised here.
+    ``os.fork`` itself, not spawn: the worker starts from this process's
+    warm reference tables, and nothing is pickled on the way in; nor
+    ``multiprocessing``, whose import and first use took 1.4 MB of this
+    process's memory.  Forked before the study's first mesh, it builds its
+    own per-n objects while this process builds its own.  Raises OSError
+    when no process is to be had (memory, the process limit).  Leaving its
     ``with`` block by an exception (^C, a failure here or the worker's)
     terminates the worker; it is reaped on the way out."""
 
@@ -438,16 +461,21 @@ class _Worker:
 
 
 def _work(read, write, target):
-    """The forked worker: ``target(send)``, or the exception it raised,
-    written to the pipe; it exits here and never returns to the stack it
-    was forked from."""
+    """The forked worker: each batch of ``target()`` written to the pipe,
+    or the exception it raised; it exits here and never returns to the
+    stack it was forked from."""
     code = 1
     try:
         os.close(read)
         signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent stops it
         with open(write, "wb") as send:
             try:
-                target(send)
+                for batch in target():
+                    for msg in batch:
+                        pickle.dump(msg, send)
+                    # the batch's tail would otherwise wait in the buffer,
+                    # and the parent for it, until the next batch is made
+                    send.flush()
             except Exception as exc:
                 pickle.dump(exc, send)
         code = 0

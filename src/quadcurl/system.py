@@ -387,6 +387,20 @@ def prolongation_matrix(sub):
     return functional_matrix(vk_dofs(sub), vk.span) @ vk.dual_coeffs
 
 
+@lru_cache(maxsize=None)
+def _averaged_prolongation(sub):
+    """``prolongation_matrix(sub)`` with each row divided by the coarse
+    cells that share its fine DoF, read-only: a numbered fine DoF is shared
+    by 2 coarse cells per fixed coordinate of its entity on a cell's
+    boundary, a power of two, so P @ v and P.T @ r are bitwise the weighted
+    products."""
+    share = [2 ** np.count_nonzero(np.abs(dof.fixed) == 0.5)
+             for dof in vk_dofs(sub)]
+    local = prolongation_matrix(sub) / np.c_[share]
+    local.setflags(write=False)
+    return local
+
+
 def _coarsening(n):
     """Cells per coarse cell edge from an n-mesh: 2 when n is even, else 3
     when 3 | n; None at the coarsest level (n <= 3 or n coprime to 6)."""
@@ -429,12 +443,7 @@ def multigrid_levels(mesh, gmap, A):
         cmap = build_dof_map(coarse)
         rows = vk_table(gmap.edge_dof, gmap.face_dof, *mesh.block_entities(
             sub * _lattice((coarse.n,) * 3), sub)[2:])
-        # averaging: a numbered fine DoF is shared by 2 coarse cells per
-        # fixed coordinate of its entity on a cell's boundary, a power of
-        # two, so P @ v and P.T @ r are bitwise the weighted products
-        share = [2 ** np.count_nonzero(np.abs(dof.fixed) == 0.5)
-                 for dof in vk_dofs(sub)]
-        level.P = CellOperator(prolongation_matrix(sub) / np.c_[share], rows,
+        level.P = CellOperator(_averaged_prolongation(sub), rows,
                                cmap.cell_vdofs, (gmap.n_vdofs, cmap.n_vdofs))
         mesh, gmap, A = coarse, cmap, assemble_A(coarse, cmap)
 

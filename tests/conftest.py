@@ -29,8 +29,8 @@ def battery():
 
 @pytest.fixture(autouse=True)
 def no_worker_left():
-    """A study forks a worker per mesh size (to solve one of two schemes,
-    or the best approximations of one); every test must end with it
+    """A study forks at most one worker (to solve one of two schemes, or
+    the best approximations of one); every test must end with it
     reaped, whether the study succeeded or failed: no child process, running
     or exited, is left."""
     yield

@@ -1,5 +1,6 @@
 import contextlib
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -481,10 +482,19 @@ def test_benchmark_tracer_sees_every_wrapped_call(tmp_path, monkeypatch):
             assert {n for _mod, _attr, n in WRAPPED} <= recorded
 
 
-def test_extended_warning_names_velocity_unknowns(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_study_n", lambda n, config, exact: iter(()))
+def test_extended_warning_names_velocity_unknowns(monkeypatch, capfd):
+    # printed once, by this process: the study's worker, forked before the
+    # first mesh and here handed stub best approximations of n = 24 and 48,
+    # writes nothing to the standard output that both processes share
+    forked = _count_workers(monkeypatch)
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_study_n",
+                        lambda n, config, exact, worker: iter(()))
+    monkeypatch.setattr(analysis, "best_approximation",
+                        lambda tag, exact, mesh: (0.0, (), ()))
     list(cli.study(cli.RunConfig(ns=(24, 48), extended=True)))
-    assert capsys.readouterr().out.splitlines() == [
+    assert forked == ["computing the best approximations"]
+    assert capfd.readouterr().out.splitlines() == [
         "warning: n=48 is an extended run (967,824 velocity unknowns)"]
 
 
@@ -665,13 +675,16 @@ FORKED = {
     "walks": {"scheme": "modified", "ns": (cli.SPLIT_MIN_N,),
               "tasks": ALL_TASKS},
 }
+# the same studies over two mesh sizes: the worker's part at a later n
+LATER = {"schemes": (3, 6), "walks": (3, cli.SPLIT_MIN_N)}
 
 
-def _argv(split, out):
-    """The command line of the study of ``FORKED[split]``."""
+def _argv(split, out, ns=None):
+    """The command line of the study of ``FORKED[split]``, over its own
+    mesh sizes or ``ns``."""
     fields = FORKED[split]
     return ["--scheme", fields["scheme"],
-            "--n", ",".join(map(str, fields["ns"])),
+            "--n", ",".join(map(str, ns or fields["ns"])),
             "--task", ",".join(fields["tasks"]), "--out", str(out)]
 
 
@@ -712,8 +725,9 @@ def test_forked_and_serial_paths_write_identical_reports(tmp_path,
                               tasks=("errors", "superclose", "superconv"),
                               out_dir=str(out)))
         files[cores] = {p.name: p.read_bytes() for p in out.iterdir()}
-        # one worker per mesh size on two cores, none on one
-        assert len(forked) == 2
+        # one worker per study on two cores, whatever its number of n;
+        # none on one
+        assert len(forked) == 1
     assert len(files[2]) == 12
     assert files[2] == files[1]
     # fork would copy the locks another thread holds: serial again
@@ -727,7 +741,7 @@ def test_forked_and_serial_paths_write_identical_reports(tmp_path,
     finally:
         stop.set()
         thread.join(timeout=10)
-    assert len(forked) == 2 and not thread.is_alive()
+    assert len(forked) == 1 and not thread.is_alive()
 
 
 def test_failed_fork_solves_the_schemes_in_turn(tmp_path, monkeypatch,
@@ -758,24 +772,28 @@ def test_failed_fork_solves_the_schemes_in_turn(tmp_path, monkeypatch,
 
 
 def test_forked_records_match_serial_records(monkeypatch):
-    # the worker's record, plain facts, comes back through a pipe as it is.
-    # With one scheme the worker sends the best approximations instead, and
-    # the errors and superconv triples come from their split: the solve and
-    # the superclose triple stay bitwise those of the serial path, the split
-    # triples within 1e-10
+    # the worker's records, plain facts, come back through a pipe as they
+    # are, at every n.  With one scheme the worker sends the best
+    # approximations instead, and from SPLIT_MIN_N on the errors and
+    # superconv triples come from their split: the solve and the superclose
+    # triple stay bitwise those of the serial path, the split triples within
+    # 1e-10
     for split, fields in sorted(FORKED.items()):
-        config = cli.RunConfig(**dict(fields, tasks=ALL_TASKS))
+        config = cli.RunConfig(**dict(fields, ns=LATER[split],
+                                      tasks=ALL_TASKS))
         _cores(monkeypatch, 1)
         serial = list(cli.study(config))
         _cores(monkeypatch, 2)
         forked = list(cli.study(config))
-        assert [r.scheme for r in forked] == list(config.schemes)
+        assert [(r.n, r.scheme) for r in forked] == [
+            (n, scheme) for n in config.ns for scheme in config.schemes]
         assert {r.walk for r in serial} == {"direct"}
-        assert {r.walk for r in forked} == {
-            "split" if split == "walks" else "direct"}
+        assert [r.walk for r in forked] == [
+            "split" if split == "walks" and r.n >= cli.SPLIT_MIN_N
+            else "direct" for r in forked]
         for s, f in zip(serial, forked):
             for task, trip in s.triples.items():
-                if split == "walks" and task != "superclose":
+                if f.walk == "split" and task != "superclose":
                     assert f.triples[task].as_tuple() == pytest.approx(
                         trip.as_tuple(), rel=1e-10)
                 else:
@@ -922,10 +940,11 @@ def test_both_schemes_failing_report_the_first_in_study_order(tmp_path,
 
 
 def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
-    # a worker that exits without sending (killed, out of memory) must not
-    # leave this process waiting on the pipe, nor end the study: this
-    # process does the worker's part, solving its scheme or walking the
-    # errors directly, and says so once
+    # a worker that exits without sending (killed, out of memory), here at
+    # its first job, must not leave this process waiting on the pipe, nor
+    # end the study: this process does the worker's part at that n and
+    # every later one, solving its scheme or walking the errors directly,
+    # and says so once
     warnings = {
         "schemes": "warning: the worker solving scheme modified exited with "
                    "code 7 before sending its record; solving it in this "
@@ -941,21 +960,45 @@ def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
                          lambda: os.getpid() != pid and os._exit(7))
             _cores(patch, 2)
             with _deadline(60):
-                rc = cli.main(_argv(split, out_dir / "dead")
+                rc = cli.main(_argv(split, out_dir / "dead", LATER[split])
                               + ["--record", str(record)])
         assert rc == cli.EXIT_OK
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)      # no worker, running or exited
         out = capsys.readouterr().out
         assert out.count("warning:") == 1 and warning in out
-        assert re.findall(r"scheme=(\w+): solved", out) == \
-            list(cli.RunConfig(scheme=FORKED[split]["scheme"]).schemes)
+        assert re.findall(r"n=(\d+) scheme=(\w+): solved", out) == [
+            (str(n), scheme) for n in LATER[split] for scheme in
+            cli.RunConfig(scheme=FORKED[split]["scheme"]).schemes]
         assert {json.loads(line)["walk"] for line in
                 record.read_text().splitlines()} == {"direct"}
         _cores(monkeypatch, 1)
-        cli.main(_argv(split, out_dir / "serial"))
+        cli.main(_argv(split, out_dir / "serial", LATER[split]))
         capsys.readouterr()
         for path in (out_dir / "serial").iterdir():
             assert (out_dir / "dead" / path.name).read_bytes() == \
                 path.read_bytes()
+
+
+def test_each_batch_reaches_this_process_as_it_is_made(monkeypatch):
+    # the worker outlives its first record, so it flushes the pipe after
+    # each one: both n = 3 records arrive while its n = 6 load sleeps
+    load = system.assemble_rhs
+
+    def assemble_rhs(mesh, gmap, exact, mode="modified"):
+        if mode == "modified" and mesh.n == 6:
+            time.sleep(60)
+        return load(mesh, gmap, exact, mode=mode)
+
+    monkeypatch.setattr(system, "assemble_rhs", assemble_rhs)
+    _cores(monkeypatch, 2)
+    records = cli.study(cli.RunConfig(scheme="both", ns=(3, 6)))
+    try:
+        with _deadline(30):
+            got = [(rec.n, rec.scheme) for rec in itertools.islice(records, 2)]
+    finally:
+        records.close()
+    assert got == [(3, "original"), (3, "modified")]
 
 
 def test_interrupted_parent_stops_the_worker(tmp_path, monkeypatch):
