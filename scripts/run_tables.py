@@ -15,18 +15,12 @@ Every other argument goes to the ``quadcurl`` CLI unchanged (``--out``,
 usable cores' BLAS threads, so on two cores or more one worker, forked
 before the first mesh, solves the modified scheme of every mesh size
 beside the original one (``cli._can_fork``), each process on its own mesh
-and matrices; on one core the study runs in one process.  On a 2-core
-machine the ``--extended`` run took 12.4-12.8 s that way
-(``BENCH_one-worker.json``, written by ``scripts/bench.py``), against
-medians of 12.1 and 11.0 s for alternated records of a worker forked per
-mesh size; the processes peak at ~215 MB each and ~400 MB together in Pss.
-An earlier record took ~10 s (``BENCH_coarse-solve.json``).  When that
-default came in it took ~15 s (``BENCH_default-threads.json``), at ~250 MB
-a process and ~400 MB together.  In one process of two BLAS threads it
-took 25.5-27.3 s at 983a56c, and 28.7 s at a 356 MB peak at a74fc7c
-(``BENCH_a74fc7c.json``).  Half the cores a process is measured on 1 and 2
-cores only; on more it is a guess.  To keep one process, pass ``--threads``
-equal to the core count.
+and matrices; on one core the study runs in one process.  Half the cores a
+process is measured on 1 and 2 cores only; on more it is a guess.  To keep
+one process, pass ``--threads`` equal to the core count.  The README's CLI
+section ("A study can run on two processes") explains the split;
+``scripts/bench.py`` times the ``--extended`` run, and
+``BENCH_one-worker.json`` is its newest record.
 """
 
 import sys

@@ -8,7 +8,7 @@ Modules
 polyquad   exact polynomial algebra on boxes, tensor Gauss rules
 mesh       structured brick partitions and macroelement tiling
 mms        exact trigonometric manufactured solution and load
-spaces     element spaces, DoF functionals, Vandermonde dual bases
+spaces     element spaces, DoF functionals, dual bases, the Gauss walk
 interp     canonical / corrected / macro interpolation operators
 system     global DoF maps, assembly, saddle-point solvers
 analysis   error norms, EOC computation, convergence reports

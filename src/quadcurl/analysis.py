@@ -128,7 +128,7 @@ def _block_error(coeffs, tag, exact, mesh, best):
     acc = np.zeros(3)
     for col, s in enumerate(scales):
         grid = TensorGrid.gauss(space, col, sub)
-        for blocks, tx, stack in gauss_walk(exact.x_factored, mesh, grid, sub,
+        for blocks, tx, stack in gauss_walk(exact.x_factored, mesh, grid,
                                             _COLUMNS[col]):
             acc[col] += _tile_error(grid, s * coeffs[blocks], tx, stack)
         del grid, stack     # before the next column's table and stack
@@ -186,7 +186,7 @@ def best_approximation(tag, exact, mesh):
         grid, ginv = TensorGrid.gauss(space, col, sub), q @ q.T
         d = grid.powers.shape[1]
         coeffs.append(np.empty(((mesh.n // sub) ** 3, space.dim)))
-        for blocks, tx, stack in gauss_walk(exact.x_factored, mesh, grid, sub,
+        for blocks, tx, stack in gauss_walk(exact.x_factored, mesh, grid,
                                             _COLUMNS[col]):
             # moments and Gram both physical: h^3 s and (sub h)^3 s^2 times
             # the reference ones

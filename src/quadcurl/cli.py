@@ -198,10 +198,10 @@ def study(config):
     ``StudyRecord`` per solve.
 
     Collaborators are looked up as module attributes at call time, so
-    wrappers installed on those attributes see every call.  The study's
-    one forked worker (``_fork``), when it has one, lives in the ``with``
-    block: closing this generator, or an exception in its consumer,
-    terminates and reaps it.
+    wrappers installed on them see this process's calls; the study's one
+    forked worker (``_fork``) makes its own in another process, and only
+    what it sends back reaches this one.  Closing this generator, or an
+    exception in its consumer, terminates and reaps the worker.
     """
     from . import mms
 

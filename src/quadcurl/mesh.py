@@ -9,15 +9,11 @@ A cell is the sub = 1 case of a block of sub^3 cells; a macroelement is the
 sub = 3 case.  ``BrickMesh.block_entities`` fixes the local order of a
 block's cells, vertices, edges and faces, which is also the DoF order of the
 reference spaces (``macro_partition``: the (macros, 144) fine edges).
-``gauss_tiles`` walks the Gauss points of columns of tiles of blocks as
-tensor grids, for the load (sub = 1) and the error phases.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import polyquad
 
 
 class NonDivisibleMesh(Exception):
@@ -200,37 +196,4 @@ def macro_partition(mesh):
         raise NonDivisibleMesh(
             f"macro partition needs n divisible by 3, got n={mesh.n}")
     return mesh.block_entities(3 * _lattice((mesh.n // 3,) * 3), 3)[2]
-
-
-# Gauss points per tile: at n = 48 the load and both error walks took 1.57 s
-# at 2^15, 1.96 s at 2^14 and 1.63 s at 2^16 (medians of three, the
-# residual in row blocks; one BLAS thread, 2 cores)
-TILE_POINTS = 2**15
-
-
-def gauss_tiles(mesh, sub):
-    """The Gauss points of every cell as tensor grids, column by column.
-
-    The mesh is tiled by blocks of sub^3 cells (1 for cells, 3 for macros),
-    numbered like the cells, lexicographically on the block lattice.  A tile
-    is a box of nj x nk blocks at one first lattice index i, with about
-    TILE_POINTS Gauss points (order ``polyquad.GAUSS_ORDER``, the rule's
-    points on [0, 1] less 1/2 about each cell's center), so its Gauss
-    points form one tensor grid x * y * z.  Yields ``(ids, x, y, z)`` per
-    column of tiles (one (j, k) range, every i): tile i is ``ids[i]``, of
-    the (nb, nj, nk) block ids, on the grid ``x[i] * y * z``, in the layout
-    of ``quadcurl.spaces.TensorGrid``.
-    """
-    n, h, q = mesh.n, mesh.h, polyquad.GAUSS_ORDER
-    nb, p = n // sub, sub * q
-    r = polyquad.gauss_rule(q)[0] - 0.5
-    coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)
-    nk = min(nb, max(1, TILE_POINTS // p**3))
-    nj = min(nb, max(1, TILE_POINTS // (p**3 * nk)))
-    ids = np.arange(nb**3).reshape(nb, nb, nb)
-    x = coords.reshape(nb, p)
-    for j in range(0, nb, nj):
-        for k in range(0, nb, nk):
-            yield (ids[:, j:j + nj, k:k + nk], x, coords[j * p:(j + nj) * p],
-                   coords[k * p:(k + nk) * p])
 

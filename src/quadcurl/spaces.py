@@ -41,8 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import polyquad
-from .mesh import (_lattice, edge_lattice_order, face_lattice_order,
-                   gauss_tiles)
+from .mesh import _lattice, edge_lattice_order, face_lattice_order
 from .polyquad import (Poly, PolyField, along, coefficient_curl,
                        coefficient_grad, integrate_exact, legendre_poly)
 
@@ -471,7 +470,7 @@ class TensorGrid:
     """Sum factorization of ErrorTriple column ``col`` of the factored table
     of ``space``, the only table it holds, on the tensor grid of a tile of
     nj x nk blocks at one first lattice index, in the layout (len(x), len(y),
-    len(z), K) of ``quadcurl.mesh.gauss_tiles``.  Every axis of a block (the
+    len(z), K) of ``gauss_walk``.  Every axis of a block (the
     reference frame) carries the points ``t``, its table multiplied by
     ``scale`` point by point: by sqrt(w) on the Gauss grids of ``gauss``,
     where fields and values that carry it as well square and pair to
@@ -522,34 +521,50 @@ class TensorGrid:
         return m.sum(axis=(0, 2))
 
 
-def gauss_walk(factor, mesh, grid, sub, comps, free=True):
-    """The Gauss grids of the tiles of blocks of sub^3 cells
-    (``quadcurl.mesh.gauss_tiles``) with a field given factored over x by
-    ``factor(x, y, z, comps, out=None) -> (X, E)``, E holding the components
-    ``comps`` (as ``quadcurl.mms.factored``).  Yields ``(blocks, tx,
-    stack)`` per tile: its (nj, nk) block ids, the x basis at its x points
-    (p, B), and a (d + B, ny, nz, K) stack whose last B rows hold the
-    (y, z) factor and whose first d rows are free, or a (B, ny, nz, K) one
-    of the factor alone when ``free`` is false.  ``factor`` writes the
-    factor into the stack, a view of the one buffer of the walk, which every
-    column of tiles refills: the walk holds one stack and no factor beside
-    it.  Every table carries sqrt(w), like those of ``grid``."""
+# Gauss points per tile: at n = 48 the load and both error walks took 1.57 s
+# at 2^15, 1.96 s at 2^14 and 1.63 s at 2^16 (medians of three, the
+# residual in row blocks; one BLAS thread, 2 cores)
+TILE_POINTS = 2**15
+
+
+def gauss_walk(factor, mesh, grid, comps, free=True):
+    """The Gauss grids of the mesh's blocks of sub^3 cells, sub being the
+    grid's points per block axis over ``polyquad.GAUSS_ORDER``, with a field
+    given factored over x by ``factor(x, y, z, comps, out=None) -> (X, E)``,
+    E holding the components ``comps`` (as ``quadcurl.mms.factored``).
+    Blocks are numbered like the cells.  A tile is a box of nj x nk blocks at
+    one first lattice index i with about TILE_POINTS Gauss points, one tensor
+    grid x * y * z.  Yields ``(blocks, tx, stack)`` per tile, a column of
+    tiles (one (j, k) range, every i) at a time: its (nj, nk) block ids, the
+    x basis at its x points (p, B), and a (d + B, ny, nz, K) stack whose last
+    B rows hold the (y, z) factor and whose first d rows are free, or a (B,
+    ny, nz, K) one of the factor alone when ``free`` is false.  The stack is
+    a view of the walk's one buffer, which ``factor`` refills per column of
+    tiles: no factor beside it.  Every table carries sqrt(w), like ``grid``.
+    """
     (p, d), root = grid.powers.shape, grid.scale
-    buf = None
-    for blocks, x, y, z in gauss_tiles(mesh, sub):
-        if buf is None:
-            # the x basis and E's shape from one (y, z) point; the first
-            # column of tiles is the widest
-            X, E = factor(x.ravel(), y[:1], z[:1], comps)
-            X = X.reshape(len(x), p, -1) * root[:, None]
-            lead, B, K = d if free else 0, len(E), E.shape[-1]
-            buf = np.empty((lead + B) * len(y) * len(z) * K)
-        stack = np.ndarray((lead + B, len(y), len(z), K), buffer=buf)
-        factor(x.ravel(), y, z, comps, out=stack[lead:])
-        stack[lead:] *= np.outer(np.tile(root, len(y) // p),
-                                 np.tile(root, len(z) // p))[..., None]
-        for i, tx in enumerate(X):
-            yield blocks[i], tx, stack
+    n, h, q = mesh.n, mesh.h, polyquad.GAUSS_ORDER
+    nb = n // (p // q)
+    r = polyquad.gauss_rule(q)[0] - 0.5
+    coords = ((np.arange(n) + 0.5)[:, None] * h + h * r).reshape(-1)
+    nk = min(nb, max(1, TILE_POINTS // p**3))
+    nj = min(nb, max(1, TILE_POINTS // (p**3 * nk)))
+    ids = np.arange(nb**3).reshape(nb, nb, nb)
+    # the x basis and E's shape from one (y, z) point of the first column of
+    # tiles, the widest, which sizes the buffer
+    X, E = factor(coords, coords[:1], coords[:1], comps)
+    X = X.reshape(nb, p, -1) * root[:, None]
+    lead, B, K = d if free else 0, len(E), E.shape[-1]
+    buf = np.empty((lead + B) * nj * p * nk * p * K)
+    for j in range(0, nb, nj):
+        for k in range(0, nb, nk):
+            y, z = coords[j * p:(j + nj) * p], coords[k * p:(k + nk) * p]
+            stack = np.ndarray((lead + B, len(y), len(z), K), buffer=buf)
+            factor(coords, y, z, comps, out=stack[lead:])
+            stack[lead:] *= np.outer(np.tile(root, len(y) // p),
+                                     np.tile(root, len(z) // p))[..., None]
+            for i, tx in enumerate(X):
+                yield ids[i, j:j + nj, k:k + nk], tx, stack
 
 
 def grad_pair(a, b):

@@ -304,7 +304,7 @@ def assemble_rhs(mesh, gmap, exact, mode="modified"):
 
     loc = np.empty(dof_cols.shape)
     for cells, tx, stack in gauss_walk(partial(factored, exact.f.scaled()),
-                                       mesh, grid, 1, slice(0, 3), free=False):
+                                       mesh, grid, slice(0, 3), free=False):
         loc[cells] = h * h * grid.moments(stack, tx)
     return scatter_add(loc, dof_cols, gmap.n_vdofs)
 

@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quadcurl import analysis, cli, interp, mms, polyquad, system
-from quadcurl import mesh as mesh_module
+from quadcurl import analysis, cli, interp, mms, polyquad, spaces, system
 from quadcurl.analysis import (ConvergenceReport, DegenerateError, ErrorTriple,
                                compute_eoc, discrete_norms)
 from quadcurl.mesh import NonDivisibleMesh, build_mesh, macro_partition
@@ -269,7 +268,7 @@ def test_row_blocks_match_whole_array_forms(macro6, monkeypatch):
             for col, comps in enumerate(analysis._COLUMNS):
                 grid = TensorGrid.gauss(space, col, sub)
                 for blocks, tx, stack in gauss_walk(ex.x_factored, mesh,
-                                                    grid, sub, comps):
+                                                    grid, comps):
                     coef = rng.standard_normal(blocks.shape + (space.dim,))
                     got = analysis._tile_error(grid, coef, tx, stack)
                     r = np.concatenate([grid.powers, -tx], axis=1) \
@@ -302,7 +301,7 @@ def test_error_walks_stay_within_their_stacks():
     ex = mms.build_exact_fields()
     v = interp.global_interp_Ih(ex, mesh, gmap)
     grid = TensorGrid.gauss(reference_spaces()["VK"], 0, 1)
-    _, _, stack = next(gauss_walk(ex.x_factored, mesh, grid, 1,
+    _, _, stack = next(gauss_walk(ex.x_factored, mesh, grid,
                                   analysis._COLUMNS[0]))
     stack_bytes = stack.nbytes
     del stack
@@ -392,8 +391,8 @@ def _assert_grid_matches_pointwise(mesh, ex, imu, monkeypatch, tile_points):
     want_sc = analysis.superconvergent_error(imu, pointwise, mesh)
     point = {tag: analysis.best_approximation(tag, pointwise, mesh)
              for tag in ("VK", "VM")}
-    for points in (mesh_module.TILE_POINTS,) + tile_points:
-        monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
+    for points in (spaces.TILE_POINTS,) + tile_points:
+        monkeypatch.setattr(spaces, "TILE_POINTS", points)
         _assert_triples_close(analysis.error_vs_exact(v, ex, mesh, gmap),
                               want)
         _assert_triples_close(analysis.superconvergent_error(imu, ex, mesh),

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import json
 import os
+import pickle
 import re
 import resource
 import signal
@@ -941,10 +942,10 @@ def test_both_schemes_failing_report_the_first_in_study_order(tmp_path,
 
 def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
     # a worker that exits without sending (killed, out of memory), here at
-    # its first job, must not leave this process waiting on the pipe, nor
-    # end the study: this process does the worker's part at that n and
-    # every later one, solving its scheme or walking the errors directly,
-    # and says so once
+    # its first job or halfway through its first message, must not leave
+    # this process waiting on the pipe, nor end the study: this process
+    # does the worker's part at that n and every later one, solving its
+    # scheme or walking the errors directly, and says so once
     warnings = {
         "schemes": "warning: the worker solving scheme modified exited with "
                    "code 7 before sending its record; solving it in this "
@@ -952,12 +953,28 @@ def test_dead_worker_scheme_is_solved_here(tmp_path, monkeypatch, capsys):
         "walks": "warning: the worker computing the best approximations "
                  "exited with code 7 before sending them; walking the "
                  "errors in this process"}
-    pid = os.getpid()
-    for split, warning in sorted(warnings.items()):
-        out_dir, record = tmp_path / split, tmp_path / f"{split}.jsonl"
+    pid, dump = os.getpid(), pickle.dump
+
+    def dump_half(obj, file):
+        if os.getpid() == pid:
+            return dump(obj, file)
+        data = pickle.dumps(obj)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os._exit(7)
+
+    deaths = {
+        "first-job": lambda patch, split: _fail_worker(
+            patch, split, lambda: os.getpid() != pid and os._exit(7)),
+        "mid-message": lambda patch, split: patch.setattr(pickle, "dump",
+                                                          dump_half)}
+    for (split, warning), death in itertools.product(sorted(warnings.items()),
+                                                     deaths):
+        out_dir = tmp_path / split / death
+        record = out_dir / "record.jsonl"
+        out_dir.mkdir(parents=True)
         with monkeypatch.context() as patch:
-            _fail_worker(patch, split,
-                         lambda: os.getpid() != pid and os._exit(7))
+            deaths[death](patch, split)
             _cores(patch, 2)
             with _deadline(60):
                 rc = cli.main(_argv(split, out_dir / "dead", LATER[split])

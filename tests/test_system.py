@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from quadcurl import mesh as mesh_module
-from quadcurl import mms, system
+from quadcurl import mms, spaces, system
 from quadcurl.mesh import build_mesh
 from quadcurl.spaces import reference_spaces
 from tables import dual_gradcurl_table, dual_value_table, gauss_box
@@ -191,7 +191,7 @@ def test_load_matches_pointwise_gauss_reference(exact, monkeypatch):
     # partial in j) and tiles of 4 cells cut k into runs of 4 (partial in
     # k), so the load reads f's (y, z) factor of more than one column
     pts, wts = gauss_box(6)
-    default = mesh_module.TILE_POINTS
+    default = spaces.TILE_POINTS
     for n, tile_points in ((3, ()), (6, ()), (9, (2 * 9 * 6**3, 4 * 6**3))):
         mesh = build_mesh(n)
         gmap = system.build_dof_map(mesh)
@@ -207,7 +207,7 @@ def test_load_matches_pointwise_gauss_reference(exact, monkeypatch):
                     if dof < gmap.n_vdofs:
                         want[dof] += val
             for points in (default,) + tile_points:
-                monkeypatch.setattr(mesh_module, "TILE_POINTS", points)
+                monkeypatch.setattr(spaces, "TILE_POINTS", points)
                 got = system.assemble_rhs(mesh, gmap, exact, mode=mode)
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
