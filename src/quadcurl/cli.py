@@ -37,8 +37,8 @@ EXTENDED_NS = (36, 48)
 SPLIT_SPACES = {"errors": "VK", "superconv": "VM"}
 # the smallest n whose one-scheme study computes its best approximations in
 # a forked worker.  Medians of 12 studies of every task, one BLAS thread on
-# two cores, with the error walks in row blocks: 190 ms walked here against
-# 168 ms forked at n = 15, but 81 against 109 ms at n = 12
+# two cores, one fork a study, three runs: 204-236 ms walked here against
+# 168-175 ms forked at n = 15, but 90-116 against 100-105 ms at n = 12
 SPLIT_MIN_N = 15
 
 

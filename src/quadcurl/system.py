@@ -351,26 +351,29 @@ CHEBYSHEV_DEGREE = 4
 LAMBDA = 24.0 / 7.0
 
 
-def _fourth_kind_coefficients(degree, lam):
-    """Monomial coefficients c_0 .. c_{degree-1} of the polynomial p of the
-    fourth-kind Chebyshev smoother x = x0 + p(D^-1 A) D^-1 (b - A x0), from
-    its three-term recurrence on polynomials in t = D^-1 A: rho_0 = 1,
-    d_0 = 4 / (3 lam), and for k = 1 .. degree-1 rho_k = rho_{k-1} - t d_{k-1},
-    d_k = (2k-1)/(2k+3) d_{k-1} + (8k+4)/((2k+3) lam) rho_k; p = sum d_k."""
-    rho, d = np.zeros(degree), np.zeros(degree)
-    rho[0], d[0] = 1.0, 4.0 / (3.0 * lam)
-    p = d.copy()
+def _fourth_kind(apply_t, s, degree):
+    """p(t) s, p the polynomial of the fourth-kind Chebyshev smoother
+    x = x0 + p(D^-1 A) D^-1 (b - A x0), by its three-term recurrence in the
+    linear map t = ``apply_t``: d_0 = 4 / (3 LAMBDA) s, then for k = 1 ..
+    degree-1 s -= t d_{k-1}, d_k = (2k-1)/(2k+3) d_{k-1} + (8k+4)/((2k+3)
+    LAMBDA) s; returns sum d_k and overwrites s."""
+    d = 4.0 / (3.0 * LAMBDA) * s
+    total = d.copy()
     for k in range(1, degree):
-        rho[1:] -= d[:-1]
-        d = ((2 * k - 1) * d + (8 * k + 4) / lam * rho) / (2 * k + 3)
-        p += d
-    return p
+        s -= apply_t(d)
+        d *= (2 * k - 1) / (2 * k + 3)
+        d += (8 * k + 4) / ((2 * k + 3) * LAMBDA) * s
+        total += d
+    return total
 
 
 # p(t) s = c_0 (s + c_1/c_0 t (s + c_2/c_1 t (s + c_3/c_2 t s))): Horner's
-# rule, each step one apply of D^-1 A times the ratio plus s; the ratios
-# c_{k+1}/c_k, innermost (k = degree-2) first
-CHEBYSHEV_COEFFICIENTS = _fourth_kind_coefficients(CHEBYSHEV_DEGREE, LAMBDA)
+# rule, each step one apply of D^-1 A times the ratio plus s; c_k from the
+# recurrence on the coefficients of the polynomial 1, t a shift of them;
+# the ratios c_{k+1}/c_k, innermost (k = degree-2) first
+CHEBYSHEV_COEFFICIENTS = _fourth_kind(lambda c: np.append(0.0, c[:-1]),
+                                      np.eye(CHEBYSHEV_DEGREE)[0],
+                                      CHEBYSHEV_DEGREE)
 HORNER_RATIOS = (CHEBYSHEV_COEFFICIENTS[1:]
                  / CHEBYSHEV_COEFFICIENTS[:-1])[::-1]
 
@@ -418,8 +421,8 @@ class Level:
     the next coarser mesh, which averages: the rows of its local matrix are
     scaled by 1 / the coarse cells that share their fine DoF.  The coarsest
     level has no direct solve; above 3 cells per edge, n_c, it smooths with
-    degree 2 n_c, since the smallest nonzero eigenvalue of D^-1 A falls
-    like 1/n_c^2."""
+    degree 2 n_c by the recurrence on vectors (``_fourth_kind``), since the
+    smallest nonzero eigenvalue of D^-1 A falls like 1/n_c^2."""
 
     A: CellOperator
     inv_diag: np.ndarray
@@ -448,33 +451,18 @@ def multigrid_levels(mesh, gmap, A):
         mesh, gmap, A = coarse, cmap, assemble_A(coarse, cmap)
 
 
-def _chebyshev(level, b, x=None):
-    """x + p(D^-1 A) D^-1 (b - A x), p the fourth-kind polynomial of degree
-    ``level.degree``; x = None starts from zero, a given x is updated in
-    place.  Degree CHEBYSHEV_DEGREE goes by Horner's rule, in place on the
-    fresh vector of each apply; a higher one, whose monomial coefficients
-    are ill-conditioned, by the three-term recurrence on vectors."""
+def _chebyshev(level, s):
+    """p(D^-1 A) s, the smoothing step from zero for a scaled residual
+    s = D^-1 r, which it may overwrite; p is the fourth-kind polynomial of
+    degree ``level.degree``.  Degree CHEBYSHEV_DEGREE goes by Horner's rule,
+    in place on the fresh vector of each apply; a higher one, whose monomial
+    coefficients are ill-conditioned, by ``_fourth_kind`` on vectors."""
     if level.degree > CHEBYSHEV_DEGREE:
-        if x is None:
-            x, r = np.zeros_like(b), b.copy()
-        else:
-            r = level.A @ x
-            np.subtract(b, r, out=r)
-        d = level.inv_diag * r
-        d *= 4.0 / (3.0 * LAMBDA)
-        for k in range(1, level.degree):
-            x += d
-            r -= level.A @ d
-            d *= (2 * k - 1) / (2 * k + 3)
-            d += (8 * k + 4) / ((2 * k + 3) * LAMBDA) * level.inv_diag * r
-        x += d
-        return x
-    if x is None:
-        s = level.inv_diag * b
-    else:
-        s = level.A @ x
-        np.subtract(b, s, out=s)
-        s *= level.inv_diag
+        def apply_t(d):
+            q = level.A @ d
+            q *= level.inv_diag
+            return q
+        return _fourth_kind(apply_t, s, level.degree)
     y = s
     for ratio in HORNER_RATIOS:
         y = level.A @ y
@@ -482,27 +470,30 @@ def _chebyshev(level, b, x=None):
         y *= ratio
         y += s
     y *= CHEBYSHEV_COEFFICIENTS[0]
-    if x is None:
-        return y
-    x += y
-    return x
+    return y
 
 
 def v_cycle(levels, b):
     """One V-cycle for A x = b from x = 0: smooth, correct from the next
     coarser level, smooth again with the same polynomial, so the cycle is
-    a symmetric operator.  The coarsest level is only smoothed, with the
-    degree of its ``Level``: CG takes 7, 7 and 13 iterations at n = 13, 17
-    and 26 (-> 13) with degree 2 n_c, against 31, 50 and 33 with 4."""
+    a symmetric operator; the smoother takes the scaled residuals D^-1 b,
+    then D^-1 (b - A x) formed in the array of the apply.  The coarsest
+    level is only smoothed, with the degree of its ``Level``: CG takes 7,
+    7 and 13 iterations at n = 13, 17 and 26 (-> 13) with degree 2 n_c,
+    against 31, 50 and 33 with 4."""
     level = levels[0]
-    x = _chebyshev(level, b)
+    x = _chebyshev(level, level.inv_diag * b)
     if level.P is not None:
         # the residual in the apply's array, gone before the recursion
         r = level.A @ x
         coarse = level.P.T @ np.subtract(b, r, out=r)
         del r
         x += level.P @ v_cycle(levels[1:], coarse)
-    return _chebyshev(level, b, x)
+    r = level.A @ x
+    np.subtract(b, r, out=r)
+    r *= level.inv_diag
+    x += _chebyshev(level, r)
+    return x
 
 
 def velocity_preconditioner(system, G, s_inv):

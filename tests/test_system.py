@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial import Polynomial
 
 from quadcurl import mesh as mesh_module
 from quadcurl import mms, spaces, system
@@ -307,11 +308,13 @@ def test_averaging_folded_into_the_prolongation_keeps_every_bit(n):
     ("zero", 4), ("nonzero", 4), ("zero", 14), ("nonzero", 14)],
     ids=["zero", "nonzero", "zero-14", "nonzero-14"])
 def test_smoother_is_the_fourth_kind_chebyshev_recurrence(start, degree):
-    # the smoother equals the fourth-kind Chebyshev three-term recurrence
-    # (Lottes 2023) on [0, LAMBDA], written out here: x_k = x_{k-1} +
-    # d_{k-1}, r_k = r_{k-1} - A d_{k-1}, d_k = (2k-1)/(2k+3) d_{k-1} +
-    # (8k+4)/((2k+3) LAMBDA) D^-1 r_k; degree 4 by Horner's rule, and the
-    # degree of a coarsest level above 3 cells per edge (2 * 7 at n = 7)
+    # the smoothing step from x0, x0 + p(D^-1 A) D^-1 (b - A x0) with the
+    # scaled residual formed as v_cycle forms it, equals the fourth-kind
+    # Chebyshev three-term recurrence (Lottes 2023) on [0, LAMBDA], written
+    # out here: x_k = x_{k-1} + d_{k-1}, r_k = r_{k-1} - A d_{k-1},
+    # d_k = (2k-1)/(2k+3) d_{k-1} + (8k+4)/((2k+3) LAMBDA) D^-1 r_k; degree
+    # 4 by Horner's rule, and the degree of a coarsest level above 3 cells
+    # per edge (2 * 7 at n = 7)
     mesh = build_mesh(6)
     gmap = system.build_dof_map(mesh)
     A = system.assemble_A(mesh, gmap)
@@ -329,8 +332,30 @@ def test_smoother_is_the_fourth_kind_chebyshev_recurrence(start, degree):
         d = (2 * k - 1) / (2 * k + 3) * d \
             + (8 * k + 4) / ((2 * k + 3) * lam) * level.inv_diag * r
     want = x + d
-    got = system._chebyshev(level, b, None if start == "zero" else x0.copy())
+    got = x0 + system._chebyshev(level, level.inv_diag * (b - A @ x0))
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_horner_coefficients_are_the_fourth_kind_polynomial():
+    # the same recurrence as above, expanded on polynomials in t = D^-1 A
+    # by numpy.polynomial from x_0 = 0: rho_0 = 1 the scaled residual,
+    # d_0 = 4/(3 LAMBDA), rho_k = rho_{k-1} - t d_{k-1}, d_k = (2k-1)/(2k+3)
+    # d_{k-1} + (8k+4)/((2k+3) LAMBDA) rho_k; the smoother is sum d_k
+    lam, degree = system.LAMBDA, system.CHEBYSHEV_DEGREE
+    t, rho = Polynomial([0.0, 1.0]), Polynomial([1.0])
+    d = 4.0 / (3.0 * lam) * rho
+    p = d
+    for k in range(1, degree):
+        rho = rho - t * d
+        d = (2 * k - 1) / (2 * k + 3) * d \
+            + (8 * k + 4) / ((2 * k + 3) * lam) * rho
+        p = p + d
+    want = p.coef
+    got = system.CHEBYSHEV_COEFFICIENTS
+    assert got.shape == (degree,)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert np.allclose(system.HORNER_RATIOS, (want[1:] / want[:-1])[::-1],
+                       rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 10])
