@@ -453,38 +453,44 @@ def curl_inclusion_residual(v_space, w_space):
 def factored_table(space):
     """The dual fields of a vector space as tensor-monomial coefficients, no
     quadrature involved.  Per ErrorTriple column a (d, d, dim, d, K) array,
-    d = AXIS_DEGREE + 1: entry [a, b, j, c, k] is the coefficient of
-    x^a y^b z^c in the k-th polynomial of the column of dual j.  The columns
-    are grad curl (K = 9, entry k = 3 i + j is d(curl f)_i / dx_j), curl and
-    value (K = 3)."""
+    d - 1 <= AXIS_DEGREE the column's own degree, the highest power with a
+    nonzero entry on any axis (the powers above it are exact zeros): entry
+    [a, b, j, c, k] is the coefficient of x^a y^b z^c in the k-th polynomial
+    of the column of dual j.  The columns are grad curl (K = 9, entry
+    k = 3 i + j is d(curl f)_i / dx_j), curl and value (K = 3)."""
     value = coefficient_array(space.span)
     curl = coefficient_curl(value, DIFF)
-    # stored in [a, b, c, k, j] order: TensorGrid's einsum keeps the layout
-    # of its input, and its matmuls ran ~10% slower at n = 24 on another
-    return tuple(np.tensordot(arr.transpose(2, 3, 4, 1, 0), space.dual_coeffs,
-                              axes=(4, 0)).transpose(0, 1, 4, 2, 3)
-                 for arr in (coefficient_grad(curl, DIFF), curl, value))
+    out = []
+    for arr in (coefficient_grad(curl, DIFF), curl, value):
+        t = np.tensordot(arr.transpose(2, 3, 4, 1, 0), space.dual_coeffs,
+                         axes=(4, 0))
+        d = np.argwhere(t)[:, :3].max(initial=0) + 1
+        # stored in [a, b, c, k, j] order: TensorGrid's einsum keeps the layout
+        # of its input, and its matmuls ran ~10% slower at n = 24 on another
+        out.append(np.ascontiguousarray(t[:d, :d, :d]).transpose(0, 1, 4, 2, 3))
+    return tuple(out)
 
 
 class TensorGrid:
     """Sum factorization of ErrorTriple column ``col`` of the factored table
     of ``space``, the only table it holds, on the tensor grid of a tile of
     nj x nk blocks at one first lattice index, in the layout (len(x), len(y),
-    len(z), K) of ``gauss_walk``.  Every axis of a block (the
-    reference frame) carries the points ``t``, its table multiplied by
-    ``scale`` point by point: by sqrt(w) on the Gauss grids of ``gauss``,
-    where fields and values that carry it as well square and pair to
-    weighted integrals.  The z powers are folded into the table once, so
-    ``factors`` is two small matmuls and ``moments`` three.
-    """
+    len(z), K) of ``gauss_walk``.  Every axis of a block (the reference
+    frame) carries the points ``t`` and ``powers`` their d powers of the
+    column (``factored_table``), times ``scale`` point by point: sqrt(w) on
+    the Gauss grids of ``gauss``, where fields and values that carry it as
+    well square and pair to weighted integrals.  The z powers are folded
+    into the table once, so ``factors`` is two small matmuls, ``moments``
+    three."""
 
     def __init__(self, space, col, t, scale=1.0):
-        d = AXIS_DEGREE + 1
+        table = factored_table(space)[col]
+        d = len(table)
         self.scale = scale
         self.powers = (np.asarray(t, dtype=float)[:, None] ** np.arange(d)
                        * np.reshape(scale, (-1, 1)))
         # (d, 1, d, dim, p K): [a, -, b, j, (z, k)]
-        self.table = np.einsum("abjck,zc->abjzk", factored_table(space)[col],
+        self.table = np.einsum("abjck,zc->abjzk", table,
                                self.powers).reshape(d, 1, d, space.dim, -1)
 
     @classmethod

@@ -4,7 +4,7 @@ dual tables of a reference space at arbitrary points."""
 import numpy as np
 
 from quadcurl.polyquad import gauss_rule
-from quadcurl.spaces import AXIS_DEGREE, factored_table
+from quadcurl.spaces import factored_table
 
 REFERENCE_CELL = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
@@ -24,9 +24,9 @@ def gauss_box(q, lo=REFERENCE_CELL[0], hi=REFERENCE_CELL[1]):
 
 def _dense_table(space, pts, col):
     """Column ``col`` of every dual at reference points: (ndof, npts, K)."""
-    x, y, z = (pts[:, a, None] ** np.arange(AXIS_DEGREE + 1) for a in range(3))
-    return np.einsum("abjck,pa,pb,pc->jpk", factored_table(space)[col],
-                     x, y, z, optimize=True)
+    table = factored_table(space)[col]
+    x, y, z = (pts[:, a, None] ** np.arange(len(table)) for a in range(3))
+    return np.einsum("abjck,pa,pb,pc->jpk", table, x, y, z, optimize=True)
 
 
 def dual_value_table(space, pts):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from quadcurl.checks import _field_difference
-from quadcurl.polyquad import GAUSS_ORDER, Poly, PolyField, gauss_rule
-from quadcurl.spaces import (AXIS_DEGREE, DofFunctional, SingularVandermonde,
-                             TensorGrid, coefficient_array,
-                             curl_inclusion_residual, dual_basis,
-                             dual_gram_matrices, reference_spaces, span_VK,
-                             span_WK)
+from quadcurl.polyquad import (GAUSS_ORDER, Poly, PolyField, coefficient_curl,
+                               coefficient_grad, gauss_rule)
+from quadcurl.spaces import (AXIS_DEGREE, DIFF, DofFunctional,
+                             SingularVandermonde, TensorGrid,
+                             coefficient_array, curl_inclusion_residual,
+                             dual_basis, dual_gram_matrices, factored_table,
+                             reference_spaces, span_VK, span_WK)
 from tables import (dual_curl_table, dual_gradcurl_table, dual_value_table,
                     gauss_box)
 
@@ -256,6 +257,30 @@ def test_span_tables_match_dual_polynomials(spaces):
             assert table.shape == want.shape
             assert np.abs(table - want).max() <= 1e-12 * np.abs(want).max(), \
                 tag
+
+
+def test_factored_tables_drop_only_exact_zero_powers(spaces):
+    # oracle: every column over all AXIS_DEGREE + 1 powers per axis, the dual
+    # transform of the span's coefficient arrays; the table keeps the leading
+    # (d, d, d) block, d - 1 the highest power with a nonzero entry
+    degrees = {"VK": (1, 2, 3), "NedelecK": (0, 1, 1), "VM": (3, 3, 3)}
+    for tag, want in degrees.items():
+        sp = spaces[tag]
+        value = coefficient_array(sp.span)
+        curl = coefficient_curl(value, DIFF)
+        for col, arr in enumerate((coefficient_grad(curl, DIFF), curl, value)):
+            full = np.einsum("ikabc,ij->abjck", arr, sp.dual_coeffs)
+            table = factored_table(sp)[col]
+            d = len(table)
+            assert table.shape == (d, d, sp.dim, d, full.shape[-1])
+            assert d - 1 == want[col], (tag, col)
+            dropped = np.ones(full.shape, dtype=bool)
+            dropped[:d, :d, :, :d] = False
+            assert np.all(full[dropped] == 0.0), (tag, col)
+            assert (full[d - 1].any() or full[:, d - 1].any()
+                    or full[:, :, :, d - 1].any()), (tag, col)
+            kept = full[:d, :d, :, :d]
+            assert np.abs(table - kept).max() <= 1e-13 * np.abs(kept).max()
 
 
 def _values(grid, coeffs):
