@@ -268,17 +268,19 @@ def _fork(config, exact):
 
 def _study_n(n, config, exact, worker=None):
     """The records of one mesh size.  Its schemes share the mesh, DoF map,
-    A, B, the partition and I_h u, each built in this process; the last two
-    after the first solve, which never reads them.  No record holds any of
-    them, so a record crosses the pipe from the worker as it is.  With the
-    study's ``worker`` (``_fork``), which builds its own, this process does
-    its part beside the worker's: with two schemes it solves the first
-    while the worker solves the second; with one, from n = SPLIT_MIN_N on,
-    the errors and superconv walks read the best approximations that the
-    worker computes while this process solves.  A worker that died leaves
-    its part to this process.  Records and failures come in the serial
-    loop's order, each as soon as this process has it: the first record
-    while the worker may still run."""
+    A, B, I_h u and the partition, each built in this process: I_h u
+    before the first solve, which starts from it whatever the tasks, so a
+    CG count does not depend on them; the partition after it, for the
+    superconv task only.  No record holds any of them, so a record crosses
+    the pipe from the worker as it is.  With the study's ``worker``
+    (``_fork``), which builds its own, this process does its part beside
+    the worker's: with two schemes it solves the first while the worker
+    solves the second; with one, from n = SPLIT_MIN_N on, the errors and
+    superconv walks read the best approximations that the worker computes
+    while this process solves.  A worker that died leaves its part to this
+    process.  Records and failures come in the serial loop's order, each
+    as soon as this process has it: the first record while the worker may
+    still run."""
     from . import analysis, interp, system
     from .mesh import build_mesh, macro_partition
 
@@ -286,38 +288,36 @@ def _study_n(n, config, exact, worker=None):
     tasks = config.tasks
     mesh = build_mesh(n)
     gmap = system.build_dof_map(mesh)
+    # the start of every solve (``system.solve_saddle``) and the reference
+    # of the superclose task
+    ihu = interp.global_interp_Ih(exact, mesh, gmap)
     A = system.assemble_A(mesh, gmap)
     B = system.assemble_B(mesh, gmap)
-    shared = {"partition": None, "ihu": None}
-
-    def share():
-        """The partition and I_h u of the tasks that read them, once."""
-        if "superconv" in tasks and shared["partition"] is None:
-            shared["partition"] = macro_partition(mesh)
-        if "superclose" in tasks and shared["ihu"] is None:
-            shared["ihu"] = interp.global_interp_Ih(exact, mesh, gmap)
+    partition = None
 
     def solve(scheme, best=None):
         """The record of one scheme: its load, solve and every task.
         ``best()``, when given, reads the best approximation that the next
         split walk adds to."""
+        nonlocal partition
         rhs = system.assemble_rhs(mesh, gmap, exact, mode=scheme)
         sys_ = system.SaddleSystem(A=A, B=B, rhs=rhs, gmap=gmap, mesh=mesh)
-        u, _p, info = system.solve_saddle(sys_, tol=config.tol)
-        share()
+        u, _p, info = system.solve_saddle(sys_, tol=config.tol, guess=ihu)
+        if "superconv" in tasks and partition is None:
+            partition = macro_partition(mesh)
         rec = StudyRecord(n=n, scheme=scheme,
                           velocity_unknowns=int(gmap.n_vdofs),
                           pressure_unknowns=int(gmap.n_qdofs), info=info, u=u)
         for task in tasks:
             if task == "superclose":
                 rec.triples[task] = analysis.superclose_error(
-                    u, shared["ihu"], mesh, gmap)
+                    u, ihu, mesh, gmap)
                 continue
             if task == "errors":
                 measure = functools.partial(analysis.error_vs_exact, u,
                                             exact, mesh, gmap)
             else:
-                i3h_u = interp.global_I3h(u, mesh, gmap, shared["partition"])
+                i3h_u = interp.global_I3h(u, mesh, gmap, partition)
                 measure = functools.partial(analysis.superconvergent_error,
                                             i3h_u, exact, mesh)
             trip = None

@@ -20,7 +20,7 @@ for the grid sums.  On the outer product of three 1D coordinate arrays
 every field goes through one kernel, ``factored``: the x basis at x and
 the (y, z) factor.  The load and the error walks keep the factor, written
 into their stack once per column of tiles; I_h (``value``, ...) takes the
-product.
+product, over the basis functions that each component uses.
 """
 
 from __future__ import annotations
@@ -101,25 +101,50 @@ class TrigSeries:
         return np.moveaxis(out * math.pi**self.pi_power, 0, -1)
 
 
-def _tables(*axes):
-    """The per-axis basis at each 1D coordinate array: (d, len(t)) each."""
+def _tables(axes, basis):
+    """The basis functions ``basis[i]`` of axis i at its 1D coordinate
+    array ``axes[i]``: (len(basis[i]), len(t)) each."""
     return [np.stack([_basis(a, np.asarray(t, dtype=float).reshape(-1))
-                      for a in range(2 * len(FREQS))]) for t in axes]
+                      for a in b]) for t, b in zip(axes, basis)]
 
 
-def factored(coef, x, y, z, comps=slice(None), out=None):
+def factored(coef, x, y, z, comps=slice(None), out=None,
+             basis=(range(2 * len(FREQS)),) * 3):
     """Sum factorization of the components ``comps`` of (F, d, d, d)
     coefficients (powers of pi folded in) on the grid x * y * z, stopped
     before the x sum: ``(X, E)``, X (len(x), d) the x basis at x and
     E (d, len(y), len(z), len(comps)) the (y, z) factor, written into
-    ``out`` if given (C-contiguous), so the fields are X @ E over d."""
-    tx, ty, tz = _tables(x, y, z)
+    ``out`` if given (C-contiguous), so the fields are X @ E over d.
+    ``basis`` names the basis functions that the three coefficient axes
+    weigh, all the per-axis basis by default."""
+    tx, ty, tz = _tables((x, y, z), basis)
     coef = coef[comps]
     zc = np.einsum("cz,fabc->abzf", tz, coef)            # [a, b, z, f]
     E = np.matmul(ty.T, zc.reshape(len(tx), len(ty), -1),  # [a, y, z, f]
                   out=None if out is None else
                   out.reshape(len(tx), ty.shape[1], -1))
     return tx.T, E.reshape(len(tx), ty.shape[1], tz.shape[1], len(coef))
+
+
+def _trimmed(coef):
+    """(d, d, d) coefficients over the basis functions with a nonzero
+    coefficient on each axis, as (1, d_x, d_y, d_z) coefficients and those
+    functions, or None when none is nonzero (u_3)."""
+    if not coef.any():
+        return None
+    basis = [np.flatnonzero(np.moveaxis(coef, a, 0).any(axis=(1, 2)))
+             for a in range(3)]
+    return coef[np.ix_(*basis)][None], basis
+
+
+def _on_grid(trimmed, x, y, z):
+    """The field of ``_trimmed`` coefficients on the grid x * y * z, the
+    product of ``factored`` over their basis functions alone; zeros for
+    None."""
+    if trimmed is None:
+        return np.zeros((len(x), len(y), len(z)))
+    coef, basis = trimmed
+    return np.tensordot(*factored(coef, x, y, z, basis=basis), axes=1)[..., 0]
 
 
 class ExactFields:
@@ -144,6 +169,12 @@ class ExactFields:
             .diff(i).diff(i) for i in range(3))
         self._error_coef = np.concatenate(
             [g.scaled() for g in (self.grad_curl_u, self.curl_u, self.u)])
+        # the components of the interpolation methods, each trimmed to the
+        # 2 of the 4 basis functions per axis that it uses
+        self._grids = {
+            "value": [_trimmed(c) for c in self.u.scaled()],
+            "curl_value": [_trimmed(c) for c in self.curl_u.scaled()],
+            "curl_d2": [_trimmed(g.scaled()[0]) for g in self.curl_u_d2]}
 
     # -- vectorized callables ------------------------------------------------
 
@@ -171,18 +202,15 @@ class ExactFields:
 
     def value(self, component, x, y, z):
         """Component ``component`` of u on the grid x * y * z."""
-        coef = self.u.scaled()[[component]]
-        return np.tensordot(*factored(coef, x, y, z), axes=1)[..., 0]
+        return _on_grid(self._grids["value"][component], x, y, z)
 
     def curl_value(self, component, x, y, z):
         """Component ``component`` of curl u on the grid x * y * z."""
-        coef = self.curl_u.scaled()[[component]]
-        return np.tensordot(*factored(coef, x, y, z), axes=1)[..., 0]
+        return _on_grid(self._grids["curl_value"][component], x, y, z)
 
     def curl_d2(self, component, x, y, z):
         """d^2 (curl u)_component / d x_component^2 on the grid x * y * z."""
-        coef = self.curl_u_d2[component].scaled()
-        return np.tensordot(*factored(coef, x, y, z), axes=1)[..., 0]
+        return _on_grid(self._grids["curl_d2"][component], x, y, z)
 
 
 def build_exact_fields():

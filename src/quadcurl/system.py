@@ -478,9 +478,9 @@ def v_cycle(levels, b):
     coarser level, smooth again with the same polynomial, so the cycle is
     a symmetric operator; the smoother takes the scaled residuals D^-1 b,
     then D^-1 (b - A x) formed in the array of the apply.  The coarsest
-    level is only smoothed, with the degree of its ``Level``: CG takes 7,
-    7 and 13 iterations at n = 13, 17 and 26 (-> 13) with degree 2 n_c,
-    against 31, 50 and 33 with 4."""
+    level is only smoothed, with the degree of its ``Level``: from I_h u,
+    CG takes 6, 6 and 11 iterations at n = 13, 17 and 26 (-> 13) with
+    degree 2 n_c, against 29, 46 and 30 with 4."""
     level = levels[0]
     x = _chebyshev(level, level.inv_diag * b)
     if level.P is not None:
@@ -548,22 +548,36 @@ def q1_inverse(n):
 STAGNATION_WINDOW = 10
 
 
-def _pcg(M, b, atol, maxiter, precond):
-    """CG from x = 0 on the symmetric positive (semi)definite M with the
-    preconditioner function ``precond``, stopped at ||M x - b|| < atol, after
-    ``maxiter`` steps or once the residual norm has not halved in
+def _pcg(M, b, atol, maxiter, precond, x=None):
+    """CG on the symmetric positive (semi)definite M x = b with the
+    preconditioner function ``precond``, stopped at ||M x - b|| < atol,
+    after ``maxiter`` steps or once the residual norm has not halved in
     STAGNATION_WINDOW steps (its round-off floor); returns (x, iterations,
-    the residual norm before each step).  It performs the operations of
-    scipy 1.17's ``scipy.sparse.linalg.cg`` in the same order, so its
-    iterates are the same."""
-    x = np.zeros_like(b)
-    r = b.copy()
+    the residual norm before each step, the scale of the start).  CG starts
+    at zero (scale None), or at xi x for a given x, which it updates in
+    place: xi = (b, M x) / (M x, M x) minimizes ||b - xi M x|| (Hegedus,
+    Comput. Math. Appl. 21, 1991), so the first residual is never larger
+    than b, and 0 when M x = 0.  Its reference to b goes once the first
+    residual exists.  From zero it performs the operations of scipy 1.17's
+    ``scipy.sparse.linalg.cg`` in the same order, so its iterates are the
+    same."""
+    scale = None
+    if x is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        r = M @ x
+        norm2 = np.dot(r, r)
+        scale = float(np.dot(b, r) / norm2) if norm2 > 0.0 else 0.0
+        x *= scale
+        r *= -scale
+        r += b
+    del b
     norms = []
     for its in range(maxiter):
         norms.append(float(np.linalg.norm(r)))
         if norms[-1] < atol or (its >= STAGNATION_WINDOW and norms[-1] >
                                 norms[-1 - STAGNATION_WINDOW] / 2):
-            return x, its, norms
+            return x, its, norms, scale
         z = precond(r)
         rho = np.dot(r, z)
         if its == 0:
@@ -579,15 +593,17 @@ def _pcg(M, b, atol, maxiter, precond):
         r -= alpha * q
         rho_prev = rho
         del q
-    return x, maxiter, norms
+    return x, maxiter, norms, scale
 
 
-# cap of the velocity CG, which takes 8-17 iterations at tol 1e-10 for
-# n = 6..48: it only stops unreachable tolerances that do not stagnate
+# cap of the velocity CG, which takes 7-14 iterations at tol 1e-10 for
+# the paper's n = 6..48 from I_h u (8-17 from zero) and at most 21 for any
+# n <= 48 (n = 45): it only stops unreachable tolerances that do not
+# stagnate
 MAX_ITERATIONS = 100
 
 
-def solve_saddle(system, tol=1e-10):
+def solve_saddle(system, tol=1e-10, guess=None):
     """Solve the saddle system to relative residual <= tol.
 
     The coupling factors as B = M G (V_h mass times gradient inclusion) and
@@ -600,14 +616,20 @@ def solve_saddle(system, tol=1e-10):
     S^-1 is exact (``q1_inverse``); the decoupling assumes G^T B = S, which
     the tests check.  The velocity solve is ``_pcg`` on the cell operator A,
     preconditioned by one multigrid V-cycle and the projection
-    I - G S^-1 B^T (``velocity_preconditioner``), so every CG iterate is
-    divergence-free and the iteration count stays about constant in n (14
-    at n = 24, 16 at n = 48).  Returns (u, p, info), u and p the V_h and Q_h
-    coefficient arrays; info carries the velocity CG iterations, their
-    residual norms (``norms``, as ``_pcg`` returns them) and the
-    relative residual of the full system, ||B^T u|| included.  A relative
-    residual above ``tol`` raises ``MaxIterations`` with the stop that
-    ended CG and its last five residuals; a non-finite one raises
+    Q = I - G S^-1 B^T (``velocity_preconditioner``), so every CG iterate is
+    divergence-free and the iteration count stays about constant in n.
+    CG starts at zero, or, given a ``guess`` g of u (V_h coefficients, left
+    unchanged), at the multiple xi Q g with the smallest residual
+    (``_pcg``).  From the interpolant I_h u, superclose to u_h, CG takes 12
+    iterations at n = 24 and 13 at n = 48, against 14 and 16 from zero.
+    The scale is needed: at n = 2 the modified load is round-off by
+    symmetry, xi ~ 1e-31, and Q I_h u unscaled stagnated.  Returns
+    (u, p, info), u and p the V_h and Q_h coefficient arrays; info carries
+    the velocity CG iterations, their residual norms (``norms``, as
+    ``_pcg`` returns them), xi (``guess_scale``, None without a guess) and
+    the relative residual of the full system, ||B^T u|| included.  A
+    relative residual above ``tol`` raises ``MaxIterations`` with the stop
+    that ended CG and its last five residuals; a non-finite one raises
     ``SingularSystem``.
     """
     A, B, F = system.A, system.B, system.rhs
@@ -615,14 +637,16 @@ def solve_saddle(system, tol=1e-10):
     if fnorm == 0.0:    # also the empty system of a one-cell mesh
         return (np.zeros(system.gmap.n_vdofs), np.zeros(system.gmap.n_qdofs),
                 {"method": "trivial", "residual": 0.0, "iterations": 0,
-                 "norms": [0.0]})
+                 "norms": [0.0], "guess_scale": None})
 
     G = gradient_inclusion_matrix(system.mesh, system.gmap)
     s_inv = q1_inverse(system.mesh.n)
     p = s_inv(G.T @ F)
+    start = None if guess is None else guess - G @ s_inv(B.T @ guess)  # Q g
     atol = 0.5 * tol * fnorm
-    u, its, norms = _pcg(A, F - B @ p, atol, MAX_ITERATIONS,
-                         velocity_preconditioner(system, G, s_inv))
+    u, its, norms, scale = _pcg(A, F - B @ p, atol, MAX_ITERATIONS,
+                                velocity_preconditioner(system, G, s_inv),
+                                start)
 
     res = float(np.hypot(np.linalg.norm(A @ u + B @ p - F),
                          np.linalg.norm(B.T @ u))) / fnorm
@@ -639,4 +663,4 @@ def solve_saddle(system, tol=1e-10):
             "last velocity CG residuals "
             + " ".join(f"{t:.2e}" for t in tail), residual=res, tail=tail)
     return u, p, {"method": "mgcg", "residual": res, "iterations": its,
-                  "norms": norms}
+                  "norms": norms, "guess_scale": scale}

@@ -176,7 +176,7 @@ def test_record_appends_one_line_per_solve(tmp_path, monkeypatch):
         assert set(r) == {"config", "n", "scheme", "velocity_unknowns",
                           "pressure_unknowns", "method", "iterations",
                           "norms", "residual", "elapsed", "peak_mb",
-                          "triples", "walk", "threads"}
+                          "triples", "walk", "threads", "guess_scale"}
         assert r["config"] == config
         assert r["threads"] == cli._blas_threads() >= 1
         assert r["velocity_unknowns"] == 3 * n * (n - 1)**2 \
@@ -1133,9 +1133,10 @@ def test_size_without_coarse_level_is_a_configuration_error(tmp_path, capsys):
 
 def test_every_accepted_size_up_to_26_solves(tmp_path, capsys):
     # a coarsest level above 3 cells per edge, n_c, smooths with degree
-    # 2 n_c, so every size solves: at most 22 CG iterations, at n = 21 (with
-    # degree 4, 17 took 50 and 19, 23 and 25 stagnated).  A study solves
-    # all but 6 and 17, which the CLI solves without --extended
+    # 2 n_c, so every size solves: at most 19 CG iterations from I_h u, at
+    # n = 15 and 21 (22 from zero, at n = 21; from zero with degree 4, 17
+    # took 50 and 19, 23 and 25 stagnated).  A study solves all but 6 and
+    # 17, which the CLI solves without --extended
     config = cli.RunConfig(scheme="modified", tasks=("errors",),
                            ns=tuple(n for n in range(2, 27) if n not in
                                     (6, 17)), extended=True)

@@ -6,7 +6,7 @@ import scipy.linalg
 from numpy.polynomial import Polynomial
 
 from quadcurl import mesh as mesh_module
-from quadcurl import mms, spaces, system
+from quadcurl import interp, mms, spaces, system
 from quadcurl.mesh import build_mesh
 from quadcurl.spaces import reference_spaces
 from tables import dual_gradcurl_table, dual_value_table, gauss_box
@@ -506,33 +506,80 @@ def test_applies_return_vectors_that_later_applies_leave_alone(n, exact):
     z = precond(r)
     assert np.array_equal(r, r0)
     assert not np.shares_memory(z, r)
-    x, its, _ = system._pcg(sys_.A, r, 1e-10 * np.linalg.norm(r), 100,
-                            precond)
+    x, its, _, _ = system._pcg(sys_.A, r, 1e-10 * np.linalg.norm(r), 100,
+                               precond)
     assert its > 0 and np.array_equal(r, r0)
     assert not np.shares_memory(x, r)
 
 
 def test_second_solve_stays_within_15_velocity_vectors(exact):
     # the tracemalloc peak of a solve on a mesh whose A already exists: the
-    # CG vectors, the V-cycle's temporaries and the coarse hierarchy (14.8
-    # vectors at n = 12).  It read 15.3 with each level's averaging weights
+    # CG vectors, the V-cycle's temporaries and the coarse hierarchy (13.2
+    # vectors at n = 12).  It read 14.2 with CG holding the load through
+    # its steps, 15.3 with each level's averaging weights
     # a vector of their own and the restricted residual formed out of
     # place, 17.3 with the first-kind smoother's
     # three-term recurrence, 19.3 with the CG's z and q alive through the
     # preconditioner, 23.7 with one work pair per operator, and 24.6 with
-    # the V-cycle's fine residual and the projection's copy alive longer
+    # the V-cycle's fine residual and the projection's copy alive longer.
+    # A start from the guess I_h u, made before the measurement, keeps the
+    # budget (13.2): its projection becomes the iterate and its product
+    # with A the first residual
     mesh = build_mesh(12)
     gmap = system.build_dof_map(mesh)
     sys_ = system.build_system(mesh, gmap, exact, mode="modified")
-    system.solve_saddle(sys_)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        system.solve_saddle(sys_)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 15 * 8 * gmap.n_vdofs
+    for guess in (None, interp.global_interp_Ih(exact, mesh, gmap)):
+        system.solve_saddle(sys_, guess=guess)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            system.solve_saddle(sys_, guess=guess)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 8 * gmap.n_vdofs
+
+
+def _system_and_ihu(n, exact, mode):
+    mesh = build_mesh(n)
+    gmap = system.build_dof_map(mesh)
+    return (system.build_system(mesh, gmap, exact, mode=mode),
+            interp.global_interp_Ih(exact, mesh, gmap))
+
+
+@pytest.mark.parametrize("mode", ["original", "modified"])
+def test_guess_of_a_round_off_load_is_scaled_away(mode, exact):
+    # at n = 2 the modified load is round-off by symmetry (~5e-13) while
+    # I_h u is O(1): started at Q I_h u unscaled, CG stagnated at a
+    # relative residual of 3.6e-2
+    sys_, ihu = _system_and_ihu(2, exact, mode)
+    _u, _p, info = system.solve_saddle(sys_, guess=ihu)
+    assert info["method"] == "mgcg" and info["residual"] <= 1e-10
+    if mode == "modified":
+        assert abs(info["guess_scale"]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_scaled_guess_starts_no_worse_than_zero(n, exact):
+    # the scale xi minimizes ||b - xi A Q g||, so the first residual from
+    # I_h u is at most the load's and CG takes no more steps than from zero
+    # to the same u; the guess is left as it was (superclose reads it after
+    # the solve), and a zero guess is the zero start bit for bit
+    for mode in ("original", "modified"):
+        sys_, ihu = _system_and_ihu(n, exact, mode)
+        kept = ihu.copy()
+        u0, p0, info0 = system.solve_saddle(sys_)
+        u, p, info = system.solve_saddle(sys_, guess=ihu)
+        assert info0["guess_scale"] is None and info["guess_scale"] > 0
+        assert info["norms"][0] <= info0["norms"][0]
+        assert info["iterations"] <= info0["iterations"]
+        assert np.linalg.norm(u - u0) <= 1e-10 * np.linalg.norm(u0)
+        assert np.array_equal(p, p0)
+        assert ihu.tobytes() == kept.tobytes()
+        uz, pz, infoz = system.solve_saddle(sys_, guess=np.zeros_like(ihu))
+        assert infoz["guess_scale"] == 0.0
+        assert infoz["norms"] == info0["norms"]
+        assert np.array_equal(uz, u0) and np.array_equal(pz, p0)
 
 
 def test_pressure_vanishes_in_both_schemes(setup3, exact):
