@@ -20,7 +20,7 @@ process is measured on 1 and 2 cores only; on more it is a guess.  To keep
 one process, pass ``--threads`` equal to the core count.  The README's CLI
 section ("A study can run on two processes") explains the split;
 ``scripts/bench.py`` times the ``--extended`` run, and
-``BENCH_one-worker.json`` is its newest record.
+``BENCH_warm-start.json`` is its newest record.
 """
 
 import sys

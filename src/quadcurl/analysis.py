@@ -120,10 +120,13 @@ def _block_error(coeffs, tag, exact, mesh, best):
     scales = _scales(size)
     if best is not None:
         sq, roots, columns = best
+        columns = iter(columns)
         acc = np.array(sq, dtype=float)
-        for col, (s, root, c) in enumerate(zip(scales, roots, columns)):
+        for col, (s, root) in enumerate(zip(scales, roots)):
+            c = next(columns)
             np.subtract(c, coeffs, out=c)
             acc[col] += size**3 * s**2 * _gram_square(c, root)
+            del c       # before the worker's pipe reads the next column
         return ErrorTriple(*np.sqrt(acc))
     acc = np.zeros(3)
     for col, s in enumerate(scales):

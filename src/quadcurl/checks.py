@@ -169,10 +169,10 @@ def _patch_fields(rng):
     h = 1.0 / 3.0
     edge_vals = rng.standard_normal(patch.n_edges)
     face_vals = rng.standard_normal((patch.n_faces, 2))
-    _, cell_edges, cell_faces = patch.cell_entities()
-    phys = system.vk_table(edge_vals, face_vals, cell_edges, cell_faces)
+    phys = patch.block_table(1, edges=edge_vals, faces=face_vals)
     ref = phys / h**vk.dof_scale_power
-    return cell_faces, [vk.combine(r) for r in ref], edge_vals
+    return (patch.block_table(1, faces=np.arange(patch.n_faces)),
+            [vk.combine(r) for r in ref], edge_vals)
 
 
 def check_commuting_macro():
@@ -273,8 +273,8 @@ def check_face_jumps():
     face_vals[mesh.face_is_boundary] = 0.0
     # local DoF order per face is (t1, t2, n), so cell c's DoFs are its
     # six faces' values in turn
-    cell_faces = mesh.cell_entities()[2]
-    cell_ref = face_vals[cell_faces].reshape(-1, 18) / h**wk.dof_scale_power
+    cell_faces = mesh.block_table(1, faces=np.arange(mesh.n_faces))
+    cell_ref = mesh.block_table(1, faces=face_vals) / h**wk.dof_scale_power
     fields = [wk.combine(r) for r in cell_ref]
 
     worst = 0.0

@@ -6,9 +6,9 @@ normal is the positive coordinate axis direction, which keeps shared DoFs
 single-valued without sign bookkeeping.
 
 A cell is the sub = 1 case of a block of sub^3 cells; a macroelement is the
-sub = 3 case.  ``BrickMesh.block_entities`` fixes the local order of a
-block's cells, vertices, edges and faces, which is also the DoF order of the
-reference spaces (``macro_partition``: the (macros, 144) fine edges).
+sub = 3 case.  ``BrickMesh.block_table`` fixes the local order of a block's
+vertices, edges and faces, which is also the DoF order of the reference
+spaces (``macro_partition``: the (macros, 144) fine edges).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class BrickMesh:
 
     Holds its sizes and boundary flags and no table: the id functions and
     ``edge_lattice`` number the entities by arithmetic, and
-    ``cell_entities`` builds the per-cell tables for one use.
+    ``block_table`` builds a per-cell or per-block table for one use.
     """
 
     def __init__(self, n):
@@ -121,42 +121,45 @@ class BrickMesh:
         i, j = np.divmod(within, np.where(axis == 1, n, n + 1))
         return axis, i, j, k
 
-    def cell_entities(self):
-        """``(vertices, edges, faces)`` of every cell, built afresh for one
-        use (see ``block_entities``)."""
-        return self.block_entities(_lattice((self.n,) * 3), 1)[1:]
+    def block_table(self, sub, vertices=None, edges=None, faces=None):
+        """The entries of per-entity arrays (indexed by vertex, edge or
+        face id; any trailing axes flattened per entity) at the local
+        vertices, edges and faces of every block of sub^3 cells, one row per
+        block, blocks numbered as the cells of the n/sub mesh; local
+        vertices in the order of :func:`_lattice`, edges and faces in that
+        of :func:`edge_lattice_order` / :func:`face_lattice_order` at
+        n = sub, the classes given in that order.
 
-    def block_entities(self, corners, sub):
-        """``(cells, vertices, edges, faces)`` of the blocks of sub^3 cells
-        with low lattice corners ``corners``, each (blocks, local entities):
-        local cells and vertices in the order of :func:`_lattice`, edges and
-        faces in that of :func:`edge_lattice_order` /
-        :func:`face_lattice_order` at n = sub.
-
-        Every id is linear in the lattice coordinates, with the strides of
-        the mesh (per axis class for edges and faces), so the id of a local
-        entity of a block is the id of the block's corner plus that of the
-        entity in the block at the origin."""
-        low = corners.T
-        cells = self.cell_id(*low)[:, None] + \
-            self.cell_id(*_lattice((sub,) * 3).T)
-        verts = self.vertex_id(*low)[:, None] + \
-            self.vertex_id(*_lattice((sub + 1,) * 3).T)
-
-        def by_axis(entity_id, local):
-            # local rows (axis, i, j, k), axis-major: one class at a time
-            out = np.empty((len(corners), len(local)), dtype=np.int64)
-            per = len(local) // 3
-            for axis in range(3):
-                offsets = entity_id(axis, *local[axis * per:(axis + 1) * per,
-                                                 1:].T)
-                np.add(entity_id(axis, *low)[:, None],
-                       offsets - entity_id(axis, 0, 0, 0),
-                       out=out[:, axis * per:(axis + 1) * per])
-            return out
-
-        return (cells, verts, by_axis(self.edge_id, edge_lattice_order(sub)),
-                by_axis(self.face_id, face_lattice_order(sub)))
+        The local entity (axis, i, j, k) of block (I, J, K) is the entity
+        (axis, sub I + i, sub J + j, sub K + k), so each column is one
+        strided slice of its class's lattice; the columns fill a (columns,
+        blocks) buffer, transposed once."""
+        n, nb = self.n, self.n // sub
+        parts = []      # (lattice view, local lattice points)
+        if vertices is not None:
+            parts.append((vertices.reshape((n + 1,) * 3 + (-1,)),
+                          _lattice((sub + 1,) * 3)))
+        for values, order, along, across in (
+                (edges, edge_lattice_order, n, n + 1),
+                (faces, face_lattice_order, n + 1, n)):
+            if values is not None:      # one class per axis, axis-major
+                local = order(sub)
+                for axis, block in enumerate(np.split(values, 3)):
+                    dims = [across] * 3
+                    dims[axis] = along
+                    parts.append((block.reshape(dims + [-1]),
+                                  local[local[:, 0] == axis, 1:]))
+        width = sum(len(local) * view.shape[3] for view, local in parts)
+        out = np.empty((width, nb, nb, nb),
+                       np.result_type(*(view for view, _ in parts)))
+        col = 0
+        for view, local in parts:
+            step = view.shape[3]
+            for i, j, k in local.tolist():
+                out[col:col + step] = view[i:i + n:sub, j:j + n:sub,
+                                           k:k + n:sub].transpose(3, 0, 1, 2)
+                col += step
+        return np.ascontiguousarray(out.reshape(width, -1).T)
 
 
 def build_mesh(n):
@@ -195,5 +198,5 @@ def macro_partition(mesh):
     if mesh.n % 3:
         raise NonDivisibleMesh(
             f"macro partition needs n divisible by 3, got n={mesh.n}")
-    return mesh.block_entities(3 * _lattice((mesh.n // 3,) * 3), 3)[2]
+    return mesh.block_table(3, edges=np.arange(mesh.n_edges))
 

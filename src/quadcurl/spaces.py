@@ -14,7 +14,7 @@ Everything lives on the cell-centered scaled frame ``[-1/2, 1/2]^3``
 (macro spaces on the same frame subdivided 3x3x3).  Edge and face DoFs are
 built by two enumerations over the fine entities of the frame cut into
 sub^3 cells, sub = 1 or 3, in the local order of
-``quadcurl.mesh.BrickMesh.block_entities``; ``vk_dofs`` is the VK layout
+``quadcurl.mesh.BrickMesh.block_table``; ``vk_dofs`` is the VK layout
 there, which the prolongations of ``quadcurl.system`` also read.  Physical
 DoFs on a cell of edge length ``h`` are the reference DoFs times
 ``h**dof_scale_power``, the same factor for every DoF of a space, so a
@@ -287,7 +287,7 @@ def dual_basis(span, dofs, tag, dof_scale_power):
 
 # ---------------------------------------------------------------------------
 # DoFs over the fine entities of the reference cell cut into sub^3 cells, in
-# the local order of quadcurl.mesh.BrickMesh.block_entities (sub = 1 for the
+# the local order of quadcurl.mesh.BrickMesh.block_table (sub = 1 for the
 # cell spaces, 3 for the macro spaces)
 # ---------------------------------------------------------------------------
 

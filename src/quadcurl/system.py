@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .mesh import BrickMesh, _lattice
+from .mesh import BrickMesh
 from .mms import factored
 from .spaces import (TensorGrid, dual_gram_matrices, functional_matrix,
                      gauss_walk, reference_spaces, vector_scalar_grad_matrix,
@@ -86,17 +86,6 @@ class GlobalDofMap:
     cell_qdofs: np.ndarray    # (n_cells, 8)
 
 
-def vk_table(edge_vals, face_vals, edges, faces):
-    """Per-block table in the VK DoF layout: the entries of ``edge_vals`` at
-    ``edges``, then the two entries of ``face_vals`` at each of ``faces``;
-    the parts are copied in one at a time, not joined."""
-    ne = edges.shape[1]
-    table = np.empty((len(edges), ne + 2 * faces.shape[1]), edge_vals.dtype)
-    table[:, :ne] = edge_vals[edges]
-    table[:, ne:] = face_vals[faces].reshape(len(faces), -1)
-    return table
-
-
 def build_dof_map(mesh):
     n_edges = np.count_nonzero(~mesh.edge_is_boundary)
     n_faces = np.count_nonzero(~mesh.face_is_boundary)
@@ -111,12 +100,12 @@ def build_dof_map(mesh):
     vertex_dof = np.full(mesh.n_vertices, n_qdofs, dtype=np.int64)
     vertex_dof[~mesh.vertex_is_boundary] = np.arange(n_qdofs)
 
-    vertices, edges, faces = mesh.cell_entities()
     return GlobalDofMap(n_vdofs=n_vdofs, n_qdofs=n_qdofs,
                         edge_dof=edge_dof, face_dof=face_dof,
                         vertex_dof=vertex_dof,
-                        cell_vdofs=vk_table(edge_dof, face_dof, edges, faces),
-                        cell_qdofs=vertex_dof[vertices])
+                        cell_vdofs=mesh.block_table(1, edges=edge_dof,
+                                                    faces=face_dof),
+                        cell_qdofs=mesh.block_table(1, vertices=vertex_dof))
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +371,7 @@ HORNER_RATIOS = (CHEBYSHEV_COEFFICIENTS[1:]
 def prolongation_matrix(sub):
     """Local prolongation of a coarse cell cut into sub^3 fine cells: entry
     (i, j) is the fine DoF i (edges, then two face-curl DoFs per face, in the
-    order of ``BrickMesh.block_entities``) of the coarse VK dual j, both in
+    order of ``BrickMesh.block_table``) of the coarse VK dual j, both in
     the coarse reference frame.  Physical DoFs scale as h^1 and the physical
     dual as 1/H, so the matrix serves every cell size."""
     vk = reference_spaces()["VK"]
@@ -444,8 +433,8 @@ def multigrid_levels(mesh, gmap, A):
             return levels
         coarse = BrickMesh(mesh.n // sub)
         cmap = build_dof_map(coarse)
-        rows = vk_table(gmap.edge_dof, gmap.face_dof, *mesh.block_entities(
-            sub * _lattice((coarse.n,) * 3), sub)[2:])
+        rows = mesh.block_table(sub, edges=gmap.edge_dof,
+                                faces=gmap.face_dof)
         level.P = CellOperator(_averaged_prolongation(sub), rows,
                                cmap.cell_vdofs, (gmap.n_vdofs, cmap.n_vdofs))
         mesh, gmap, A = coarse, cmap, assemble_A(coarse, cmap)

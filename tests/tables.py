@@ -1,8 +1,10 @@
-"""Dense oracles that only the tests read: tensor Gauss rules on boxes and the
-dual tables of a reference space at arbitrary points."""
+"""Dense oracles that only the tests read: tensor Gauss rules on boxes, the
+dual tables of a reference space at arbitrary points and the entity ids of
+the blocks of a mesh."""
 
 import numpy as np
 
+from quadcurl.mesh import _lattice, edge_lattice_order, face_lattice_order
 from quadcurl.polyquad import gauss_rule
 from quadcurl.spaces import factored_table
 
@@ -42,3 +44,18 @@ def dual_gradcurl_table(space, pts):
     """Jacobians of the curls of all duals: (ndof, npts, 3, 3); entry
     [..., i, j] is d(curl f)_i / d x_j."""
     return _dense_table(space, pts, 0).reshape(space.dim, len(pts), 3, 3)
+
+
+def broadcast_block_entities(mesh, sub):
+    """``(cells, vertices, edges, faces)`` ids of every block of sub^3 cells,
+    each (blocks, local entities): every local entity's lattice point
+    shifted by every block corner, broadcast, and numbered by the id
+    functions."""
+    low = (sub * _lattice((mesh.n // sub,) * 3)).T[:, :, None]
+    cells = mesh.cell_id(*(low + _lattice((sub,) * 3).T[:, None]))
+    verts = mesh.vertex_id(*(low + _lattice((sub + 1,) * 3).T[:, None]))
+    edges = edge_lattice_order(sub).T
+    edges = mesh.edge_id(edges[0], *(low + edges[1:, None]))
+    faces = face_lattice_order(sub).T
+    faces = mesh.face_id(faces[0], *(low + faces[1:, None]))
+    return cells, verts, edges, faces

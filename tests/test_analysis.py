@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +240,30 @@ def test_split_walk_leaves_out_gradients():
     want = discrete_norms(v, mesh, gmap).as_tuple()
     got = discrete_norms(v + grad, mesh, gmap).as_tuple()
     assert got[:2] == pytest.approx(want[:2], rel=1e-10)
+
+
+def test_split_combine_holds_one_column_at_a_time():
+    # the worker's columns arrive one at a time from its pipe, each
+    # unpickled into a fresh array: the combine drops a column before it
+    # asks for the next, so two never live at once
+    mesh = build_mesh(3)
+    gmap = system.build_dof_map(mesh)
+    ex = mms.build_exact_fields()
+    v = interp.global_interp_Ih(ex, mesh, gmap)
+    sq, roots, columns = analysis.best_approximation("VK", ex, mesh)
+    refs = []
+
+    def fresh(column):
+        assert all(ref() is None for ref in refs), "a column is still alive"
+        copy = column.copy()
+        refs.append(weakref.ref(copy))
+        return copy
+
+    received = (fresh(c) for c in columns)
+    got = analysis.error_vs_exact(v, ex, mesh, gmap, best=(sq, roots, received))
+    want = analysis.error_vs_exact(v, ex, mesh, gmap,
+                                   best=(sq, roots, [c.copy() for c in columns]))
+    assert len(refs) == 3 and got.as_tuple() == want.as_tuple()
 
 
 # block sizes (``system.CHUNK`` rows of ``system._WIDTH`` values) that cut

@@ -4,6 +4,15 @@ import pytest
 from quadcurl.mesh import (BrickMesh, NonDivisibleMesh, _lattice, build_mesh,
                            classify_boundary, edge_lattice_order,
                            face_lattice_order, macro_partition)
+from tables import broadcast_block_entities
+
+
+def _id_tables(m, sub=1):
+    """``block_table`` of the vertex, edge and face ids, one class at a
+    time."""
+    return [m.block_table(sub, **{kind: np.arange(count)}) for kind, count
+            in (("vertices", m.n_vertices), ("edges", m.n_edges),
+                ("faces", m.n_faces))]
 
 
 @pytest.mark.parametrize("n,cells,verts,edges,faces", [
@@ -68,7 +77,7 @@ def test_boundary_flags_follow_cell_incidence(n):
     m = build_mesh(n)
     flags = classify_boundary(m)
     for kind, table, count, around in zip(
-            ("vertices", "edges", "faces"), m.cell_entities(),
+            ("vertices", "edges", "faces"), _id_tables(m),
             (m.n_vertices, m.n_edges, m.n_faces), (8, 4, 2)):
         want = np.bincount(table.ravel(), minlength=count) < around
         assert flags[kind].dtype == bool and np.array_equal(flags[kind],
@@ -81,9 +90,9 @@ def test_boundary_flags_follow_cell_incidence(n):
 def test_build_mesh_builds_no_cell_table(monkeypatch):
     # the boundary flags come from the lattice coordinates alone
     def refuse(*args):
-        raise AssertionError("block_entities called")
+        raise AssertionError("block_table called")
 
-    monkeypatch.setattr(BrickMesh, "block_entities", refuse)
+    monkeypatch.setattr(BrickMesh, "block_table", refuse)
     for n in range(1, 7):
         build_mesh(n)
 
@@ -96,7 +105,7 @@ def test_rejects_empty_mesh():
 def test_interior_edge_shared_by_four_cells():
     m = build_mesh(3)
     counts = np.zeros(m.n_edges, dtype=int)
-    for row in m.cell_entities()[1]:
+    for row in m.block_table(1, edges=np.arange(m.n_edges)):
         counts[row] += 1
     interior = ~m.edge_is_boundary
     assert np.all(counts[interior] == 4)
@@ -105,16 +114,15 @@ def test_interior_edge_shared_by_four_cells():
 def test_interior_face_shared_by_two_cells():
     m = build_mesh(3)
     counts = np.zeros(m.n_faces, dtype=int)
-    for row in m.cell_entities()[2]:
+    for row in m.block_table(1, faces=np.arange(m.n_faces)):
         counts[row] += 1
     assert np.all(counts[~m.face_is_boundary] == 2)
     assert np.all(counts[m.face_is_boundary] == 1)
 
 
 def _macro_blocks(m):
-    """``block_entities`` of the macros, at the corners of
-    ``macro_partition``: (cells, vertices, edges, faces)."""
-    return m.block_entities(3 * _lattice((m.n // 3,) * 3), 3)
+    """The oracle's ids of the macros: (cells, vertices, edges, faces)."""
+    return broadcast_block_entities(m, 3)
 
 
 def test_macro_partition_single_block():
@@ -147,7 +155,7 @@ def test_cell_tables_consistent_with_entity_tables():
     m = build_mesh(2)
     # the first cell's low-corner vertex is (0,0,0) and its x-edges sit at
     # lattice (0, dy, dz)
-    cell_vertices, cell_edges, cell_faces = m.cell_entities()
+    cell_vertices, cell_edges, cell_faces = _id_tables(m)
     assert cell_vertices[0, 0] == m.vertex_id(0, 0, 0)
     assert cell_edges[0, 0] == m.edge_id(0, 0, 0, 0)
     assert cell_faces[0, 0] == m.face_id(0, 0, 0, 0)
@@ -177,7 +185,7 @@ def test_cell_tables_consistent_with_entity_tables():
                     verts.append([m.vertex_id(i + a, j + b, k + c)
                                   for a in (0, 1) for b in (0, 1)
                                   for c in (0, 1)])
-        cell_vertices, cell_edges, cell_faces = m.cell_entities()
+        cell_vertices, cell_edges, cell_faces = _id_tables(m)
         for table, want in ((cell_edges, edges), (cell_faces, faces),
                              (cell_vertices, verts)):
             assert table.shape == (n**3, len(want[0]))
@@ -217,29 +225,29 @@ def test_entity_ids_invert_lattice_tables():
                               edges[ids])
 
 
-def _broadcast_block_entities(mesh, corners, sub):
-    # oracle: every local entity's lattice point shifted by every corner,
-    # broadcast, and numbered by the id functions
-    low = corners.T[:, :, None]
-    cells = mesh.cell_id(*(low + _lattice((sub,) * 3).T[:, None]))
-    verts = mesh.vertex_id(*(low + _lattice((sub + 1,) * 3).T[:, None]))
-    edges = edge_lattice_order(sub).T
-    edges = mesh.edge_id(edges[0], *(low + edges[1:, None]))
-    faces = face_lattice_order(sub).T
-    faces = mesh.face_id(faces[0], *(low + faces[1:, None]))
-    return cells, verts, edges, faces
-
-
-def test_block_entities_match_the_broadcast_construction():
+def test_block_table_matches_the_broadcast_construction():
+    rng = np.random.default_rng(5)
     for n in range(1, 8):
         mesh = build_mesh(n)
         for sub in (1, 2, 3):
             if n % sub:
                 continue
-            corners = sub * _lattice((n // sub,) * 3)
-            got = mesh.block_entities(corners, sub)
-            for table, want in zip(got, _broadcast_block_entities(
-                    mesh, corners, sub)):
-                assert table.dtype == want.dtype
-                assert np.array_equal(table, want)
-
+            _, *want = broadcast_block_entities(mesh, sub)
+            got = _id_tables(mesh, sub)
+            # the classes together, in the order vertices, edges, faces
+            got.append(mesh.block_table(sub, np.arange(mesh.n_vertices),
+                                        np.arange(mesh.n_edges),
+                                        np.arange(mesh.n_faces)))
+            want.append(np.hstack(want))
+            for table, ids in zip(got, want):
+                assert table.dtype == ids.dtype == np.int64
+                assert table.flags.c_contiguous
+                assert np.array_equal(table, ids)
+            # value arrays, a trailing axis flattened per entity
+            edge_vals = rng.standard_normal(mesh.n_edges)
+            face_vals = rng.standard_normal((mesh.n_faces, 2))
+            table = mesh.block_table(sub, edges=edge_vals, faces=face_vals)
+            edges, faces = want[1:3]
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            assert np.array_equal(table, np.hstack([
+                edge_vals[edges], face_vals[faces].reshape(len(faces), -1)]))

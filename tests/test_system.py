@@ -9,7 +9,8 @@ from quadcurl import mesh as mesh_module
 from quadcurl import interp, mms, spaces, system
 from quadcurl.mesh import build_mesh
 from quadcurl.spaces import reference_spaces
-from tables import dual_gradcurl_table, dual_value_table, gauss_box
+from tables import (broadcast_block_entities, dual_gradcurl_table,
+                    dual_value_table, gauss_box)
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +55,10 @@ def test_dof_tables_number_interior_dofs_once_and_slot_the_rest(n):
     assert np.all(gmap.edge_dof[~mesh.edge_is_boundary] < nv)
     assert np.all(gmap.face_dof[~mesh.face_is_boundary] < nv)
     assert np.all(gmap.vertex_dof[~mesh.vertex_is_boundary] < nq)
-    vertices, edges, faces = mesh.cell_entities()
-    assert np.array_equal(gmap.cell_vdofs,
-                          system.vk_table(gmap.edge_dof, gmap.face_dof, edges,
-                                          faces))
+    # the cell tables against the id oracle: edges, then each face's pair
+    _, vertices, edges, faces = broadcast_block_entities(mesh, 1)
+    assert np.array_equal(gmap.cell_vdofs, np.hstack([
+        gmap.edge_dof[edges], gmap.face_dof[faces].reshape(len(faces), -1)]))
     assert np.array_equal(gmap.cell_qdofs, gmap.vertex_dof[vertices])
 
 
