@@ -3,9 +3,12 @@ polynomial algebra, inclusions, the factored dual tables, commuting
 diagrams, orthogonality identities, jump integrals, the manufactured-solution
 cross-checks and the dense solver oracle.
 
-Everything here is an independent verification path: the finite-difference
-load oracle evaluates the velocity directly from sin/cos products (never
-through the series algebra it checks), and the dense solve uses a plain LAPACK
+Everything here is an independent verification path: the reference tables,
+built as matrix products over the spans' coefficient arrays, are compared
+with the ``Poly`` algebra applied to the same spans read as Polys and
+PolyFields (``spaces._as_field``); the finite-difference load oracle
+evaluates the velocity directly from sin/cos products (never through the
+series algebra it checks), and the dense solve uses a plain LAPACK
 factorization of the full saddle matrix.
 """
 
@@ -20,9 +23,9 @@ import scipy.linalg
 from . import interp, mms, polyquad, system
 from .mesh import _lattice, build_mesh, face_lattice_order, macro_partition
 from .polyquad import Poly, PolyField, integrate_exact
-from .spaces import (TensorGrid, coefficient_array, curl_inclusion_residual,
-                     dual_gram_matrices, grad_pair, reference_spaces,
-                     vector_scalar_grad_matrix, vk_dofs)
+from .spaces import (AXIS_DEGREE, TensorGrid, _as_field, coefficient_array,
+                     curl_inclusion_residual, dual_gram_matrices, grad_pair,
+                     reference_spaces, vector_scalar_grad_matrix, vk_dofs)
 
 # the scalar polynomials of a field per ErrorTriple column, in the order of
 # ``spaces.factored_table``: grad curl (entry [i, j] = d(curl f)_i/dx_j, row
@@ -87,23 +90,26 @@ def check_reference_tables():
     equal the same tables from the Poly algebra: every space's Vandermonde
     by ``DofFunctional.apply``, the VK Gram triple and B by
     ``integrate_exact`` and ``grad_pair``, and the prolongations P(2), P(3)
-    by ``apply`` on the VK span."""
+    by ``apply`` on the VK span; every span read as Polys or PolyFields."""
     spcs = reference_spaces()
+    spans = {tag: [_as_field(f) for f in s.span] for tag, s in spcs.items()}
     vk, q1 = spcs["VK"], spcs["Q1K"]
     C, Q = vk.dual_coeffs, q1.dual_coeffs
-    curls = [f.curl() for f in vk.span]
-    grads = [PolyField((p.diff(0), p.diff(1), p.diff(2))) for p in q1.span]
+    curls = [f.curl() for f in spans["VK"]]
+    grads = [PolyField((p.diff(0), p.diff(1), p.diff(2)))
+             for p in spans["Q1K"]]
     M2, M1, M0 = dual_gram_matrices(vk)
-    pairs = [(s.vandermonde, _applied(s.dofs, s.span)) for s in spcs.values()]
+    pairs = [(s.vandermonde, _applied(s.dofs, spans[tag]))
+             for tag, s in spcs.items()]
     pairs += [
-        (M0, C.T @ _poly_gram(vk.span, vk.span, _l2_pair) @ C),
+        (M0, C.T @ _poly_gram(spans["VK"], spans["VK"], _l2_pair) @ C),
         (M1, C.T @ _poly_gram(curls, curls, _l2_pair) @ C),
         (M2, C.T @ _poly_gram(curls, curls, grad_pair) @ C),
         (vector_scalar_grad_matrix(vk, q1),
-         C.T @ _poly_gram(vk.span, grads, _l2_pair) @ Q)]
+         C.T @ _poly_gram(spans["VK"], grads, _l2_pair) @ Q)]
     for sub in (2, 3):
         pairs.append((system.prolongation_matrix(sub),
-                      _applied(vk_dofs(sub), vk.span) @ C))
+                      _applied(vk_dofs(sub), spans["VK"]) @ C))
     worst = max(float(np.abs(got - want).max()) / float(np.abs(want).max())
                 for got, want in pairs)
     return _result("reference tables match the Poly algebra", worst, 1e-13)
@@ -116,7 +122,7 @@ def check_factored_tables():
     xyz = np.meshgrid(t, t, t, indexing="ij")
     worst = 0.0
     for space in reference_spaces().values():
-        if not isinstance(space.span[0], PolyField):
+        if space.span.shape[1] == 1:
             continue    # Q1K is scalar
         for col, components in enumerate(COLUMNS):
             want = np.array([[g(*xyz) for g in components(f)]
@@ -290,12 +296,9 @@ def check_univariate_structure():
     """Each component of every WK spanning field is a sum of univariate
     polynomials: no mixed monomials may appear."""
     wk = reference_spaces()["WK"]
-    mixed = 0
-    for f in wk.span:
-        for comp in f.comps:
-            for (a, b, c) in comp.coeffs:
-                if sum(e > 0 for e in (a, b, c)) > 1:
-                    mixed += 1
+    # the monomials x^a y^b z^c with more than one positive exponent
+    is_mixed = (np.indices((AXIS_DEGREE + 1,) * 3) > 0).sum(axis=0) > 1
+    mixed = int(np.count_nonzero(wk.span[..., is_mixed]))
     return CheckResult("WK components are sums of univariate polynomials",
                        mixed == 0, f"{mixed} mixed monomials")
 

@@ -36,9 +36,9 @@ EXTENDED_NS = (36, 48)
 # approximation splits (``analysis.best_approximation``)
 SPLIT_SPACES = {"errors": "VK", "superconv": "VM"}
 # the smallest n whose one-scheme study computes its best approximations in
-# a forked worker.  Medians of 12 studies of every task, one BLAS thread on
-# two cores, one fork a study, three runs: 181-191 ms walked here against
-# 145-149 ms forked at n = 15, but 76-90 against 81-94 ms at n = 12
+# a forked worker: the smallest n of the paper's sizes that a fork made
+# faster, where n = 12 was a tie (timed in the CHANGES.md entry "Each dual
+# column at its own degree")
 SPLIT_MIN_N = 15
 
 
@@ -407,8 +407,9 @@ class _Worker:
     exception it raises is pickled in their place and raised here.
     ``os.fork`` itself, not spawn: the worker starts from this process's
     warm reference tables, and nothing is pickled on the way in; nor
-    ``multiprocessing``, whose import and first use took 1.4 MB of this
-    process's memory.  Forked before the study's first mesh, it builds its
+    ``multiprocessing``, whose import and first use cost this process
+    memory (CHANGES.md, "A one-scheme study measures its errors beside its
+    solve").  Forked before the study's first mesh, it builds its
     own per-n objects while this process builds its own.  Raises OSError
     when no process is to be had (memory, the process limit).  Leaving its
     ``with`` block by an exception (^C, a failure here or the worker's)

@@ -1,10 +1,12 @@
 """Interpolation operators: canonical, corrected (superclose) and macro.
 
-``interpolate`` is the local operator of every reference space: it applies the
-space's own DoF functionals exactly to a reference-frame ``PolyField``, with
-the tangential face integrals corrected by default (see
+``interpolate`` is the local operator of every reference space, an oracle of
+the battery and the tests that no study calls: it applies the space's own
+DoF functionals exactly to a reference-frame ``PolyField``, with the
+tangential face integrals corrected by default (see
 ``quadcurl.spaces.DofFunctional``), and returns the interpolant as a
-reference-frame ``PolyField``.  The global operator ``global_interp_Ih``
+reference-frame ``PolyField`` (``ElementSpace.combine``, from the span's
+coefficient array).  The global operator ``global_interp_Ih``
 reads a smooth field through three methods of one signature
 ``(component, x, y, z) -> (len(x), len(y), len(z))``: ``value``,
 ``curl_value`` and ``curl_d2`` give one component of u, of curl u and of

@@ -3,11 +3,13 @@
 Scalar polynomials are sparse maps from monomial exponent triples to float
 coefficients.  All calculus (differentiation, curl, box integration) happens
 at the coefficient level, so results are exact up to floating-point rounding.
-The same holds for separable coefficient arrays (``along``,
-``coefficient_curl``, ``coefficient_grad``), given the derivative matrix of
-their 1D basis: tensor monomials in ``quadcurl.spaces``, sin/cos in
-``quadcurl.mms``.  Gauss rules, plain ``(points, weights)`` pairs on
-[0, 1], handle non-polynomial integrands (trigonometric exact solutions).
+This algebra serves the identity battery and the tests as an oracle; no
+study builds a ``Poly``.  Studies use separable coefficient arrays
+(``along``, ``coefficient_curl``, ``coefficient_grad``), exact the same way
+given the derivative matrix of their 1D basis: tensor monomials in
+``quadcurl.spaces``, sin/cos in ``quadcurl.mms``.  Gauss rules, plain
+``(points, weights)`` pairs on [0, 1], handle non-polynomial integrands
+(trigonometric exact solutions).
 """
 
 from __future__ import annotations
@@ -165,20 +167,8 @@ class PolyField:
         comps[axis] = poly if poly is not None else Poly.const(1.0)
         return cls(comps)
 
-    def __add__(self, other):
-        return PolyField(tuple(a + b for a, b in zip(self.comps, other.comps)))
-
     def __sub__(self, other):
         return PolyField(tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self):
-        return PolyField(tuple(-a for a in self.comps))
-
-    def scale(self, s):
-        return PolyField(tuple(a.scale(s) for a in self.comps))
-
-    def diff(self, axis):
-        return PolyField(tuple(a.diff(axis) for a in self.comps))
 
     def curl(self):
         c0, c1, c2 = self.comps
@@ -200,15 +190,6 @@ class PolyField:
         for a, b in zip(self.comps, other.comps):
             out = out + a * b
         return out
-
-    def cross(self, other):
-        a0, a1, a2 = self.comps
-        b0, b1, b2 = other.comps
-        return PolyField((
-            a1 * b2 - a2 * b1,
-            a2 * b0 - a0 * b2,
-            a0 * b1 - a1 * b0,
-        ))
 
     def __call__(self, x, y, z):
         vals = [c(x, y, z) for c in self.comps]
@@ -241,19 +222,6 @@ def coefficient_grad(arr, diff):
     (..., 3K, d, d, d): component 3 k + j is d comp_k / d x_j."""
     g = np.stack([along(arr, diff, j) for j in range(3)], axis=-4)
     return g.reshape(arr.shape[:-4] + (-1,) + arr.shape[-3:])
-
-
-@lru_cache(maxsize=None)
-def legendre_poly(k, axis):
-    """Legendre polynomial scaled to [-1/2, 1/2] along one axis, as a Poly."""
-    coef1d = np.polynomial.legendre.leg2poly([0.0] * k + [1.0])
-    out = Poly.zero()
-    for i, c in enumerate(coef1d):
-        if c != 0.0:
-            mono = [0, 0, 0]
-            mono[axis] = i
-            out = out + Poly.monomial(*mono, coef=c * 2.0**i)
-    return out
 
 
 # Gauss points per axis of every study quadrature (the load, I_h and the error

@@ -22,15 +22,19 @@ single Vandermonde factorization serves every cell of the uniform mesh.
 The DoF functionals also evaluate the h^2/12-corrected tangential face
 integrals of the modified interpolation.
 
-``coefficient_array`` is the one coefficient form of a polynomial field:
-tensor monomials of per-axis degree <= ``AXIS_DEGREE``.  Every reference
-table (the Vandermondes, the Gram matrices, the coupling, the factored dual
-tables) and the reference checks (the compression of the VK span, the curl
-inclusions) are a few small matrix products over such arrays: a DoF is
-one row of 1D moments and powers, and an L2 pairing contracts each axis
-with the exact moment matrix ``MOMENTS``.
-``DofFunctional.apply`` and the ``Poly`` algebra stay as the oracle that
-``quadcurl.checks`` compares these tables against.
+A polynomial field has one coefficient form: an (n, K, d, d, d) array of
+tensor monomials of per-axis degree <= ``AXIS_DEGREE`` (d = AXIS_DEGREE +
+1), and every spanning set is built in it (``ElementSpace.span``): unit
+monomials are entries, a gradient or a product with x_j applies ``DIFF``
+or ``SHIFT`` along an axis, and the macro spans are outer products of rows
+of ``LEGENDRE``.  Every reference table (the Vandermondes, the Gram
+matrices, the coupling, the factored dual tables) and the reference checks
+(the compression of the VK span, the curl inclusions) are a few small
+matrix products over such arrays: a DoF is one row of 1D moments and
+powers, and an L2 pairing contracts each axis with the exact moment matrix
+``MOMENTS``.  ``DofFunctional.apply`` and the ``Poly`` algebra stay as the
+oracle that ``quadcurl.checks`` compares these tables against: ``dual``,
+``combine`` and ``coefficient_array`` convert between the two forms.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 from . import polyquad
 from .mesh import _lattice, edge_lattice_order, face_lattice_order
 from .polyquad import (Poly, PolyField, along, coefficient_curl,
-                       coefficient_grad, integrate_exact, legendre_poly)
+                       coefficient_grad, integrate_exact)
 
 
 class DegenerateSpan(Exception):
@@ -91,10 +95,12 @@ def _outer(factors):
 
 
 # MOMENTS[e, e'] = int_{-1/2}^{1/2} t^(e + e') dt, the L2 pairing of two
-# powers on the reference cell; DIFF[e - 1, e] = e, the derivative of t^e
+# powers on the reference cell; DIFF[e - 1, e] = e, the derivative of t^e;
+# SHIFT[e + 1, e] = 1, the product t * t^e (a top power would be dropped)
 _E = np.arange(AXIS_DEGREE + 1)
 MOMENTS = _moments(-0.5, 0.5, 2 * AXIS_DEGREE)[np.add.outer(_E, _E)]
 DIFF = np.diag(np.arange(1.0, AXIS_DEGREE + 1), k=1)
+SHIFT = np.eye(AXIS_DEGREE + 1, k=-1)
 
 
 def coefficient_array(fields):
@@ -114,10 +120,11 @@ def coefficient_array(fields):
     return out
 
 
-def _as_field(row):
-    """The PolyField of one flattened (3, d, d, d) coefficient array."""
-    return PolyField([Poly(dict(np.ndenumerate(comp))) for comp in
-                      row.reshape((3,) + (AXIS_DEGREE + 1,) * 3)])
+def _as_field(arr):
+    """The PolyField of one (K, d, d, d) coefficient array, a Poly for
+    K = 1: the inverse of ``coefficient_array``."""
+    polys = [Poly(dict(np.ndenumerate(comp))) for comp in arr]
+    return polys[0] if len(polys) == 1 else PolyField(polys)
 
 
 def _l2_gram(a, b):
@@ -128,11 +135,10 @@ def _l2_gram(a, b):
     return a.reshape(len(a), -1) @ b.reshape(len(b), -1).T
 
 
-def functional_matrix(dofs, fields):
-    """DoF_i(fields_j) for every pair, as one product of the DoF weight rows
-    (``DofFunctional.weights``) with the coefficients of the fields and, for
-    vector fields, of their curls."""
-    arr = coefficient_array(fields)
+def functional_matrix(dofs, arr):
+    """DoF_i(field_j) for every pair, as one product of the DoF weight rows
+    (``DofFunctional.weights``) with the coefficient array of the fields
+    and, for vector fields, of their curls."""
     if arr.shape[1] == 3:
         arr = np.concatenate([arr, coefficient_curl(arr, DIFF)], axis=1)
     rows = np.zeros((len(dofs),) + arr.shape[1:])
@@ -227,21 +233,13 @@ class DofFunctional:
         return g.integrate_box(lo, hi)
 
 
-def _linear_combination(fields, coeffs):
-    """sum_j coeffs[j] fields[j], accumulated in index order."""
-    acc = fields[0].scale(coeffs[0])
-    for f, c in zip(fields[1:], coeffs[1:]):
-        acc = acc + f.scale(c)
-    return acc
-
-
 @dataclass(eq=False)
 class ElementSpace:
     """A shape-function space with its DoFs and the Vandermonde-inverted dual
     basis.  Hashes by identity, so per-space results can be cached."""
 
     tag: str
-    span: list
+    span: np.ndarray            # (dim, K, d, d, d) coefficient array
     dofs: list
     vandermonde: np.ndarray
     dual_coeffs: np.ndarray     # column j = coefficients of dual_j over span
@@ -254,14 +252,15 @@ class ElementSpace:
 
     @cached_property
     def dual(self):
-        """The dual fields as PolyFields, built on first use (the production
-        path needs only ``dual_coeffs``)."""
-        return [_linear_combination(self.span, self.dual_coeffs[:, j])
-                for j in range(self.dim)]
+        """The dual fields as PolyFields (Polys for a scalar space), built
+        on first use: the production path needs only ``dual_coeffs``."""
+        return [self.combine(e) for e in np.eye(self.dim)]
 
     def combine(self, coeffs):
-        """The reference field sum_j coeffs[j] dual_j."""
-        return _linear_combination(self.dual, coeffs)
+        """The reference field sum_j coeffs[j] dual_j, a PolyField (a Poly
+        for a scalar space)."""
+        return _as_field(np.tensordot(self.dual_coeffs @ np.asarray(coeffs),
+                                      self.span, axes=1))
 
     def identity_defect(self):
         """max |DoF_i(dual_j) - delta_ij|; small iff the dual basis is sound."""
@@ -270,7 +269,8 @@ class ElementSpace:
 
 
 def dual_basis(span, dofs, tag, dof_scale_power):
-    """Invert the DoF Vandermonde matrix to produce the nodal (dual) basis."""
+    """Invert the DoF Vandermonde matrix to produce the nodal (dual) basis;
+    ``span`` is the (n, K, d, d, d) coefficient array of the spanning set."""
     ndof, nspan = len(dofs), len(span)
     if ndof != nspan:
         raise SingularVandermonde(
@@ -280,7 +280,7 @@ def dual_basis(span, dofs, tag, dof_scale_power):
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularVandermonde(f"{tag}: Vandermonde condition {cond:.3e}")
     C = np.linalg.solve(V, np.eye(ndof))
-    return ElementSpace(tag=tag, span=list(span), dofs=list(dofs),
+    return ElementSpace(tag=tag, span=span, dofs=list(dofs),
                         vandermonde=V, dual_coeffs=C, cond=cond,
                         dof_scale_power=dof_scale_power)
 
@@ -330,24 +330,36 @@ def vk_dofs(sub):
 # spanning sets
 # ---------------------------------------------------------------------------
 
+def _units(terms, K=3):
+    """Unit monomial fields as an (n, K, d, d, d) array: term (k, a, b, c)
+    is x^a y^b z^c in component k."""
+    out = np.zeros((len(terms), K) + (AXIS_DEGREE + 1,) * 3)
+    out[(np.arange(len(terms)),) + tuple(np.transpose(terms))] = 1.0
+    return out
+
+
+# the exponents of Q1, by total degree
+Q1_EXPONENTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+
+
 def _q1_scalars():
-    exps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-            (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    return [Poly.monomial(*e) for e in exps]
+    return _units([(0,) + e for e in Q1_EXPONENTS], K=1)
 
 
 def span_WK():
     """[P1]^3 plus the transverse squares: 18 fields."""
-    fields = []
-    for comp in range(3):
-        for p in _q1_scalars()[:4]:     # 1, x, y, z
-            fields.append(PolyField.unit(comp, p))
-    for comp in range(3):
-        for other in _others(comp):
-            mono = [0, 0, 0]
-            mono[other] = 2
-            fields.append(PolyField.unit(comp, Poly.monomial(*mono)))
-    return fields
+    squares = [(comp,) + tuple(2 * (a == other) for a in range(3))
+               for comp in range(3) for other in _others(comp)]
+    return _units([(comp,) + e for comp in range(3)
+                   for e in Q1_EXPONENTS[:4]] + squares)
+
+
+def _x_cross(w):
+    """x cross w of (n, 3, d, d, d) coefficient arrays."""
+    xw = [along(w, SHIFT, j) for j in range(3)]     # xw[j][:, k] = x_j w_k
+    return np.stack([xw[k - 2][:, k - 1] - xw[k - 1][:, k - 2]
+                     for k in range(3)], axis=1)
 
 
 def span_VK():
@@ -357,11 +369,8 @@ def span_VK():
     18 of them are compressed to 17 by rank-revealing SVD in coefficient
     space.
     """
-    scalars = _q1_scalars()
-    grads = [PolyField([q.diff(j) for j in range(3)]) for q in scalars[1:]]
-    x_field = PolyField(scalars[1:4])
-    mat = coefficient_array([x_field.cross(w) for w in span_WK()])
-    mat = mat.reshape(len(mat), -1)
+    grads = coefficient_grad(_q1_scalars()[1:], DIFF)
+    mat = _x_cross(span_WK()).reshape(18, -1)
     # the SVD runs over the monomials that occur only: over all of them it
     # returns another basis in round-off
     used = mat.any(axis=0)
@@ -370,26 +379,24 @@ def span_VK():
     if rank != 17:
         raise DegenerateSpan(f"x cross WK rank {rank}, expected 17")
     reduced = np.zeros((17, mat.shape[1]))
-    reduced[:, used] = vt[:17]
-
-    fields = grads + [_as_field(r) for r in reduced]
-    full = coefficient_array(fields).reshape(len(fields), -1)
+    reduced[:, used] = vt[:17] + 0.0    # no -0.0 entries
+    span = np.concatenate([grads, reduced.reshape((17,) + grads.shape[1:])])
+    full = span.reshape(24, -1)
     if np.linalg.matrix_rank(full, tol=1e-9 * np.abs(full).max()) != 24:
         raise DegenerateSpan("grad Q1 + x cross WK span is rank deficient")
-    return fields
+    return span
 
 
 def span_nedelec():
     """Lowest-order edge element: Q_{0,1,1} x Q_{1,0,1} x Q_{1,1,0}."""
-    fields = []
-    for comp in range(3):
-        t1, t2 = _others(comp)
-        for e1 in (0, 1):
-            for e2 in (0, 1):
-                mono = [0, 0, 0]
-                mono[t1], mono[t2] = e1, e2
-                fields.append(PolyField.unit(comp, Poly.monomial(*mono)))
-    return fields
+    return _units([(k, *e) for k in range(3) for e in np.ndindex(2, 2, 2)
+                   if e[k] == 0])
+
+
+# LEGENDRE[k, e]: the coefficient of t^e in the Legendre polynomial P_k
+# scaled to [-1/2, 1/2], P_k(2t)
+LEGENDRE = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+                     [-0.5, 0.0, 6.0, 0.0], [0.0, -3.0, 0.0, 20.0]])
 
 
 def span_macro(own, other):
@@ -401,11 +408,11 @@ def span_macro(own, other):
     for comp in range(3):
         degs = [other] * 3
         degs[comp] = own
-        for a, b, c in np.ndindex(*(d + 1 for d in degs)):
-            fields.append(PolyField.unit(comp, legendre_poly(a, 0)
-                                         * legendre_poly(b, 1)
-                                         * legendre_poly(c, 2)))
-    return fields
+        for abc in np.ndindex(*(d + 1 for d in degs)):
+            field = np.zeros((3,) + (AXIS_DEGREE + 1,) * 3)
+            field[comp] = _outer(LEGENDRE[list(abc)]) + 0.0     # no -0.0
+            fields.append(field)
+    return np.array(fields)
 
 
 @lru_cache(maxsize=None)
@@ -436,9 +443,9 @@ def reference_spaces():
 def curl_inclusion_residual(v_space, w_space):
     """Largest least-squares residual of curl(dual of V) against span(W),
     normalized by the curl coefficient magnitude."""
-    w = coefficient_array(w_space.span).reshape(w_space.dim, -1).T
-    curls = (v_space.dual_coeffs.T @ coefficient_curl(coefficient_array(
-        v_space.span), DIFF).reshape(v_space.dim, -1)).T
+    w = w_space.span.reshape(w_space.dim, -1).T
+    curls = (v_space.dual_coeffs.T @ coefficient_curl(
+        v_space.span, DIFF).reshape(v_space.dim, -1)).T
     sol, *_ = np.linalg.lstsq(w, curls, rcond=None)
     res = np.linalg.norm(w @ sol - curls, axis=0)
     return float((res / np.maximum(1.0, np.linalg.norm(curls, axis=0))).max())
@@ -458,15 +465,15 @@ def factored_table(space):
     [a, b, j, c, k] is the coefficient of x^a y^b z^c in the k-th polynomial
     of the column of dual j.  The columns are grad curl (K = 9, entry
     k = 3 i + j is d(curl f)_i / dx_j), curl and value (K = 3)."""
-    value = coefficient_array(space.span)
-    curl = coefficient_curl(value, DIFF)
+    curl = coefficient_curl(space.span, DIFF)
     out = []
-    for arr in (coefficient_grad(curl, DIFF), curl, value):
+    for arr in (coefficient_grad(curl, DIFF), curl, space.span):
         t = np.tensordot(arr.transpose(2, 3, 4, 1, 0), space.dual_coeffs,
                          axes=(4, 0))
         d = np.argwhere(t)[:, :3].max(initial=0) + 1
         # stored in [a, b, c, k, j] order: TensorGrid's einsum keeps the layout
-        # of its input, and its matmuls ran ~10% slower at n = 24 on another
+        # of its input, and its matmuls ran slower on another (CHANGES.md,
+        # "Reference tables as monomial matrix products")
         out.append(np.ascontiguousarray(t[:d, :d, :d]).transpose(0, 1, 4, 2, 3))
     return tuple(out)
 
@@ -527,9 +534,9 @@ class TensorGrid:
         return m.sum(axis=(0, 2))
 
 
-# Gauss points per tile: at n = 48 the load and both error walks took 1.57 s
-# at 2^15, 1.96 s at 2^14 and 1.63 s at 2^16 (medians of three, the
-# residual in row blocks; one BLAS thread, 2 cores)
+# Gauss points per tile: the load and both error walks at n = 48 were
+# fastest at 2^15 of 2^14, 2^15 and 2^16 (CHANGES.md, "Error walks in
+# cache-sized working sets")
 TILE_POINTS = 2**15
 
 
@@ -590,11 +597,10 @@ def dual_gram_matrices(space):
     curl dual_j)``, ``M0`` for the duals.  Computed once per space from the
     span's coefficient arrays and the dual coefficient transform.
     """
-    value = coefficient_array(space.span)
-    curl = coefficient_curl(value, DIFF)
+    curl = coefficient_curl(space.span, DIFF)
     C = space.dual_coeffs
     trip = []
-    for arr in (coefficient_grad(curl, DIFF), curl, value):
+    for arr in (coefficient_grad(curl, DIFF), curl, space.span):
         M = C.T @ _l2_gram(arr, arr) @ C
         trip.append((M + M.T) / 2.0)
     return tuple(trip)
@@ -602,6 +608,5 @@ def dual_gram_matrices(space):
 
 def vector_scalar_grad_matrix(vspace, qspace):
     """Exact reference matrix ``(dual_i, grad qdual_m)``: (vdim, qdim)."""
-    G = _l2_gram(coefficient_array(vspace.span),
-                 coefficient_grad(coefficient_array(qspace.span), DIFF))
+    G = _l2_gram(vspace.span, coefficient_grad(qspace.span, DIFF))
     return vspace.dual_coeffs.T @ G @ qspace.dual_coeffs

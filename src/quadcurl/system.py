@@ -141,16 +141,15 @@ def scatter_add(entries, dofs, size):
 # growth keep views of the old one.
 _WORK = [np.empty(0), np.empty(0)]
 # Table rows per gathered chunk at most: 2048 rows of the fine A's 24
-# columns take 384 KB.  An apply of A took as long as with every row
-# gathered at once (interleaved medians of three runs at n = 24 and 48,
-# one BLAS thread on two cores, within 6 % either way).  A chunk holds at
-# most CHUNK * _WIDTH values, so a wider table (P^T gathers the 126 or 360
-# fine DoFs of a coarse cell) takes fewer rows and fits the gather array
-# that the fine A sizes.  The chunks of a table are as even as can be, and of
-# two rows at least: numpy multiplies a single row by gemv, whose sums
-# differ from gemm's, while chunks of two rows or more give bitwise the
-# product of every row at once (OpenBLAS 0.3.31, the layouts of every
-# operator here).
+# columns take 384 KB, and an apply of A took as long as with every row
+# gathered at once (CHANGES.md, "A leaner working set around the solve").
+# A chunk holds at most CHUNK * _WIDTH values, so a wider table (P^T
+# gathers the 126 or 360 fine DoFs of a coarse cell) takes fewer rows and
+# fits the gather array that the fine A sizes.  The chunks of a table are
+# as even as can be, and of two rows at least: numpy multiplies a single
+# row by gemv, whose sums differ from gemm's, while chunks of two rows or
+# more give bitwise the product of every row at once (OpenBLAS 0.3.31, the
+# layouts of every operator here).
 CHUNK = 2048
 _WIDTH = 24
 
@@ -467,9 +466,10 @@ def v_cycle(levels, b):
     coarser level, smooth again with the same polynomial, so the cycle is
     a symmetric operator; the smoother takes the scaled residuals D^-1 b,
     then D^-1 (b - A x) formed in the array of the apply.  The coarsest
-    level is only smoothed, with the degree of its ``Level``: from I_h u,
-    CG takes 6, 6 and 11 iterations at n = 13, 17 and 26 (-> 13) with
-    degree 2 n_c, against 29, 46 and 30 with 4."""
+    level is only smoothed, with the degree of its ``Level``: degree 2 n_c
+    rather than 4 cuts the CG iterations of hierarchies that end above 3
+    cells a side (CHANGES.md, "Every mesh size solves", re-measured in
+    "Start the velocity CG at the scaled, projected I_h u")."""
     level = levels[0]
     x = _chebyshev(level, level.inv_diag * b)
     if level.P is not None:
@@ -494,8 +494,9 @@ def velocity_preconditioner(system, G, s_inv):
     residuals r are consistent (G^T r = 0), so Q^T r = r and Q V is
     symmetric on them.  Without Q, the gradients that the V-cycle adds
     leave A p unchanged, but their round-off seeds a near-null mode of the
-    singular A once the residual nears its floor (n = 48 took 33
-    iterations instead of 17 with the first-kind smoother)."""
+    singular A once the residual nears its floor, and the iteration count
+    then jumps with small changes of the smoother (CHANGES.md, "Multigrid
+    V-cycle for the velocity CG")."""
     levels = multigrid_levels(system.mesh, system.gmap, system.A)
     B = system.B
 
@@ -585,9 +586,9 @@ def _pcg(M, b, atol, maxiter, precond, x=None):
     return x, maxiter, norms, scale
 
 
-# cap of the velocity CG, which takes 7-14 iterations at tol 1e-10 for
-# the paper's n = 6..48 from I_h u (8-17 from zero) and at most 21 for any
-# n <= 48 (n = 45): it only stops unreachable tolerances that do not
+# cap of the velocity CG, several times the most iterations any n <= 48
+# takes at tol 1e-10 (CHANGES.md, "Start the velocity CG at the scaled,
+# projected I_h u"): it only stops unreachable tolerances that do not
 # stagnate
 MAX_ITERATIONS = 100
 
@@ -609,8 +610,9 @@ def solve_saddle(system, tol=1e-10, guess=None):
     divergence-free and the iteration count stays about constant in n.
     CG starts at zero, or, given a ``guess`` g of u (V_h coefficients, left
     unchanged), at the multiple xi Q g with the smallest residual
-    (``_pcg``).  From the interpolant I_h u, superclose to u_h, CG takes 12
-    iterations at n = 24 and 13 at n = 48, against 14 and 16 from zero.
+    (``_pcg``).  From the interpolant I_h u, superclose to u_h, CG takes
+    fewer iterations than from zero (CHANGES.md, "Start the velocity CG at
+    the scaled, projected I_h u"; the counts are in the run records).
     The scale is needed: at n = 2 the modified load is round-off by
     symmetry, xi ~ 1e-31, and Q I_h u unscaled stagnated.  Returns
     (u, p, info), u and p the V_h and Q_h coefficient arrays; info carries

@@ -9,6 +9,14 @@ acceptance suite and ``scripts/bench.py`` call, fails a refactor that moves
 a number.  Regenerate the file, from the repository root, with
 
     PYTHONPATH=src python tests/golden.py
+
+The committed file was written that way on 2 cores with no thread variable
+set (``cli.THREAD_VARS``), with numpy 2.4.6 and its OpenBLAS 0.3.31:
+OpenBLAS then runs its default of one thread per core, 2, which leaves no
+room for a worker, so ``cli.study`` forks none (``cli._can_fork``) and
+walks every error itself.  Rewritten so, the file is byte for byte the
+same.  With one BLAS thread the study forks, and the triples differ in
+their last bits with the same CG counts, inside ``RTOL``.
 """
 
 import json

@@ -346,6 +346,25 @@ def test_study_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
+def test_study_builds_no_poly(tmp_path):
+    # the spans are built as coefficient arrays: a study runs with the Poly
+    # algebra's constructors refusing, in a fresh interpreter so that no
+    # test's cached spaces serve it
+    code = ("import sys\n"
+            "from quadcurl import cli, polyquad\n"
+            "def refuse(self, *args, **kwargs):\n"
+            "    raise AssertionError(f'{type(self).__name__} built')\n"
+            "polyquad.Poly.__init__ = polyquad.PolyField.__init__ = refuse\n"
+            f"sys.exit(cli.main(['--n', '3', '--task', 'all', '--out', "
+            f"{str(tmp_path)!r}]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert list(tmp_path.iterdir())
+
+
 def test_cli_reproduces_reference_rows(tmp_path):
     # reference error rows for the modified scheme at n = 6, 12
     rc = cli.main(["--scheme", "modified", "--n", "6,12", "--task", "errors",

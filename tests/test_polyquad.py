@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadcurl.polyquad import (Poly, PolyField, gauss_rule,
-                               integrate_exact, legendre_poly)
+from quadcurl.polyquad import Poly, PolyField, gauss_rule, integrate_exact
 from tables import gauss_box
 
 
@@ -124,17 +123,6 @@ def test_product_rule(p, q, axis):
     rhs = p.diff(axis) * q + p * q.diff(axis)
     diff = lhs - rhs
     assert max((abs(v) for v in diff.coeffs.values()), default=0.0) < 1e-9
-
-
-def test_legendre_orthogonality():
-    # scaled Legendre polynomials are orthogonal on [-1/2, 1/2]
-    for a in range(4):
-        for b in range(4):
-            val = integrate_exact(legendre_poly(a, 0) * legendre_poly(b, 0))
-            if a == b:
-                assert val == pytest.approx(1.0 / (2 * a + 1), rel=1e-12)
-            else:
-                assert abs(val) < 1e-14
 
 
 def test_substitute_fixes_coordinate():

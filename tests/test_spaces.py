@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
+from quadcurl import spaces as spaces_module
 from quadcurl.checks import _field_difference
 from quadcurl.polyquad import (GAUSS_ORDER, Poly, PolyField, coefficient_curl,
                                coefficient_grad, gauss_rule)
-from quadcurl.spaces import (AXIS_DEGREE, DIFF, DofFunctional,
-                             SingularVandermonde, TensorGrid,
+from quadcurl.spaces import (AXIS_DEGREE, DIFF, LEGENDRE, MOMENTS,
+                             DofFunctional, SingularVandermonde, TensorGrid,
                              coefficient_array, curl_inclusion_residual,
                              dual_basis, dual_gram_matrices, factored_table,
-                             reference_spaces, span_VK, span_WK)
+                             reference_spaces, span_macro, span_nedelec,
+                             span_VK, span_WK)
 from tables import (dual_curl_table, dual_gradcurl_table, dual_value_table,
                     gauss_box)
 
@@ -18,9 +21,122 @@ def spaces():
     return reference_spaces()
 
 
-def _flat(fields):
+def _flat(span):
     """One row of tensor-monomial coefficients per field."""
-    return coefficient_array(fields).reshape(len(fields), -1)
+    return span.reshape(len(span), -1)
+
+
+def _field(*terms):
+    """One field as a (1, 3, d, d, d) coefficient array: term (coef, k, a,
+    b, c) adds coef x^a y^b z^c to component k."""
+    out = np.zeros((1, 3) + (AXIS_DEGREE + 1,) * 3)
+    for coef, *index in terms:
+        out[(0, *index)] += coef
+    return out
+
+
+# seeded random points of the reference cell, (p, 3)
+POINTS = np.random.default_rng(47).uniform(-0.5, 0.5, (20, 3))
+
+
+def _evaluate(span, pts=POINTS):
+    """The fields of a coefficient array at points: (n, p, K)."""
+    x, y, z = (pts[:, a, None] ** np.arange(AXIS_DEGREE + 1)
+               for a in range(3))
+    return np.einsum("nkabc,pa,pb,pc->npk", span, x, y, z)
+
+
+def _unit_values(monomials):
+    """The values at POINTS of unit fields: monomial (k, a, b, c) is
+    x^a y^b z^c in component k of a field with three components."""
+    x, y, z = POINTS.T
+    out = np.zeros((len(monomials), len(POINTS), 3))
+    for i, (k, a, b, c) in enumerate(monomials):
+        out[i, :, k] = x**a * y**b * z**c
+    return out
+
+
+# 1, x, y, z, xy, xz, yz, xyz
+Q1 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+      (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+def test_q1_span_is_its_monomials():
+    x, y, z = POINTS.T
+    want = np.stack([x**a * y**b * z**c for a, b, c in Q1])[..., None]
+    got = _evaluate(spaces_module._q1_scalars())
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-15
+
+
+def test_wk_and_nedelec_spans_are_their_monomials():
+    # WK: 1, x, y, z in each component, then the two transverse squares of
+    # each component; Nedelec: 1, x_t2, x_t1, x_t1 x_t2 in component k, t1 <
+    # t2 the other axes
+    linear = [(k, *mono) for k in range(3) for mono in Q1[:4]]
+    squares = [(0, 0, 2, 0), (0, 0, 0, 2), (1, 2, 0, 0), (1, 0, 0, 2),
+               (2, 2, 0, 0), (2, 0, 2, 0)]
+    nedelec = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
+               (1, 0, 0, 0), (1, 0, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1),
+               (2, 0, 0, 0), (2, 0, 1, 0), (2, 1, 0, 0), (2, 1, 1, 0)]
+    for span, monos in ((span_WK(), linear + squares),
+                        (span_nedelec(), nedelec)):
+        want = _unit_values(monos)
+        assert np.abs(_evaluate(span) - want).max() < 1e-15
+
+
+def test_macro_spans_are_legendre_products():
+    # component k of V_M (W_M) has degree 2 (3) along axis k and 3 (2)
+    # along the other two; the fields run over the degree triples
+    # lexicographically, component by component
+    x, y, z = POINTS.T
+
+    def p(k, t):
+        return legendre.legval(2.0 * t, np.eye(k + 1)[k])
+
+    for own, other in ((2, 3), (3, 2)):
+        want = []
+        for comp in range(3):
+            degs = [other] * 3
+            degs[comp] = own
+            for a, b, c in np.ndindex(*(d + 1 for d in degs)):
+                field = np.zeros((len(POINTS), 3))
+                field[:, comp] = p(a, x) * p(b, y) * p(c, z)
+                want.append(field)
+        want = np.array(want)
+        got = _evaluate(span_macro(own, other))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_legendre_orthogonality():
+    # the scaled Legendre polynomials are orthogonal on [-1/2, 1/2]:
+    # int P_a(2t) P_b(2t) dt = delta_ab / (2a + 1)
+    gram = LEGENDRE @ MOMENTS @ LEGENDRE.T
+    want = np.diag(1.0 / (2 * np.arange(AXIS_DEGREE + 1) + 1))
+    assert np.abs(gram - want).max() < 1e-14
+
+
+def test_vk_generators_are_x_cross_wk():
+    # the 18 generators x cross w before the SVD, and the 17 fields the SVD
+    # keeps span all of them
+    wk = span_WK()
+    crossed = spaces_module._x_cross(wk)
+    want = np.cross(POINTS, _evaluate(wk))
+    assert np.abs(_evaluate(crossed) - want).max() < 1e-15
+    kept = _flat(span_VK()[7:])
+    sol, *_ = np.linalg.lstsq(kept.T, _flat(crossed).T, rcond=None)
+    assert np.abs(kept.T @ sol - _flat(crossed).T).max() < 1e-12
+
+
+def test_vk_span_begins_with_the_q1_gradients():
+    # the first 7 fields are grad x, grad y, grad z, grad xy, ..., grad xyz
+    x, y, z = POINTS.T
+    want = np.stack([np.stack([a * x**max(a - 1, 0) * y**b * z**c,
+                               b * x**a * y**max(b - 1, 0) * z**c,
+                               c * x**a * y**b * z**max(c - 1, 0)], axis=-1)
+                     for a, b, c in Q1[1:]])
+    assert np.abs(_evaluate(span_VK()[:7]) - want).max() < 1e-15
 
 
 def test_dimensions(spaces):
@@ -49,9 +165,8 @@ def test_vk_span_structure():
 
 def test_gradient_of_trilinear_in_span(spaces):
     # grad(xyz) = (yz, xz, xy) must lie in span(VK)
-    q = Poly.monomial(1, 1, 1)
-    g = PolyField((q.diff(0), q.diff(1), q.diff(2)))
-    mat = _flat(span_VK() + [g])
+    g = _field((1.0, 0, 0, 1, 1), (1.0, 1, 1, 0, 1), (1.0, 2, 1, 1, 0))
+    mat = _flat(np.concatenate([span_VK(), g]))
     span_mat, target = mat[:-1], mat[-1]
     sol, *_ = np.linalg.lstsq(span_mat.T, target, rcond=None)
     assert np.linalg.norm(span_mat.T @ sol - target) < 1e-10
@@ -59,17 +174,16 @@ def test_gradient_of_trilinear_in_span(spaces):
 
 def test_cross_product_field_in_span():
     # x cross (1,0,0) = (0, z, -y)
-    target = PolyField((Poly.zero(), Poly.monomial(0, 0, 1),
-                        -Poly.monomial(0, 1, 0)))
-    mat = _flat(span_VK() + [target])
+    target = _field((1.0, 1, 0, 0, 1), (-1.0, 2, 0, 1, 0))
+    mat = _flat(np.concatenate([span_VK(), target]))
     sol, *_ = np.linalg.lstsq(mat[:-1].T, mat[-1], rcond=None)
     assert np.linalg.norm(mat[:-1].T @ sol - mat[-1]) < 1e-12
 
 
 def test_coefficient_array_rejects_degree_above_axis_degree():
-    # the one guard of every reader of the coefficient form (span_VK,
-    # curl_inclusion_residual, _field_difference): a term past AXIS_DEGREE
-    # raises rather than being dropped
+    # the one guard of the conversion from the Poly algebra to the
+    # coefficient form (the battery's _field_difference): a term past
+    # AXIS_DEGREE raises rather than being dropped
     field = PolyField.unit(0, Poly.monomial(AXIS_DEGREE + 1, 0, 0))
     with pytest.raises(ValueError, match="above per-axis degree"):
         coefficient_array([field])
@@ -114,10 +228,10 @@ def test_duality_block_structure(spaces):
 
 def test_wk_span_has_own_axis_squares_excluded():
     for f in span_WK():
-        for comp, poly in enumerate(f.comps):
+        for comp, poly in enumerate(f):
             mono = [0, 0, 0]
             mono[comp] = 2
-            assert tuple(mono) not in poly.coeffs
+            assert poly[tuple(mono)] == 0.0
 
 
 def _dof(space, kind, axis, fixed, direction):
@@ -212,7 +326,8 @@ def test_dual_basis_rejects_mismatched_counts():
 
 def test_dual_basis_rejects_singular_system():
     # duplicate DoFs make the Vandermonde singular
-    span = [Poly.monomial(1, 0, 0), Poly.monomial(0, 1, 0)]
+    span = np.zeros((2, 1) + (AXIS_DEGREE + 1,) * 3)
+    span[0, 0, 1, 0, 0] = span[1, 0, 0, 1, 0] = 1.0     # x, y
     dof = DofFunctional("vertex", fixed=(0.25, 0.25, 0.0))
     with pytest.raises(SingularVandermonde):
         dual_basis(span, [dof, dof], "dup", dof_scale_power=0)
@@ -266,7 +381,7 @@ def test_factored_tables_drop_only_exact_zero_powers(spaces):
     degrees = {"VK": (1, 2, 3), "NedelecK": (0, 1, 1), "VM": (3, 3, 3)}
     for tag, want in degrees.items():
         sp = spaces[tag]
-        value = coefficient_array(sp.span)
+        value = sp.span
         curl = coefficient_curl(value, DIFF)
         for col, arr in enumerate((coefficient_grad(curl, DIFF), curl, value)):
             full = np.einsum("ikabc,ij->abjck", arr, sp.dual_coeffs)
